@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci build test race vet fmt fmt-check bench-smoke bench-json bench-json-check bundle-check cover fuzz-smoke test-liveness test-failover load-smoke
+.PHONY: ci build test race vet fmt fmt-check bench-build bench-smoke bench-json bench-json-check bundle-check cover fuzz-smoke test-liveness test-failover load-smoke loc
 
 # The full gate: what a PR must pass.
-ci: fmt-check vet build race test-liveness test-failover bundle-check bench-smoke load-smoke bench-json-check cover fuzz-smoke
+ci: fmt-check vet build bench-build race test-liveness test-failover bundle-check bench-smoke load-smoke bench-json-check cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -17,13 +17,21 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench-build vets, builds and tests the frozen benchmark (its own module
+# under bench/, importing internal/... through a replace directive) against
+# the working tree without touching it, so an internal/ signature change
+# that breaks the benchmark fails here instead of in the benchmark pipeline.
+bench-build:
+	cd bench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && \
+		$(GO) vet ./... && $(GO) build -o /dev/null . && $(GO) test ./...
+
 fmt:
 	gofmt -l -w cmd internal examples *.go
 
 # fmt-check fails (listing the offenders) if any tracked Go file is not
 # gofmt-clean.
 fmt-check:
-	@out="$$(gofmt -l cmd internal examples *.go)"; \
+	@out="$$(gofmt -l cmd internal examples bench *.go)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
@@ -103,3 +111,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime=10s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/policyhttp/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime=10s ./internal/rules/
+
+# loc prints non-test, non-blank Go lines per internal package — the
+# code-volume number the roadmap tracks alongside the bench trajectory.
+loc:
+	@for d in internal/*/; do \
+		printf '%-24s %6d\n' "$$d" "$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*$$')"; \
+	done

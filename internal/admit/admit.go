@@ -209,30 +209,50 @@ func (c *Controller) shedMetric(class, reason string) {
 	}
 }
 
-// enter admits one request of the class into the pending count, or
-// reports why it cannot. The caller must pair every successful enter
-// with exactly one leave.
-func (c *Controller) enter(class string) error {
+// enterRead admits one read into the pending count, or reports why it
+// cannot. The caller must pair every successful enterRead with exactly
+// one leave.
+func (c *Controller) enterRead() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrDraining
 	}
-	if class == ClassRead {
-		if c.pendingRead >= c.cfg.MaxQueue+c.cfg.ReadConcurrency {
-			return ErrQueueFull
-		}
-		c.pendingRead++
-		if c.depthRead != nil {
-			c.depthRead.Set(float64(c.pendingRead))
-		}
-		return nil
+	if c.pendingRead >= c.cfg.MaxQueue+c.cfg.ReadConcurrency {
+		return ErrQueueFull
+	}
+	c.pendingRead++
+	if c.depthRead != nil {
+		c.depthRead.Set(float64(c.pendingRead))
+	}
+	return nil
+}
+
+// enqueue admits one mutation: it is counted as pending and handed to the
+// dispatcher under a single hold of c.mu, so Depth never includes a
+// submission that is about to be shed — the MaxQueue-plus-one-batch bound
+// holds at every instant, not just between submissions. On refusal it
+// names the shed reason; a successful enqueue is paired with exactly one
+// leave, by the dispatcher.
+func (c *Controller) enqueue(t *mutTask) (shedReason string, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.closed:
+		return "draining", ErrDraining
+	case c.consumeFailNext():
+		return "injected", ErrQueueFull
+	}
+	select {
+	case c.mutCh <- t:
+	default:
+		return "queue_full", ErrQueueFull
 	}
 	c.pendingMut++
 	if c.depthMut != nil {
 		c.depthMut.Set(float64(c.pendingMut))
 	}
-	return nil
+	return "", nil
 }
 
 func (c *Controller) leave(class string) {
@@ -265,22 +285,10 @@ func (c *Controller) leave(class string) {
 // Every rejection happens before the payload reaches the runner, so a
 // non-nil error guarantees the mutation had no side effects.
 func (c *Controller) SubmitMutation(ctx context.Context, payload any, onStart func()) error {
-	if err := c.enter(ClassMutate); err != nil {
-		c.shedMetric(ClassMutate, reasonFor(err))
-		return err
-	}
-	if c.consumeFailNext() {
-		c.leave(ClassMutate)
-		c.shedMetric(ClassMutate, "injected")
-		return ErrQueueFull
-	}
 	t := &mutTask{ctx: ctx, payload: payload, onStart: onStart, done: make(chan struct{})}
-	select {
-	case c.mutCh <- t:
-	default:
-		c.leave(ClassMutate)
-		c.shedMetric(ClassMutate, "queue_full")
-		return ErrQueueFull
+	if reason, err := c.enqueue(t); err != nil {
+		c.shedMetric(ClassMutate, reason)
+		return err
 	}
 	timer := time.NewTimer(c.cfg.MaxWait)
 	defer timer.Stop()
@@ -310,7 +318,7 @@ func (c *Controller) SubmitMutation(ctx context.Context, payload any, onStart fu
 // concurrency slot. On success the returned release function must be
 // called when the read finishes (it is idempotent).
 func (c *Controller) AcquireRead(ctx context.Context) (release func(), err error) {
-	if err := c.enter(ClassRead); err != nil {
+	if err := c.enterRead(); err != nil {
 		c.shedMetric(ClassRead, reasonFor(err))
 		return nil, err
 	}

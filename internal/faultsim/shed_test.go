@@ -15,8 +15,9 @@ import (
 // retry succeed (the op lands everywhere exactly once). Count 3 sheds
 // every attempt, the client reports busy, and the op must have happened
 // nowhere. Sheds interleave with crashes and resyncs to cover recovery:
-// a shed during WAL-tail replay fails the resync rather than dropping
-// the record, and the replica heals on the next resync.
+// archive replay is replication-plane traffic that bypasses the admission
+// queue, so sheds armed on a downed replica cannot fail its resync — they
+// stay armed and land on the next client op instead.
 func TestShedIsEffectFree(t *testing.T) {
 	ops := []Op{
 		// Baseline mutation so replicas hold non-trivial state.
@@ -38,26 +39,38 @@ func TestShedIsEffectFree(t *testing.T) {
 		// afterwards the dump check covers it again.
 		{Kind: OpCrash, Replica: 1},
 		{Kind: OpResync},
-		// Sheds armed while a replica is down land on the resync's
-		// WAL-tail replay: the restore must fail (replica stays down)
-		// rather than silently drop the shed record.
+		// Down replica 1 again, arm sheds on it, and resync: the replay
+		// (snapshot + the r-5 tail record) does not pass through admission,
+		// so it cannot be shed mid-tail.
 		adviseOp("r-5", "f-05", FaultSpec{Replica: 1, Kind: Fault503},
 			FaultSpec{Replica: 1, Kind: Fault503}, FaultSpec{Replica: 1, Kind: Fault503}),
 		{Kind: OpShed, Replica: 1, Count: 3},
 		{Kind: OpResync},
-		{Kind: OpResync},
-		adviseOp("r-6", "f-06"),
 	}
 	h, err := NewHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	for i, op := range ops {
-		if err := h.Step(op); err != nil {
-			t.Fatalf("op %d (%s): %v", i, op.Kind, err)
+	run := func(ops []Op) {
+		t.Helper()
+		for i, op := range ops {
+			if err := h.Step(op); err != nil {
+				t.Fatalf("op %d (%s): %v", i, op.Kind, err)
+			}
 		}
 	}
+	run(ops)
+	if got := len(h.rc.Healthy()); got != numReplicas {
+		t.Fatalf("%d healthy replicas after resync with sheds armed, want %d (replay must bypass admission)", got, numReplicas)
+	}
+	// The sheds are still armed and hit the next client op: replica 0
+	// applies it, replica 1 sheds every attempt and is marked down.
+	run([]Op{adviseOp("r-6", "f-06")})
+	if up := h.rc.Healthy(); len(up) != 1 || up[0] != 0 {
+		t.Fatalf("healthy replicas after the armed sheds fired = %v, want [0]", up)
+	}
+	run([]Op{{Kind: OpResync}, adviseOp("r-7", "f-07")})
 
 	// The client saw and retried through real 429s.
 	const endpoint = "/v1/transfers"

@@ -32,8 +32,8 @@ func TestExecuteBatchMixedKindsOneGroupCommit(t *testing.T) {
 	log := &recordingLog{}
 	s.SetMutationLog(log)
 
-	advise := &BatchMutation{TransferSpecs: []TransferSpec{spec(1, "wf1"), spec(2, "wf1")}}
-	cleanup := &BatchMutation{CleanupSpecs: []CleanupSpec{{
+	advise := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{spec(1, "wf1"), spec(2, "wf1")}}
+	cleanup := &BatchMutation{Op: OpAdviseCleanups, Request: []CleanupSpec{{
 		RequestID: "c-1", WorkflowID: "wf1", FileURL: srcBase + "/f001.dat",
 	}}}
 	s.ExecuteBatch([]*BatchMutation{advise, cleanup})
@@ -41,11 +41,13 @@ func TestExecuteBatchMixedKindsOneGroupCommit(t *testing.T) {
 	if advise.Err != nil || cleanup.Err != nil {
 		t.Fatalf("batch errors: advise=%v cleanup=%v", advise.Err, cleanup.Err)
 	}
-	if advise.TransferAdvice == nil || len(advise.TransferAdvice.Transfers) != 2 {
-		t.Fatalf("transfer advice = %+v", advise.TransferAdvice)
+	adv, _ := advise.Result.(*TransferAdvice)
+	if adv == nil || len(adv.Transfers) != 2 {
+		t.Fatalf("transfer advice = %+v", advise.Result)
 	}
-	if cleanup.CleanupAdvice == nil || len(cleanup.CleanupAdvice.Cleanups) != 1 {
-		t.Fatalf("cleanup advice = %+v", cleanup.CleanupAdvice)
+	cadv, _ := cleanup.Result.(*CleanupAdvice)
+	if cadv == nil || len(cadv.Cleanups) != 1 {
+		t.Fatalf("cleanup advice = %+v", cleanup.Result)
 	}
 	if len(log.appends) != 2 {
 		t.Fatalf("appended %d records, want 2: %v", len(log.appends), log.appends)
@@ -57,24 +59,21 @@ func TestExecuteBatchMixedKindsOneGroupCommit(t *testing.T) {
 	}
 
 	// A follow-up report batch completes the lifecycle and acks matches.
-	report := &BatchMutation{TransferReport: &CompletionReport{
-		TransferIDs: []string{
-			advise.TransferAdvice.Transfers[0].ID,
-			advise.TransferAdvice.Transfers[1].ID,
-		},
+	report := &BatchMutation{Op: OpReportTransfers, Request: CompletionReport{
+		TransferIDs: []string{adv.Transfers[0].ID, adv.Transfers[1].ID},
 	}}
-	creport := &BatchMutation{CleanupReport: &CleanupReport{
-		CleanupIDs: []string{cleanup.CleanupAdvice.Cleanups[0].ID},
+	creport := &BatchMutation{Op: OpReportCleanups, Request: CleanupReport{
+		CleanupIDs: []string{cadv.Cleanups[0].ID},
 	}}
 	s.ExecuteBatch([]*BatchMutation{report, creport})
 	if report.Err != nil || creport.Err != nil {
 		t.Fatalf("report errors: %v / %v", report.Err, creport.Err)
 	}
-	if report.Ack == nil || report.Ack.Matched != 2 || report.Ack.Unmatched != 0 {
-		t.Fatalf("transfer ack = %+v", report.Ack)
+	if ack, _ := report.Result.(*ReportAck); ack == nil || ack.Matched != 2 || ack.Unmatched != 0 {
+		t.Fatalf("transfer ack = %+v", report.Result)
 	}
-	if creport.Ack == nil || creport.Ack.Matched != 1 {
-		t.Fatalf("cleanup ack = %+v", creport.Ack)
+	if ack, _ := creport.Result.(*ReportAck); ack == nil || ack.Matched != 1 {
+		t.Fatalf("cleanup ack = %+v", creport.Result)
 	}
 	if len(log.syncs) != 2 {
 		t.Fatalf("second batch synced %d times total, want 2", len(log.syncs))
@@ -91,18 +90,18 @@ func TestExecuteBatchSkipsDeadContexts(t *testing.T) {
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	gone := &BatchMutation{Ctx: dead, TransferSpecs: []TransferSpec{spec(1, "wf1")}}
-	live := &BatchMutation{Ctx: context.Background(), TransferSpecs: []TransferSpec{spec(2, "wf1")}}
+	gone := &BatchMutation{Ctx: dead, Op: OpAdviseTransfers, Request: []TransferSpec{spec(1, "wf1")}}
+	live := &BatchMutation{Ctx: context.Background(), Op: OpAdviseTransfers, Request: []TransferSpec{spec(2, "wf1")}}
 	s.ExecuteBatch([]*BatchMutation{gone, live})
 
 	if !errors.Is(gone.Err, context.Canceled) {
 		t.Fatalf("dead-context mutation err = %v, want context.Canceled", gone.Err)
 	}
-	if gone.TransferAdvice != nil {
+	if gone.Result != nil {
 		t.Fatal("dead-context mutation produced advice")
 	}
-	if live.Err != nil || live.TransferAdvice == nil {
-		t.Fatalf("live mutation: err=%v advice=%v", live.Err, live.TransferAdvice)
+	if live.Err != nil || live.Result == nil {
+		t.Fatalf("live mutation: err=%v advice=%v", live.Err, live.Result)
 	}
 	if len(log.appends) != 1 {
 		t.Fatalf("appended %d records, want 1 (abandoned mutation must not log)", len(log.appends))
@@ -121,16 +120,16 @@ func TestExecuteBatchSyncFailureFailsAllLogged(t *testing.T) {
 	log := &recordingLog{syncErr: errors.New("disk full")}
 	s.SetMutationLog(log)
 
-	a := &BatchMutation{TransferSpecs: []TransferSpec{spec(1, "wf1")}}
-	b := &BatchMutation{TransferSpecs: []TransferSpec{spec(2, "wf1")}}
-	invalid := &BatchMutation{TransferSpecs: []TransferSpec{{RequestID: "bad"}}}
+	a := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{spec(1, "wf1")}}
+	b := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{spec(2, "wf1")}}
+	invalid := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{{RequestID: "bad"}}}
 	s.ExecuteBatch([]*BatchMutation{a, b, invalid})
 
 	for name, m := range map[string]*BatchMutation{"a": a, "b": b} {
 		if m.Err == nil || m.Err.Error() == "" || !errorContains(m.Err, "disk full") {
 			t.Errorf("mutation %s err = %v, want the sync failure", name, m.Err)
 		}
-		if m.TransferAdvice != nil {
+		if m.Result != nil {
 			t.Errorf("mutation %s kept its advice despite failed commit", name)
 		}
 	}
@@ -146,9 +145,12 @@ func TestExecuteBatchEmptyAndMissingRequest(t *testing.T) {
 	s.ExecuteBatch(nil) // must not panic
 
 	empty := &BatchMutation{}
-	s.ExecuteBatch([]*BatchMutation{empty})
-	if !errors.Is(empty.Err, ErrEmptyRequest) {
-		t.Fatalf("requestless mutation err = %v, want ErrEmptyRequest", empty.Err)
+	mistyped := &BatchMutation{Op: OpAdviseTransfers, Request: CleanupReport{}}
+	s.ExecuteBatch([]*BatchMutation{empty, mistyped})
+	for name, m := range map[string]*BatchMutation{"op-less": empty, "mistyped": mistyped} {
+		if !errors.Is(m.Err, ErrInvalidRequest) {
+			t.Errorf("%s mutation err = %v, want ErrInvalidRequest", name, m.Err)
+		}
 	}
 }
 
@@ -173,13 +175,13 @@ func TestExecuteBatchMatchesSequentialCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m1 := &BatchMutation{TransferSpecs: specs1}
-	m2 := &BatchMutation{TransferSpecs: specs2}
+	m1 := &BatchMutation{Op: OpAdviseTransfers, Request: specs1}
+	m2 := &BatchMutation{Op: OpAdviseTransfers, Request: specs2}
 	batchSvc.ExecuteBatch([]*BatchMutation{m1, m2})
 	if m1.Err != nil || m2.Err != nil {
 		t.Fatalf("batch errors: %v / %v", m1.Err, m2.Err)
 	}
-	m3 := &BatchMutation{TransferReport: &CompletionReport{TransferIDs: []string{m1.TransferAdvice.Transfers[0].ID}}}
+	m3 := &BatchMutation{Op: OpReportTransfers, Request: CompletionReport{TransferIDs: []string{m1.Result.(*TransferAdvice).Transfers[0].ID}}}
 	batchSvc.ExecuteBatch([]*BatchMutation{m3})
 	if m3.Err != nil {
 		t.Fatal(m3.Err)

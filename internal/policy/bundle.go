@@ -2,12 +2,11 @@ package policy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"policyflow/internal/bundle"
-	"policyflow/internal/obs"
 	"policyflow/internal/rules"
 )
 
@@ -196,138 +195,93 @@ func (s *Service) StageBundle(data []byte) (*BundleInfo, error) {
 // access to the original file. Activating the already-active checksum is
 // an idempotent no-op and appends nothing.
 func (s *Service) ActivateBundle(data []byte) (*BundleInfo, error) {
-	return s.ActivateBundleCtx(context.Background(), data)
-}
-
-// ActivateBundleCtx is ActivateBundle with causal-trace propagation.
-func (s *Service) ActivateBundleCtx(ctx context.Context, data []byte) (*BundleInfo, error) {
-	b, err := bundle.Parse(data)
-	if err != nil {
-		s.mu.Lock()
-		s.countActivation("invalid")
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-	return s.activateBundle(ctx, b)
+	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Doc: data})
 }
 
 // ActivateBundleVersion activates a previously staged (or previously
 // activated) bundle by version name.
 func (s *Service) ActivateBundleVersion(version string) (*BundleInfo, error) {
-	return s.ActivateBundleVersionCtx(context.Background(), version)
-}
-
-// ActivateBundleVersionCtx is ActivateBundleVersion with causal-trace
-// propagation.
-func (s *Service) ActivateBundleVersionCtx(ctx context.Context, version string) (*BundleInfo, error) {
-	s.mu.Lock()
-	b := s.staged[version]
-	if b == nil {
-		b = s.installed[version]
-	}
-	s.mu.Unlock()
-	if b == nil {
-		return nil, fmt.Errorf("%w: unknown bundle version %q (push it first)", ErrInvalidRequest, version)
-	}
-	return s.activateBundle(ctx, b)
+	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Version: version})
 }
 
 // RollbackBundle re-activates the previously active bundle, restoring its
 // thresholds and algorithm without a restart. The rollback is itself a
 // logged activation, so a second rollback returns to where you were.
 func (s *Service) RollbackBundle() (*BundleInfo, error) {
-	return s.RollbackBundleCtx(context.Background())
+	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Rollback: true})
 }
 
-// RollbackBundleCtx is RollbackBundle with causal-trace propagation.
-func (s *Service) RollbackBundleCtx(ctx context.Context) (*BundleInfo, error) {
-	s.mu.Lock()
-	b := s.prevBundle
-	s.mu.Unlock()
-	if b == nil {
-		return nil, fmt.Errorf("%w: no previous bundle to roll back to", ErrInvalidRequest)
+// decodeBundleOp decodes a logged activation; the log only ever holds the
+// full document, so a record without one is damage, not a request.
+func decodeBundleOp(payload []byte) (BundleOp, error) {
+	op, err := decodeJSON[BundleOp](payload)
+	if err == nil && op.Bundle == nil {
+		err = errors.New("record carries no bundle")
 	}
-	return s.activateBundle(ctx, b)
+	return op, err
 }
 
-// activateBundle is the single activation path: WAL-append the full
-// document under the lock, swap the Tunables snapshot, rewrite the
-// configuration facts, then group-commit the log record and commit a
-// decision record after the sync — the same acknowledge-after-durable
-// discipline as advise/report.
-func (s *Service) activateBundle(ctx context.Context, b *bundle.Bundle) (info *BundleInfo, err error) {
-	ctx, opSpan := obs.StartSpan(ctx, s.currentTracer(), "bundle.activate")
-	start := time.Now()
-	var logSeq uint64
-	var rec *DecisionRecord
-	defer func() {
-		var syncSpan *obs.Span
-		if logSeq != 0 {
-			_, syncSpan = obs.StartSpan(ctx, s.currentTracer(), "wal.sync")
+func validateBundleOp(op BundleOp) error {
+	modes := 0
+	for _, set := range []bool{op.Bundle != nil, len(op.Doc) > 0, op.Version != "", op.Rollback} {
+		if set {
+			modes++
 		}
-		serr := s.syncLog(logSeq)
-		if syncSpan != nil {
-			syncSpan.Annot.WALSeq = logSeq
-			syncSpan.End()
+	}
+	if modes != 1 {
+		return fmt.Errorf("%w: exactly one of version, bundle, or rollback is required", ErrInvalidRequest)
+	}
+	return nil
+}
+
+// activateBundleLocked is the apply function of activate_bundle: resolve
+// the request to a bundle document, WAL-append that full document, swap
+// the Tunables snapshot and rewrite the configuration facts.
+func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *BundleInfo, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+	b := op.Bundle
+	switch {
+	case op.Rollback:
+		if b = s.prevBundle; b == nil {
+			err = fmt.Errorf("%w: no previous bundle to roll back to", ErrInvalidRequest)
+			return
 		}
-		if serr != nil && err == nil {
-			info, err = nil, serr
+	case op.Version != "":
+		if b = s.staged[op.Version]; b == nil {
+			b = s.installed[op.Version]
 		}
-		if err == nil && rec != nil {
-			s.decisions.Add(*rec)
+		if b == nil {
+			err = fmt.Errorf("%w: unknown bundle version %q (push it first)", ErrInvalidRequest, op.Version)
+			return
 		}
-		opSpan.SetWALSeq(logSeq)
-		opSpan.End()
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.beginOp(ctx)()
-	firingsBefore := s.session.Firings()
-	var opErr error
-	defer func() { s.observeOp(OpActivateBundle, start, firingsBefore, opErr) }()
-	sum := b.Checksum()
-	if s.tun.Checksum == sum {
-		// Already active: exactly-once semantics. Nothing is appended, so
-		// replay never sees (and replicas never diverge on) a duplicate.
-		s.countActivation("noop")
-		i := bundleInfoOf(b)
-		i.Active = true
-		return &i, nil
-	}
-	if cur, ok := s.installed[b.Version]; ok && cur.Checksum() != sum {
-		opErr = fmt.Errorf("%w: bundle version %q already activated with a different checksum",
-			ErrInvalidRequest, b.Version)
-		s.countActivation("conflict")
-		return nil, opErr
-	}
-	factsBefore := s.session.FactCount()
-	var appendSpan *obs.Span
-	if s.mlog != nil {
-		_, appendSpan = obs.StartSpan(ctx, s.tracer, "wal.append")
-	}
-	logSeq, opErr = s.appendLog(OpActivateBundle, BundleOp{Bundle: b})
-	if appendSpan != nil {
-		appendSpan.Annot.WALSeq = logSeq
-		appendSpan.End()
-	}
-	if opErr != nil {
-		s.countActivation("error")
-		return nil, opErr
-	}
-	s.applyBundleLocked(b)
-	s.countActivation("activated")
-	rec = &DecisionRecord{
-		Op:          OpActivateBundle,
-		TraceID:     s.curTrace,
-		WALSeq:      logSeq,
-		Bundle:      s.tun.Version,
-		FactsBefore: factsBefore,
-		FactsAfter:  s.session.FactCount(),
-		RulesFired:  s.takeFirings(),
+	case b == nil:
+		var perr error
+		if b, perr = bundle.Parse(op.Doc); perr != nil {
+			s.countActivation("invalid")
+			err = fmt.Errorf("%w: %v", ErrInvalidRequest, perr)
+			return
+		}
 	}
 	i := bundleInfoOf(b)
 	i.Active = true
-	return &i, nil
+	if s.tun.Checksum == i.Checksum {
+		// Already active: exactly-once semantics. Nothing is appended, so
+		// replay never sees (and replicas never diverge on) a duplicate.
+		s.countActivation("noop")
+		return &i, 0, nil, nil, nil
+	}
+	if cur, ok := s.installed[b.Version]; ok && cur.Checksum() != i.Checksum {
+		s.countActivation("conflict")
+		err = fmt.Errorf("%w: bundle version %q already activated with a different checksum",
+			ErrInvalidRequest, b.Version)
+		return
+	}
+	if seq, err = s.appendLog(ctx, OpActivateBundle, BundleOp{Bundle: b}); err != nil {
+		s.countActivation("error")
+		return
+	}
+	s.applyBundleLocked(b)
+	s.countActivation("activated")
+	return &i, seq, &DecisionRecord{}, nil, nil
 }
 
 // applyBundleLocked swaps the active bundle and rewrites the configuration

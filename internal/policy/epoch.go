@@ -1,5 +1,7 @@
 package policy
 
+import "context"
+
 // The fencing epoch is the failover subsystem's single source of truth for
 // "who may write": a monotonically increasing counter moved only by the
 // WAL-logged bump_epoch mutation. Promotion bumps it on the new primary's
@@ -27,24 +29,21 @@ func (s *Service) Epoch() uint64 {
 // at or below the current epoch is a no-op (epochs only move forward, and
 // replaying a stale bump must not re-log it). The returned value is the
 // epoch in force afterwards.
-func (s *Service) BumpEpoch(target uint64) (epoch uint64, err error) {
-	var logSeq uint64
-	defer func() {
-		if serr := s.syncLog(logSeq); serr != nil && err == nil {
-			err = serr
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if target <= s.epoch {
-		return s.epoch, nil
+func (s *Service) BumpEpoch(target uint64) (uint64, error) {
+	return execAs[uint64](s, context.Background(), OpBumpEpoch, EpochOp{Epoch: target})
+}
+
+// bumpEpochLocked is the apply function of bump_epoch.
+func (s *Service) bumpEpochLocked(ctx context.Context, op EpochOp) (epoch uint64, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+	if op.Epoch <= s.epoch {
+		return s.epoch, 0, nil, nil, nil
 	}
-	if logSeq, err = s.appendLog(OpBumpEpoch, EpochOp{Epoch: target}); err != nil {
-		return s.epoch, err
+	if seq, err = s.appendLog(ctx, OpBumpEpoch, op); err != nil {
+		return
 	}
-	s.epoch = target
+	s.epoch = op.Epoch
 	if s.metrics != nil {
 		s.metrics.epochGauge.Set(float64(s.epoch))
 	}
-	return s.epoch, nil
+	return s.epoch, seq, nil, nil, nil
 }

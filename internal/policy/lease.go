@@ -1,10 +1,10 @@
 package policy
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"policyflow/internal/obs"
 	"policyflow/internal/rules"
@@ -270,31 +270,29 @@ func cleanupOwners(specs []CleanupSpec) []string {
 // LeaseTTL. It is a WAL-logged mutation: replicas replaying the log arrive
 // at the identical deadline. Returns ErrInvalidRequest when leases are
 // disabled (LeaseTTL = 0) or the workflow ID is empty.
-func (s *Service) RenewLease(workflowID string) (status *LeaseStatus, err error) {
-	if workflowID == "" {
-		return nil, fmt.Errorf("%w: workflow ID is required", ErrInvalidRequest)
+func (s *Service) RenewLease(workflowID string) (*LeaseStatus, error) {
+	return execAs[*LeaseStatus](s, context.Background(), OpRenewLease, LeaseOp{WorkflowID: workflowID})
+}
+
+func validateLease(op LeaseOp) error {
+	if op.WorkflowID == "" {
+		return fmt.Errorf("%w: workflow ID is required", ErrInvalidRequest)
 	}
-	start := time.Now()
-	var logSeq uint64
-	defer func() {
-		if serr := s.syncLog(logSeq); serr != nil && err == nil {
-			status, err = nil, serr
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return nil
+}
+
+// renewLeaseLocked is the apply function of renew_lease.
+func (s *Service) renewLeaseLocked(ctx context.Context, op LeaseOp) (status *LeaseStatus, seq uint64, _ *DecisionRecord, _ []observation, err error) {
 	if s.cfg.LeaseTTL <= 0 {
-		return nil, fmt.Errorf("%w: leases are disabled (LeaseTTL is 0)", ErrInvalidRequest)
+		err = fmt.Errorf("%w: leases are disabled (LeaseTTL is 0)", ErrInvalidRequest)
+		return
 	}
-	firingsBefore := s.session.Firings()
-	var opErr error
-	defer func() { s.observeOp("renew_lease", start, firingsBefore, opErr) }()
-	if logSeq, opErr = s.appendLog(OpRenewLease, LeaseOp{WorkflowID: workflowID}); opErr != nil {
-		return nil, opErr
+	if seq, err = s.appendLog(ctx, OpRenewLease, op); err != nil {
+		return
 	}
-	s.renewLeasesLocked([]string{workflowID})
-	l, _ := rules.First(s.session, func(l *Lease) bool { return l.Owner == workflowID })
-	return &LeaseStatus{WorkflowID: workflowID, Deadline: l.Deadline, TTLSeconds: s.cfg.LeaseTTL}, nil
+	s.renewLeasesLocked([]string{op.WorkflowID})
+	l, _ := rules.First(s.session, func(l *Lease) bool { return l.Owner == op.WorkflowID })
+	return &LeaseStatus{WorkflowID: op.WorkflowID, Deadline: l.Deadline, TTLSeconds: s.cfg.LeaseTTL}, seq, nil, nil, nil
 }
 
 // AdvanceClock moves the service's logical clock forward to now and runs
@@ -305,29 +303,27 @@ func (s *Service) RenewLease(workflowID string) (status *LeaseStatus, err error)
 // in the server binary, simulated time in tests) and replays
 // deterministically from the WAL. Calls that do not move the clock
 // forward are no-ops and are not logged.
-func (s *Service) AdvanceClock(now float64) (adv *ClockAdvance, err error) {
-	if math.IsNaN(now) || math.IsInf(now, 0) || now < 0 {
-		return nil, fmt.Errorf("%w: clock value %v is not a valid time", ErrInvalidRequest, now)
+func (s *Service) AdvanceClock(now float64) (*ClockAdvance, error) {
+	return execAs[*ClockAdvance](s, context.Background(), OpAdvanceClock, ClockOp{Now: now})
+}
+
+func validateClock(op ClockOp) error {
+	if math.IsNaN(op.Now) || math.IsInf(op.Now, 0) || op.Now < 0 {
+		return fmt.Errorf("%w: clock value %v is not a valid time", ErrInvalidRequest, op.Now)
 	}
-	start := time.Now()
-	var logSeq uint64
-	defer func() {
-		if serr := s.syncLog(logSeq); serr != nil && err == nil {
-			adv, err = nil, serr
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return nil
+}
+
+// advanceClockLocked is the apply function of advance_clock.
+func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *ClockAdvance, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+	now := op.Now
 	if now <= s.clock {
 		// Monotonic clamp: late or duplicate ticks change nothing, on every
 		// replica alike, so there is nothing to log.
-		return &ClockAdvance{Now: s.clock}, nil
+		return &ClockAdvance{Now: s.clock}, 0, nil, nil, nil
 	}
-	firingsBefore := s.session.Firings()
-	var opErr error
-	defer func() { s.observeOp("advance_clock", start, firingsBefore, opErr) }()
-	if logSeq, opErr = s.appendLog(OpAdvanceClock, ClockOp{Now: now}); opErr != nil {
-		return nil, opErr
+	if seq, err = s.appendLog(ctx, OpAdvanceClock, op); err != nil {
+		return
 	}
 	s.clock = now
 
@@ -340,7 +336,7 @@ func (s *Service) AdvanceClock(now float64) (adv *ClockAdvance, err error) {
 		}
 	}
 	if len(expired) == 0 {
-		return adv, nil
+		return
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i].Owner < expired[j].Owner })
 	for _, l := range expired {
@@ -377,11 +373,8 @@ func (s *Service) AdvanceClock(now float64) (adv *ClockAdvance, err error) {
 		s.session.Retract(l)
 		s.session.Insert(&LeaseExpired{Owner: owner})
 	}
-	if _, ferr := s.session.FireAll(s.cfg.FireBudget); ferr != nil {
-		opErr = fmt.Errorf("policy: rule evaluation: %w", ferr)
-		return nil, opErr
-	}
-	return adv, nil
+	err = s.fireRules(ctx)
+	return
 }
 
 // ClockNow returns the service's logical clock.

@@ -2,28 +2,11 @@ package policy
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 
 	"policyflow/internal/bundle"
-)
-
-// Logged operation names. The policy service is deterministic, so a log of
-// the mutation *requests* — replayed in order against a service built with
-// the same configuration — reproduces Policy Memory exactly, including
-// assigned transfer, group and cleanup IDs. These constants name the
-// operations in WAL records and archive tails.
-const (
-	OpAdviseTransfers = "advise_transfers"
-	OpReportTransfers = "report_transfers"
-	OpAdviseCleanups  = "advise_cleanups"
-	OpReportCleanups  = "report_cleanups"
-	OpSetThreshold    = "set_threshold"
-	OpImportState     = "import_state"
-	OpRenewLease      = "renew_lease"
-	OpAdvanceClock    = "advance_clock"
-	OpActivateBundle  = "activate_bundle"
-	OpBumpEpoch       = "bump_epoch"
+	"policyflow/internal/obs"
 )
 
 // ThresholdOp is the logged payload of a SetThreshold call.
@@ -38,6 +21,14 @@ type ThresholdOp struct {
 // no access to the file or push that originally supplied the bundle.
 type BundleOp struct {
 	Bundle *bundle.Bundle `json:"bundle"`
+
+	// The request may instead name what to activate; it is resolved to the
+	// full document under the service lock and only that is ever logged.
+	// Doc is a raw bundle document to parse, Version a staged or previously
+	// activated version, Rollback the previously active bundle.
+	Doc      []byte `json:"-"`
+	Version  string `json:"-"`
+	Rollback bool   `json:"-"`
 }
 
 // MutationLog receives every Policy Memory mutation command, in
@@ -61,113 +52,38 @@ func (s *Service) SetMutationLog(l MutationLog) {
 	s.mlog = l
 }
 
-// appendLog records one mutation command. Callers hold s.mu, so log order
-// equals application order. A failed append fails the operation before any
-// state changes are acknowledged.
-func (s *Service) appendLog(op string, payload any) (uint64, error) {
+// ErrMutationLog wraps every failure of the service's own write-ahead log
+// (append or sync). Unlike a rejected request, it is local to this
+// replica: the mutation is not durable here, so replay and resync callers
+// must stop rather than skip the record. Test with errors.Is.
+var ErrMutationLog = errors.New("policy: mutation log")
+
+// appendLog records one mutation command under a wal.append span. Callers
+// hold s.mu, so log order equals application order. A failed append fails
+// the operation before any state changes.
+func (s *Service) appendLog(ctx context.Context, op string, payload any) (uint64, error) {
 	if s.mlog == nil {
 		return 0, nil
 	}
+	_, span := obs.StartSpan(ctx, s.tracer, "wal.append")
 	seq, err := s.mlog.Append(op, payload)
+	span.SetWALSeq(seq)
+	span.End()
 	if err != nil {
-		return 0, fmt.Errorf("policy: mutation log: %w", err)
+		return 0, fmt.Errorf("%w: %w", ErrMutationLog, err)
 	}
 	return seq, nil
 }
 
-// syncLog waits for the record at seq to become durable. Callers must not
-// hold s.mu — this is where concurrent operations overlap their fsyncs.
-func (s *Service) syncLog(seq uint64) error {
-	if seq == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	l := s.mlog
-	s.mu.Unlock()
-	if l == nil {
+// syncLog waits for the record at seq to become durable in l. Callers
+// must not hold s.mu — this is where concurrent batches overlap their
+// fsyncs.
+func syncLog(l MutationLog, seq uint64) error {
+	if seq == 0 || l == nil {
 		return nil
 	}
 	if err := l.Sync(seq); err != nil {
-		return fmt.Errorf("policy: mutation log sync: %w", err)
-	}
-	return nil
-}
-
-// ApplyLogged replays one logged mutation during recovery. Payloads are
-// decoded and dispatched to the corresponding service method; application
-// errors are discarded because replay is deterministic — an operation that
-// failed validation when first submitted fails identically here, leaving
-// the same (partial) state it left then. Decode failures and unknown
-// operations are reported: they mean the log itself is damaged. Callers
-// must replay into a service whose mutation log is not yet attached, or
-// every record would be re-logged.
-func (s *Service) ApplyLogged(op string, payload []byte) error {
-	switch op {
-	case OpAdviseTransfers:
-		var specs []TransferSpec
-		if err := json.Unmarshal(payload, &specs); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.AdviseTransfers(specs)
-	case OpReportTransfers:
-		var report CompletionReport
-		if err := json.Unmarshal(payload, &report); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.ReportTransfers(report)
-	case OpAdviseCleanups:
-		var specs []CleanupSpec
-		if err := json.Unmarshal(payload, &specs); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.AdviseCleanups(specs)
-	case OpReportCleanups:
-		var report CleanupReport
-		if err := json.Unmarshal(payload, &report); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.ReportCleanups(report)
-	case OpSetThreshold:
-		var t ThresholdOp
-		if err := json.Unmarshal(payload, &t); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.SetThreshold(t.SourceHost, t.DestHost, t.Max)
-	case OpImportState:
-		var d StateDump
-		if err := json.Unmarshal(payload, &d); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.ImportState(&d)
-	case OpRenewLease:
-		var l LeaseOp
-		if err := json.Unmarshal(payload, &l); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.RenewLease(l.WorkflowID)
-	case OpAdvanceClock:
-		var c ClockOp
-		if err := json.Unmarshal(payload, &c); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.AdvanceClock(c.Now)
-	case OpActivateBundle:
-		var b BundleOp
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		if b.Bundle == nil {
-			return fmt.Errorf("policy: replay %s: record carries no bundle", op)
-		}
-		s.activateBundle(context.Background(), b.Bundle)
-	case OpBumpEpoch:
-		var e EpochOp
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return fmt.Errorf("policy: replay %s: %w", op, err)
-		}
-		s.BumpEpoch(e.Epoch)
-	default:
-		return fmt.Errorf("policy: replay: unknown logged op %q", op)
+		return fmt.Errorf("%w: sync: %w", ErrMutationLog, err)
 	}
 	return nil
 }

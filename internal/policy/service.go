@@ -306,26 +306,8 @@ func (s *Service) emit(e obs.Event) {
 	}
 }
 
-// currentTracer returns the attached tracer, for span creation before
-// the service lock is taken.
-func (s *Service) currentTracer() obs.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracer
-}
-
-// beginOp marks the start of a traced, provenance-recorded operation.
-// Called with s.mu held; the returned func must run before unlock.
-func (s *Service) beginOp(ctx context.Context) (done func()) {
-	if sc, ok := obs.SpanFromContext(ctx); ok {
-		s.curTrace = sc.TraceID
-	}
-	s.pendingFirings = s.pendingFirings[:0]
-	return func() { s.curTrace = "" }
-}
-
-// takeFirings returns the rule activations recorded since beginOp.
-// Called with s.mu held.
+// takeFirings returns the rule activations recorded since ExecuteBatch
+// began the current member. Called with s.mu held.
 func (s *Service) takeFirings() []RuleFiring {
 	if len(s.pendingFirings) == 0 {
 		return nil
@@ -440,18 +422,7 @@ func (s *Service) AdviseTransfers(specs []TransferSpec) (*TransferAdvice, error)
 // firing, WAL append, group-commit sync — and stamps lifecycle events
 // and the decision record with the trace ID.
 func (s *Service) AdviseTransfersCtx(ctx context.Context, specs []TransferSpec) (*TransferAdvice, error) {
-	if err := validateTransferSpecs(specs); err != nil {
-		return nil, err
-	}
-	ctx, opSpan := obs.StartSpan(ctx, s.currentTracer(), "policy.advise_transfers")
-	start := time.Now()
-	s.mu.Lock()
-	adv, seq, rec, err := s.adviseTransfersLocked(ctx, start, specs)
-	s.mu.Unlock()
-	if err := s.commitOp(ctx, opSpan, seq, rec, err); err != nil {
-		return nil, err
-	}
-	return adv, nil
+	return execAs[*TransferAdvice](s, ctx, OpAdviseTransfers, specs)
 }
 
 // validateTransferSpecs checks the whole batch before anything logs or
@@ -471,27 +442,12 @@ func validateTransferSpecs(specs []TransferSpec) error {
 	return nil
 }
 
-// adviseTransfersLocked is the locked core of AdviseTransfers: append the
-// WAL record, mutate Policy Memory, fire the rules, and assemble the
-// advice and decision record. The caller holds s.mu, has already
-// validated specs, and afterwards runs commitOp (or a batch-wide group
-// commit) with the returned sequence and record.
-func (s *Service) adviseTransfersLocked(ctx context.Context, start time.Time, specs []TransferSpec) (adv *TransferAdvice, logSeq uint64, rec *DecisionRecord, err error) {
-	defer s.beginOp(ctx)()
-	factsBefore := s.session.FactCount()
-	firingsBefore := s.session.Firings()
-	defer func() { s.observeOp("advise_transfers", start, firingsBefore, err) }()
-	var appendSpan *obs.Span
-	if s.mlog != nil {
-		_, appendSpan = obs.StartSpan(ctx, s.tracer, "wal.append")
-	}
-	logSeq, err = s.appendLog(OpAdviseTransfers, specs)
-	if appendSpan != nil {
-		appendSpan.Annot.WALSeq = logSeq
-		appendSpan.End()
-	}
-	if err != nil {
-		return nil, logSeq, nil, err
+// adviseTransfersLocked is the apply function of advise_transfers (see
+// opSpec.apply for the contract): log the specs, insert them as Submitted
+// transfers, fire the rules, and assemble the advice and decision lines.
+func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpec) (adv *TransferAdvice, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+	if seq, err = s.appendLog(ctx, OpAdviseTransfers, specs); err != nil {
+		return
 	}
 	// Advising doubles as a liveness signal: the calling workflows' leases
 	// are registered or extended. Deadlines derive only from the logged
@@ -528,12 +484,8 @@ func (s *Service) adviseTransfersLocked(ctx context.Context, start time.Time, sp
 			Priority:   t.Priority,
 		})
 	}
-	_, fireSpan := obs.StartSpan(ctx, s.tracer, "rules.fire")
-	_, fireErr := s.session.FireAll(s.cfg.FireBudget)
-	fireSpan.End()
-	if fireErr != nil {
-		err = fmt.Errorf("policy: rule evaluation: %w", fireErr)
-		return nil, logSeq, nil, err
+	if err = s.fireRules(ctx); err != nil {
+		return
 	}
 
 	adv = &TransferAdvice{}
@@ -620,21 +572,23 @@ func (s *Service) adviseTransfersLocked(ctx context.Context, start time.Time, sp
 			})
 		default:
 			err = fmt.Errorf("policy: transfer %s left in unexpected state %v", t.ID, t.State)
-			return nil, logSeq, nil, err
+			return
 		}
 	}
 	sortAdvice(adv.Transfers)
-	rec = &DecisionRecord{
-		Op:          OpAdviseTransfers,
-		TraceID:     s.curTrace,
-		WALSeq:      logSeq,
-		Bundle:      s.tun.Version,
-		FactsBefore: factsBefore,
-		FactsAfter:  s.session.FactCount(),
-		RulesFired:  s.takeFirings(),
-		Lines:       lines,
+	return adv, seq, &DecisionRecord{Lines: lines}, nil, nil
+}
+
+// fireRules runs the rule engine to quiescence under a rules.fire span.
+// Callers hold s.mu.
+func (s *Service) fireRules(ctx context.Context) error {
+	_, span := obs.StartSpan(ctx, s.tracer, "rules.fire")
+	_, err := s.session.FireAll(s.cfg.FireBudget)
+	span.End()
+	if err != nil {
+		return fmt.Errorf("policy: rule evaluation: %w", err)
 	}
-	return adv, logSeq, rec, nil
+	return nil
 }
 
 // sortAdvice orders the returned transfer list: higher priority first, then
@@ -689,44 +643,17 @@ func (s *Service) ReportTransfers(report CompletionReport) (*ReportAck, error) {
 // ReportTransfersCtx is ReportTransfers with causal-trace propagation;
 // see AdviseTransfersCtx.
 func (s *Service) ReportTransfersCtx(ctx context.Context, report CompletionReport) (*ReportAck, error) {
-	ctx, opSpan := obs.StartSpan(ctx, s.currentTracer(), "policy.report_transfers")
-	start := time.Now()
-	s.mu.Lock()
-	ack, seq, rec, pending, err := s.reportTransfersLocked(ctx, start, report)
-	observer := s.observer
-	s.mu.Unlock()
-	if err := s.commitOp(ctx, opSpan, seq, rec, err); err != nil {
-		return nil, err
-	}
-	if observer != nil {
-		for _, o := range pending {
-			observer(o.pair, o.streams, o.size, o.seconds)
-		}
-	}
-	return ack, nil
+	return execAs[*ReportAck](s, ctx, OpReportTransfers, report)
 }
 
-// reportTransfersLocked is the locked core of ReportTransfers; see
-// adviseTransfersLocked for the contract. It additionally returns the
-// timing observations captured before the rules retracted the transfer
-// facts — the caller delivers them to the performance observer after the
-// lock is released (the observer may call back into the service).
-func (s *Service) reportTransfersLocked(ctx context.Context, start time.Time, report CompletionReport) (ack *ReportAck, logSeq uint64, rec *DecisionRecord, pending []observation, err error) {
-	defer s.beginOp(ctx)()
-	factsBefore := s.session.FactCount()
-	firingsBefore := s.session.Firings()
-	defer func() { s.observeOp("report_transfers", start, firingsBefore, err) }()
-	var appendSpan *obs.Span
-	if s.mlog != nil {
-		_, appendSpan = obs.StartSpan(ctx, s.tracer, "wal.append")
-	}
-	logSeq, err = s.appendLog(OpReportTransfers, report)
-	if appendSpan != nil {
-		appendSpan.Annot.WALSeq = logSeq
-		appendSpan.End()
-	}
-	if err != nil {
-		return nil, logSeq, nil, nil, err
+// reportTransfersLocked is the apply function of report_transfers. It
+// additionally returns the timing observations captured before the rules
+// retract the transfer facts — ExecuteBatch delivers them to the
+// performance observer after the lock is released (the observer may call
+// back into the service).
+func (s *Service) reportTransfersLocked(ctx context.Context, report CompletionReport) (ack *ReportAck, seq uint64, rec *DecisionRecord, pending []observation, err error) {
+	if seq, err = s.appendLog(ctx, OpReportTransfers, report); err != nil {
+		return
 	}
 	// Count matches against the transfers still present, consuming each ID
 	// on match so a duplicate ID within one report counts unmatched —
@@ -806,24 +733,10 @@ func (s *Service) reportTransfersLocked(ctx context.Context, start time.Time, re
 	for _, id := range report.FailedIDs {
 		s.session.Insert(&TransferResult{TransferID: id, Failed: true})
 	}
-	_, fireSpan := obs.StartSpan(ctx, s.tracer, "rules.fire")
-	_, fireErr := s.session.FireAll(s.cfg.FireBudget)
-	fireSpan.End()
-	if fireErr != nil {
-		err = fmt.Errorf("policy: rule evaluation: %w", fireErr)
-		return nil, logSeq, nil, nil, err
+	if err = s.fireRules(ctx); err != nil {
+		return
 	}
-	rec = &DecisionRecord{
-		Op:          OpReportTransfers,
-		TraceID:     s.curTrace,
-		WALSeq:      logSeq,
-		Bundle:      s.tun.Version,
-		FactsBefore: factsBefore,
-		FactsAfter:  s.session.FactCount(),
-		RulesFired:  s.takeFirings(),
-		Lines:       lines,
-	}
-	return ack, logSeq, rec, pending, nil
+	return ack, seq, &DecisionRecord{Lines: lines}, pending, nil
 }
 
 // emitResults emits one lifecycle event per reported transfer ID,
@@ -854,18 +767,7 @@ func (s *Service) AdviseCleanups(specs []CleanupSpec) (*CleanupAdvice, error) {
 // AdviseCleanupsCtx is AdviseCleanups with causal-trace propagation;
 // see AdviseTransfersCtx.
 func (s *Service) AdviseCleanupsCtx(ctx context.Context, specs []CleanupSpec) (*CleanupAdvice, error) {
-	if err := validateCleanupSpecs(specs); err != nil {
-		return nil, err
-	}
-	ctx, opSpan := obs.StartSpan(ctx, s.currentTracer(), "policy.advise_cleanups")
-	start := time.Now()
-	s.mu.Lock()
-	adv, seq, rec, err := s.adviseCleanupsLocked(ctx, start, specs)
-	s.mu.Unlock()
-	if err := s.commitOp(ctx, opSpan, seq, rec, err); err != nil {
-		return nil, err
-	}
-	return adv, nil
+	return execAs[*CleanupAdvice](s, ctx, OpAdviseCleanups, specs)
 }
 
 // validateCleanupSpecs is whole-batch validation before logging or
@@ -883,24 +785,10 @@ func validateCleanupSpecs(specs []CleanupSpec) error {
 	return nil
 }
 
-// adviseCleanupsLocked is the locked core of AdviseCleanups; see
-// adviseTransfersLocked for the contract.
-func (s *Service) adviseCleanupsLocked(ctx context.Context, start time.Time, specs []CleanupSpec) (adv *CleanupAdvice, logSeq uint64, rec *DecisionRecord, err error) {
-	defer s.beginOp(ctx)()
-	factsBefore := s.session.FactCount()
-	firingsBefore := s.session.Firings()
-	defer func() { s.observeOp("advise_cleanups", start, firingsBefore, err) }()
-	var appendSpan *obs.Span
-	if s.mlog != nil {
-		_, appendSpan = obs.StartSpan(ctx, s.tracer, "wal.append")
-	}
-	logSeq, err = s.appendLog(OpAdviseCleanups, specs)
-	if appendSpan != nil {
-		appendSpan.Annot.WALSeq = logSeq
-		appendSpan.End()
-	}
-	if err != nil {
-		return nil, logSeq, nil, err
+// adviseCleanupsLocked is the apply function of advise_cleanups.
+func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec) (adv *CleanupAdvice, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+	if seq, err = s.appendLog(ctx, OpAdviseCleanups, specs); err != nil {
+		return
 	}
 	s.renewLeasesLocked(cleanupOwners(specs))
 
@@ -917,12 +805,8 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, start time.Time, spe
 		batch = append(batch, c)
 		s.session.Insert(c)
 	}
-	_, fireSpan := obs.StartSpan(ctx, s.tracer, "rules.fire")
-	_, fireErr := s.session.FireAll(s.cfg.FireBudget)
-	fireSpan.End()
-	if fireErr != nil {
-		err = fmt.Errorf("policy: rule evaluation: %w", fireErr)
-		return nil, logSeq, nil, err
+	if err = s.fireRules(ctx); err != nil {
+		return
 	}
 
 	adv = &CleanupAdvice{}
@@ -983,20 +867,10 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, start time.Time, spe
 			})
 		default:
 			err = fmt.Errorf("policy: cleanup %s left in unexpected state %v", c.ID, c.State)
-			return nil, logSeq, nil, err
+			return
 		}
 	}
-	rec = &DecisionRecord{
-		Op:          OpAdviseCleanups,
-		TraceID:     s.curTrace,
-		WALSeq:      logSeq,
-		Bundle:      s.tun.Version,
-		FactsBefore: factsBefore,
-		FactsAfter:  s.session.FactCount(),
-		RulesFired:  s.takeFirings(),
-		Lines:       lines,
-	}
-	return adv, logSeq, rec, nil
+	return adv, seq, &DecisionRecord{Lines: lines}, nil, nil
 }
 
 // ReportCleanups records completed cleanup operations; their state and the
@@ -1010,35 +884,13 @@ func (s *Service) ReportCleanups(report CleanupReport) (*ReportAck, error) {
 // ReportCleanupsCtx is ReportCleanups with causal-trace propagation;
 // see AdviseTransfersCtx.
 func (s *Service) ReportCleanupsCtx(ctx context.Context, report CleanupReport) (*ReportAck, error) {
-	ctx, opSpan := obs.StartSpan(ctx, s.currentTracer(), "policy.report_cleanups")
-	start := time.Now()
-	s.mu.Lock()
-	ack, seq, rec, err := s.reportCleanupsLocked(ctx, start, report)
-	s.mu.Unlock()
-	if err := s.commitOp(ctx, opSpan, seq, rec, err); err != nil {
-		return nil, err
-	}
-	return ack, nil
+	return execAs[*ReportAck](s, ctx, OpReportCleanups, report)
 }
 
-// reportCleanupsLocked is the locked core of ReportCleanups; see
-// adviseTransfersLocked for the contract.
-func (s *Service) reportCleanupsLocked(ctx context.Context, start time.Time, report CleanupReport) (ack *ReportAck, logSeq uint64, rec *DecisionRecord, err error) {
-	defer s.beginOp(ctx)()
-	factsBefore := s.session.FactCount()
-	firingsBefore := s.session.Firings()
-	defer func() { s.observeOp("report_cleanups", start, firingsBefore, err) }()
-	var appendSpan *obs.Span
-	if s.mlog != nil {
-		_, appendSpan = obs.StartSpan(ctx, s.tracer, "wal.append")
-	}
-	logSeq, err = s.appendLog(OpReportCleanups, report)
-	if appendSpan != nil {
-		appendSpan.Annot.WALSeq = logSeq
-		appendSpan.End()
-	}
-	if err != nil {
-		return nil, logSeq, nil, err
+// reportCleanupsLocked is the apply function of report_cleanups.
+func (s *Service) reportCleanupsLocked(ctx context.Context, report CleanupReport) (ack *ReportAck, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+	if seq, err = s.appendLog(ctx, OpReportCleanups, report); err != nil {
+		return
 	}
 	consumed := make(map[string]bool, len(report.CleanupIDs))
 	live := func(id string) bool {
@@ -1079,53 +931,42 @@ func (s *Service) reportCleanupsLocked(ctx context.Context, start time.Time, rep
 			s.metrics.reportUnmatch.With("report_cleanups").Add(float64(ack.Unmatched))
 		}
 	}
-	_, fireSpan := obs.StartSpan(ctx, s.tracer, "rules.fire")
-	_, fireErr := s.session.FireAll(s.cfg.FireBudget)
-	fireSpan.End()
-	if fireErr != nil {
-		err = fmt.Errorf("policy: rule evaluation: %w", fireErr)
-		return nil, logSeq, nil, err
+	if err = s.fireRules(ctx); err != nil {
+		return
 	}
-	rec = &DecisionRecord{
-		Op:          OpReportCleanups,
-		TraceID:     s.curTrace,
-		WALSeq:      logSeq,
-		Bundle:      s.tun.Version,
-		FactsBefore: factsBefore,
-		FactsAfter:  s.session.FactCount(),
-		RulesFired:  s.takeFirings(),
-		Lines:       lines,
-	}
-	return ack, logSeq, rec, nil
+	return ack, seq, &DecisionRecord{Lines: lines}, nil, nil
 }
 
 // SetThreshold sets the maximum number of parallel streams between a host
 // pair, overriding the default for that pair from now on.
-func (s *Service) SetThreshold(srcHost, dstHost string, max int) (err error) {
-	if max < 1 {
-		return fmt.Errorf("%w: threshold must be >= 1, got %d", ErrInvalidRequest, max)
+func (s *Service) SetThreshold(srcHost, dstHost string, max int) error {
+	_, err := s.Execute(context.Background(), OpSetThreshold, ThresholdOp{SourceHost: srcHost, DestHost: dstHost, Max: max})
+	return err
+}
+
+func validateThreshold(op ThresholdOp) error {
+	if op.SourceHost == "" || op.DestHost == "" {
+		return fmt.Errorf("%w: sourceHost and destHost are required", ErrInvalidRequest)
 	}
-	var logSeq uint64
-	defer func() {
-		if serr := s.syncLog(logSeq); serr != nil && err == nil {
-			err = serr
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if logSeq, err = s.appendLog(OpSetThreshold, ThresholdOp{
-		SourceHost: srcHost, DestHost: dstHost, Max: max,
-	}); err != nil {
-		return err
+	if op.Max < 1 {
+		return fmt.Errorf("%w: threshold must be >= 1, got %d", ErrInvalidRequest, op.Max)
 	}
-	pair := HostPair{Src: srcHost, Dst: dstHost}
-	if th, ok := firstByKey[*Threshold](s.session, "pair", pair); ok {
-		th.Max = max
-		s.session.Update(th)
-		return nil
-	}
-	s.session.Insert(&Threshold{Pair: pair, Max: max})
 	return nil
+}
+
+// setThresholdLocked is the apply function of set_threshold.
+func (s *Service) setThresholdLocked(ctx context.Context, op ThresholdOp) (_ any, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+	if seq, err = s.appendLog(ctx, OpSetThreshold, op); err != nil {
+		return
+	}
+	pair := HostPair{Src: op.SourceHost, Dst: op.DestHost}
+	if th, ok := firstByKey[*Threshold](s.session, "pair", pair); ok {
+		th.Max = op.Max
+		s.session.Update(th)
+		return
+	}
+	s.session.Insert(&Threshold{Pair: pair, Max: op.Max})
+	return
 }
 
 // Snapshot reports the externally visible state of the service.

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"encoding/xml"
 	"fmt"
 	"sort"
@@ -221,20 +222,22 @@ func (s *Service) exportStateLocked() *StateDump {
 // service keeps its rule base and configuration; imported facts resume
 // exactly where the exporting service stopped (duplicate suppression,
 // in-use protection and ledger accounting all continue to apply).
-func (s *Service) ImportState(d *StateDump) (err error) {
+func (s *Service) ImportState(d *StateDump) error {
+	_, err := s.Execute(context.Background(), OpImportState, d)
+	return err
+}
+
+func validateDump(d *StateDump) error {
 	if d == nil {
-		return fmt.Errorf("policy: nil state dump")
+		return fmt.Errorf("%w: nil state dump", ErrInvalidRequest)
 	}
-	var logSeq uint64
-	defer func() {
-		if serr := s.syncLog(logSeq); serr != nil && err == nil {
-			err = serr
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if logSeq, err = s.appendLog(OpImportState, d); err != nil {
-		return err
+	return nil
+}
+
+// importStateLocked is the apply function of import_state.
+func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+	if seq, err = s.appendLog(ctx, OpImportState, d); err != nil {
+		return
 	}
 	s.session.Reset()
 	s.nextTransfer = d.NextTransfer
@@ -304,5 +307,5 @@ func (s *Service) ImportState(d *StateDump) (err error) {
 	for _, l := range d.Leases {
 		s.session.Insert(&Lease{Owner: l.Owner, Deadline: l.Deadline})
 	}
-	return nil
+	return
 }

@@ -1,6 +1,7 @@
 package policyhttp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -52,41 +53,46 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
-// writeShed maps an admission error onto the wire: 429 + Retry-After for
-// overload (healthy but busy — back off and retry), 503 + Retry-After
-// while draining for shutdown, and 408 when the client's own context
-// ended while queued (the response is a courtesy; the client has usually
-// stopped listening).
-func (s *Server) writeShed(w http.ResponseWriter, f format, err error) {
+// writeFailure maps a failed submission onto the wire. Admission errors
+// promise the request had no side effect: 429 + Retry-After for overload
+// (healthy but busy — back off and retry), 503 + Retry-After while
+// draining for shutdown, and 408 when the client's own context ended
+// before the op ran (the response is a courtesy; the client has usually
+// stopped listening). Everything else is the op's own error.
+func (s *Server) writeFailure(w http.ResponseWriter, f format, err error) {
 	switch {
 	case errors.Is(err, admit.ErrDraining):
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		s.writeError(w, f, http.StatusServiceUnavailable, err)
-	case errors.Is(err, admit.ErrCanceled):
+	case errors.Is(err, admit.ErrCanceled), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		s.writeError(w, f, http.StatusRequestTimeout, err)
-	default: // ErrQueueFull, ErrWaitExceeded
+	case errors.Is(err, admit.ErrQueueFull), errors.Is(err, admit.ErrWaitExceeded):
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		s.writeError(w, f, http.StatusTooManyRequests, err)
+	default:
+		s.writeError(w, f, statusFor(err), err)
 	}
 }
 
-// runAdmitted pushes one mutation through the admission queue and blocks
-// until the batch dispatcher has executed it (results land on mut) or it
-// was shed, in which case the shed response has been written and false is
-// returned. The queue wait is traced as an admit.wait span ended by the
-// dispatcher at dequeue.
-func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, f format, mut *policy.BatchMutation) bool {
-	ctx := r.Context()
+// submit runs one mutation and returns its result. Data-plane ops go
+// through the admission queue when a controller is installed — blocking
+// until the batch dispatcher has executed them or they were shed, the
+// queue wait traced as an admit.wait span ended by the dispatcher at
+// dequeue — and everything else runs directly, so an operator can still
+// raise a threshold or bump an epoch during overload.
+func (s *Server) submit(ctx context.Context, op string, payload any) (any, error) {
+	if s.admit == nil || !policy.OpAdmitted(op) {
+		return s.svc.Execute(ctx, op, payload)
+	}
+	mut := &policy.BatchMutation{Ctx: ctx, Op: op, Request: payload}
 	_, waitSpan := obs.StartSpan(ctx, s.tracer, "admit.wait")
 	// onStart fires only for tasks that reach execution, so the span End
 	// calls are mutually exclusive with the error path below.
-	err := s.admit.SubmitMutation(ctx, mut, func() { waitSpan.End() })
-	if err != nil {
+	if err := s.admit.SubmitMutation(ctx, mut, func() { waitSpan.End() }); err != nil {
 		waitSpan.End()
-		s.writeShed(w, f, err)
-		return false
+		return nil, err
 	}
-	return true
+	return mut.Result, mut.Err
 }
 
 // admitRead gates a read-only handler behind the controller's read
@@ -99,7 +105,7 @@ func (s *Server) admitRead(h http.HandlerFunc) http.HandlerFunc {
 		}
 		release, err := s.admit.AcquireRead(r.Context())
 		if err != nil {
-			s.writeShed(w, responseFormat(r, formatJSON), err)
+			s.writeFailure(w, responseFormat(r, formatJSON), err)
 			return
 		}
 		defer release()

@@ -168,7 +168,7 @@ func TestWriteShedStatusMapping(t *testing.T) {
 	}
 	for _, tc := range cases {
 		w := httptest.NewRecorder()
-		s.writeShed(w, formatJSON, tc.err)
+		s.writeFailure(w, formatJSON, tc.err)
 		if w.Code != tc.status {
 			t.Errorf("%v -> status %d, want %d", tc.err, w.Code, tc.status)
 		}

@@ -80,10 +80,6 @@ type Client struct {
 	// X-Policy-Epoch header (monotonic; see failover.go). Mutations echo
 	// it so a deposed primary learns it has been passed and self-fences.
 	epoch atomic.Uint64
-	// syncReplay marks outgoing mutations as replication-plane traffic
-	// (SyncReplayHeader), letting archive replay write into a fenced
-	// standby. Toggled only by replayArchive under ReplicatedClient's lock.
-	syncReplay atomic.Bool
 
 	mu         sync.Mutex
 	rng        *rand.Rand // backoff jitter
@@ -390,9 +386,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if method != http.MethodGet {
 		if e := c.epoch.Load(); e > 0 {
 			req.Header.Set(EpochHeader, strconv.FormatUint(e, 10))
-		}
-		if c.syncReplay.Load() {
-			req.Header.Set(SyncReplayHeader, "1")
 		}
 	}
 	resp, err := c.http.Do(req)

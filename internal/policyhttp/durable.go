@@ -1,11 +1,12 @@
 package policyhttp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"net/url"
 
 	"policyflow/internal/durable"
 	"policyflow/internal/policy"
@@ -59,6 +60,58 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	s.writeResponse(w, formatJSON, http.StatusOK, arch)
 }
 
+// handleApply replays a snapshot+tail archive (the body GET
+// /v1/state/archive serves) into this server's Policy Memory — the
+// receiving half of a replica resync. It is replication-plane traffic:
+// unfenced, so a standby can be fed, and unadmitted, so recovery is never
+// shed. A malformed archive is the sender's fault (400); a failure of
+// this server's own log is not (500), and the replica must stay down.
+func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
+	var arch durable.Archive
+	if err := decode(r, formatJSON, &arch); err != nil {
+		s.writeError(w, formatJSON, http.StatusBadRequest, fmt.Errorf("decode archive: %w", err))
+		return
+	}
+	if _, err := applyArchive(s.svc, &arch, false, 0); err != nil {
+		s.writeError(w, formatJSON, statusFor(err), err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// applyArchive is the one archive replay path, shared by handleApply and
+// the StandbySyncer: bring svc to the archive's state and return the donor
+// log position reached. With resume set and the archive's snapshot no
+// newer than cursor, only tail records past cursor are applied (O(delta));
+// otherwise the snapshot is restored wholesale first. Every record goes
+// through ApplyLogged, which re-logs it into svc's own WAL — the
+// replica's durability is its own. On error the returned position is the
+// last record that WAS applied: the caller must not advance past it.
+func applyArchive(svc *policy.Service, arch *durable.Archive, resume bool, cursor uint64) (uint64, error) {
+	if !resume || arch.SnapshotSeq > cursor {
+		dump := &policy.StateDump{}
+		if arch.Snapshot != nil {
+			if err := json.Unmarshal(arch.Snapshot, dump); err != nil {
+				return cursor, fmt.Errorf("%w: decode archive snapshot: %v", policy.ErrInvalidRequest, err)
+			}
+		}
+		if err := svc.ImportState(dump); err != nil {
+			return cursor, fmt.Errorf("policyhttp: restore archive snapshot: %w", err)
+		}
+		cursor = arch.SnapshotSeq
+	}
+	for _, rec := range arch.Tail {
+		if rec.Seq <= cursor {
+			continue
+		}
+		if err := svc.ApplyLogged(rec.Op, rec.Data); err != nil {
+			return cursor, fmt.Errorf("policyhttp: apply record %d (%s): %w", rec.Seq, rec.Op, err)
+		}
+		cursor = rec.Seq
+	}
+	return cursor, nil
+}
+
 // SnapshotNow asks the remote service to snapshot its Policy Memory now.
 func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
 	var info durable.SnapshotInfo
@@ -68,162 +121,52 @@ func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
 	return &info, nil
 }
 
-// Archive fetches the remote snapshot+tail bundle. The endpoint is
-// JSON-only, so this bypasses the client's XML preference.
+// Archive fetches the remote snapshot+tail bundle.
 func (c *Client) Archive() (*durable.Archive, error) {
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/state/archive", nil)
-	if err != nil {
-		return nil, fmt.Errorf("policyhttp: build request: %w", err)
-	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("policyhttp: GET /v1/state/archive: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return nil, c.decodeError(resp)
-	}
 	var arch durable.Archive
-	if err := json.NewDecoder(resp.Body).Decode(&arch); err != nil {
-		return nil, fmt.Errorf("policyhttp: decode archive: %w", err)
+	if err := c.doJSON(http.MethodGet, "/v1/state/archive", nil, &arch); err != nil {
+		return nil, err
 	}
 	return &arch, nil
 }
 
-// replayArchive reconstructs a replica's Policy Memory from an archive:
-// the snapshot is restored wholesale, then each tail record is replayed
-// through the replica's public endpoints in log order. The service being
-// deterministic, the replica converges on the donor's exact state.
-// Application-level replay errors are ignored — the donor logged the
-// operation even if it was rejected, and a rejection replays as a
-// rejection.
+// replayArchive reconstructs a replica's Policy Memory from an archive by
+// handing it to the replica's POST /v1/state/apply.
 func replayArchive(target *Client, arch *durable.Archive) error {
-	// Replay is replication-plane traffic: mark it so the epoch fence lets
-	// it into a standby (a fenced replica must still be resyncable).
-	target.syncReplay.Store(true)
-	defer target.syncReplay.Store(false)
-	dump := &policy.StateDump{}
-	if arch.Snapshot != nil {
-		if err := json.Unmarshal(arch.Snapshot, dump); err != nil {
-			return fmt.Errorf("policyhttp: decode archive snapshot: %w", err)
-		}
-	}
-	if err := target.Restore(dump); err != nil {
-		return err
-	}
-	for _, rec := range arch.Tail {
-		if err := replayRecord(target, rec); err != nil {
-			return fmt.Errorf("policyhttp: replay record %d (%s): %w", rec.Seq, rec.Op, err)
-		}
-	}
-	return nil
+	return target.doJSON(http.MethodPost, "/v1/state/apply", arch, nil)
 }
 
-// replayRecord applies one logged mutation to target. Decode failures are
-// errors; application errors are deterministic rejections and ignored.
-func replayRecord(target *Client, rec durable.Record) error {
-	switch rec.Op {
-	case policy.OpAdviseTransfers:
-		var specs []policy.TransferSpec
-		if err := json.Unmarshal(rec.Data, &specs); err != nil {
-			return err
-		}
-		_, err := target.AdviseTransfers(specs)
-		return ignoreApplication(err)
-	case policy.OpReportTransfers:
-		var report policy.CompletionReport
-		if err := json.Unmarshal(rec.Data, &report); err != nil {
-			return err
-		}
-		_, err := target.ReportTransfers(report)
-		return ignoreApplication(err)
-	case policy.OpAdviseCleanups:
-		var specs []policy.CleanupSpec
-		if err := json.Unmarshal(rec.Data, &specs); err != nil {
-			return err
-		}
-		_, err := target.AdviseCleanups(specs)
-		return ignoreApplication(err)
-	case policy.OpReportCleanups:
-		var report policy.CleanupReport
-		if err := json.Unmarshal(rec.Data, &report); err != nil {
-			return err
-		}
-		_, err := target.ReportCleanups(report)
-		return ignoreApplication(err)
-	case policy.OpSetThreshold:
-		var op policy.ThresholdOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return err
-		}
-		return ignoreApplication(target.SetThreshold(op.SourceHost, op.DestHost, op.Max))
-	case policy.OpImportState:
-		var dump policy.StateDump
-		if err := json.Unmarshal(rec.Data, &dump); err != nil {
-			return err
-		}
-		return target.Restore(&dump)
-	case policy.OpRenewLease:
-		var op policy.LeaseOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return err
-		}
-		_, err := target.RenewLease(op.WorkflowID)
-		return ignoreApplication(err)
-	case policy.OpAdvanceClock:
-		var op policy.ClockOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return err
-		}
-		_, err := target.AdvanceClock(op.Now)
-		return ignoreApplication(err)
-	case policy.OpActivateBundle:
-		var op policy.BundleOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return err
-		}
-		if op.Bundle == nil {
-			return fmt.Errorf("activation record carries no bundle")
-		}
-		// Re-marshal and ship the full document: the bundle checksum is
-		// defined over parsed canonical values, not raw bytes, so the
-		// round-trip re-derives the same version identity.
-		doc, err := json.Marshal(op.Bundle)
+// doJSON performs one un-retried call on the archive endpoints, which
+// embed raw JSON state and log records and so bypass the client's XML
+// preference.
+func (c *Client) doJSON(method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return fmt.Errorf("policyhttp: encode request: %w", err)
 		}
-		_, aerr := target.ActivateBundleDoc(doc)
-		return ignoreApplication(aerr)
-	case policy.OpBumpEpoch:
-		var op policy.EpochOp
-		if err := json.Unmarshal(rec.Data, &op); err != nil {
-			return err
-		}
-		_, aerr := target.BumpEpoch(op.Epoch)
-		return ignoreApplication(aerr)
-	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+		body = bytes.NewReader(data)
 	}
-}
-
-// ignoreApplication drops server-side rejections (the request landed and
-// was refused — a deterministic outcome the donor's log also recorded)
-// but keeps transport failures, which mean the replay never reached the
-// replica, and not-applied responses (shed 429, draining 503, abandoned
-// 408), which promise the mutation did NOT execute: swallowing one of
-// those would silently lose a logged record and diverge the replica.
-func ignoreApplication(err error) error {
-	if err == nil {
+	req, err := http.NewRequestWithContext(c.ctx, method, c.base+path, body)
+	if err != nil {
+		return fmt.Errorf("policyhttp: build request: %w", err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return fmt.Errorf("policyhttp: %s %s: %w", method, path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		return c.decodeError(resp)
+	}
+	if out == nil {
 		return nil
 	}
-	var ue *url.Error
-	if errors.As(err, &ue) {
-		return err
-	}
-	var se *ServerError
-	if errors.As(err, &se) && notApplied(se.StatusCode) {
-		return err
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("policyhttp: decode response: %w", err)
 	}
 	return nil
 }

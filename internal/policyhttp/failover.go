@@ -32,11 +32,6 @@ import (
 // epoch the answering server believes is current.
 const EpochHeader = "X-Policy-Epoch"
 
-// SyncReplayHeader marks a mutation as replication-plane traffic (archive
-// replay into a standby during resync). Fencing passes it through: a
-// standby must accept replayed records while still refusing client writes.
-const SyncReplayHeader = "X-Policy-Sync"
-
 // Role is a server's position in a primary/standby pair.
 type Role string
 
@@ -77,15 +72,13 @@ func (s *Server) Role() Role {
 }
 
 // fenced wraps a mutating policy-plane handler with the epoch fence.
-// Replication-plane requests (sync header) and role-less servers pass
-// through untouched; everything else is stamped with the server's epoch
-// and refused with 412 unless this server is the primary.
+// Role-less servers pass through untouched; everything else is stamped
+// with the server's epoch and refused with 412 unless this server is the
+// primary. No request header opens the fence: standbys are fed through
+// the replication plane (POST /v1/state/apply, /v1/state/restore), never
+// through the policy endpoints.
 func (s *Server) fenced(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(SyncReplayHeader) != "" {
-			h(w, r)
-			return
-		}
 		s.roleMu.Lock()
 		role := s.role
 		s.roleMu.Unlock()
@@ -212,29 +205,6 @@ func (s *Server) handleEpochGet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleEpochBump applies a WAL-logged epoch bump (archive replay of a
-// bump_epoch record during resync lands here). Raising the epoch never
-// changes the role: a standby stays fenced, just at a newer epoch.
-func (s *Server) handleEpochBump(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var doc EpochDoc
-	if err := decode(r, reqf, &doc); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	epoch, err := s.svc.BumpEpoch(doc.Epoch)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &EpochDoc{Epoch: epoch, Role: s.Role().String()})
-}
-
 // isUnreachable reports a transport-level failure: the peer never saw the
 // request. Server-side errors (the peer answered, unhappily) are not
 // unreachability — promotion must not steamroll a live, objecting peer.
@@ -295,8 +265,7 @@ func (c *Client) EpochInfo() (*EpochDoc, error) {
 	return &out, nil
 }
 
-// BumpEpoch raises the server's epoch through its WAL-logged bump path
-// (archive replay uses it; see replayRecord).
+// BumpEpoch raises the server's epoch through its WAL-logged bump path.
 func (c *Client) BumpEpoch(epoch uint64) (*EpochDoc, error) {
 	var out EpochDoc
 	if err := c.do(http.MethodPost, "/v1/epoch", &EpochDoc{Epoch: epoch}, &out); err != nil {

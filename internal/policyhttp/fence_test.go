@@ -123,7 +123,7 @@ func TestFenceRejectsEveryMutation(t *testing.T) {
 
 // TestFenceAllowsReadsAndReplication proves the fence is scoped to client
 // mutations: reads and the replication plane still work on a standby, and
-// the sync-replay header lets archive replay through.
+// no request header opens the fence — the X-Policy-Sync bypass is gone.
 func TestFenceAllowsReadsAndReplication(t *testing.T) {
 	_, svc, c, url := fencedServer(t, RoleStandby)
 	if _, err := svc.BumpEpoch(3); err != nil {
@@ -144,8 +144,8 @@ func TestFenceAllowsReadsAndReplication(t *testing.T) {
 	}
 
 	// Raw HTTP: a client mutation is fenced with the epoch stamped on the
-	// response header; the same request marked as replication-plane
-	// traffic (archive replay during resync) passes through.
+	// response header, and so is the same request carrying the retired
+	// replication-plane marker — any client could set it.
 	body, _ := json.Marshal(&ClockUpdate{Now: 5})
 	post := func(sync bool) *http.Response {
 		req, err := http.NewRequest(http.MethodPost, url+"/v1/clock/advance", bytes.NewReader(body))
@@ -154,7 +154,7 @@ func TestFenceAllowsReadsAndReplication(t *testing.T) {
 		}
 		req.Header.Set("Content-Type", "application/json")
 		if sync {
-			req.Header.Set(SyncReplayHeader, "1")
+			req.Header.Set("X-Policy-Sync", "1")
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -168,8 +168,11 @@ func TestFenceAllowsReadsAndReplication(t *testing.T) {
 	} else if got := resp.Header.Get(EpochHeader); got != "3" {
 		t.Fatalf("fence response %s = %q, want 3", EpochHeader, got)
 	}
-	if resp := post(true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync-replay mutation: status %d, want 200", resp.StatusCode)
+	if resp := post(true); resp.StatusCode != http.StatusPreconditionFailed {
+		t.Fatalf("sync-replay mutation: status %d, want 412", resp.StatusCode)
+	}
+	if now := svc.ClockNow(); now != 0 {
+		t.Fatalf("standby clock moved to %v behind the fence", now)
 	}
 }
 

@@ -1,0 +1,317 @@
+package policyhttp
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"policyflow/internal/policy"
+)
+
+// switchableLog is a policy.MutationLog whose appends fail while fail is
+// set — a replica whose own disk has gone bad.
+type switchableLog struct {
+	fail atomic.Bool
+	seq  atomic.Uint64
+}
+
+func (l *switchableLog) Append(string, any) (uint64, error) {
+	if l.fail.Load() {
+		return 0, errors.New("disk full")
+	}
+	return l.seq.Add(1), nil
+}
+
+func (l *switchableLog) Sync(uint64) error { return nil }
+
+func dumpJSON(t *testing.T, svc *policy.Service) string {
+	t.Helper()
+	data, err := json.Marshal(svc.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestEveryOpHasOneRoute is the HTTP half of the op-table conformance:
+// each logged op is served by exactly one route, every policy-plane route
+// is fenced on a standby — 412 with the epoch stamped, even when the
+// request carries the retired X-Policy-Sync marker — and only the two
+// replication-plane ops are left open to feed standbys.
+func TestEveryOpHasOneRoute(t *testing.T) {
+	byOp := make(map[string][]route)
+	for _, rt := range routes {
+		byOp[rt.op] = append(byOp[rt.op], rt)
+	}
+	names := policy.OpNames()
+	if len(byOp) != len(names) {
+		t.Errorf("routes cover %d ops, the table has %d", len(byOp), len(names))
+	}
+	_, svc, _, url := fencedServer(t, RoleStandby)
+	if _, err := svc.BumpEpoch(3); err != nil {
+		t.Fatal(err)
+	}
+	before := dumpJSON(t, svc)
+	var unfenced []string
+	for _, op := range names {
+		rts := byOp[op]
+		if len(rts) != 1 {
+			t.Errorf("op %s has %d routes, want exactly 1", op, len(rts))
+			continue
+		}
+		rt := rts[0]
+		if !rt.fenced {
+			unfenced = append(unfenced, op)
+			continue
+		}
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		req, err := http.NewRequest(method, url+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Policy-Sync", "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusPreconditionFailed || resp.Header.Get(EpochHeader) != "3" {
+			t.Errorf("%s on a standby: status %d, %s %q; want 412 stamped with epoch 3",
+				rt.pattern, resp.StatusCode, EpochHeader, resp.Header.Get(EpochHeader))
+		}
+	}
+	if want := []string{policy.OpImportState, policy.OpBumpEpoch}; fmt.Sprint(unfenced) != fmt.Sprint(want) {
+		t.Errorf("unfenced ops = %v, want only the replication-plane pair %v", unfenced, want)
+	}
+	if dumpJSON(t, svc) != before {
+		t.Error("a fenced request changed the standby's Policy Memory")
+	}
+}
+
+// grownDonor starts a durable replica whose archive has both halves: a
+// snapshot and a tail of every kind of record the test drives.
+func grownDonor(t *testing.T) (*policy.Service, *Client) {
+	t.Helper()
+	_, svc, c, ps := durableReplica(t, t.TempDir())
+	t.Cleanup(func() { ps.Close() })
+	adv, err := c.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1"), testSpec(2, "wf1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetThreshold("a.example.org", "b.example.org", 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ActivateBundleDoc([]byte(testBundleDoc)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.BumpEpoch(4); err != nil {
+		t.Fatal(err)
+	}
+	return svc, c
+}
+
+// TestStateApplyRoundTrip: POST /v1/state/apply of a donor's snapshot+tail
+// archive leaves the target byte-identical to the donor — into a fenced
+// standby (the endpoint is replication plane) and from an XML-mode client
+// (the archive is JSON whatever the client prefers).
+func TestStateApplyRoundTrip(t *testing.T) {
+	donorSvc, donor := grownDonor(t)
+	arch, err := donor.Archive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arch.Snapshot == nil || len(arch.Tail) == 0 {
+		t.Fatalf("archive has snapshot=%v tail=%d, want both", arch.Snapshot != nil, len(arch.Tail))
+	}
+	_, targetSvc, _, url := fencedServer(t, RoleStandby)
+	if err := replayArchive(NewClient(url, WithXML()), arch); err != nil {
+		t.Fatalf("apply archive: %v", err)
+	}
+	if got, want := dumpJSON(t, targetSvc), dumpJSON(t, donorSvc); got != want {
+		t.Fatalf("target diverged from donor:\n donor  %s\n target %s", want, got)
+	}
+}
+
+// TestStateApplyRejectsBadArchives: a malformed body, an undecodable
+// snapshot and a tail naming an op outside the table are all the sender's
+// fault — 400, nothing applied past the damage.
+func TestStateApplyRejectsBadArchives(t *testing.T) {
+	ts, svc := newTestServer(t)
+	for name, body := range map[string]string{
+		"malformed body": `{bad`,
+		"bad snapshot":   `{"snapshotSeq":1,"snapshot":"not a dump"}`,
+		"unknown op":     `{"tail":[{"seq":1,"op":"no-such-op","data":{}},{"seq":2,"op":"advise_transfers","data":[{"requestId":"r","workflowId":"wf","sourceUrl":"gsiftp://a/f","destUrl":"file://b/f"}]}]}`,
+		"bad payload":    `{"tail":[{"seq":1,"op":"report_transfers","data":"x"}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/state/apply", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if snap := svc.Snapshot(); snap.InFlight != 0 || snap.TrackedFiles != 0 {
+		t.Errorf("a rejected archive left state behind: %+v", snap)
+	}
+}
+
+// TestStateApplyLogFailureKeepsReplicaDown: when the TARGET's own WAL
+// cannot take the replayed records the endpoint answers 500 — not a
+// swallowed success — so Resync leaves the replica down, and it heals on
+// the next resync once the disk is back.
+func TestStateApplyLogFailureKeepsReplicaDown(t *testing.T) {
+	donorSvc, donor := grownDonor(t)
+	targetSvc, err := policy.New(policy.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := &switchableLog{}
+	targetSvc.SetMutationLog(wal)
+	ts := httptest.NewServer(NewServer(targetSvc, nil))
+	t.Cleanup(ts.Close)
+	target := NewClient(ts.URL, noSleep())
+
+	rc, err := NewReplicatedClient(donor, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.down[1] = true
+	wal.fail.Store(true)
+	err = rc.Resync(1)
+	var se *ServerError
+	if !errors.As(err, &se) || se.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("resync into a replica with a failing WAL = %v, want a 500", err)
+	}
+	if up := rc.Healthy(); len(up) != 1 || up[0] != 0 {
+		t.Fatalf("healthy = %v after the failed resync, want the target still down", up)
+	}
+	wal.fail.Store(false)
+	if err := rc.Resync(1); err != nil {
+		t.Fatalf("resync after the disk recovered: %v", err)
+	}
+	if len(rc.Healthy()) != 2 {
+		t.Fatal("target still down after a successful resync")
+	}
+	if got, want := dumpJSON(t, targetSvc), dumpJSON(t, donorSvc); got != want {
+		t.Fatalf("healed target diverged from donor:\n donor  %s\n target %s", want, got)
+	}
+}
+
+// TestStandbySyncSurfacesLocalLogFailure: a standby whose own WAL fails
+// mid-tail must fail the sync and keep its cursor on the last record that
+// really was applied. Swallowing the failure would advance the cursor past
+// a record the standby never took, and a later promotion would serve a
+// state missing an acknowledged write.
+func TestStandbySyncSurfacesLocalLogFailure(t *testing.T) {
+	_, donorSvc, donor, ps := durableReplica(t, t.TempDir())
+	defer ps.Close()
+	local, err := policy.New(policy.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := &switchableLog{}
+	local.SetMutationLog(wal)
+	s, err := NewStandbySyncer(local, donor, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	cursor := s.lastSeq
+
+	for i := 2; i <= 3; i++ {
+		if _, err := donor.AdviseTransfers([]policy.TransferSpec{testSpec(i, "wf1")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal.fail.Store(true)
+	if err := s.SyncOnce(); !errors.Is(err, policy.ErrMutationLog) {
+		t.Fatalf("sync with a failing local log = %v, want ErrMutationLog", err)
+	}
+	if s.lastSeq != cursor {
+		t.Fatalf("cursor moved %d -> %d past records that were never applied", cursor, s.lastSeq)
+	}
+	if got := len(local.ExportState().Transfers); got != 1 {
+		t.Fatalf("standby holds %d transfers, want only the 1 synced before the failure", got)
+	}
+	wal.fail.Store(false)
+	if err := s.SyncOnce(); err != nil {
+		t.Fatalf("retry after the disk recovered: %v", err)
+	}
+	if got, want := dumpJSON(t, local), dumpJSON(t, donorSvc); got != want {
+		t.Fatalf("standby did not converge on retry:\n donor   %s\n standby %s", want, got)
+	}
+}
+
+// TestStatusForUsesSentinelsOnly: only the policy sentinels make a 400. An
+// infrastructure error whose text happens to say "required" is still this
+// replica's failure, and must stay a 500 so a replicated client marks the
+// replica down instead of treating the call as rejected everywhere.
+func TestStatusForUsesSentinelsOnly(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{policy.ErrEmptyRequest, http.StatusBadRequest},
+		{fmt.Errorf("%w: sourceHost and destHost are required", policy.ErrInvalidRequest), http.StatusBadRequest},
+		{fmt.Errorf("wrapped: %w", policy.ErrInvalidRequest), http.StatusBadRequest},
+		{errors.New("wal: fsync required but the device is gone"), http.StatusInternalServerError},
+		{fmt.Errorf("%w: lock required", policy.ErrMutationLog), http.StatusInternalServerError},
+	} {
+		if got := statusFor(tc.err); got != tc.want {
+			t.Errorf("statusFor(%q) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestCancelledRequestIsAbandoned: with no admission controller the op
+// runs directly, and a request whose context is already done is abandoned
+// before any side effect — the same 408 the admission queue answers, so
+// the idempotency cache forgets it and a retry under the same key applies.
+func TestCancelledRequestIsAbandoned(t *testing.T) {
+	svc, err := policy.New(policy.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(svc, nil)
+	body := `{"transfers":[{"requestId":"r1","workflowId":"wf1","sourceUrl":"gsiftp://a/f","destUrl":"file://b/f"}]}`
+	post := func(ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/transfers", strings.NewReader(body)).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(IdempotencyKeyHeader, "k1")
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		return w
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if w := post(dead); w.Code != http.StatusRequestTimeout {
+		t.Fatalf("cancelled request: status %d, want 408", w.Code)
+	}
+	if snap := svc.Snapshot(); snap.InFlight != 0 {
+		t.Fatalf("abandoned request left %d transfers in flight", snap.InFlight)
+	}
+	if w := post(context.Background()); w.Code != http.StatusOK || w.Header().Get(IdempotencyReplayedHeader) != "" {
+		t.Fatalf("retry under the same key: status %d replayed=%q, want a fresh 200", w.Code, w.Header().Get(IdempotencyReplayedHeader))
+	}
+}

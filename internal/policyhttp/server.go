@@ -19,7 +19,8 @@
 //	GET  /v1/healthz              liveness probe
 //
 // Servers attached to a durable store (SetDurable) additionally serve
-// POST /v1/state/snapshot and GET /v1/state/archive.
+// POST /v1/state/snapshot and GET /v1/state/archive; POST /v1/state/apply
+// replays such an archive into any server (replica resync).
 package policyhttp
 
 import (
@@ -212,37 +213,27 @@ func NewServerWith(svc *policy.Service, logger *log.Logger, reg *obs.Registry, t
 	s.idem = newIdemCache(0)
 	s.idemReplays = reg.Counter("http_idempotent_replays_total",
 		"Mutating requests answered from the idempotency cache without re-applying.").With()
-	// Policy-plane mutations are fenced (see failover.go) OUTSIDE the
-	// idempotency cache: a 412 must never be recorded against a key the
-	// client will re-use at the real primary. Replication-plane endpoints
-	// (restore, snapshot, archive, promote/demote/epoch) stay unfenced —
-	// they are how standbys are fed and leadership moves.
-	s.mux.HandleFunc("POST /v1/transfers", s.fenced(s.idempotent(s.handleTransfers)))
-	s.mux.HandleFunc("POST /v1/transfers/completed", s.fenced(s.idempotent(s.handleTransfersCompleted)))
-	s.mux.HandleFunc("POST /v1/cleanups", s.fenced(s.idempotent(s.handleCleanups)))
-	s.mux.HandleFunc("POST /v1/cleanups/completed", s.fenced(s.idempotent(s.handleCleanupsCompleted)))
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, s.mutation(rt))
+	}
 	// Read-only endpoints go through the admission controller's read
-	// gate (a pass-through until SetAdmission). /v1/state/archive stays
-	// ungated: it is how a downed replica resyncs, and recovery must not
-	// compete with the overload that may have caused the outage. Metrics
-	// and health stay ungated for the same reason — observability is most
-	// valuable during overload.
+	// gate (a pass-through until SetAdmission). The replication plane
+	// (archive, apply, promote/demote) stays ungated and unfenced: it is
+	// how a downed replica resyncs and how leadership moves, and recovery
+	// must not compete with the overload that may have caused the outage.
+	// Metrics and health stay ungated for the same reason — observability
+	// is most valuable during overload.
 	s.mux.HandleFunc("GET /v1/state", s.admitRead(s.handleState))
 	s.mux.HandleFunc("GET /v1/state/dump", s.admitRead(s.handleDump))
-	s.mux.HandleFunc("POST /v1/state/restore", s.idempotent(s.handleRestore))
 	s.mux.HandleFunc("POST /v1/state/snapshot", s.idempotent(s.handleSnapshot))
 	s.mux.HandleFunc("GET /v1/state/archive", s.handleArchive)
-	s.mux.HandleFunc("PUT /v1/thresholds", s.fenced(s.idempotent(s.handleThreshold)))
+	s.mux.HandleFunc("POST /v1/state/apply", s.handleApply)
 	s.mux.HandleFunc("PUT /v1/bundles", s.fenced(s.idempotent(s.handleBundlePush)))
-	s.mux.HandleFunc("POST /v1/bundles/activate", s.fenced(s.idempotent(s.handleBundleActivate)))
 	s.mux.HandleFunc("GET /v1/bundles", s.admitRead(s.handleBundles))
-	s.mux.HandleFunc("POST /v1/leases/renew", s.fenced(s.idempotent(s.handleLeaseRenew)))
 	s.mux.HandleFunc("GET /v1/leases", s.admitRead(s.handleLeases))
-	s.mux.HandleFunc("POST /v1/clock/advance", s.fenced(s.idempotent(s.handleClockAdvance)))
 	s.mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	s.mux.HandleFunc("POST /v1/demote", s.handleDemote)
 	s.mux.HandleFunc("GET /v1/epoch", s.handleEpochGet)
-	s.mux.HandleFunc("POST /v1/epoch", s.idempotent(s.handleEpochBump))
 	s.mux.HandleFunc("GET /v1/config", s.admitRead(s.handleConfig))
 	s.mux.HandleFunc("GET /v1/decisions", s.admitRead(s.handleDecisions))
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -505,177 +496,112 @@ func (s *Server) writeError(w http.ResponseWriter, f format, status int, err err
 	s.writeResponse(w, f, status, &ErrorDoc{Message: err.Error()})
 }
 
-func (s *Server) handleTransfers(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var req TransferRequest
-	if err := decode(r, reqf, &req); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if s.admit != nil {
-		mut := &policy.BatchMutation{Ctx: r.Context(), TransferSpecs: req.Transfers}
-		if !s.runAdmitted(w, r, resf, mut) {
-			return
-		}
-		if mut.Err != nil {
-			s.writeError(w, resf, statusFor(mut.Err), mut.Err)
-			return
-		}
-		s.writeResponse(w, resf, http.StatusOK, &TransferAdviceDoc{TransferAdvice: *mut.TransferAdvice})
-		return
-	}
-	adv, err := s.svc.AdviseTransfersCtx(r.Context(), req.Transfers)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &TransferAdviceDoc{TransferAdvice: *adv})
+// route binds one logged op to its endpoint: how the wire document
+// becomes the op's payload and how the op's result becomes the reply.
+type route struct {
+	pattern string
+	op      string
+	// fenced marks policy-plane routes, refused with 412 unless this
+	// server is the primary (see failover.go). The two replication-plane
+	// ops — restore and epoch bump — are how standbys are fed and stay
+	// unfenced.
+	fenced bool
+	// decode reads the request document and returns the op payload.
+	decode func(r *http.Request, f format) (any, error)
+	// reply wraps the op result for the wire; routes without one answer
+	// 204 No Content.
+	reply func(s *Server, result any) any
 }
 
-func (s *Server) handleTransfersCompleted(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var doc CompletionDoc
-	if err := decode(r, reqf, &doc); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if s.admit != nil {
-		mut := &policy.BatchMutation{Ctx: r.Context(), TransferReport: &doc.CompletionReport}
-		if !s.runAdmitted(w, r, resf, mut) {
-			return
+// reads builds a route's decode from its wire document type.
+func reads[D any](payload func(*D) any) func(*http.Request, format) (any, error) {
+	return func(r *http.Request, f format) (any, error) {
+		var doc D
+		if err := decode(r, f, &doc); err != nil {
+			return nil, err
 		}
-		if mut.Err != nil {
-			s.writeError(w, resf, statusFor(mut.Err), mut.Err)
-			return
-		}
-		s.writeResponse(w, resf, http.StatusOK, &ReportAckDoc{ReportAck: *mut.Ack})
-		return
+		return payload(&doc), nil
 	}
-	ack, err := s.svc.ReportTransfersCtx(r.Context(), doc.CompletionReport)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &ReportAckDoc{ReportAck: *ack})
 }
 
-func (s *Server) handleCleanups(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var req CleanupRequest
-	if err := decode(r, reqf, &req); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if s.admit != nil {
-		mut := &policy.BatchMutation{Ctx: r.Context(), CleanupSpecs: req.Cleanups}
-		if !s.runAdmitted(w, r, resf, mut) {
-			return
-		}
-		if mut.Err != nil {
-			s.writeError(w, resf, statusFor(mut.Err), mut.Err)
-			return
-		}
-		s.writeResponse(w, resf, http.StatusOK, &CleanupAdviceDoc{CleanupAdvice: *mut.CleanupAdvice})
-		return
-	}
-	adv, err := s.svc.AdviseCleanupsCtx(r.Context(), req.Cleanups)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &CleanupAdviceDoc{CleanupAdvice: *adv})
+// writes builds a route's reply from its typed result.
+func writes[R any](doc func(*Server, R) any) func(*Server, any) any {
+	return func(s *Server, result any) any { return doc(s, result.(R)) }
 }
 
-func (s *Server) handleCleanupsCompleted(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var doc CleanupReportDoc
-	if err := decode(r, reqf, &doc); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if s.admit != nil {
-		mut := &policy.BatchMutation{Ctx: r.Context(), CleanupReport: &doc.CleanupReport}
-		if !s.runAdmitted(w, r, resf, mut) {
-			return
-		}
-		if mut.Err != nil {
-			s.writeError(w, resf, statusFor(mut.Err), mut.Err)
-			return
-		}
-		s.writeResponse(w, resf, http.StatusOK, &ReportAckDoc{ReportAck: *mut.Ack})
-		return
-	}
-	ack, err := s.svc.ReportCleanupsCtx(r.Context(), doc.CleanupReport)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &ReportAckDoc{ReportAck: *ack})
+func ackDoc(_ *Server, a *policy.ReportAck) any { return &ReportAckDoc{ReportAck: *a} }
+
+// routes is the HTTP face of the policy op table: one line per logged op.
+var routes = []route{
+	{"POST /v1/transfers", policy.OpAdviseTransfers, true,
+		reads(func(d *TransferRequest) any { return d.Transfers }),
+		writes(func(_ *Server, a *policy.TransferAdvice) any { return &TransferAdviceDoc{TransferAdvice: *a} })},
+	{"POST /v1/transfers/completed", policy.OpReportTransfers, true,
+		reads(func(d *CompletionDoc) any { return d.CompletionReport }), writes(ackDoc)},
+	{"POST /v1/cleanups", policy.OpAdviseCleanups, true,
+		reads(func(d *CleanupRequest) any { return d.Cleanups }),
+		writes(func(_ *Server, a *policy.CleanupAdvice) any { return &CleanupAdviceDoc{CleanupAdvice: *a} })},
+	{"POST /v1/cleanups/completed", policy.OpReportCleanups, true,
+		reads(func(d *CleanupReportDoc) any { return d.CleanupReport }), writes(ackDoc)},
+	{"PUT /v1/thresholds", policy.OpSetThreshold, true,
+		reads(func(d *ThresholdUpdate) any {
+			return policy.ThresholdOp{SourceHost: d.SourceHost, DestHost: d.DestHost, Max: d.Max}
+		}), nil},
+	{"POST /v1/state/restore", policy.OpImportState, false,
+		reads(func(d *policy.StateDump) any { return d }), nil},
+	{"POST /v1/leases/renew", policy.OpRenewLease, true,
+		reads(func(d *LeaseRenewal) any { return policy.LeaseOp{WorkflowID: d.WorkflowID} }),
+		writes(func(_ *Server, l *policy.LeaseStatus) any { return &LeaseStatusDoc{LeaseStatus: *l} })},
+	{"POST /v1/clock/advance", policy.OpAdvanceClock, true,
+		reads(func(d *ClockUpdate) any { return policy.ClockOp{Now: d.Now} }),
+		writes(func(_ *Server, c *policy.ClockAdvance) any { return &ClockAdvanceDoc{ClockAdvance: *c} })},
+	{"POST /v1/bundles/activate", policy.OpActivateBundle, true,
+		reads(func(d *BundleActivateRequest) any {
+			return policy.BundleOp{Doc: d.Bundle, Version: d.Version, Rollback: d.Rollback}
+		}),
+		writes(func(_ *Server, b *policy.BundleInfo) any { return &BundleInfoDoc{BundleInfo: *b} })},
+	{"POST /v1/epoch", policy.OpBumpEpoch, false,
+		reads(func(d *EpochDoc) any { return policy.EpochOp{Epoch: d.Epoch} }),
+		writes(func(s *Server, e uint64) any { return &EpochDoc{Epoch: e, Role: s.Role().String()} })},
 }
 
-func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
+// mutation is the one handler behind every route: negotiate the wire
+// format, decode, submit the op, map the outcome. The idempotency cache
+// wraps it, and the epoch fence wraps OUTSIDE that: a 412 must never be
+// recorded against a key the client will re-use at the real primary.
+func (s *Server) mutation(rt route) http.HandlerFunc {
+	h := s.idempotent(func(w http.ResponseWriter, r *http.Request) {
+		reqf, err := requestFormat(r)
+		resf := responseFormat(r, reqf)
+		if err != nil {
+			s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
+			return
+		}
+		payload, err := rt.decode(r, reqf)
+		if err != nil {
+			s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+			return
+		}
+		result, err := s.submit(r.Context(), rt.op, payload)
+		if err != nil {
+			s.writeFailure(w, resf, err)
+			return
+		}
+		if rt.reply == nil {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		s.writeResponse(w, resf, http.StatusOK, rt.reply(s, result))
+	})
+	if rt.fenced {
+		h = s.fenced(h)
 	}
-	var req LeaseRenewal
-	if err := decode(r, reqf, &req); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	status, err := s.svc.RenewLease(req.WorkflowID)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &LeaseStatusDoc{LeaseStatus: *status})
+	return h
 }
 
 func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 	resf := responseFormat(r, formatJSON)
 	s.writeResponse(w, resf, http.StatusOK, &LeaseListDoc{LeaseList: *s.svc.Leases()})
-}
-
-func (s *Server) handleClockAdvance(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var req ClockUpdate
-	if err := decode(r, reqf, &req); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	adv, err := s.svc.AdvanceClock(req.Now)
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &ClockAdvanceDoc{ClockAdvance: *adv})
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
@@ -686,52 +612,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 	resf := responseFormat(r, formatJSON)
 	s.writeResponse(w, resf, http.StatusOK, s.svc.ExportState())
-}
-
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var dump policy.StateDump
-	if err := decode(r, reqf, &dump); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if err := s.svc.ImportState(&dump); err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleThreshold(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var upd ThresholdUpdate
-	if err := decode(r, reqf, &upd); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if upd.SourceHost == "" || upd.DestHost == "" {
-		s.writeError(w, resf, http.StatusBadRequest, errors.New("sourceHost and destHost are required"))
-		return
-	}
-	if err := s.svc.SetThreshold(upd.SourceHost, upd.DestHost, upd.Max); err != nil {
-		// statusFor, not a blanket 400: an infrastructure failure (e.g. a
-		// WAL write error) must surface as 500 so a replicated client marks
-		// this replica down instead of treating the call as rejected
-		// everywhere.
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // BundleInfoDoc is the wire form of a single bundle's metadata, returned
@@ -749,9 +629,9 @@ type BundleStatusDoc struct {
 }
 
 // BundleActivateRequest selects what POST /v1/bundles/activate switches
-// to. Exactly one of the three modes must be set: a previously pushed
-// version, an inline bundle document, or a rollback to the previously
-// active bundle.
+// to. Exactly one of the three modes must be set (the op validates it): a
+// previously pushed version, an inline bundle document, or a rollback to
+// the previously active bundle.
 type BundleActivateRequest struct {
 	XMLName  xml.Name        `json:"-" xml:"activateBundle"`
 	Version  string          `json:"version,omitempty" xml:"version,omitempty"`
@@ -783,52 +663,6 @@ func (s *Server) handleBundlePush(w http.ResponseWriter, r *http.Request) {
 	s.writeResponse(w, resf, http.StatusOK, &BundleInfoDoc{BundleInfo: *info})
 }
 
-// handleBundleActivate switches the active bundle through the WAL-logged
-// activation path, so durable replicas and crash replay converge on the
-// same version.
-func (s *Server) handleBundleActivate(w http.ResponseWriter, r *http.Request) {
-	reqf, err := requestFormat(r)
-	resf := responseFormat(r, reqf)
-	if err != nil {
-		s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	var req BundleActivateRequest
-	if err := decode(r, reqf, &req); err != nil {
-		s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	modes := 0
-	if req.Version != "" {
-		modes++
-	}
-	if len(req.Bundle) > 0 {
-		modes++
-	}
-	if req.Rollback {
-		modes++
-	}
-	if modes != 1 {
-		s.writeError(w, resf, http.StatusBadRequest,
-			errors.New("exactly one of version, bundle, or rollback is required"))
-		return
-	}
-	var info *policy.BundleInfo
-	switch {
-	case req.Rollback:
-		info, err = s.svc.RollbackBundleCtx(r.Context())
-	case len(req.Bundle) > 0:
-		info, err = s.svc.ActivateBundleCtx(r.Context(), req.Bundle)
-	default:
-		info, err = s.svc.ActivateBundleVersionCtx(r.Context(), req.Version)
-	}
-	if err != nil {
-		s.writeError(w, resf, statusFor(err), err)
-		return
-	}
-	s.writeResponse(w, resf, http.StatusOK, &BundleInfoDoc{BundleInfo: *info})
-}
-
 // handleBundles reports bundle status. The ETag is the active bundle's
 // checksum, so pollers can cheaply watch for activations with
 // If-None-Match.
@@ -844,11 +678,11 @@ func (s *Server) handleBundles(w http.ResponseWriter, r *http.Request) {
 	s.writeResponse(w, resf, http.StatusOK, &BundleStatusDoc{BundleStatus: *st})
 }
 
+// statusFor splits errors the request caused (deterministic on every
+// replica: 400) from infrastructure failures local to this one (500), by
+// sentinel only — an error that merely mentions "required" is still a 500.
 func statusFor(err error) int {
 	if errors.Is(err, policy.ErrEmptyRequest) || errors.Is(err, policy.ErrInvalidRequest) {
-		return http.StatusBadRequest
-	}
-	if strings.Contains(err.Error(), "required") {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

@@ -2,13 +2,11 @@ package policyhttp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
-	"policyflow/internal/durable"
 	"policyflow/internal/obs"
 	"policyflow/internal/policy"
 )
@@ -139,43 +137,14 @@ func (s *StandbySyncer) syncOnce() error {
 		}
 		return fmt.Errorf("policyhttp: standby pull: %w", err)
 	}
-	if s.primed && arch.SnapshotSeq <= s.lastSeq {
-		// Delta path: everything up to lastSeq is already applied, so only
-		// the newer tail records run — through ApplyLogged, which re-logs
-		// them into the standby's own WAL (the standby's durability is its
-		// own, mirroring what ImportState does on the full path).
-		return s.applyTail(arch.Tail)
-	}
-	// Full path: restore the donor's snapshot, then replay its tail.
-	dump := &policy.StateDump{}
-	if arch.Snapshot != nil {
-		if err := json.Unmarshal(arch.Snapshot, dump); err != nil {
-			return fmt.Errorf("policyhttp: decode archive snapshot: %w", err)
-		}
-	}
-	if err := s.local.ImportState(dump); err != nil {
-		return fmt.Errorf("policyhttp: standby restore: %w", err)
-	}
-	s.lastSeq = arch.SnapshotSeq
-	if err := s.applyTail(arch.Tail); err != nil {
-		return err
+	// Delta when the cursor is valid and the donor has not snapshotted past
+	// it, full restore otherwise; either way the cursor only advances over
+	// records that were applied (and re-logged into the standby's own WAL).
+	s.lastSeq, err = applyArchive(s.local, arch, s.primed, s.lastSeq)
+	if err != nil {
+		return fmt.Errorf("policyhttp: standby apply: %w", err)
 	}
 	s.primed = true
-	return nil
-}
-
-// applyTail replays donor WAL records newer than the cursor and advances
-// it. A failure leaves the cursor wherever it got to; the caller unprimes.
-func (s *StandbySyncer) applyTail(tail []durable.Record) error {
-	for _, rec := range tail {
-		if rec.Seq <= s.lastSeq {
-			continue
-		}
-		if err := s.local.ApplyLogged(rec.Op, rec.Data); err != nil {
-			return fmt.Errorf("policyhttp: standby apply record %d (%s): %w", rec.Seq, rec.Op, err)
-		}
-		s.lastSeq = rec.Seq
-	}
 	return nil
 }
 
