@@ -43,12 +43,18 @@ fmt-check:
 test-liveness:
 	$(GO) test -race -run 'Lease|Clock|Degraded|Breaker' ./internal/policy/ ./internal/faultsim/ ./internal/transfer/
 
-# test-failover runs the epoch-fencing suites under the race detector: the
-# faultsim failover model checker (seeded partition/promote/heal/resync
-# episodes against the split-brain, lost-write and reconvergence
-# invariants) and the HTTP-level fence, promote and re-route tests.
+# test-failover runs the replication suites under the race detector. There
+# is one model and one harness: TestFaultSim (1000 seeded schedules, base
+# 20260806; FAULTSIM_SCHEDULES / FAULTSIM_SEED override) interleaves
+# partition/promote/heal/probe/demote/sync episodes with crashes, disk
+# faults and sheds on either node and checks single-epoch acks, no lost
+# acked write, fenced deposed primaries, byte-identical reconvergence and
+# exactly-once on every step; TestFailoverSim is the same harness over long
+# fail-over-and-back schedules, and the Failover* self-tests prove the
+# lost-write and wrong-epoch-ack detectors bite. The HTTP-level fence,
+# promote, routing and standby-sync tests ride along.
 test-failover:
-	$(GO) test -race -run 'Failover|Fence|Promote|Epoch|Standby|Replicated' ./internal/faultsim/ ./internal/policyhttp/
+	$(GO) test -race -run 'FaultSim|Failover|Fence|Promote|Epoch|Standby|Replicated|Resync|StateApply' ./internal/faultsim/ ./internal/policyhttp/
 
 # bundle-check validates every example policy bundle offline (parse,
 # schema, value ranges, checksum) with the same code the server runs, so

@@ -50,7 +50,6 @@ func main() {
 		threshold      = flag.Int("threshold", 50, "max parallel streams between a host pair")
 		defaultStreams = flag.Int("default-streams", 4, "streams assigned to transfers that request none")
 		clusterFactor  = flag.Int("cluster-factor", 1, "workflow clustering factor (balanced allocation)")
-		standbyOf      = flag.String("standby-of", "", "deprecated alias for -role standby -peer URL")
 		role           = flag.String("role", "", "failover role: primary or standby (empty disables epoch fencing)")
 		peer           = flag.String("peer", "", "base URL of the other half of the primary/standby pair")
 		syncInterval   = flag.Duration("sync-interval", 10*time.Second, "standby sync period")
@@ -192,28 +191,18 @@ func main() {
 		api.SetDurable(ps)
 	}
 
-	// Failover wiring. -standby-of predates -role/-peer and maps onto them.
-	roleName, peerURL := *role, *peer
-	if *standbyOf != "" {
-		if roleName == "" {
-			roleName = string(policyhttp.RoleStandby)
-		}
-		if peerURL == "" {
-			peerURL = *standbyOf
-		}
-	}
 	var peerClient *policyhttp.Client
-	if peerURL != "" {
-		peerClient = policyhttp.NewClient(peerURL)
+	if *peer != "" {
+		peerClient = policyhttp.NewClient(*peer)
 	}
-	switch policyhttp.Role(roleName) {
+	switch policyhttp.Role(*role) {
 	case policyhttp.RoleNone:
 	case policyhttp.RolePrimary, policyhttp.RoleStandby:
-		api.SetFailover(policyhttp.Role(roleName), peerClient)
+		api.SetFailover(policyhttp.Role(*role), peerClient)
 		log.Printf("failover role %s (epoch %d, peer %q); promote with POST /v1/promote or `policyctl promote`",
-			roleName, svc.Epoch(), peerURL)
+			*role, svc.Epoch(), *peer)
 	default:
-		fmt.Fprintf(os.Stderr, "policyserver: unknown -role %q (want primary or standby)\n", roleName)
+		fmt.Fprintf(os.Stderr, "policyserver: unknown -role %q (want primary or standby)\n", *role)
 		os.Exit(1)
 	}
 	// Admission control: bounded queues in front of the policy core, with
@@ -263,7 +252,7 @@ func main() {
 	// demotion flips it to standby — including a node that booted as
 	// primary and was later deposed, which would otherwise stay cold
 	// until an operator resync or restart.
-	if policyhttp.Role(roleName) != "" && peerClient != nil {
+	if policyhttp.Role(*role) != "" && peerClient != nil {
 		syncer, err := policyhttp.NewStandbySyncer(svc, peerClient, *syncInterval)
 		if err != nil {
 			log.Fatalf("policyserver: %v", err)
@@ -276,8 +265,8 @@ func main() {
 			}
 		}
 		go syncer.Run(ctx)
-		if policyhttp.Role(roleName) == policyhttp.RoleStandby {
-			log.Printf("warm standby of %s (sync every %s)", peerURL, *syncInterval)
+		if policyhttp.Role(*role) == policyhttp.RoleStandby {
+			log.Printf("warm standby of %s (sync every %s)", *peer, *syncInterval)
 		} else {
 			log.Printf("peer syncer armed (activates on demotion, sync every %s)", *syncInterval)
 		}

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"policyflow/internal/executor"
 	"policyflow/internal/montage"
@@ -89,25 +91,51 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 }
 
-// TestEndToEndWithReplicatedAdvisor runs the workflow against a
-// two-replica policy deployment, killing the primary mid-run; the
-// workflow must complete via failover without any duplicate staging.
+// stagingCounter counts executed transfers per destination URL.
+type stagingCounter struct {
+	transfer.Fabric
+	mu     sync.Mutex
+	staged map[string]int
+}
+
+func (f *stagingCounter) Transfer(p *simnet.Proc, srcURL, dstURL string, sizeBytes int64, streams int) error {
+	f.mu.Lock()
+	f.staged[dstURL]++
+	f.mu.Unlock()
+	return f.Fabric.Transfer(p, srcURL, dstURL, sizeBytes, streams)
+}
+
+// TestEndToEndWithReplicatedAdvisor runs the workflow against a fenced
+// primary/standby policy deployment through the leader-following client.
+// Partway through, the standby syncs, the primary is killed and the standby
+// is promoted; the workflow must complete via failover without staging any
+// file twice, and the survivor must carry the complete final state.
 func TestEndToEndWithReplicatedAdvisor(t *testing.T) {
-	mk := func() (*httptest.Server, *policy.Service) {
-		pcfg := policy.DefaultConfig()
-		svc, err := policy.New(pcfg)
+	var svcs [2]*policy.Service
+	var servers [2]*httptest.Server
+	var apis [2]*policyhttp.Server
+	for i := range svcs {
+		svc, err := policy.New(policy.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return httptest.NewServer(policyhttp.NewServer(svc, nil)), svc
+		svcs[i], apis[i] = svc, policyhttp.NewServer(svc, nil)
+		servers[i] = httptest.NewServer(apis[i])
+		defer servers[i].Close()
 	}
-	primary, _ := mk()
-	secondary, secondarySvc := mk()
-	defer secondary.Close()
-
+	apis[0].SetFailover(policyhttp.RolePrimary, policyhttp.NewClient(servers[1].URL))
+	apis[1].SetFailover(policyhttp.RoleStandby, policyhttp.NewClient(servers[0].URL))
+	if _, err := svcs[0].BumpEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	standby, err := policyhttp.NewStandbySyncer(svcs[1], policyhttp.NewClient(servers[0].URL), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRetry := policyhttp.WithRetry(policyhttp.RetryPolicy{MaxAttempts: 1})
 	rc, err := policyhttp.NewReplicatedClient(
-		policyhttp.NewClient(primary.URL),
-		policyhttp.NewClient(secondary.URL),
+		policyhttp.NewClient(servers[0].URL, noRetry),
+		policyhttp.NewClient(servers[1].URL, noRetry),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +157,7 @@ func TestEndToEndWithReplicatedAdvisor(t *testing.T) {
 	}
 
 	env := simnet.NewEnv(13)
-	fab := transfer.NewSimFabric(env, PipeConfigFor)
+	fab := &stagingCounter{Fabric: transfer.NewSimFabric(env, PipeConfigFor), staged: map[string]int{}}
 	ptt, err := transfer.New(transfer.Config{Advisor: rc, Fabric: fab, DefaultStreams: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -141,21 +169,48 @@ func TestEndToEndWithReplicatedAdvisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill the primary partway through the simulated run.
-	env.At(30, func() { primary.Close() })
+	// Partway through the simulated run the standby catches up, the primary
+	// dies and an operator promotes the standby.
+	var ackedBefore int
+	env.At(30, func() {
+		if err := standby.SyncOnce(); err != nil {
+			t.Errorf("standby sync: %v", err)
+		}
+		ackedBefore = svcs[0].Snapshot().TrackedFiles
+		servers[0].Close()
+		res, err := policyhttp.NewClient(servers[1].URL).Promote()
+		if err != nil {
+			t.Errorf("promote: %v", err)
+		} else if res.CaughtUp || res.Epoch != 2 {
+			t.Errorf("promotion = %+v, want epoch 2 with no catch-up from the dead peer", res)
+		}
+	})
 	env.Run(0)
 	res, err := h.Result()
 	if err != nil {
-		t.Fatalf("workflow failed despite replication: %v", err)
+		t.Fatalf("workflow failed despite failover: %v", err)
 	}
 	if res.Completed != len(plan.Tasks) {
 		t.Fatalf("completed %d of %d", res.Completed, len(plan.Tasks))
 	}
-	if got := rc.Healthy(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("healthy = %v, want only the secondary", got)
+	if ackedBefore == 0 {
+		t.Fatal("the primary died before acknowledging anything: the run never failed over mid-way")
 	}
-	// The surviving replica carries the complete final state.
-	if snap := secondarySvc.Snapshot(); snap.InFlight != 0 {
-		t.Fatalf("secondary state = %+v", snap)
+	if rc.LastAckReplica() != 1 || rc.LastAckEpoch() != 2 {
+		t.Fatalf("last ack from replica %d at epoch %d, want the promoted standby at epoch 2",
+			rc.LastAckReplica(), rc.LastAckEpoch())
+	}
+	if len(fab.staged) == 0 {
+		t.Fatal("no transfer was executed")
+	}
+	for url, n := range fab.staged {
+		if n != 1 {
+			t.Errorf("%s staged %d times", url, n)
+		}
+	}
+	// The survivor carries the complete final state: nothing in flight, no
+	// cleanup pending, every file the workflow staged cleaned up again.
+	if snap := svcs[1].Snapshot(); snap.InFlight != 0 || snap.PendingCleanups != 0 || snap.StagedResources != 0 {
+		t.Fatalf("survivor state = %+v", snap)
 	}
 }

@@ -30,10 +30,10 @@ func TestAtMostOnceUnderResponseLoss(t *testing.T) {
 		// same key and must replay, not re-apply.
 		adviseOp("r-2", "f-02", FaultSpec{Replica: 0, Kind: FaultDuplicate}),
 		// A 503 exercises the retryable-status path.
-		adviseOp("r-3", "f-03", FaultSpec{Replica: 1, Kind: Fault503}),
+		adviseOp("r-3", "f-03", FaultSpec{Replica: 0, Kind: Fault503}),
 		adviseOp("r-4", "f-04",
 			FaultSpec{Replica: 0, Kind: FaultDropResponse},
-			FaultSpec{Replica: 1, Kind: FaultLoseRequest}),
+			FaultSpec{Replica: 0, Kind: FaultLoseRequest}),
 	}
 	for i, op := range ops {
 		if err := h.Step(op); err != nil {
@@ -53,19 +53,19 @@ func TestAtMostOnceUnderResponseLoss(t *testing.T) {
 	if transport == 0 || http5xx == 0 {
 		t.Errorf("fault counters incomplete: transport=%v http_5xx=%v", transport, http5xx)
 	}
-	// The server side of the same story: replica 0 answered at least one
+	// The server side of the same story: the primary answered at least one
 	// retry from its idempotency cache instead of re-applying.
 	served := h.ServerRegistry(0).Counter("http_idempotent_replays_total",
 		"Mutating requests answered from the idempotency cache without re-applying.").With().Value()
 	if served == 0 {
-		t.Error("replica 0 never served from its idempotency cache")
+		t.Error("the primary never served from its idempotency cache")
 	}
 }
 
-// TestConcurrentClientsStayConsistent hammers the replicated client from
-// several goroutines (the -race companion to the single-threaded
-// schedules): after the storm quiesces, both replicas must hold identical,
-// internally consistent Policy Memory.
+// TestConcurrentClientsStayConsistent hammers the leader-following client
+// from several goroutines (the -race companion to the single-threaded
+// schedules): after the storm quiesces and the standby syncs, both nodes
+// must hold identical, internally consistent Policy Memory.
 func TestConcurrentClientsStayConsistent(t *testing.T) {
 	h, err := NewHarness(t.TempDir(), passingSchedule())
 	if err != nil {
@@ -76,7 +76,6 @@ func TestConcurrentClientsStayConsistent(t *testing.T) {
 	const workers = 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -104,20 +103,21 @@ func TestConcurrentClientsStayConsistent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if got := h.rc.LastAckReplica(); got != 0 {
+		t.Fatalf("last ack from replica %d, want the primary (0)", got)
+	}
+	if err := h.syncers[1].SyncOnce(); err != nil {
+		t.Fatalf("standby sync after the storm: %v", err)
+	}
 
-	d0, err := h.clients[0].Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := h.clients[1].Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d0, d1 := h.replicas[0].svc.ExportState(), h.replicas[1].svc.ExportState()
 	b0, _ := json.Marshal(d0)
 	b1, _ := json.Marshal(d1)
-	j0, j1 := string(b0), string(b1)
-	if j0 != j1 {
-		t.Fatalf("replicas diverged under concurrent load:\n  replica0 %s\n  replica1 %s", j0, j1)
+	if string(b0) != string(b1) {
+		t.Fatalf("standby diverged from the primary after concurrent load:\n  primary %s\n  standby %s", b0, b1)
+	}
+	if len(d0.Resources) != workers*25 {
+		t.Fatalf("primary tracks %d files after %d advises", len(d0.Resources), workers*25)
 	}
 	if err := checkDumpConsistency(d0); err != nil {
 		t.Fatalf("post-storm state inconsistent: %v", err)

@@ -32,7 +32,7 @@ func scenarioBundle(t *testing.T, version, algo string, streams, threshold, clus
 // data: bundle activations and a rollback interleaved with response loss,
 // duplicate delivery, torn-tail crashes and plain crash-restarts. Every
 // step also runs the harness's standing checks — the order-free model on
-// the oracle, byte-for-byte replica/oracle agreement, exactly-once
+// the oracle, byte-for-byte primary/oracle agreement, exactly-once
 // decision provenance, and the bundle stamp on the newest decision record
 // — so the scenario proves activation is atomic, durable, idempotent and
 // attributable without any extra assertions for those properties.
@@ -69,7 +69,7 @@ func TestBundleActivationScenario(t *testing.T) {
 		bundle.PairThreshold{SourceHost: "hostA", DestHost: "hostB", Max: 5})
 	mustStep(Op{Kind: OpActivateBundle, BundleDoc: docA, Faults: []FaultSpec{
 		{Replica: 0, Kind: FaultDropResponse},
-		{Replica: 1, Kind: FaultDuplicate},
+		{Replica: 0, Kind: FaultDuplicate},
 	}})
 	tun := h.oracle.Tunables()
 	if tun.Version != "scenario-v1" || tun.DefaultThreshold != 6 || tun.DefaultStreams != 3 {
@@ -98,9 +98,11 @@ func TestBundleActivationScenario(t *testing.T) {
 	}
 
 	// Switch algorithms entirely: balanced v2 re-materializes cluster
-	// ledgers from in-flight transfers, then survives a crash-restart.
+	// ledgers from in-flight transfers, then survives a crash-restart of
+	// the standby that replayed it from the primary's log.
 	docB := scenarioBundle(t, "scenario-v2", bundle.AlgoBalanced, 1, 8, 2)
 	mustStep(Op{Kind: OpActivateBundle, BundleDoc: docB})
+	mustStep(Op{Kind: OpStandbySync})
 	mustStep(Op{Kind: OpCrash, Replica: 1})
 	mustStep(wfAdviseOp("wf-a", "rc", "f-04"))
 
@@ -114,6 +116,7 @@ func TestBundleActivationScenario(t *testing.T) {
 	// Crash-recover both replicas: the whole activation history — two
 	// activations and a rollback — replays to the same state, and work
 	// continues under the rolled-back bundle.
+	mustStep(Op{Kind: OpStandbySync})
 	mustStep(Op{Kind: OpCrash, Replica: 0})
 	mustStep(Op{Kind: OpTornCrash, Replica: 1})
 	mustStep(wfAdviseOp("wf-b", "rd", "f-05"))

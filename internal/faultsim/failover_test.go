@@ -1,110 +1,41 @@
 package faultsim
 
 import (
-	"encoding/json"
 	"fmt"
-	"sync"
+	"strings"
 	"testing"
 
 	"policyflow/internal/policy"
 )
 
-// defaultFailoverSchedules is how many randomized failover schedules
-// TestFailoverSim runs; FAILOVER_SCHEDULES overrides it and FAILOVER_SEED
-// rebases the seed sequence, mirroring TestFaultSim's knobs.
-const (
-	defaultFailoverSchedules = 150
-	defaultFailoverBaseSeed  = 20260808
-)
-
-// TestFailoverSim is the failover model checker: randomized workloads run
-// against an epoch-fenced primary/standby pair while scripted episodes
-// partition the primary, promote the standby, heal the partition and
-// resync — checking after every step that writes are acknowledged by
-// exactly one epoch, that a deposed primary fences every write (the probe
-// turns a violation into a step error), that no acknowledged mutation is
-// lost across a promotion, and that the pair reconverges byte-identically
-// after heal+resync. Failures shrink to a locally minimal trace.
-func TestFailoverSim(t *testing.T) {
-	schedules := int(envInt(t, "FAILOVER_SCHEDULES", defaultFailoverSchedules))
-	baseSeed := envInt(t, "FAILOVER_SEED", defaultFailoverBaseSeed)
-
-	var mu sync.Mutex
-	totalFaults := make(map[string]int)
-
-	t.Cleanup(func() {
-		if t.Failed() {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for _, kind := range []string{OpPartition, OpPromote, OpFenceProbe} {
-			if totalFaults[kind] == 0 {
-				t.Errorf("schedules never exercised %q (faults: %v) — episode generator drifted", kind, totalFaults)
-			}
-		}
-	})
-
-	for i := 0; i < schedules; i++ {
-		seed := baseSeed + int64(i)
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			sched := RandomFailoverSchedule(seed)
-			trace, faults, err := RunSchedule(t.TempDir(), sched)
-			mu.Lock()
-			for k, n := range faults {
-				totalFaults[k] += n
-			}
-			mu.Unlock()
-			if err == nil {
-				return
-			}
-			minTrace := Shrink(trace, func(candidate []Op) bool {
-				return ReplayTrace(t.TempDir(), sched, candidate) != nil
-			})
-			minErr := ReplayTrace(t.TempDir(), sched, minTrace)
-			schedJSON, _ := json.Marshal(sched)
-			traceJSON, _ := json.MarshalIndent(minTrace, "", "  ")
-			t.Fatalf("invariant violation at seed %d: %v\n\nreplay: FAILOVER_SEED=%d FAILOVER_SCHEDULES=1 go test ./internal/faultsim -run 'TestFailoverSim$'\nschedule: %s\nminimal trace (%d of %d ops, fails with: %v):\n%s",
-				seed, err, seed, schedJSON, len(minTrace), len(trace), minErr, traceJSON)
-		})
-	}
+// longFailoverSchedule stretches a random schedule to 80 operations — room
+// for five or six failover episodes back to back, so leadership moves away
+// and comes back several times within one run.
+func longFailoverSchedule(seed int64) Schedule {
+	s := RandomSchedule(seed)
+	s.Config.OpCount = 80
+	return s
 }
 
-// TestFailoverSimDeterministicReplay proves failover schedules are as
-// replayable as the role-less ones: one seed, one trace, one outcome.
+// TestFailoverSim is the fail-back property: the same harness and schedule
+// grammar as TestFaultSim, over fixed seeds and long schedules in which
+// the pair fails over and back repeatedly — every promotion at exactly the
+// next epoch, every deposed primary fenced and reconverged before it is
+// promoted again. (TestFaultSim's shorter schedules mostly see one or two
+// episodes each.)
+func TestFailoverSim(t *testing.T) {
+	runSchedules(t, 150, 20260808, longFailoverSchedule)
+}
+
+// TestFailoverSimDeterministicReplay proves the long schedules are as
+// replayable as the short ones: one seed, one trace, one outcome.
 func TestFailoverSimDeterministicReplay(t *testing.T) {
 	for _, seed := range []int64{3, 11, 20260808} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			sched := RandomFailoverSchedule(seed)
-			trace1, _, err1 := RunSchedule(t.TempDir(), sched)
-			trace2, _, err2 := RunSchedule(t.TempDir(), sched)
-			j1, _ := json.Marshal(trace1)
-			j2, _ := json.Marshal(trace2)
-			if string(j1) != string(j2) {
-				t.Fatalf("same seed generated different traces:\n  run1 %s\n  run2 %s", j1, j2)
-			}
-			if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
-				t.Fatalf("same seed produced different outcomes: %v vs %v", err1, err2)
-			}
-			if err1 != nil {
-				return
-			}
-			if err := ReplayTrace(t.TempDir(), sched, trace1); err != nil {
-				t.Fatalf("replaying a passing trace failed: %v", err)
-			}
+			checkDeterministic(t, longFailoverSchedule(seed))
 		})
 	}
-}
-
-// failoverSchedule is a fixed fault-free failover configuration for the
-// detector self-tests below.
-func failoverSchedule() Schedule {
-	s := passingSchedule()
-	s.Config.Failover = true
-	return s
 }
 
 // TestFailoverDetectsLostWrite proves the durability detector works: a
@@ -118,16 +49,54 @@ func TestFailoverDetectsLostWrite(t *testing.T) {
 		{Kind: OpPartition, Replica: 0},
 		{Kind: OpPromote, Replica: 1},
 	}
-	err := ReplayTrace(t.TempDir(), failoverSchedule(), trace)
+	err := ReplayTrace(t.TempDir(), passingSchedule(), trace)
 	if err == nil {
 		t.Fatal("promotion of a stale standby dropped an acknowledged write undetected")
 	}
 	t.Logf("detected as: %v", err)
 }
 
+// TestFailoverDetectsWrongEpochAck proves the single-epoch-ack detector
+// works. The old primary is partitioned through a promotion and healed,
+// but nothing has contacted it yet, so it still believes it is primary at
+// the old epoch. A workflow process that just started — fresh clients, no
+// leader hint, no observed epoch to depose it with — writes to it first and
+// is acknowledged at the stale epoch: exactly the split-brain window the
+// scripted episodes close with the fence probe, and the harness must flag
+// the ack.
+func TestFailoverDetectsWrongEpochAck(t *testing.T) {
+	h, err := NewHarness(t.TempDir(), passingSchedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for i, op := range []Op{
+		adviseOp("r-1", "f-01"),
+		{Kind: OpStandbySync},
+		{Kind: OpPartition, Replica: 0},
+		{Kind: OpPromote, Replica: 1},
+		adviseOp("r-2", "f-02"),
+		{Kind: OpHeal},
+	} {
+		if err := h.Step(op); err != nil {
+			t.Fatalf("op %d (%s): %v", i, op.Kind, err)
+		}
+	}
+	if err := h.connectClients(); err != nil {
+		t.Fatal(err)
+	}
+	err = h.Step(adviseOp("r-3", "f-03"))
+	if err == nil {
+		t.Fatal("a write acknowledged by the deposed primary at the old epoch went undetected")
+	}
+	if !strings.Contains(err.Error(), "acknowledged at epoch 1, expected 2") {
+		t.Fatalf("flagged for the wrong reason: %v", err)
+	}
+}
+
 // TestFailoverEpisodeReplay replays one full hand-written episode — sync,
 // partition, promote, writes on the new primary, heal, fence probe,
-// demote, resync — and requires it to pass: the happy path of the fencing
+// demote, sync — and requires it to pass: the happy path of the fencing
 // protocol, step for step, under the harness's full invariant battery.
 func TestFailoverEpisodeReplay(t *testing.T) {
 	probe := policy.TransferSpec{
@@ -148,7 +117,7 @@ func TestFailoverEpisodeReplay(t *testing.T) {
 		{Kind: OpStandbySync},
 		adviseOp("r-3", "f-03"),
 	}
-	if err := ReplayTrace(t.TempDir(), failoverSchedule(), trace); err != nil {
+	if err := ReplayTrace(t.TempDir(), passingSchedule(), trace); err != nil {
 		t.Fatalf("scripted failover episode violated an invariant: %v", err)
 	}
 }

@@ -19,8 +19,16 @@ import (
 	"policyflow/internal/policyhttp"
 )
 
-// numReplicas is the size of the simulated replica group.
+// numReplicas is the size of the simulated pair: one primary, one standby.
 const numReplicas = 2
+
+// Fault-count keys for the legitimate failures the harness absorbs, next to
+// the op kinds that inject them: a client op nobody acknowledged and a
+// standby sync that failed.
+const (
+	unackedOp  = "unackedOp"
+	failedSync = "failedSync"
+)
 
 // simReplica is one simulated policy server: a service with a durable
 // store on its own data directory, exposed through the full HTTP stack
@@ -36,14 +44,14 @@ type simReplica struct {
 }
 
 // Harness wires the full stack — policy service, durable store, HTTP
-// server, retrying client, replicated client — into a deterministic
-// simulation. Every operation runs against the replica group through the
-// fault-injecting Router AND against a fault-free in-memory oracle; after
-// each step the oracle's state is checked against the order-free model and
-// every healthy replica is checked byte-for-byte against the oracle.
+// server, retrying client, leader-following client, standby syncer — into a
+// deterministic simulation of an epoch-fenced primary/standby pair. Every
+// operation runs against the pair through the fault-injecting Router AND
+// against a fault-free in-memory oracle; after each step the oracle's state
+// is checked against the order-free model and every replica required to be
+// current is checked byte-for-byte against the oracle.
 type Harness struct {
 	cfg policy.Config
-	sc  ScheduleConfig
 
 	router   *Router
 	replicas [numReplicas]*simReplica
@@ -68,16 +76,17 @@ type Harness struct {
 	walFaults [numReplicas]int
 
 	// localFaults counts fault events injected outside the Router (crash,
-	// torn WAL tail, disk-write failure), by kind.
+	// torn WAL tail, disk-write failure, ...) and the failures they
+	// legitimately caused (unackedOp, failedSync), by kind.
 	localFaults map[string]int
 
-	// Failover-mode state (sc.Failover). roles is the harness's intent for
-	// each replica — a partitioned old primary still believes it is primary
-	// until probed or demoted, but the harness knows who SHOULD be serving.
-	// expectedEpoch is the one epoch allowed to acknowledge writes; fresh
-	// marks replicas whose Policy Memory must equal the oracle's right now
-	// (a standby legitimately lags between syncs, so only fresh replicas
-	// are compared). syncers and peerClients wire each replica at its peer.
+	// roles is the harness's intent for each replica — a partitioned old
+	// primary still believes it is primary until probed or demoted, but the
+	// harness knows who SHOULD be serving. expectedEpoch is the one epoch
+	// allowed to acknowledge writes; fresh marks replicas whose Policy
+	// Memory must equal the oracle's right now (a standby legitimately lags
+	// between syncs, so only fresh replicas are compared). syncers and
+	// peerClients wire each replica at its peer.
 	roles         [numReplicas]policyhttp.Role
 	curPrimary    int
 	expectedEpoch uint64
@@ -90,6 +99,9 @@ type Harness struct {
 }
 
 // NewHarness builds a harness with replica data directories under baseDir.
+// Replica 0 starts as primary at epoch 1 (taken through its WAL, the oracle
+// and model in lockstep); replica 1 is its standby, stale at epoch 0 until
+// its first sync.
 func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
 	sc := sched.Config
 	cfg := policy.Config{
@@ -106,13 +118,13 @@ func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
 	}
 	h := &Harness{
 		cfg:         cfg,
-		sc:          sc,
 		router:      NewRouter(),
 		oracle:      oracle,
 		model:       NewModel(cfg),
 		ClientReg:   obs.NewRegistry(),
 		acked:       make(map[string]int64),
 		localFaults: make(map[string]int),
+		roles:       [numReplicas]policyhttp.Role{policyhttp.RolePrimary, policyhttp.RoleStandby},
 		seed:        sched.Seed,
 	}
 	h.ClientMetrics = obs.NewClientMetrics(h.ClientReg)
@@ -120,53 +132,56 @@ func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
 	// model learns it from the fault-free oracle so it can tell
 	// state-changing activations from idempotent no-ops.
 	h.model.SetActiveChecksum(oracle.Tunables().Checksum)
-	if sc.Failover {
-		// Replica 0 starts as primary, 1 as its standby. Peer clients are
-		// wired before the replicas open because openReplica installs them
-		// (promotion demotes and pulls from the peer through the router, so
-		// partitions apply to the control plane too).
-		h.roles = [numReplicas]policyhttp.Role{policyhttp.RolePrimary, policyhttp.RoleStandby}
-		for i := 0; i < numReplicas; i++ {
-			h.peerClients[i] = policyhttp.NewClient(fmt.Sprintf("http://replica%d", 1-i),
-				policyhttp.WithTransport(h.router),
-				policyhttp.WithBackoffSleep(func(time.Duration) {}),
-				policyhttp.WithJitterSeed(sched.Seed*37+int64(i)),
-			)
-		}
+	// Peer clients are wired before the replicas open because openReplica
+	// installs them (promotion demotes and pulls from the peer through the
+	// router, so partitions apply to the control plane too).
+	for i := 0; i < numReplicas; i++ {
+		h.peerClients[i] = h.newClient(1-i, 37)
 	}
 	for i := 0; i < numReplicas; i++ {
 		host := fmt.Sprintf("replica%d", i)
-		dir := filepath.Join(baseDir, host)
-		h.replicas[i] = &simReplica{host: host, dir: dir}
+		h.replicas[i] = &simReplica{host: host, dir: filepath.Join(baseDir, host)}
 		if err := h.openReplica(i); err != nil {
 			return nil, err
 		}
-		h.clients[i] = policyhttp.NewClient("http://"+host,
-			policyhttp.WithTransport(h.router),
-			policyhttp.WithBackoffSleep(func(time.Duration) {}),
-			policyhttp.WithJitterSeed(sched.Seed*31+int64(i)),
-			policyhttp.WithMetrics(h.ClientMetrics),
-		)
 	}
-	h.rc, err = policyhttp.NewReplicatedClient(h.clients[:]...)
-	if err != nil {
+	if err := h.connectClients(); err != nil {
 		return nil, err
 	}
-	if sc.Failover {
-		// The initial primary takes epoch 1 through its WAL; the oracle and
-		// model move in lockstep. The standby starts at epoch 0 (stale) and
-		// becomes fresh at its first sync.
-		if _, err := h.replicas[0].svc.BumpEpoch(1); err != nil {
-			return nil, fmt.Errorf("faultsim: seed primary epoch: %w", err)
-		}
-		if _, err := h.oracle.BumpEpoch(1); err != nil {
-			return nil, fmt.Errorf("faultsim: seed oracle epoch: %w", err)
-		}
-		h.model.SetEpoch(1)
-		h.expectedEpoch = 1
-		h.fresh[0] = true
+	if _, err := h.replicas[0].svc.BumpEpoch(1); err != nil {
+		return nil, fmt.Errorf("faultsim: seed primary epoch: %w", err)
 	}
+	if _, err := h.oracle.BumpEpoch(1); err != nil {
+		return nil, fmt.Errorf("faultsim: seed oracle epoch: %w", err)
+	}
+	h.model.SetEpoch(1)
+	h.expectedEpoch = 1
+	h.fresh[0] = true
 	return h, nil
+}
+
+// newClient builds a client for replica i through the fault-injecting
+// router; salt decorrelates the jitter streams of the different client sets.
+func (h *Harness) newClient(i int, salt int64) *policyhttp.Client {
+	return policyhttp.NewClient(fmt.Sprintf("http://replica%d", i),
+		policyhttp.WithTransport(h.router),
+		policyhttp.WithBackoffSleep(func(time.Duration) {}),
+		policyhttp.WithJitterSeed(h.seed*salt+int64(i)),
+		policyhttp.WithMetrics(h.ClientMetrics),
+	)
+}
+
+// connectClients gives the simulated workflow a fresh set of clients: one
+// per replica plus the leader-following client over them. A fresh set has
+// observed no epoch and holds no leader hint — a workflow process that
+// just started.
+func (h *Harness) connectClients() error {
+	for i := range h.clients {
+		h.clients[i] = h.newClient(i, 31)
+	}
+	rc, err := policyhttp.NewReplicatedClient(h.clients[:]...)
+	h.rc = rc
+	return err
 }
 
 // faultFor returns the WriteFault hook for replica i: it fails the next
@@ -182,6 +197,14 @@ func (h *Harness) faultFor(i int) func(op string) error {
 		}
 		return nil
 	}
+}
+
+// armedDiskFaults returns how many injected append failures replica i still
+// has coming.
+func (h *Harness) armedDiskFaults(i int) int {
+	h.walMu.Lock()
+	defer h.walMu.Unlock()
+	return h.walFaults[i]
 }
 
 // openReplica (re)builds replica i's full stack on its data directory,
@@ -213,17 +236,16 @@ func (h *Harness) openReplica(i int) error {
 		BatchMax: 8,
 	})
 	server.SetAdmission(ctl)
-	if h.sc.Failover {
-		// Restore the role the harness believes this replica has (the epoch
-		// itself recovers from the WAL) and rebuild its standby syncer: the
-		// old syncer's delta cursor described the previous service instance.
-		server.SetFailover(h.roles[i], h.peerClients[i])
-		syncer, serr := policyhttp.NewStandbySyncer(svc, h.peerClients[i], time.Second)
-		if serr != nil {
-			return fmt.Errorf("faultsim: build replica %d syncer: %w", i, serr)
-		}
-		h.syncers[i] = syncer
+	// Restore the role the harness believes this replica has (the epoch
+	// itself recovers from the WAL) and rebuild its standby syncer: the old
+	// syncer's delta cursor described the previous service instance, so a
+	// crash-recovered standby's next sync is a full one.
+	server.SetFailover(h.roles[i], h.peerClients[i])
+	syncer, err := policyhttp.NewStandbySyncer(svc, h.peerClients[i], time.Second)
+	if err != nil {
+		return fmt.Errorf("faultsim: build replica %d syncer: %w", i, err)
 	}
+	h.syncers[i] = syncer
 	if r.ctl != nil {
 		r.ctl.Close()
 	}
@@ -268,9 +290,9 @@ func (h *Harness) FaultCounts() map[string]int {
 }
 
 // Step executes one operation: queue its HTTP faults, run it against the
-// replica group and the oracle, then verify the model and replica
-// consistency. A non-nil error is an invariant violation (or an internal
-// harness failure) and fails the schedule.
+// pair and the oracle, then verify the model and replica consistency. A
+// non-nil error is an invariant violation (or an internal harness failure)
+// and fails the schedule.
 func (h *Harness) Step(op Op) error {
 	h.step++
 	for _, f := range op.Faults {
@@ -310,18 +332,21 @@ func (h *Harness) Step(op Op) error {
 	case OpShed:
 		// Arm deterministic admission sheds: the replica's controller
 		// rejects its next Count mutation submissions with 429 before any
-		// side effect. The client retries through them (or gives up and
-		// reports busy); either way the shed ops must leave the replica
-		// byte-identical to one that never saw them.
+		// side effect. On the primary the client retries through them (or
+		// gives up and reports busy); either way the shed ops must leave it
+		// byte-identical to one that never saw them. A standby admits no
+		// client mutations and its syncer bypasses admission, so sheds armed
+		// there wait for its promotion (or are lost with a crash).
 		h.replicas[op.Replica].ctl.FailNext(op.Count)
 		h.localFaults[OpShed] += op.Count
 	case OpDiskFault:
+		// Fail the replica's next Count WAL appends. On the primary the next
+		// logged mutation answers 500 with no effect; on the standby the
+		// next sync that has anything to apply fails (see stepStandbySync).
 		h.walMu.Lock()
 		h.walFaults[op.Replica] += op.Count
 		h.walMu.Unlock()
 		h.localFaults[OpDiskFault] += op.Count
-	case OpResync:
-		err = h.stepResync()
 	case OpSnapshot:
 		err = h.stepSnapshot(op.Replica)
 	case OpPartition:
@@ -353,48 +378,46 @@ func (h *Harness) Step(op Op) error {
 	return nil
 }
 
-// clientOutcome routes the legitimate outcomes of a replicated call:
-// success (apply to oracle + model), admission shed (the op never
-// happened anywhere — nothing changes and nothing reaches the oracle),
-// deterministic rejection (oracle must reject identically, nothing
-// changes), or total replica loss (repair). Anything else is a violation.
-// IsBusy is checked before IsRejection: a 429 is a 4xx on the wire, but
-// unlike a rejection it is about the server's load, not the request, so
-// the oracle — which has no admission queue — must not see it.
+// clientOutcome routes the legitimate outcomes of a call through the
+// leader-following client: success (apply to oracle + model), admission
+// shed (the op never happened — nothing changes and nothing reaches the
+// oracle), deterministic rejection (oracle must reject identically,
+// nothing changes), or no acknowledgement at all. Anything else is a
+// violation. IsBusy is checked before IsRejection: a 429 is a 4xx on the
+// wire, but unlike a rejection it is about the server's load, not the
+// request, so the oracle — which has no admission queue — must not see it.
+//
+// ErrNoPrimary and ErrNoReplicas both mean no server acknowledged the op:
+// the primary failed it (an armed disk fault answers 500 before any
+// effect) or was unreachable, and the standby fenced it or was unreachable
+// too. The schedule grammar queues at most two HTTP faults per op against
+// three client attempts, so an unacknowledged op was applied nowhere: the
+// primary stays fresh, and the very next checkReplicas proves it.
 func (h *Harness) clientOutcome(err error, onSuccess, onRejection func() error) error {
 	switch {
 	case err == nil:
-		if h.sc.Failover {
-			if aerr := h.noteAck(); aerr != nil {
-				return aerr
-			}
+		if aerr := h.noteAck(); aerr != nil {
+			return aerr
 		}
 		return onSuccess()
 	case policyhttp.IsBusy(err):
 		return nil
-	case errors.Is(err, policyhttp.ErrNoPrimary):
-		// Mid-failover: every reachable replica fenced the write, so it was
-		// applied nowhere the client could confirm. The primary may still
-		// have applied it before a dropped response, so its freshness is no
-		// longer known — stop comparing it until the next acknowledged
-		// mutation or sync re-establishes it.
-		h.fresh[h.curPrimary] = false
+	case errors.Is(err, policyhttp.ErrNoPrimary), errors.Is(err, policyhttp.ErrNoReplicas):
+		h.localFaults[unackedOp]++
 		return nil
 	case policyhttp.IsRejection(err):
 		return onRejection()
-	case errors.Is(err, policyhttp.ErrNoReplicas):
-		return h.repair()
 	default:
 		return fmt.Errorf("unexpected client error: %w", err)
 	}
 }
 
-// noteAck runs after every acknowledged mutation in failover mode: the ack
-// must come from the expected primary at the expected epoch (two replicas
-// acking under different epochs is split brain, the one failure mode the
-// fence exists to prevent), and it makes the primary the only replica
-// whose state is required to match the oracle (the standby fenced the
-// write, so it lags until its next sync).
+// noteAck runs after every acknowledged mutation: the ack must come from
+// the expected primary at the expected epoch (two replicas acking under
+// different epochs is split brain, the one failure mode the fence exists to
+// prevent), and it makes the primary the only replica whose state is
+// required to match the oracle (the standby never saw the write, so it lags
+// until its next sync).
 func (h *Harness) noteAck() error {
 	if e := h.rc.LastAckEpoch(); e != h.expectedEpoch {
 		return fmt.Errorf("mutation acknowledged at epoch %d, expected %d", e, h.expectedEpoch)
@@ -504,8 +527,8 @@ func (h *Harness) stepCleanupReport(op Op) error {
 		})
 }
 
-// stepRenewLease renews op.Workflow's lease on the replica group and the
-// oracle, then mirrors it into the model.
+// stepRenewLease renews op.Workflow's lease on the pair and the oracle,
+// then mirrors it into the model.
 func (h *Harness) stepRenewLease(op Op) error {
 	st, err := h.rc.RenewLease(op.Workflow)
 	return h.clientOutcome(err,
@@ -528,10 +551,10 @@ func (h *Harness) stepRenewLease(op Op) error {
 		})
 }
 
-// stepAdvanceClock moves the logical clock forward everywhere. The
-// reclamation that follows is a logged deterministic mutation, so the
-// replicas' expiry results must match the oracle's exactly, and the model
-// must predict the same set of expired owners.
+// stepAdvanceClock moves the logical clock forward. The reclamation that
+// follows is a logged deterministic mutation, so the primary's expiry
+// results must match the oracle's exactly, and the model must predict the
+// same set of expired owners.
 func (h *Harness) stepAdvanceClock(op Op) error {
 	adv, err := h.rc.AdvanceClock(op.Now)
 	return h.clientOutcome(err,
@@ -571,9 +594,9 @@ func (h *Harness) stepSetThreshold(op Op) error {
 		})
 }
 
-// stepActivateBundle activates a bundle document on the replica group and
-// the oracle. The replicated client carries the full document, so the call
-// is self-contained even against crash-recovered replicas. The model only
+// stepActivateBundle activates a bundle document on the pair and the
+// oracle. The client carries the full document, so the call is
+// self-contained even against a crash-recovered primary. The model only
 // advances — and the provenance counter only increments — when the
 // document's checksum differs from the active one: re-activation is an
 // idempotent no-op that appends nothing and records nothing.
@@ -606,7 +629,7 @@ func (h *Harness) stepActivateBundle(op Op) error {
 		})
 }
 
-// stepRollbackBundle re-activates the previous bundle everywhere. A
+// stepRollbackBundle re-activates the previous bundle. A
 // rollback is never a no-op (the previous checksum differs by
 // construction), so an acknowledged rollback always logs one activation.
 func (h *Harness) stepRollbackBundle(op Op) error {
@@ -678,27 +701,6 @@ func tearTail(dir string) error {
 	return err
 }
 
-// stepResync brings every downed replica back from a healthy donor.
-func (h *Harness) stepResync() error {
-	healthy := make(map[int]bool)
-	for _, i := range h.rc.Healthy() {
-		healthy[i] = true
-	}
-	for i := 0; i < numReplicas; i++ {
-		if healthy[i] {
-			continue
-		}
-		err := h.rc.Resync(i)
-		if errors.Is(err, policyhttp.ErrNoReplicas) {
-			return h.repair()
-		}
-		// Any other resync failure is legitimate — e.g. an armed disk
-		// fault on the target refuses the restore's WAL append. The
-		// replica just stays down.
-	}
-	return nil
-}
-
 func (h *Harness) stepSnapshot(i int) error {
 	if _, err := h.replicas[i].ps.SnapshotNow(); err != nil {
 		return fmt.Errorf("snapshot replica %d: %w", i, err)
@@ -713,9 +715,19 @@ func (h *Harness) stepSnapshot(i int) error {
 // post-failover state. The generator's episodes guarantee the structural
 // precondition (the standby synced after the last ack), so a mismatch here
 // is a real lost write, not a stale-standby artifact.
+//
+// A disk fault armed on the promoted node fails the attempt — the catch-up
+// import or the epoch bump cannot reach its WAL — before any effect, and
+// the harness retries as an operator would; every failed attempt must have
+// consumed an armed fault, and the retry must still land at epoch+1.
 func (h *Harness) stepPromote(op Op) error {
 	i := op.Replica
+	armed := h.armedDiskFaults(i)
 	res, err := h.clients[i].Promote()
+	for err != nil && h.armedDiskFaults(i) < armed {
+		armed = h.armedDiskFaults(i)
+		res, err = h.clients[i].Promote()
+	}
 	if err != nil {
 		return fmt.Errorf("promote replica %d: %w", i, err)
 	}
@@ -761,37 +773,29 @@ func (h *Harness) stepDemote(op Op) error {
 	return nil
 }
 
-// stepStandbySync converges every current standby on the primary: through
-// the ReplicatedClient's archive resync when the replica was marked down
-// (which also marks it up again), through its own StandbySyncer otherwise.
-// With both hosts reachable the sync MUST succeed and leave the standby
-// byte-identical to a fresh primary — this is the heal+resync convergence
-// invariant; the very next checkReplicas compares both replicas against
-// the oracle. With a partition in force the attempt may fail; the standby
-// simply stays stale.
+// stepStandbySync has every current standby pull from the primary through
+// its own StandbySyncer — the only repair path there is. With both hosts
+// reachable and no disk fault armed on the standby the sync MUST succeed
+// and leave the standby byte-identical to a fresh primary — this is the
+// heal+sync convergence invariant; the very next checkReplicas compares
+// both replicas against the oracle. With a partition in force, or with an
+// armed disk fault refusing the standby's own WAL appends, the attempt may
+// fail: the failing append is the first of the sync and write-ahead, so the
+// standby keeps exactly the state it had, the syncer drops its cursor, and
+// the next sync is a full one.
 func (h *Harness) stepStandbySync() error {
 	for i := 0; i < numReplicas; i++ {
 		peer := 1 - i
 		if h.roles[i] != policyhttp.RoleStandby || h.roles[peer] != policyhttp.RolePrimary {
 			continue
 		}
-		reachable := !h.router.Partitioned(h.replicas[i].host) && !h.router.Partitioned(h.replicas[peer].host)
-		down := true
-		for _, j := range h.rc.Healthy() {
-			if j == i {
-				down = false
-			}
-		}
-		var err error
-		if down {
-			err = h.rc.ResyncFrom(i, peer)
-		} else {
-			err = h.syncers[i].SyncOnce()
-		}
-		if err != nil {
-			if reachable {
+		mayFail := h.armedDiskFaults(i) > 0 ||
+			h.router.Partitioned(h.replicas[i].host) || h.router.Partitioned(h.replicas[peer].host)
+		if err := h.syncers[i].SyncOnce(); err != nil {
+			if !mayFail {
 				return fmt.Errorf("standby %d failed to sync from reachable primary %d: %w", i, peer, err)
 			}
+			h.localFaults[failedSync]++
 			continue
 		}
 		h.fresh[i] = h.fresh[peer]
@@ -819,45 +823,11 @@ func (h *Harness) stepFenceProbe(op Op) error {
 	}
 }
 
-// repair is the harness's last-resort recovery when every replica is down
-// (e.g. disk faults armed on all of them at once): disarm the fault hooks
-// and restore each replica from the fault-free oracle. The triggering
-// operation is treated as never applied — the oracle and model do not see
-// it — which is exactly the contract: a call that returns ErrNoReplicas
-// must leave no effect the resync path won't erase.
-func (h *Harness) repair() error {
-	h.walMu.Lock()
-	for i := range h.walFaults {
-		h.walFaults[i] = 0
-	}
-	h.walMu.Unlock()
-	h.router.Drain()
-	dump := h.oracle.ExportState()
-	for i, c := range h.clients {
-		if err := c.Restore(dump); err != nil {
-			return fmt.Errorf("repair: restore replica %d: %w", i, err)
-		}
-	}
-	rc, err := policyhttp.NewReplicatedClient(h.clients[:]...)
-	if err != nil {
-		return err
-	}
-	h.rc = rc
-	if h.sc.Failover {
-		// Every replica was just restored from the oracle, epoch included.
-		for i := range h.fresh {
-			h.fresh[i] = true
-		}
-	}
-	return nil
-}
-
 // checkReplicas verifies the oracle against the order-free model and every
-// healthy replica against the oracle, dump for dump. In failover mode the
-// comparison is direct (ExportState, not HTTP — a partitioned replica must
-// still be checkable) and gated on freshness: a standby legitimately lags
-// the oracle between syncs, so only replicas required to be current are
-// compared.
+// fresh replica against the oracle, dump for dump. The comparison is direct
+// (ExportState, not HTTP — a partitioned replica must still be checkable)
+// and gated on freshness: a standby legitimately lags the oracle between
+// syncs, so only replicas required to be current are compared.
 func (h *Harness) checkReplicas() error {
 	oracleDump := h.oracle.ExportState()
 	if err := h.model.CheckDump(oracleDump); err != nil {
@@ -866,26 +836,14 @@ func (h *Harness) checkReplicas() error {
 	if err := h.checkDecisions(); err != nil {
 		return err
 	}
-	if h.sc.Failover {
-		for i := 0; i < numReplicas; i++ {
-			if !h.fresh[i] {
-				continue
-			}
-			dump := h.replicas[i].svc.ExportState()
-			if !reflect.DeepEqual(dump, oracleDump) {
-				return fmt.Errorf("replica %d (%s, fresh) diverged from oracle:\n  replica %+v\n  oracle  %+v",
-					i, h.roles[i], dump, oracleDump)
-			}
+	for i := 0; i < numReplicas; i++ {
+		if !h.fresh[i] {
+			continue
 		}
-		return nil
-	}
-	for _, i := range h.rc.Healthy() {
-		dump, err := h.clients[i].Dump()
-		if err != nil {
-			return fmt.Errorf("dump replica %d: %w", i, err)
-		}
+		dump := h.replicas[i].svc.ExportState()
 		if !reflect.DeepEqual(dump, oracleDump) {
-			return fmt.Errorf("replica %d diverged from oracle:\n  replica %+v\n  oracle  %+v", i, dump, oracleDump)
+			return fmt.Errorf("replica %d (%s, fresh) diverged from oracle:\n  replica %+v\n  oracle  %+v",
+				i, h.roles[i], dump, oracleDump)
 		}
 	}
 	return nil

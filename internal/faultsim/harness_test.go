@@ -13,8 +13,9 @@ import (
 
 // defaultSchedules is how many randomized schedules TestFaultSim runs by
 // default; FAULTSIM_SCHEDULES overrides it and FAULTSIM_SEED rebases the
-// seed sequence (seed i of a run is base+i, so a failure report's seed is
-// replayed with FAULTSIM_SEED=<seed> FAULTSIM_SCHEDULES=1).
+// seed sequence (seed i of a run is base+i; a seed inside the default range
+// is replayed by running its subtest, one outside it with
+// FAULTSIM_SEED=<seed> FAULTSIM_SCHEDULES=1).
 const (
 	defaultSchedules = 1000
 	defaultBaseSeed  = 20260806
@@ -33,15 +34,28 @@ func envInt(t *testing.T, name string, def int64) int64 {
 }
 
 // TestFaultSim is the model checker: it runs many randomized schedules of
-// workflow operations interleaved with crash-restarts, torn WAL tails,
-// disk-write faults and HTTP-level network faults, checking the reference
-// model and all replica-consistency invariants after every step. On
+// workflow operations against an epoch-fenced primary/standby pair,
+// interleaved with scripted failover episodes (sync, partition, promote,
+// heal, fence probe, demote, sync), crash-restarts, torn WAL tails,
+// disk-write faults and admission sheds on either node, and HTTP-level
+// network faults. After every step it checks the reference model, that
+// acks come only from the expected primary at the expected epoch, that a
+// promotion lands at exactly epoch+1 with no acknowledged write lost, that
+// a deposed primary fences the probe, that a synced standby is
+// byte-identical to the oracle, and exactly-once decision provenance. On
 // failure it shrinks the trace to a locally minimal reproduction and
 // prints the seed, the schedule configuration and the minimal trace.
 func TestFaultSim(t *testing.T) {
 	schedules := int(envInt(t, "FAULTSIM_SCHEDULES", defaultSchedules))
 	baseSeed := envInt(t, "FAULTSIM_SEED", defaultBaseSeed)
+	runSchedules(t, schedules, baseSeed, RandomSchedule)
+}
 
+// runSchedules runs one schedule per seed in parallel subtests, shrinking
+// and printing any failure, and afterwards guards the generator: every
+// fault kind the one schedule grammar promises must actually have been
+// exercised, or the model-checking of it silently stopped happening.
+func runSchedules(t *testing.T, schedules int, baseSeed int64, mk func(int64) Schedule) {
 	var mu sync.Mutex
 	totalFaults := make(map[string]int)
 
@@ -51,14 +65,14 @@ func TestFaultSim(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		kinds := 0
-		for _, n := range totalFaults {
-			if n > 0 {
-				kinds++
+		for _, kind := range []string{
+			OpPartition, OpPromote, OpFenceProbe, OpCrash, OpTornCrash, OpDiskFault, OpShed,
+			unackedOp, failedSync,
+			string(FaultLoseRequest), string(FaultDropResponse), string(Fault503), string(FaultDuplicate),
+		} {
+			if totalFaults[kind] == 0 {
+				t.Errorf("schedules never exercised %q (faults: %v) — generator drifted", kind, totalFaults)
 			}
-		}
-		if kinds < 4 {
-			t.Errorf("schedules exercised only %d fault kinds (%v), want >= 4 — generator drifted", kinds, totalFaults)
 		}
 	})
 
@@ -66,7 +80,7 @@ func TestFaultSim(t *testing.T) {
 		seed := baseSeed + int64(i)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			sched := RandomSchedule(seed)
+			sched := mk(seed)
 			trace, faults, err := RunSchedule(t.TempDir(), sched)
 			mu.Lock()
 			for k, n := range faults {
@@ -82,8 +96,8 @@ func TestFaultSim(t *testing.T) {
 			minErr := ReplayTrace(t.TempDir(), sched, minTrace)
 			schedJSON, _ := json.Marshal(sched)
 			traceJSON, _ := json.MarshalIndent(minTrace, "", "  ")
-			t.Fatalf("invariant violation at seed %d: %v\n\nreplay: FAULTSIM_SEED=%d FAULTSIM_SCHEDULES=1 go test ./internal/faultsim -run 'TestFaultSim$'\nschedule: %s\nminimal trace (%d of %d ops, fails with: %v):\n%s",
-				seed, err, seed, schedJSON, len(minTrace), len(trace), minErr, traceJSON)
+			t.Fatalf("invariant violation at seed %d: %v\n\nreplay: go test ./internal/faultsim -run '^%s$'\nschedule: %s\nminimal trace (%d of %d ops, fails with: %v):\n%s",
+				seed, err, t.Name(), schedJSON, len(minTrace), len(trace), minErr, traceJSON)
 		})
 	}
 }
@@ -93,27 +107,30 @@ func TestFaultSim(t *testing.T) {
 // outcome twice, and replaying the recorded trace must match too.
 func TestFaultSimDeterministicReplay(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260806} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			sched := RandomSchedule(seed)
-			trace1, _, err1 := RunSchedule(t.TempDir(), sched)
-			trace2, _, err2 := RunSchedule(t.TempDir(), sched)
-			j1, _ := json.Marshal(trace1)
-			j2, _ := json.Marshal(trace2)
-			if string(j1) != string(j2) {
-				t.Fatalf("same seed generated different traces:\n  run1 %s\n  run2 %s", j1, j2)
-			}
-			if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
-				t.Fatalf("same seed produced different outcomes: %v vs %v", err1, err2)
-			}
-			if err1 != nil {
-				return // a failing seed replays identically; nothing more to check
-			}
-			if err := ReplayTrace(t.TempDir(), sched, trace1); err != nil {
-				t.Fatalf("replaying a passing trace failed: %v", err)
-			}
+			checkDeterministic(t, RandomSchedule(seed))
 		})
+	}
+}
+
+func checkDeterministic(t *testing.T, sched Schedule) {
+	t.Helper()
+	trace1, _, err1 := RunSchedule(t.TempDir(), sched)
+	trace2, _, err2 := RunSchedule(t.TempDir(), sched)
+	j1, _ := json.Marshal(trace1)
+	j2, _ := json.Marshal(trace2)
+	if string(j1) != string(j2) {
+		t.Fatalf("same seed generated different traces:\n  run1 %s\n  run2 %s", j1, j2)
+	}
+	if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+		t.Fatalf("same seed produced different outcomes: %v vs %v", err1, err2)
+	}
+	if err1 != nil {
+		return // a failing seed replays identically; nothing more to check
+	}
+	if err := ReplayTrace(t.TempDir(), sched, trace1); err != nil {
+		t.Fatalf("replaying a passing trace failed: %v", err)
 	}
 }
 
@@ -145,7 +162,7 @@ func adviseOp(reqID, file string, faults ...FaultSpec) Op {
 
 // TestHarnessDetectsBrokenIdempotency proves the harness is a working
 // detector: a duplicated delivery with the idempotency key stripped
-// double-applies the mutation on one replica, and the harness must flag
+// double-applies the mutation on the primary, and the harness must flag
 // the divergence. (The schedule generator never draws this fault kind —
 // it exists exactly for this self-test.)
 func TestHarnessDetectsBrokenIdempotency(t *testing.T) {
@@ -180,7 +197,7 @@ func TestShrinkMinimizesFailingTrace(t *testing.T) {
 		adviseOp("r-1", "f-01"),
 		adviseOp("r-2", "f-02"),
 		{Kind: OpSetThreshold, SrcHost: "hostA", DstHost: "hostB", Max: 3},
-		adviseOp("r-3", "f-03", FaultSpec{Replica: 1, Kind: FaultDuplicateNoKey}),
+		adviseOp("r-3", "f-03", FaultSpec{Replica: 0, Kind: FaultDuplicateNoKey}),
 		{Kind: OpSnapshot, Replica: 0},
 		adviseOp("r-4", "f-04"),
 	}

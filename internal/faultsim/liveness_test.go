@@ -41,9 +41,10 @@ func wfAdviseOp(wf, reqID string, files ...string) Op {
 // finds the streams released, the shared file still protected by its own
 // reference, and the orphaned file re-stageable. Every step also runs the
 // harness's standing checks: the model invariants on the oracle and
-// byte-for-byte replica/oracle agreement. The crash-restart steps at the
-// end prove the reclamation replays from the WAL: each replica must
-// recover to exactly its pre-crash (post-reclamation) state.
+// byte-for-byte primary/oracle agreement. The standby learns all of it by
+// replaying the primary's log, and the crash-restart steps at the end prove
+// the reclamation replays from each node's own WAL too: each must recover
+// to exactly its pre-crash (post-reclamation) state.
 func TestLeaseReclamationScenario(t *testing.T) {
 	h, err := NewHarness(t.TempDir(), livenessSchedule())
 	if err != nil {
@@ -123,9 +124,11 @@ func TestLeaseReclamationScenario(t *testing.T) {
 		t.Fatalf("survivor re-stage: transfers = %+v, want one wf-b transfer of f-02", d.Transfers)
 	}
 
-	// Crash-restart each durable replica: recovery replays the logged
-	// advises, renewals and clock advances, so the reclamation must be
-	// reproduced exactly (stepCrash compares pre- and post-crash state).
+	// Sync the standby, then crash-restart each durable replica: recovery
+	// replays the logged advises, renewals and clock advances, so the
+	// reclamation must be reproduced exactly (stepCrash compares pre- and
+	// post-crash state).
+	mustStep(Op{Kind: OpStandbySync})
 	mustStep(Op{Kind: OpCrash, Replica: 0})
 	mustStep(Op{Kind: OpTornCrash, Replica: 1})
 

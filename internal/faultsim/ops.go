@@ -21,24 +21,24 @@ const (
 	OpTornCrash      = "tornCrash"      // crash + append a torn record to the WAL tail first
 	OpDiskFault      = "diskFault"      // arm N injected WAL append failures on a replica
 	OpShed           = "shed"           // arm N admission-control sheds (429) on a replica
-	OpResync         = "resync"         // resync every downed replica from a healthy peer
 	OpSnapshot       = "snapshot"       // force a snapshot on a replica
 	OpRenewLease     = "renewLease"     // explicitly renew a workflow's lease
 	OpAdvanceClock   = "advanceClock"   // advance the logical clock, expiring stale leases
 	OpClientCrash    = "clientCrash"    // a client dies: it stops issuing ops, holdings stay pinned
-	OpActivateBundle = "activateBundle" // activate a policy bundle document on every replica
+	OpActivateBundle = "activateBundle" // activate a policy bundle document
 	OpRollbackBundle = "rollbackBundle" // re-activate the previously active bundle
 
-	// Failover-mode operations (ScheduleConfig.Failover). The generator
-	// emits them in scripted episodes — sync, partition, promote, heal,
-	// probe, demote, resync — so every schedule exercises a full failover
-	// with the structural preconditions (standby caught up before the
-	// primary partitions) that make the durability invariant checkable.
+	// Failover operations. Apart from standbySync, which the workload also
+	// draws on its own, the generator emits them in scripted episodes —
+	// sync, partition, promote, heal, probe, demote, sync — interleaved with
+	// the workload, so schedules exercise full failovers with the structural
+	// precondition (standby caught up before the primary partitions) that
+	// makes the durability invariant checkable.
 	OpPartition   = "partition"   // cut a replica's host off the network
 	OpHeal        = "heal"        // reconnect every partitioned host
 	OpPromote     = "promote"     // promote a replica to primary (epoch bump)
 	OpDemote      = "demote"      // demote a replica to standby
-	OpStandbySync = "standbySync" // sync/resync every current standby from the primary
+	OpStandbySync = "standbySync" // every current standby pulls from the primary
 	OpFenceProbe  = "fenceProbe"  // write to a deposed primary at the new epoch; must be fenced
 )
 
@@ -77,11 +77,6 @@ type ScheduleConfig struct {
 	// LeaseTTL enables the lease subsystem when positive; the generator
 	// then also draws renewLease, advanceClock and clientCrash operations.
 	LeaseTTL float64 `json:"leaseTtl,omitempty"`
-	// Failover runs the replicas as an epoch-fenced primary/standby pair
-	// (replica 0 starts as primary at epoch 1) instead of the role-less
-	// active-replication group, and the generator interleaves scripted
-	// failover episodes with the normal workload.
-	Failover bool `json:"failover,omitempty"`
 }
 
 // Schedule identifies one randomized run: regenerate it from the seed.
@@ -92,7 +87,8 @@ type Schedule struct {
 
 // RandomSchedule derives a schedule configuration from a seed. The same
 // seed always yields the same configuration and, through the generator,
-// the same operation sequence.
+// the same operation sequence. The op budget leaves room for a failover
+// episode or two, which spend six to eight operations each.
 func RandomSchedule(seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	algos := []policy.Algorithm{policy.AlgoGreedy, policy.AlgoGreedy, policy.AlgoBalanced, policy.AlgoBalanced, policy.AlgoNone}
@@ -103,24 +99,13 @@ func RandomSchedule(seed int64) Schedule {
 			Threshold:      2 + rng.Intn(8),   // 2..9
 			DefaultStreams: 1 + rng.Intn(4),   // 1..4
 			ClusterFactor:  1 + rng.Intn(3),   // 1..3
-			OpCount:        12 + rng.Intn(17), // 12..28
+			OpCount:        24 + rng.Intn(17), // 24..40
 			FaultProb:      0.25 + rng.Float64()*0.25,
 			// Half the schedules exercise liveness: leases short enough that
 			// generated clock jumps routinely expire them.
 			LeaseTTL: float64(rng.Intn(2)) * (2 + float64(rng.Intn(20))), // 0 or 2..21
 		},
 	}
-}
-
-// RandomFailoverSchedule derives a failover-mode schedule from a seed: the
-// same configuration space as RandomSchedule, run as an epoch-fenced
-// primary/standby pair, with extra op budget because a failover episode
-// spends six to eight operations of it.
-func RandomFailoverSchedule(seed int64) Schedule {
-	s := RandomSchedule(seed)
-	s.Config.Failover = true
-	s.Config.OpCount += 12
-	return s
 }
 
 // gen draws operations for a running harness. Every random choice goes
@@ -144,10 +129,12 @@ type gen struct {
 	activeVar int
 	prevVar   int
 	hasPrev   bool
-	// Failover-episode state: pending ops are emitted next, verbatim;
-	// epilogue is queued after epilogueIn more normal ops. A non-nil
-	// epilogue marks an episode in flight, so episodes never nest.
+	// Failover-episode state: pending ops are emitted next, verbatim —
+	// once the standby is fresh, while needSync is set; epilogue is queued
+	// after epilogueIn more workload ops. A non-nil epilogue marks an
+	// episode in flight, so episodes never nest.
 	pending    []Op
+	needSync   bool
 	epilogue   []Op
 	epilogueIn int
 }
@@ -269,38 +256,34 @@ func (g *gen) genBundleOp(sc ScheduleConfig) Op {
 	return Op{Kind: OpActivateBundle, BundleDoc: g.variants[vi], Faults: g.faults(sc.FaultProb)}
 }
 
-// next draws the next operation given the harness's current model state.
-// In failover mode, scripted episode ops take priority, and draws that
-// only make sense for the role-less group (resync of a downed peer, disk
-// faults and sheds whose 5xx/429 handling assumes any replica may refuse
-// a write) are remapped to standby syncs — their behaviors are covered by
-// the role-less schedules, and keeping them here would down the only
-// server allowed to accept writes.
+// next draws the next operation given the harness's current state:
+// scripted episode ops take priority, then a new episode may start, and
+// otherwise the workload draws. An episode's opening sync can fail when a
+// disk fault is armed on the standby; the promotion waits — syncing again —
+// until the standby really holds every acknowledged mutation.
 func (g *gen) next(sc ScheduleConfig) Op {
+	if g.needSync {
+		if !g.h.fresh[1-g.h.curPrimary] {
+			return Op{Kind: OpStandbySync}
+		}
+		g.needSync = false
+	}
 	if len(g.pending) > 0 {
 		op := g.pending[0]
 		g.pending = g.pending[1:]
 		return op
 	}
-	if sc.Failover {
-		if g.epilogue != nil {
-			if g.epilogueIn > 0 {
-				g.epilogueIn--
-			} else {
-				ops := g.epilogue
-				g.epilogue = nil
-				g.pending = ops[1:]
-				return ops[0]
-			}
-		} else if g.rng.Float64() < 0.15 {
-			return g.startFailoverEpisode()
+	if g.epilogue != nil {
+		if g.epilogueIn > 0 {
+			g.epilogueIn--
+		} else {
+			ops := g.epilogue
+			g.epilogue = nil
+			g.pending = ops[1:]
+			return ops[0]
 		}
-		op := g.draw(sc)
-		switch op.Kind {
-		case OpResync, OpDiskFault, OpShed:
-			return Op{Kind: OpStandbySync}
-		}
-		return op
+	} else if g.rng.Float64() < 0.15 {
+		return g.startFailoverEpisode()
 	}
 	return g.draw(sc)
 }
@@ -309,11 +292,12 @@ func (g *gen) next(sc ScheduleConfig) Op {
 // standby sync so the standby holds every acknowledged mutation before
 // the promotion — the structural precondition that makes "no acked write
 // is lost" an invariant rather than a hope — and end with a fence probe
-// against the deposed primary plus a resync that must reconverge it.
+// against the deposed primary plus the sync that must reconverge it.
 func (g *gen) startFailoverEpisode() Op {
 	old := g.h.curPrimary
 	nw := 1 - old
 	probe := g.transferSpec()
+	g.needSync = true
 	if g.rng.Float64() < 0.6 {
 		// Partitioned failover: the primary drops off the network after
 		// the sync, the standby is promoted without a catch-up pull, and
@@ -332,7 +316,7 @@ func (g *gen) startFailoverEpisode() Op {
 		return Op{Kind: OpStandbySync}
 	}
 	// Clean switchover: the promote protocol itself demotes the peer and
-	// pulls its final state, so only the probe and resync remain.
+	// pulls its final state, so only the probe and the sync remain.
 	g.pending = []Op{{Kind: OpPromote, Replica: nw}}
 	g.epilogue = []Op{
 		{Kind: OpFenceProbe, Replica: old, Specs: []policy.TransferSpec{probe}},
@@ -342,7 +326,8 @@ func (g *gen) startFailoverEpisode() Op {
 	return Op{Kind: OpStandbySync}
 }
 
-// draw picks one op from the normal workload distribution.
+// draw picks one op from the workload distribution. Crashes, disk faults
+// and sheds land on either node of the pair.
 func (g *gen) draw(sc ScheduleConfig) Op {
 	if sc.LeaseTTL > 0 && g.rng.Float64() < 0.18 {
 		return g.genLeaseOp(sc)
@@ -381,7 +366,7 @@ func (g *gen) draw(sc ScheduleConfig) Op {
 		// shed, the client reports busy and the op must be a no-op.
 		return Op{Kind: OpShed, Replica: g.rng.Intn(numReplicas), Count: 1 + g.rng.Intn(3)}
 	case roll < 0.97:
-		return Op{Kind: OpResync}
+		return Op{Kind: OpStandbySync}
 	default:
 		return Op{Kind: OpSnapshot, Replica: g.rng.Intn(numReplicas)}
 	}
@@ -418,8 +403,8 @@ func (g *gen) genLeaseOp(sc ScheduleConfig) Op {
 
 func (g *gen) genAdvise(sc ScheduleConfig) Op {
 	if g.rng.Float64() < 0.10 {
-		// Deliberately malformed batch: the service must reject it with a
-		// 4xx on every replica and change no state anywhere.
+		// Deliberately malformed batch: the primary must reject it with a
+		// 4xx and change no state.
 		if g.rng.Intn(2) == 0 {
 			return Op{Kind: OpAdvise, Invalid: true, Faults: g.faults(sc.FaultProb)}
 		}

@@ -314,7 +314,7 @@ func (c *Client) doKeyed(method, path, idemKey string, in, out any) error {
 // context is fixed once per logical call — derived from the trace in ctx
 // when there is one, freshly minted otherwise — and sent as the
 // Traceparent header on every attempt, so all retries of one call (and,
-// via ReplicatedClient, all replicas it lands on) share one trace ID and
+// via ReplicatedClient, every replica it is routed to) share one trace ID and
 // the fault episode is reconstructable end-to-end from the server-side
 // event logs.
 func (c *Client) doKeyedCtx(ctx context.Context, method, path, idemKey string, in, out any) error {

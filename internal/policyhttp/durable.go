@@ -1,11 +1,9 @@
 package policyhttp
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"policyflow/internal/durable"
@@ -13,8 +11,8 @@ import (
 )
 
 // DurableStore is the slice of *durable.PolicyStore the HTTP layer needs:
-// on-demand snapshots and the snapshot+tail archive a replica resync
-// ships instead of a full live dump.
+// on-demand snapshots and the snapshot+tail archive a standby pulls
+// instead of a full live dump.
 type DurableStore interface {
 	SnapshotNow() (durable.SnapshotInfo, error)
 	Archive() (*durable.Archive, error)
@@ -60,30 +58,11 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	s.writeResponse(w, formatJSON, http.StatusOK, arch)
 }
 
-// handleApply replays a snapshot+tail archive (the body GET
-// /v1/state/archive serves) into this server's Policy Memory — the
-// receiving half of a replica resync. It is replication-plane traffic:
-// unfenced, so a standby can be fed, and unadmitted, so recovery is never
-// shed. A malformed archive is the sender's fault (400); a failure of
-// this server's own log is not (500), and the replica must stay down.
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	var arch durable.Archive
-	if err := decode(r, formatJSON, &arch); err != nil {
-		s.writeError(w, formatJSON, http.StatusBadRequest, fmt.Errorf("decode archive: %w", err))
-		return
-	}
-	if _, err := applyArchive(s.svc, &arch, false, 0); err != nil {
-		s.writeError(w, formatJSON, statusFor(err), err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// applyArchive is the one archive replay path, shared by handleApply and
-// the StandbySyncer: bring svc to the archive's state and return the donor
-// log position reached. With resume set and the archive's snapshot no
-// newer than cursor, only tail records past cursor are applied (O(delta));
-// otherwise the snapshot is restored wholesale first. Every record goes
+// applyArchive is the one archive replay path, the StandbySyncer's: bring
+// svc to the archive's state and return the donor log position reached.
+// With resume set and the archive's snapshot no newer than cursor, only
+// tail records past cursor are applied (O(delta)); otherwise the snapshot
+// is restored wholesale first. Every record goes
 // through ApplyLogged, which re-logs it into svc's own WAL — the
 // replica's durability is its own. On error the returned position is the
 // last record that WAS applied: the caller must not advance past it.
@@ -121,52 +100,27 @@ func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
 	return &info, nil
 }
 
-// Archive fetches the remote snapshot+tail bundle.
+// Archive fetches the remote snapshot+tail bundle with one un-retried GET.
+// The archive embeds raw JSON state and log records, so the call is JSON
+// whatever the client's wire preference.
 func (c *Client) Archive() (*durable.Archive, error) {
-	var arch durable.Archive
-	if err := c.doJSON(http.MethodGet, "/v1/state/archive", nil, &arch); err != nil {
-		return nil, err
-	}
-	return &arch, nil
-}
-
-// replayArchive reconstructs a replica's Policy Memory from an archive by
-// handing it to the replica's POST /v1/state/apply.
-func replayArchive(target *Client, arch *durable.Archive) error {
-	return target.doJSON(http.MethodPost, "/v1/state/apply", arch, nil)
-}
-
-// doJSON performs one un-retried call on the archive endpoints, which
-// embed raw JSON state and log records and so bypass the client's XML
-// preference.
-func (c *Client) doJSON(method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("policyhttp: encode request: %w", err)
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(c.ctx, method, c.base+path, body)
+	const path = "/v1/state/archive"
+	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return fmt.Errorf("policyhttp: build request: %w", err)
+		return nil, fmt.Errorf("policyhttp: build request: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("policyhttp: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("policyhttp: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return c.decodeError(resp)
+		return nil, c.decodeError(resp)
 	}
-	if out == nil {
-		return nil
+	var arch durable.Archive
+	if err := json.NewDecoder(resp.Body).Decode(&arch); err != nil {
+		return nil, fmt.Errorf("policyhttp: decode response: %w", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("policyhttp: decode response: %w", err)
-	}
-	return nil
+	return &arch, nil
 }

@@ -5,8 +5,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"policyflow/internal/durable"
 	"policyflow/internal/policy"
@@ -50,17 +52,26 @@ func tearWAL(t *testing.T, dir string) {
 }
 
 // TestDurableCrashRecoveryAndResync is the end-to-end reliability
-// scenario: two durable replicas diverge when the primary is killed
-// mid-run (leaving a torn WAL record); the primary restarts from its data
-// directory, recovers its pre-crash memory, and Resync ships the
-// secondary's snapshot + WAL tail to bring it back into convergence —
-// after which a file staged by the first workflow is still suppressed as
-// a duplicate for a second workflow.
+// scenario: a durable primary is killed mid-run (leaving a torn WAL
+// record) after its durable standby last synced; the standby is promoted
+// and workflow traffic continues there; the old primary restarts from its
+// data directory, recovers its pre-crash memory, rejoins as a standby and
+// its own syncer — Reset, then SyncOnce over the new primary's snapshot +
+// WAL tail archive — brings it back byte-identical. A file staged by the
+// first workflow is still suppressed as a duplicate for a second workflow
+// on the recovered node.
 func TestDurableCrashRecoveryAndResync(t *testing.T) {
 	dir0, dir1 := t.TempDir(), t.TempDir()
 	ts0, _, c0, _ := durableReplica(t, dir0)
-	_, svc1, c1, _ := durableReplica(t, dir1)
+	ts1, svc1, c1, ps1 := durableReplica(t, dir1)
+	defer ps1.Close()
+	ts0.Config.Handler.(*Server).SetFailover(RolePrimary, c1)
+	ts1.Config.Handler.(*Server).SetFailover(RoleStandby, c0)
 	rc, err := NewReplicatedClient(c0, c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, err := NewStandbySyncer(svc1, c0, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +83,20 @@ func TestDurableCrashRecoveryAndResync(t *testing.T) {
 	if _, err := rc.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := standby.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The primary dies without any shutdown path: its process state is
 	// discarded (server closed, store abandoned) and its WAL gains a torn
-	// final record.
+	// final record. The standby takes over.
 	ts0.Close()
 	tearWAL(t, dir0)
+	if _, err := c1.Promote(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Workflow traffic continues against the surviving replica.
+	// Workflow traffic continues against the promoted standby.
 	adv2, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(3, "wf1")})
 	if err != nil {
 		t.Fatalf("failover: %v", err)
@@ -88,8 +105,8 @@ func TestDurableCrashRecoveryAndResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart the primary from its data directory. Recovery replays the
-	// two pre-crash records (the failover ops never reached this replica)
+	// Restart the old primary from its data directory. Recovery replays
+	// the two pre-crash records (the failover ops never reached this node)
 	// and ignores the torn tail.
 	svc0b, err := policy.New(policy.DefaultConfig())
 	if err != nil {
@@ -103,44 +120,42 @@ func TestDurableCrashRecoveryAndResync(t *testing.T) {
 	if stats.Replayed != 2 {
 		t.Fatalf("recovery replayed %d records, want 2 (pre-crash advise+report)", stats.Replayed)
 	}
-	srv0b := NewServer(svc0b, nil)
-	srv0b.SetDurable(ps0b)
-	ts0b := httptest.NewServer(srv0b)
-	t.Cleanup(ts0b.Close)
-	c0b := NewClient(ts0b.URL)
 
-	// Snapshot the donor so the resync exercises the snapshot+tail path
-	// rather than an all-tail archive.
+	// Snapshot the new primary so the sync exercises the snapshot+tail
+	// path rather than an all-tail archive.
 	if _, err := c1.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(4, "wf1")}); err != nil {
 		t.Fatal(err)
 	}
 	arch, err := c1.Archive()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arch.SnapshotSeq == 0 || arch.Snapshot == nil {
-		t.Fatalf("donor archive has no snapshot: %+v", arch)
+	if arch.SnapshotSeq == 0 || arch.Snapshot == nil || len(arch.Tail) == 0 {
+		t.Fatalf("donor archive has snapshot=%v tail=%d, want both", arch.Snapshot != nil, len(arch.Tail))
 	}
 
-	// Resync the restarted primary from the survivor and verify the two
-	// Policy Memories are byte-identical.
-	rc2, err := NewReplicatedClient(c0b, c1)
+	// The recovered node rejoins as a standby and repairs itself.
+	rejoined, err := NewStandbySyncer(svc0b, c1, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rc2.Resync(0); err != nil {
+	rejoined.Reset()
+	if err := rejoined.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(svc1.ExportState())
 	got, _ := json.Marshal(svc0b.ExportState())
 	if string(want) != string(got) {
-		t.Fatalf("replicas diverged after resync:\n survivor: %s\n restarted: %s", want, got)
+		t.Fatalf("recovered node diverged after sync:\n survivor: %s\n restarted: %s", want, got)
 	}
 
-	// Duplicate suppression survives the crash + resync: the file staged
-	// by workflow 1 before the crash is removed from workflow 2's list on
-	// the restarted primary.
-	adv3, err := c0b.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf2")})
+	// Duplicate suppression survives the crash + sync: the file staged by
+	// workflow 1 before the crash is removed from workflow 2's list on the
+	// recovered node.
+	adv3, err := svc0b.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,37 +176,70 @@ func TestSnapshotAndArchiveRequireDurable(t *testing.T) {
 	}
 }
 
-// TestResyncPrefersArchive verifies a durable donor serves the archive
-// path end to end, including replay of records logged after the snapshot.
+// opLog records the op names a service logs, in order.
+type opLog struct{ ops []string }
+
+func (l *opLog) Append(op string, _ any) (uint64, error) {
+	l.ops = append(l.ops, op)
+	return uint64(len(l.ops)), nil
+}
+
+func (l *opLog) Sync(uint64) error { return nil }
+
+// TestResyncPrefersArchive: a full sync (Reset + SyncOnce) from a durable
+// donor takes the archive path — the snapshot is restored and the records
+// logged after it are replayed one by one into the standby's own log —
+// while a memory-only donor (archive endpoint answers 501) falls back to
+// one wholesale dump restore. Either way the standby ends byte-identical.
 func TestResyncPrefersArchive(t *testing.T) {
-	dir0 := t.TempDir()
-	_, svc0, c0, ps0 := durableReplica(t, dir0)
-	defer ps0.Close()
-	_, svc1, c1 := replicaPair(t)
+	_, durableSvc, durableDonor, ps := durableReplica(t, t.TempDir())
+	defer ps.Close()
+	_, memSvc, memDonor := replicaPair(t)
 
-	adv, err := c0.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c0.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-snapshot mutations ride in the archive tail.
-	if _, err := c0.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name     string
+		donorSvc *policy.Service
+		donor    *Client
+		durable  bool
+		wantOps  []string
+	}{
+		{"archive", durableSvc, durableDonor, true, []string{policy.OpImportState, policy.OpReportTransfers}},
+		{"dump fallback", memSvc, memDonor, false, []string{policy.OpImportState}},
+	} {
+		adv, err := tc.donor.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.durable {
+			if _, err := tc.donor.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Post-snapshot mutations ride in the archive tail.
+		if _, err := tc.donor.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
+			t.Fatal(err)
+		}
 
-	rc, err := NewReplicatedClient(c1, c0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Resync(0); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(svc0.ExportState())
-	got, _ := json.Marshal(svc1.ExportState())
-	if string(want) != string(got) {
-		t.Fatalf("archive resync diverged:\n donor: %s\n target: %s", want, got)
+		local, err := policy.New(policy.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal := &opLog{}
+		local.SetMutationLog(wal)
+		s, err := NewStandbySyncer(local, tc.donor, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Reset()
+		if err := s.SyncOnce(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := dumpJSON(t, local), dumpJSON(t, tc.donorSvc); got != want {
+			t.Fatalf("%s sync diverged:\n donor: %s\n standby: %s", tc.name, want, got)
+		}
+		if !reflect.DeepEqual(wal.ops, tc.wantOps) {
+			t.Fatalf("%s sync logged %v on the standby, want %v", tc.name, wal.ops, tc.wantOps)
+		}
 	}
 }
 

@@ -78,17 +78,19 @@ func TestRestoreMalformedBody(t *testing.T) {
 	}
 }
 
+// TestReplicatedStateAndThreshold: a threshold set through the client
+// lands on the primary and reaches the standby with its next sync; reads
+// go to the leader.
 func TestReplicatedStateAndThreshold(t *testing.T) {
-	_, services, clients := replicaSet(t, 2)
-	rc, err := NewReplicatedClient(clients...)
-	if err != nil {
+	p := newSyncedPair(t)
+	if err := p.rc.SetThreshold("a.example.org", "b.example.org", 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.SetThreshold("a.example.org", "b.example.org", 7); err != nil {
+	if err := p.syncers[1].SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	// Both replicas got the threshold.
-	for i, svc := range services {
+	// Both nodes hold the threshold.
+	for i, svc := range p.svcs {
 		adv, err := svc.AdviseTransfers([]policy.TransferSpec{{
 			RequestID: "r", WorkflowID: "wf",
 			SourceURL: "gsiftp://a.example.org/f", DestURL: "file://b.example.org/f",
@@ -101,17 +103,20 @@ func TestReplicatedStateAndThreshold(t *testing.T) {
 			t.Fatalf("replica %d threshold not applied: %d", i, adv.Transfers[0].Streams)
 		}
 	}
-	st, err := rc.State()
+	st, err := p.rc.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.InFlight != 1 { // State() reads the first replica, which holds
-		// the one transfer advised directly against it above
+	if st.InFlight != 1 { // State() reads the leader, which holds the one
+		// transfer advised directly against it above
 		t.Fatalf("state = %+v", st)
 	}
-	if _, err := rc.AdviseCleanups([]policy.CleanupSpec{{
+	if _, err := p.rc.AdviseCleanups([]policy.CleanupSpec{{
 		RequestID: "c", WorkflowID: "wf", FileURL: "file://b.example.org/f",
 	}}); err != nil {
 		t.Fatal(err)
+	}
+	if p.rc.LastAckReplica() != 0 {
+		t.Fatalf("cleanup acked by replica %d, want the primary", p.rc.LastAckReplica())
 	}
 }

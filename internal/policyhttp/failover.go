@@ -21,11 +21,12 @@ import (
 // *which server* may apply it failed, and the client should re-route, not
 // re-form, the request.
 //
-// The fence wraps OUTSIDE the idempotency cache, so a 412 is never
-// recorded against the request's idempotency key: when the client
-// re-routes to the real primary under the same key, the mutation applies
-// exactly once there, and a later duplicate to either server replays from
-// the cache that recorded the one real application.
+// The fence wraps OUTSIDE the idempotency cache and refuses before the
+// handler runs, so a 412 applies nothing and records nothing. That is what
+// makes a re-route exactly-once: the re-routed attempt travels under the
+// next per-replica client's own idempotency key (keys are reused across
+// one client's retries, not across replicas), and the only server that has
+// applied — and cached — the mutation is the one that acknowledges it.
 
 // EpochHeader carries the fencing epoch: on requests, the highest epoch
 // the client has observed; on responses from role-assigned servers, the
@@ -36,13 +37,13 @@ const EpochHeader = "X-Policy-Epoch"
 type Role string
 
 const (
-	// RoleNone disables fencing entirely — the standalone and
-	// active-replication deployments that predate failover.
+	// RoleNone disables fencing entirely: a standalone server. It is not
+	// a replication configuration — nothing ships its log anywhere.
 	RoleNone Role = ""
 	// RolePrimary accepts mutations and stamps responses with its epoch.
 	RolePrimary Role = "primary"
-	// RoleStandby refuses every client mutation with 412 while the
-	// StandbySyncer (or a resync) keeps its Policy Memory warm.
+	// RoleStandby refuses every client mutation with 412 while its
+	// StandbySyncer keeps its Policy Memory warm.
 	RoleStandby Role = "standby"
 )
 
@@ -74,9 +75,9 @@ func (s *Server) Role() Role {
 // fenced wraps a mutating policy-plane handler with the epoch fence.
 // Role-less servers pass through untouched; everything else is stamped
 // with the server's epoch and refused with 412 unless this server is the
-// primary. No request header opens the fence: standbys are fed through
-// the replication plane (POST /v1/state/apply, /v1/state/restore), never
-// through the policy endpoints.
+// primary. No request header opens the fence: a standby feeds itself by
+// pulling the primary's archive (StandbySyncer), never through the policy
+// endpoints.
 func (s *Server) fenced(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.roleMu.Lock()
@@ -216,7 +217,7 @@ func isUnreachable(err error) bool {
 // IsFenced reports whether err is a 412 fence response: the server is
 // healthy but is not the primary. The caller should re-route to the
 // current primary (ReplicatedClient does this transparently) rather than
-// retry here or mark the replica down.
+// retry here.
 func IsFenced(err error) bool {
 	var se *ServerError
 	return errors.As(err, &se) && se.StatusCode == http.StatusPreconditionFailed

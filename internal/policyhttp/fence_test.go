@@ -28,6 +28,13 @@ func fencedServer(t *testing.T, role Role) (*Server, *policy.Service, *Client, s
 // fencedPair wires a primary/standby pair whose servers know each other as
 // peers, with the primary seeded at epoch 1.
 func fencedPair(t *testing.T) (srvs [2]*Server, svcs [2]*policy.Service, urls [2]string) {
+	_, srvs, svcs, urls = fencedPairServers(t)
+	return srvs, svcs, urls
+}
+
+// fencedPairServers is fencedPair also returning the listeners, for tests
+// that kill a node.
+func fencedPairServers(t *testing.T) (tss [2]*httptest.Server, srvs [2]*Server, svcs [2]*policy.Service, urls [2]string) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
 		svc, err := policy.New(policy.DefaultConfig())
@@ -37,14 +44,14 @@ func fencedPair(t *testing.T) (srvs [2]*Server, svcs [2]*policy.Service, urls [2
 		srv := NewServer(svc, nil)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
-		srvs[i], svcs[i], urls[i] = srv, svc, ts.URL
+		tss[i], srvs[i], svcs[i], urls[i] = ts, srv, svc, ts.URL
 	}
 	srvs[0].SetFailover(RolePrimary, NewClient(urls[1], noSleep()))
 	srvs[1].SetFailover(RoleStandby, NewClient(urls[0], noSleep()))
 	if _, err := svcs[0].BumpEpoch(1); err != nil {
 		t.Fatal(err)
 	}
-	return srvs, svcs, urls
+	return tss, srvs, svcs, urls
 }
 
 // TestFenceRejectsEveryMutation drives every mutating policy-plane

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,10 +125,12 @@ func grownDonor(t *testing.T) (*policy.Service, *Client) {
 	return svc, c
 }
 
-// TestStateApplyRoundTrip: POST /v1/state/apply of a donor's snapshot+tail
-// archive leaves the target byte-identical to the donor — into a fenced
-// standby (the endpoint is replication plane) and from an XML-mode client
-// (the archive is JSON whatever the client prefers).
+// TestStateApplyRoundTrip: applying a donor's snapshot+tail archive — a
+// full sync, the only way an archive is applied — leaves the target
+// byte-identical to the donor, tail records of every kind included: into a
+// fenced standby (archive replay is replication plane, below the fence) and
+// pulled by an XML-mode client (the archive is JSON whatever the client
+// prefers).
 func TestStateApplyRoundTrip(t *testing.T) {
 	donorSvc, donor := grownDonor(t)
 	arch, err := donor.Archive()
@@ -137,8 +140,12 @@ func TestStateApplyRoundTrip(t *testing.T) {
 	if arch.Snapshot == nil || len(arch.Tail) == 0 {
 		t.Fatalf("archive has snapshot=%v tail=%d, want both", arch.Snapshot != nil, len(arch.Tail))
 	}
-	_, targetSvc, _, url := fencedServer(t, RoleStandby)
-	if err := replayArchive(NewClient(url, WithXML()), arch); err != nil {
+	_, targetSvc, _, _ := fencedServer(t, RoleStandby)
+	s, err := NewStandbySyncer(targetSvc, NewClient(donor.base, WithXML()), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncOnce(); err != nil {
 		t.Fatalf("apply archive: %v", err)
 	}
 	if got, want := dumpJSON(t, targetSvc), dumpJSON(t, donorSvc); got != want {
@@ -146,70 +153,35 @@ func TestStateApplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateApplyRejectsBadArchives: a malformed body, an undecodable
-// snapshot and a tail naming an op outside the table are all the sender's
-// fault — 400, nothing applied past the damage.
+// TestStateApplyRejectsBadArchives: an undecodable snapshot, a tail naming
+// an op outside the table and an undecodable payload are all the donor's
+// fault — the sync fails with ErrInvalidRequest, not a local-log failure —
+// and nothing past the damage is applied.
 func TestStateApplyRejectsBadArchives(t *testing.T) {
-	ts, svc := newTestServer(t)
 	for name, body := range map[string]string{
-		"malformed body": `{bad`,
-		"bad snapshot":   `{"snapshotSeq":1,"snapshot":"not a dump"}`,
-		"unknown op":     `{"tail":[{"seq":1,"op":"no-such-op","data":{}},{"seq":2,"op":"advise_transfers","data":[{"requestId":"r","workflowId":"wf","sourceUrl":"gsiftp://a/f","destUrl":"file://b/f"}]}]}`,
-		"bad payload":    `{"tail":[{"seq":1,"op":"report_transfers","data":"x"}]}`,
+		"bad snapshot": `{"snapshotSeq":1,"snapshot":"not a dump"}`,
+		"unknown op":   `{"tail":[{"seq":1,"op":"no-such-op","data":{}},{"seq":2,"op":"advise_transfers","data":[{"requestId":"r","workflowId":"wf","sourceUrl":"gsiftp://a/f","destUrl":"file://b/f"}]}]}`,
+		"bad payload":  `{"tail":[{"seq":1,"op":"report_transfers","data":"x"}]}`,
 	} {
-		resp, err := http.Post(ts.URL+"/v1/state/apply", "application/json", strings.NewReader(body))
+		donor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(donor.Close)
+		local, err := policy.New(policy.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		s, err := NewStandbySyncer(local, NewClient(donor.URL, noSleep()), time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if snap := svc.Snapshot(); snap.InFlight != 0 || snap.TrackedFiles != 0 {
-		t.Errorf("a rejected archive left state behind: %+v", snap)
-	}
-}
-
-// TestStateApplyLogFailureKeepsReplicaDown: when the TARGET's own WAL
-// cannot take the replayed records the endpoint answers 500 — not a
-// swallowed success — so Resync leaves the replica down, and it heals on
-// the next resync once the disk is back.
-func TestStateApplyLogFailureKeepsReplicaDown(t *testing.T) {
-	donorSvc, donor := grownDonor(t)
-	targetSvc, err := policy.New(policy.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wal := &switchableLog{}
-	targetSvc.SetMutationLog(wal)
-	ts := httptest.NewServer(NewServer(targetSvc, nil))
-	t.Cleanup(ts.Close)
-	target := NewClient(ts.URL, noSleep())
-
-	rc, err := NewReplicatedClient(donor, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.down[1] = true
-	wal.fail.Store(true)
-	err = rc.Resync(1)
-	var se *ServerError
-	if !errors.As(err, &se) || se.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("resync into a replica with a failing WAL = %v, want a 500", err)
-	}
-	if up := rc.Healthy(); len(up) != 1 || up[0] != 0 {
-		t.Fatalf("healthy = %v after the failed resync, want the target still down", up)
-	}
-	wal.fail.Store(false)
-	if err := rc.Resync(1); err != nil {
-		t.Fatalf("resync after the disk recovered: %v", err)
-	}
-	if len(rc.Healthy()) != 2 {
-		t.Fatal("target still down after a successful resync")
-	}
-	if got, want := dumpJSON(t, targetSvc), dumpJSON(t, donorSvc); got != want {
-		t.Fatalf("healed target diverged from donor:\n donor  %s\n target %s", want, got)
+		if err := s.SyncOnce(); !errors.Is(err, policy.ErrInvalidRequest) || errors.Is(err, policy.ErrMutationLog) {
+			t.Errorf("%s: sync = %v, want ErrInvalidRequest", name, err)
+		}
+		if snap := local.Snapshot(); snap.InFlight != 0 || snap.TrackedFiles != 0 {
+			t.Errorf("%s: a rejected archive left state behind: %+v", name, snap)
+		}
 	}
 }
 

@@ -10,48 +10,49 @@ import (
 	"policyflow/internal/policy"
 )
 
-// ReplicatedClient realizes the paper's future-work reliability strategy
-// ("strategies for distribution and replication of policy logic to
-// improve reliability") with client-sequenced state-machine replication:
-// every mutating call is applied to all reachable replicas in the same
-// order, so — the policy service being deterministic — their Policy
-// Memories stay identical (including assigned transfer IDs). Advice is
-// taken from the first replica that answers; replicas that fail are
-// marked down and skipped until Resync brings them back using a state
-// dump from a healthy peer.
+// ReplicatedClient is the workflow side of the paper's future-work
+// reliability strategy ("strategies for distribution and replication of
+// policy logic to improve reliability"): a leader-following failover client
+// over an epoch-fenced primary/standby pair. It sends each call to the
+// replica that last acknowledged one and returns on the first ack; it does
+// not replicate anything itself. The standby keeps its Policy Memory warm
+// by pulling the primary's log (StandbySyncer), a promotion moves
+// leadership (POST /v1/promote), and a lagging, recovered or deposed server
+// repairs itself the same way — never through this client, which keeps no
+// memory of which replica failed last time.
 //
 // ReplicatedClient implements the same Advisor interface the transfer
 // tool uses, so a Pegasus-side deployment needs no changes to gain
 // failover.
 type ReplicatedClient struct {
-	mu       sync.Mutex
 	replicas []*Client
-	down     []bool
 
-	// leader is the replica index that last accepted a mutation (-1 =
-	// unknown). When replicas run the epoch fence (primary/standby roles),
-	// a 412 from a standby is not a failure: the replica is skipped
-	// without being marked down, and the leader hint re-routes the next
-	// call straight to whichever replica last acted as primary.
+	// mu guards the fields below; it is never held across a network call,
+	// so concurrent callers overlap.
+	mu sync.Mutex
+	// leader is the replica index that last acknowledged a call (-1 =
+	// unknown): the hint tried first, cleared when that replica answers 412.
 	leader int
 	// epoch is the highest fencing epoch observed across all replicas;
-	// it is pushed into every per-replica client before each call so a
+	// it is pushed into the per-replica client before each attempt so a
 	// deposed primary learns it has been passed and self-fences.
 	epoch uint64
 	// lastAckEpoch/lastAckReplica record which epoch (and which replica)
-	// acknowledged the most recent successful mutation — the faultsim
-	// harness asserts acks only ever come from the expected primary.
+	// acknowledged the most recent successful call — the faultsim harness
+	// asserts acks only ever come from the expected primary.
 	lastAckEpoch   uint64
 	lastAckReplica int
 }
 
-// ErrNoReplicas is returned when every replica is down.
-var ErrNoReplicas = errors.New("policyhttp: no healthy replicas")
+// ErrNoReplicas is returned when no replica answered: every attempt ended
+// in a transport error or a 5xx.
+var ErrNoReplicas = errors.New("policyhttp: no replica answered")
 
 // ErrNoPrimary is returned when at least one replica was reachable but
 // every reachable replica refused the mutation with the epoch fence (412):
 // the cluster is mid-failover with no server currently willing to accept
-// writes. The mutation was applied nowhere — retry once a promotion lands.
+// writes. No replica acknowledged the mutation — retry once a promotion
+// lands.
 var ErrNoPrimary = errors.New("policyhttp: no replica is primary")
 
 // NewReplicatedClient wraps one client per replica endpoint. At least one
@@ -60,13 +61,10 @@ func NewReplicatedClient(replicas ...*Client) (*ReplicatedClient, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("policyhttp: replicated client needs at least one replica")
 	}
-	return &ReplicatedClient{
-		replicas: replicas, down: make([]bool, len(replicas)),
-		leader: -1, lastAckReplica: -1,
-	}, nil
+	return &ReplicatedClient{replicas: replicas, leader: -1, lastAckReplica: -1}, nil
 }
 
-// Leader returns the index of the replica that last accepted a mutation,
+// Leader returns the index of the replica that last acknowledged a call,
 // -1 when unknown.
 func (rc *ReplicatedClient) Leader() int {
 	rc.mu.Lock()
@@ -82,7 +80,7 @@ func (rc *ReplicatedClient) Epoch() uint64 {
 }
 
 // LastAckEpoch returns the epoch stamped on the most recent successful
-// mutation's response (0 before any, or when replicas run unfenced).
+// call's response (0 before any, or when replicas run unfenced).
 func (rc *ReplicatedClient) LastAckEpoch() uint64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -90,165 +88,165 @@ func (rc *ReplicatedClient) LastAckEpoch() uint64 {
 }
 
 // LastAckReplica returns the replica index that acknowledged the most
-// recent successful mutation, -1 before any.
+// recent successful call, -1 before any.
 func (rc *ReplicatedClient) LastAckReplica() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.lastAckReplica
 }
 
-// Healthy returns the indexes of replicas currently considered up.
-func (rc *ReplicatedClient) Healthy() []int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	var up []int
-	for i, d := range rc.down {
-		if !d {
-			up = append(up, i)
-		}
-	}
-	return up
-}
-
-// apply runs op against every healthy replica in index order. The first
-// successful result wins; replicas that fail (transport errors, 5xx) are
-// marked down. A deterministic rejection (4xx) from the first replica
-// tried is returned as-is without downing anything: the replica is
-// healthy, it refused the request, and — the service being deterministic
-// — every peer would refuse it identically, so no peer sees it and no
-// state diverges. A rejection AFTER another replica accepted the same
-// call means the rejecting replica has diverged, and it is marked down.
+// apply routes one call: the hinted leader first, then the rest in index
+// order, returning on the first acknowledgement. What each answer means:
 //
-// Fenced replicas (primary/standby roles) re-route instead of failing: a
-// 412 marks the replica as a healthy standby — skipped, never downed —
-// and the leader hint tries the last-known primary first, so after one
-// fence response the client sticks to the new primary. The re-routed
-// attempt reuses the same op closure, hence the same idempotency key: a
-// mutation acked by exactly one epoch is never double-applied even when
-// the fence arrives after a lost response.
+//   - ack: done; the replica becomes the leader hint.
+//   - 412: the replica is a healthy standby (or a primary that just
+//     learned it was deposed). Drop the hint if it pointed there and try
+//     the next replica.
+//   - transport error or 5xx: try the next replica and remember nothing —
+//     the same replica is tried again on the next call.
+//   - any other 4xx, 429 included: the replica answered; return it. A
+//     rejection is about the request and a shed is about load, and neither
+//     is improved by asking a standby.
+//
+// With nothing acknowledged the error is ErrNoPrimary if any replica
+// fenced the call, ErrNoReplicas otherwise.
+//
+// Each per-replica Client mints its own idempotency key and reuses it
+// across that client's retries only; a re-routed attempt travels under a
+// different key. Exactly-once across a re-route holds because a 412 is
+// issued before the mutation is applied and never enters the replay cache:
+// only the one replica that acknowledges has applied anything. A call that
+// fails after a lost response may still have been applied by the replica
+// that lost it, as with any single server.
 //
 // One root span context is minted per logical operation and shared by
 // every replica attempt (and every retry within each attempt), so a
 // fault episode spanning failover is reconstructable under one trace ID.
+// The lock is held only to read the hint and to record the outcome.
 func apply[T any](rc *ReplicatedClient, op func(context.Context, *Client) (T, error)) (T, error) {
 	var zero T
 	sc := obs.NewSpanContext()
 	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	// Last-known leader first, the rest in index order.
+	hint, epoch := rc.leader, rc.epoch
+	rc.mu.Unlock()
+
 	order := make([]int, 0, len(rc.replicas))
-	if rc.leader >= 0 && rc.leader < len(rc.replicas) {
-		order = append(order, rc.leader)
+	if hint >= 0 {
+		order = append(order, hint)
 	}
 	for i := range rc.replicas {
-		if i != rc.leader {
+		if i != hint {
 			order = append(order, i)
 		}
 	}
-	got := false
-	sawFenced := false
+	acked, sawFenced, hintFenced := -1, false, false
 	var result T
-	var lastErr error
+	var answered, lastErr error
+walk:
 	for _, i := range order {
-		if rc.down[i] {
-			continue
-		}
 		c := rc.replicas[i]
 		// Spread the newest epoch before the call: the request header is
 		// what deposes a stale primary.
-		c.RaiseEpoch(rc.epoch)
+		c.RaiseEpoch(epoch)
 		// Each replica keeps its own cancellation context; only the trace
 		// is shared.
 		r, err := op(obs.ContextWithSpan(c.ctx, sc), c)
-		if e := c.Epoch(); e > rc.epoch {
-			rc.epoch = e
+		if e := c.Epoch(); e > epoch {
+			epoch = e
 		}
-		if err != nil {
-			if IsFenced(err) {
-				sawFenced = true
-				if rc.leader == i {
-					rc.leader = -1
-				}
-				continue
-			}
-			if IsRejection(err) && !got {
-				return zero, err
-			}
-			rc.down[i] = true
+		switch {
+		case err == nil:
+			result, acked = r, i
+			break walk
+		case IsFenced(err):
+			sawFenced = true
+			hintFenced = hintFenced || i == hint
+		case IsRejection(err):
+			answered = err
+			break walk
+		default:
 			lastErr = err
-			continue
-		}
-		if !got {
-			result, got = r, true
-			rc.leader = i
-			rc.lastAckEpoch = c.Epoch()
-			rc.lastAckReplica = i
 		}
 	}
-	if !got {
-		if sawFenced {
-			if lastErr != nil {
-				return zero, fmt.Errorf("%w: last error: %v", ErrNoPrimary, lastErr)
-			}
-			return zero, ErrNoPrimary
-		}
-		if lastErr != nil {
-			return zero, fmt.Errorf("%w: last error: %v", ErrNoReplicas, lastErr)
-		}
-		return zero, ErrNoReplicas
+
+	rc.mu.Lock()
+	if epoch > rc.epoch {
+		rc.epoch = epoch
 	}
-	return result, nil
+	if acked >= 0 {
+		rc.leader, rc.lastAckReplica = acked, acked
+		rc.lastAckEpoch = rc.replicas[acked].Epoch()
+	} else if hintFenced && rc.leader == hint {
+		rc.leader = -1
+	}
+	rc.mu.Unlock()
+
+	switch {
+	case acked >= 0:
+		return result, nil
+	case answered != nil:
+		return zero, answered
+	}
+	sentinel := ErrNoReplicas
+	if sawFenced {
+		sentinel = ErrNoPrimary
+	}
+	if lastErr != nil {
+		return zero, fmt.Errorf("%w: last error: %v", sentinel, lastErr)
+	}
+	return zero, sentinel
 }
 
-// AdviseTransfers implements the Advisor interface with replication.
+// AdviseTransfers implements the Advisor interface with failover.
 func (rc *ReplicatedClient) AdviseTransfers(specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.TransferAdvice, error) {
 		return c.AdviseTransfersCtx(ctx, specs)
 	})
 }
 
-// ReportTransfers implements the Advisor interface with replication.
+// ReportTransfers implements the Advisor interface with failover.
 func (rc *ReplicatedClient) ReportTransfers(report policy.CompletionReport) (*policy.ReportAck, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.ReportAck, error) {
 		return c.ReportTransfersCtx(ctx, report)
 	})
 }
 
-// AdviseCleanups implements the Advisor interface with replication.
+// AdviseCleanups implements the Advisor interface with failover.
 func (rc *ReplicatedClient) AdviseCleanups(specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.CleanupAdvice, error) {
 		return c.AdviseCleanupsCtx(ctx, specs)
 	})
 }
 
-// ReportCleanups implements the Advisor interface with replication.
+// ReportCleanups implements the Advisor interface with failover.
 func (rc *ReplicatedClient) ReportCleanups(report policy.CleanupReport) (*policy.ReportAck, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.ReportAck, error) {
 		return c.ReportCleanupsCtx(ctx, report)
 	})
 }
 
-// RenewLease renews the workflow's lease on every healthy replica.
+// RenewLease renews the workflow's lease on the primary.
 func (rc *ReplicatedClient) RenewLease(workflowID string) (*policy.LeaseStatus, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.LeaseStatus, error) {
 		return c.renewLeaseCtx(ctx, workflowID)
 	})
 }
 
-// AdvanceClock advances the logical clock on every healthy replica; being
-// a logged deterministic mutation, each replica expires the same leases.
+// AdvanceClock advances the primary's logical clock; being a logged
+// deterministic mutation, the standby expires the same leases on replay.
 func (rc *ReplicatedClient) AdvanceClock(now float64) (*policy.ClockAdvance, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.ClockAdvance, error) {
 		return c.advanceClockCtx(ctx, now)
 	})
 }
 
-// Leases lists active leases from the first healthy replica.
+// Leases lists active leases from the first replica that answers (the
+// leader when one is known; reads are not fenced).
 func (rc *ReplicatedClient) Leases() (*policy.LeaseList, error) {
 	return apply(rc, func(_ context.Context, c *Client) (*policy.LeaseList, error) { return c.Leases() })
 }
 
-// SetThreshold applies a threshold change to every healthy replica.
+// SetThreshold applies a threshold change on the primary.
 func (rc *ReplicatedClient) SetThreshold(src, dst string, max int) error {
 	_, err := apply(rc, func(ctx context.Context, c *Client) (struct{}, error) {
 		return struct{}{}, c.setThresholdCtx(ctx, src, dst, max)
@@ -256,100 +254,27 @@ func (rc *ReplicatedClient) SetThreshold(src, dst string, max int) error {
 	return err
 }
 
-// ActivateBundleDoc activates a policy bundle document on every healthy
-// replica through the WAL-logged activation path. Carrying the full
-// document (rather than a staged version name) keeps the call
-// self-contained: a replica that crashed after the push still applies it.
+// ActivateBundleDoc activates a policy bundle document on the primary
+// through the WAL-logged activation path. Carrying the full document
+// (rather than a staged version name) keeps the call self-contained: it
+// does not depend on which server an earlier push reached.
 func (rc *ReplicatedClient) ActivateBundleDoc(doc []byte) (*policy.BundleInfo, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.BundleInfo, error) {
 		return c.ActivateBundleDocCtx(ctx, doc)
 	})
 }
 
-// RollbackBundle re-activates the previously active bundle on every
-// healthy replica. The previous-bundle pointer is WAL-replayed state, so
-// identical replicas roll back to the identical version.
+// RollbackBundle re-activates the previously active bundle on the primary.
+// The previous-bundle pointer is WAL-replayed state, so a promoted standby
+// rolls back to the identical version.
 func (rc *ReplicatedClient) RollbackBundle() (*policy.BundleInfo, error) {
 	return apply(rc, func(ctx context.Context, c *Client) (*policy.BundleInfo, error) {
 		return c.RollbackBundleCtx(ctx)
 	})
 }
 
-// State reads the externally visible state from the first healthy replica.
+// State reads the externally visible state from the first replica that
+// answers (the leader when one is known).
 func (rc *ReplicatedClient) State() (*policy.Snapshot, error) {
 	return apply(rc, func(_ context.Context, c *Client) (*policy.Snapshot, error) { return c.State() })
-}
-
-// Resync restores replica i from a healthy peer and marks it up again.
-// Durable peers ship their snapshot + WAL tail archive, so the donor
-// serves a compact, already-persisted bundle instead of exporting its
-// full live Policy Memory; peers without a durable store (the archive
-// endpoint answers 501) fall back to the live state dump.
-func (rc *ReplicatedClient) Resync(i int) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if i < 0 || i >= len(rc.replicas) {
-		return fmt.Errorf("policyhttp: replica index %d out of range", i)
-	}
-	var lastErr error
-	for j := range rc.replicas {
-		if j == i || rc.down[j] {
-			continue
-		}
-		err, donorSide := rc.resyncFromLocked(i, j)
-		if err == nil {
-			return nil
-		}
-		if !donorSide {
-			return err
-		}
-		rc.down[j] = true
-		lastErr = err
-	}
-	if lastErr != nil {
-		return fmt.Errorf("%w: last error: %v", ErrNoReplicas, lastErr)
-	}
-	return ErrNoReplicas
-}
-
-// ResyncFrom restores replica i from the specific donor replica and marks
-// i up again. Under failover, use it to pull from the current primary:
-// Resync's first-healthy-donor scan could pick a standby whose state lags
-// the primary by up to a sync interval.
-func (rc *ReplicatedClient) ResyncFrom(i, donor int) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if i < 0 || i >= len(rc.replicas) {
-		return fmt.Errorf("policyhttp: replica index %d out of range", i)
-	}
-	if donor < 0 || donor >= len(rc.replicas) || donor == i {
-		return fmt.Errorf("policyhttp: donor index %d invalid for replica %d", donor, i)
-	}
-	err, _ := rc.resyncFromLocked(i, donor)
-	return err
-}
-
-// resyncFromLocked restores replica i from donor j: the donor's durable
-// snapshot+tail archive when it has one, its full live dump otherwise.
-// donorSide=true means the donor could not supply state (the caller may
-// try another donor); false means the target failed to accept it.
-func (rc *ReplicatedClient) resyncFromLocked(i, j int) (err error, donorSide bool) {
-	target := rc.replicas[i]
-	c := rc.replicas[j]
-	if arch, aerr := c.Archive(); aerr == nil {
-		if rerr := replayArchive(target, arch); rerr != nil {
-			return fmt.Errorf("policyhttp: restore replica %d: %w", i, rerr), false
-		}
-		rc.down[i] = false
-		return nil, false
-	}
-	dump, derr := c.Dump()
-	if derr != nil {
-		return derr, true
-	}
-	if rerr := target.Restore(dump); rerr != nil {
-		return fmt.Errorf("policyhttp: restore replica %d: %w", i, rerr), false
-	}
-	rc.down[i] = false
-	return nil, false
 }

@@ -2,18 +2,16 @@ package policyhttp
 
 import (
 	"errors"
-	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 
 	"policyflow/internal/policy"
 )
 
 // TestReplicatedReroutesAcrossPromotion drives a ReplicatedClient over a
-// fenced pair across a failover: the standby's 412s are skipped without
-// marking it down, and after the promotion the client transparently
-// re-routes to the new primary — with every mutation applied exactly once.
+// fenced pair across a failover: after the promotion the deposed leader's
+// 412 re-routes the client to the new primary — with every mutation applied
+// exactly once.
 func TestReplicatedReroutesAcrossPromotion(t *testing.T) {
 	_, svcs, urls := fencedPair(t)
 	rc, err := NewReplicatedClient(
@@ -30,18 +28,15 @@ func TestReplicatedReroutesAcrossPromotion(t *testing.T) {
 		t.Fatalf("pre-failover ack: leader %d, replica %d, epoch %d",
 			rc.Leader(), rc.LastAckReplica(), rc.LastAckEpoch())
 	}
-	// The standby's fence response did not down it.
-	if healthy := rc.Healthy(); len(healthy) != 2 {
-		t.Fatalf("healthy = %v, want both (412 is not a failure)", healthy)
-	}
-
 	// Fail over out-of-band, as policyctl promote would.
 	if _, err := NewClient(urls[1], noSleep()).Promote(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The next mutation hits the deposed leader first, gets fenced, and
-	// re-routes to the new primary under the same idempotency key.
+	// re-routes to the new primary. The re-routed attempt carries the second
+	// per-replica client's own idempotency key; it applies exactly once
+	// because the 412 was issued before anything was applied.
 	adv, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(2, "wf1")})
 	if err != nil {
 		t.Fatalf("mutation across failover failed: %v", err)
@@ -53,9 +48,6 @@ func TestReplicatedReroutesAcrossPromotion(t *testing.T) {
 		t.Fatalf("post-failover ack: leader %d, replica %d, epoch %d; want 1, 1, 2",
 			rc.Leader(), rc.LastAckReplica(), rc.LastAckEpoch())
 	}
-	if healthy := rc.Healthy(); len(healthy) != 2 {
-		t.Fatalf("healthy = %v after re-route, want both", healthy)
-	}
 	// Exactly once: the new primary holds the pre-failover write (carried
 	// by the catch-up pull) plus the re-routed one — nothing twice.
 	if dump := svcs[1].ExportState(); len(dump.Transfers) != 2 || dump.NextTransfer != 2 {
@@ -66,7 +58,7 @@ func TestReplicatedReroutesAcrossPromotion(t *testing.T) {
 
 // TestReplicatedAllFenced: mid-failover there may briefly be no primary at
 // all. Every reachable replica answering 412 must surface as ErrNoPrimary
-// — applied nowhere, nobody marked down.
+// — applied nowhere, and the very next call walks both replicas again.
 func TestReplicatedAllFenced(t *testing.T) {
 	var urls [2]string
 	var svcs [2]*policy.Service
@@ -90,135 +82,12 @@ func TestReplicatedAllFenced(t *testing.T) {
 	if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")}); !errors.Is(err, ErrNoPrimary) {
 		t.Fatalf("err = %v, want ErrNoPrimary", err)
 	}
-	if healthy := rc.Healthy(); len(healthy) != 2 {
-		t.Fatalf("healthy = %v, want both (fenced replicas are healthy)", healthy)
+	if rc.Leader() != -1 {
+		t.Fatalf("leader hint = %d with nobody acking, want -1", rc.Leader())
 	}
 	for i, svc := range svcs {
 		if dump := svc.ExportState(); len(dump.Transfers) != 0 {
 			t.Fatalf("replica %d applied a write while fenced: %+v", i, dump.Transfers)
-		}
-	}
-}
-
-// TestResyncUnreachableReplicas covers Resync's two failure sides: a
-// target that cannot accept state, and donors that cannot supply it.
-func TestResyncUnreachableReplicas(t *testing.T) {
-	servers, _, clients := replicaSet(t, 2)
-	rc, err := NewReplicatedClient(clients...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill replica 0; the next call downs it and replica 1 acks alone.
-	servers[0].Close()
-	if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(2, "wf1")}); err != nil {
-		t.Fatal(err)
-	}
-	if healthy := rc.Healthy(); len(healthy) != 1 || healthy[0] != 1 {
-		t.Fatalf("healthy = %v, want [1]", healthy)
-	}
-
-	// Target-side failure: the donor is fine but replica 0 is unreachable,
-	// so the restore push fails and 0 stays down.
-	if err := rc.Resync(0); err == nil {
-		t.Fatal("resync of an unreachable target reported success")
-	}
-	if healthy := rc.Healthy(); len(healthy) != 1 || healthy[0] != 1 {
-		t.Fatalf("healthy = %v after failed resync, want [1]", healthy)
-	}
-
-	// ResyncFrom input validation.
-	if err := rc.ResyncFrom(0, 0); err == nil {
-		t.Error("self-donor accepted")
-	}
-	if err := rc.ResyncFrom(0, 5); err == nil {
-		t.Error("out-of-range donor accepted")
-	}
-
-	// Donor-side failure: with replica 1 also gone there is no donor left.
-	servers[1].Close()
-	if err := rc.Resync(0); !errors.Is(err, ErrNoReplicas) {
-		t.Fatalf("err = %v, want ErrNoReplicas", err)
-	}
-	if healthy := rc.Healthy(); len(healthy) != 0 {
-		t.Fatalf("healthy = %v, want none (failed donor marked down)", healthy)
-	}
-}
-
-// TestHealthyUnderFlapping runs a replica through repeated fail/heal
-// cycles: each 5xx episode downs it, each resync brings it back, and the
-// pair reconverges every time.
-func TestHealthyUnderFlapping(t *testing.T) {
-	var svcs [2]*policy.Service
-	var clients [2]*Client
-	var broken atomic.Bool
-	for i := range svcs {
-		svc, err := policy.New(policy.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		svcs[i] = svc
-		h := http.Handler(NewServer(svc, nil))
-		if i == 1 {
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if broken.Load() {
-					http.Error(w, "flapping", http.StatusInternalServerError)
-					return
-				}
-				inner.ServeHTTP(w, r)
-			})
-		}
-		ts := httptest.NewServer(h)
-		t.Cleanup(ts.Close)
-		clients[i] = NewClient(ts.URL, noSleep())
-	}
-	rc, err := NewReplicatedClient(clients[0], clients[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for cycle := 0; cycle < 3; cycle++ {
-		// Healthy phase: both replicas apply.
-		if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(10*cycle, "wf1")}); err != nil {
-			t.Fatal(err)
-		}
-		if healthy := rc.Healthy(); len(healthy) != 2 {
-			t.Fatalf("cycle %d: healthy = %v, want both", cycle, healthy)
-		}
-
-		// Replica 1 starts failing: downed, advice still served by 0.
-		broken.Store(true)
-		if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(10*cycle+1, "wf1")}); err != nil {
-			t.Fatalf("cycle %d: advise during flap failed: %v", cycle, err)
-		}
-		if healthy := rc.Healthy(); len(healthy) != 1 || healthy[0] != 0 {
-			t.Fatalf("cycle %d: healthy = %v during flap, want [0]", cycle, healthy)
-		}
-
-		// Down is sticky until an explicit resync, even after the server
-		// recovers — flapping must not silently re-admit a stale replica.
-		broken.Store(false)
-		if _, err := rc.AdviseTransfers([]policy.TransferSpec{testSpec(10*cycle+2, "wf1")}); err != nil {
-			t.Fatal(err)
-		}
-		if healthy := rc.Healthy(); len(healthy) != 1 || healthy[0] != 0 {
-			t.Fatalf("cycle %d: healthy = %v after recovery without resync, want [0]", cycle, healthy)
-		}
-
-		if err := rc.Resync(1); err != nil {
-			t.Fatalf("cycle %d: resync failed: %v", cycle, err)
-		}
-		if healthy := rc.Healthy(); len(healthy) != 2 {
-			t.Fatalf("cycle %d: healthy = %v after resync, want both", cycle, healthy)
-		}
-		d0, d1 := svcs[0].ExportState(), svcs[1].ExportState()
-		if len(d0.Transfers) != len(d1.Transfers) || d0.NextTransfer != d1.NextTransfer {
-			t.Fatalf("cycle %d: replicas diverged after resync: %d/%d transfers, next %d/%d",
-				cycle, len(d0.Transfers), len(d1.Transfers), d0.NextTransfer, d1.NextTransfer)
 		}
 	}
 }

@@ -19,8 +19,8 @@
 //	GET  /v1/healthz              liveness probe
 //
 // Servers attached to a durable store (SetDurable) additionally serve
-// POST /v1/state/snapshot and GET /v1/state/archive; POST /v1/state/apply
-// replays such an archive into any server (replica resync).
+// POST /v1/state/snapshot and GET /v1/state/archive, the snapshot+tail a
+// standby pulls to stay warm.
 package policyhttp
 
 import (
@@ -218,16 +218,15 @@ func NewServerWith(svc *policy.Service, logger *log.Logger, reg *obs.Registry, t
 	}
 	// Read-only endpoints go through the admission controller's read
 	// gate (a pass-through until SetAdmission). The replication plane
-	// (archive, apply, promote/demote) stays ungated and unfenced: it is
-	// how a downed replica resyncs and how leadership moves, and recovery
-	// must not compete with the overload that may have caused the outage.
+	// (archive, promote/demote) stays ungated and unfenced: it is how a
+	// standby catches up and how leadership moves, and recovery must not
+	// compete with the overload that may have caused the outage.
 	// Metrics and health stay ungated for the same reason — observability
 	// is most valuable during overload.
 	s.mux.HandleFunc("GET /v1/state", s.admitRead(s.handleState))
 	s.mux.HandleFunc("GET /v1/state/dump", s.admitRead(s.handleDump))
 	s.mux.HandleFunc("POST /v1/state/snapshot", s.idempotent(s.handleSnapshot))
 	s.mux.HandleFunc("GET /v1/state/archive", s.handleArchive)
-	s.mux.HandleFunc("POST /v1/state/apply", s.handleApply)
 	s.mux.HandleFunc("PUT /v1/bundles", s.fenced(s.idempotent(s.handleBundlePush)))
 	s.mux.HandleFunc("GET /v1/bundles", s.admitRead(s.handleBundles))
 	s.mux.HandleFunc("GET /v1/leases", s.admitRead(s.handleLeases))
@@ -502,9 +501,9 @@ type route struct {
 	pattern string
 	op      string
 	// fenced marks policy-plane routes, refused with 412 unless this
-	// server is the primary (see failover.go). The two replication-plane
-	// ops — restore and epoch bump — are how standbys are fed and stay
-	// unfenced.
+	// server is the primary (see failover.go). The two operator ops —
+	// restore (seed a server from a dump) and epoch bump — must work on a
+	// standby and stay unfenced.
 	fenced bool
 	// decode reads the request document and returns the op payload.
 	decode func(r *http.Request, f format) (any, error)

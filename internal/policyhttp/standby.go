@@ -17,11 +17,12 @@ import (
 // steady-state sync ships and applies only the records since the last one
 // — O(delta), not O(state). Donors without a durable store (the archive
 // endpoint answers 501) fall back to the full Policy Memory dump. If the
-// primary dies, the standby answers with state at most one sync interval
-// old — the warm-standby half of the paper's proposed replication
-// strategies (the ReplicatedClient is the active-replication half), and
+// primary dies, the standby holds state at most one sync interval old:
 // the state a promotion (POST /v1/promote) serves from when the old
-// primary is unreachable for a final catch-up pull.
+// primary is unreachable for a final catch-up pull. The syncer is also the
+// only repair path: a standby that lagged, crash-recovered or was deposed
+// from primary reconverges by Reset + SyncOnce, never by a client pushing
+// state at it.
 type StandbySyncer struct {
 	local   *policy.Service
 	primary *Client
@@ -48,8 +49,8 @@ type StandbySyncer struct {
 	// restore.
 	primed  bool
 	lastSeq uint64
-	// lastOK is the wall time of the last successful sync, for the lag
-	// gauge.
+	// lastOK is the wall time of the last successful sync — of the syncer's
+	// construction until there has been one — for the lag gauge.
 	lastOK time.Time
 
 	syncsC *obs.Counter // policy_standby_syncs_total
@@ -65,12 +66,13 @@ func NewStandbySyncer(local *policy.Service, primary *Client, interval time.Dura
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
-	return &StandbySyncer{local: local, primary: primary, Interval: interval}, nil
+	return &StandbySyncer{local: local, primary: primary, Interval: interval, lastOK: time.Now()}, nil
 }
 
 // Instrument registers the syncer's metrics on reg: sync and error
-// counters plus a lag gauge (seconds since the last successful sync,
-// refreshed on every attempt; 0 after a success).
+// counters plus a lag gauge (seconds since the last successful sync — since
+// construction for a standby that has never synced — refreshed on every
+// attempt; 0 after a success).
 func (s *StandbySyncer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -80,7 +82,7 @@ func (s *StandbySyncer) Instrument(reg *obs.Registry) {
 	s.errsC = reg.Counter("policy_standby_errors_total",
 		"Failed standby sync attempts.").With()
 	s.lagG = reg.Gauge("policy_standby_lag_seconds",
-		"Seconds since the last successful standby sync, as of the last attempt.").With()
+		"Seconds since the last successful standby sync (since start-up before the first), as of the last attempt.").With()
 	s.syncsC.Add(float64(s.syncs))
 	s.errsC.Add(float64(s.errors))
 }
@@ -102,7 +104,7 @@ func (s *StandbySyncer) SyncOnce() error {
 		if s.errsC != nil {
 			s.errsC.Inc()
 		}
-		if s.lagG != nil && !s.lastOK.IsZero() {
+		if s.lagG != nil {
 			s.lagG.Set(time.Since(s.lastOK).Seconds())
 		}
 		return err

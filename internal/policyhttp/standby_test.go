@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"policyflow/internal/obs"
 	"policyflow/internal/policy"
 )
 
@@ -103,5 +104,57 @@ func TestStandbyRunLoop(t *testing.T) {
 func TestStandbyValidation(t *testing.T) {
 	if _, err := NewStandbySyncer(nil, nil, 0); err == nil {
 		t.Fatal("nil arguments accepted")
+	}
+}
+
+// TestStandbyLagBeforeFirstSuccess: a standby that has never synced
+// successfully must not report lag 0 while its error counter climbs — lag
+// is measured from the syncer's construction until the first success. A
+// failed first attempt (donor unreachable) also leaves the local state
+// untouched, and the first success resets the gauge.
+func TestStandbyLagBeforeFirstSuccess(t *testing.T) {
+	servers, _, clients := replicaSet(t, 1)
+	dead := NewClient("http://127.0.0.1:1", noSleep(), WithRetry(RetryPolicy{MaxAttempts: 1}))
+	local, err := policy.New(policy.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStandbySyncer(local, dead, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	time.Sleep(5 * time.Millisecond)
+	if err := s.SyncOnce(); err == nil {
+		t.Fatal("sync from an unreachable primary succeeded")
+	}
+	if lag := s.lagG.Value(); lag < 0.005 {
+		t.Fatalf("lag = %v after a failed first sync, want at least the 5ms since construction", lag)
+	}
+	if s.errsC.Value() != 1 || s.syncsC.Value() != 0 {
+		t.Fatalf("errors %v, syncs %v, want 1, 0", s.errsC.Value(), s.syncsC.Value())
+	}
+	if snap := local.Snapshot(); snap.TrackedFiles != 0 {
+		t.Fatalf("failed sync touched the standby: %+v", snap)
+	}
+
+	if _, err := clients[0].AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")}); err != nil {
+		t.Fatal(err)
+	}
+	s.primary = clients[0]
+	if err := s.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if lag := s.lagG.Value(); lag != 0 {
+		t.Fatalf("lag = %v after a successful sync, want 0", lag)
+	}
+	servers[0].Close()
+	time.Sleep(2 * time.Millisecond)
+	if err := s.SyncOnce(); err == nil {
+		t.Fatal("sync from a dead primary succeeded")
+	}
+	if lag := s.lagG.Value(); lag <= 0 || lag > 1 {
+		t.Fatalf("lag = %v after losing the primary, want the few ms since the last success", lag)
 	}
 }

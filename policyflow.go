@@ -177,8 +177,11 @@ func GenerateMontage(cfg MontageConfig) (*Workflow, error) { return montage.Gene
 type (
 	// StateDump is a serializable snapshot of Policy Memory.
 	StateDump = policy.StateDump
-	// ReplicatedPolicyClient applies every call to all replicas and
-	// fails over when one dies.
+	// ReplicatedPolicyClient follows the leader of an epoch-fenced
+	// primary/standby pair: each call goes to the replica that last
+	// acknowledged one and re-routes on a fence (412) or a failure. It
+	// replicates nothing itself — the standby pulls the primary's log, and
+	// a promotion (POST /v1/promote) moves leadership.
 	ReplicatedPolicyClient = policyhttp.ReplicatedClient
 )
 
