@@ -80,7 +80,8 @@ load-smoke:
 
 # bench-json refreshes the machine-readable perf trajectory at the repo
 # root: one JSON series per core benchmark (advise hot path, advise vs
-# resident-fact count, lease scan, WAL commit with and without fsync),
+# resident-fact count and vs transfer-list size, lease scan, WAL commit with
+# and without fsync),
 # stamped with the go version and git SHA. Commit the refreshed file when
 # a PR intentionally moves a number.
 bench-json:
@@ -88,7 +89,8 @@ bench-json:
 
 # bench-json-check re-measures the trajectory and fails CI when any
 # committed series has regressed more than BENCH_TOLERANCE (fractional;
-# 0.30 = 30% slower ns/op).
+# 0.30 = 30% slower ns/op) or allocates more than 10% above its committed
+# allocs/op.
 BENCH_TOLERANCE := 0.30
 bench-json-check:
 	$(GO) run ./cmd/benchjson -check BENCH_policyflow.json -tolerance $(BENCH_TOLERANCE)

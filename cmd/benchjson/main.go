@@ -11,9 +11,10 @@
 //	benchjson -check BENCH_policyflow.json          # re-run and compare
 //	benchjson -check old.json -out new.json         # both
 //
-// The check compares ns/op per series and fails (exit 1) when any
-// baseline series is missing from the fresh run or slower than
-// (1+tolerance)x its committed value.
+// The check compares ns/op and allocs/op per series and fails (exit 1) when
+// any baseline series is missing from the fresh run, slower than
+// (1+tolerance)x its committed ns/op, or allocating more than
+// (1+allocTolerance)x its committed allocs/op.
 package main
 
 import (
@@ -87,6 +88,11 @@ var groups = []group{
 	// "before" curve) stays out of the trajectory — it exists for
 	// EXPERIMENTS.md, not as a CI gate.
 	{pkg: "./internal/policy", pattern: "^BenchmarkAdviseHotPath$", benchtime: "2000x"},
+	// Advise + report against the size of the transfer list: the series
+	// that shows whether the policy call stays O(list). The large lists
+	// cost milliseconds per call, so they get fewer iterations.
+	{pkg: "./internal/policy", pattern: "^BenchmarkAdviseBatch$/^n=(1|4|20)$", benchtime: "2000x"},
+	{pkg: "./internal/policy", pattern: "^BenchmarkAdviseBatch$/^n=(100|400)$", benchtime: "30x"},
 	{pkg: "./internal/policy", pattern: "^BenchmarkLeaseScan$", benchtime: "2000x"},
 	{pkg: "./internal/durable", pattern: "^BenchmarkWALAdviseNoFsync$|^BenchmarkWALAdviseFsync$", benchtime: "1000x"},
 	{pkg: "./internal/policy", pattern: "^BenchmarkBundleActivate$", benchtime: "200x"},
@@ -120,7 +126,7 @@ func main() {
 	var (
 		out       = flag.String("out", "", "write the trajectory JSON to this file")
 		check     = flag.String("check", "", "compare the fresh run against this baseline trajectory; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional ns/op slowdown before -check fails")
+		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional ns/op slowdown before -check fails (allocs/op is gated at a fixed 10%)")
 		benchtime = flag.String("benchtime", "", "override every group's -benchtime (default: per-group budgets)")
 		count     = flag.Int("count", 3, "benchmark repetitions; the minimum ns/op per series is kept")
 	)
@@ -137,7 +143,7 @@ func main() {
 	}
 	fmt.Printf("measured %d series (go %s, git %s)\n", len(traj.Series), traj.GoVersion, traj.GitSHA)
 	for _, s := range traj.Series {
-		fmt.Printf("  %-40s %14.0f ns/op\n", s.Name, s.NsPerOp)
+		fmt.Printf("  %-40s %14.0f ns/op %10.0f allocs/op\n", s.Name, s.NsPerOp, s.AllocsPerOp)
 	}
 
 	if *out != "" {
@@ -165,8 +171,8 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("no regression beyond %.0f%% against %s (%d series)\n",
-			*tolerance*100, *check, len(baseline.Series))
+		fmt.Printf("no regression beyond %.0f%% ns/op, %.0f%% allocs/op against %s (%d series)\n",
+			*tolerance*100, allocTolerance*100, *check, len(baseline.Series))
 	}
 }
 
@@ -286,8 +292,14 @@ func load(path string) (*Trajectory, error) {
 	return &t, nil
 }
 
+// allocTolerance is the fractional allocs/op growth -check allows. Unlike
+// ns/op, allocation counts barely vary between runs, so the gate is tight
+// and fixed; the +1 absorbs rounding on single-digit series.
+const allocTolerance = 0.10
+
 // compare returns one message per baseline series that is missing from
-// the fresh run or slower than (1+tolerance) times its baseline ns/op.
+// the fresh run, slower than (1+tolerance) times its baseline ns/op, or
+// allocating more than (1+allocTolerance) times its baseline allocs/op.
 func compare(baseline, fresh *Trajectory, tolerance float64) []string {
 	current := map[string]Series{}
 	for _, s := range fresh.Series {
@@ -300,13 +312,13 @@ func compare(baseline, fresh *Trajectory, tolerance float64) []string {
 			failures = append(failures, fmt.Sprintf("series %s missing from fresh run", base.Name))
 			continue
 		}
-		if base.NsPerOp <= 0 {
-			continue
-		}
-		ratio := got.NsPerOp / base.NsPerOp
-		if ratio > 1+tolerance {
+		if ratio := got.NsPerOp / base.NsPerOp; base.NsPerOp > 0 && ratio > 1+tolerance {
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.0f%% slower, tolerance %.0f%%)",
 				base.Name, got.NsPerOp, base.NsPerOp, (ratio-1)*100, tolerance*100))
+		}
+		if base.AllocsPerOp > 0 && got.AllocsPerOp > base.AllocsPerOp*(1+allocTolerance)+1 {
+			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (tolerance %.0f%%)",
+				base.Name, got.AllocsPerOp, base.AllocsPerOp, allocTolerance*100))
 		}
 	}
 	return failures

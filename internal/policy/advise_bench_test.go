@@ -110,3 +110,54 @@ func BenchmarkAdviseHotPathReference(b *testing.B) {
 		})
 	}
 }
+
+// adviseReportBatch advises n fresh files in one transfer list and reports
+// them all complete — one staging job's round trip, as the transfer tool
+// makes it. round keeps URLs and request IDs unique across calls.
+func adviseReportBatch(tb testing.TB, svc *Service, round, n int) {
+	tb.Helper()
+	specs := make([]TransferSpec, n)
+	for j := range specs {
+		specs[j] = TransferSpec{
+			RequestID:  fmt.Sprintf("batch-%d-%d", round, j),
+			WorkflowID: "bench",
+			SourceURL:  fmt.Sprintf("gsiftp://bench-src.example.org/data/r%d-f%d", round, j),
+			DestURL:    fmt.Sprintf("file://bench-dst.example.org/scratch/r%d-f%d", round, j),
+		}
+	}
+	adv, err := svc.AdviseTransfers(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(adv.Transfers) != n {
+		tb.Fatalf("advised %d of %d fresh files", len(adv.Transfers), n)
+	}
+	ids := make([]string, n)
+	for j, tr := range adv.Transfers {
+		ids[j] = tr.ID
+	}
+	if _, err := svc.ReportTransfers(CompletionReport{TransferIDs: ids}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkAdviseBatch measures advise + report against the size of the
+// transfer list: the paper's transfer tool submits a whole list per staging
+// job, so the policy call must cost O(list), not O(list²). ns/op is per
+// call; divide by n for the per-file cost.
+func BenchmarkAdviseBatch(b *testing.B) {
+	for _, n := range []int{1, 4, 20, 100, 400} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			svc, err := New(DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			adviseReportBatch(b, svc, -1, n) // creates the pair's group, threshold and ledger
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				adviseReportBatch(b, svc, i, n)
+			}
+		})
+	}
+}

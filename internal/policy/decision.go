@@ -92,9 +92,12 @@ type DecisionRecord struct {
 // JSONL sink. Safe for concurrent use; the service appends records after
 // releasing its own lock.
 type DecisionLog struct {
-	mu   sync.Mutex
-	cap  int
+	mu  sync.Mutex
+	cap int
+	// buf grows to cap and is then a ring: head is the oldest record's
+	// index, so an eviction overwrites one slot instead of shifting all.
 	buf  []DecisionRecord
+	head int
 	next int64 // next Seq to assign
 	// countByOp tracks lifetime records per op, surviving ring eviction.
 	countByOp map[string]int64
@@ -155,8 +158,8 @@ func (l *DecisionLog) Add(rec DecisionRecord) {
 		rec.TimeUnixNano = l.now().UnixNano()
 	}
 	if len(l.buf) == l.cap {
-		copy(l.buf, l.buf[1:])
-		l.buf[len(l.buf)-1] = rec
+		l.buf[l.head] = rec
+		l.head = (l.head + 1) % l.cap
 	} else {
 		l.buf = append(l.buf, rec)
 	}
@@ -185,7 +188,9 @@ func (l *DecisionLog) Recent(n int) []DecisionRecord {
 		n = len(l.buf)
 	}
 	out := make([]DecisionRecord, n)
-	copy(out, l.buf[len(l.buf)-n:])
+	for i := range out {
+		out[i] = l.buf[(l.head+len(l.buf)-n+i)%len(l.buf)]
+	}
 	return out
 }
 

@@ -43,6 +43,47 @@ func TestDecisionLogRingEviction(t *testing.T) {
 	}
 }
 
+// TestDecisionLogRecentAcrossWrap checks the head-index ring at every fill
+// level and across several wrap-arounds: Recent(n) is always the last n
+// records oldest first, and the lifetime counters never lose an evicted
+// record.
+func TestDecisionLogRecentAcrossWrap(t *testing.T) {
+	const capacity = 4
+	l := NewDecisionLog(capacity)
+	ops := []string{OpAdviseTransfers, OpReportTransfers}
+	for added := 1; added <= 3*capacity+1; added++ {
+		l.Add(DecisionRecord{Op: ops[added%2]})
+		retained := min(added, capacity)
+		for n := 0; n <= capacity+1; n++ {
+			got := l.Recent(n)
+			want := n
+			if n <= 0 || n > retained {
+				want = retained
+			}
+			if len(got) != want {
+				t.Fatalf("after %d adds Recent(%d) returned %d records, want %d", added, n, len(got), want)
+			}
+			for i, r := range got {
+				if seq := int64(added - want + 1 + i); r.Seq != seq {
+					t.Fatalf("after %d adds Recent(%d)[%d].Seq = %d, want %d", added, n, i, r.Seq, seq)
+				}
+				if r.Op != ops[r.Seq%2] {
+					t.Fatalf("after %d adds record seq %d carries op %s", added, r.Seq, r.Op)
+				}
+			}
+		}
+		if l.Total() != int64(added) {
+			t.Fatalf("Total = %d after %d adds", l.Total(), added)
+		}
+		if got, want := l.CountByOp(OpAdviseTransfers), int64(added/2); got != want {
+			t.Fatalf("CountByOp(advise) = %d after %d adds, want %d", got, added, want)
+		}
+		if got, want := l.CountByOp(OpReportTransfers), int64((added+1)/2); got != want {
+			t.Fatalf("CountByOp(report) = %d after %d adds, want %d", got, added, want)
+		}
+	}
+}
+
 func TestDecisionLogDefaultCapacity(t *testing.T) {
 	l := NewDecisionLog(0)
 	for i := 0; i < DefaultDecisionRing+10; i++ {

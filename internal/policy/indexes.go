@@ -54,13 +54,13 @@ func registerIndexes(s *rules.Session) {
 // index key from the bindings of earlier patterns.
 
 // keyConst probes a fixed bucket (e.g. the Submitted state).
-func keyConst(k any) func(rules.Bindings) any {
-	return func(rules.Bindings) any { return k }
+func keyConst[K comparable](k K) func(rules.Bindings) K {
+	return func(rules.Bindings) K { return k }
 }
 
 // firstByKey is a point query against a registered index: the first fact
 // of type T in the named index's bucket for key.
-func firstByKey[T any](s *rules.Session, index string, key any) (T, bool) {
+func firstByKey[T any, K comparable](s *rules.Session, index string, key K) (T, bool) {
 	for _, v := range rules.FactsByKey[T](s, index, key) {
 		return v, true
 	}
@@ -75,13 +75,13 @@ func transferByID(s *rules.Session, id string) (*Transfer, bool) {
 	return firstByKey[*Transfer](s, "id", id)
 }
 
-func keyTransferDest(b rules.Bindings) any { return b.Get("t").(*Transfer).DestURL }
-func keyTransferPair(b rules.Bindings) any { return b.Get("t").(*Transfer).Pair }
-func keyTransferCluster(b rules.Bindings) any {
+func keyTransferDest(b rules.Bindings) string   { return b.Get("t").(*Transfer).DestURL }
+func keyTransferPair(b rules.Bindings) HostPair { return b.Get("t").(*Transfer).Pair }
+func keyTransferCluster(b rules.Bindings) pairCluster {
 	t := b.Get("t").(*Transfer)
 	return pairCluster{Pair: t.Pair, ClusterID: t.ClusterID}
 }
-func keyResultTransferID(b rules.Bindings) any { return b.Get("e").(*TransferResult).TransferID }
-func keyExpiredOwner(b rules.Bindings) any     { return b.Get("e").(*LeaseExpired).Owner }
-func keyCleanupFile(b rules.Bindings) any      { return b.Get("c").(*Cleanup).FileURL }
-func keyCleanupResultID(b rules.Bindings) any  { return b.Get("e").(*CleanupResult).CleanupID }
+func keyResultTransferID(b rules.Bindings) string { return b.Get("e").(*TransferResult).TransferID }
+func keyExpiredOwner(b rules.Bindings) string     { return b.Get("e").(*LeaseExpired).Owner }
+func keyCleanupFile(b rules.Bindings) string      { return b.Get("c").(*Cleanup).FileURL }
+func keyCleanupResultID(b rules.Bindings) string  { return b.Get("e").(*CleanupResult).CleanupID }

@@ -5,56 +5,151 @@ import (
 	"reflect"
 )
 
-// Alpha memories. Every fact type gets a handleList (the type's alpha node:
+// Alpha memories. Every fact type gets a recList (the type's alpha node:
 // all live facts of the type in insertion order), and callers may register
-// named alphaIndexes that bucket a type's facts by a join key so indexed
+// named indexes that bucket a type's facts by a join key so indexed
 // patterns probe one bucket instead of scanning the whole type extent.
+// Indexes are typed (map[K]) and bound to the patterns that probe them at
+// AddRule, so neither a probe nor index maintenance boxes a key.
 
-// handleList is an insertion-ordered set of fact handles with O(1) add and
-// remove. Removal tombstones the slot (handle 0 is never issued) and the
-// slice is compacted when more than half the slots are dead, so iteration
-// stays O(live + dead) with dead bounded by live.
-type handleList struct {
-	items []FactHandle // 0 = tombstone
-	pos   map[FactHandle]int
+// recList is an insertion-ordered set of facts with O(1) add and remove.
+// Removal tombstones the slot and the slice is compacted when more than
+// half the slots are dead, so iteration stays O(live + dead) with dead
+// bounded by live.
+type recList struct {
+	items []*factRecord // nil = tombstone
+	pos   map[*factRecord]int
 	dead  int
 }
 
-func newHandleList() *handleList {
-	return &handleList{pos: make(map[FactHandle]int)}
+func newRecList() *recList {
+	return &recList{pos: make(map[*factRecord]int)}
 }
 
-func (l *handleList) add(h FactHandle) {
-	l.pos[h] = len(l.items)
-	l.items = append(l.items, h)
+func (l *recList) add(rec *factRecord) {
+	l.pos[rec] = len(l.items)
+	l.items = append(l.items, rec)
 }
 
-func (l *handleList) remove(h FactHandle) {
-	i, ok := l.pos[h]
+func (l *recList) remove(rec *factRecord) {
+	i, ok := l.pos[rec]
 	if !ok {
 		return
 	}
-	l.items[i] = 0
-	delete(l.pos, h)
+	l.items[i] = nil
+	delete(l.pos, rec)
 	l.dead++
 	if l.dead*2 > len(l.items) {
 		l.compact()
 	}
 }
 
-func (l *handleList) compact() {
+func (l *recList) compact() {
 	live := l.items[:0]
-	for _, h := range l.items {
-		if h != 0 {
-			l.pos[h] = len(live)
-			live = append(live, h)
+	for _, rec := range l.items {
+		if rec != nil {
+			l.pos[rec] = len(live)
+			live = append(live, rec)
 		}
 	}
+	clear(l.items[len(live):])
 	l.items = live
 	l.dead = 0
 }
 
-func (l *handleList) size() int { return len(l.pos) }
+// bucket is one key's slice of an index: its member facts in insertion
+// order and the seeds subscribed to the key. Most keys are unique (a
+// transfer ID, a destination URL), so a bucket holds its sole member inline
+// and only grows a recList when a second fact arrives.
+type bucket struct {
+	one  [1]*factRecord // the sole member while list == nil; nil = none
+	list *recList
+	// subs are the seeds whose last join probed this key at a position
+	// after the first: a fact entering, leaving or updated inside the
+	// bucket dirties exactly these seeds.
+	subs []subscriber
+}
+
+// subscriber is one entry of bucket.subs; slot is the position of the
+// matching subscription in sd.subs, so either side unlinks in O(1).
+type subscriber struct {
+	sd   *seed
+	slot int
+}
+
+// members returns the bucket's facts in insertion order; nil entries are
+// tombstones.
+func (b *bucket) members() []*factRecord {
+	if b.list != nil {
+		return b.list.items
+	}
+	if b.one[0] == nil {
+		return nil
+	}
+	return b.one[:]
+}
+
+func (b *bucket) add(rec *factRecord) {
+	switch {
+	case b.list != nil:
+		b.list.add(rec)
+	case b.one[0] == nil:
+		b.one[0] = rec
+	default:
+		b.list = newRecList()
+		b.list.add(b.one[0])
+		b.list.add(rec)
+		b.one[0] = nil
+	}
+}
+
+func (b *bucket) remove(rec *factRecord) {
+	if b.list != nil {
+		b.list.remove(rec)
+	} else if b.one[0] == rec {
+		b.one[0] = nil
+	}
+}
+
+// unused reports whether the bucket has neither members nor subscribers.
+func (b *bucket) unused() bool {
+	if len(b.subs) > 0 || b.one[0] != nil {
+		return false
+	}
+	return b.list == nil || len(b.list.pos) == 0
+}
+
+// notify dirties every subscribed seed.
+func (b *bucket) notify() {
+	for _, sub := range b.subs {
+		sub.sd.markDirty()
+	}
+}
+
+// bucketRef is a bucket as its non-generic holders (a fact record, a seed's
+// subscription) see it.
+type bucketRef interface {
+	base() *bucket
+	// release deletes the bucket from its index once it is unused, so
+	// probes of absent keys stay a single map miss and unique keys do not
+	// accumulate.
+	release()
+}
+
+// keyBucket is a bucket together with its key and owning index.
+type keyBucket[K comparable] struct {
+	bucket
+	key K
+	ix  *typedIndex[K]
+}
+
+func (b *keyBucket[K]) base() *bucket { return &b.bucket }
+
+func (b *keyBucket[K]) release() {
+	if b.unused() {
+		delete(b.ix.buckets, b.key)
+	}
+}
 
 // indexID identifies a registered index: names are scoped per fact type.
 type indexID struct {
@@ -62,83 +157,103 @@ type indexID struct {
 	name string
 }
 
-// alphaIndex buckets one fact type's handles by a caller-supplied key
-// function. Keys must be comparable; empty buckets are deleted so negated
-// probes on absent keys are a single map miss.
-type alphaIndex struct {
-	id      indexID
-	key     func(v any) any
-	buckets map[any]*handleList
-	keyOf   map[FactHandle]any
+// alphaIndex is an index as working memory maintains it; the concrete type
+// is always a *typedIndex[K].
+type alphaIndex interface {
+	insert(rec *factRecord)
+	update(rec *factRecord)
+	retract(rec *factRecord)
+	reset()
 }
 
-func (ix *alphaIndex) insert(h FactHandle, v any) {
-	k := ix.key(v)
-	ix.keyOf[h] = k
+// typedIndex buckets one fact type's facts by a caller-supplied key
+// function. A fact remembers the bucket it sits in (factRecord.buckets, at
+// the index's slot), which doubles as its old key on update and retract.
+type typedIndex[K comparable] struct {
+	slot    int
+	key     func(v any) K
+	buckets map[K]*keyBucket[K]
+}
+
+func (ix *typedIndex[K]) bucketFor(k K) *keyBucket[K] {
 	b := ix.buckets[k]
 	if b == nil {
-		b = newHandleList()
+		b = &keyBucket[K]{key: k, ix: ix}
 		ix.buckets[k] = b
 	}
-	b.add(h)
+	return b
 }
 
-// update re-buckets the fact if its key changed.
-func (ix *alphaIndex) update(h FactHandle, v any) {
-	old, ok := ix.keyOf[h]
-	if !ok {
-		return
-	}
-	k := ix.key(v)
-	if k == old {
-		return
-	}
-	ix.removeFrom(old, h)
-	ix.keyOf[h] = k
-	b := ix.buckets[k]
-	if b == nil {
-		b = newHandleList()
-		ix.buckets[k] = b
-	}
-	b.add(h)
+func (ix *typedIndex[K]) enter(rec *factRecord, k K) {
+	b := ix.bucketFor(k)
+	b.add(rec)
+	rec.buckets[ix.slot] = b
+	b.notify()
 }
 
-func (ix *alphaIndex) retract(h FactHandle) {
-	k, ok := ix.keyOf[h]
-	if !ok {
-		return
-	}
-	ix.removeFrom(k, h)
-	delete(ix.keyOf, h)
+func (ix *typedIndex[K]) insert(rec *factRecord) { ix.enter(rec, ix.key(rec.value)) }
+
+func (ix *typedIndex[K]) retract(rec *factRecord) {
+	b := rec.buckets[ix.slot]
+	b.base().remove(rec)
+	b.base().notify()
+	b.release()
 }
 
-func (ix *alphaIndex) removeFrom(k any, h FactHandle) {
-	b := ix.buckets[k]
-	if b == nil {
+// update re-buckets the fact if its key changed; either way the seeds that
+// probed its old or new key are dirtied.
+func (ix *typedIndex[K]) update(rec *factRecord) {
+	k := ix.key(rec.value)
+	if old := rec.buckets[ix.slot].(*keyBucket[K]); old.key == k {
+		old.notify()
 		return
 	}
-	b.remove(h)
-	if b.size() == 0 {
-		delete(ix.buckets, k)
-	}
+	ix.retract(rec)
+	ix.enter(rec, k)
 }
 
-// AddIndex registers a named alpha index over facts of exemplar's dynamic
-// type. The key function must return a comparable value and must depend
-// only on the fact (facts mutated in place must be re-keyed via Update,
-// exactly like guard re-evaluation). Indexes must be registered before
-// rules that reference them are added; registering over a populated
-// working memory back-fills the buckets.
-func (s *Session) AddIndex(exemplar any, name string, key func(v any) any) error {
-	t := reflect.TypeOf(exemplar)
+func (ix *typedIndex[K]) reset() { ix.buckets = make(map[K]*keyBucket[K]) }
+
+// probe returns the bucket for k. With a seed it also subscribes the seed
+// to k, creating an empty bucket to hold the subscription when no fact has
+// the key yet; without one it returns nil for an absent key. A seed mostly
+// re-probes the keys of its last join, so its own few subscriptions are
+// checked before the map: comparing a key is cheaper than hashing it.
+func (ix *typedIndex[K]) probe(k K, sd *seed) *bucket {
+	if sd == nil {
+		if b := ix.buckets[k]; b != nil {
+			return &b.bucket
+		}
+		return nil
+	}
+	for i := range sd.subs {
+		if b, ok := sd.subs[i].b.(*keyBucket[K]); ok && b.ix == ix && b.key == k {
+			sd.subs[i].seen = true
+			return &b.bucket
+		}
+	}
+	b := ix.bucketFor(k)
+	sd.subs = append(sd.subs, subscription{b: b, pos: len(b.subs), seen: true})
+	b.subs = append(b.subs, subscriber{sd: sd, slot: len(sd.subs) - 1})
+	return &b.bucket
+}
+
+// AddIndexOf registers a named alpha index over facts of type T. The key
+// function must depend only on the fact (facts mutated in place must be
+// re-keyed via Update, exactly like guard re-evaluation). Indexes must be
+// registered before rules that reference them are added; registering over
+// a populated working memory back-fills the buckets.
+func AddIndexOf[T any, K comparable](s *Session, name string, key func(v T) K) error {
+	var zero T
+	t := reflect.TypeOf(zero)
 	if t == nil {
-		return fmt.Errorf("rules: AddIndex with untyped nil exemplar")
+		return fmt.Errorf("rules: AddIndexOf requires a concrete fact type")
 	}
 	if name == "" {
-		return fmt.Errorf("rules: AddIndex with empty name")
+		return fmt.Errorf("rules: AddIndexOf with empty name")
 	}
 	if key == nil {
-		return fmt.Errorf("rules: AddIndex %q with nil key function", name)
+		return fmt.Errorf("rules: AddIndexOf %q with nil key function", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,19 +261,16 @@ func (s *Session) AddIndex(exemplar any, name string, key func(v any) any) error
 	if _, dup := s.indexes[id]; dup {
 		return fmt.Errorf("rules: duplicate index %q on %v", name, t)
 	}
-	ix := &alphaIndex{
-		id:      id,
-		key:     key,
-		buckets: make(map[any]*handleList),
-		keyOf:   make(map[FactHandle]any),
+	ix := &typedIndex[K]{
+		slot:    len(s.typeIndexes[t]),
+		key:     func(v any) K { return key(v.(T)) },
+		buckets: make(map[K]*keyBucket[K]),
 	}
 	if l := s.byType[t]; l != nil {
-		for _, h := range l.items {
-			if h == 0 {
-				continue
-			}
-			if rec := s.facts[h]; rec != nil {
-				ix.insert(h, rec.value)
+		for _, rec := range l.items {
+			if rec != nil {
+				rec.buckets = append(rec.buckets, nil)
+				ix.insert(rec)
 			}
 		}
 	}
@@ -167,60 +279,31 @@ func (s *Session) AddIndex(exemplar any, name string, key func(v any) any) error
 	return nil
 }
 
-// AddIndexOf registers a typed alpha index over facts of type T.
-func AddIndexOf[T any, K comparable](s *Session, name string, key func(v T) K) error {
+// indexOf resolves a registered index on T keyed by K, or nil.
+func indexOf[T any, K comparable](s *Session, name string) *typedIndex[K] {
 	var zero T
-	return s.AddIndex(zero, name, func(v any) any { return key(v.(T)) })
-}
-
-// FactsBy returns the facts of exemplar's dynamic type in the named
-// index's bucket for key, in insertion order. It is a point query against
-// the alpha memory — O(bucket), not O(type extent).
-func (s *Session) FactsBy(exemplar any, index string, key any) []any {
-	t := reflect.TypeOf(exemplar)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ix := s.indexes[indexID{typ: t, name: index}]
-	if ix == nil {
-		return nil
-	}
-	b := ix.buckets[key]
-	if b == nil {
-		return nil
-	}
-	out := make([]any, 0, b.size())
-	for _, h := range b.items {
-		if h == 0 {
-			continue
-		}
-		if rec := s.facts[h]; rec != nil {
-			out = append(out, rec.value)
-		}
-	}
-	return out
+	ix, _ := s.indexes[indexID{typ: reflect.TypeOf(zero), name: name}].(*typedIndex[K])
+	return ix
 }
 
 // CtxFirstBy returns the first fact of type T in the named index's
 // bucket for key that matches pred (nil pred = any). It probes the alpha
 // memory directly — O(bucket) and allocation-free — and is the indexed
 // counterpart of CtxFirst for rule actions, where a full type-extent scan
-// would put O(facts) work inside a single firing.
-func CtxFirstBy[T any](c *Context, index string, key any, pred func(T) bool) (T, bool) {
+// would put O(facts) work inside a single firing. K must be the index's key
+// type.
+func CtxFirstBy[T any, K comparable](c *Context, index string, key K, pred func(T) bool) (T, bool) {
 	var zero T
-	ix := c.s.indexes[indexID{typ: reflect.TypeOf(zero), name: index}]
+	ix := indexOf[T, K](c.s, index)
 	if ix == nil {
 		return zero, false
 	}
-	b := ix.buckets[key]
-	if b == nil {
-		return zero, false
-	}
-	for _, h := range b.items {
-		if h == 0 {
-			continue
-		}
-		if rec := c.s.facts[h]; rec != nil {
-			if v, ok := rec.value.(T); ok && (pred == nil || pred(v)) {
+	if b := ix.buckets[key]; b != nil {
+		for _, rec := range b.members() {
+			if rec == nil {
+				continue
+			}
+			if v := rec.value.(T); pred == nil || pred(v) {
 				return v, true
 			}
 		}
@@ -229,13 +312,24 @@ func CtxFirstBy[T any](c *Context, index string, key any, pred func(T) bool) (T,
 }
 
 // FactsByKey returns the facts of type T in the named index's bucket for
-// key, in insertion order.
-func FactsByKey[T any](s *Session, index string, key any) []T {
-	var zero T
-	vals := s.FactsBy(zero, index, key)
-	out := make([]T, 0, len(vals))
-	for _, v := range vals {
-		out = append(out, v.(T))
+// key, in insertion order. It is a point query against the alpha memory —
+// O(bucket), not O(type extent). K must be the index's key type.
+func FactsByKey[T any, K comparable](s *Session, index string, key K) []T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ix := indexOf[T, K](s, index)
+	if ix == nil {
+		return nil
+	}
+	b := ix.buckets[key]
+	if b == nil {
+		return nil
+	}
+	var out []T
+	for _, rec := range b.members() {
+		if rec != nil {
+			out = append(out, rec.value.(T))
+		}
 	}
 	return out
 }

@@ -4,7 +4,8 @@ package rules
 // equivalent to the naive full-rejoin reference engine by driving both
 // through randomized seeded schedules of insert/update/retract/FireAll —
 // covering NoLoop, gates flipping mid-run, negation, existential patterns,
-// Halt, and budget exhaustion — and asserting identical firing sequences,
+// positive patterns after quantified ones, Halt, and budget exhaustion — and
+// asserting identical firing sequences,
 // refraction sizes, and final fact sets. Because the reference matcher
 // ignores index hints, the harness also validates that every generated
 // hint is sound (the hinted bucket loses no matches).
@@ -179,6 +180,20 @@ func genRules(rng *rand.Rand, gates []bool) []*Rule {
 		r.Then = genAction(rng, r.When[0].Name)
 		out = append(out, r)
 	}
+	// Every schedule also carries a positive pattern after a quantified one
+	// ([pos, not, pos] or [pos, exists, pos]): the shape whose later
+	// candidates the old join evaluated with a stale binding.
+	typ, c := rng.Intn(3), 1+rng.Intn(7)
+	out = append(out, &Rule{
+		Name:     "pos-quantified-pos",
+		Salience: rng.Intn(3),
+		When: []Pattern{
+			genPattern(typ, true, false, 2, c, false, "x0"),
+			genPattern(typ+1, false, rng.Intn(2) == 0, 3, 0, rng.Intn(2) == 0, ""),
+			genPattern(typ+2, true, false, 3, 0, rng.Intn(2) == 0, "x2"),
+		},
+		Then: genAction(rng, "x2"),
+	})
 	return out
 }
 
@@ -200,14 +215,13 @@ func genPattern(typ int, positive, negated bool, guardKind, c int, hint bool, na
 	if guardKind == 0 {
 		guard = nil
 	}
-	lookup := func(b Bindings) any {
+	lookup := func(b Bindings) int {
 		k0, _ := dKV(b.Get("x0"))
 		return k0
 	}
 	mk := func(p Pattern) Pattern {
 		if hint {
-			p.index = "k"
-			p.lookup = lookup
+			return hinted(p, "k", lookup)
 		}
 		return p
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // fuzzRules is a fixed rule set covering salience ties, NoLoop, gates,
-// negation, existential patterns, joins (hinted and unhinted), Halt, and
-// working-memory mutation from the RHS.
+// negation, existential patterns, joins (hinted and unhinted), positive
+// patterns after quantified ones, Halt, and working-memory mutation from the
+// RHS.
 func fuzzRules(gate *bool) []*Rule {
 	return []*Rule{
 		{
@@ -20,7 +21,7 @@ func fuzzRules(gate *bool) []*Rule {
 			Salience: 2,
 			When: []Pattern{
 				Match("x0", func(b Bindings, a *dA) bool { return a.V%2 == 0 }),
-				MatchOn("x1", "k", func(b Bindings) any { return b.Get("x0").(*dA).K },
+				MatchOn("x1", "k", func(b Bindings) int { return b.Get("x0").(*dA).K },
 					func(b Bindings, v *dB) bool { return v.K == b.Get("x0").(*dA).K }),
 			},
 			Then: func(ctx *Context) {
@@ -50,7 +51,7 @@ func fuzzRules(gate *bool) []*Rule {
 			Gate:     func() bool { return *gate },
 			When: []Pattern{
 				Match[*dC]("x0", nil),
-				NotOn("k", func(b Bindings) any { return b.Get("x0").(*dC).K },
+				NotOn("k", func(b Bindings) int { return b.Get("x0").(*dC).K },
 					func(b Bindings, a *dA) bool { return a.K == b.Get("x0").(*dC).K && a.V > 8 }),
 			},
 			Then: func(ctx *Context) {
@@ -65,6 +66,33 @@ func fuzzRules(gate *bool) []*Rule {
 				Exists(func(b Bindings, a *dA) bool { return a.K == 7 }),
 			},
 			Then: func(ctx *Context) { ctx.Halt() },
+		},
+		// A positive pattern after a quantified one, both ways: every x2
+		// candidate must be bound in turn, not the first one repeatedly.
+		{
+			Name:     "not-then-join",
+			Salience: 1,
+			When: []Pattern{
+				Match("x0", func(b Bindings, c *dC) bool { return c.V > 0 }),
+				NotOn("k", func(b Bindings) int { return b.Get("x0").(*dC).K },
+					func(b Bindings, a *dA) bool { return a.K == b.Get("x0").(*dC).K }),
+				Match("x2", func(b Bindings, v *dB) bool { return v.K >= b.Get("x0").(*dC).K && v.V%2 == 1 }),
+			},
+			Then: func(ctx *Context) {
+				bf := ctx.Get("x2").(*dB)
+				bf.V++
+				ctx.Update(bf)
+			},
+		},
+		{
+			Name: "exists-then-join",
+			When: []Pattern{
+				Match[*dA]("x0", nil),
+				Exists(func(b Bindings, c *dC) bool { return c.K == b.Get("x0").(*dA).K }),
+				MatchOn("x2", "k", func(b Bindings) int { return b.Get("x0").(*dA).K },
+					func(b Bindings, v *dB) bool { return v.K == b.Get("x0").(*dA).K }),
+			},
+			Then: func(ctx *Context) {},
 		},
 	}
 }

@@ -54,12 +54,19 @@ type Pattern struct {
 	// satisfies the guard, binding nothing (Drools "exists").
 	existential bool
 	// index, when non-empty, names an alpha-memory index (registered with
-	// Session.AddIndex on this pattern's fact type) that the incremental
-	// matcher probes instead of scanning every fact of the type. lookup
-	// computes the probe key from the earlier bindings.
-	index  string
-	lookup func(b Bindings) any
+	// AddIndexOf on this pattern's fact type) that the incremental matcher
+	// probes instead of scanning every fact of the type. bind resolves the
+	// hint once, at AddRule: it checks that the registered index is keyed by
+	// the lookup's result type and returns the typed probe, so a probe
+	// neither boxes its key nor repeats the type check.
+	index string
+	bind  func(ix alphaIndex) (prober, error)
 }
+
+// prober finds the index bucket a hinted pattern joins against, given the
+// bindings of the earlier patterns. A non-nil seed subscribes to the probed
+// key (see seed); a nil seed only reads, and gets nil for an absent key.
+type prober func(t *tuple, sd *seed) *bucket
 
 // Match constructs a Pattern matching facts of dynamic type T (use the
 // same type facts are inserted with — conventionally a pointer type). The
@@ -78,16 +85,28 @@ func Match[T any](name string, where func(b Bindings, v T) bool) Pattern {
 
 // MatchOn is Match with an alpha-index hint: instead of scanning every
 // fact of type T, the incremental matcher probes the named index (see
-// Session.AddIndex) with the key computed by lookup from the bindings of
-// earlier patterns. The hint is pure acceleration — the guard must still
-// fully constrain the match on its own, because the reference engine (and
-// any pattern whose index is missing a bucket) ignores hints. The probe
-// key's dynamic type must equal the index key function's result type, or
-// the probe silently finds nothing.
-func MatchOn[T any](name, index string, lookup func(b Bindings) any, where func(b Bindings, v T) bool) Pattern {
-	p := Match(name, where)
+// AddIndexOf) with the key computed by lookup from the bindings of earlier
+// patterns. The hint is pure acceleration — the guard must still fully
+// constrain the match on its own, because the reference engine ignores
+// hints. K must be the index's key type; AddRule rejects a mismatch.
+func MatchOn[T any, K comparable](name, index string, lookup func(b Bindings) K, where func(b Bindings, v T) bool) Pattern {
+	return hinted(Match(name, where), index, lookup)
+}
+
+// hinted attaches an index hint to p.
+func hinted[K comparable](p Pattern, index string, lookup func(b Bindings) K) Pattern {
 	p.index = index
-	p.lookup = lookup
+	if lookup == nil {
+		return p // rejected by validate
+	}
+	p.bind = func(ix alphaIndex) (prober, error) {
+		tix, ok := ix.(*typedIndex[K])
+		if !ok {
+			var k K
+			return nil, fmt.Errorf("lookup returns %T keys", k)
+		}
+		return func(t *tuple, sd *seed) *bucket { return tix.probe(lookup(t), sd) }, nil
+	}
 	return p
 }
 
@@ -101,11 +120,8 @@ func Not[T any](where func(b Bindings, v T) bool) Pattern {
 }
 
 // NotOn is Not with an alpha-index hint; see MatchOn.
-func NotOn[T any](index string, lookup func(b Bindings) any, where func(b Bindings, v T) bool) Pattern {
-	p := Not(where)
-	p.index = index
-	p.lookup = lookup
-	return p
+func NotOn[T any, K comparable](index string, lookup func(b Bindings) K, where func(b Bindings, v T) bool) Pattern {
+	return hinted(Not(where), index, lookup)
 }
 
 // Exists constructs an existential Pattern (Drools "exists"): the rule
@@ -119,11 +135,8 @@ func Exists[T any](where func(b Bindings, v T) bool) Pattern {
 }
 
 // ExistsOn is Exists with an alpha-index hint; see MatchOn.
-func ExistsOn[T any](index string, lookup func(b Bindings) any, where func(b Bindings, v T) bool) Pattern {
-	p := Exists(where)
-	p.index = index
-	p.lookup = lookup
-	return p
+func ExistsOn[T any, K comparable](index string, lookup func(b Bindings) K, where func(b Bindings, v T) bool) Pattern {
+	return hinted(Exists(where), index, lookup)
 }
 
 // Rule is a production: when all patterns match (a join), the action runs.
@@ -151,7 +164,7 @@ type Rule struct {
 }
 
 // maxPatterns bounds the number of positive (binding) patterns per rule so
-// refraction keys fit a fixed-size comparable struct (see refKey).
+// tuples and refraction keys are fixed-size values (see tuple, refKey).
 const maxPatterns = 6
 
 func (r *Rule) validate() error {
@@ -167,7 +180,7 @@ func (r *Rule) validate() error {
 		if p.typ == nil {
 			return fmt.Errorf("rules: rule %q pattern %d built without Match/Not", r.Name, i)
 		}
-		if p.index != "" && p.lookup == nil {
+		if p.index != "" && p.bind == nil {
 			return fmt.Errorf("rules: rule %q pattern %d names index %q without a lookup", r.Name, i, p.index)
 		}
 		if p.negated || p.existential {
@@ -196,7 +209,8 @@ func (r *Rule) validate() error {
 
 // Context is passed to a firing rule's action. It exposes the matched
 // bindings and working-memory operations. Mutating a fact's fields must be
-// followed by Update for dependent rules to re-evaluate.
+// followed by Update for dependent rules to re-evaluate. The session reuses
+// one Context across firings, so an action must not retain it.
 type Context struct {
 	s     *Session
 	tuple *tuple
@@ -271,27 +285,58 @@ func CtxCountOf[T any](c *Context, pred func(T) bool) int {
 	return n
 }
 
-// tuple is a concrete Bindings: the facts matched by a rule's patterns.
+// tuple is the concrete Bindings: the facts bound by a rule's positive
+// patterns, in pattern order. It is a fixed-size value — the join binds and
+// unbinds in place and an activation holds a copy — and the binding names
+// are the rule's (ruleRT.names), not a per-tuple slice.
 type tuple struct {
-	names   []string
-	handles []FactHandle
-	values  []any
+	names *[maxPatterns]string
+	n     int
+	recs  [maxPatterns]*factRecord
 }
 
 func (t *tuple) Get(name string) any {
-	for i, n := range t.names {
-		if n == name {
-			return t.values[i]
+	for i := 0; i < t.n; i++ {
+		if t.names[i] == name {
+			return t.recs[i].value
 		}
 	}
 	return nil
 }
 
 func (t *tuple) Handle(name string) FactHandle {
-	for i, n := range t.names {
-		if n == name {
-			return t.handles[i]
+	for i := 0; i < t.n; i++ {
+		if t.names[i] == name {
+			return t.recs[i].handle
 		}
 	}
 	return 0
+}
+
+// binds reports whether rec already occupies a position of the tuple: a
+// fact may satisfy at most one pattern position.
+func (t *tuple) binds(rec *factRecord) bool {
+	for i := 0; i < t.n; i++ {
+		if t.recs[i] == rec {
+			return true
+		}
+	}
+	return false
+}
+
+// refKey builds the tuple's refraction key and returns it with the maximum
+// recency across the bound facts.
+func (t *tuple) refKey(ruleIndex int, noLoop bool) (refKey, int64) {
+	key := refKey{rule: int32(ruleIndex)}
+	var maxRec int64
+	for i := 0; i < t.n; i++ {
+		key.handles[i] = t.recs[i].handle
+		if t.recs[i].recency > maxRec {
+			maxRec = t.recs[i].recency
+		}
+	}
+	if !noLoop {
+		key.maxRec = maxRec
+	}
+	return key, maxRec
 }

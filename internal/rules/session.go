@@ -19,23 +19,10 @@ type factRecord struct {
 	handle  FactHandle
 	value   any
 	recency int64 // bumped on insert and update; drives conflict resolution
-}
-
-// ruleRT is the per-rule runtime state of the incremental matcher.
-type ruleRT struct {
-	// indexes[i] is the resolved alpha index probed by pattern i, or nil
-	// when the pattern scans the type extent.
-	indexes []*alphaIndex
-	// acts is the rule's slice of the persistent agenda: every currently
-	// valid, unfired activation, kept across firings and repaired only
-	// when the rule goes dirty.
-	acts []*activation
-	// dirty marks that working memory was touched for one of the rule's
-	// premise types (or the gate flipped on), so acts must be re-joined.
-	dirty bool
-	// gateOn is the gate's value at the last pick, so gate flips are
-	// detected without fact mutation.
-	gateOn bool
+	live    bool  // false once retracted; tuples and queues may outlive the fact
+	// buckets[i] is the bucket the fact sits in under the i-th index of
+	// its type (Session.typeIndexes order).
+	buckets []bucketRef
 }
 
 // Session is a rule session: working memory plus a rule base. It
@@ -43,12 +30,14 @@ type ruleRT struct {
 // Memory is the working memory of one long-lived session.
 //
 // Matching is incremental (Rete-style): each fact type's extent is an
-// alpha memory, mutations dirty only the rules whose premises mention the
-// touched type, and each rule's activations persist between firings.
-// Guards must therefore be pure functions of the facts bound by the rule's
-// patterns — a guard (or gate) reading other mutable state must be paired
-// with Invalidate when that state changes, and a fact mutated in place is
-// invisible to matching until Update is called.
+// alpha memory, activations persist between firings in one ordered agenda,
+// and a mutation dirties only the seeds (first-position facts) of each rule
+// whose join bound or probed the touched fact (see join.go). Guards and
+// probe-key functions must therefore be pure functions of the facts bound
+// by the rule's patterns (and, for a guard, the candidate) — one reading
+// other mutable state must be paired with Invalidate when that state
+// changes, and a fact mutated in place is invisible to matching until
+// Update is called.
 //
 // Sessions are safe for concurrent use; every exported method locks.
 type Session struct {
@@ -56,26 +45,38 @@ type Session struct {
 	rules    []*Rule
 	rt       []*ruleRT
 	facts    map[FactHandle]*factRecord
-	byType   map[reflect.Type]*handleList // insertion-ordered per type
-	identity map[any]FactHandle
+	byType   map[reflect.Type]*recList // insertion-ordered per type
+	identity map[any]*factRecord
 	// indexes holds the registered alpha indexes; typeIndexes groups them
 	// by fact type for maintenance on insert/update/retract.
-	indexes     map[indexID]*alphaIndex
-	typeIndexes map[reflect.Type][]*alphaIndex
-	// typeRules maps a fact type to the rules whose premises (positive or
-	// quantified) mention it — the dirty-set propagation fan-out.
-	typeRules map[reflect.Type][]int
+	indexes     map[indexID]alphaIndex
+	typeIndexes map[reflect.Type][]alphaIndex
+	// seedRules maps a fact type to the rules whose first pattern matches
+	// it: a touched fact of the type is a dirty seed of each. scanRules
+	// maps a type to the rules that scan its whole extent at a later
+	// position (no index hint), where any touched fact dirties every seed.
+	seedRules map[reflect.Type][]*ruleRT
+	scanRules map[reflect.Type][]*ruleRT
 	next      FactHandle
 	clock     int64
-	fired     map[refKey]bool // refraction memory
-	// firedByHandle indexes refraction keys by the fact handles they
-	// reference, so retracting a fact garbage-collects its keys — without
-	// this, a long-lived session (the paper's Policy Memory persists for
-	// the service lifetime) would leak refraction state forever.
-	firedByHandle map[FactHandle][]refKey
-	firings       int64
-	halted        bool
-	logger        func(format string, args ...any)
+	// fired is the refraction memory. A key is dead once one of its facts
+	// is retracted or (unless NoLoop) updated: handles are never reused
+	// and recency only grows, so a dead key can never match again. Dead
+	// keys are swept whenever the map doubles (markFired), which bounds
+	// it by twice the live keys however long the session lives — the
+	// paper's Policy Memory persists for the service lifetime.
+	fired   map[refKey]struct{}
+	sweepAt int
+	agenda  agenda
+	// tup is the join's working tuple and ctx the Context handed to
+	// actions; both are reused, since guards and actions run under the
+	// session lock and cannot re-enter the matcher.
+	tup     tuple
+	ctx     Context
+	probes  int64 // see Probes
+	firings int64
+	halted  bool
+	logger  func(format string, args ...any)
 	// observer, when set, is invoked once per rule firing with the rule
 	// name and its salience, in firing (i.e. conflict-resolution) order.
 	// It runs with the session lock held, so it must not call back into
@@ -91,16 +92,19 @@ type Session struct {
 
 // NewSession returns an empty session.
 func NewSession() *Session {
-	return &Session{
-		facts:         make(map[FactHandle]*factRecord),
-		byType:        make(map[reflect.Type]*handleList),
-		identity:      make(map[any]FactHandle),
-		indexes:       make(map[indexID]*alphaIndex),
-		typeIndexes:   make(map[reflect.Type][]*alphaIndex),
-		typeRules:     make(map[reflect.Type][]int),
-		fired:         make(map[refKey]bool),
-		firedByHandle: make(map[FactHandle][]refKey),
+	s := &Session{
+		facts:       make(map[FactHandle]*factRecord),
+		byType:      make(map[reflect.Type]*recList),
+		identity:    make(map[any]*factRecord),
+		indexes:     make(map[indexID]alphaIndex),
+		typeIndexes: make(map[reflect.Type][]alphaIndex),
+		seedRules:   make(map[reflect.Type][]*ruleRT),
+		scanRules:   make(map[reflect.Type][]*ruleRT),
+		fired:       make(map[refKey]struct{}),
+		sweepAt:     minSweep,
 	}
+	s.ctx.s = s
+	return s
 }
 
 // Firings returns the total number of rule firings over the session's
@@ -111,13 +115,57 @@ func (s *Session) Firings() int64 {
 	return s.firings
 }
 
-// RefractionSize returns the number of retained refraction entries
-// (diagnostic; bounded by the live fact population thanks to retraction
-// garbage collection).
+// Probes returns the number of pattern evaluations (a first-pattern guard, an
+// index probe or an extent scan) the incremental matcher has made over the
+// session's lifetime: its unit of repair work, independent of the clock.
+func (s *Session) Probes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.probes
+}
+
+// RefractionSize returns the number of refraction keys the session retains,
+// dead ones awaiting the next sweep included (diagnostic; at most
+// max(minSweep, twice the live keys)).
 func (s *Session) RefractionSize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.fired)
+}
+
+// minSweep is the smallest refraction-memory size that triggers a sweep.
+const minSweep = 64
+
+// markFired records key in the refraction memory, sweeping dead keys first
+// when the memory has doubled since the last sweep.
+func (s *Session) markFired(key refKey) {
+	if len(s.fired) >= s.sweepAt {
+		for k := range s.fired {
+			if !s.keyLive(k) {
+				delete(s.fired, k)
+			}
+		}
+		s.sweepAt = max(minSweep, 2*len(s.fired))
+	}
+	s.fired[key] = struct{}{}
+}
+
+// keyLive reports whether a refraction key could still suppress a firing:
+// every fact is in working memory and, unless the rule is NoLoop (maxRec
+// 0), none was updated since the key was recorded.
+func (s *Session) keyLive(k refKey) bool {
+	var maxRec int64
+	for _, h := range k.handles {
+		if h == 0 {
+			break
+		}
+		rec := s.facts[h]
+		if rec == nil {
+			return false
+		}
+		maxRec = max(maxRec, rec.recency)
+	}
+	return k.maxRec == 0 || k.maxRec == maxRec
 }
 
 // SetOldestFirst selects FIFO conflict resolution: at equal salience,
@@ -126,7 +174,10 @@ func (s *Session) RefractionSize() int {
 func (s *Session) SetOldestFirst(v bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.oldestFirst = v
+	if s.oldestFirst != v {
+		s.oldestFirst = v
+		s.agenda.reorder(s)
+	}
 }
 
 // SetLogger installs a trace logger (e.g. testing.T.Logf). Nil disables.
@@ -166,21 +217,9 @@ func (s *Session) AddRule(r *Rule) error {
 			return fmt.Errorf("rules: duplicate rule name %q", r.Name)
 		}
 	}
-	rt := &ruleRT{indexes: make([]*alphaIndex, len(r.When)), dirty: true, gateOn: true}
-	idx := len(s.rules)
-	types := map[reflect.Type]bool{}
-	for i, p := range r.When {
-		if p.index != "" {
-			ix := s.indexes[indexID{typ: p.typ, name: p.index}]
-			if ix == nil {
-				return fmt.Errorf("rules: rule %q pattern %d references unregistered index %q on %v", r.Name, i, p.index, p.typ)
-			}
-			rt.indexes[i] = ix
-		}
-		if !types[p.typ] {
-			types[p.typ] = true
-			s.typeRules[p.typ] = append(s.typeRules[p.typ], idx)
-		}
+	rt, err := s.newRuleRT(r, len(s.rules))
+	if err != nil {
+		return err
 	}
 	s.rules = append(s.rules, r)
 	s.rt = append(s.rt, rt)
@@ -197,21 +236,14 @@ func (s *Session) MustAddRules(rs ...*Rule) {
 	}
 }
 
-// markDirty flags every rule with a premise on type t for re-join.
-func (s *Session) markDirty(t reflect.Type) {
-	for _, i := range s.typeRules[t] {
-		s.rt[i].dirty = true
-	}
-}
-
-// Invalidate marks every rule for re-join at the next firing cycle. Call it
-// when state outside working memory that guards or index keys read — for the
-// policy layer, the active bundle's tunables — changes.
+// Invalidate marks every seed of every rule for re-join at the next firing
+// cycle. Call it when state outside working memory that guards or probe
+// keys read — for the policy layer, the active bundle's tunables — changes.
 func (s *Session) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rt := range s.rt {
-		rt.dirty = true
+		rt.allDirty = true
 	}
 }
 
@@ -227,27 +259,29 @@ func (s *Session) insert(v any) FactHandle {
 	if v == nil {
 		panic("rules: insert of nil fact")
 	}
-	if h, ok := s.identity[v]; ok {
-		return h
+	if rec, ok := s.identity[v]; ok {
+		return rec.handle
 	}
 	s.next++
 	s.clock++
-	h := s.next
-	rec := &factRecord{handle: h, value: v, recency: s.clock}
-	s.facts[h] = rec
+	rec := &factRecord{handle: s.next, value: v, recency: s.clock, live: true}
+	s.facts[rec.handle] = rec
 	t := reflect.TypeOf(v)
 	l := s.byType[t]
 	if l == nil {
-		l = newHandleList()
+		l = newRecList()
 		s.byType[t] = l
 	}
-	l.add(h)
-	s.identity[v] = h
-	for _, ix := range s.typeIndexes[t] {
-		ix.insert(h, v)
+	l.add(rec)
+	s.identity[v] = rec
+	if ixs := s.typeIndexes[t]; len(ixs) > 0 {
+		rec.buckets = make([]bucketRef, len(ixs))
+		for _, ix := range ixs {
+			ix.insert(rec)
+		}
 	}
-	s.markDirty(t)
-	return h
+	s.touched(t, rec)
+	return rec.handle
 }
 
 // Update marks an existing fact (matched by identity) as modified so rules
@@ -259,17 +293,17 @@ func (s *Session) Update(v any) {
 }
 
 func (s *Session) update(v any) {
-	h, ok := s.identity[v]
+	rec, ok := s.identity[v]
 	if !ok {
 		return
 	}
 	s.clock++
-	s.facts[h].recency = s.clock
+	rec.recency = s.clock
 	t := reflect.TypeOf(v)
 	for _, ix := range s.typeIndexes[t] {
-		ix.update(h, v)
+		ix.update(rec)
 	}
-	s.markDirty(t)
+	s.touched(t, rec)
 }
 
 // Retract removes a fact (matched by identity). Unknown facts are ignored.
@@ -280,8 +314,8 @@ func (s *Session) Retract(v any) {
 }
 
 func (s *Session) retract(v any) {
-	if h, ok := s.identity[v]; ok {
-		s.retractHandle(h)
+	if rec, ok := s.identity[v]; ok {
+		s.retractHandle(rec.handle)
 	}
 }
 
@@ -290,21 +324,15 @@ func (s *Session) retractHandle(h FactHandle) {
 	if !ok {
 		return
 	}
+	rec.live = false
 	delete(s.facts, h)
 	delete(s.identity, rec.value)
 	t := reflect.TypeOf(rec.value)
-	if l := s.byType[t]; l != nil {
-		l.remove(h)
-	}
+	s.byType[t].remove(rec)
 	for _, ix := range s.typeIndexes[t] {
-		ix.retract(h)
+		ix.retract(rec)
 	}
-	// Garbage-collect refraction entries referencing the retracted fact.
-	for _, key := range s.firedByHandle[h] {
-		delete(s.fired, key)
-	}
-	delete(s.firedByHandle, h)
-	s.markDirty(t)
+	s.touched(t, rec)
 }
 
 // FactCount returns the number of facts in working memory.
@@ -327,12 +355,11 @@ func (s *Session) factsOfType(t reflect.Type) []any {
 	if l == nil {
 		return nil
 	}
-	out := make([]any, 0, l.size())
-	for _, h := range l.items {
-		if h == 0 {
-			continue
+	out := make([]any, 0, len(l.pos))
+	for _, rec := range l.items {
+		if rec != nil {
+			out = append(out, rec.value)
 		}
-		out = append(out, s.facts[h].value)
 	}
 	return out
 }
@@ -387,15 +414,21 @@ func (s *Session) FireAll(budget int) (int, error) {
 		if act == nil {
 			return firings, nil
 		}
-		s.fired[act.key] = true
-		for _, h := range act.tuple.handles {
-			s.firedByHandle[h] = append(s.firedByHandle[h], act.key)
+		s.markFired(act.key)
+		if !s.reference {
+			s.agenda.take(s, act)
 		}
-		s.logf("fire %s %v", act.rule.Name, act.tuple.handles)
+		if s.logger != nil {
+			s.logf("fire %s %v", act.rule.Name, act.key.handles[:act.tuple.n])
+		}
 		if s.observer != nil {
 			s.observer(act.rule.Name, act.rule.Salience)
 		}
-		act.rule.Then(&Context{s: s, tuple: act.tuple, rule: act.rule})
+		s.ctx.tuple, s.ctx.rule = &act.tuple, act.rule
+		act.rule.Then(&s.ctx)
+		if !s.reference {
+			s.agenda.recycle(act)
+		}
 		firings++
 		s.firings++
 		if s.halted {
@@ -408,8 +441,8 @@ func (s *Session) FireAll(budget int) (int, error) {
 	return firings, fmt.Errorf("%w after %d firings", ErrBudgetExhausted, firings)
 }
 
-// pick returns the activation winning conflict resolution, or nil.
-// Called with s.mu held.
+// pick returns the activation winning conflict resolution, or nil; it
+// stays on the agenda until taken. Called with s.mu held.
 func (s *Session) pick() *activation {
 	if s.reference {
 		return s.bestActivationNaive()
@@ -423,18 +456,19 @@ func (s *Session) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.facts = make(map[FactHandle]*factRecord)
-	s.byType = make(map[reflect.Type]*handleList)
-	s.identity = make(map[any]FactHandle)
-	s.fired = make(map[refKey]bool)
-	s.firedByHandle = make(map[FactHandle][]refKey)
+	s.byType = make(map[reflect.Type]*recList)
+	s.identity = make(map[any]*factRecord)
+	s.fired = make(map[refKey]struct{})
+	s.sweepAt = minSweep
 	s.halted = false
 	for _, ix := range s.indexes {
-		ix.buckets = make(map[any]*handleList)
-		ix.keyOf = make(map[FactHandle]any)
+		ix.reset()
 	}
+	s.agenda = agenda{}
 	for _, rt := range s.rt {
-		rt.acts = nil
-		rt.dirty = true
+		rt.seeds = make(map[FactHandle]*seed)
+		rt.dirty = nil
+		rt.allDirty = true
 		rt.gateOn = true
 	}
 }
