@@ -4,10 +4,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// Figure benchmarks execute the full-scale workflow (89 staging jobs) with
-// one trial per data point per iteration and report the key scalar of the
-// figure as a custom metric; `cmd/sweep` prints the full series with the
-// paper's trial count.
+// BenchmarkExperiments runs the same experiment registry as `cmd/sweep`,
+// on the full-scale workflow (89 staging jobs) with one trial per data
+// point per iteration; `cmd/sweep` prints the tables with the paper's
+// trial count.
 package policyflow_test
 
 import (
@@ -20,161 +20,25 @@ import (
 	"policyflow/internal/policy"
 	"policyflow/internal/rules"
 	"policyflow/internal/simnet"
-	"policyflow/internal/synth"
-	"policyflow/internal/tuner"
 	"policyflow/internal/workflow"
 )
 
-// benchOptions runs each figure point once per bench iteration.
-func benchOptions(i int) experiment.Options {
-	return experiment.Options{Trials: 1, Seed: int64(i + 1)}
-}
-
-// BenchmarkTableIV regenerates Table IV (analytic, like the paper).
-func BenchmarkTableIV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab := experiment.TableIV()
-		if tab[50][2] != 63 || tab[200][2] != 160 {
-			b.Fatalf("Table IV wrong: %+v", tab)
-		}
+// BenchmarkExperiments regenerates every registered table and figure of
+// the paper's evaluation, one sub-benchmark per experiment, with one trial
+// per data point per iteration.
+func BenchmarkExperiments(b *testing.B) {
+	exps, err := experiment.Lookup("all")
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkFig2Clustering regenerates the clustering comparison of Fig. 2.
-func BenchmarkFig2Clustering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig2Clustering(10, 4, benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Unclustered.Mean, "unclustered-s")
-		b.ReportMetric(res.Clustered.Mean, "clustered-s")
-	}
-}
-
-// BenchmarkFig5 regenerates Fig. 5: execution time vs default streams for
-// each additional-file size at greedy threshold 50.
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.Fig5(benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p, ok := experiment.FindPoint(pts, "500MB", 8); ok {
-			b.ReportMetric(p.MeanSeconds, "500MB@8str-s")
-		}
-	}
-}
-
-// benchFigThreshold regenerates one of Figs. 6-9.
-func benchFigThreshold(b *testing.B, fileMB float64) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.FigThreshold(fileMB, benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g50, _ := experiment.FindPoint(pts, "greedy-50", 8)
-		np, _ := experiment.FindPoint(pts, "no-policy", 4)
-		b.ReportMetric(g50.MeanSeconds, "greedy50@8-s")
-		b.ReportMetric(np.MeanSeconds, "nopolicy@4-s")
-	}
-}
-
-// BenchmarkFig6 regenerates Fig. 6 (10 MB additional files).
-func BenchmarkFig6(b *testing.B) { benchFigThreshold(b, 10) }
-
-// BenchmarkFig7 regenerates Fig. 7 (100 MB additional files).
-func BenchmarkFig7(b *testing.B) { benchFigThreshold(b, 100) }
-
-// BenchmarkFig8 regenerates Fig. 8 (500 MB additional files).
-func BenchmarkFig8(b *testing.B) { benchFigThreshold(b, 500) }
-
-// BenchmarkFig9 regenerates Fig. 9 (1 GB additional files).
-func BenchmarkFig9(b *testing.B) { benchFigThreshold(b, 1000) }
-
-// BenchmarkAblationBalancedVsGreedy compares the two allocators under
-// transfer clustering.
-func BenchmarkAblationBalancedVsGreedy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiment.BalancedVsGreedy(100, 4, benchOptions(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cmp.Greedy.Mean, "greedy-s")
-		b.ReportMetric(cmp.Balanced.Mean, "balanced-s")
-	}
-}
-
-// BenchmarkAblationPriorities compares the structure-based priority
-// algorithms of Section III(c).
-func BenchmarkAblationPriorities(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.PriorityAblation(100, experiment.Options{
-			Trials: 1, GridSize: 6, Seed: int64(i + 1),
+	for _, e := range exps {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(experiment.Options{Trials: 1, Seed: int64(i + 1)}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res["none"].Mean, "none-s")
-		b.ReportMetric(res["dependent"].Mean, "dependent-s")
-	}
-}
-
-// BenchmarkAblationMultiWorkflow measures cross-workflow file sharing.
-func BenchmarkAblationMultiWorkflow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.MultiWorkflow(100, true, experiment.Options{
-			Trials: 1, GridSize: 6, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.TransfersSuppressed), "suppressed")
-	}
-}
-
-// BenchmarkAblationPolicyOverhead sweeps the simulated policy-call latency.
-func BenchmarkAblationPolicyOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiment.PolicyOverheadSweep([]float64{0, 1}, experiment.Options{
-			Trials: 1, GridSize: 6, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(pts[1].Makespan.Mean-pts[0].Makespan.Mean, "latency-cost-s")
-	}
-}
-
-// BenchmarkSyntheticShapes runs the priority ablation across synthetic
-// workflow shapes (scrambled submission, scarce staging slots).
-func BenchmarkSyntheticShapes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.SyntheticPriorityAblation(
-			[]synth.Shape{synth.Diamond}, experiment.Options{Trials: 1, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res[0].Makespans["none"].Mean, "none-s")
-		b.ReportMetric(res[0].Makespans["dependent"].Mean, "dependent-s")
-	}
-}
-
-// BenchmarkTunerConvergence runs the future-work threshold learner: a
-// UCB1 bandit choosing thresholds for 20 full workflow episodes.
-func BenchmarkTunerConvergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		learner, err := tuner.NewUCB1(tuner.DefaultArms(), 0.3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := experiment.TuneThreshold(100, 20, learner, experiment.Options{
-			Trials: 1, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Best), "best-threshold")
 	}
 }
 
@@ -317,7 +181,7 @@ func BenchmarkDAGPriorities(b *testing.B) {
 // paper's headline configuration (100 MB, greedy 50, 8 streams).
 func BenchmarkFullMontageRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := experiment.RunMontage(experiment.Scenario{
+		m, err := experiment.Run(experiment.Scenario{
 			ExtraMB: 100, UsePolicy: true, Algorithm: policy.AlgoGreedy,
 			Threshold: 50, DefaultStreams: 8, Seed: int64(i + 1),
 		})

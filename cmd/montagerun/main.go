@@ -16,6 +16,7 @@ import (
 	"policyflow/internal/dag"
 	"policyflow/internal/experiment"
 	"policyflow/internal/policy"
+	"policyflow/internal/stats"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 	}
 
 	if *trials == 1 {
-		m, err := experiment.RunMontage(s)
+		m, err := experiment.Run(s)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "montagerun: %v\n", err)
 			os.Exit(1)
@@ -77,14 +78,26 @@ func main() {
 		fmt.Printf("cleanups executed   %d\n", m.CleanupsExecuted)
 		return
 	}
-	ser, err := experiment.RunTrials(s, *trials)
+	ms, err := experiment.Trials(s, *trials, experiment.FigureStride, experiment.Run)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "montagerun: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("makespan            %s s\n", ser.Makespan)
-	fmt.Printf("max WAN streams     %d\n", ser.MaxWANStreams)
-	fmt.Printf("mean failures       %.1f\n", ser.MeanFailures)
-	fmt.Printf("mean retries        %.1f\n", ser.MeanRetries)
-	fmt.Printf("mean suppressed     %.1f\n", ser.MeanSuppressed)
+	// Aggregate the completed trials only.
+	var makespan, failures, retries, suppressed []float64
+	peak := 0
+	for _, m := range ms {
+		if m.Completed {
+			makespan = append(makespan, m.MakespanSeconds)
+			failures = append(failures, float64(m.TransferFailures))
+			retries = append(retries, float64(m.Retries))
+			suppressed = append(suppressed, float64(m.TransfersSuppressed))
+			peak = max(peak, m.MaxWANStreams)
+		}
+	}
+	fmt.Printf("makespan            %s s\n", stats.Summarize(makespan))
+	fmt.Printf("max WAN streams     %d\n", peak)
+	fmt.Printf("mean failures       %.1f\n", stats.Mean(failures))
+	fmt.Printf("mean retries        %.1f\n", stats.Mean(retries))
+	fmt.Printf("mean suppressed     %.1f\n", stats.Mean(suppressed))
 }

@@ -15,13 +15,13 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"policyflow/internal/experiment"
-	"policyflow/internal/tuner"
 )
 
 func main() {
@@ -30,148 +30,57 @@ func main() {
 		trials = flag.Int("trials", 5, "trials per data point (paper: >= 5)")
 		grid   = flag.Int("grid", 0, "Montage grid size (0 = paper's 9x9)")
 		seed   = flag.Int64("seed", 1, "base random seed")
-		csvDir = flag.String("csv", "", "also write each figure's points as CSV into this directory")
+		csvDir = flag.String("csv", "", "also write each table as CSV into this directory")
 	)
 	flag.Parse()
+	exps, err := experiment.Lookup(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(2)
+	}
 	o := experiment.Options{Trials: *trials, GridSize: *grid, Seed: *seed}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+	for _, e := range exps {
+		tables, err := e.Run(o)
+		if err == nil {
+			experiment.Write(os.Stdout, tables)
+			err = writeCSV(*csvDir, e.Name, tables)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sweep %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}
-	writeCSV := func(name string, pts []experiment.Point) error {
-		if *csvDir == "" {
-			return nil
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return experiment.WritePointsCSV(f, pts)
+}
+
+// writeCSV writes each table to dir as <name>.csv, or <name>-<i>.csv when
+// the experiment has several; an empty dir writes nothing.
+func writeCSV(dir, name string, tables []experiment.Table) error {
+	if dir == "" {
+		return nil
 	}
-
-	run := func(name string, fn func() error) {
-		switch *exp {
-		case name, "all":
-			if err := fn(); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Println()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i, t := range tables {
+		file := name
+		if len(tables) > 1 {
+			file = fmt.Sprintf("%s-%d", name, i+1)
+		}
+		f, err := os.Create(filepath.Join(dir, file+".csv"))
+		if err != nil {
+			return err
+		}
+		w := csv.NewWriter(f)
+		if t.Header != nil {
+			w.Write(t.Header)
+		}
+		err = w.WriteAll(t.Rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
 		}
 	}
-
-	run("table4", func() error {
-		fmt.Println("Table IV — maximum streams for simultaneous transfers (20 staging jobs)")
-		experiment.WriteTableIV(os.Stdout)
-		return nil
-	})
-	run("fig2", func() error {
-		res, err := experiment.Fig2Clustering(1, 4, o)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 2 — transfer clustering (1 MB files, cluster factor 4)")
-		fmt.Printf("unclustered: makespan %s, %d sessions\n", res.Unclustered, res.SessionsUnclustered)
-		fmt.Printf("clustered:   makespan %s, %d sessions\n", res.Clustered, res.SessionsClustered)
-		return nil
-	})
-	run("fig5", func() error {
-		pts, err := experiment.Fig5(o)
-		if err != nil {
-			return err
-		}
-		experiment.WritePoints(os.Stdout,
-			"Fig. 5 — workflow execution time vs default streams (greedy threshold 50, by file size)", pts)
-		return writeCSV("fig5", pts)
-	})
-	for _, f := range []struct {
-		name string
-		mb   float64
-	}{
-		{"fig6", 10}, {"fig7", 100}, {"fig8", 500}, {"fig9", 1000},
-	} {
-		f := f
-		run(f.name, func() error {
-			pts, err := experiment.FigThreshold(f.mb, o)
-			if err != nil {
-				return err
-			}
-			experiment.WritePoints(os.Stdout, fmt.Sprintf(
-				"Fig. %s — workflow execution time, %g MB additional files (greedy thresholds vs no policy)",
-				f.name[3:], f.mb), pts)
-			return writeCSV(f.name, pts)
-		})
-	}
-	run("tuner", func() error {
-		fmt.Println("Future work — machine-learned threshold (UCB1 bandit, 100 MB files)")
-		learner, err := tuner.NewUCB1(tuner.DefaultArms(), 0.3)
-		if err != nil {
-			return err
-		}
-		res, err := experiment.TuneThreshold(100, 40, learner, o)
-		if err != nil {
-			return err
-		}
-		experiment.WriteTunerResult(os.Stdout, res)
-		return nil
-	})
-	run("scalability", func() error {
-		fmt.Println("Future work — centralized service scalability (concurrent workflows)")
-		pts, err := experiment.ServiceScalability([]int{1, 2, 4, 8}, o)
-		if err != nil {
-			return err
-		}
-		experiment.WriteScalability(os.Stdout, pts)
-		return nil
-	})
-	run("ablations", func() error {
-		fmt.Println("Ablation — balanced vs greedy allocation (100 MB files, cluster factor 4)")
-		cmp, err := experiment.BalancedVsGreedy(100, 4, o)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("greedy:   %s\n", cmp.Greedy)
-		fmt.Printf("balanced: %s\n", cmp.Balanced)
-
-		fmt.Println("\nAblation — structure-based priorities (100 MB files)")
-		pr, err := experiment.PriorityAblation(100, o)
-		if err != nil {
-			return err
-		}
-		for _, name := range []string{"none", "bfs", "dfs", "direct-dependent", "dependent"} {
-			fmt.Printf("%-18s %s\n", name, pr[name])
-		}
-
-		fmt.Println("\nAblation — priorities across workflow shapes (scrambled submission, 2 staging slots)")
-		sres, err := experiment.SyntheticPriorityAblation(nil, o)
-		if err != nil {
-			return err
-		}
-		experiment.WriteShapePriorities(os.Stdout, sres)
-
-		fmt.Println("\nAblation — two concurrent workflows sharing staged files (100 MB)")
-		with, err := experiment.MultiWorkflow(100, true, o)
-		if err != nil {
-			return err
-		}
-		without, err := experiment.MultiWorkflow(100, false, o)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("with policy:    makespan %.1f s, %d executed, %d suppressed, %d cleanups blocked\n",
-			with.MakespanSeconds, with.TransfersExecuted, with.TransfersSuppressed, with.CleanupsSuppressed)
-		fmt.Printf("without policy: makespan %.1f s, %d executed\n",
-			without.MakespanSeconds, without.TransfersExecuted)
-
-		fmt.Println("\nAblation — policy service call overhead (100 MB, greedy 50)")
-		pts, err := experiment.PolicyOverheadSweep([]float64{0, 0.15, 1, 5}, o)
-		if err != nil {
-			return err
-		}
-		experiment.WriteOverheads(os.Stdout, pts)
-		return nil
-	})
+	return nil
 }

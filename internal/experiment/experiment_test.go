@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"policyflow/internal/policy"
+	"policyflow/internal/stats"
 )
 
 // paperScenario returns a full-scale (9x9 grid, 89 staging jobs) scenario.
@@ -19,8 +21,37 @@ func paperScenario(extraMB float64, usePolicy bool, threshold, defStreams int, s
 	}
 }
 
+// trials runs s for n trials with the figures' seed stride and summarizes
+// the completed makespans.
+func trials(t *testing.T, s Scenario, n int) stats.Summary {
+	t.Helper()
+	ms, err := Trials(s, n, FigureStride, Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, _, _ := makespan(ms)
+	return sum
+}
+
+// cell returns the cell of the table row whose leading cells equal key,
+// column col.
+func cell(t *testing.T, tab Table, col int, key ...string) string {
+	t.Helper()
+rows:
+	for _, row := range tab.Rows {
+		for i, k := range key {
+			if row[i] != k {
+				continue rows
+			}
+		}
+		return row[col]
+	}
+	t.Fatalf("%s: no row %v", tab.Title, key)
+	return ""
+}
+
 func TestRunMontageBasics(t *testing.T) {
-	m, err := RunMontage(paperScenario(100, true, 50, 8, 1))
+	m, err := Run(paperScenario(100, true, 50, 8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +92,7 @@ func TestMaxStreamsMatchTableIV(t *testing.T) {
 		{0, 4, false, 80}, // no policy: 20 jobs x 4 streams
 	}
 	for _, c := range cases {
-		m, err := RunMontage(paperScenario(100, c.usePolicy, c.threshold, c.defStreams, 3))
+		m, err := Run(paperScenario(100, c.usePolicy, c.threshold, c.defStreams, 3))
 		if err != nil {
 			t.Fatalf("th=%d d=%d: %v", c.threshold, c.defStreams, err)
 		}
@@ -73,24 +104,22 @@ func TestMaxStreamsMatchTableIV(t *testing.T) {
 }
 
 func TestTableIVAnalytic(t *testing.T) {
-	tab := TableIV()
-	want := map[int][]int{
-		50:  {57, 61, 63, 65, 65},
-		100: {80, 103, 107, 110, 111},
-		200: {80, 120, 160, 200, 203},
-		0:   {80, 120, 160, 200, 240},
+	tab, err := tableIV(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]int{
+		"50":        {57, 61, 63, 65, 65},
+		"100":       {80, 103, 107, 110, 111},
+		"200":       {80, 120, 160, 200, 203},
+		"no-policy": {80, 120, 160, 200, 240},
 	}
 	for th, row := range want {
 		for i, v := range row {
-			if tab[th][i] != v {
-				t.Errorf("TableIV[%d][%d] = %d, want %d", th, i, tab[th][i], v)
+			if got := cell(t, tab, i+1, th); got != strconv.Itoa(v) {
+				t.Errorf("Table IV [%s][%d] = %s, want %d", th, i, got, v)
 			}
 		}
-	}
-	var sb strings.Builder
-	WriteTableIV(&sb)
-	if !strings.Contains(sb.String(), "no-policy") {
-		t.Fatal("rendered table missing no-policy row")
 	}
 }
 
@@ -101,32 +130,23 @@ func TestFig7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure run")
 	}
-	trials := 3
-	g50, err := RunTrials(paperScenario(100, true, 50, 8, 11), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g200, err := RunTrials(paperScenario(100, true, 200, 8, 11), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := RunTrials(paperScenario(100, false, 0, 4, 11), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("greedy-50=%v greedy-200=%v no-policy=%v", g50.Makespan, g200.Makespan, np.Makespan)
+	n := 3
+	g50 := trials(t, paperScenario(100, true, 50, 8, 11), n)
+	g200 := trials(t, paperScenario(100, true, 200, 8, 11), n)
+	np := trials(t, paperScenario(100, false, 0, 4, 11), n)
+	t.Logf("greedy-50=%v greedy-200=%v no-policy=%v", g50, g200, np)
 	// Ordering: 50 < no-policy < 200.
-	if !(g50.Makespan.Mean < np.Makespan.Mean && np.Makespan.Mean < g200.Makespan.Mean) {
+	if !(g50.Mean < np.Mean && np.Mean < g200.Mean) {
 		t.Fatalf("ordering violated: 50=%.0f np=%.0f 200=%.0f",
-			g50.Makespan.Mean, np.Makespan.Mean, g200.Makespan.Mean)
+			g50.Mean, np.Mean, g200.Mean)
 	}
 	// Paper: no-policy 6.7% slower than greedy-50 (we accept 3-15%).
-	rel := np.Makespan.Mean/g50.Makespan.Mean - 1
+	rel := np.Mean/g50.Mean - 1
 	if rel < 0.03 || rel > 0.15 {
 		t.Errorf("no-policy vs greedy-50 = %.1f%%, want ~6.7%%", rel*100)
 	}
 	// Paper: greedy-200 28.8% slower than greedy-50 (we accept 18-45%).
-	rel = g200.Makespan.Mean/g50.Makespan.Mean - 1
+	rel = g200.Mean/g50.Mean - 1
 	if rel < 0.18 || rel > 0.45 {
 		t.Errorf("greedy-200 vs greedy-50 = %.1f%%, want ~28.8%%", rel*100)
 	}
@@ -138,16 +158,10 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure run")
 	}
-	trials := 2
-	g50, err := RunTrials(paperScenario(10, true, 50, 8, 21), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g200, err := RunTrials(paperScenario(10, true, 200, 8, 21), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread := g200.Makespan.Mean/g50.Makespan.Mean - 1
+	n := 2
+	g50 := trials(t, paperScenario(10, true, 50, 8, 21), n)
+	g200 := trials(t, paperScenario(10, true, 200, 8, 21), n)
+	spread := g200.Mean/g50.Mean - 1
 	if spread < 0 {
 		spread = -spread
 	}
@@ -164,21 +178,12 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure run")
 	}
-	trials := 2
-	g50, err := RunTrials(paperScenario(500, true, 50, 8, 31), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g100, err := RunTrials(paperScenario(500, true, 100, 8, 31), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := RunTrials(paperScenario(500, false, 0, 4, 31), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("500MB: greedy-50=%v greedy-100=%v no-policy=%v", g50.Makespan, g100.Makespan, np.Makespan)
-	rel := np.Makespan.Mean/g50.Makespan.Mean - 1
+	n := 2
+	g50 := trials(t, paperScenario(500, true, 50, 8, 31), n)
+	g100 := trials(t, paperScenario(500, true, 100, 8, 31), n)
+	np := trials(t, paperScenario(500, false, 0, 4, 31), n)
+	t.Logf("500MB: greedy-50=%v greedy-100=%v no-policy=%v", g50, g100, np)
+	rel := np.Mean/g50.Mean - 1
 	if rel < 0.06 || rel > 0.25 {
 		t.Errorf("500MB no-policy vs greedy-50 = %.1f%%, want ~14%%", rel*100)
 	}
@@ -187,7 +192,7 @@ func TestFig8Shape(t *testing.T) {
 	// make it land next to no-policy instead (documented deviation in
 	// EXPERIMENTS.md). Assert it stays well below threshold 200
 	// territory (which is ~40%+ worse at 500 MB).
-	rel = g100.Makespan.Mean/g50.Makespan.Mean - 1
+	rel = g100.Mean/g50.Mean - 1
 	if rel > 0.25 {
 		t.Errorf("500MB greedy-100 vs greedy-50 = %.1f%%, want < 25%%", rel*100)
 	}
@@ -202,21 +207,15 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure run")
 	}
-	trials := 2
-	g50, err := RunTrials(paperScenario(1000, true, 50, 8, 51), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := RunTrials(paperScenario(1000, false, 0, 4, 51), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("1GB: greedy-50=%v no-policy=%v", g50.Makespan, np.Makespan)
-	if g50.Makespan.Mean > np.Makespan.Mean*1.02 {
+	n := 2
+	g50 := trials(t, paperScenario(1000, true, 50, 8, 51), n)
+	np := trials(t, paperScenario(1000, false, 0, 4, 51), n)
+	t.Logf("1GB: greedy-50=%v no-policy=%v", g50, np)
+	if g50.Mean > np.Mean*1.02 {
 		t.Errorf("greedy-50 (%v) worse than no-policy (%v) at 1GB",
-			g50.Makespan.Mean, np.Makespan.Mean)
+			g50.Mean, np.Mean)
 	}
-	if rel := np.Makespan.Mean/g50.Makespan.Mean - 1; rel > 0.25 {
+	if rel := np.Mean/g50.Mean - 1; rel > 0.25 {
 		t.Errorf("1GB separation = %.1f%%, implausibly large", rel*100)
 	}
 }
@@ -228,11 +227,11 @@ func TestFig5Shape(t *testing.T) {
 		t.Skip("full-scale figure run")
 	}
 	// Size effect: 500 MB takes much longer than 10 MB.
-	m10, err := RunMontage(paperScenario(10, true, 50, 8, 41))
+	m10, err := Run(paperScenario(10, true, 50, 8, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m500, err := RunMontage(paperScenario(500, true, 50, 8, 41))
+	m500, err := Run(paperScenario(500, true, 50, 8, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +240,11 @@ func TestFig5Shape(t *testing.T) {
 			m10.MakespanSeconds, m500.MakespanSeconds)
 	}
 	// Stream-count effect at threshold 50: small (same saturated pipe).
-	d4, err := RunMontage(paperScenario(100, true, 50, 4, 41))
+	d4, err := Run(paperScenario(100, true, 50, 4, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d12, err := RunMontage(paperScenario(100, true, 50, 12, 41))
+	d12, err := Run(paperScenario(100, true, 50, 12, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,17 +259,18 @@ func TestFig5Shape(t *testing.T) {
 
 func TestMultiWorkflowSharing(t *testing.T) {
 	// Scaled-down grid for speed; the sharing logic is size-independent.
-	o := Options{Trials: 1, GridSize: 4, Seed: 5}
-	withPolicy, err := MultiWorkflow(10, true, o)
+	s := Scenario{ExtraMB: 10, GridSize: 4, Threshold: 50, DefaultStreams: 4, Seed: 5}
+	noPolicy, err := together(s, 2, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.UsePolicy = true
+	withPolicy, err := together(s, 2, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withPolicy.TransfersSuppressed == 0 {
 		t.Fatal("no duplicate suppression across workflows")
-	}
-	noPolicy, err := MultiWorkflow(10, false, o)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if noPolicy.TransfersSuppressed != 0 {
 		t.Fatal("suppression without policy?")
@@ -286,99 +286,90 @@ func TestMultiWorkflowSharing(t *testing.T) {
 }
 
 func TestFig2ClusteringReducesSessions(t *testing.T) {
-	o := Options{Trials: 1, GridSize: 4, Seed: 7}
-	res, err := Fig2Clustering(10, 4, o)
+	s := paperScenario(10, true, 50, 4, 7)
+	s.GridSize = 4
+	un, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SessionsClustered >= res.SessionsUnclustered {
-		t.Errorf("clustering did not reduce sessions: %d vs %d",
-			res.SessionsClustered, res.SessionsUnclustered)
+	s.ClusterFactor = 4
+	cl, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Sessions >= un.Sessions {
+		t.Errorf("clustering did not reduce sessions: %d vs %d", cl.Sessions, un.Sessions)
 	}
 }
 
 func TestBalancedVsGreedyRuns(t *testing.T) {
-	o := Options{Trials: 1, GridSize: 4, Seed: 9}
-	res, err := BalancedVsGreedy(10, 4, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Greedy.Mean <= 0 || res.Balanced.Mean <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
+	s := paperScenario(10, true, 50, 8, 9)
+	s.GridSize, s.ClusterFactor = 4, 4
+	g := trials(t, s, 1)
+	s.Algorithm = policy.AlgoBalanced
+	b := trials(t, s, 1)
+	if g.Mean <= 0 || b.Mean <= 0 {
+		t.Fatalf("degenerate result: greedy %v, balanced %v", g, b)
 	}
 }
 
 func TestPriorityAblationRuns(t *testing.T) {
-	o := Options{Trials: 1, GridSize: 3, Seed: 13}
-	res, err := PriorityAblation(10, o)
+	tab, err := priorities(Options{Trials: 1, GridSize: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"none", "bfs", "dfs", "direct-dependent", "dependent"} {
-		if _, ok := res[name]; !ok {
-			t.Errorf("missing algorithm %s", name)
+	if len(tab.Rows) != 5 || len(tab.Runs) != 5 {
+		t.Fatalf("rows = %d, runs = %d, want 5", len(tab.Rows), len(tab.Runs))
+	}
+	for i, name := range []string{"none", "bfs", "dfs", "direct-dependent", "dependent"} {
+		if got := strings.TrimSpace(tab.Rows[i][0]); got != name {
+			t.Errorf("row %d = %q, want algorithm %s", i, got, name)
 		}
 	}
 }
 
 func TestPolicyOverheadSweep(t *testing.T) {
-	o := Options{Trials: 1, GridSize: 4, Seed: 17}
-	pts, err := PolicyOverheadSweep([]float64{0, 2}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
+	s := paperScenario(100, true, 50, 8, 17)
+	s.GridSize = 4
+	s.PolicyCallSeconds = -1 // zero latency
+	free := trials(t, s, 1)
+	s.PolicyCallSeconds = 2
+	slow := trials(t, s, 1)
 	// Higher call latency can only slow the workflow down.
-	if pts[1].Makespan.Mean < pts[0].Makespan.Mean {
-		t.Errorf("latency sped things up: %+v", pts)
-	}
-	var sb strings.Builder
-	WriteOverheads(&sb, pts)
-	if !strings.Contains(sb.String(), "policy call latency") {
-		t.Fatal("overhead table malformed")
+	if slow.Mean < free.Mean {
+		t.Errorf("latency sped things up: %v vs %v", slow, free)
 	}
 }
 
 func TestFigDriversSmallGrid(t *testing.T) {
-	o := Options{Trials: 1, GridSize: 3, Seed: 19}
-	pts, err := FigThreshold(10, o)
+	tab, err := figThreshold("6", 10)(Options{Trials: 1, GridSize: 3, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 thresholds x 5 defaults + 1 no-policy point.
-	if len(pts) != 16 {
-		t.Fatalf("points = %d, want 16", len(pts))
+	if len(tab.Rows) != 16 {
+		t.Fatalf("points = %d, want 16", len(tab.Rows))
 	}
-	if _, ok := FindPoint(pts, "no-policy", 4); !ok {
-		t.Fatal("missing no-policy point")
-	}
-	if _, ok := FindPoint(pts, "greedy-50", 12); !ok {
-		t.Fatal("missing greedy-50 series")
-	}
-	var sb strings.Builder
-	WritePoints(&sb, "fig", pts)
-	if !strings.Contains(sb.String(), "greedy-200") {
-		t.Fatal("rendered points missing series")
+	cell(t, tab, 2, "no-policy", "4")
+	cell(t, tab, 2, "greedy-50", "12")
+	cell(t, tab, 2, "greedy-200", "8")
+	if want := []string{"series", "streams/transfer", "mean(s)", "stddev(s)", "max WAN streams", "DNF"}; strings.Join(tab.Header, "|") != strings.Join(want, "|") {
+		t.Fatalf("header = %q", tab.Header)
 	}
 }
 
 func TestRunTrialsAggregates(t *testing.T) {
 	s := paperScenario(10, true, 50, 4, 23)
 	s.GridSize = 3
-	ser, err := RunTrials(s, 3)
-	if err != nil {
-		t.Fatal(err)
+	sum := trials(t, s, 3)
+	if sum.N != 3 {
+		t.Fatalf("N = %d", sum.N)
 	}
-	if ser.Makespan.N != 3 {
-		t.Fatalf("N = %d", ser.Makespan.N)
-	}
-	if ser.Makespan.Mean <= 0 {
+	if sum.Mean <= 0 {
 		t.Fatal("zero mean")
 	}
 	// Distinct seeds: jitter should produce nonzero variance.
-	if ser.Makespan.StdDev == 0 {
+	if sum.StdDev == 0 {
 		t.Error("zero stddev across seeded trials")
 	}
 }

@@ -9,14 +9,19 @@ import (
 )
 
 func TestWriteTableIVGolden(t *testing.T) {
+	tab, err := tableIV(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	WriteTableIV(&sb)
+	Write(&sb, []Table{tab})
 	got := sb.String()
 	// Exact rows from the paper's Table IV.
 	for _, row := range []string{
 		"50         57  61   63   65   65",
 		"100        80  103  107  110  111",
 		"200        80  120  160  200  203",
+		"no-policy  80  120  160  200  240",
 	} {
 		if !strings.Contains(got, row) {
 			t.Errorf("missing row %q in:\n%s", row, got)
@@ -25,17 +30,17 @@ func TestWriteTableIVGolden(t *testing.T) {
 }
 
 func TestFig5PointCount(t *testing.T) {
-	pts, err := Fig5(Options{Trials: 1, GridSize: 3, Seed: 2})
+	tab, err := fig5()(Options{Trials: 1, GridSize: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 5 sizes x 5 stream settings.
-	if len(pts) != 25 {
-		t.Fatalf("points = %d, want 25", len(pts))
+	if len(tab.Rows) != 25 || len(tab.Runs) != 25 {
+		t.Fatalf("points = %d, runs = %d, want 25", len(tab.Rows), len(tab.Runs))
 	}
 	series := map[string]int{}
-	for _, p := range pts {
-		series[p.Series]++
+	for _, row := range tab.Rows {
+		series[row[0]]++
 	}
 	for _, s := range []string{"0MB", "10MB", "100MB", "500MB", "1000MB"} {
 		if series[s] != 5 {
@@ -43,8 +48,8 @@ func TestFig5PointCount(t *testing.T) {
 		}
 	}
 	// The 0MB series moves nothing over the WAN.
-	if p, ok := FindPoint(pts, "0MB", 8); !ok || p.MaxWANStreams != 0 {
-		t.Errorf("0MB point = %+v", p)
+	if got := cell(t, tab, 4, "0MB", "8"); got != "0" {
+		t.Errorf("0MB max WAN streams = %s", got)
 	}
 }
 
@@ -70,11 +75,11 @@ func TestScenarioPolicyCallLatencyOverride(t *testing.T) {
 	}
 	slow := base
 	slow.PolicyCallSeconds = 10
-	mBase, err := RunMontage(base)
+	mBase, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mSlow, err := RunMontage(slow)
+	mSlow, err := Run(slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestScenarioPolicyCallLatencyOverride(t *testing.T) {
 	}
 	fast := base
 	fast.PolicyCallSeconds = -1 // zero latency
-	mFast, err := RunMontage(fast)
+	mFast, err := Run(fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,7 @@ func TestScenarioPolicyCallLatencyOverride(t *testing.T) {
 }
 
 func TestMetricsExecAttached(t *testing.T) {
-	m, err := RunMontage(Scenario{
+	m, err := Run(Scenario{
 		ExtraMB: 10, UsePolicy: true, Threshold: 50, DefaultStreams: 4,
 		GridSize: 3, Seed: 5,
 	})

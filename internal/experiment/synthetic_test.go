@@ -1,10 +1,12 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 
+	"policyflow/internal/dag"
+	"policyflow/internal/policy"
 	"policyflow/internal/synth"
+	"policyflow/internal/workflow"
 )
 
 // TestPrioritiesHelpOnAsymmetricShapes: on scrambled-submission diamond
@@ -12,32 +14,35 @@ import (
 // algorithm must clearly beat unprioritized FIFO staging — the positive
 // counterpart to the Montage null result.
 func TestPrioritiesHelpOnAsymmetricShapes(t *testing.T) {
-	res, err := SyntheticPriorityAblation(
-		[]synth.Shape{synth.Diamond, synth.Chain}, Options{Trials: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	mean := func(shape synth.Shape, a dag.PriorityAlgorithm) float64 {
+		ms, err := Trials(shapeScenario(shape, a, 1), 3, AblationStride, synthetic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, _, _ := makespan(ms)
+		return sum.Mean
 	}
-	for _, r := range res {
-		none := r.Makespans["none"].Mean
-		dep := r.Makespans["dependent"].Mean
+	for _, shape := range []synth.Shape{synth.Diamond, synth.Chain} {
+		none, dep := mean(shape, ""), mean(shape, dag.Dependent)
 		if dep >= none {
-			t.Errorf("%s: dependent (%.0f) did not beat none (%.0f)", r.Shape, dep, none)
+			t.Errorf("%s: dependent (%.0f) did not beat none (%.0f)", shape, dep, none)
 		}
 		// At least 10% improvement on these shapes.
 		if (none-dep)/none < 0.10 {
-			t.Errorf("%s: improvement only %.1f%%", r.Shape, (none-dep)/none*100)
+			t.Errorf("%s: improvement only %.1f%%", shape, (none-dep)/none*100)
 		}
-	}
-	var sb strings.Builder
-	WriteShapePriorities(&sb, res)
-	if !strings.Contains(sb.String(), "diamond") {
-		t.Fatal("table missing shape rows")
 	}
 }
 
 func TestRunWorkflowValidation(t *testing.T) {
-	if _, err := RunWorkflow(WorkflowRun{}); err == nil {
-		t.Fatal("nil workflow accepted")
+	broken := workflow.New("broken")
+	broken.MustAddFile(&workflow.File{Name: "orphan", SizeBytes: 1})
+	broken.MustAddJob(&workflow.Job{ID: "j1", RuntimeSeconds: 1, Inputs: []string{"orphan"}})
+	if _, err := Run(Scenario{Workflow: broken}); err == nil {
+		t.Fatal("workflow consuming an unproduced file accepted")
+	}
+	if _, err := Run(Scenario{UsePolicy: true, Algorithm: policy.Algorithm("bogus"), GridSize: 3}); err == nil {
+		t.Fatal("unknown allocation algorithm accepted")
 	}
 }
 
@@ -46,12 +51,11 @@ func TestRunWorkflowSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunWorkflow(WorkflowRun{
+	m, err := Run(Scenario{
 		Workflow:       w,
 		UsePolicy:      true,
 		Threshold:      50,
 		DefaultStreams: 4,
-		Cleanup:        true,
 		Seed:           2,
 	})
 	if err != nil {

@@ -19,12 +19,11 @@ func TestTraceIsProvenance(t *testing.T) {
 	}
 	var tr obs.Collector
 	reg := obs.NewRegistry()
-	m, err := RunWorkflow(WorkflowRun{
+	m, err := Run(Scenario{
 		Workflow:       w,
 		UsePolicy:      true,
 		Threshold:      50,
 		DefaultStreams: 4,
-		Cleanup:        true,
 		Seed:           3,
 		Obs:            reg,
 		Tracer:         &tr,

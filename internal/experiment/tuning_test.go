@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 
 	"policyflow/internal/tuner"
@@ -30,7 +29,7 @@ func TestTunerDiscoversKnee(t *testing.T) {
 		t.Fatalf("tuner recommended %d, implausibly small", res.Best)
 	}
 	// The converged makespan must beat a permanently over-allocated run.
-	over, err := RunMontage(Scenario{
+	over, err := Run(Scenario{
 		ExtraMB: 100, UsePolicy: true, Threshold: 200, DefaultStreams: 8, Seed: 99,
 	})
 	if err != nil {
@@ -39,11 +38,6 @@ func TestTunerDiscoversKnee(t *testing.T) {
 	if res.ConvergedMakespan >= over.MakespanSeconds {
 		t.Fatalf("converged makespan %.0f not better than threshold-200 run %.0f",
 			res.ConvergedMakespan, over.MakespanSeconds)
-	}
-	var sb strings.Builder
-	WriteTunerResult(&sb, res)
-	if !strings.Contains(sb.String(), "recommended threshold") {
-		t.Fatal("tuner report malformed")
 	}
 }
 

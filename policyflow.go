@@ -225,7 +225,7 @@ type (
 )
 
 // RunMontageScenario executes one scenario on the simulated testbed.
-func RunMontageScenario(s Scenario) (Metrics, error) { return experiment.RunMontage(s) }
+func RunMontageScenario(s Scenario) (Metrics, error) { return experiment.Run(s) }
 
 // TunerResult summarizes a threshold-learning experiment.
 type TunerResult = experiment.TunerResult
