@@ -120,9 +120,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/policyhttp/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime=10s ./internal/rules/
 
-# loc prints non-test, non-blank Go lines per internal package — the
-# code-volume number the roadmap tracks alongside the bench trajectory.
+# loc prints non-test, non-blank Go lines per internal package and per
+# command — the code-volume number the roadmap tracks alongside the bench
+# trajectory.
 loc:
-	@for d in internal/*/; do \
+	@for d in internal/*/ cmd/*/; do \
 		printf '%-24s %6d\n' "$$d" "$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*$$')"; \
 	done
