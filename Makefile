@@ -121,9 +121,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime=10s ./internal/rules/
 
 # loc prints non-test, non-blank Go lines per internal package and per
-# command — the code-volume number the roadmap tracks alongside the bench
-# trajectory.
+# command, then their total — the code-volume number the roadmap tracks
+# alongside the bench trajectory.
 loc:
 	@for d in internal/*/ cmd/*/; do \
 		printf '%-24s %6d\n' "$$d" "$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*$$')"; \
-	done
+	done | awk '{ print; total += $$2 } END { printf "%-24s %6d\n", "total", total }'

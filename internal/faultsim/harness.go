@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"policyflow/internal/admit"
-	"policyflow/internal/bundle"
 	"policyflow/internal/durable"
 	"policyflow/internal/obs"
 	"policyflow/internal/policy"
@@ -61,10 +61,9 @@ type Harness struct {
 	oracle *policy.Service
 	model  *Model
 
-	// acked counts acknowledged operations by logged op name. After every
-	// step the oracle's decision-provenance counters must equal these
-	// exactly: one decision record per acknowledged advise/report, none
-	// for rejections, none for retries or idempotent replays.
+	// acked counts, by logged op name, the decision records the primary
+	// committed serving acknowledged operations. After every step the
+	// oracle's decision-provenance counters must equal these exactly.
 	acked map[string]int64
 
 	// ClientReg holds the shared client retry metrics (requests, retries,
@@ -298,34 +297,19 @@ func (h *Harness) Step(op Op) error {
 		h.router.Queue(h.replicas[f.Replica].host, f.Kind)
 	}
 	var err error
-	switch op.Kind {
-	case OpAdvise:
-		err = h.stepAdvise(op)
-	case OpReport:
-		err = h.stepReport(op)
-	case OpCleanup:
-		err = h.stepCleanup(op)
-	case OpCleanupReport:
-		err = h.stepCleanupReport(op)
-	case OpSetThreshold:
-		err = h.stepSetThreshold(op)
-	case OpActivateBundle:
-		err = h.stepActivateBundle(op)
-	case OpRollbackBundle:
-		err = h.stepRollbackBundle(op)
-	case OpRenewLease:
-		err = h.stepRenewLease(op)
-	case OpAdvanceClock:
-		err = h.stepAdvanceClock(op)
-	case OpClientCrash:
+	name, payload := op.mutation()
+	switch {
+	case name != "":
+		err = h.stepMutation(op, name, payload)
+	case op.Kind == OpClientCrash:
 		// A client process dies. Nothing reaches the service — the whole
 		// point of the lease subsystem is that the server notices only via
 		// the clock. The generator stops issuing ops for this workflow; its
 		// holdings stay pinned until a later advanceClock expires its lease.
 		h.localFaults[OpClientCrash]++
-	case OpCrash, OpTornCrash:
+	case op.Kind == OpCrash, op.Kind == OpTornCrash:
 		err = h.stepCrash(op.Replica, op.Kind == OpTornCrash)
-	case OpShed:
+	case op.Kind == OpShed:
 		// Arm deterministic admission sheds: the replica's controller
 		// rejects its next Count mutation submissions with 429 before any
 		// side effect. On the primary the client retries through them (or
@@ -335,7 +319,7 @@ func (h *Harness) Step(op Op) error {
 		// there wait for its promotion (or are lost with a crash).
 		h.replicas[op.Replica].ctl.FailNext(op.Count)
 		h.localFaults[OpShed] += op.Count
-	case OpDiskFault:
+	case op.Kind == OpDiskFault:
 		// Fail the replica's next Count WAL appends. On the primary the next
 		// logged mutation answers 500 with no effect; on the standby the
 		// next sync that has anything to apply fails (see stepStandbySync).
@@ -343,23 +327,23 @@ func (h *Harness) Step(op Op) error {
 		h.walFaults[op.Replica] += op.Count
 		h.walMu.Unlock()
 		h.localFaults[OpDiskFault] += op.Count
-	case OpSnapshot:
+	case op.Kind == OpSnapshot:
 		err = h.stepSnapshot(op.Replica)
-	case OpPartition:
+	case op.Kind == OpPartition:
 		h.router.SetPartitioned(h.replicas[op.Replica].host, true)
 		h.localFaults[OpPartition]++
-	case OpHeal:
+	case op.Kind == OpHeal:
 		for _, r := range h.replicas {
 			h.router.SetPartitioned(r.host, false)
 		}
 		h.localFaults[OpHeal]++
-	case OpPromote:
+	case op.Kind == OpPromote:
 		err = h.stepPromote(op)
-	case OpDemote:
+	case op.Kind == OpDemote:
 		err = h.stepDemote(op)
-	case OpStandbySync:
+	case op.Kind == OpStandbySync:
 		err = h.stepStandbySync()
-	case OpFenceProbe:
+	case op.Kind == OpFenceProbe:
 		err = h.stepFenceProbe(op)
 	default:
 		err = fmt.Errorf("faultsim: unknown op kind %q", op.Kind)
@@ -374,35 +358,63 @@ func (h *Harness) Step(op Op) error {
 	return nil
 }
 
-// clientOutcome routes the legitimate outcomes of a call through the
-// leader-following client: success (apply to oracle + model), admission
-// shed (the op never happened — nothing changes and nothing reaches the
-// oracle), deterministic rejection (oracle must reject identically,
-// nothing changes), or no acknowledgement at all. Anything else is a
-// violation. IsBusy is checked before IsRejection: a 429 is a 4xx on the
-// wire, but unlike a rejection it is about the server's load, not the
-// request, so the oracle — which has no admission queue — must not see it.
+// stepMutation runs one logged op on the pair through the leader-following
+// client and sorts the outcome:
 //
-// ErrNoPrimary and ErrNoReplicas both mean no server acknowledged the op:
-// the primary failed it (an armed disk fault answers 500 before any
-// effect) or was unreachable, and the standby fenced it or was unreachable
-// too. The schedule grammar queues at most two HTTP faults per op against
-// three client attempts, so an unacknowledged op was applied nowhere: the
-// primary stays fresh, and the very next checkReplicas proves it.
-func (h *Harness) clientOutcome(err error, onSuccess, onRejection func() error) error {
+//   - ack: it must come from the expected primary at the expected epoch,
+//     the fault-free oracle must accept the same payload with a
+//     reflect.DeepEqual result, and the model mirrors it;
+//   - admission shed (429): the op never happened — nothing changes and
+//     nothing reaches the oracle, which has no admission queue. IsBusy is
+//     checked before IsRejection because a 429 is a 4xx on the wire;
+//   - deterministic rejection: the oracle must reject it too;
+//   - ErrNoPrimary / ErrNoReplicas: no server acknowledged it. The primary
+//     failed it (an armed disk fault answers 500 before any effect) or was
+//     unreachable, and the standby fenced it or was unreachable too. The
+//     schedule grammar queues at most two HTTP faults per op against three
+//     client attempts, so an unacknowledged op was applied nowhere: the
+//     primary stays fresh, and the very next checkReplicas proves it.
+//
+// Anything else is a violation. An acknowledged op counts toward the
+// decision records checkDecisions expects by as many records as the
+// primary committed serving it — retries, duplicates and replays included
+// — and a data-plane (admitted) op must have committed exactly one.
+func (h *Harness) stepMutation(op Op, name string, payload any) error {
+	ctx := context.Background()
+	primary := h.replicas[h.curPrimary].svc
+	records := primary.DecisionCount(name)
+	res, err := h.rc.Do(ctx, name, payload)
 	switch {
 	case err == nil:
-		if aerr := h.noteAck(); aerr != nil {
-			return aerr
+		if err := h.noteAck(); err != nil {
+			return err
 		}
-		return onSuccess()
+		if op.Invalid {
+			return fmt.Errorf("invalid %s payload was accepted", name)
+		}
+		ores, oerr := h.oracle.Execute(ctx, name, payload)
+		if oerr != nil {
+			return fmt.Errorf("replicas accepted %s the oracle rejects: %v", name, oerr)
+		}
+		if !reflect.DeepEqual(res, ores) {
+			return fmt.Errorf("%s result diverges from oracle:\n  got  %+v\n  want %+v", name, res, ores)
+		}
+		records = primary.DecisionCount(name) - records
+		if policy.OpAdmitted(name) && records != 1 {
+			return fmt.Errorf("acknowledged %s committed %d decision records on the primary, want 1", name, records)
+		}
+		h.acked[name] += records
+		return h.model.Apply(name, payload, res)
 	case policyhttp.IsBusy(err):
 		return nil
 	case errors.Is(err, policyhttp.ErrNoPrimary), errors.Is(err, policyhttp.ErrNoReplicas):
 		h.localFaults[unackedOp]++
 		return nil
 	case policyhttp.IsRejection(err):
-		return onRejection()
+		if _, oerr := h.oracle.Execute(ctx, name, payload); oerr == nil {
+			return fmt.Errorf("replicas rejected %s the oracle accepts: %v", name, err)
+		}
+		return nil
 	default:
 		return fmt.Errorf("unexpected client error: %w", err)
 	}
@@ -425,229 +437,6 @@ func (h *Harness) noteAck() error {
 		h.fresh[i] = i == h.curPrimary
 	}
 	return nil
-}
-
-func (h *Harness) stepAdvise(op Op) error {
-	adv, err := h.rc.AdviseTransfers(op.Specs)
-	return h.clientOutcome(err,
-		func() error {
-			if op.Invalid {
-				return fmt.Errorf("invalid transfer batch was accepted")
-			}
-			oadv, oerr := h.oracle.AdviseTransfers(op.Specs)
-			if oerr != nil {
-				return fmt.Errorf("replicas accepted batch the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(adv, oadv) {
-				return fmt.Errorf("advice diverges from oracle:\n  got  %+v\n  want %+v", adv, oadv)
-			}
-			h.acked[policy.OpAdviseTransfers]++
-			return h.model.ApplyAdvice(op.Specs, adv)
-		},
-		func() error {
-			if _, oerr := h.oracle.AdviseTransfers(op.Specs); oerr == nil {
-				return fmt.Errorf("replicas rejected batch the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-func (h *Harness) stepReport(op Op) error {
-	ack, err := h.rc.ReportTransfers(*op.Report)
-	return h.clientOutcome(err,
-		func() error {
-			oack, oerr := h.oracle.ReportTransfers(*op.Report)
-			if oerr != nil {
-				return fmt.Errorf("replicas accepted report the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(ack, oack) {
-				return fmt.Errorf("report ack diverges from oracle:\n  got  %+v\n  want %+v", ack, oack)
-			}
-			h.acked[policy.OpReportTransfers]++
-			h.model.ApplyReport(*op.Report)
-			return nil
-		},
-		func() error {
-			if _, oerr := h.oracle.ReportTransfers(*op.Report); oerr == nil {
-				return fmt.Errorf("replicas rejected report the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-func (h *Harness) stepCleanup(op Op) error {
-	adv, err := h.rc.AdviseCleanups(op.Cleanups)
-	return h.clientOutcome(err,
-		func() error {
-			if op.Invalid {
-				return fmt.Errorf("invalid cleanup batch was accepted")
-			}
-			oadv, oerr := h.oracle.AdviseCleanups(op.Cleanups)
-			if oerr != nil {
-				return fmt.Errorf("replicas accepted cleanups the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(adv, oadv) {
-				return fmt.Errorf("cleanup advice diverges from oracle:\n  got  %+v\n  want %+v", adv, oadv)
-			}
-			h.acked[policy.OpAdviseCleanups]++
-			return h.model.ApplyCleanupAdvice(op.Cleanups, adv)
-		},
-		func() error {
-			if _, oerr := h.oracle.AdviseCleanups(op.Cleanups); oerr == nil {
-				return fmt.Errorf("replicas rejected cleanups the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-func (h *Harness) stepCleanupReport(op Op) error {
-	ack, err := h.rc.ReportCleanups(*op.CleanupReport)
-	return h.clientOutcome(err,
-		func() error {
-			oack, oerr := h.oracle.ReportCleanups(*op.CleanupReport)
-			if oerr != nil {
-				return fmt.Errorf("replicas accepted cleanup report the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(ack, oack) {
-				return fmt.Errorf("cleanup ack diverges from oracle:\n  got  %+v\n  want %+v", ack, oack)
-			}
-			h.acked[policy.OpReportCleanups]++
-			h.model.ApplyCleanupReport(*op.CleanupReport)
-			return nil
-		},
-		func() error {
-			if _, oerr := h.oracle.ReportCleanups(*op.CleanupReport); oerr == nil {
-				return fmt.Errorf("replicas rejected cleanup report the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-// stepRenewLease renews op.Workflow's lease on the pair and the oracle,
-// then mirrors it into the model.
-func (h *Harness) stepRenewLease(op Op) error {
-	st, err := h.rc.RenewLease(op.Workflow)
-	return h.clientOutcome(err,
-		func() error {
-			ost, oerr := h.oracle.RenewLease(op.Workflow)
-			if oerr != nil {
-				return fmt.Errorf("replicas accepted lease renewal the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(st, ost) {
-				return fmt.Errorf("lease status diverges from oracle:\n  got  %+v\n  want %+v", st, ost)
-			}
-			h.model.ApplyRenewLease(op.Workflow)
-			return nil
-		},
-		func() error {
-			if _, oerr := h.oracle.RenewLease(op.Workflow); oerr == nil {
-				return fmt.Errorf("replicas rejected lease renewal the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-// stepAdvanceClock moves the logical clock forward. The reclamation that
-// follows is a logged deterministic mutation, so the primary's expiry
-// results must match the oracle's exactly, and the model must predict the
-// same set of expired owners.
-func (h *Harness) stepAdvanceClock(op Op) error {
-	adv, err := h.rc.AdvanceClock(op.Now)
-	return h.clientOutcome(err,
-		func() error {
-			oadv, oerr := h.oracle.AdvanceClock(op.Now)
-			if oerr != nil {
-				return fmt.Errorf("replicas accepted clock advance the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(adv, oadv) {
-				return fmt.Errorf("clock advance diverges from oracle:\n  got  %+v\n  want %+v", adv, oadv)
-			}
-			return h.model.ApplyAdvanceClock(op.Now, adv)
-		},
-		func() error {
-			if _, oerr := h.oracle.AdvanceClock(op.Now); oerr == nil {
-				return fmt.Errorf("replicas rejected clock advance the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-func (h *Harness) stepSetThreshold(op Op) error {
-	err := h.rc.SetThreshold(op.SrcHost, op.DstHost, op.Max)
-	return h.clientOutcome(err,
-		func() error {
-			if oerr := h.oracle.SetThreshold(op.SrcHost, op.DstHost, op.Max); oerr != nil {
-				return fmt.Errorf("replicas accepted threshold the oracle rejects: %v", oerr)
-			}
-			h.model.ApplySetThreshold(op.SrcHost, op.DstHost, op.Max)
-			return nil
-		},
-		func() error {
-			if oerr := h.oracle.SetThreshold(op.SrcHost, op.DstHost, op.Max); oerr == nil {
-				return fmt.Errorf("replicas rejected threshold the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-// stepActivateBundle activates a bundle document on the pair and the
-// oracle. The client carries the full document, so the call is
-// self-contained even against a crash-recovered primary. The model only
-// advances — and the provenance counter only increments — when the
-// document's checksum differs from the active one: re-activation is an
-// idempotent no-op that appends nothing and records nothing.
-func (h *Harness) stepActivateBundle(op Op) error {
-	info, err := h.rc.ActivateBundleDoc(op.BundleDoc)
-	return h.clientOutcome(err,
-		func() error {
-			oinfo, oerr := h.oracle.ActivateBundle(op.BundleDoc)
-			if oerr != nil {
-				return fmt.Errorf("replicas activated bundle the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(info, oinfo) {
-				return fmt.Errorf("bundle info diverges from oracle:\n  got  %+v\n  want %+v", info, oinfo)
-			}
-			b, perr := bundle.Parse(op.BundleDoc)
-			if perr != nil {
-				return fmt.Errorf("accepted bundle fails to parse: %v", perr)
-			}
-			if b.Checksum() != h.model.ActiveChecksum() {
-				h.acked[policy.OpActivateBundle]++
-				h.model.ApplyActivateBundle(b)
-			}
-			return nil
-		},
-		func() error {
-			if _, oerr := h.oracle.ActivateBundle(op.BundleDoc); oerr == nil {
-				return fmt.Errorf("replicas rejected bundle the oracle accepts: %v", err)
-			}
-			return nil
-		})
-}
-
-// stepRollbackBundle re-activates the previous bundle. A
-// rollback is never a no-op (the previous checksum differs by
-// construction), so an acknowledged rollback always logs one activation.
-func (h *Harness) stepRollbackBundle(op Op) error {
-	info, err := h.rc.RollbackBundle()
-	return h.clientOutcome(err,
-		func() error {
-			oinfo, oerr := h.oracle.RollbackBundle()
-			if oerr != nil {
-				return fmt.Errorf("replicas rolled back bundle the oracle rejects: %v", oerr)
-			}
-			if !reflect.DeepEqual(info, oinfo) {
-				return fmt.Errorf("rollback info diverges from oracle:\n  got  %+v\n  want %+v", info, oinfo)
-			}
-			h.acked[policy.OpActivateBundle]++
-			return h.model.ApplyRollbackBundle()
-		},
-		func() error {
-			if _, oerr := h.oracle.RollbackBundle(); oerr == nil {
-				return fmt.Errorf("replicas rejected rollback the oracle accepts: %v", err)
-			}
-			return nil
-		})
 }
 
 // stepCrash kills replica i (optionally tearing the WAL tail, simulating a
@@ -843,20 +632,16 @@ func (h *Harness) checkReplicas() error {
 	return nil
 }
 
-// checkDecisions asserts decision-provenance exactly-once: the oracle
-// committed one decision record per acknowledged advise/report and
-// nothing else. The oracle sees exactly the acknowledged operations (no
-// retries, no replays, no rejections), so any mismatch means an
-// operation produced zero or duplicate provenance. Replica rings are
-// not compared — a crash-recovered replica legitimately rebuilds only
-// the WAL tail since its last snapshot — but replica behavior under
-// retries is covered by TestDecisionRecordsSurviveRetries.
+// checkDecisions asserts decision-provenance exactly-once: for every op,
+// the records the primary committed while serving acknowledged calls —
+// through lost responses, retries, duplicate deliveries and replays —
+// equal the records of the oracle, which saw each acknowledged call once
+// and nothing else (no retries, no replays, no rejections). Any mismatch
+// means an operation produced zero or duplicate provenance. Whole replica
+// rings are not compared — a crash-recovered replica legitimately
+// rebuilds only the WAL tail since its last snapshot.
 func (h *Harness) checkDecisions() error {
-	for _, op := range []string{
-		policy.OpAdviseTransfers, policy.OpReportTransfers,
-		policy.OpAdviseCleanups, policy.OpReportCleanups,
-		policy.OpActivateBundle,
-	} {
+	for _, op := range policy.OpNames() {
 		if got, want := h.oracle.DecisionCount(op), h.acked[op]; got != want {
 			return fmt.Errorf("decision records for %s: %d committed, %d operations acknowledged", op, got, want)
 		}

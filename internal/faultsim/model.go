@@ -144,11 +144,6 @@ func NewModel(cfg policy.Config) *Model {
 // service). The harness reads it from the fault-free oracle's tunables.
 func (m *Model) SetActiveChecksum(sum string) { m.active.checksum = sum }
 
-// ActiveChecksum returns the checksum of the bundle the model believes is
-// active — used to predict whether an activation is a state-changing
-// transition or a logged-nowhere no-op.
-func (m *Model) ActiveChecksum() string { return m.active.checksum }
-
 // ActiveVersion returns the version of the bundle the model believes is
 // active. Every decision record the service emits from here on must carry
 // this version.
@@ -233,9 +228,45 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// ApplyAdvice checks the service's transfer advice against the model's
+// Apply mirrors one acknowledged logged op into the model, given the
+// payload the service executed and the result it returned; the advise and
+// clock ops are also checked against the model's own prediction.
+func (m *Model) Apply(op string, payload, result any) error {
+	switch op {
+	case policy.OpAdviseTransfers:
+		return m.applyAdvice(payload.([]policy.TransferSpec), result.(*policy.TransferAdvice))
+	case policy.OpReportTransfers:
+		m.applyReport(payload.(policy.CompletionReport))
+	case policy.OpAdviseCleanups:
+		return m.applyCleanupAdvice(payload.([]policy.CleanupSpec), result.(*policy.CleanupAdvice))
+	case policy.OpReportCleanups:
+		// The cleanup and the deleted file's resource leave the state;
+		// unknown IDs are ignored.
+		for _, id := range payload.(policy.CleanupReport).CleanupIDs {
+			if c := m.cleanups[id]; c != nil {
+				delete(m.cleanups, id)
+				delete(m.resources, c.fileURL)
+			}
+		}
+	case policy.OpSetThreshold:
+		// The service creates or updates the pair's Threshold fact in place.
+		t := payload.(policy.ThresholdOp)
+		m.thFacts[policy.HostPair{Src: t.SourceHost, Dst: t.DestHost}] = t.Max
+	case policy.OpRenewLease:
+		m.renewLease(payload.(policy.LeaseOp).WorkflowID)
+	case policy.OpAdvanceClock:
+		return m.applyAdvanceClock(payload.(policy.ClockOp).Now, result.(*policy.ClockAdvance))
+	case policy.OpActivateBundle:
+		return m.applyBundle(payload.(policy.BundleOp))
+	default:
+		return fmt.Errorf("model: no mirror for op %s", op)
+	}
+	return nil
+}
+
+// applyAdvice checks the service's transfer advice against the model's
 // independent prediction and, if consistent, advances the model state.
-func (m *Model) ApplyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdvice) error {
+func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdvice) error {
 	n := len(specs)
 	ids := make([]string, n)
 	for i := range specs {
@@ -456,9 +487,9 @@ func groupURLs(specs []policy.TransferSpec) map[string][]int {
 	return g
 }
 
-// ApplyReport advances the model for a completion report. Unknown IDs are
+// applyReport advances the model for a completion report. Unknown IDs are
 // ignored, matching the service's garbage-collection of unmatched results.
-func (m *Model) ApplyReport(rep policy.CompletionReport) {
+func (m *Model) applyReport(rep policy.CompletionReport) {
 	release := func(t *modelTransfer) {
 		m.ledger[t.pair] -= t.streams
 		if m.ledger[t.pair] < 0 {
@@ -499,9 +530,9 @@ func (m *Model) ApplyReport(rep policy.CompletionReport) {
 	}
 }
 
-// ApplyCleanupAdvice checks cleanup advice against the model's prediction
+// applyCleanupAdvice checks cleanup advice against the model's prediction
 // and advances the model.
-func (m *Model) ApplyCleanupAdvice(specs []policy.CleanupSpec, adv *policy.CleanupAdvice) error {
+func (m *Model) applyCleanupAdvice(specs []policy.CleanupSpec, adv *policy.CleanupAdvice) error {
 	n := len(specs)
 	ids := make([]string, n)
 	for i := range specs {
@@ -561,44 +592,31 @@ func (m *Model) ApplyCleanupAdvice(specs []policy.CleanupSpec, adv *policy.Clean
 	return nil
 }
 
-// ApplyCleanupReport advances the model for completed cleanups: the cleanup
-// and the deleted file's resource leave the state. Unknown IDs are ignored.
-func (m *Model) ApplyCleanupReport(rep policy.CleanupReport) {
-	for _, id := range rep.CleanupIDs {
-		c := m.cleanups[id]
-		if c == nil {
-			continue
+// applyBundle advances the model for an activation. A rollback swaps the
+// active and previous bundles. A document activates only when its
+// checksum differs from the active one — re-activation is a no-op that
+// appends nothing and records nothing — and the previous bundle becomes
+// the rollback target. Either way the bundle-owned fact families are
+// rebuilt the way the service's applyBundleLocked rebuilds them.
+func (m *Model) applyBundle(op policy.BundleOp) error {
+	if op.Rollback {
+		if m.prev == nil {
+			return fmt.Errorf("model: rollback accepted with no previous bundle")
 		}
-		delete(m.cleanups, id)
-		delete(m.resources, c.fileURL)
+		m.active, *m.prev = *m.prev, m.active
+		m.resetBundleFacts()
+		return nil
 	}
-}
-
-// ApplySetThreshold records an explicit per-pair threshold: the service
-// creates or updates the pair's Threshold fact in place.
-func (m *Model) ApplySetThreshold(src, dst string, max int) {
-	m.thFacts[policy.HostPair{Src: src, Dst: dst}] = max
-}
-
-// ApplyActivateBundle advances the model for a state-changing bundle
-// activation: the active bundle's tunables are swapped, the previous
-// bundle becomes the rollback target, and the bundle-owned fact families
-// are rebuilt the way the service's applyBundleLocked rebuilds them.
-func (m *Model) ApplyActivateBundle(b *bundle.Bundle) {
-	prev := m.active
-	m.prev = &prev
-	m.active = modelBundleOf(b)
-	m.resetBundleFacts()
-}
-
-// ApplyRollbackBundle advances the model for a rollback: active and
-// previous swap, with the same fact rebuild as a forward activation.
-func (m *Model) ApplyRollbackBundle() error {
-	if m.prev == nil {
-		return fmt.Errorf("model: rollback accepted with no previous bundle")
+	b, err := bundle.Parse(op.Doc)
+	if err != nil {
+		return fmt.Errorf("model: accepted bundle fails to parse: %v", err)
 	}
-	m.active, *m.prev = *m.prev, m.active
-	m.resetBundleFacts()
+	if b.Checksum() != m.active.checksum {
+		prev := m.active
+		m.prev = &prev
+		m.active = modelBundleOf(b)
+		m.resetBundleFacts()
+	}
 	return nil
 }
 
@@ -633,18 +651,13 @@ func (m *Model) renewLease(owner string) {
 	}
 }
 
-// ApplyRenewLease advances the model for an explicit RenewLease call.
-func (m *Model) ApplyRenewLease(workflowID string) {
-	m.renewLease(workflowID)
-}
-
-// ApplyAdvanceClock checks a clock advance's reported effect against the
+// applyAdvanceClock checks a clock advance's reported effect against the
 // model's independent prediction — which leases expire and how much of the
 // dead workflows' holdings are reclaimed — and advances the model: the
 // expired owners' in-flight transfers are dropped and their streams
 // released, their reference counts removed wholesale, and their in-progress
 // cleanups forgotten. Resources stay tracked even with no users left.
-func (m *Model) ApplyAdvanceClock(now float64, adv *policy.ClockAdvance) error {
+func (m *Model) applyAdvanceClock(now float64, adv *policy.ClockAdvance) error {
 	if now <= m.clock {
 		// Monotonic clamp: a stale tick is a no-op on every replica.
 		if adv.Now != m.clock || len(adv.Expired) != 0 || adv.ReclaimedTransfers != 0 || adv.ReclaimedStreams != 0 {

@@ -66,6 +66,32 @@ type Op struct {
 	BundleDoc json.RawMessage `json:"bundleDoc,omitempty"` // activateBundle
 }
 
+// mutation names the logged op a workload Op runs and its payload, of the
+// type policy.Service.Execute takes; "" for the fault and failover kinds.
+func (op Op) mutation() (string, any) {
+	switch op.Kind {
+	case OpAdvise:
+		return policy.OpAdviseTransfers, op.Specs
+	case OpReport:
+		return policy.OpReportTransfers, *op.Report
+	case OpCleanup:
+		return policy.OpAdviseCleanups, op.Cleanups
+	case OpCleanupReport:
+		return policy.OpReportCleanups, *op.CleanupReport
+	case OpSetThreshold:
+		return policy.OpSetThreshold, policy.ThresholdOp{SourceHost: op.SrcHost, DestHost: op.DstHost, Max: op.Max}
+	case OpRenewLease:
+		return policy.OpRenewLease, policy.LeaseOp{WorkflowID: op.Workflow}
+	case OpAdvanceClock:
+		return policy.OpAdvanceClock, policy.ClockOp{Now: op.Now}
+	case OpActivateBundle:
+		return policy.OpActivateBundle, policy.BundleOp{Doc: op.BundleDoc}
+	case OpRollbackBundle:
+		return policy.OpActivateBundle, policy.BundleOp{Rollback: true}
+	}
+	return "", nil
+}
+
 // ScheduleConfig fixes the service configuration a schedule runs under.
 type ScheduleConfig struct {
 	Algorithm      policy.Algorithm `json:"algorithm"`

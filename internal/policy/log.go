@@ -11,9 +11,9 @@ import (
 
 // ThresholdOp is the logged payload of a SetThreshold call.
 type ThresholdOp struct {
-	SourceHost string `json:"sourceHost"`
-	DestHost   string `json:"destHost"`
-	Max        int    `json:"max"`
+	SourceHost string `json:"sourceHost" xml:"sourceHost"`
+	DestHost   string `json:"destHost" xml:"destHost"`
+	Max        int    `json:"max" xml:"max"`
 }
 
 // BundleOp is the logged payload of an ActivateBundle mutation. The full

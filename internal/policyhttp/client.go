@@ -71,9 +71,7 @@ type Client struct {
 	retry  RetryPolicy
 	// sleep waits between retry attempts; injectable so tests and the
 	// fault-injection harness never sleep real time.
-	sleep func(time.Duration)
-	// ctx is the base context every request derives from.
-	ctx     context.Context
+	sleep   func(time.Duration)
 	metrics *obs.ClientMetrics
 
 	// epoch is the highest fencing epoch observed in any response's
@@ -89,11 +87,6 @@ type Client struct {
 
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
-
-// WithHTTPClient substitutes the underlying *http.Client.
-func WithHTTPClient(h *http.Client) ClientOption {
-	return func(c *Client) { c.http = h }
-}
 
 // WithXML makes the client speak XML on the wire (the service supports
 // both; the paper's interface offers "XML or JSON data structures").
@@ -124,12 +117,6 @@ func WithBackoffSleep(sleep func(time.Duration)) ClientOption {
 	return func(c *Client) { c.sleep = sleep }
 }
 
-// WithBaseContext makes every request derive from ctx, so cancelling it
-// aborts in-flight calls and pending retries.
-func WithBaseContext(ctx context.Context) ClientOption {
-	return func(c *Client) { c.ctx = ctx }
-}
-
 // WithMetrics attaches retry/fault counters (see obs.NewClientMetrics).
 func WithMetrics(m *obs.ClientMetrics) ClientOption {
 	return func(c *Client) { c.metrics = m }
@@ -150,7 +137,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 		http:  &http.Client{Timeout: 30 * time.Second},
 		retry: DefaultRetryPolicy(),
 		sleep: time.Sleep,
-		ctx:   context.Background(),
 	}
 	var b [8]byte
 	if _, err := cryptorand.Read(b[:]); err == nil {
@@ -174,72 +160,72 @@ func (c *Client) contentType() string {
 	return "application/json"
 }
 
+// encode and decode speak the client's wire format.
 func (c *Client) encode(v any) ([]byte, error) {
 	var buf bytes.Buffer
+	var err error
 	if c.useXML {
-		if err := xml.NewEncoder(&buf).Encode(v); err != nil {
-			return nil, err
-		}
+		err = xml.NewEncoder(&buf).Encode(v)
 	} else {
-		if err := json.NewEncoder(&buf).Encode(v); err != nil {
-			return nil, err
-		}
+		err = json.NewEncoder(&buf).Encode(v)
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), err
+}
+
+func (c *Client) decode(r io.Reader, v any) error {
+	if c.useXML {
+		return xml.NewDecoder(r).Decode(v)
+	}
+	return json.NewDecoder(r).Decode(v)
 }
 
 // newIdempotencyKey mints a key unique to this client instance and call.
 func (c *Client) newIdempotencyKey() string {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.keyCounter++
-	return fmt.Sprintf("%s-%d", c.keyPrefix, c.keyCounter)
+	n := c.keyCounter
+	c.mu.Unlock()
+	return c.keyPrefix + "-" + strconv.FormatUint(n, 10)
 }
 
-// backoff computes the jittered exponential backoff before retry number
-// retry (1-based).
-func (c *Client) backoff(retry int) time.Duration {
-	d := c.retry.BaseBackoff
+// idemKeyCtx is the context key of a caller-chosen idempotency key.
+type idemKeyCtx struct{}
+
+// withIdempotencyKey returns a context under which a mutating call carries
+// key instead of a freshly minted one. A caller that retries one logical
+// operation across its own failure-handling episodes (the PTT's
+// degraded-mode backlog) keeps the key stable, so the server applies the
+// mutation at most once across all of them; ReplicatedClient sends it to
+// every replica it tries.
+func withIdempotencyKey(ctx context.Context, key string) context.Context {
+	return context.WithValue(ctx, idemKeyCtx{}, key)
+}
+
+// retryDelay picks the sleep before retry number retry (1-based): the
+// server's Retry-After hint on the previous attempt when it sent one, else
+// exponential backoff from BaseBackoff. Either is capped at MaxBackoff, so
+// a misbehaving server cannot park the client, and spread across the
+// +-Jitter band, so a burst of clients rejected together does not return
+// in lockstep.
+func (c *Client) retryDelay(retry int, hint time.Duration) time.Duration {
+	d := hint
 	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if c.retry.MaxBackoff > 0 && d >= c.retry.MaxBackoff {
-			d = c.retry.MaxBackoff
-			break
+		if d = c.retry.BaseBackoff; d <= 0 {
+			d = 50 * time.Millisecond
+		}
+		for i := 1; i < retry && (c.retry.MaxBackoff <= 0 || d < c.retry.MaxBackoff); i++ {
+			d *= 2
 		}
 	}
 	if c.retry.MaxBackoff > 0 && d > c.retry.MaxBackoff {
 		d = c.retry.MaxBackoff
 	}
-	return c.jittered(d)
-}
-
-// jittered spreads d across the +-Jitter band so that a burst of clients
-// rejected together does not return in lockstep.
-func (c *Client) jittered(d time.Duration) time.Duration {
 	if j := c.retry.Jitter; j > 0 {
 		c.mu.Lock()
-		f := 1 + j*(2*c.rng.Float64()-1)
+		d = time.Duration(float64(d) * (1 + j*(2*c.rng.Float64()-1)))
 		c.mu.Unlock()
-		d = time.Duration(float64(d) * f)
 	}
 	return d
-}
-
-// retryDelay picks the sleep before retry number retry (1-based): the
-// jittered exponential backoff, unless the previous attempt carried a
-// server Retry-After hint, which takes precedence — capped at MaxBackoff
-// so a misbehaving server cannot park the client, and still jittered.
-func (c *Client) retryDelay(retry int, hint time.Duration) time.Duration {
-	if hint <= 0 {
-		return c.backoff(retry)
-	}
-	if c.retry.MaxBackoff > 0 && hint > c.retry.MaxBackoff {
-		hint = c.retry.MaxBackoff
-	}
-	return c.jittered(hint)
 }
 
 // retryableStatus reports whether a status code is safe and useful to
@@ -284,40 +270,23 @@ func (c *Client) countFault(path, kind string) {
 	}
 }
 
-// do performs one logical API call with retries. Mutating calls (anything
-// but GET) carry an idempotency key that is reused across attempts, so
-// the server applies the mutation at most once even when responses are
-// lost and the call is retried.
-func (c *Client) do(method, path string, in, out any) error {
-	return c.doCtx(c.ctx, method, path, in, out)
-}
-
-// doCtx is do deriving from the caller's context, joining its causal
-// trace (see doKeyedCtx).
-func (c *Client) doCtx(ctx context.Context, method, path string, in, out any) error {
+// do performs one logical call with retries under ctx. Mutating calls
+// (anything but GET) carry one idempotency key across every attempt — the
+// caller's (withIdempotencyKey) or a fresh one — so the server applies the
+// mutation at most once even when responses are lost and the call is
+// retried. A span context is fixed once per logical call — derived from
+// the trace in ctx when there is one, freshly minted otherwise — and sent
+// as the Traceparent header on every attempt, so all retries of one call
+// (and, via ReplicatedClient, every replica it is routed to) share one
+// trace ID and the fault episode is reconstructable end-to-end from the
+// server-side event logs.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var idemKey string
 	if method != http.MethodGet {
-		idemKey = c.newIdempotencyKey()
+		if idemKey, _ = ctx.Value(idemKeyCtx{}).(string); idemKey == "" {
+			idemKey = c.newIdempotencyKey()
+		}
 	}
-	return c.doKeyedCtx(ctx, method, path, idemKey, in, out)
-}
-
-// doKeyed is do with a caller-chosen idempotency key: callers that retry a
-// logical operation across their own failure-handling episodes (the PTT's
-// degraded-mode backlog) keep the key stable so the server applies the
-// mutation at most once across all of them.
-func (c *Client) doKeyed(method, path, idemKey string, in, out any) error {
-	return c.doKeyedCtx(c.ctx, method, path, idemKey, in, out)
-}
-
-// doKeyedCtx performs one logical call with retries under ctx. A span
-// context is fixed once per logical call — derived from the trace in ctx
-// when there is one, freshly minted otherwise — and sent as the
-// Traceparent header on every attempt, so all retries of one call (and,
-// via ReplicatedClient, every replica it is routed to) share one trace ID and
-// the fault episode is reconstructable end-to-end from the server-side
-// event logs.
-func (c *Client) doKeyedCtx(ctx context.Context, method, path, idemKey string, in, out any) error {
 	var body []byte
 	if in != nil {
 		var err error
@@ -350,7 +319,7 @@ func (c *Client) doKeyedCtx(ctx context.Context, method, path, idemKey string, i
 				return fmt.Errorf("policyhttp: %s %s: %w", method, path, err)
 			}
 		}
-		done, err := c.attempt(ctx, method, path, body, idemKey, sc, in != nil, out)
+		done, err := c.attempt(ctx, method, path, body, idemKey, sc, out)
 		if done {
 			return err
 		}
@@ -364,16 +333,16 @@ func (c *Client) doKeyedCtx(ctx context.Context, method, path, idemKey string, i
 
 // attempt performs one HTTP attempt. done=false means the failure is
 // retryable; done=true returns the final result (success or not).
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, idemKey string, sc obs.SpanContext, hasBody bool, out any) (done bool, err error) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, idemKey string, sc obs.SpanContext, out any) (done bool, err error) {
 	var rd io.Reader
-	if hasBody {
+	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return true, fmt.Errorf("policyhttp: build request: %w", err)
 	}
-	if hasBody {
+	if body != nil {
 		req.Header.Set("Content-Type", c.contentType())
 	}
 	req.Header.Set("Accept", c.contentType())
@@ -417,13 +386,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		io.Copy(io.Discard, resp.Body)
 		return true, nil
 	}
-	if c.useXML {
-		if err := xml.NewDecoder(resp.Body).Decode(out); err != nil {
-			return true, fmt.Errorf("policyhttp: decode response: %w", err)
-		}
-		return true, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := c.decode(resp.Body, out); err != nil {
 		return true, fmt.Errorf("policyhttp: decode response: %w", err)
 	}
 	return true, nil
@@ -481,189 +444,135 @@ func (c *Client) decodeError(resp *http.Response) error {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	ra := parseRetryAfter(resp.Header.Get("Retry-After"))
 	epoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
+	se := &ServerError{StatusCode: resp.StatusCode, RetryAfter: ra, Epoch: epoch}
 	var doc ErrorDoc
-	if c.useXML {
-		if xml.Unmarshal(data, &doc) == nil && doc.Message != "" {
-			return &ServerError{StatusCode: resp.StatusCode, Message: doc.Message, RetryAfter: ra, Epoch: epoch}
-		}
-	} else if json.Unmarshal(data, &doc) == nil && doc.Message != "" {
-		return &ServerError{StatusCode: resp.StatusCode, Message: doc.Message, RetryAfter: ra, Epoch: epoch}
+	if c.decode(bytes.NewReader(data), &doc) == nil && doc.Message != "" {
+		se.Message = doc.Message
+	} else {
+		se.raw = strings.TrimSpace(string(data))
 	}
-	return &ServerError{StatusCode: resp.StatusCode, RetryAfter: ra, Epoch: epoch, raw: strings.TrimSpace(string(data))}
+	return se
 }
+
+// Do runs one logged op on the service, the client half of
+// policy.Service.Execute: payload and result have the types Execute takes
+// and returns for op, and method, path and wire documents come from the
+// route row the server reads. ctx carries the call's cancellation, trace
+// and, optionally, the caller's idempotency key (withIdempotencyKey).
+func (c *Client) Do(ctx context.Context, op string, payload any) (any, error) {
+	rt, ok := routes[op]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown op %q", policy.ErrInvalidRequest, op)
+	}
+	in, ok := rt.req.doc(payload)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s payload is %T", policy.ErrInvalidRequest, op, payload)
+	}
+	if rt.reply == nil {
+		return nil, c.do(ctx, rt.method, rt.path, in, nil)
+	}
+	out := rt.reply.blank()
+	if err := c.do(ctx, rt.method, rt.path, in, out); err != nil {
+		return nil, err
+	}
+	return rt.reply.value(out), nil
+}
+
+// as narrows Do's result to the op's result type.
+func as[R any](v any, err error) (R, error) {
+	r, _ := v.(R)
+	return r, err
+}
+
+// errOf keeps the error of a Do whose op answers no result.
+func errOf(_ any, err error) error { return err }
+
+// fetch runs one call outside the op table and picks the result out of
+// the document the service answered with.
+func fetch[D, R any](c *Client, method, path string, in any, pick func(*D) R) (R, error) {
+	var doc D
+	if err := c.do(context.Background(), method, path, in, &doc); err != nil {
+		var zero R
+		return zero, err
+	}
+	return pick(&doc), nil
+}
+
+// self is the pick of a document that is itself the result.
+func self[D any](d *D) *D { return d }
 
 // AdviseTransfers submits a transfer list and returns the modified list.
 func (c *Client) AdviseTransfers(specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
-	return c.AdviseTransfersCtx(c.ctx, specs)
+	return as[*policy.TransferAdvice](c.Do(context.Background(), policy.OpAdviseTransfers, specs))
 }
 
-// AdviseTransfersCtx is AdviseTransfers joining the causal trace carried
-// by ctx (all retry attempts share one trace ID).
+// AdviseTransfersCtx is AdviseTransfers joining the trace carried by ctx.
 func (c *Client) AdviseTransfersCtx(ctx context.Context, specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
-	var doc TransferAdviceDoc
-	if err := c.doCtx(ctx, http.MethodPost, "/v1/transfers", &TransferRequest{Transfers: specs}, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.TransferAdvice, nil
+	return as[*policy.TransferAdvice](c.Do(ctx, policy.OpAdviseTransfers, specs))
 }
 
 // ReportTransfers reports completed and failed transfers.
 func (c *Client) ReportTransfers(report policy.CompletionReport) (*policy.ReportAck, error) {
-	return c.ReportTransfersCtx(c.ctx, report)
+	return as[*policy.ReportAck](c.Do(context.Background(), policy.OpReportTransfers, report))
 }
 
-// ReportTransfersCtx is ReportTransfers joining the causal trace carried
-// by ctx.
+// ReportTransfersCtx is ReportTransfers joining the trace carried by ctx.
 func (c *Client) ReportTransfersCtx(ctx context.Context, report policy.CompletionReport) (*policy.ReportAck, error) {
-	return c.ReportTransfersKeyedCtx(ctx, c.newIdempotencyKey(), report)
+	return as[*policy.ReportAck](c.Do(ctx, policy.OpReportTransfers, report))
 }
 
-// ReportTransfersKeyed is ReportTransfers with a caller-chosen idempotency
-// key (see KeyedReporter in internal/transfer).
-func (c *Client) ReportTransfersKeyed(key string, report policy.CompletionReport) (*policy.ReportAck, error) {
-	return c.ReportTransfersKeyedCtx(c.ctx, key, report)
-}
-
-// ReportTransfersKeyedCtx combines a caller-chosen idempotency key with a
-// caller trace context.
+// ReportTransfersKeyedCtx is ReportTransfersCtx under a caller-chosen
+// idempotency key (see transfer.KeyedContextReporter).
 func (c *Client) ReportTransfersKeyedCtx(ctx context.Context, key string, report policy.CompletionReport) (*policy.ReportAck, error) {
-	var doc ReportAckDoc
-	if err := c.doKeyedCtx(ctx, http.MethodPost, "/v1/transfers/completed", key,
-		&CompletionDoc{CompletionReport: report}, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.ReportAck, nil
+	return as[*policy.ReportAck](c.Do(withIdempotencyKey(ctx, key), policy.OpReportTransfers, report))
 }
 
 // AdviseCleanups submits a cleanup list and returns the modified list.
 func (c *Client) AdviseCleanups(specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
-	return c.AdviseCleanupsCtx(c.ctx, specs)
+	return as[*policy.CleanupAdvice](c.Do(context.Background(), policy.OpAdviseCleanups, specs))
 }
 
-// AdviseCleanupsCtx is AdviseCleanups joining the causal trace carried by
-// ctx.
+// AdviseCleanupsCtx is AdviseCleanups joining the trace carried by ctx.
 func (c *Client) AdviseCleanupsCtx(ctx context.Context, specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
-	var doc CleanupAdviceDoc
-	if err := c.doCtx(ctx, http.MethodPost, "/v1/cleanups", &CleanupRequest{Cleanups: specs}, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.CleanupAdvice, nil
+	return as[*policy.CleanupAdvice](c.Do(ctx, policy.OpAdviseCleanups, specs))
 }
 
 // ReportCleanups reports completed cleanups.
 func (c *Client) ReportCleanups(report policy.CleanupReport) (*policy.ReportAck, error) {
-	return c.ReportCleanupsCtx(c.ctx, report)
+	return as[*policy.ReportAck](c.Do(context.Background(), policy.OpReportCleanups, report))
 }
 
-// ReportCleanupsCtx is ReportCleanups joining the causal trace carried by
-// ctx.
+// ReportCleanupsCtx is ReportCleanups joining the trace carried by ctx.
 func (c *Client) ReportCleanupsCtx(ctx context.Context, report policy.CleanupReport) (*policy.ReportAck, error) {
-	return c.ReportCleanupsKeyedCtx(ctx, c.newIdempotencyKey(), report)
+	return as[*policy.ReportAck](c.Do(ctx, policy.OpReportCleanups, report))
 }
 
-// ReportCleanupsKeyed is ReportCleanups with a caller-chosen idempotency
-// key.
-func (c *Client) ReportCleanupsKeyed(key string, report policy.CleanupReport) (*policy.ReportAck, error) {
-	return c.ReportCleanupsKeyedCtx(c.ctx, key, report)
-}
-
-// ReportCleanupsKeyedCtx combines a caller-chosen idempotency key with a
-// caller trace context.
+// ReportCleanupsKeyedCtx is ReportCleanupsCtx under a caller-chosen key.
 func (c *Client) ReportCleanupsKeyedCtx(ctx context.Context, key string, report policy.CleanupReport) (*policy.ReportAck, error) {
-	var doc ReportAckDoc
-	if err := c.doKeyedCtx(ctx, http.MethodPost, "/v1/cleanups/completed", key,
-		&CleanupReportDoc{CleanupReport: report}, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.ReportAck, nil
+	return as[*policy.ReportAck](c.Do(withIdempotencyKey(ctx, key), policy.OpReportCleanups, report))
 }
 
 // RenewLease registers or extends the workflow's liveness lease.
 func (c *Client) RenewLease(workflowID string) (*policy.LeaseStatus, error) {
-	return c.renewLeaseCtx(c.ctx, workflowID)
-}
-
-func (c *Client) renewLeaseCtx(ctx context.Context, workflowID string) (*policy.LeaseStatus, error) {
-	var doc LeaseStatusDoc
-	if err := c.doCtx(ctx, http.MethodPost, "/v1/leases/renew", &LeaseRenewal{WorkflowID: workflowID}, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.LeaseStatus, nil
-}
-
-// Leases lists the active leases and the holdings behind each.
-func (c *Client) Leases() (*policy.LeaseList, error) {
-	var doc LeaseListDoc
-	if err := c.do(http.MethodGet, "/v1/leases", nil, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.LeaseList, nil
+	return as[*policy.LeaseStatus](c.Do(context.Background(), policy.OpRenewLease, policy.LeaseOp{WorkflowID: workflowID}))
 }
 
 // AdvanceClock moves the service's logical clock forward, expiring leases
 // whose deadlines have passed and reclaiming their holdings.
 func (c *Client) AdvanceClock(now float64) (*policy.ClockAdvance, error) {
-	return c.advanceClockCtx(c.ctx, now)
-}
-
-func (c *Client) advanceClockCtx(ctx context.Context, now float64) (*policy.ClockAdvance, error) {
-	var doc ClockAdvanceDoc
-	if err := c.doCtx(ctx, http.MethodPost, "/v1/clock/advance", &ClockUpdate{Now: now}, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.ClockAdvance, nil
-}
-
-// State fetches the service's externally visible state.
-func (c *Client) State() (*policy.Snapshot, error) {
-	var doc SnapshotDoc
-	if err := c.do(http.MethodGet, "/v1/state", nil, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.Snapshot, nil
+	return as[*policy.ClockAdvance](c.Do(context.Background(), policy.OpAdvanceClock, policy.ClockOp{Now: now}))
 }
 
 // SetThreshold sets the stream threshold for a host pair.
 func (c *Client) SetThreshold(sourceHost, destHost string, max int) error {
-	return c.setThresholdCtx(c.ctx, sourceHost, destHost, max)
-}
-
-func (c *Client) setThresholdCtx(ctx context.Context, sourceHost, destHost string, max int) error {
-	return c.doCtx(ctx, http.MethodPut, "/v1/thresholds", &ThresholdUpdate{
-		SourceHost: sourceHost, DestHost: destHost, Max: max,
-	}, nil)
-}
-
-// PushBundle stages a policy bundle document without activating it. The
-// argument is the raw bundle JSON; it is sent verbatim, because the
-// bundle checksum is defined over the document's canonical JSON form.
-// XML-mode clients cannot push bundles.
-func (c *Client) PushBundle(doc []byte) (*policy.BundleInfo, error) {
-	return c.PushBundleCtx(c.ctx, doc)
-}
-
-// PushBundleCtx is PushBundle joining the causal trace carried by ctx.
-func (c *Client) PushBundleCtx(ctx context.Context, doc []byte) (*policy.BundleInfo, error) {
-	if c.useXML {
-		return nil, errors.New("policyhttp: bundle documents are JSON-only; use a JSON-mode client")
-	}
-	var out BundleInfoDoc
-	if err := c.doCtx(ctx, http.MethodPut, "/v1/bundles", json.RawMessage(doc), &out); err != nil {
-		return nil, err
-	}
-	return &out.BundleInfo, nil
+	return errOf(c.Do(context.Background(), policy.OpSetThreshold,
+		policy.ThresholdOp{SourceHost: sourceHost, DestHost: destHost, Max: max}))
 }
 
 // ActivateBundle activates a previously pushed bundle by version through
 // the WAL-logged activation path.
 func (c *Client) ActivateBundle(version string) (*policy.BundleInfo, error) {
-	return c.ActivateBundleCtx(c.ctx, version)
-}
-
-// ActivateBundleCtx is ActivateBundle joining the causal trace carried by
-// ctx.
-func (c *Client) ActivateBundleCtx(ctx context.Context, version string) (*policy.BundleInfo, error) {
-	return c.activateBundleReq(ctx, &BundleActivateRequest{Version: version})
+	return as[*policy.BundleInfo](c.Do(context.Background(), policy.OpActivateBundle, policy.BundleOp{Version: version}))
 }
 
 // ActivateBundleDoc pushes and activates a bundle document in one call:
@@ -671,49 +580,48 @@ func (c *Client) ActivateBundleCtx(ctx context.Context, version string) (*policy
 // not depend on previously staged (non-durable) state. XML-mode clients
 // cannot carry bundle documents.
 func (c *Client) ActivateBundleDoc(doc []byte) (*policy.BundleInfo, error) {
-	return c.ActivateBundleDocCtx(c.ctx, doc)
-}
-
-// ActivateBundleDocCtx is ActivateBundleDoc joining the causal trace
-// carried by ctx.
-func (c *Client) ActivateBundleDocCtx(ctx context.Context, doc []byte) (*policy.BundleInfo, error) {
-	if c.useXML {
-		return nil, errors.New("policyhttp: bundle documents are JSON-only; use a JSON-mode client")
-	}
-	return c.activateBundleReq(ctx, &BundleActivateRequest{Bundle: json.RawMessage(doc)})
+	return as[*policy.BundleInfo](c.Do(context.Background(), policy.OpActivateBundle, policy.BundleOp{Doc: doc}))
 }
 
 // RollbackBundle re-activates the previously active bundle.
 func (c *Client) RollbackBundle() (*policy.BundleInfo, error) {
-	return c.RollbackBundleCtx(c.ctx)
+	return as[*policy.BundleInfo](c.Do(context.Background(), policy.OpActivateBundle, policy.BundleOp{Rollback: true}))
 }
 
-// RollbackBundleCtx is RollbackBundle joining the causal trace carried by
-// ctx.
-func (c *Client) RollbackBundleCtx(ctx context.Context) (*policy.BundleInfo, error) {
-	return c.activateBundleReq(ctx, &BundleActivateRequest{Rollback: true})
+// Restore replaces the remote service's Policy Memory with the dump.
+func (c *Client) Restore(dump *policy.StateDump) error {
+	return errOf(c.Do(context.Background(), policy.OpImportState, dump))
 }
 
-func (c *Client) activateBundleReq(ctx context.Context, req *BundleActivateRequest) (*policy.BundleInfo, error) {
-	var out BundleInfoDoc
-	if err := c.doCtx(ctx, http.MethodPost, "/v1/bundles/activate", req, &out); err != nil {
-		return nil, err
+// Leases lists the active leases and the holdings behind each.
+func (c *Client) Leases() (*policy.LeaseList, error) {
+	return fetch(c, http.MethodGet, "/v1/leases", nil, func(d *LeaseListDoc) *policy.LeaseList { return &d.LeaseList })
+}
+
+// State fetches the service's externally visible state.
+func (c *Client) State() (*policy.Snapshot, error) {
+	return fetch(c, http.MethodGet, "/v1/state", nil, func(d *SnapshotDoc) *policy.Snapshot { return &d.Snapshot })
+}
+
+// PushBundle stages a policy bundle document without activating it. The
+// argument is the raw bundle JSON; it is sent verbatim, because the
+// bundle checksum is defined over the document's canonical JSON form.
+// XML-mode clients cannot push bundles.
+func (c *Client) PushBundle(doc []byte) (*policy.BundleInfo, error) {
+	if c.useXML {
+		return nil, errBundleJSONOnly
 	}
-	return &out.BundleInfo, nil
+	return fetch(c, http.MethodPut, "/v1/bundles", json.RawMessage(doc), func(d *BundleInfoDoc) *policy.BundleInfo { return &d.BundleInfo })
 }
 
 // Bundles reports the active, previous, and staged policy bundles.
 func (c *Client) Bundles() (*policy.BundleStatus, error) {
-	var doc BundleStatusDoc
-	if err := c.do(http.MethodGet, "/v1/bundles", nil, &doc); err != nil {
-		return nil, err
-	}
-	return &doc.BundleStatus, nil
+	return fetch(c, http.MethodGet, "/v1/bundles", nil, func(d *BundleStatusDoc) *policy.BundleStatus { return &d.BundleStatus })
 }
 
 // Healthz probes the service.
 func (c *Client) Healthz() error {
-	return c.do(http.MethodGet, "/v1/healthz", nil, nil)
+	return c.do(context.Background(), http.MethodGet, "/v1/healthz", nil, nil)
 }
 
 // Metrics fetches the raw Prometheus text-format scrape from /v1/metrics.
@@ -742,39 +650,19 @@ func (c *Client) Decisions(n int, op, workflow, lfn, bundle string) ([]policy.De
 	if n > 0 {
 		q.Set("n", strconv.Itoa(n))
 	}
-	if op != "" {
-		q.Set("op", op)
-	}
-	if workflow != "" {
-		q.Set("workflow", workflow)
-	}
-	if lfn != "" {
-		q.Set("lfn", lfn)
-	}
-	if bundle != "" {
-		q.Set("bundle", bundle)
+	for k, v := range map[string]string{"op": op, "workflow": workflow, "lfn": lfn, "bundle": bundle} {
+		if v != "" {
+			q.Set(k, v)
+		}
 	}
 	path := "/v1/decisions"
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	var doc DecisionListDoc
-	if err := c.do(http.MethodGet, path, nil, &doc); err != nil {
-		return nil, err
-	}
-	return doc.Decisions, nil
+	return fetch(c, http.MethodGet, path, nil, func(d *DecisionListDoc) []policy.DecisionRecord { return d.Decisions })
 }
 
 // Dump fetches a full Policy Memory snapshot.
 func (c *Client) Dump() (*policy.StateDump, error) {
-	var dump policy.StateDump
-	if err := c.do(http.MethodGet, "/v1/state/dump", nil, &dump); err != nil {
-		return nil, err
-	}
-	return &dump, nil
-}
-
-// Restore replaces the remote service's Policy Memory with the dump.
-func (c *Client) Restore(dump *policy.StateDump) error {
-	return c.do(http.MethodPost, "/v1/state/restore", dump, nil)
+	return fetch(c, http.MethodGet, "/v1/state/dump", nil, self[policy.StateDump])
 }

@@ -98,11 +98,7 @@ func applyArchive(svc *policy.Service, donor string, arch *durable.Archive) erro
 
 // SnapshotNow asks the remote service to snapshot its Policy Memory now.
 func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
-	var info durable.SnapshotInfo
-	if err := c.do(http.MethodPost, "/v1/state/snapshot", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return fetch(c, http.MethodPost, "/v1/state/snapshot", nil, self[durable.SnapshotInfo])
 }
 
 // Archive fetches the remote snapshot+tail bundle with one un-retried GET.
@@ -118,7 +114,7 @@ func (c *Client) ArchiveAfter(after uint64) (*durable.Archive, error) {
 }
 
 func (c *Client) archive(path string) (*durable.Archive, error) {
-	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, c.base+path, nil)
+	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("policyhttp: build request: %w", err)
 	}

@@ -1,6 +1,7 @@
 package policyhttp
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -79,11 +80,12 @@ func TestRestoreMalformedBody(t *testing.T) {
 }
 
 // TestReplicatedStateAndThreshold: a threshold set through the client
-// lands on the primary and reaches the standby with its next sync; reads
-// go to the leader.
+// lands on the primary and reaches the standby with its next sync; the
+// leader it followed serves the state.
 func TestReplicatedStateAndThreshold(t *testing.T) {
 	p := newSyncedPair(t)
-	if err := p.rc.SetThreshold("a.example.org", "b.example.org", 7); err != nil {
+	if _, err := p.rc.Do(context.Background(), policy.OpSetThreshold,
+		policy.ThresholdOp{SourceHost: "a.example.org", DestHost: "b.example.org", Max: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.syncers[1].SyncOnce(); err != nil {
@@ -103,12 +105,12 @@ func TestReplicatedStateAndThreshold(t *testing.T) {
 			t.Fatalf("replica %d threshold not applied: %d", i, adv.Transfers[0].Streams)
 		}
 	}
-	st, err := p.rc.State()
+	st, err := p.rc.replicas[p.rc.Leader()].State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.InFlight != 1 { // State() reads the leader, which holds the one
-		// transfer advised directly against it above
+	if st.InFlight != 1 { // the leader holds the one transfer advised
+		// directly against it above
 		t.Fatalf("state = %+v", st)
 	}
 	if _, err := p.rc.AdviseCleanups([]policy.CleanupSpec{{

@@ -23,10 +23,9 @@ import (
 //
 // The fence wraps OUTSIDE the idempotency cache and refuses before the
 // handler runs, so a 412 applies nothing and records nothing. That is what
-// makes a re-route exactly-once: the re-routed attempt travels under the
-// next per-replica client's own idempotency key (keys are reused across
-// one client's retries, not across replicas), and the only server that has
-// applied — and cached — the mutation is the one that acknowledges it.
+// makes a re-route exactly-once whichever key the re-routed attempt
+// carries (see ReplicatedClient.Do): the only server that has applied —
+// and cached — the mutation is the one that acknowledges it.
 
 // EpochHeader carries the fencing epoch: on requests, the highest epoch
 // the client has observed; on responses from role-assigned servers, the
@@ -264,36 +263,15 @@ func (c *Client) RaiseEpoch(e uint64) {
 
 // Promote asks the server to become primary (see handlePromote).
 func (c *Client) Promote() (*PromoteResult, error) {
-	var out PromoteResult
-	if err := c.do(http.MethodPost, "/v1/promote", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch(c, http.MethodPost, "/v1/promote", nil, self[PromoteResult])
 }
 
 // Demote asks the server to step down to standby (idempotent).
 func (c *Client) Demote() (*EpochDoc, error) {
-	var out EpochDoc
-	if err := c.do(http.MethodPost, "/v1/demote", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch(c, http.MethodPost, "/v1/demote", nil, self[EpochDoc])
 }
 
 // EpochInfo reports the server's current epoch and role.
 func (c *Client) EpochInfo() (*EpochDoc, error) {
-	var out EpochDoc
-	if err := c.do(http.MethodGet, "/v1/epoch", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// BumpEpoch raises the server's epoch through its WAL-logged bump path.
-func (c *Client) BumpEpoch(epoch uint64) (*EpochDoc, error) {
-	var out EpochDoc
-	if err := c.do(http.MethodPost, "/v1/epoch", &EpochDoc{Epoch: epoch}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch(c, http.MethodGet, "/v1/epoch", nil, self[EpochDoc])
 }

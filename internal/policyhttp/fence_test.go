@@ -153,7 +153,7 @@ func TestFenceAllowsReadsAndReplication(t *testing.T) {
 	// Raw HTTP: a client mutation is fenced with the epoch stamped on the
 	// response header, and so is the same request carrying the retired
 	// replication-plane marker — any client could set it.
-	body, _ := json.Marshal(&ClockUpdate{Now: 5})
+	body, _ := json.Marshal(&ClockUpdate{ClockOp: policy.ClockOp{Now: 5}})
 	post := func(sync bool) *http.Response {
 		req, err := http.NewRequest(http.MethodPost, url+"/v1/clock/advance", bytes.NewReader(body))
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -42,18 +43,18 @@ func dumpJSON(t *testing.T, svc *policy.Service) string {
 }
 
 // TestEveryOpHasOneRoute is the HTTP half of the op-table conformance:
-// each logged op is served by exactly one route, every policy-plane route
+// each logged op is served by exactly one route (the table is keyed by op,
+// and the mux refuses a pattern twice), every policy-plane route
 // is fenced on a standby — 412 with the epoch stamped, even when the
 // request carries the retired X-Policy-Sync marker — and only the two
-// replication-plane ops are left open to feed standbys.
+// replication-plane ops are left open to feed standbys. It is also the
+// drift guard between the two readers of a route row: over JSON and XML,
+// Client.Do of every op must return exactly what Service.Execute returns
+// on a twin service fed the same payloads.
 func TestEveryOpHasOneRoute(t *testing.T) {
-	byOp := make(map[string][]route)
-	for _, rt := range routes {
-		byOp[rt.op] = append(byOp[rt.op], rt)
-	}
 	names := policy.OpNames()
-	if len(byOp) != len(names) {
-		t.Errorf("routes cover %d ops, the table has %d", len(byOp), len(names))
+	if len(routes) != len(names) {
+		t.Errorf("routes cover %d ops, the table has %d", len(routes), len(names))
 	}
 	_, svc, _, url := fencedServer(t, RoleStandby)
 	if _, err := svc.BumpEpoch(3); err != nil {
@@ -62,18 +63,16 @@ func TestEveryOpHasOneRoute(t *testing.T) {
 	before := dumpJSON(t, svc)
 	var unfenced []string
 	for _, op := range names {
-		rts := byOp[op]
-		if len(rts) != 1 {
-			t.Errorf("op %s has %d routes, want exactly 1", op, len(rts))
+		rt, ok := routes[op]
+		if !ok {
+			t.Errorf("op %s has no route", op)
 			continue
 		}
-		rt := rts[0]
 		if !rt.fenced {
 			unfenced = append(unfenced, op)
 			continue
 		}
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		req, err := http.NewRequest(method, url+path, strings.NewReader("{}"))
+		req, err := http.NewRequest(rt.method, url+rt.path, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +84,8 @@ func TestEveryOpHasOneRoute(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusPreconditionFailed || resp.Header.Get(EpochHeader) != "3" {
-			t.Errorf("%s on a standby: status %d, %s %q; want 412 stamped with epoch 3",
-				rt.pattern, resp.StatusCode, EpochHeader, resp.Header.Get(EpochHeader))
+			t.Errorf("%s %s on a standby: status %d, %s %q; want 412 stamped with epoch 3",
+				rt.method, rt.path, resp.StatusCode, EpochHeader, resp.Header.Get(EpochHeader))
 		}
 	}
 	if want := []string{policy.OpImportState, policy.OpBumpEpoch}; fmt.Sprint(unfenced) != fmt.Sprint(want) {
@@ -94,6 +93,86 @@ func TestEveryOpHasOneRoute(t *testing.T) {
 	}
 	if dumpJSON(t, svc) != before {
 		t.Error("a fenced request changed the standby's Policy Memory")
+	}
+
+	for _, format := range []string{"json", "xml"} {
+		t.Run(format, func(t *testing.T) { checkDoMatchesExecute(t, format == "xml") })
+	}
+}
+
+// checkDoMatchesExecute runs one script covering every logged op through
+// Client.Do against a served service and through Execute against its
+// twin, requiring identical results, identical refusals and identical
+// Policy Memory at the end.
+func checkDoMatchesExecute(t *testing.T, useXML bool) {
+	cfg := policy.DefaultConfig()
+	cfg.LeaseTTL = 10
+	served, err := policy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := policy.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(served, nil))
+	defer ts.Close()
+	opts := []ClientOption{noSleep()}
+	if useXML {
+		opts = append(opts, WithXML())
+	}
+	c := NewClient(ts.URL, opts...)
+
+	type call struct {
+		op      string
+		payload any
+	}
+	script := []call{
+		{policy.OpBumpEpoch, policy.EpochOp{Epoch: 2}},
+		{policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "src.example.org", DestHost: "dst.example.org", Max: 3}},
+		{policy.OpAdviseTransfers, []policy.TransferSpec{testSpec(1, "wf1"), testSpec(2, "wf1"), testSpec(3, "wf2")}},
+		{policy.OpReportTransfers, policy.CompletionReport{TransferIDs: []string{"t-00000001"}, FailedIDs: []string{"t-00000002"}}},
+		{policy.OpAdviseCleanups, []policy.CleanupSpec{{RequestID: "c1", WorkflowID: "wf1", FileURL: testSpec(1, "").DestURL}}},
+		{policy.OpReportCleanups, policy.CleanupReport{CleanupIDs: []string{"c-00000001", "c-00000099"}}},
+		{policy.OpRenewLease, policy.LeaseOp{WorkflowID: "wf2"}},
+		{policy.OpAdvanceClock, policy.ClockOp{Now: 100}},
+		{policy.OpActivateBundle, policy.BundleOp{Version: policy.BootstrapBundleVersion}},
+		{policy.OpAdviseTransfers, []policy.TransferSpec{{RequestID: "bad"}}},
+		{policy.OpImportState, twin.ExportState()},
+	}
+	if !useXML {
+		script = append(script,
+			call{policy.OpActivateBundle, policy.BundleOp{Doc: []byte(testBundleDoc)}},
+			call{policy.OpActivateBundle, policy.BundleOp{Rollback: true}})
+	} else if _, err := c.Do(context.Background(), policy.OpActivateBundle,
+		policy.BundleOp{Doc: []byte(testBundleDoc)}); !errors.Is(err, errBundleJSONOnly) {
+		t.Errorf("XML bundle document activation: %v, want %v", err, errBundleJSONOnly)
+	}
+	covered := make(map[string]bool)
+	for i, step := range script {
+		covered[step.op] = true
+		got, gerr := c.Do(context.Background(), step.op, step.payload)
+		want, werr := twin.Execute(context.Background(), step.op, step.payload)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("step %d (%s): Do error %v, Execute error %v", i, step.op, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("step %d (%s): Do returned %#v, Execute %#v", i, step.op, got, want)
+		}
+	}
+	for _, op := range policy.OpNames() {
+		if !covered[op] {
+			t.Errorf("drift guard never calls op %s", op)
+		}
+	}
+	if dumpJSON(t, served) != dumpJSON(t, twin) {
+		t.Error("served Policy Memory diverged from the twin's")
+	}
+	if _, err := c.Do(context.Background(), "no_such_op", nil); !errors.Is(err, policy.ErrInvalidRequest) {
+		t.Errorf("unknown op: %v, want ErrInvalidRequest", err)
+	}
+	if _, err := c.Do(context.Background(), policy.OpRenewLease, "wf1"); !errors.Is(err, policy.ErrInvalidRequest) {
+		t.Errorf("mistyped payload: %v, want ErrInvalidRequest", err)
 	}
 }
 

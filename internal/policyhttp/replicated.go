@@ -21,9 +21,9 @@ import (
 // repairs itself the same way — never through this client, which keeps no
 // memory of which replica failed last time.
 //
-// ReplicatedClient implements the same Advisor interface the transfer
-// tool uses, so a Pegasus-side deployment needs no changes to gain
-// failover.
+// ReplicatedClient has Client's call path, Do, and the Advisor interface
+// (with its keyed-report extension) the transfer tool uses, so a
+// Pegasus-side deployment needs no changes to gain failover.
 type ReplicatedClient struct {
 	replicas []*Client
 
@@ -72,13 +72,6 @@ func (rc *ReplicatedClient) Leader() int {
 	return rc.leader
 }
 
-// Epoch returns the highest fencing epoch observed across all replicas.
-func (rc *ReplicatedClient) Epoch() uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.epoch
-}
-
 // LastAckEpoch returns the epoch stamped on the most recent successful
 // call's response (0 before any, or when replicas run unfenced).
 func (rc *ReplicatedClient) LastAckEpoch() uint64 {
@@ -95,8 +88,9 @@ func (rc *ReplicatedClient) LastAckReplica() int {
 	return rc.lastAckReplica
 }
 
-// apply routes one call: the hinted leader first, then the rest in index
-// order, returning on the first acknowledgement. What each answer means:
+// Do runs one logged op (see Client.Do) on the current primary: the
+// hinted leader first, then the rest in index order, returning on the
+// first acknowledgement. What each answer means:
 //
 //   - ack: done; the replica becomes the leader hint.
 //   - 412: the replica is a healthy standby (or a primary that just
@@ -111,21 +105,24 @@ func (rc *ReplicatedClient) LastAckReplica() int {
 // With nothing acknowledged the error is ErrNoPrimary if any replica
 // fenced the call, ErrNoReplicas otherwise.
 //
-// Each per-replica Client mints its own idempotency key and reuses it
-// across that client's retries only; a re-routed attempt travels under a
-// different key. Exactly-once across a re-route holds because a 412 is
-// issued before the mutation is applied and never enters the replay cache:
-// only the one replica that acknowledges has applied anything. A call that
-// fails after a lost response may still have been applied by the replica
-// that lost it, as with any single server.
+// A caller's idempotency key (withIdempotencyKey) travels to every
+// replica tried; without one, each per-replica Client mints its own key
+// and reuses it across that client's retries only. Either way a re-route
+// is exactly-once, because a 412 is issued before the mutation is applied
+// and never enters the replay cache: only the one replica that
+// acknowledges has applied anything. A call that fails after a lost
+// response may still have been applied by the replica that lost it; a
+// caller that retries it under the same key is answered from that
+// replica's replay cache instead of applying it again.
 //
-// One root span context is minted per logical operation and shared by
-// every replica attempt (and every retry within each attempt), so a
-// fault episode spanning failover is reconstructable under one trace ID.
-// The lock is held only to read the hint and to record the outcome.
-func apply[T any](rc *ReplicatedClient, op func(context.Context, *Client) (T, error)) (T, error) {
-	var zero T
-	sc := obs.NewSpanContext()
+// Every replica attempt (and every retry within each attempt) joins the
+// trace in ctx, or one minted for the call, so a fault episode spanning
+// failover is reconstructable under one trace ID. The lock is held only
+// to read the hint and to record the outcome.
+func (rc *ReplicatedClient) Do(ctx context.Context, op string, payload any) (any, error) {
+	if _, ok := obs.SpanFromContext(ctx); !ok {
+		ctx = obs.ContextWithSpan(ctx, obs.NewSpanContext())
+	}
 	rc.mu.Lock()
 	hint, epoch := rc.leader, rc.epoch
 	rc.mu.Unlock()
@@ -140,7 +137,7 @@ func apply[T any](rc *ReplicatedClient, op func(context.Context, *Client) (T, er
 		}
 	}
 	acked, sawFenced, hintFenced := -1, false, false
-	var result T
+	var result any
 	var answered, lastErr error
 walk:
 	for _, i := range order {
@@ -148,9 +145,7 @@ walk:
 		// Spread the newest epoch before the call: the request header is
 		// what deposes a stale primary.
 		c.RaiseEpoch(epoch)
-		// Each replica keeps its own cancellation context; only the trace
-		// is shared.
-		r, err := op(obs.ContextWithSpan(c.ctx, sc), c)
+		r, err := c.Do(ctx, op, payload)
 		if e := c.Epoch(); e > epoch {
 			epoch = e
 		}
@@ -185,96 +180,52 @@ walk:
 	case acked >= 0:
 		return result, nil
 	case answered != nil:
-		return zero, answered
+		return nil, answered
 	}
 	sentinel := ErrNoReplicas
 	if sawFenced {
 		sentinel = ErrNoPrimary
 	}
 	if lastErr != nil {
-		return zero, fmt.Errorf("%w: last error: %v", sentinel, lastErr)
+		return nil, fmt.Errorf("%w: last error: %v", sentinel, lastErr)
 	}
-	return zero, sentinel
+	return nil, sentinel
 }
 
 // AdviseTransfers implements the Advisor interface with failover.
 func (rc *ReplicatedClient) AdviseTransfers(specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.TransferAdvice, error) {
-		return c.AdviseTransfersCtx(ctx, specs)
-	})
+	return as[*policy.TransferAdvice](rc.Do(context.Background(), policy.OpAdviseTransfers, specs))
 }
 
 // ReportTransfers implements the Advisor interface with failover.
 func (rc *ReplicatedClient) ReportTransfers(report policy.CompletionReport) (*policy.ReportAck, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.ReportAck, error) {
-		return c.ReportTransfersCtx(ctx, report)
-	})
+	return as[*policy.ReportAck](rc.Do(context.Background(), policy.OpReportTransfers, report))
 }
 
 // AdviseCleanups implements the Advisor interface with failover.
 func (rc *ReplicatedClient) AdviseCleanups(specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.CleanupAdvice, error) {
-		return c.AdviseCleanupsCtx(ctx, specs)
-	})
+	return as[*policy.CleanupAdvice](rc.Do(context.Background(), policy.OpAdviseCleanups, specs))
 }
 
 // ReportCleanups implements the Advisor interface with failover.
 func (rc *ReplicatedClient) ReportCleanups(report policy.CleanupReport) (*policy.ReportAck, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.ReportAck, error) {
-		return c.ReportCleanupsCtx(ctx, report)
-	})
+	return as[*policy.ReportAck](rc.Do(context.Background(), policy.OpReportCleanups, report))
 }
 
-// RenewLease renews the workflow's lease on the primary.
+// ReportTransfersKeyedCtx implements transfer.KeyedContextReporter: the
+// caller's key reaches every replica, so a report re-sent from the PTT's
+// backlog after its responses were lost is applied once.
+func (rc *ReplicatedClient) ReportTransfersKeyedCtx(ctx context.Context, key string, report policy.CompletionReport) (*policy.ReportAck, error) {
+	return as[*policy.ReportAck](rc.Do(withIdempotencyKey(ctx, key), policy.OpReportTransfers, report))
+}
+
+// ReportCleanupsKeyedCtx implements transfer.KeyedContextReporter.
+func (rc *ReplicatedClient) ReportCleanupsKeyedCtx(ctx context.Context, key string, report policy.CleanupReport) (*policy.ReportAck, error) {
+	return as[*policy.ReportAck](rc.Do(withIdempotencyKey(ctx, key), policy.OpReportCleanups, report))
+}
+
+// RenewLease renews the workflow's lease on the primary (the PTT's
+// transfer.LeaseRenewer).
 func (rc *ReplicatedClient) RenewLease(workflowID string) (*policy.LeaseStatus, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.LeaseStatus, error) {
-		return c.renewLeaseCtx(ctx, workflowID)
-	})
-}
-
-// AdvanceClock advances the primary's logical clock; being a logged
-// deterministic mutation, the standby expires the same leases on replay.
-func (rc *ReplicatedClient) AdvanceClock(now float64) (*policy.ClockAdvance, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.ClockAdvance, error) {
-		return c.advanceClockCtx(ctx, now)
-	})
-}
-
-// Leases lists active leases from the first replica that answers (the
-// leader when one is known; reads are not fenced).
-func (rc *ReplicatedClient) Leases() (*policy.LeaseList, error) {
-	return apply(rc, func(_ context.Context, c *Client) (*policy.LeaseList, error) { return c.Leases() })
-}
-
-// SetThreshold applies a threshold change on the primary.
-func (rc *ReplicatedClient) SetThreshold(src, dst string, max int) error {
-	_, err := apply(rc, func(ctx context.Context, c *Client) (struct{}, error) {
-		return struct{}{}, c.setThresholdCtx(ctx, src, dst, max)
-	})
-	return err
-}
-
-// ActivateBundleDoc activates a policy bundle document on the primary
-// through the WAL-logged activation path. Carrying the full document
-// (rather than a staged version name) keeps the call self-contained: it
-// does not depend on which server an earlier push reached.
-func (rc *ReplicatedClient) ActivateBundleDoc(doc []byte) (*policy.BundleInfo, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.BundleInfo, error) {
-		return c.ActivateBundleDocCtx(ctx, doc)
-	})
-}
-
-// RollbackBundle re-activates the previously active bundle on the primary.
-// The previous-bundle pointer is WAL-replayed state, so a promoted standby
-// rolls back to the identical version.
-func (rc *ReplicatedClient) RollbackBundle() (*policy.BundleInfo, error) {
-	return apply(rc, func(ctx context.Context, c *Client) (*policy.BundleInfo, error) {
-		return c.RollbackBundleCtx(ctx)
-	})
-}
-
-// State reads the externally visible state from the first replica that
-// answers (the leader when one is known).
-func (rc *ReplicatedClient) State() (*policy.Snapshot, error) {
-	return apply(rc, func(_ context.Context, c *Client) (*policy.Snapshot, error) { return c.State() })
+	return as[*policy.LeaseStatus](rc.Do(context.Background(), policy.OpRenewLease, policy.LeaseOp{WorkflowID: workflowID}))
 }

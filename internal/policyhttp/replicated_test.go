@@ -1,6 +1,7 @@
 package policyhttp
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -244,7 +245,8 @@ func TestReplicasStayIdentical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.rc.SetThreshold("a.example.org", "b.example.org", 7); err != nil {
+	if _, err := p.rc.Do(context.Background(), policy.OpSetThreshold,
+		policy.ThresholdOp{SourceHost: "a.example.org", DestHost: "b.example.org", Max: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if got := dumpJSON(t, p.svcs[1]); got == dumpJSON(t, p.svcs[0]) {

@@ -78,16 +78,16 @@ func TestBackoffGrowthAndCap(t *testing.T) {
 	}))
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
-		if got := c.backoff(i + 1); got != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
+		if got := c.retryDelay(i+1, 0); got != w*time.Millisecond {
+			t.Errorf("retryDelay(%d, 0) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
 	// Without a cap the doubling continues unbounded.
 	c2, _, _ := retryClient(nil, WithRetry(RetryPolicy{
 		MaxAttempts: 8, BaseBackoff: 10 * time.Millisecond, Jitter: 0,
 	}))
-	if got := c2.backoff(5); got != 160*time.Millisecond {
-		t.Errorf("uncapped backoff(5) = %v, want 160ms", got)
+	if got := c2.retryDelay(5, 0); got != 160*time.Millisecond {
+		t.Errorf("uncapped retryDelay(5, 0) = %v, want 160ms", got)
 	}
 }
 
@@ -100,20 +100,20 @@ func TestBackoffJitterBounds(t *testing.T) {
 	c, _, _ := retryClient(nil, WithRetry(pol), WithJitterSeed(42))
 	var first []time.Duration
 	for i := 1; i <= 4; i++ {
-		d := c.backoff(i)
+		d := c.retryDelay(i, 0)
 		nominal := 100 * time.Millisecond << (i - 1)
 		lo := time.Duration(float64(nominal) * 0.8)
 		hi := time.Duration(float64(nominal) * 1.2)
 		if d < lo || d > hi {
-			t.Errorf("backoff(%d) = %v outside [%v, %v]", i, d, lo, hi)
+			t.Errorf("retryDelay(%d, 0) = %v outside [%v, %v]", i, d, lo, hi)
 		}
 		first = append(first, d)
 	}
 	// Same seed, same sequence.
 	c2, _, _ := retryClient(nil, WithRetry(pol), WithJitterSeed(42))
 	for i := 1; i <= 4; i++ {
-		if d := c2.backoff(i); d != first[i-1] {
-			t.Errorf("seeded jitter not reproducible: backoff(%d) = %v, first run %v", i, d, first[i-1])
+		if d := c2.retryDelay(i, 0); d != first[i-1] {
+			t.Errorf("seeded jitter not reproducible: retryDelay(%d, 0) = %v, first run %v", i, d, first[i-1])
 		}
 	}
 }
@@ -193,20 +193,20 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestRetryRespectsCancellation checks that a cancelled base context stops
-// the retry loop between attempts instead of burning the remaining budget.
+// TestRetryRespectsCancellation checks that cancelling the call's context
+// stops the retry loop between attempts instead of burning the remaining
+// budget.
 func TestRetryRespectsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &scriptedTransport{script: []int{503, 503, 503}}
 	c := NewClient("http://scripted",
 		WithTransport(st),
-		WithBaseContext(ctx),
 		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, Jitter: 0}),
 		// Cancel during the first backoff: the loop must notice before
 		// launching attempt two.
 		WithBackoffSleep(func(time.Duration) { cancel() }),
 	)
-	err := c.SetThreshold("a", "b", 3)
+	_, err := c.Do(ctx, policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

@@ -32,6 +32,7 @@ import (
 	"log"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,8 +97,8 @@ type ReportAckDoc struct {
 
 // LeaseRenewal is the wire type for POST /v1/leases/renew.
 type LeaseRenewal struct {
-	XMLName    xml.Name `xml:"leaseRenewal" json:"-"`
-	WorkflowID string   `json:"workflowId" xml:"workflowId"`
+	XMLName xml.Name `xml:"leaseRenewal" json:"-"`
+	policy.LeaseOp
 }
 
 // LeaseStatusDoc wraps policy.LeaseStatus for XML round-trips.
@@ -115,7 +116,7 @@ type LeaseListDoc struct {
 // ClockUpdate is the wire type for POST /v1/clock/advance.
 type ClockUpdate struct {
 	XMLName xml.Name `xml:"clock" json:"-"`
-	Now     float64  `json:"now" xml:"now"`
+	policy.ClockOp
 }
 
 // ClockAdvanceDoc wraps policy.ClockAdvance for XML round-trips.
@@ -126,10 +127,8 @@ type ClockAdvanceDoc struct {
 
 // ThresholdUpdate is the wire type for PUT /v1/thresholds.
 type ThresholdUpdate struct {
-	XMLName    xml.Name `xml:"threshold" json:"-"`
-	SourceHost string   `json:"sourceHost" xml:"sourceHost"`
-	DestHost   string   `json:"destHost" xml:"destHost"`
-	Max        int      `json:"max" xml:"max"`
+	XMLName xml.Name `xml:"threshold" json:"-"`
+	policy.ThresholdOp
 }
 
 // ErrorDoc is the error response body.
@@ -213,8 +212,8 @@ func NewServerWith(svc *policy.Service, logger *log.Logger, reg *obs.Registry, t
 	s.idem = newIdemCache(0)
 	s.idemReplays = reg.Counter("http_idempotent_replays_total",
 		"Mutating requests answered from the idempotency cache without re-applying.").With()
-	for _, rt := range routes {
-		s.mux.HandleFunc(rt.pattern, s.mutation(rt))
+	for op, rt := range routes {
+		s.mux.HandleFunc(rt.method+" "+rt.path, s.mutation(op, rt))
 	}
 	// Read-only endpoints go through the admission controller's read
 	// gate (a pass-through until SetAdmission). The replication plane
@@ -312,28 +311,13 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	bundleVersion := q.Get("bundle")
 	recs := s.svc.Decisions(0)
 	out := make([]policy.DecisionRecord, 0, len(recs))
+	matches := func(ln policy.DecisionLine) bool {
+		return (workflow == "" || ln.WorkflowID == workflow) && MatchesLFN(ln.FileURL, lfn)
+	}
 	for _, rec := range recs {
-		if op != "" && rec.Op != op {
+		if (op != "" && rec.Op != op) || (bundleVersion != "" && rec.Bundle != bundleVersion) ||
+			((workflow != "" || lfn != "") && !slices.ContainsFunc(rec.Lines, matches)) {
 			continue
-		}
-		if bundleVersion != "" && rec.Bundle != bundleVersion {
-			continue
-		}
-		if workflow != "" || lfn != "" {
-			matched := false
-			for _, ln := range rec.Lines {
-				if workflow != "" && ln.WorkflowID != workflow {
-					continue
-				}
-				if lfn != "" && !MatchesLFN(ln.FileURL, lfn) {
-					continue
-				}
-				matched = true
-				break
-			}
-			if !matched {
-				continue
-			}
 		}
 		out = append(out, rec)
 	}
@@ -495,80 +479,107 @@ func (s *Server) writeError(w http.ResponseWriter, f format, status int, err err
 	s.writeResponse(w, f, status, &ErrorDoc{Message: err.Error()})
 }
 
-// route binds one logged op to its endpoint: how the wire document
-// becomes the op's payload and how the op's result becomes the reply.
+// route binds one logged op to its endpoint. The server and Client.Do
+// read the same row: the server decodes the request document into the
+// op's payload and wraps the op's result into the reply, the client does
+// the reverse, so the two halves cannot drift apart.
 type route struct {
-	pattern string
-	op      string
+	method, path string
 	// fenced marks policy-plane routes, refused with 412 unless this
 	// server is the primary (see failover.go). The two operator ops —
 	// restore (seed a server from a dump) and epoch bump — must work on a
 	// standby and stay unfenced.
 	fenced bool
-	// decode reads the request document and returns the op payload.
-	decode func(r *http.Request, f format) (any, error)
-	// reply wraps the op result for the wire; routes without one answer
-	// 204 No Content.
-	reply func(s *Server, result any) any
+	// req carries the op's payload in the request document; reply carries
+	// its result in the response. Routes without a reply answer 204 No
+	// Content.
+	req, reply codec
 }
 
-// reads builds a route's decode from its wire document type.
-func reads[D any](payload func(*D) any) func(*http.Request, format) (any, error) {
-	return func(r *http.Request, f format) (any, error) {
-		var doc D
-		if err := decode(r, f, &doc); err != nil {
-			return nil, err
-		}
-		return payload(&doc), nil
+// codec converts between an op's payload or result and its wire document.
+type codec interface {
+	// doc wraps v in a new document; false when v is not the op's type.
+	doc(v any) (any, bool)
+	// blank returns a fresh document to decode into.
+	blank() any
+	// value unwraps a document made by blank or doc.
+	value(doc any) any
+}
+
+// wire is the codec carrying a V in a *D.
+type wire[V, D any] struct {
+	wrap   func(V) *D
+	unwrap func(*D) V
+}
+
+func (w wire[V, D]) doc(v any) (any, bool) {
+	t, ok := v.(V)
+	if !ok {
+		return nil, false
 	}
+	return w.wrap(t), true
 }
 
-// writes builds a route's reply from its typed result.
-func writes[R any](doc func(*Server, R) any) func(*Server, any) any {
-	return func(s *Server, result any) any { return doc(s, result.(R)) }
+func (w wire[V, D]) blank() any      { return new(D) }
+func (w wire[V, D]) value(d any) any { return w.unwrap(d.(*D)) }
+
+func wireOf[V, D any](wrap func(V) *D, unwrap func(*D) V) codec { return wire[V, D]{wrap, unwrap} }
+
+// field is the codec of a document that carries the value in the field at
+// returns: wrapping fills that field of a fresh document, unwrapping reads
+// it.
+func field[V, D any](at func(*D) *V) codec {
+	return wireOf(func(v V) *D { d := new(D); *at(d) = v; return d }, func(d *D) V { return *at(d) })
 }
 
-func ackDoc(_ *Server, a *policy.ReportAck) any { return &ReportAckDoc{ReportAck: *a} }
+// embedded is field for a result passed by pointer: unwrapping points into
+// the document.
+func embedded[V, D any](at func(*D) *V) codec {
+	return wireOf(func(v *V) *D { d := new(D); *at(d) = *v; return d }, at)
+}
 
-// routes is the HTTP face of the policy op table: one line per logged op.
-var routes = []route{
-	{"POST /v1/transfers", policy.OpAdviseTransfers, true,
-		reads(func(d *TransferRequest) any { return d.Transfers }),
-		writes(func(_ *Server, a *policy.TransferAdvice) any { return &TransferAdviceDoc{TransferAdvice: *a} })},
-	{"POST /v1/transfers/completed", policy.OpReportTransfers, true,
-		reads(func(d *CompletionDoc) any { return d.CompletionReport }), writes(ackDoc)},
-	{"POST /v1/cleanups", policy.OpAdviseCleanups, true,
-		reads(func(d *CleanupRequest) any { return d.Cleanups }),
-		writes(func(_ *Server, a *policy.CleanupAdvice) any { return &CleanupAdviceDoc{CleanupAdvice: *a} })},
-	{"POST /v1/cleanups/completed", policy.OpReportCleanups, true,
-		reads(func(d *CleanupReportDoc) any { return d.CleanupReport }), writes(ackDoc)},
-	{"PUT /v1/thresholds", policy.OpSetThreshold, true,
-		reads(func(d *ThresholdUpdate) any {
-			return policy.ThresholdOp{SourceHost: d.SourceHost, DestHost: d.DestHost, Max: d.Max}
-		}), nil},
-	{"POST /v1/state/restore", policy.OpImportState, false,
-		reads(func(d *policy.StateDump) any { return d }), nil},
-	{"POST /v1/leases/renew", policy.OpRenewLease, true,
-		reads(func(d *LeaseRenewal) any { return policy.LeaseOp{WorkflowID: d.WorkflowID} }),
-		writes(func(_ *Server, l *policy.LeaseStatus) any { return &LeaseStatusDoc{LeaseStatus: *l} })},
-	{"POST /v1/clock/advance", policy.OpAdvanceClock, true,
-		reads(func(d *ClockUpdate) any { return policy.ClockOp{Now: d.Now} }),
-		writes(func(_ *Server, c *policy.ClockAdvance) any { return &ClockAdvanceDoc{ClockAdvance: *c} })},
-	{"POST /v1/bundles/activate", policy.OpActivateBundle, true,
-		reads(func(d *BundleActivateRequest) any {
+var ackWire = embedded(func(d *ReportAckDoc) *policy.ReportAck { return &d.ReportAck })
+
+// routes is the HTTP face of the policy op table: one row per logged op.
+var routes = map[string]route{
+	policy.OpAdviseTransfers: {http.MethodPost, "/v1/transfers", true,
+		field(func(d *TransferRequest) *[]policy.TransferSpec { return &d.Transfers }),
+		embedded(func(d *TransferAdviceDoc) *policy.TransferAdvice { return &d.TransferAdvice })},
+	policy.OpReportTransfers: {http.MethodPost, "/v1/transfers/completed", true,
+		field(func(d *CompletionDoc) *policy.CompletionReport { return &d.CompletionReport }), ackWire},
+	policy.OpAdviseCleanups: {http.MethodPost, "/v1/cleanups", true,
+		field(func(d *CleanupRequest) *[]policy.CleanupSpec { return &d.Cleanups }),
+		embedded(func(d *CleanupAdviceDoc) *policy.CleanupAdvice { return &d.CleanupAdvice })},
+	policy.OpReportCleanups: {http.MethodPost, "/v1/cleanups/completed", true,
+		field(func(d *CleanupReportDoc) *policy.CleanupReport { return &d.CleanupReport }), ackWire},
+	policy.OpSetThreshold: {http.MethodPut, "/v1/thresholds", true,
+		field(func(d *ThresholdUpdate) *policy.ThresholdOp { return &d.ThresholdOp }), nil},
+	policy.OpImportState: {http.MethodPost, "/v1/state/restore", false,
+		wireOf(self[policy.StateDump], self[policy.StateDump]), nil},
+	policy.OpRenewLease: {http.MethodPost, "/v1/leases/renew", true,
+		field(func(d *LeaseRenewal) *policy.LeaseOp { return &d.LeaseOp }),
+		embedded(func(d *LeaseStatusDoc) *policy.LeaseStatus { return &d.LeaseStatus })},
+	policy.OpAdvanceClock: {http.MethodPost, "/v1/clock/advance", true,
+		field(func(d *ClockUpdate) *policy.ClockOp { return &d.ClockOp }),
+		embedded(func(d *ClockAdvanceDoc) *policy.ClockAdvance { return &d.ClockAdvance })},
+	policy.OpActivateBundle: {http.MethodPost, "/v1/bundles/activate", true,
+		wireOf(func(v policy.BundleOp) *BundleActivateRequest {
+			return &BundleActivateRequest{Version: v.Version, Bundle: v.Doc, Rollback: v.Rollback}
+		}, func(d *BundleActivateRequest) policy.BundleOp {
 			return policy.BundleOp{Doc: d.Bundle, Version: d.Version, Rollback: d.Rollback}
 		}),
-		writes(func(_ *Server, b *policy.BundleInfo) any { return &BundleInfoDoc{BundleInfo: *b} })},
-	{"POST /v1/epoch", policy.OpBumpEpoch, false,
-		reads(func(d *EpochDoc) any { return policy.EpochOp{Epoch: d.Epoch} }),
-		writes(func(s *Server, e uint64) any { return &EpochDoc{Epoch: e, Role: s.Role().String()} })},
+		embedded(func(d *BundleInfoDoc) *policy.BundleInfo { return &d.BundleInfo })},
+	policy.OpBumpEpoch: {http.MethodPost, "/v1/epoch", false,
+		wireOf(func(v policy.EpochOp) *EpochDoc { return &EpochDoc{Epoch: v.Epoch} },
+			func(d *EpochDoc) policy.EpochOp { return policy.EpochOp{Epoch: d.Epoch} }),
+		field(func(d *EpochDoc) *uint64 { return &d.Epoch })},
 }
 
 // mutation is the one handler behind every route: negotiate the wire
 // format, decode, submit the op, map the outcome. The idempotency cache
 // wraps it, and the epoch fence wraps OUTSIDE that: a 412 must never be
 // recorded against a key the client will re-use at the real primary.
-func (s *Server) mutation(rt route) http.HandlerFunc {
+func (s *Server) mutation(op string, rt route) http.HandlerFunc {
 	h := s.idempotent(func(w http.ResponseWriter, r *http.Request) {
 		reqf, err := requestFormat(r)
 		resf := responseFormat(r, reqf)
@@ -576,12 +587,12 @@ func (s *Server) mutation(rt route) http.HandlerFunc {
 			s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
 			return
 		}
-		payload, err := rt.decode(r, reqf)
-		if err != nil {
+		doc := rt.req.blank()
+		if err := decode(r, reqf, doc); err != nil {
 			s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return
 		}
-		result, err := s.submit(r.Context(), rt.op, payload)
+		result, err := s.submit(r.Context(), op, rt.req.value(doc))
 		if err != nil {
 			s.writeFailure(w, resf, err)
 			return
@@ -590,7 +601,11 @@ func (s *Server) mutation(rt route) http.HandlerFunc {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		s.writeResponse(w, resf, http.StatusOK, rt.reply(s, result))
+		reply, _ := rt.reply.doc(result)
+		if e, ok := reply.(*EpochDoc); ok {
+			e.Role = s.Role().String() // the epoch reply also reports the role
+		}
+		s.writeResponse(w, resf, http.StatusOK, reply)
 	})
 	if rt.fenced {
 		h = s.fenced(h)
@@ -636,6 +651,20 @@ type BundleActivateRequest struct {
 	Version  string          `json:"version,omitempty" xml:"version,omitempty"`
 	Bundle   json.RawMessage `json:"bundle,omitempty" xml:"-"`
 	Rollback bool            `json:"rollback,omitempty" xml:"rollback,omitempty"`
+}
+
+// errBundleJSONOnly refuses to carry a bundle document in XML: the bundle
+// encoding is JSON-canonical, its checksum is defined over that form.
+var errBundleJSONOnly = errors.New("policyhttp: bundle documents are JSON-only; use a JSON-mode client")
+
+// MarshalXML encodes the request, refusing one that carries a bundle
+// document (errBundleJSONOnly).
+func (d *BundleActivateRequest) MarshalXML(e *xml.Encoder, _ xml.StartElement) error {
+	if len(d.Bundle) > 0 {
+		return errBundleJSONOnly
+	}
+	type plain BundleActivateRequest
+	return e.Encode((*plain)(d))
 }
 
 // handleBundlePush stages a policy bundle without activating it. The body

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -81,7 +82,7 @@ func (f *flakyAdvisor) ReportCleanups(rep policy.CleanupReport) (*policy.ReportA
 	return f.svc.ReportCleanups(rep)
 }
 
-func (f *flakyAdvisor) ReportTransfersKeyed(key string, rep policy.CompletionReport) (*policy.ReportAck, error) {
+func (f *flakyAdvisor) ReportTransfersKeyedCtx(_ context.Context, key string, rep policy.CompletionReport) (*policy.ReportAck, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func (f *flakyAdvisor) ReportTransfersKeyed(key string, rep policy.CompletionRep
 	return ack, nil
 }
 
-func (f *flakyAdvisor) ReportCleanupsKeyed(key string, rep policy.CleanupReport) (*policy.ReportAck, error) {
+func (f *flakyAdvisor) ReportCleanupsKeyedCtx(_ context.Context, key string, rep policy.CleanupReport) (*policy.ReportAck, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}

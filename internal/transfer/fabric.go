@@ -37,23 +37,16 @@ type ContextAdvisor interface {
 	ReportCleanupsCtx(ctx context.Context, report policy.CleanupReport) (*policy.ReportAck, error)
 }
 
-// KeyedContextReporter is the optional Advisor extension combining a
-// caller-chosen idempotency key with a caller trace context (the REST
-// client). The PTT prefers it over KeyedReporter so keyed reports keep
-// their batch trace without giving up stable keys across backlog drains.
+// KeyedContextReporter is the optional Advisor extension for advisors that
+// accept a caller-chosen idempotency key next to the caller's trace
+// context (the REST clients, replicated or not). The PTT sends every
+// completion report through it when offered: each report keeps one key
+// from its first attempt across every backlog drain, so a report that
+// reached the service before a lost response is not applied twice, and
+// it keeps its batch trace.
 type KeyedContextReporter interface {
 	ReportTransfersKeyedCtx(ctx context.Context, key string, report policy.CompletionReport) (*policy.ReportAck, error)
 	ReportCleanupsKeyedCtx(ctx context.Context, key string, report policy.CleanupReport) (*policy.ReportAck, error)
-}
-
-// KeyedReporter is the optional Advisor extension for advisors that accept
-// a caller-chosen idempotency key (the REST client). The PTT uses it when
-// draining its degraded-mode backlog: each queued report keeps one key
-// across every drain attempt, so a report that reached the service before
-// a lost response is not applied twice.
-type KeyedReporter interface {
-	ReportTransfersKeyed(key string, report policy.CompletionReport) (*policy.ReportAck, error)
-	ReportCleanupsKeyed(key string, report policy.CleanupReport) (*policy.ReportAck, error)
 }
 
 // LeaseRenewer is the optional Advisor extension for advisors that expose

@@ -150,12 +150,15 @@ type PTT struct {
 	metrics *pttMetrics // nil without Config.Obs
 }
 
-// backlogEntry is one unreported completion held while the policy service
-// is unreachable. Exactly one of transfers/cleanups is set. The key is
-// minted once and reused on every drain attempt, so an advisor that
-// honors idempotency keys (the REST client) applies the report at most
-// once even if an earlier attempt's response was lost.
+// backlogEntry is one completion report: sent once, and held while the
+// policy service is unreachable. Exactly one of transfers/cleanups is set.
+// The key is minted before the first attempt and reused on every drain
+// attempt, so an advisor that honors idempotency keys (the REST clients)
+// applies the report at most once even if an earlier attempt's response
+// was lost. ctx carries the advised batch's trace, which a drained report
+// still joins.
 type backlogEntry struct {
+	ctx        context.Context
 	key        string
 	workflowID string
 	transfers  *policy.CompletionReport
@@ -362,22 +365,26 @@ func (t *PTT) enqueueBacklog(e backlogEntry) {
 	}
 }
 
-// sendBacklog delivers one queued report, preferring the keyed interface
-// so the entry's original idempotency key is reused.
-func (t *PTT) sendBacklog(e backlogEntry) error {
-	if kr, ok := t.cfg.Advisor.(KeyedReporter); ok {
-		if e.transfers != nil {
-			_, err := kr.ReportTransfersKeyed(e.key, *e.transfers)
-			return err
-		}
-		_, err := kr.ReportCleanupsKeyed(e.key, *e.cleanups)
-		return err
+// sendReport delivers one completion report through the richest interface
+// the advisor offers: keyed, so every drain reuses the entry's key; else
+// traced; else plain.
+func (t *PTT) sendReport(e backlogEntry) (err error) {
+	kr, keyed := t.cfg.Advisor.(KeyedContextReporter)
+	ca, traced := t.cfg.Advisor.(ContextAdvisor)
+	switch {
+	case e.transfers != nil && keyed:
+		_, err = kr.ReportTransfersKeyedCtx(e.ctx, e.key, *e.transfers)
+	case e.transfers != nil && traced:
+		_, err = ca.ReportTransfersCtx(e.ctx, *e.transfers)
+	case e.transfers != nil:
+		_, err = t.cfg.Advisor.ReportTransfers(*e.transfers)
+	case keyed:
+		_, err = kr.ReportCleanupsKeyedCtx(e.ctx, e.key, *e.cleanups)
+	case traced:
+		_, err = ca.ReportCleanupsCtx(e.ctx, *e.cleanups)
+	default:
+		_, err = t.cfg.Advisor.ReportCleanups(*e.cleanups)
 	}
-	if e.transfers != nil {
-		_, err := t.cfg.Advisor.ReportTransfers(*e.transfers)
-		return err
-	}
-	_, err := t.cfg.Advisor.ReportCleanups(*e.cleanups)
 	return err
 }
 
@@ -431,7 +438,7 @@ func (t *PTT) reconcile(p *simnet.Proc, workflowID string) {
 		if t.metrics != nil {
 			t.metrics.policyCalls.Inc()
 		}
-		if err := t.sendBacklog(e); err != nil {
+		if err := t.sendReport(e); err != nil {
 			t.mu.Lock()
 			t.backlog = append(append([]backlogEntry{}, pending[i:]...), t.backlog...)
 			for len(t.backlog) > t.cfg.Breaker.BacklogLimit {
@@ -645,18 +652,8 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 		}
 		// The key is minted before the first attempt so a backlog drain
 		// after a lost response reuses it and the report applies once.
-		key := t.nextBacklogKey(workflowID)
-		var rerr error
-		if kcr, ok := t.cfg.Advisor.(KeyedContextReporter); ok {
-			_, rerr = kcr.ReportTransfersKeyedCtx(ctx, key, report)
-		} else if kr, ok := t.cfg.Advisor.(KeyedReporter); ok {
-			_, rerr = kr.ReportTransfersKeyed(key, report)
-		} else if ca, ok := t.cfg.Advisor.(ContextAdvisor); ok {
-			_, rerr = ca.ReportTransfersCtx(ctx, report)
-		} else {
-			_, rerr = t.cfg.Advisor.ReportTransfers(report)
-		}
-		if rerr != nil {
+		e := backlogEntry{ctx: ctx, key: t.nextBacklogKey(workflowID), workflowID: workflowID, transfers: &report}
+		if rerr := t.sendReport(e); rerr != nil {
 			if !t.breakerEnabled() {
 				return fmt.Errorf("transfer: completion report: %w", rerr)
 			}
@@ -669,7 +666,7 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 			} else {
 				t.policyFailed(p.Now())
 			}
-			t.enqueueBacklog(backlogEntry{key: key, workflowID: workflowID, transfers: &report})
+			t.enqueueBacklog(e)
 		} else {
 			t.policySucceeded(p, workflowID)
 		}
@@ -758,18 +755,8 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 			t.metrics.policyCalls.Inc()
 		}
 		report := policy.CleanupReport{CleanupIDs: done}
-		key := t.nextBacklogKey(workflowID)
-		var rerr error
-		if kcr, ok := t.cfg.Advisor.(KeyedContextReporter); ok {
-			_, rerr = kcr.ReportCleanupsKeyedCtx(ctx, key, report)
-		} else if kr, ok := t.cfg.Advisor.(KeyedReporter); ok {
-			_, rerr = kr.ReportCleanupsKeyed(key, report)
-		} else if ca, ok := t.cfg.Advisor.(ContextAdvisor); ok {
-			_, rerr = ca.ReportCleanupsCtx(ctx, report)
-		} else {
-			_, rerr = t.cfg.Advisor.ReportCleanups(report)
-		}
-		if rerr != nil {
+		e := backlogEntry{ctx: ctx, key: t.nextBacklogKey(workflowID), workflowID: workflowID, cleanups: &report}
+		if rerr := t.sendReport(e); rerr != nil {
 			if !t.breakerEnabled() {
 				return fmt.Errorf("transfer: cleanup report: %w", rerr)
 			}
@@ -778,7 +765,7 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 			} else {
 				t.policyFailed(p.Now())
 			}
-			t.enqueueBacklog(backlogEntry{key: key, workflowID: workflowID, cleanups: &report})
+			t.enqueueBacklog(e)
 		} else {
 			t.policySucceeded(p, workflowID)
 		}

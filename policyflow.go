@@ -84,7 +84,11 @@ func NewPolicyService(cfg PolicyConfig) (*PolicyService, error) { return policy.
 type (
 	// PolicyServer is the RESTful web interface (an http.Handler).
 	PolicyServer = policyhttp.Server
-	// PolicyClient talks to a remote policy service over HTTP.
+	// PolicyClient talks to a remote policy service over HTTP. Its one
+	// call path is Do(ctx, op, payload): the payload PolicyService.Execute
+	// takes for a logged op goes over the wire, and the result Execute
+	// returns comes back. AdviseTransfers, ReportTransfers and the other
+	// typed methods are one-line calls to Do.
 	PolicyClient = policyhttp.Client
 	// PolicyClientOption customizes a PolicyClient.
 	PolicyClientOption = policyhttp.ClientOption
@@ -178,10 +182,11 @@ type (
 	// StateDump is a serializable snapshot of Policy Memory.
 	StateDump = policy.StateDump
 	// ReplicatedPolicyClient follows the leader of an epoch-fenced
-	// primary/standby pair: each call goes to the replica that last
-	// acknowledged one and re-routes on a fence (412) or a failure. It
-	// replicates nothing itself — the standby pulls the primary's log, and
-	// a promotion (POST /v1/promote) moves leadership.
+	// primary/standby pair through the same Do(ctx, op, payload) call
+	// path: each call goes to the replica that last acknowledged one and
+	// re-routes on a fence (412) or a failure. It replicates nothing
+	// itself — the standby pulls the primary's log, and a promotion
+	// (POST /v1/promote) moves leadership.
 	ReplicatedPolicyClient = policyhttp.ReplicatedClient
 )
 
