@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test race vet fmt fmt-check bench-build bench-smoke bench-json bench-json-check bundle-check cover fuzz-smoke test-liveness test-failover load-smoke loc
+.PHONY: ci build test race vet fmt fmt-check bench-build bench-smoke bench-json bench-json-check bench-pair bundle-check cover fuzz-smoke test-liveness test-failover load-smoke loc
 
 # The full gate: what a PR must pass.
 ci: fmt-check vet build bench-build race test-liveness test-failover bundle-check bench-smoke load-smoke bench-json-check cover fuzz-smoke
@@ -94,6 +94,33 @@ bench-json:
 BENCH_TOLERANCE := 0.30
 bench-json-check:
 	$(GO) run ./cmd/benchjson -check BENCH_policyflow.json -tolerance $(BENCH_TOLERANCE)
+
+# bench-pair measures the working tree against HEAD on one workload of the
+# repository benchmark: HEAD is checked out into a temporary git worktree
+# under .bench_build/, and PAIRS pairs of bench/run.sh --trace 0 runs
+# follow, each side appending to its own results file and the two sides
+# taking turns to go first. bench/run.sh --compare then judges the medians
+# (exit 1 when one is worse than its bound). SEED picks the generated
+# inputs; a claim should also hold on a seed not used while writing the
+# change. Run it before committing.
+WORKLOAD ?= recover-failover
+PAIRS ?= 10
+SEED ?= 1
+PAIR_DIR := .bench_build/pair
+bench-pair:
+	rm -rf $(PAIR_DIR) && git worktree prune && mkdir -p $(PAIR_DIR)
+	git worktree add --detach $(PAIR_DIR)/head HEAD
+	@trap 'git worktree remove --force $(PAIR_DIR)/head' EXIT; \
+	run() { echo "== pair $$1/$(PAIRS): $$2"; bash $$3/bench/run.sh --workload $(WORKLOAD) \
+		--seed $(SEED) --trace 0 --results $(CURDIR)/$(PAIR_DIR)/$$2.jsonl; }; \
+	for i in $$(seq $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then \
+			run $$i head $(PAIR_DIR)/head && run $$i tree . || exit 1; \
+		else \
+			run $$i tree . && run $$i head $(PAIR_DIR)/head || exit 1; \
+		fi; \
+	done; \
+	bash bench/run.sh --compare $(PAIR_DIR)/head.jsonl $(PAIR_DIR)/tree.jsonl
 
 # cover enforces per-package statement-coverage floors on the
 # correctness-critical packages: the policy engine, the durable store,

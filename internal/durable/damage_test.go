@@ -134,7 +134,7 @@ func TestArchiveAfterShipsOnlyTheDelta(t *testing.T) {
 	defer st.Close()
 	for i := 1; i <= 6; i++ {
 		if i == 3 {
-			if err := st.WriteSnapshot(2, []byte(`{"epoch":3}`)); err != nil {
+			if err := st.WriteSnapshot(2, 3, []byte(`{"epoch":3}`)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,10 +15,13 @@ var update = flag.Bool("update", false, "regenerate testdata/golden from goldenH
 
 // The golden fixtures pin the on-disk and on-wire formats: a data directory
 // holding the whole log (wal/), one holding a snapshot plus the tail after
-// it (snapshot/), the Policy Memory both recover to (state.json), and the
-// archives the snapshot directory serves — full (archive.json) and the
-// delta after the snapshot (archive_delta.json). They were written once by
-// goldenHistory; every later build must still read them.
+// it (snapshot/), the Policy Memory all of them recover to (state.json),
+// and the archives the snapshot directory serves — full (archive.json) and
+// the delta after the snapshot (archive_delta.json). They were written once
+// by goldenHistory; every later build must still read them. restore/ is a
+// standby's data directory after a full restore of archive.json, in the v1
+// layout: the snapshot logged as one import_state WAL record, then the tail
+// (see restoreHistory).
 const goldenDir = "testdata/golden"
 
 // goldenLeaseTTL is the one setting the fixtures' services change from
@@ -89,6 +92,42 @@ func goldenHistory(t *testing.T, dir string, snapshot bool) (state []byte, snapS
 	return dumpJSON(t, svc), snapSeq
 }
 
+// restoreHistory applies the committed full archive to a fresh standby in
+// dir the way v1 builds logged a full restore: the snapshot as one
+// import_state WAL record (the generic Store is the service's log, so the
+// record is written as is), then the tail records after it.
+func restoreHistory(t *testing.T, dir string) {
+	t.Helper()
+	var arch Archive
+	if err := json.Unmarshal(readGolden(t, "archive.json"), &arch); err != nil {
+		t.Fatal(err)
+	}
+	svc := goldenService(t)
+	ps, _, err := OpenPolicyStore(dir, svc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	svc.SetMutationLog(ps.store)
+	recs := []policy.ReplicaRecord{{Seq: arch.SnapshotSeq, Op: policy.OpImportState, Data: arch.Snapshot}}
+	for _, rec := range arch.Tail {
+		recs = append(recs, policy.ReplicaRecord{Seq: rec.Seq, Op: rec.Op, Data: rec.Data})
+	}
+	if err := svc.ApplyReplica("donor", recs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goldenSubs are the committed data directories, each with its writer.
+var goldenSubs = []struct {
+	name  string
+	write func(t *testing.T, dir string)
+}{
+	{"wal", func(t *testing.T, dir string) { goldenHistory(t, dir, false) }},
+	{"snapshot", func(t *testing.T, dir string) { goldenHistory(t, dir, true) }},
+	{"restore", restoreHistory},
+}
+
 // copyFiles copies the regular files matching pattern from src into dst.
 func copyFiles(t *testing.T, src, dst, pattern string) {
 	t.Helper()
@@ -110,16 +149,30 @@ func copyFiles(t *testing.T, src, dst, pattern string) {
 	}
 }
 
+// marshalArchive renders arch as a donor serves it (Archive.WriteJSON),
+// indented. The wire bytes must equal json.Marshal's, so the fixtures also
+// pin that the archive document is framed, not re-encoded, exactly as the
+// encoder would write it.
 func marshalArchive(t *testing.T, arch *Archive, err error) []byte {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(arch, "", "  ")
+	var wire, out bytes.Buffer
+	if err := arch.WriteJSON(&wire); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(data, '\n')
+	if !bytes.Equal(wire.Bytes(), append(enc, '\n')) {
+		t.Fatalf("archive wire bytes differ from json.Marshal:\n got  %s\n want %s", wire.Bytes(), enc)
+	}
+	if err := json.Indent(&out, wire.Bytes(), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // regenerateGolden rewrites testdata/golden from goldenHistory.
@@ -150,6 +203,9 @@ func regenerateGolden(t *testing.T) {
 			}
 		}
 	}
+	dir := filepath.Join(t.TempDir(), "restore")
+	restoreHistory(t, dir)
+	copyFiles(t, dir, filepath.Join(goldenDir, "restore"), "*")
 }
 
 func readGolden(t *testing.T, name string) []byte {
@@ -161,7 +217,7 @@ func readGolden(t *testing.T, name string) []byte {
 	return data
 }
 
-// TestGoldenFixturesReplay recovers both committed data directories and
+// TestGoldenFixturesReplay recovers every committed data directory and
 // requires the committed state, and re-serves the committed archives from
 // the snapshot directory byte for byte. A change that cannot read a log or
 // snapshot an earlier build wrote, or that changes what a donor ships,
@@ -171,7 +227,8 @@ func TestGoldenFixturesReplay(t *testing.T) {
 		regenerateGolden(t)
 	}
 	want := bytes.TrimSuffix(readGolden(t, "state.json"), []byte("\n"))
-	for _, sub := range []string{"wal", "snapshot"} {
+	for _, g := range goldenSubs {
+		sub := g.name
 		dir := filepath.Join(t.TempDir(), sub)
 		copyFiles(t, filepath.Join(goldenDir, sub), dir, "*")
 		svc := goldenService(t)
@@ -204,9 +261,10 @@ func TestGoldenFixturesReplay(t *testing.T) {
 // fixtures pin. A deliberate format change regenerates them with -update
 // and must keep reading the old ones.
 func TestGoldenHistoryIsStable(t *testing.T) {
-	for _, sub := range []string{"wal", "snapshot"} {
+	for _, g := range goldenSubs {
+		sub := g.name
 		dir := filepath.Join(t.TempDir(), sub)
-		goldenHistory(t, dir, sub == "snapshot")
+		g.write(t, dir)
 		names, err := filepath.Glob(filepath.Join(goldenDir, sub, "*"))
 		if err != nil || len(names) == 0 {
 			t.Fatalf("%s: no committed fixture files (%v)", sub, err)

@@ -60,8 +60,18 @@ func OpenPolicyStore(dir string, svc *policy.Service, opts Options) (*PolicyStor
 	return ps, stats, nil
 }
 
-// Append implements policy.MutationLog.
+// Append implements policy.MutationLog. An import_state replaces Policy
+// Memory wholesale, so it is installed as a snapshot at the next log
+// position rather than logged as a state-sized record (see Store.Install);
+// the dump's bytes are written as it was decoded from them.
 func (ps *PolicyStore) Append(op string, payload any) (uint64, error) {
+	if d, ok := payload.(*policy.StateDump); ok && op == policy.OpImportState {
+		state, err := d.JSON()
+		if err != nil {
+			return 0, fmt.Errorf("durable: encode %s payload: %w", op, err)
+		}
+		return ps.store.Install(d.Epoch, state)
+	}
 	return ps.store.Append(op, payload)
 }
 
@@ -77,7 +87,7 @@ func (ps *PolicyStore) SnapshotNow() (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("durable: encode snapshot: %w", err)
 	}
-	if err := ps.store.WriteSnapshot(seq, state); err != nil {
+	if err := ps.store.WriteSnapshot(seq, dump.Epoch, state); err != nil {
 		return SnapshotInfo{}, err
 	}
 	info := SnapshotInfo{Seq: seq, Bytes: len(state),

@@ -311,3 +311,29 @@ func TestWALMetrics(t *testing.T) {
 		t.Errorf("recovered = %v, want 1", got)
 	}
 }
+
+// TestArchiveWriteJSONMatchesEncoder: for a snapshot as json.Marshal
+// writes it (compact, HTML-escaped), the framed archive document is the
+// encoder's, byte for byte, with and without a snapshot and a tail.
+func TestArchiveWriteJSONMatchesEncoder(t *testing.T) {
+	snap := json.RawMessage(`{"epoch":2,"transfers":[{"id":"t-1","sourceUrl":"a\u003cb"}]}`)
+	tail := []Record{{Seq: 6, Op: "advise_transfers", Data: json.RawMessage(`[{"requestId":"r"}]`)}, {Seq: 7, Op: "bump_epoch"}}
+	for _, arch := range []*Archive{
+		{SnapshotSeq: 5, Epoch: 2, Snapshot: snap, Tail: tail},
+		{SnapshotSeq: 5, Epoch: 2, Snapshot: snap},
+		{Delta: true, Tail: tail},
+		{Delta: true},
+		{Tail: tail},
+	} {
+		var got, want bytes.Buffer
+		if err := arch.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&want).Encode(arch); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSON:\n got  %s want %s", got.Bytes(), want.Bytes())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -11,60 +12,78 @@ import (
 
 // Snapshots are JSON envelopes written atomically (temp file, fsync,
 // rename) and self-validating: the envelope carries a CRC-32 of the state
-// payload, so a damaged snapshot is skipped in favor of an older one.
-type snapshotEnvelope struct {
+// payload, so a damaged snapshot is skipped in favor of an older one. The
+// envelope is framed around the state's exact bytes,
+//
+//	{"seq":N,"crc":C,"epoch":E,"state":<state>}
+//
+// (epoch omitted when 0), so neither writing nor loading a snapshot
+// re-encodes the state, and the checksum covers the bytes on disk. For
+// compact state this is what json.Marshal of snapshotHeader plus a state
+// field would write.
+type snapshotHeader struct {
 	Seq uint64 `json:"seq"`
 	CRC uint32 `json:"crc"`
-	// Epoch is the fencing epoch embedded in the state payload, lifted
-	// into the header so archives and recovery can report it without
-	// decoding the full state.
-	Epoch uint64          `json:"epoch,omitempty"`
-	State json.RawMessage `json:"state"`
+	// Epoch is the fencing epoch of the state, lifted into the header so
+	// archives and recovery can report it without decoding the state.
+	Epoch uint64 `json:"epoch,omitempty"`
 }
+
+// stateField ends a snapshot's header and opens its state payload.
+var stateField = []byte(`,"state":`)
 
 func snapshotPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%020d.json", seq))
 }
 
-// writeSnapshotFile atomically persists state as the snapshot at seq.
-func writeSnapshotFile(dir string, seq uint64, state []byte) error {
-	var hdr struct {
-		Epoch uint64 `json:"epoch"`
+// writeSnapshotFile atomically persists state, a JSON value, as the
+// snapshot at seq with header epoch epoch.
+func writeSnapshotFile(dir string, seq, epoch uint64, state []byte) error {
+	if len(state) == 0 {
+		return fmt.Errorf("durable: snapshot %d has no state", seq)
 	}
-	// Best-effort lift: a state payload without an epoch field (or not
-	// JSON-object-shaped) leaves the header epoch at 0.
-	json.Unmarshal(state, &hdr)
-	data, err := json.Marshal(&snapshotEnvelope{
-		Seq: seq, CRC: crc32.ChecksumIEEE(state), Epoch: hdr.Epoch, State: state,
-	})
-	if err != nil {
-		return fmt.Errorf("durable: encode snapshot %d: %w", seq, err)
+	head := fmt.Appendf(nil, `{"seq":%d,"crc":%d`, seq, crc32.ChecksumIEEE(state))
+	if epoch != 0 {
+		head = fmt.Appendf(head, `,"epoch":%d`, epoch)
 	}
+	head = append(head, stateField...)
 	path := snapshotPath(dir, seq)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	for _, part := range [][]byte{head, state, []byte("}")} {
+		if _, err = f.Write(part); err != nil {
+			break
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return syncDir(dir)
+}
+
+// parseSnapshot reads the header of a snapshot file and slices out its
+// state, verifying the checksum; the state is not decoded. ok is false for
+// a file that is not a valid envelope.
+func parseSnapshot(data []byte) (hdr snapshotHeader, state []byte, ok bool) {
+	i := bytes.Index(data, stateField)
+	if i < 0 || data[len(data)-1] != '}' || json.Unmarshal(append(data[:i:i], '}'), &hdr) != nil {
+		return hdr, nil, false
+	}
+	state = data[i+len(stateField) : len(data)-1]
+	return hdr, state, len(state) > 0 && crc32.ChecksumIEEE(state) == hdr.CRC
 }
 
 // listSnapshots returns the snapshot sequence numbers present in dir,
@@ -103,14 +122,11 @@ func loadLatestSnapshot(dir string) (uint64, uint64, []byte, error) {
 		if err != nil {
 			continue
 		}
-		var env snapshotEnvelope
-		if err := json.Unmarshal(data, &env); err != nil {
+		hdr, state, ok := parseSnapshot(data)
+		if !ok || hdr.Seq != seqs[i] {
 			continue
 		}
-		if env.Seq != seqs[i] || crc32.ChecksumIEEE(env.State) != env.CRC {
-			continue
-		}
-		return env.Seq, env.Epoch, env.State, nil
+		return hdr.Seq, hdr.Epoch, state, nil
 	}
 	return 0, 0, nil, nil
 }

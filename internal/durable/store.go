@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -75,6 +77,36 @@ type Archive struct {
 	Tail []Record `json:"tail,omitempty"`
 }
 
+// WriteJSON writes a as one JSON document and a newline — for a compact
+// Snapshot, the bytes json.NewEncoder(w).Encode(a) writes — without
+// re-scanning the state-sized Snapshot: the other fields are encoded, and
+// the snapshot goes out as stored.
+func (a *Archive) WriteJSON(w io.Writer) error {
+	rest := *a
+	rest.Snapshot = nil
+	doc, err := json.Marshal(&rest)
+	if err != nil {
+		return err
+	}
+	doc = append(doc, '\n')
+	parts := [][]byte{doc}
+	if a.Snapshot != nil {
+		// The fields before the snapshot are numbers and a bool, so the
+		// first `,"tail":` — or else the closing brace — is where it goes.
+		at := bytes.Index(doc, []byte(`,"tail":`))
+		if at < 0 {
+			at = len(doc) - len("}\n")
+		}
+		parts = [][]byte{doc[:at], []byte(`,"snapshot":`), a.Snapshot, doc[at:]}
+	}
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Open opens (creating if needed) the store in dir and recovers: restore
 // receives the latest valid snapshot payload (when one exists), then apply
 // receives every WAL record after it, in order. A torn final record — the
@@ -142,35 +174,63 @@ func (st *Store) Sync(seq uint64) error { return st.wal.Sync(seq) }
 // LastSeq returns the sequence number of the last appended record.
 func (st *Store) LastSeq() uint64 { return st.wal.LastSeq() }
 
-// SnapshotSeq returns the log position covered by the latest snapshot.
-func (st *Store) SnapshotSeq() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.snapSeq
-}
-
-// WriteSnapshot persists state as the snapshot at seq, then compacts: the
-// WAL rotates to a fresh segment, segments fully covered by the snapshot
-// are deleted, and snapshot generations beyond KeepSnapshots are pruned.
-// Writing a snapshot at or before the current one is a no-op.
-func (st *Store) WriteSnapshot(seq uint64, state []byte) error {
+// WriteSnapshot persists state as the snapshot at seq, with epoch in its
+// header, then compacts: the WAL rotates to a fresh segment, segments
+// fully covered by the snapshot are deleted, and snapshot generations
+// beyond KeepSnapshots are pruned. Writing a snapshot at or before the
+// current one is a no-op.
+func (st *Store) WriteSnapshot(seq, epoch uint64, state []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if seq <= st.snapSeq {
 		return nil
 	}
-	if err := writeSnapshotFile(st.dir, seq, state); err != nil {
+	if err := writeSnapshotFile(st.dir, seq, epoch, state); err != nil {
 		return err
 	}
 	if err := st.wal.Rotate(seq); err != nil {
 		return err
 	}
-	pruneSnapshots(st.dir, st.opts.KeepSnapshots)
+	st.snapshotWrittenLocked(seq, st.opts.KeepSnapshots)
+	return nil
+}
+
+// Install persists state — a state that replaces everything logged before
+// it, such as a full restore — as a snapshot at the next log position
+// instead of appending it as a record: the log holds no copy of it, and
+// the position is durable when Install returns (see wal.rotate). Older
+// snapshots describe the replaced history and are pruned. The WriteFault
+// hook is consulted as for an append.
+func (st *Store) Install(epoch uint64, state []byte) (uint64, error) {
+	if st.opts.WriteFault != nil {
+		if err := st.opts.WriteFault("install"); err != nil {
+			return 0, fmt.Errorf("durable: install: %w", err)
+		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	seq, err := st.wal.rotate(0, func(seq uint64) error {
+		if err := writeSnapshotFile(st.dir, seq, epoch, state); err != nil {
+			os.Remove(snapshotPath(st.dir, seq))
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	st.snapshotWrittenLocked(seq, 1)
+	return seq, nil
+}
+
+// snapshotWrittenLocked records a snapshot at seq, keeping keep
+// generations. Callers hold st.mu.
+func (st *Store) snapshotWrittenLocked(seq uint64, keep int) {
+	pruneSnapshots(st.dir, keep)
 	st.snapSeq = seq
 	if st.opts.Metrics != nil {
 		st.opts.Metrics.Snapshots.Inc()
 	}
-	return nil
 }
 
 // ArchiveTail bundles the latest snapshot with the WAL records after it.

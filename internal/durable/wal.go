@@ -106,12 +106,13 @@ func openWAL(dir string, opts walOptions, replay func(Record) error) (*wal, erro
 			return nil, err
 		}
 		valid, _, scanErr := scanRecords(bufio.NewReader(f), func(rec Record) error {
-			if prev == 0 {
-				if rec.Seq > opts.ReplayFrom+1 {
-					return fmt.Errorf("%w: %s starts at seq %d but snapshot covers only up to %d",
-						ErrCorrupt, seg.path, rec.Seq, opts.ReplayFrom)
-				}
-			} else if rec.Seq != prev+1 {
+			// A gap is damage unless the snapshot covers it: an installed
+			// snapshot takes a seq no record holds (see rotate).
+			switch {
+			case prev == 0 && rec.Seq > opts.ReplayFrom+1:
+				return fmt.Errorf("%w: %s starts at seq %d but snapshot covers only up to %d",
+					ErrCorrupt, seg.path, rec.Seq, opts.ReplayFrom)
+			case prev != 0 && (rec.Seq <= prev || rec.Seq > max(prev, opts.ReplayFrom)+1):
 				return fmt.Errorf("%w: %s: seq %d follows %d", ErrCorrupt, seg.path, rec.Seq, prev)
 			}
 			prev = rec.Seq
@@ -328,16 +329,25 @@ func (w *wal) Flush() error {
 // whose records are all covered by a snapshot at seq upTo. The sealed
 // segment is flushed (and fsynced when configured) first.
 func (w *wal) Rotate(upTo uint64) error {
+	_, err := w.rotate(upTo, nil)
+	return err
+}
+
+// rotate is Rotate. With install set, the snapshot takes the next sequence
+// number instead of a record: install writes it at the claimed seq once
+// the active segment is sealed, the log restarts behind it with every
+// earlier segment deleted, and rotate returns the seq, durable. If install
+// fails, nothing is claimed.
+func (w *wal) rotate(upTo uint64, install func(seq uint64) error) (uint64, error) {
 	if _, err := w.acquireToken(0); err != nil {
-		return err
+		return 0, err
 	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		w.releaseToken(0, nil)
-		return errClosed
+		return 0, errClosed
 	}
-	end := w.nextSeq
 	err := w.bw.Flush()
 	if err == nil && w.opts.Fsync {
 		err = w.f.Sync()
@@ -345,13 +355,23 @@ func (w *wal) Rotate(upTo uint64) error {
 	if err != nil {
 		w.mu.Unlock()
 		w.releaseToken(0, err)
-		return err
+		return 0, err
 	}
+	if install != nil {
+		if err := install(w.nextSeq + 1); err != nil {
+			w.mu.Unlock()
+			w.releaseToken(0, nil)
+			return 0, err
+		}
+		w.nextSeq++
+		upTo = w.nextSeq
+	}
+	end := w.nextSeq
 	old := w.f
 	if err := w.createSegmentLocked(w.nextSeq + 1); err != nil {
 		w.mu.Unlock()
 		w.releaseToken(0, err)
-		return err
+		return 0, err
 	}
 	old.Close()
 	// A segment is removable when its successor starts at or before the
@@ -368,7 +388,7 @@ func (w *wal) Rotate(upTo uint64) error {
 	dirErr := syncDir(w.dir)
 	w.mu.Unlock()
 	w.releaseToken(end, dirErr)
-	return dirErr
+	return end, dirErr
 }
 
 // ReadAfter returns every durable record with Seq > after, in order. It

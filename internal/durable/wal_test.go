@@ -240,10 +240,10 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 
 func TestSnapshotFallsBackPastCorruption(t *testing.T) {
 	dir := t.TempDir()
-	if err := writeSnapshotFile(dir, 3, []byte(`{"a":1}`)); err != nil {
+	if err := writeSnapshotFile(dir, 3, 0, []byte(`{"a":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshotFile(dir, 7, []byte(`{"a":2}`)); err != nil {
+	if err := writeSnapshotFile(dir, 7, 0, []byte(`{"a":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Damage the newest snapshot; loading falls back to seq 3.
@@ -262,5 +262,38 @@ func TestSnapshotFallsBackPastCorruption(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "snap-00000000000000000009.json.tmp"), []byte("junk"), 0o644)
 	if seq, _, _, _ := loadLatestSnapshot(dir); seq != 3 {
 		t.Fatalf("tmp file considered: seq = %d", seq)
+	}
+}
+
+// TestSnapshotKeepsTheCallersBytes: a snapshot stores the state bytes it
+// was given, so its checksum covers what is on disk. State that
+// encoding/json would rewrite — whitespace, HTML-escaped characters — must
+// load back byte for byte after WriteSnapshot has compacted the log behind
+// it, or the compaction has discarded the only copy of the state.
+func TestSnapshotKeepsTheCallersBytes(t *testing.T) {
+	for _, state := range []string{`{"a": 1}`, `{"a":"<x>"}`, "\n{\"a\":[1, 2]}\n"} {
+		dir := t.TempDir()
+		st, _, err := Open(dir, Options{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := st.Append("op", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.WriteSnapshot(2, 0, []byte(state)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		var got []byte
+		st, stats, err := Open(dir, Options{}, func(s []byte) error { got = s; return nil }, nil)
+		if err != nil {
+			t.Fatalf("%q: reopen: %v", state, err)
+		}
+		st.Close()
+		if stats.SnapshotSeq != 2 || string(got) != state {
+			t.Fatalf("%q: reopened at snapshot %d with state %q", state, stats.SnapshotSeq, got)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package faultsim
 
-import (
-	"testing"
-
-	"policyflow/internal/policy"
-)
+import "testing"
 
 // scenario builds a harness on the fixed fault-free configuration and
 // returns a runner that fails the test on the first invariant violation.
@@ -103,9 +99,10 @@ func TestShedIsEffectFree(t *testing.T) {
 // before any effect: the client gets no acknowledgement (the standby fences
 // the re-routed attempt), nothing changed, and the next op succeeds. On the
 // standby the failure hits the sync: it fails with the standby's state
-// untouched, and the sync after it is a full restore — the standby's own
-// log gains an import_state record — that reconverges byte-identically. On
-// a node being promoted it fails the promotion attempt, which is retried.
+// untouched, and the sync after it is a full restore — the standby
+// installs the donor's snapshot at a fresh position of its own log — that
+// reconverges byte-identically. On a node being promoted it fails the
+// promotion attempt, which is retried.
 func TestDiskFaultIsEffectFree(t *testing.T) {
 	h, run := scenario(t)
 	run(
@@ -122,21 +119,17 @@ func TestDiskFaultIsEffectFree(t *testing.T) {
 		t.Fatalf("%d transfers after the disk recovered, want 2", got)
 	}
 
-	imports := func() int {
+	// A full restore installs the donor's snapshot as the standby's own, at
+	// a fresh position of its log; a delta moves no snapshot.
+	installed := func() uint64 {
 		arch, err := h.replicas[1].ps.Archive()
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		for _, rec := range arch.Tail {
-			if rec.Op == policy.OpImportState {
-				n++
-			}
-		}
-		return n
+		return arch.SnapshotSeq
 	}
 	pre := h.replicas[1].svc.ExportState()
-	fullBefore := imports()
+	snapBefore := installed()
 	run(Op{Kind: OpDiskFault, Replica: 1, Count: 1}, Op{Kind: OpStandbySync})
 	if _, failures := h.syncers[1].Stats(); failures != 1 {
 		t.Fatalf("%d failed syncs with a disk fault armed on the standby, want 1", failures)
@@ -144,12 +137,12 @@ func TestDiskFaultIsEffectFree(t *testing.T) {
 	if got := len(h.replicas[1].svc.ExportState().Transfers); got != len(pre.Transfers) {
 		t.Fatalf("failed sync changed the standby: %d transfers, had %d", got, len(pre.Transfers))
 	}
-	if got := imports(); got != fullBefore {
-		t.Fatalf("failed sync logged %d import_state records on the standby, want none", got-fullBefore)
+	if got := installed(); got != snapBefore {
+		t.Fatalf("failed sync installed a snapshot at %d on the standby (had %d), want none", got, snapBefore)
 	}
 	run(Op{Kind: OpStandbySync})
-	if got := imports(); got != fullBefore+1 {
-		t.Fatalf("sync after a failed one logged %d import_state records, want 1 (a full restore, not a delta)", got-fullBefore)
+	if got := installed(); got <= snapBefore {
+		t.Fatalf("sync after a failed one left the standby's snapshot at %d (had %d), want a full restore installed, not a delta", got, snapBefore)
 	}
 	if !h.fresh[1] {
 		t.Fatal("standby not fresh after the full sync")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"policyflow/internal/bundle"
@@ -366,12 +367,16 @@ func (s *Service) applyBundleLocked(b *bundle.Bundle) {
 // Callers hold s.mu.
 func (s *Service) adoptBundleLocked(active, prev *bundle.Bundle) {
 	oldVersion := s.tun.Version
+	// A dump usually carries the bundle already active here; its tunables
+	// stand, and the bundle is not encoded again for its checksum.
+	if !reflect.DeepEqual(active, s.activeBundle) {
+		s.tun = tunablesFrom(active, s.cfg.Priority)
+	}
 	s.activeBundle, s.prevBundle = active, prev
 	s.installed[active.Version] = active
 	if prev != nil {
 		s.installed[prev.Version] = prev
 	}
-	s.tun = tunablesFrom(active, s.cfg.Priority)
 	// Same contract as applyBundleLocked: guards reading the snapshot must
 	// be re-evaluated even though no facts changed.
 	s.session.Invalidate()

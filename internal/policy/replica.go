@@ -20,11 +20,14 @@ type replicaCursor struct {
 }
 
 // ReplicaRecord is one record of a donor's mutation log: its position
-// there, the logged op and the op's JSON payload.
+// there, the logged op and the op's JSON payload. Request, when set, is
+// Data already decoded by the caller, and is applied without decoding
+// Data again.
 type ReplicaRecord struct {
-	Seq  uint64
-	Op   string
-	Data []byte
+	Seq     uint64
+	Op      string
+	Data    []byte
+	Request any
 }
 
 // replicaBatch bounds how many records one lock hold applies, so a long
@@ -60,9 +63,12 @@ func (s *Service) DropReplicaCursor() {
 // so a damaged archive (ErrInvalidRequest) changes nothing. They run
 // through the one mutation path, ExecuteBatch, in bounded batches with one
 // covering sync each, and are re-logged into this service's own log: a
-// replica's durability is its own. Deterministic rejections are discarded,
-// as in ApplyLogged. On success the cursor is donor's last record; on any
-// failure it is dropped, so the next pull is a full restore.
+// replica's durability is its own. The snapshot's dump keeps the donor's
+// bytes, so a log that persists it (durable.PolicyStore installs it as its
+// own snapshot) writes them as received. Deterministic rejections are
+// discarded, as in ApplyLogged. On success the cursor is donor's last
+// record; on any failure it is dropped, so the next pull is a full
+// restore.
 func (s *Service) ApplyReplica(donor string, recs []ReplicaRecord) error {
 	run := replicaRun{donor: donor, full: len(recs) > 0 && recs[0].Op == OpImportState}
 	var ok bool
@@ -86,9 +92,15 @@ func (s *Service) ApplyReplica(donor string, recs []ReplicaRecord) error {
 		if spec == nil {
 			return fmt.Errorf("%w: replica: unknown logged op %q at %d", ErrInvalidRequest, r.Op, r.Seq)
 		}
-		req, err := spec.decode(r.Data)
-		if err != nil {
-			return fmt.Errorf("%w: replica: decode %s at %d: %v", ErrInvalidRequest, r.Op, r.Seq, err)
+		req := r.Request
+		if req == nil {
+			var err error
+			if req, err = spec.decode(r.Data); err != nil {
+				return fmt.Errorf("%w: replica: decode %s at %d: %v", ErrInvalidRequest, r.Op, r.Seq, err)
+			}
+		}
+		if d, ok := req.(*StateDump); ok && d != nil {
+			d.raw = r.Data // the donor's bytes travel with the dump (see StateDump.JSON)
 		}
 		batch = append(batch, BatchMutation{Op: r.Op, Request: req})
 		seqs = append(seqs, r.Seq)

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"context"
+	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"sort"
@@ -46,6 +47,19 @@ type StateDump struct {
 	Ledgers           []LedgerDump      `json:"ledgers,omitempty" xml:"ledgers>ledger,omitempty"`
 	ClusterLedgers    []ClusterLedgDump `json:"clusterLedgers,omitempty" xml:"clusterLedgers>ledger,omitempty"`
 	Leases            []LeaseDump       `json:"leases,omitempty" xml:"leases>lease,omitempty"`
+
+	// raw is the JSON a replicated dump was decoded from (see ApplyReplica).
+	raw []byte
+}
+
+// JSON returns the dump's JSON encoding. A dump ApplyReplica took from a
+// donor's archive returns the exact bytes it was decoded from, so a store
+// persisting it does not re-encode the state.
+func (d *StateDump) JSON() ([]byte, error) {
+	if d.raw != nil {
+		return d.raw, nil
+	}
+	return json.Marshal(d)
 }
 
 // BundleStateDump serializes the bundle subsystem's durable state.

@@ -94,11 +94,6 @@ func WithXML() ClientOption {
 	return func(c *Client) { c.useXML = true }
 }
 
-// WithTimeout replaces the default 30s per-attempt HTTP timeout.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.http.Timeout = d }
-}
-
 // WithTransport substitutes the HTTP transport — the fault-injection
 // harness routes requests in-process and injects faults here.
 func WithTransport(rt http.RoundTripper) ClientOption {

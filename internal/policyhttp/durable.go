@@ -1,9 +1,11 @@
 package policyhttp
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -70,7 +72,12 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, formatJSON, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeResponse(w, formatJSON, http.StatusOK, arch)
+	// The snapshot goes out as stored, not re-encoded (see Archive.WriteJSON).
+	w.Header().Set("Content-Type", formatJSON.contentType())
+	w.WriteHeader(http.StatusOK)
+	if err := arch.WriteJSON(w); err != nil && s.log != nil {
+		s.log.Printf("encode response: %v", err)
+	}
 }
 
 // emptyDump is the snapshot of a donor that has not snapshotted yet: its
@@ -80,15 +87,17 @@ var emptyDump = []byte("{}")
 // applyArchive is the one archive replay path, the StandbySyncer's: bring
 // svc along donor's log through policy.ApplyReplica. A full archive
 // restores its snapshot wholesale before the tail; a delta continues svc's
-// replica cursor.
-func applyArchive(svc *policy.Service, donor string, arch *durable.Archive) error {
+// replica cursor. dump is the snapshot already decoded, or nil.
+func applyArchive(svc *policy.Service, donor string, arch *durable.Archive, dump *policy.StateDump) error {
 	recs := make([]policy.ReplicaRecord, 0, len(arch.Tail)+1)
 	if !arch.Delta {
-		snap := []byte(arch.Snapshot)
-		if snap == nil {
-			snap = emptyDump
+		snap := policy.ReplicaRecord{Seq: arch.SnapshotSeq, Op: policy.OpImportState, Data: arch.Snapshot}
+		if dump != nil {
+			snap.Request = dump
+		} else if snap.Data == nil {
+			snap.Data = emptyDump
 		}
-		recs = append(recs, policy.ReplicaRecord{Seq: arch.SnapshotSeq, Op: policy.OpImportState, Data: snap})
+		recs = append(recs, snap)
 	}
 	for _, rec := range arch.Tail {
 		recs = append(recs, policy.ReplicaRecord{Seq: rec.Seq, Op: rec.Op, Data: rec.Data})
@@ -104,32 +113,97 @@ func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
 // Archive fetches the remote snapshot+tail bundle with one un-retried GET.
 // The archive embeds raw JSON state and log records, so the call is JSON
 // whatever the client's wire preference.
-func (c *Client) Archive() (*durable.Archive, error) { return c.archive("/v1/state/archive") }
+func (c *Client) Archive() (*durable.Archive, error) {
+	arch, _, err := c.archive(0, false)
+	return arch, err
+}
 
 // ArchiveAfter fetches only the remote log records after seq after — a
 // Delta archive — or the full archive when the remote no longer holds them
 // all (see durable.Store.ArchiveAfter).
 func (c *Client) ArchiveAfter(after uint64) (*durable.Archive, error) {
-	return c.archive("/v1/state/archive?after=" + strconv.FormatUint(after, 10))
+	arch, _, err := c.archive(after, true)
+	return arch, err
 }
 
-func (c *Client) archive(path string) (*durable.Archive, error) {
+// archive GETs the archive (after the given seq when delta is set) and
+// decodes it in one pass: the snapshot is decoded straight into a dump,
+// and Snapshot holds the bytes it was decoded from.
+func (c *Client) archive(after uint64, delta bool) (*durable.Archive, *policy.StateDump, error) {
+	path := "/v1/state/archive"
+	if delta {
+		path += "?after=" + strconv.FormatUint(after, 10)
+	}
 	req, err := http.NewRequest(http.MethodGet, c.base+path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("policyhttp: build request: %w", err)
+		return nil, nil, fmt.Errorf("policyhttp: build request: %w", err)
 	}
 	req.Header.Set("Accept", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("policyhttp: GET %s: %w", path, err)
+		return nil, nil, fmt.Errorf("policyhttp: GET %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return nil, c.decodeError(resp)
+		return nil, nil, c.decodeError(resp)
 	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("policyhttp: read response: %w", err)
+	}
+	arch, dump, err := decodeArchive(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("policyhttp: decode response: %w", err)
+	}
+	return arch, dump, nil
+}
+
+// decodeArchive decodes an archive document field by field, so the
+// state-sized snapshot is scanned once, by the decode into its dump, and
+// sliced out of data instead of being scanned again into a copy.
+func decodeArchive(data []byte) (*durable.Archive, *policy.StateDump, error) {
 	var arch durable.Archive
-	if err := json.NewDecoder(resp.Body).Decode(&arch); err != nil {
-		return nil, fmt.Errorf("policyhttp: decode response: %w", err)
+	var dump *policy.StateDump
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, nil, fmt.Errorf("archive is not a JSON object (%v)", err)
 	}
-	return &arch, nil
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil, nil, err
+		}
+		var v any
+		switch t {
+		case "delta":
+			v = &arch.Delta
+		case "snapshotSeq":
+			v = &arch.SnapshotSeq
+		case "epoch":
+			v = &arch.Epoch
+		case "tail":
+			v = &arch.Tail
+		case "snapshot":
+			v = &dump
+		default:
+			v = new(json.RawMessage)
+		}
+		start := dec.InputOffset()
+		err = dec.Decode(v)
+		if t == "snapshot" {
+			arch.Snapshot = bytes.TrimLeft(data[start:dec.InputOffset()], ": \t\r\n")
+			// JSON that is no dump is the donor's fault, not a failed
+			// pull: applying the bytes rejects it as ErrInvalidRequest.
+			if _, ok := err.(*json.UnmarshalTypeError); ok {
+				dump, err = nil, nil
+			}
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if _, err := dec.Token(); err != nil {
+		return nil, nil, err
+	}
+	return &arch, dump, nil
 }

@@ -379,3 +379,47 @@ func TestPromoteExcludesRunLoop(t *testing.T) {
 		t.Fatalf("new primary at epoch %d with %d transfers, want 2 and 20", svc1.Epoch(), len(svc1.ExportState().Transfers))
 	}
 }
+
+// TestRestoreEndpointInstallsSnapshot: POST /v1/state/restore on a durable
+// server installs the dump as the server's snapshot instead of logging it —
+// the WAL stays empty — and a cold reopen of the data dir recovers it.
+func TestRestoreEndpointInstallsSnapshot(t *testing.T) {
+	donor, err := policy.New(policy.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := donor.AdviseTransfers([]policy.TransferSpec{testSpec(i, "wf")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	_, svc, c, ps := durableReplica(t, dir)
+	if err := c.Restore(donor.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpJSON(t, svc)
+	if want != dumpJSON(t, donor) {
+		t.Fatal("restored server differs from the dump")
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("WAL segments after a restore: %v (%v)", segs, err)
+	}
+	if data, err := os.ReadFile(segs[0]); err != nil || len(data) != 0 {
+		t.Fatalf("restore logged %d bytes into the WAL (%v)", len(data), err)
+	}
+	ps.Close()
+	cold, err := policy.New(policy.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps2, stats, err := durable.OpenPolicyStore(dir, cold, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps2.Close()
+	if got := dumpJSON(t, cold); stats.SnapshotSeq != 1 || got != want {
+		t.Fatalf("cold reopen from snapshot %d:\n got  %s\n want %s", stats.SnapshotSeq, got, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,5 +83,39 @@ func TestGoldenArchivesApply(t *testing.T) {
 				t.Fatalf("applied archives diverge from state.json:\n got  %s\n want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestDecodeArchiveMatchesUnmarshal: the standby's field-by-field archive
+// decoder reads the committed archives — indented, full and delta — exactly
+// as encoding/json does, and decodes the snapshot's dump from the bytes it
+// reports. A field added to durable.Archive but not to decodeArchive fails
+// here.
+func TestDecodeArchiveMatchesUnmarshal(t *testing.T) {
+	for _, name := range []string{"archive.json", "archive_delta.json"} {
+		data, err := os.ReadFile(filepath.Join(goldenDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want durable.Archive
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, dump, err := decodeArchive(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("%s: decodeArchive = %+v, want %+v", name, got, want)
+		}
+		var wantDump *policy.StateDump
+		if want.Snapshot != nil {
+			if err := json.Unmarshal(want.Snapshot, &wantDump); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(dump, wantDump) {
+			t.Fatalf("%s: decoded dump %+v, want %+v", name, dump, wantDump)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"policyflow/internal/durable"
 	"policyflow/internal/obs"
 	"policyflow/internal/policy"
 )
@@ -148,13 +147,8 @@ func (s *StandbySyncer) pull() error {
 	if s.dumpOnly {
 		return s.pullDump()
 	}
-	var arch *durable.Archive
-	var err error
-	if after, ok := s.local.ReplicaCursor(s.donor); ok {
-		arch, err = s.primary.ArchiveAfter(after)
-	} else {
-		arch, err = s.primary.Archive()
-	}
+	after, delta := s.local.ReplicaCursor(s.donor)
+	arch, dump, err := s.primary.archive(after, delta)
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) && se.StatusCode == http.StatusNotImplemented {
@@ -163,7 +157,7 @@ func (s *StandbySyncer) pull() error {
 		}
 		return fmt.Errorf("policyhttp: %w: %w", errPull, err)
 	}
-	if err := applyArchive(s.local, s.donor, arch); err != nil {
+	if err := applyArchive(s.local, s.donor, arch, dump); err != nil {
 		return fmt.Errorf("policyhttp: standby apply: %w", err)
 	}
 	return nil
