@@ -72,11 +72,13 @@ bench-smoke:
 
 # load-smoke drives the admitted stack at ~4x saturation through the
 # closed-loop load harness: overload must shed fast 429s, keep p99
-# bounded, and hold goodput instead of collapsing. The full saturation
-# sweep behind POLICYFLOW_LOAD_CURVE=1 regenerates the EXPERIMENTS.md
-# curve and is too slow for CI.
+# bounded, and hold goodput instead of collapsing. The durable point runs
+# the same stack over a durable store with a 1 ms flush per Sync, and its
+# mutate depth must stay within MaxQueue plus two batches. The full
+# saturation sweep behind POLICYFLOW_LOAD_CURVE=1 regenerates the
+# EXPERIMENTS.md curve and is too slow for CI.
 load-smoke:
-	$(GO) test -race -run 'TestLoadSmokeShedNotCollapse' -count=1 ./internal/synth/
+	$(GO) test -race -run 'TestLoadSmokeShedNotCollapse|TestLoadSmokeDurable' -count=1 ./internal/synth/
 
 # bench-json refreshes the machine-readable perf trajectory at the repo
 # root: one JSON series per core benchmark (advise hot path, advise vs

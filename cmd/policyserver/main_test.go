@@ -84,6 +84,45 @@ func TestDrainAndShutdownFinishesAcceptedWork(t *testing.T) {
 	}
 }
 
+// slowCommit is an admitted payload whose commit outlasts the runner
+// call that applied it, as a pipelined commit does.
+type slowCommit struct{ committed chan struct{} }
+
+func (p slowCommit) Wait() { <-p.committed }
+
+// TestDrainAndShutdownWaitsForCommits: drainAndShutdown does not return
+// while an accepted mutation's commit is still in flight, with no HTTP
+// handler anywhere to hold it up, so the store main closes next has it.
+func TestDrainAndShutdownWaitsForCommits(t *testing.T) {
+	ran := make(chan struct{}, 1)
+	ctl := admit.New(admit.Config{MaxQueue: 4, MaxWait: 5 * time.Second, BatchMax: 4},
+		func([]any) { ran <- struct{}{} })
+	p := slowCommit{committed: make(chan struct{})}
+	subErr := make(chan error, 1)
+	go func() { subErr <- ctl.SubmitMutation(context.Background(), p, nil) }()
+	<-ran
+
+	done := make(chan struct{})
+	go func() {
+		drainAndShutdown(&http.Server{}, ctl, 5*time.Second)
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("drainAndShutdown returned before the accepted mutation committed")
+	case <-time.After(30 * time.Millisecond):
+	}
+	close(p.committed)
+	if err := <-subErr; err != nil {
+		t.Fatalf("accepted mutation: %v", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("drainAndShutdown did not return after the commit")
+	}
+}
+
 // TestDrainAndShutdownHardDeadline pins the bound: a drain stuck behind a
 // runner that never finishes is cut off at the deadline instead of
 // hanging shutdown forever.

@@ -12,9 +12,11 @@ import (
 //
 //  1. The admission controller is drained first — new submissions shed
 //     immediately with 503 + Retry-After while every request already
-//     accepted into a queue runs to completion (its handler is still
-//     blocked waiting on the batch dispatcher, so the mutation commits
-//     and the response is written).
+//     accepted into a queue runs to completion. Drain also waits for the
+//     pipelined commit of every accepted mutation, so once it returns the
+//     data directory holds them all: main seals and closes the store as
+//     soon as ListenAndServe returns, which it does when Shutdown starts,
+//     not when the handlers finish.
 //  2. The HTTP server then shuts down, closing the listener and waiting
 //     for in-flight handlers, which by now only have responses left to
 //     flush.

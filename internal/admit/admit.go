@@ -85,8 +85,19 @@ func (c Config) withDefaults() Config {
 // BatchRunner executes one coalesced batch of mutations. It is called
 // from the dispatcher goroutine with 1..BatchMax payloads and must set
 // per-payload results/errors on the payloads themselves; a panic fails
-// every task in the batch but leaves the dispatcher running.
+// every task in the batch but leaves the dispatcher running. A payload
+// that implements Waiter may be final only after its Wait returns: the
+// runner may return while it still commits it.
 type BatchRunner func(batch []any)
+
+// Waiter is a payload whose result is final only once Wait returns, which
+// may be after the BatchRunner call that ran it (a pipelined runner
+// commits in the background). SubmitMutation waits for it before
+// returning, and it counts as pending — in Depth and for Drain — until
+// then. The dispatcher also waits for a batch's Waiters once the next
+// batch's BatchRunner call has returned, so at most two batches are
+// executing or committing at any instant.
+type Waiter interface{ Wait() }
 
 type taskState = int32
 
@@ -106,7 +117,13 @@ type mutTask struct {
 	payload any
 	onStart func()
 	state   atomic.Int32
-	err     error // set by the dispatcher before close(done)
+	// err and wait are set by the dispatcher before close(done). wait
+	// means the task ran and its payload is a Waiter: it leaves once
+	// Wait has returned, by settle, from whichever of its submitter or
+	// the dispatcher gets there first.
+	err     error
+	wait    bool
+	settled atomic.Bool
 	done    chan struct{}
 }
 
@@ -132,6 +149,11 @@ type Controller struct {
 	stop           chan struct{}
 	stopOnce       sync.Once
 	dispatcherDone chan struct{}
+
+	// committing holds the Waiter tasks of the last batch run, for the
+	// dispatcher to settle after the next batch; spare is its other
+	// buffer. Both are dispatcher-owned.
+	committing, spare []*mutTask
 
 	depthMut  *obs.Gauge
 	depthRead *obs.Gauge
@@ -193,7 +215,8 @@ func (c *Controller) consumeFailNext() bool {
 	}
 }
 
-// Depth reports how many requests of the class are queued or executing.
+// Depth reports how many requests of the class are queued, executing or,
+// for Waiter payloads, still committing.
 func (c *Controller) Depth(class string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,10 +253,11 @@ func (c *Controller) enterRead() error {
 
 // enqueue admits one mutation: it is counted as pending and handed to the
 // dispatcher under a single hold of c.mu, so Depth never includes a
-// submission that is about to be shed — the MaxQueue-plus-one-batch bound
+// submission that is about to be shed — the bound (MaxQueue plus the
+// batch executing, plus a pipelined runner's batch still committing)
 // holds at every instant, not just between submissions. On refusal it
 // names the shed reason; a successful enqueue is paired with exactly one
-// leave, by the dispatcher.
+// leave: by the dispatcher, or by settle for a Waiter it ran.
 func (c *Controller) enqueue(t *mutTask) (shedReason string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -276,11 +300,12 @@ func (c *Controller) leave(class string) {
 }
 
 // SubmitMutation queues payload for the batch dispatcher and blocks until
-// it has been executed, shed, or abandoned. A nil return means the
-// payload went through a BatchRunner call; any result lives on the
-// payload itself. onStart, if non-nil, runs on the dispatcher goroutine
-// the moment the task is dequeued for execution (it ends the queue-wait
-// trace span upstream); it is never called for shed or abandoned tasks.
+// it has been executed (for a Waiter, until its Wait has returned), shed,
+// or abandoned. A nil return means the payload went through a BatchRunner
+// call; any result lives on the payload itself. onStart, if non-nil, runs
+// on the dispatcher goroutine the moment the task is dequeued for
+// execution (it ends the queue-wait trace span upstream); it is never
+// called for shed or abandoned tasks.
 //
 // Every rejection happens before the payload reaches the runner, so a
 // non-nil error guarantees the mutation had no side effects.
@@ -294,7 +319,6 @@ func (c *Controller) SubmitMutation(ctx context.Context, payload any, onStart fu
 	defer timer.Stop()
 	select {
 	case <-t.done:
-		return t.err
 	case <-ctx.Done():
 		if t.state.CompareAndSwap(taskPending, taskAbandoned) {
 			c.shedMetric(ClassMutate, "client_gone")
@@ -302,15 +326,25 @@ func (c *Controller) SubmitMutation(ctx context.Context, payload any, onStart fu
 		}
 		// The dispatcher claimed the task first; the batch is running, so
 		// wait for its verdict.
-		<-t.done
-		return t.err
 	case <-timer.C:
 		if t.state.CompareAndSwap(taskPending, taskAbandoned) {
 			c.shedMetric(ClassMutate, "wait_exceeded")
 			return ErrWaitExceeded
 		}
-		<-t.done
-		return t.err
+	}
+	<-t.done
+	if t.wait {
+		c.settle(t)
+	}
+	return t.err
+}
+
+// settle waits for a Waiter task the dispatcher ran and then leaves,
+// exactly once whoever calls it.
+func (c *Controller) settle(t *mutTask) {
+	t.payload.(Waiter).Wait()
+	if t.settled.CompareAndSwap(false, true) {
+		c.leave(ClassMutate)
 	}
 }
 
@@ -356,9 +390,10 @@ func reasonFor(err error) string {
 }
 
 // Drain stops admitting new work (submissions shed with ErrDraining) and
-// waits until everything already accepted has finished. The dispatcher
-// keeps running so queued mutations complete; call Close afterwards to
-// stop it.
+// waits until everything already accepted has finished, Waiter payloads
+// committed included, so a store the runner writes may be closed as soon
+// as Drain returns. The dispatcher keeps running so queued mutations
+// complete; call Close afterwards to stop it.
 func (c *Controller) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	c.closed = true
@@ -468,8 +503,23 @@ collected:
 		}()
 		c.run(payloads)
 	}()
+	prev := c.committing
+	c.committing = c.spare[:0]
 	for _, t := range batch {
+		_, waiter := t.payload.(Waiter)
+		if t.wait = waiter && t.err == nil; t.wait {
+			c.committing = append(c.committing, t)
+		}
 		close(t.done)
-		c.leave(ClassMutate)
+		if !t.wait {
+			c.leave(ClassMutate)
+		}
 	}
+	// The batch before this one has had a whole BatchRunner call to
+	// commit; wait for it here rather than on its submitters alone, so
+	// Depth never counts more than two batches past the queue.
+	for _, t := range prev {
+		c.settle(t)
+	}
+	c.spare = prev[:0]
 }

@@ -496,3 +496,66 @@ func TestStressBoundedDepthNoLeaks(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// committingPayload is a Waiter whose commit finishes when gate closes.
+type committingPayload struct{ gate chan struct{} }
+
+func (p *committingPayload) Wait() { <-p.gate }
+
+// TestWaiterPendingUntilCommitted: a Waiter payload is released, counted
+// in Depth and held by Drain until its Wait returns, and the dispatcher
+// runs at most one batch past a batch it has not seen commit.
+func TestWaiterPendingUntilCommitted(t *testing.T) {
+	var runs atomic.Int32
+	c := New(Config{MaxQueue: 8, MaxWait: 5 * time.Second, BatchMax: 1}, func([]any) { runs.Add(1) })
+	defer c.Close()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	p := make([]*committingPayload, 3)
+	done := make([]chan error, 3)
+	for i := range p {
+		p[i] = &committingPayload{gate: make(chan struct{})}
+		done[i] = submitAsync(c, context.Background(), p[i])
+		if i < 2 {
+			waitFor(fmt.Sprintf("batch %d to run", i), func() bool { return runs.Load() == int32(i+1) })
+		}
+	}
+	waitFor("the third submission to queue", func() bool { return c.Depth(ClassMutate) == 3 })
+	time.Sleep(20 * time.Millisecond)
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("%d batches ran while the first had not committed, want 2", n)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- c.Drain(context.Background()) }()
+	select {
+	case err := <-done[0]:
+		t.Fatalf("released before its Wait returned: %v", err)
+	case <-drained:
+		t.Fatal("Drain returned with commits outstanding")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(p[0].gate)
+	if err := <-done[0]; err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the third batch to run", func() bool { return runs.Load() == 3 })
+	close(p[1].gate)
+	close(p[2].gate)
+	for i := 1; i < 3; i++ {
+		if err := <-done[i]; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if d := c.Depth(ClassMutate); d != 0 {
+		t.Fatalf("depth %d after drain", d)
+	}
+}

@@ -254,7 +254,10 @@ func (w *wal) Sync(seq uint64) error {
 					DurationNanos: time.Since(start).Nanoseconds()})
 			}
 		}
-		w.releaseToken(end, err)
+		n := w.releaseToken(end, err)
+		if m := w.opts.Metrics; m != nil && n > 0 {
+			m.GroupCommitRecords.Observe(float64(n))
+		}
 		if err != nil {
 			return err
 		}
@@ -286,17 +289,20 @@ func (w *wal) acquireToken(seq uint64) (lead bool, err error) {
 }
 
 // releaseToken publishes a leader's result: on success records up to end
-// are durable; on failure the error becomes sticky.
-func (w *wal) releaseToken(end uint64, err error) {
+// are durable; on failure the error becomes sticky. It returns how many
+// records the leader made durable.
+func (w *wal) releaseToken(end uint64, err error) (records uint64) {
 	w.syncMu.Lock()
 	if err != nil {
 		w.err = err
 	} else if end > w.synced {
+		records = end - w.synced
 		w.synced = end
 	}
 	w.token = false
 	w.syncC.Broadcast()
 	w.syncMu.Unlock()
+	return records
 }
 
 // fail records a sticky fatal error from the append path. Callers hold w.mu.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"policyflow/internal/obs"
 )
 
 func openTestWAL(t *testing.T, dir string, replayFrom uint64, replay func(Record) error) *wal {
@@ -235,6 +237,34 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	defer w2.Close()
 	if n != goroutines*each {
 		t.Fatalf("recovered %d records", n)
+	}
+}
+
+// TestWALGroupCommitRecords: each leader flush observes how many records
+// it made durable — two appends under one Sync count once, as 2 — and
+// recording the sample allocates nothing. (The allocation check times the
+// recording alone: a whole commit spans a write syscall, during which
+// other goroutines' allocations would be counted too.)
+func TestWALGroupCommitRecords(t *testing.T) {
+	m := obs.NewWALMetrics(obs.NewRegistry())
+	w, err := openWAL(t.TempDir(), walOptions{Metrics: m}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.Append("op", nil)
+	seq, _ := w.Append("op", nil)
+	if err := w.Sync(seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(seq); err != nil { // already durable: no leader flush
+		t.Fatal(err)
+	}
+	if n, sum := m.GroupCommitRecords.Count(), m.GroupCommitRecords.Sum(); n != 1 || sum != 2 {
+		t.Fatalf("group-commit samples = %d summing %v, want 1 summing 2", n, sum)
+	}
+	if a := testing.AllocsPerRun(100, func() { m.GroupCommitRecords.Observe(2) }); a != 0 {
+		t.Fatalf("recording a group-commit sample allocates %v", a)
 	}
 }
 

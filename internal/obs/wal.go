@@ -11,6 +11,9 @@ type WALMetrics struct {
 	// Fsyncs counts fsync(2) calls issued by the group-commit path. The
 	// ratio appends/fsyncs is the group-commit batching factor.
 	Fsyncs *Counter // wal_fsyncs_total
+	// GroupCommitRecords is the number of records each group-commit
+	// leader's flush made durable: 1 means no coalescing.
+	GroupCommitRecords *Histogram // wal_group_commit_records
 	// Bytes counts framed record bytes written to the WAL.
 	Bytes *Counter // wal_bytes_written_total
 	// Snapshots counts snapshots written.
@@ -30,6 +33,9 @@ func NewWALMetrics(reg *Registry) *WALMetrics {
 			"Mutation records appended to the write-ahead log.").With(),
 		Fsyncs: reg.Counter("wal_fsyncs_total",
 			"fsync calls issued by the WAL group-commit path.").With(),
+		GroupCommitRecords: reg.Histogram("wal_group_commit_records",
+			"Records made durable per WAL group-commit leader flush.",
+			ExpBuckets(1, 2, 8)).With(),
 		Bytes: reg.Counter("wal_bytes_written_total",
 			"Framed record bytes written to the write-ahead log.").With(),
 		Snapshots: reg.Counter("wal_snapshots_total",

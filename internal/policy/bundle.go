@@ -199,12 +199,6 @@ func (s *Service) ActivateBundle(data []byte) (*BundleInfo, error) {
 	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Doc: data})
 }
 
-// ActivateBundleVersion activates a previously staged (or previously
-// activated) bundle by version name.
-func (s *Service) ActivateBundleVersion(version string) (*BundleInfo, error) {
-	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Version: version})
-}
-
 // RollbackBundle re-activates the previously active bundle, restoring its
 // thresholds and algorithm without a restart. The rollback is itself a
 // logged activation, so a second rollback returns to where you were.

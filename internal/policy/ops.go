@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"policyflow/internal/obs"
@@ -53,6 +55,7 @@ type BatchMutation struct {
 	seq            uint64
 	rec            *DecisionRecord
 	pending        []observation
+	commit         *pipeCommit // nil unless ExecutePipelined left the commit running
 }
 
 // observation is one timing sample destined for the performance observer,
@@ -185,6 +188,13 @@ func execAs[R any](s *Service, ctx context.Context, op string, payload any) (R, 
 // record), and one group-commit sync covering every WAL record the batch
 // appended. Results and errors are written back onto the members.
 //
+// A batch runs in two halves. The locked apply validates each member,
+// appends its WAL record, applies it, fires the rules and builds its
+// decision record. The commit, outside the lock, syncs once at the
+// batch's highest seq, then commits the decision records, ends the spans
+// and delivers the observer samples. ExecuteBatch runs both before it
+// returns; ExecutePipelined leaves the commit running.
+//
 // Write-ahead order: records are appended under the lock, synced outside
 // it (so concurrent batches overlap their fsyncs), and a member is
 // acknowledged — and its decision record committed — only after the
@@ -203,10 +213,105 @@ func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 		return
 	}
 	start := time.Now()
-	var maxSeq uint64
-
 	s.mu.Lock()
-	tr, mlog := s.tracer, s.mlog
+	a := s.applyLocked(batch, rep, start)
+	s.mu.Unlock()
+	serr := a.sync(batch)
+	if rep != nil && serr != nil {
+		rep.fail(s, serr)
+	}
+	s.commit(batch, a, serr)
+}
+
+// ExecutePipelined is ExecuteBatch for the admission dispatcher. It
+// returns once the batch is applied and appended and the previous
+// pipelined batch has committed; this batch's commit runs on its own
+// goroutine, so the dispatcher applies the next batch while this one's
+// sync is in flight. At most two batches' syncs are in flight: the one
+// this call waits for, and its own.
+//
+// Each commit waits for its predecessor's after its own sync, so members
+// are released after their sync and in log order — no member, logged or
+// not, is released before everything logged ahead of it is durable. A
+// failed sync also fails the logged members of the batch pipelined behind
+// it. Read a member's Result and Err only after its Wait returns.
+func (s *Service) ExecutePipelined(batch []*BatchMutation) {
+	if len(batch) == 0 {
+		return
+	}
+	start := time.Now()
+	s.mu.Lock()
+	prev := s.pipeTail
+	if prev != nil && prev.released.Load() {
+		// Committed before this batch was applied: nothing to wait for.
+		prev = nil
+	}
+	a := s.applyLocked(batch, nil, start)
+	if a.maxSeq == 0 && prev == nil {
+		// Nothing to sync and nothing ahead to wait for: commit here.
+		s.pipeTail = nil
+		s.mu.Unlock()
+		s.commit(batch, a, nil)
+		return
+	}
+	c := &pipeCommit{}
+	c.done.Add(1)
+	for _, m := range batch {
+		m.commit = c
+	}
+	s.pipeTail = c
+	s.mu.Unlock()
+	go s.commitPipelined(batch, a, c, prev)
+	if prev != nil {
+		prev.done.Wait()
+	}
+}
+
+// pipeCommit is the commit of one pipelined batch. One allocation: the
+// WaitGroup and flag stand in for a channel, which would be a second.
+type pipeCommit struct {
+	done     sync.WaitGroup // done once the batch's members are released
+	released atomic.Bool    // set just before done
+	err      error          // the batch's own sync failure; read after done
+}
+
+// commitPipelined is the commit half of ExecutePipelined: its own sync,
+// then its predecessor's commit, then the members' release.
+func (s *Service) commitPipelined(batch []*BatchMutation, a applied, c, prev *pipeCommit) {
+	serr := a.sync(batch)
+	c.err = serr
+	if prev != nil {
+		prev.done.Wait()
+		if serr == nil {
+			serr = prev.err
+		}
+	}
+	s.commit(batch, a, serr)
+	c.released.Store(true)
+	c.done.Done()
+}
+
+// Wait blocks until the member's Result and Err are final. Members of
+// ExecuteBatch are final when it returns; a member of ExecutePipelined is
+// final once its batch's commit has released it.
+func (m *BatchMutation) Wait() {
+	if c := m.commit; c != nil {
+		c.done.Wait()
+	}
+}
+
+// applied is what the locked apply of a batch hands to its commit.
+type applied struct {
+	maxSeq   uint64 // the batch's highest WAL seq; 0 = nothing logged
+	mlog     MutationLog
+	tr       obs.Tracer
+	observer TransferObserver
+}
+
+// applyLocked is the locked half of a batch: validate, append, apply and
+// fire each member, and build its decision record. Callers hold s.mu.
+func (s *Service) applyLocked(batch []*BatchMutation, rep *replicaRun, start time.Time) applied {
+	a := applied{mlog: s.mlog, tr: s.tracer, observer: s.observer}
 	var stop error
 	if rep != nil {
 		stop = rep.begin(s)
@@ -233,7 +338,7 @@ func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 		if rep == nil {
 			s.replica = replicaCursor{}
 		}
-		ctx, m.span = obs.StartSpan(ctx, tr, op.span)
+		ctx, m.span = obs.StartSpan(ctx, a.tr, op.span)
 		// Lifecycle events and the decision record of this member carry
 		// its trace ID; rule activations are collected from here on.
 		if sc, ok := obs.SpanFromContext(ctx); ok {
@@ -249,8 +354,8 @@ func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 		}
 		s.observeOp(op.name, start, firingsBefore, m.Err)
 		s.curTrace = ""
-		if m.seq > maxSeq {
-			maxSeq = m.seq
+		if m.seq > a.maxSeq {
+			a.maxSeq = m.seq
 		}
 		if rep != nil && errors.Is(m.Err, ErrMutationLog) {
 			stop = m.Err
@@ -259,23 +364,28 @@ func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 	if rep != nil {
 		rep.end(s, stop)
 	}
-	observer := s.observer
-	s.mu.Unlock()
+	return a
+}
 
-	// Each logged member gets a wal.sync span under its own op span, all
-	// covering the one shared sync interval.
-	if tr != nil && maxSeq != 0 {
+// sync is the batch's one group-commit sync, at its highest seq. Each
+// logged member gets a wal.sync span under its own op span, all covering
+// the one shared sync interval.
+func (a applied) sync(batch []*BatchMutation) error {
+	if a.tr != nil && a.maxSeq != 0 {
 		for _, m := range batch {
 			if m.seq != 0 {
-				_, m.syncSpan = obs.StartSpan(obs.ContextWithSpan(context.Background(), m.span.Context()), tr, "wal.sync")
+				_, m.syncSpan = obs.StartSpan(obs.ContextWithSpan(context.Background(), m.span.Context()), a.tr, "wal.sync")
 				m.syncSpan.SetWALSeq(m.seq)
 			}
 		}
 	}
-	serr := syncLog(mlog, maxSeq)
-	if rep != nil && serr != nil {
-		rep.fail(s, serr)
-	}
+	return syncLog(a.mlog, a.maxSeq)
+}
+
+// commit finishes a batch after its sync: a failed sync (serr) fails
+// every logged member, then the surviving decision records are committed,
+// the spans ended and the observer samples delivered.
+func (s *Service) commit(batch []*BatchMutation, a applied, serr error) {
 	for _, m := range batch {
 		if serr != nil && m.seq != 0 && m.Err == nil {
 			m.Result, m.Err = nil, serr
@@ -287,13 +397,13 @@ func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 		m.span.SetWALSeq(m.seq)
 		m.span.End()
 	}
-	if observer != nil {
+	if a.observer != nil {
 		for _, m := range batch {
 			if m.Err != nil {
 				continue
 			}
 			for _, o := range m.pending {
-				observer(o.pair, o.streams, o.size, o.seconds)
+				a.observer(o.pair, o.streams, o.size, o.seconds)
 			}
 		}
 	}

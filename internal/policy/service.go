@@ -154,6 +154,10 @@ type Service struct {
 	// applied (write-ahead). Nil keeps the service purely in-memory.
 	mlog MutationLog
 
+	// pipeTail is the commit of the last ExecutePipelined batch, the one
+	// the next pipelined batch's commit waits for (see ops.go).
+	pipeTail *pipeCommit
+
 	// replica is the position in a donor's log that Policy Memory mirrors
 	// (see replica.go): set by ApplyReplica, dropped by every other
 	// mutation.

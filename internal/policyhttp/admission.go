@@ -13,21 +13,24 @@ import (
 )
 
 // ServiceRunner adapts a policy service to the admission controller's
-// batch dispatcher: one call executes a coalesced batch of client
-// mutations under a single lock acquisition and a single group-commit
-// fsync.
+// batch dispatcher: one call applies a coalesced batch of client
+// mutations under a single lock acquisition and leaves its single
+// group-commit sync running (policy.Service.ExecutePipelined), so the
+// dispatcher applies the next batch during the flush. Members are
+// policy.BatchMutation, an admit.Waiter: SubmitMutation returns only once
+// a member's commit has released it.
 func ServiceRunner(svc *policy.Service) admit.BatchRunner {
 	return func(batch []any) {
 		muts := make([]*policy.BatchMutation, len(batch))
 		for i, b := range batch {
 			muts[i] = b.(*policy.BatchMutation)
 		}
-		svc.ExecuteBatch(muts)
+		svc.ExecutePipelined(muts)
 	}
 }
 
 // NewAdmissionController builds an admission controller whose batch
-// dispatcher drains into svc.ExecuteBatch.
+// dispatcher drains into svc.ExecutePipelined.
 func NewAdmissionController(svc *policy.Service, cfg admit.Config) *admit.Controller {
 	return admit.New(cfg, ServiceRunner(svc))
 }
@@ -76,10 +79,11 @@ func (s *Server) writeFailure(w http.ResponseWriter, f format, err error) {
 
 // submit runs one mutation and returns its result. Data-plane ops go
 // through the admission queue when a controller is installed — blocking
-// until the batch dispatcher has executed them or they were shed, the
-// queue wait traced as an admit.wait span ended by the dispatcher at
-// dequeue — and everything else runs directly, so an operator can still
-// raise a threshold or bump an epoch during overload.
+// until the member's batch has committed it (SubmitMutation waits on the
+// member) or it was shed, the queue wait traced as an admit.wait span
+// ended by the dispatcher at dequeue — and everything else runs directly,
+// so an operator can still raise a threshold or bump an epoch during
+// overload.
 func (s *Server) submit(ctx context.Context, op string, payload any) (any, error) {
 	if s.admit == nil || !policy.OpAdmitted(op) {
 		return s.svc.Execute(ctx, op, payload)

@@ -134,11 +134,6 @@ func Exists[T any](where func(b Bindings, v T) bool) Pattern {
 	return p
 }
 
-// ExistsOn is Exists with an alpha-index hint; see MatchOn.
-func ExistsOn[T any, K comparable](index string, lookup func(b Bindings) K, where func(b Bindings, v T) bool) Pattern {
-	return hinted(Exists(where), index, lookup)
-}
-
 // Rule is a production: when all patterns match (a join), the action runs.
 type Rule struct {
 	// Name identifies the rule in traces and refraction keys; must be

@@ -3,10 +3,12 @@ package synth
 import (
 	"net/http/httptest"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"policyflow/internal/admit"
+	"policyflow/internal/durable"
 	"policyflow/internal/policy"
 	"policyflow/internal/policyhttp"
 )
@@ -16,6 +18,15 @@ import (
 // (standing in for the group-commit fsync) so small queues saturate at a
 // predictable offered load.
 func admittedServer(t testing.TB, cfg admit.Config, batchDelay time.Duration) *httptest.Server {
+	ts, _ := admittedStack(t, cfg, batchDelay, nil)
+	return ts
+}
+
+// admittedStack is admittedServer returning its controller too. A non-nil
+// mlog wraps the service's durable store (in a temporary data dir) as its
+// mutation log, so batches run the pipelined group commit for real.
+func admittedStack(t testing.TB, cfg admit.Config, batchDelay time.Duration,
+	mlog func(policy.MutationLog) policy.MutationLog) (*httptest.Server, *admit.Controller) {
 	t.Helper()
 	pcfg := policy.DefaultConfig()
 	pcfg.DefaultThreshold = 1 << 30 // never throttle on streams; this measures admission
@@ -23,6 +34,14 @@ func admittedServer(t testing.TB, cfg admit.Config, batchDelay time.Duration) *h
 	svc, err := policy.New(pcfg)
 	if err != nil {
 		t.Fatalf("policy.New: %v", err)
+	}
+	if mlog != nil {
+		ps, _, err := durable.OpenPolicyStore(t.TempDir(), svc, durable.Options{})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		t.Cleanup(func() { ps.Close() })
+		svc.SetMutationLog(mlog(ps))
 	}
 	srv := policyhttp.NewServer(svc, nil)
 	run := policyhttp.ServiceRunner(svc)
@@ -36,7 +55,17 @@ func admittedServer(t testing.TB, cfg admit.Config, batchDelay time.Duration) *h
 	t.Cleanup(ctl.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts
+	return ts, ctl
+}
+
+// flushDelay is the durable smoke's device: the store runs without
+// fsync(2) and every Sync costs a fixed millisecond after it.
+type flushDelay struct{ policy.MutationLog }
+
+func (f flushDelay) Sync(seq uint64) error {
+	err := f.MutationLog.Sync(seq)
+	time.Sleep(time.Millisecond)
+	return err
 }
 
 // loadClient builds one worker client: no retries, so a shed surfaces as
@@ -97,6 +126,60 @@ func TestLoadSmokeShedNotCollapse(t *testing.T) {
 		t.Errorf("p99 under overload = %v; bounded queues should keep this far lower", high.P99)
 	}
 	// Sheds are refusals, not timeouts: they must come back fast.
+	if high.ShedP99 > 250*time.Millisecond {
+		t.Errorf("shed p99 = %v; rejections must be immediate", high.ShedP99)
+	}
+}
+
+// TestLoadSmokeDurable is the smoke's durable point: the admitted stack
+// over a durable store whose every Sync costs 1 ms, driven far past
+// saturation. The dispatcher no longer waits for each flush, but admission
+// must still feel it: overload sheds fast 429s, p99 stays bounded, and
+// the mutate depth never exceeds MaxQueue plus two batches (one applying,
+// one committing).
+func TestLoadSmokeDurable(t *testing.T) {
+	cfg := admit.Config{MaxQueue: 8, MaxWait: 5 * time.Millisecond, BatchMax: 4}
+	ts, ctl := admittedStack(t, cfg, 0, func(l policy.MutationLog) policy.MutationLog { return flushDelay{l} })
+	runPoint(t, ts, 1, 10)
+
+	var maxDepth atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if d := int64(ctl.Depth(admit.ClassMutate)); d > maxDepth.Load() {
+				maxDepth.Store(d)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	low := runPoint(t, ts, 2, 60)
+	high := runPoint(t, ts, 32, 60)
+	close(stop)
+	<-sampled
+	t.Logf("low:  %+v", low)
+	t.Logf("high: %+v", high)
+	t.Logf("max mutate depth %d", maxDepth.Load())
+
+	if low.Errors != 0 || high.Errors != 0 {
+		t.Fatalf("hard errors under load: low=%d high=%d", low.Errors, high.Errors)
+	}
+	if high.Shed == 0 {
+		t.Error("overloaded durable run shed nothing; admission does not feel the flush")
+	}
+	if high.Successes == 0 {
+		t.Fatal("overloaded durable run admitted nothing; total collapse")
+	}
+	if bound := int64(cfg.MaxQueue + 2*cfg.BatchMax); maxDepth.Load() > bound {
+		t.Errorf("mutate depth reached %d, bound is MaxQueue + 2 batches = %d", maxDepth.Load(), bound)
+	}
+	if high.P99 > 500*time.Millisecond {
+		t.Errorf("p99 under overload = %v; bounded queues should keep this far lower", high.P99)
+	}
 	if high.ShedP99 > 250*time.Millisecond {
 		t.Errorf("shed p99 = %v; rejections must be immediate", high.ShedP99)
 	}
