@@ -151,8 +151,11 @@ fuzz-smoke:
 
 # loc prints non-test, non-blank Go lines per internal package and per
 # command, then their total — the code-volume number the roadmap tracks
-# alongside the bench trajectory.
+# alongside the bench trajectory — and then the concept count: exported
+# identifiers per package and in total, printed by the unused-export check
+# (internal/apicheck), followed by any export it finds unused.
 loc:
 	@for d in internal/*/ cmd/*/; do \
 		printf '%-24s %6d\n' "$$d" "$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*$$')"; \
 	done | awk '{ print; total += $$2 } END { printf "%-24s %6d\n", "total", total }'
+	@$(GO) test -count=1 -run '^TestModuleHasNoUnusedExports$$' -v ./internal/apicheck | grep -v '^=== RUN\|^--- PASS\|^PASS\|^ok '

@@ -11,6 +11,7 @@ import (
 
 	"policyflow/internal/admit"
 	"policyflow/internal/durable"
+	"policyflow/internal/obs"
 	"policyflow/internal/policy"
 	"policyflow/internal/policyhttp"
 )
@@ -154,9 +155,10 @@ func TestMetricsSurfaceAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := policyhttp.NewServer(svc, nil)
+	reg := obs.NewRegistry()
+	srv := policyhttp.NewServerWith(svc, nil, reg, nil)
 	ctl := policyhttp.NewAdmissionController(svc, admit.Config{MaxQueue: 8})
-	ctl.Instrument(srv.Registry())
+	ctl.Instrument(reg)
 	srv.SetAdmission(ctl)
 	t.Cleanup(ctl.Close)
 	ts := httptest.NewServer(srv)

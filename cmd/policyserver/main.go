@@ -27,12 +27,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -60,8 +58,6 @@ func main() {
 		dataDir        = flag.String("data-dir", "", "persist Policy Memory to this directory (WAL + snapshots); empty runs in memory")
 		snapshotEvery  = flag.Duration("snapshot-every", 5*time.Minute, "periodic snapshot interval when -data-dir is set (0 disables the ticker)")
 		fsync          = flag.Bool("fsync", true, "fsync the WAL before acknowledging each mutation (-data-dir only)")
-		faultWALRate   = flag.Float64("fault-inject-wal", 0, "TEST ONLY: probability [0,1] of failing a WAL append with an injected disk error")
-		faultSeed      = flag.Int64("fault-seed", 1, "TEST ONLY: seed for the -fault-inject-wal generator")
 		leaseTTL       = flag.Float64("lease-ttl", 0, "workflow lease TTL in seconds; 0 disables lease-based orphan reclamation")
 		leaseScanEvery = flag.Duration("lease-scan-every", 5*time.Second, "lease expiry scan period when -lease-ttl is set")
 		bundlePath     = flag.String("bundle", "", "policy bundle (JSON) to activate on boot; flag-derived tunables apply until it takes effect")
@@ -135,23 +131,6 @@ func main() {
 		}
 		if tracer != nil {
 			opts.Tracer = tracer
-		}
-		if *faultWALRate > 0 {
-			// Deterministic fault hook for resilience testing: a seeded
-			// coin flip fails WAL appends, so clients must retry and the
-			// service must stay consistent. Never enable in production.
-			rate := *faultWALRate
-			rng := rand.New(rand.NewSource(*faultSeed))
-			var faultMu sync.Mutex
-			opts.WriteFault = func(op string) error {
-				faultMu.Lock()
-				defer faultMu.Unlock()
-				if rng.Float64() < rate {
-					return fmt.Errorf("injected WAL fault (op %s)", op)
-				}
-				return nil
-			}
-			log.Printf("WARNING: WAL fault injection enabled (rate=%.3f seed=%d) — test builds only", rate, *faultSeed)
 		}
 		var stats durable.RecoveryStats
 		ps, stats, err = durable.OpenPolicyStore(*dataDir, svc, opts)

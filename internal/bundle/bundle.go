@@ -198,15 +198,3 @@ func (b *Bundle) Checksum() string {
 	sum := sha256.Sum256(b.Canonical())
 	return hex.EncodeToString(sum[:])
 }
-
-// Clone returns a deep copy, so callers can hold a bundle immutably while
-// the original continues to be edited.
-func (b *Bundle) Clone() *Bundle {
-	cp := *b
-	cp.PairThresholds = append([]PairThreshold(nil), b.PairThresholds...)
-	if b.Priority != nil {
-		p := *b.Priority
-		cp.Priority = &p
-	}
-	return &cp
-}

@@ -104,14 +104,3 @@ func TestValidatePriorityBounds(t *testing.T) {
 		t.Fatalf("valid priority rejected: %v", err)
 	}
 }
-
-func TestCloneIsDeep(t *testing.T) {
-	b := valid()
-	b.Priority = &Priority{BoostFactor: 1.5, ReduceFactor: 0.5}
-	cp := b.Clone()
-	cp.PairThresholds[0].Max = 99
-	cp.Priority.BoostFactor = 9
-	if b.PairThresholds[0].Max == 99 || b.Priority.BoostFactor == 9 {
-		t.Fatal("Clone shares memory with original")
-	}
-}

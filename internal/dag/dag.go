@@ -13,7 +13,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrCycle is returned by operations that require acyclicity when the graph
@@ -71,21 +70,6 @@ func (g *Graph) HasNode(id string) bool {
 	return ok
 }
 
-// Payload returns the payload stored for id and whether the node exists.
-func (g *Graph) Payload(id string) (any, bool) {
-	p, ok := g.payload[id]
-	return p, ok
-}
-
-// SetPayload replaces the payload of an existing node.
-func (g *Graph) SetPayload(id string, payload any) error {
-	if _, ok := g.payload[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownNode, id)
-	}
-	g.payload[id] = payload
-	return nil
-}
-
 // AddEdge inserts a directed edge parent->child. Adding an existing edge is
 // a no-op. Both endpoints must already exist.
 func (g *Graph) AddEdge(parent, child string) error {
@@ -110,11 +94,6 @@ func (g *Graph) MustAddEdge(parent, child string) {
 	if err := g.AddEdge(parent, child); err != nil {
 		panic(err)
 	}
-}
-
-// HasEdge reports whether the directed edge parent->child exists.
-func (g *Graph) HasEdge(parent, child string) bool {
-	return g.edgeSet[[2]string{parent, child}]
 }
 
 // Len returns the number of nodes.
@@ -147,17 +126,6 @@ func (g *Graph) Roots() []string {
 		}
 	}
 	return roots
-}
-
-// Leaves returns the nodes with no children, in insertion order.
-func (g *Graph) Leaves() []string {
-	var leaves []string
-	for _, id := range g.order {
-		if len(g.children[id]) == 0 {
-			leaves = append(leaves, id)
-		}
-	}
-	return leaves
 }
 
 // TopoSort returns a topological ordering of the nodes, or ErrCycle. The
@@ -235,44 +203,4 @@ func (g *Graph) Descendants(id string) map[string]bool {
 	}
 	walk(id)
 	return seen
-}
-
-// Ancestors returns the set of nodes from which id is reachable, excluding
-// id itself.
-func (g *Graph) Ancestors(id string) map[string]bool {
-	seen := make(map[string]bool)
-	var walk func(string)
-	walk = func(n string) {
-		for _, p := range g.parents[n] {
-			if !seen[p] {
-				seen[p] = true
-				walk(p)
-			}
-		}
-	}
-	walk(id)
-	return seen
-}
-
-// Clone returns a deep copy of the graph structure. Payloads are copied by
-// reference.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, id := range g.order {
-		c.MustAddNode(id, g.payload[id])
-	}
-	for _, id := range g.order {
-		for _, ch := range g.children[id] {
-			c.MustAddEdge(id, ch)
-		}
-	}
-	return c
-}
-
-// SortedNodes returns node IDs in lexicographic order (handy for stable
-// test assertions, as opposed to insertion order).
-func (g *Graph) SortedNodes() []string {
-	ids := g.Nodes()
-	sort.Strings(ids)
-	return ids
 }

@@ -162,18 +162,3 @@ func orderToPriorities(order []string) Priorities {
 	}
 	return p
 }
-
-// Ranking returns node IDs ordered from highest to lowest priority.
-func (p Priorities) Ranking() []string {
-	ids := make([]string, 0, len(p))
-	for id := range p {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if p[ids[i]] != p[ids[j]] {
-			return p[ids[i]] > p[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}

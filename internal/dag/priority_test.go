@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -32,7 +33,7 @@ func TestBFSPriorities(t *testing.T) {
 	}
 	// BFS visit order: root, m1, m2, m3, l1, l2, l3.
 	want := []string{"root", "m1", "m2", "m3", "l1", "l2", "l3"}
-	if got := p.Ranking(); !equalSlices(got, want) {
+	if got := ranking(p); !equalSlices(got, want) {
 		t.Fatalf("BFS ranking = %v, want %v", got, want)
 	}
 	if p["root"] != g.Len() {
@@ -48,7 +49,7 @@ func TestDFSPriorities(t *testing.T) {
 	}
 	// DFS pre-order: root, m1, l1, l2, m2, l3, m3.
 	want := []string{"root", "m1", "l1", "l2", "m2", "l3", "m3"}
-	if got := p.Ranking(); !equalSlices(got, want) {
+	if got := ranking(p); !equalSlices(got, want) {
 		t.Fatalf("DFS ranking = %v, want %v", got, want)
 	}
 }
@@ -60,7 +61,7 @@ func TestDirectDependentPriorities(t *testing.T) {
 		t.Fatalf("AssignPriorities: %v", err)
 	}
 	// Fan-out: root(3) > m1(2) > m2(1) > zero-fanout nodes in topo order.
-	r := p.Ranking()
+	r := ranking(p)
 	if r[0] != "root" || r[1] != "m1" || r[2] != "m2" {
 		t.Fatalf("direct-dependent ranking head = %v", r[:3])
 	}
@@ -72,7 +73,7 @@ func TestDependentPriorities(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AssignPriorities: %v", err)
 	}
-	r := p.Ranking()
+	r := ranking(p)
 	// Descendants: root(6) > m1(2) > m2(1) > rest(0).
 	if r[0] != "root" || r[1] != "m1" || r[2] != "m2" {
 		t.Fatalf("dependent ranking head = %v", r[:3])
@@ -187,4 +188,20 @@ func equalSlices(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// ranking returns node IDs ordered from highest to lowest priority, ties
+// by ID.
+func ranking(p Priorities) []string {
+	ids := make([]string, 0, len(p))
+	for id := range p {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if p[ids[i]] != p[ids[j]] {
+			return p[ids[i]] > p[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
 }

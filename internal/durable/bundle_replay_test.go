@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"policyflow/internal/policy"
@@ -74,11 +75,11 @@ func TestBundleActivationReplaysPastTornCrash(t *testing.T) {
 	}
 	// The rollback target survives replay too: rolling back on the
 	// recovered replica restores the bootstrap bundle.
-	rb, err := svc2.RollbackBundle()
+	res, err := svc2.Execute(context.Background(), policy.OpActivateBundle, policy.BundleOp{Rollback: true})
 	if err != nil {
-		t.Fatalf("RollbackBundle after recovery: %v", err)
+		t.Fatalf("rollback after recovery: %v", err)
 	}
-	if rb.Version != policy.BootstrapBundleVersion {
+	if rb := res.(*policy.BundleInfo); rb.Version != policy.BootstrapBundleVersion {
 		t.Fatalf("post-recovery rollback landed on %q", rb.Version)
 	}
 }
@@ -95,7 +96,7 @@ func TestRollbackReplaysAcrossRestart(t *testing.T) {
 	if _, err := svc.ActivateBundle([]byte(replayBundleDoc)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.RollbackBundle(); err != nil {
+	if _, err := svc.Execute(context.Background(), policy.OpActivateBundle, policy.BundleOp{Rollback: true}); err != nil {
 		t.Fatal(err)
 	}
 	before := dumpJSON(t, svc)

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -62,7 +63,8 @@ func goldenHistory(t *testing.T, dir string, snapshot bool) (state []byte, snapS
 	must(err)
 	_, err = svc.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}})
 	must(err)
-	must(svc.SetThreshold("src.example.org", "dst.example.org", 7))
+	_, err = svc.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "src.example.org", DestHost: "dst.example.org", Max: 7})
+	must(err)
 	_, err = svc.RenewLease("wf1")
 	must(err)
 	if snapshot {

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -86,7 +87,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.SetThreshold("src.example.org", "dst.example.org", 17); err != nil {
+	if _, err := svc.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "src.example.org", DestHost: "dst.example.org", Max: 17}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.AdviseCleanups([]policy.CleanupSpec{{
@@ -179,7 +180,7 @@ func TestRecoveryFromSnapshotPlusTail(t *testing.T) {
 func TestSnapshotCompactsAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	svc := newService(t)
-	ps, _, err := OpenPolicyStore(dir, svc, Options{Fsync: false, KeepSnapshots: 2})
+	ps, _, err := OpenPolicyStore(dir, svc, Options{Fsync: false})
 	if err != nil {
 		t.Fatal(err)
 	}

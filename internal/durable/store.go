@@ -11,6 +11,10 @@ import (
 	"policyflow/internal/obs"
 )
 
+// keepSnapshots is how many snapshot generations a store retains: the
+// latest plus one fallback.
+const keepSnapshots = 2
+
 // Options configures a Store.
 type Options struct {
 	// Fsync makes Sync wait for fsync(2) before reporting a record
@@ -18,9 +22,6 @@ type Options struct {
 	// records are flushed to the OS only — they survive a process crash
 	// but not a machine crash.
 	Fsync bool
-	// KeepSnapshots is how many snapshot generations to retain; 0 selects
-	// the default of 2 (the latest plus one fallback).
-	KeepSnapshots int
 	// Metrics, when non-nil, receives the WAL and snapshot series.
 	Metrics *obs.WALMetrics
 	// Tracer, when non-nil, receives "wal.fsync" spans from group-commit
@@ -117,9 +118,6 @@ func Open(dir string, opts Options, restore func(state []byte) error, apply func
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, stats, err
 	}
-	if opts.KeepSnapshots <= 0 {
-		opts.KeepSnapshots = 2
-	}
 	snapSeq, _, state, err := loadLatestSnapshot(dir)
 	if err != nil {
 		return nil, stats, err
@@ -177,7 +175,7 @@ func (st *Store) LastSeq() uint64 { return st.wal.LastSeq() }
 // WriteSnapshot persists state as the snapshot at seq, with epoch in its
 // header, then compacts: the WAL rotates to a fresh segment, segments
 // fully covered by the snapshot are deleted, and snapshot generations
-// beyond KeepSnapshots are pruned. Writing a snapshot at or before the
+// beyond keepSnapshots are pruned. Writing a snapshot at or before the
 // current one is a no-op.
 func (st *Store) WriteSnapshot(seq, epoch uint64, state []byte) error {
 	st.mu.Lock()
@@ -191,7 +189,7 @@ func (st *Store) WriteSnapshot(seq, epoch uint64, state []byte) error {
 	if err := st.wal.Rotate(seq); err != nil {
 		return err
 	}
-	st.snapshotWrittenLocked(seq, st.opts.KeepSnapshots)
+	st.snapshotWrittenLocked(seq, keepSnapshots)
 	return nil
 }
 

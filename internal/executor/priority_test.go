@@ -103,8 +103,8 @@ func TestNoPrioritiesFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range plan.TasksOf(workflow.TaskStageIn) {
-		if task.Priority != 0 {
+	for _, task := range plan.Tasks {
+		if task.Type == workflow.TaskStageIn && task.Priority != 0 {
 			t.Fatalf("unexpected priority on %s", task.ID)
 		}
 	}

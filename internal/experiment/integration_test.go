@@ -172,7 +172,8 @@ func TestEndToEndWithReplicatedAdvisor(t *testing.T) {
 	// Partway through the simulated run the standby catches up, the primary
 	// dies and an operator promotes the standby.
 	var ackedBefore int
-	env.At(30, func() {
+	env.Go("failover", func(p *simnet.Proc) {
+		p.Sleep(30)
 		if err := standby.SyncOnce(); err != nil {
 			t.Errorf("standby sync: %v", err)
 		}

@@ -16,7 +16,7 @@ import (
 // metrics show the retries and replays actually happened, and the server
 // counted the answers it served from its idempotency cache.
 func TestAtMostOnceUnderResponseLoss(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestAtMostOnceUnderResponseLoss(t *testing.T) {
 			FaultSpec{Replica: 0, Kind: FaultLoseRequest}),
 	}
 	for i, op := range ops {
-		if err := h.Step(op); err != nil {
+		if err := h.exec(op); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestAtMostOnceUnderResponseLoss(t *testing.T) {
 	}
 	// The server side of the same story: the primary answered at least one
 	// retry from its idempotency cache instead of re-applying.
-	served := h.ServerRegistry(0).Counter("http_idempotent_replays_total",
+	served := h.serverRegistry(0).Counter("http_idempotent_replays_total",
 		"Mutating requests answered from the idempotency cache without re-applying.").With().Value()
 	if served == 0 {
 		t.Error("the primary never served from its idempotency cache")
@@ -67,7 +67,7 @@ func TestAtMostOnceUnderResponseLoss(t *testing.T) {
 // schedules): after the storm quiesces and the standby syncs, both nodes
 // must hold identical, internally consistent Policy Memory.
 func TestConcurrentClientsStayConsistent(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,17 @@ func TestConcurrentClientsStayConsistent(t *testing.T) {
 	if len(d0.Resources) != workers*25 {
 		t.Fatalf("primary tracks %d files after %d advises", len(d0.Resources), workers*25)
 	}
-	if err := checkDumpConsistency(d0); err != nil {
+	if err := d0.Verify(); err != nil {
 		t.Fatalf("post-storm state inconsistent: %v", err)
+	}
+	for _, tr := range d0.Transfers {
+		if tr.State != int(policy.TransferInProgress) {
+			t.Fatalf("transfer %s in state %d after quiescing", tr.ID, tr.State)
+		}
+	}
+	for _, c := range d0.Cleanups {
+		if c.State != int(policy.CleanupInProgress) {
+			t.Fatalf("cleanup %s in state %d after quiescing", c.ID, c.State)
+		}
 	}
 }

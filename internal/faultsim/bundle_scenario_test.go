@@ -44,14 +44,14 @@ func TestBundleActivationScenario(t *testing.T) {
 		ClusterFactor:  1,
 		FaultProb:      0,
 	}}
-	h, err := NewHarness(t.TempDir(), sched)
+	h, err := newHarness(t.TempDir(), sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 	mustStep := func(op Op) {
 		t.Helper()
-		if err := h.Step(op); err != nil {
+		if err := h.exec(op); err != nil {
 			t.Fatalf("step %+v: %v", op, err)
 		}
 	}
@@ -132,8 +132,8 @@ func TestBundleActivationScenario(t *testing.T) {
 func TestScheduleGeneratorDrawsBundleOps(t *testing.T) {
 	activations, rollbacks := 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
-		sched := RandomSchedule(seed)
-		trace, _, err := RunSchedule(t.TempDir(), sched)
+		sched := randomSchedule(seed)
+		trace, _, err := runSchedule(t.TempDir(), sched)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

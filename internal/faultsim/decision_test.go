@@ -16,19 +16,19 @@ import (
 // standby, which learns of the advise only by replaying the primary's log,
 // must end up with exactly one record too.
 func TestDecisionRecordsSurviveRetries(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 
-	if err := h.Step(adviseOp("r-1", "f-01",
+	if err := h.exec(adviseOp("r-1", "f-01",
 		FaultSpec{Replica: 0, Kind: FaultDropResponse},
 		FaultSpec{Replica: 0, Kind: FaultDuplicate},
 	)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Step(Op{Kind: OpStandbySync}); err != nil {
+	if err := h.exec(Op{Kind: OpStandbySync}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,11 +69,11 @@ func TestDecisionRecordsSurviveRetries(t *testing.T) {
 
 	// The follow-up report (fault-free) adds exactly one report record per
 	// replica and leaves the advise count alone.
-	ids := h.model.InFlightIDs()
-	if err := h.Step(Op{Kind: OpReport, Report: &policy.CompletionReport{TransferIDs: ids}}); err != nil {
+	ids := sortedKeys(h.model.inProgress, nil)
+	if err := h.exec(Op{Kind: OpReport, Report: &policy.CompletionReport{TransferIDs: ids}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Step(Op{Kind: OpStandbySync}); err != nil {
+	if err := h.exec(Op{Kind: OpStandbySync}); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range h.replicas {
@@ -90,12 +90,12 @@ func TestDecisionRecordsSurviveRetries(t *testing.T) {
 // is live: skewing the acknowledged-op ledger must make the next check
 // report a mismatch between committed records and acknowledged calls.
 func TestHarnessDetectsDecisionMiscount(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if err := h.Step(adviseOp("r-1", "f-01")); err != nil {
+	if err := h.exec(adviseOp("r-1", "f-01")); err != nil {
 		t.Fatal(err)
 	}
 	h.acked[policy.OpAdviseTransfers]-- // simulate a duplicate decision record

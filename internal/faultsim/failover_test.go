@@ -13,7 +13,7 @@ import (
 // for five or six failover episodes back to back, so leadership moves away
 // and comes back several times within one run.
 func longFailoverSchedule(seed int64) Schedule {
-	s := RandomSchedule(seed)
+	s := randomSchedule(seed)
 	s.Config.OpCount = 80
 	return s
 }
@@ -50,7 +50,7 @@ func TestFailoverDetectsLostWrite(t *testing.T) {
 		{Kind: OpPartition, Replica: 0},
 		{Kind: OpPromote, Replica: 1},
 	}
-	err := ReplayTrace(t.TempDir(), passingSchedule(), trace)
+	err := replayTrace(t.TempDir(), passingSchedule(), trace)
 	if err == nil {
 		t.Fatal("promotion of a stale standby dropped an acknowledged write undetected")
 	}
@@ -67,7 +67,7 @@ func TestFailoverDetectsLostWrite(t *testing.T) {
 // write. The same trace with the archive readable passes.
 func TestFailoverDetectsSkippedCatchUp(t *testing.T) {
 	for _, skip := range []bool{false, true} {
-		h, err := NewHarness(t.TempDir(), passingSchedule())
+		h, err := newHarness(t.TempDir(), passingSchedule())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,13 +77,13 @@ func TestFailoverDetectsSkippedCatchUp(t *testing.T) {
 			{Kind: OpStandbySync},
 			adviseOp("r-2", "f-02"),
 		} {
-			if err := h.Step(op); err != nil {
+			if err := h.exec(op); err != nil {
 				t.Fatalf("op %d (%s): %v", i, op.Kind, err)
 			}
 		}
 		if skip {
 			old := h.replicas[0].server
-			h.router.Register(h.replicas[0].host, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.router.register(h.replicas[0].host, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/state/archive" {
 					http.Error(w, "archive unreadable", http.StatusServiceUnavailable)
 					return
@@ -91,7 +91,7 @@ func TestFailoverDetectsSkippedCatchUp(t *testing.T) {
 				old.ServeHTTP(w, r)
 			}))
 		}
-		err = h.Step(Op{Kind: OpPromote, Replica: 1})
+		err = h.exec(Op{Kind: OpPromote, Replica: 1})
 		switch {
 		case !skip && err != nil:
 			t.Fatalf("promotion with its catch-up failed: %v", err)
@@ -112,7 +112,7 @@ func TestFailoverDetectsSkippedCatchUp(t *testing.T) {
 // scripted episodes close with the fence probe, and the harness must flag
 // the ack.
 func TestFailoverDetectsWrongEpochAck(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestFailoverDetectsWrongEpochAck(t *testing.T) {
 		adviseOp("r-2", "f-02"),
 		{Kind: OpHeal},
 	} {
-		if err := h.Step(op); err != nil {
+		if err := h.exec(op); err != nil {
 			t.Fatalf("op %d (%s): %v", i, op.Kind, err)
 		}
 	}
 	if err := h.connectClients(); err != nil {
 		t.Fatal(err)
 	}
-	err = h.Step(adviseOp("r-3", "f-03"))
+	err = h.exec(adviseOp("r-3", "f-03"))
 	if err == nil {
 		t.Fatal("a write acknowledged by the deposed primary at the old epoch went undetected")
 	}
@@ -164,7 +164,7 @@ func TestFailoverEpisodeReplay(t *testing.T) {
 		{Kind: OpStandbySync},
 		adviseOp("r-3", "f-03"),
 	}
-	if err := ReplayTrace(t.TempDir(), passingSchedule(), trace); err != nil {
+	if err := replayTrace(t.TempDir(), passingSchedule(), trace); err != nil {
 		t.Fatalf("scripted failover episode violated an invariant: %v", err)
 	}
 }

@@ -97,11 +97,11 @@ type Harness struct {
 	step int
 }
 
-// NewHarness builds a harness with replica data directories under baseDir.
+// newHarness builds a harness with replica data directories under baseDir.
 // Replica 0 starts as primary at epoch 1 (taken through its WAL, the oracle
 // and model in lockstep); replica 1 is its standby, stale at epoch 0 until
 // its first sync.
-func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
+func newHarness(baseDir string, sched Schedule) (*Harness, error) {
 	sc := sched.Config
 	cfg := policy.Config{
 		Algorithm:        sc.Algorithm,
@@ -117,9 +117,9 @@ func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
 	}
 	h := &Harness{
 		cfg:         cfg,
-		router:      NewRouter(),
+		router:      newRouter(),
 		oracle:      oracle,
-		model:       NewModel(cfg),
+		model:       newModel(cfg),
 		ClientReg:   obs.NewRegistry(),
 		acked:       make(map[string]int64),
 		localFaults: make(map[string]int),
@@ -130,7 +130,7 @@ func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
 	// The compiled-in v0 bundle's checksum is internal to the service; the
 	// model learns it from the fault-free oracle so it can tell
 	// state-changing activations from idempotent no-ops.
-	h.model.SetActiveChecksum(oracle.Tunables().Checksum)
+	h.model.setActiveChecksum(oracle.Tunables().Checksum)
 	// Peer clients are wired before the replicas open because openReplica
 	// installs them (promotion demotes and pulls from the peer through the
 	// router, so partitions apply to the control plane too).
@@ -153,7 +153,7 @@ func NewHarness(baseDir string, sched Schedule) (*Harness, error) {
 	if _, err := h.oracle.BumpEpoch(1); err != nil {
 		return nil, fmt.Errorf("faultsim: seed oracle epoch: %w", err)
 	}
-	h.model.SetEpoch(1)
+	h.model.setEpoch(1)
 	h.expectedEpoch = 1
 	h.fresh[0] = true
 	return h, nil
@@ -245,7 +245,7 @@ func (h *Harness) openReplica(i int) error {
 		r.ctl.Close()
 	}
 	r.svc, r.ps, r.reg, r.server, r.ctl = svc, ps, reg, server, ctl
-	h.router.Register(r.host, server)
+	h.router.register(r.host, server)
 	return nil
 }
 
@@ -265,13 +265,13 @@ func (h *Harness) Close() {
 	}
 }
 
-// ServerRegistry exposes replica i's metrics registry (tests assert the
+// serverRegistry exposes replica i's metrics registry (tests assert the
 // idempotent-replay counter there).
-func (h *Harness) ServerRegistry(i int) *obs.Registry { return h.replicas[i].reg }
+func (h *Harness) serverRegistry(i int) *obs.Registry { return h.replicas[i].reg }
 
-// FaultCounts merges the Router's injected-fault counters with the
+// faultCounts merges the Router's injected-fault counters with the
 // harness-level ones (crashes, torn tails, disk faults), by kind.
-func (h *Harness) FaultCounts() map[string]int {
+func (h *Harness) faultCounts() map[string]int {
 	out := make(map[string]int)
 	h.router.mu.Lock()
 	for k, n := range h.router.Injected {
@@ -284,17 +284,17 @@ func (h *Harness) FaultCounts() map[string]int {
 	return out
 }
 
-// Step executes one operation: queue its HTTP faults, run it against the
+// exec executes one operation: queue its HTTP faults, run it against the
 // pair and the oracle, then verify the model and replica consistency. A
 // non-nil error is an invariant violation (or an internal harness failure)
 // and fails the schedule.
-func (h *Harness) Step(op Op) error {
+func (h *Harness) exec(op Op) error {
 	h.step++
 	for _, f := range op.Faults {
 		if f.Replica < 0 || f.Replica >= numReplicas {
 			return fmt.Errorf("faultsim: step %d: fault replica %d out of range", h.step, f.Replica)
 		}
-		h.router.Queue(h.replicas[f.Replica].host, f.Kind)
+		h.router.queue(h.replicas[f.Replica].host, f.Kind)
 	}
 	var err error
 	name, payload := op.mutation()
@@ -330,11 +330,11 @@ func (h *Harness) Step(op Op) error {
 	case op.Kind == OpSnapshot:
 		err = h.stepSnapshot(op.Replica)
 	case op.Kind == OpPartition:
-		h.router.SetPartitioned(h.replicas[op.Replica].host, true)
+		h.router.setPartitioned(h.replicas[op.Replica].host, true)
 		h.localFaults[OpPartition]++
 	case op.Kind == OpHeal:
 		for _, r := range h.replicas {
-			h.router.SetPartitioned(r.host, false)
+			h.router.setPartitioned(r.host, false)
 		}
 		h.localFaults[OpHeal]++
 	case op.Kind == OpPromote:
@@ -348,7 +348,7 @@ func (h *Harness) Step(op Op) error {
 	default:
 		err = fmt.Errorf("faultsim: unknown op kind %q", op.Kind)
 	}
-	h.router.Drain()
+	h.router.drain()
 	if err != nil {
 		return fmt.Errorf("step %d (%s): %w", h.step, op.Kind, err)
 	}
@@ -404,7 +404,7 @@ func (h *Harness) stepMutation(op Op, name string, payload any) error {
 			return fmt.Errorf("acknowledged %s committed %d decision records on the primary, want 1", name, records)
 		}
 		h.acked[name] += records
-		return h.model.Apply(name, payload, res)
+		return h.model.apply(name, payload, res)
 	case policyhttp.IsBusy(err):
 		return nil
 	case errors.Is(err, policyhttp.ErrNoPrimary), errors.Is(err, policyhttp.ErrNoReplicas):
@@ -525,7 +525,7 @@ func (h *Harness) stepPromote(op Op) error {
 	if _, err := h.oracle.BumpEpoch(res.Epoch); err != nil {
 		return fmt.Errorf("bump oracle epoch: %w", err)
 	}
-	h.model.SetEpoch(res.Epoch)
+	h.model.setEpoch(res.Epoch)
 	dump := h.replicas[i].svc.ExportState()
 	oracleDump := h.oracle.ExportState()
 	if !reflect.DeepEqual(dump, oracleDump) {
@@ -573,7 +573,7 @@ func (h *Harness) stepStandbySync() error {
 			continue
 		}
 		mayFail := h.armedDiskFaults(i) > 0 ||
-			h.router.Partitioned(h.replicas[i].host) || h.router.Partitioned(h.replicas[peer].host)
+			h.router.isPartitioned(h.replicas[i].host) || h.router.isPartitioned(h.replicas[peer].host)
 		if err := h.syncers[i].SyncOnce(); err != nil {
 			if !mayFail {
 				return fmt.Errorf("standby %d failed to sync from reachable primary %d: %w", i, peer, err)
@@ -606,14 +606,18 @@ func (h *Harness) stepFenceProbe(op Op) error {
 	}
 }
 
-// checkReplicas verifies the oracle against the order-free model and every
-// fresh replica against the oracle, dump for dump. The comparison is direct
-// (ExportState, not HTTP — a partitioned replica must still be checkable)
-// and gated on freshness: a standby legitimately lags the oracle between
-// syncs, so only replicas required to be current are compared.
+// checkReplicas verifies the oracle against the state invariants and the
+// order-free model, and every fresh replica against the oracle, dump for
+// dump. The comparison is direct (ExportState, not HTTP — a partitioned
+// replica must still be checkable) and gated on freshness: a standby
+// legitimately lags the oracle between syncs, so only replicas required to
+// be current are compared.
 func (h *Harness) checkReplicas() error {
 	oracleDump := h.oracle.ExportState()
-	if err := h.model.CheckDump(oracleDump); err != nil {
+	if err := oracleDump.Verify(); err != nil {
+		return fmt.Errorf("oracle state: %w", err)
+	}
+	if err := h.model.checkDump(oracleDump); err != nil {
 		return err
 	}
 	if err := h.checkDecisions(); err != nil {
@@ -656,18 +660,18 @@ func (h *Harness) checkDecisions() error {
 		}
 	}
 	if len(recs) > 0 {
-		if got, want := recs[len(recs)-1].Bundle, h.model.ActiveVersion(); got != want {
+		if got, want := recs[len(recs)-1].Bundle, h.model.activeVersion(); got != want {
 			return fmt.Errorf("newest decision record stamped with bundle %q, active bundle is %q", got, want)
 		}
 	}
 	return nil
 }
 
-// RunSchedule generates and executes one randomized schedule, returning
+// runSchedule generates and executes one randomized schedule, returning
 // the executed trace (for shrinking and replay), the fault counts, and the
 // first invariant violation, if any.
-func RunSchedule(baseDir string, sched Schedule) ([]Op, map[string]int, error) {
-	h, err := NewHarness(baseDir, sched)
+func runSchedule(baseDir string, sched Schedule) ([]Op, map[string]int, error) {
+	h, err := newHarness(baseDir, sched)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -678,23 +682,23 @@ func RunSchedule(baseDir string, sched Schedule) ([]Op, map[string]int, error) {
 	for i := 0; i < sched.Config.OpCount; i++ {
 		op := g.next(sched.Config)
 		trace = append(trace, op)
-		if err := h.Step(op); err != nil {
-			return trace, h.FaultCounts(), err
+		if err := h.exec(op); err != nil {
+			return trace, h.faultCounts(), err
 		}
 	}
-	return trace, h.FaultCounts(), nil
+	return trace, h.faultCounts(), nil
 }
 
-// ReplayTrace executes a fixed trace under a schedule's configuration —
+// replayTrace executes a fixed trace under a schedule's configuration —
 // the replay half of shrink-and-replay debugging.
-func ReplayTrace(baseDir string, sched Schedule, trace []Op) error {
-	h, err := NewHarness(baseDir, sched)
+func replayTrace(baseDir string, sched Schedule, trace []Op) error {
+	h, err := newHarness(baseDir, sched)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
 	for _, op := range trace {
-		if err := h.Step(op); err != nil {
+		if err := h.exec(op); err != nil {
 			return err
 		}
 	}

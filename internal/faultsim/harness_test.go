@@ -48,7 +48,7 @@ func envInt(t *testing.T, name string, def int64) int64 {
 func TestFaultSim(t *testing.T) {
 	schedules := int(envInt(t, "FAULTSIM_SCHEDULES", defaultSchedules))
 	baseSeed := envInt(t, "FAULTSIM_SEED", defaultBaseSeed)
-	runSchedules(t, schedules, baseSeed, RandomSchedule)
+	runSchedules(t, schedules, baseSeed, randomSchedule)
 }
 
 // runSchedules runs one schedule per seed in parallel subtests, shrinking
@@ -81,7 +81,7 @@ func runSchedules(t *testing.T, schedules int, baseSeed int64, mk func(int64) Sc
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sched := mk(seed)
-			trace, faults, err := RunSchedule(t.TempDir(), sched)
+			trace, faults, err := runSchedule(t.TempDir(), sched)
 			mu.Lock()
 			for k, n := range faults {
 				totalFaults[k] += n
@@ -90,10 +90,10 @@ func runSchedules(t *testing.T, schedules int, baseSeed int64, mk func(int64) Sc
 			if err == nil {
 				return
 			}
-			minTrace := Shrink(trace, func(candidate []Op) bool {
-				return ReplayTrace(t.TempDir(), sched, candidate) != nil
+			minTrace := shrink(trace, func(candidate []Op) bool {
+				return replayTrace(t.TempDir(), sched, candidate) != nil
 			})
-			minErr := ReplayTrace(t.TempDir(), sched, minTrace)
+			minErr := replayTrace(t.TempDir(), sched, minTrace)
 			schedJSON, _ := json.Marshal(sched)
 			traceJSON, _ := json.MarshalIndent(minTrace, "", "  ")
 			t.Fatalf("invariant violation at seed %d: %v\n\nreplay: go test ./internal/faultsim -run '^%s$'\nschedule: %s\nminimal trace (%d of %d ops, fails with: %v):\n%s",
@@ -109,15 +109,15 @@ func TestFaultSimDeterministicReplay(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 20260806} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			checkDeterministic(t, RandomSchedule(seed))
+			checkDeterministic(t, randomSchedule(seed))
 		})
 	}
 }
 
 func checkDeterministic(t *testing.T, sched Schedule) {
 	t.Helper()
-	trace1, _, err1 := RunSchedule(t.TempDir(), sched)
-	trace2, _, err2 := RunSchedule(t.TempDir(), sched)
+	trace1, _, err1 := runSchedule(t.TempDir(), sched)
+	trace2, _, err2 := runSchedule(t.TempDir(), sched)
 	j1, _ := json.Marshal(trace1)
 	j2, _ := json.Marshal(trace2)
 	if string(j1) != string(j2) {
@@ -129,7 +129,7 @@ func checkDeterministic(t *testing.T, sched Schedule) {
 	if err1 != nil {
 		return // a failing seed replays identically; nothing more to check
 	}
-	if err := ReplayTrace(t.TempDir(), sched, trace1); err != nil {
+	if err := replayTrace(t.TempDir(), sched, trace1); err != nil {
 		t.Fatalf("replaying a passing trace failed: %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func adviseOp(reqID, file string, faults ...FaultSpec) Op {
 // it exists exactly for this self-test.)
 func TestHarnessDetectsBrokenIdempotency(t *testing.T) {
 	trace := []Op{adviseOp("r-1", "f-01", FaultSpec{Replica: 0, Kind: FaultDuplicateNoKey})}
-	err := ReplayTrace(t.TempDir(), passingSchedule(), trace)
+	err := replayTrace(t.TempDir(), passingSchedule(), trace)
 	if err == nil {
 		t.Fatal("double application with no idempotency key went undetected")
 	}
@@ -178,13 +178,13 @@ func TestHarnessDetectsBrokenIdempotency(t *testing.T) {
 // with reference counting deliberately broken in the model, a plain
 // successful advise must be reported as a divergence.
 func TestHarnessDetectsModelCorruption(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 	h.model.CorruptRefcounts = true
-	if err := h.Step(adviseOp("r-1", "f-01")); err == nil {
+	if err := h.exec(adviseOp("r-1", "f-01")); err == nil {
 		t.Fatal("corrupted reference-count model not detected")
 	}
 }
@@ -201,11 +201,11 @@ func TestShrinkMinimizesFailingTrace(t *testing.T) {
 		{Kind: OpSnapshot, Replica: 0},
 		adviseOp("r-4", "f-04"),
 	}
-	if err := ReplayTrace(t.TempDir(), sched, trace); err == nil {
+	if err := replayTrace(t.TempDir(), sched, trace); err == nil {
 		t.Fatal("constructed trace unexpectedly passes")
 	}
-	minTrace := Shrink(trace, func(candidate []Op) bool {
-		return ReplayTrace(t.TempDir(), sched, candidate) != nil
+	minTrace := shrink(trace, func(candidate []Op) bool {
+		return replayTrace(t.TempDir(), sched, candidate) != nil
 	})
 	if len(minTrace) != 1 {
 		j, _ := json.MarshalIndent(minTrace, "", "  ")

@@ -46,14 +46,14 @@ func wfAdviseOp(wf, reqID string, files ...string) Op {
 // the reclamation replays from each node's own WAL too: each must recover
 // to exactly its pre-crash (post-reclamation) state.
 func TestLeaseReclamationScenario(t *testing.T) {
-	h, err := NewHarness(t.TempDir(), livenessSchedule())
+	h, err := newHarness(t.TempDir(), livenessSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 	mustStep := func(op Op) {
 		t.Helper()
-		if err := h.Step(op); err != nil {
+		if err := h.exec(op); err != nil {
 			t.Fatalf("step %+v: %v", op, err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestLeaseReclamationScenario(t *testing.T) {
 // TestLeaseLivenessProperty forces leases on and runs randomized schedules
 // of advises, reports, cleanups, renewals, client crashes and clock
 // advances across the three generator workflows. The harness checks the
-// model after every step, and with LeaseTTL > 0 the model's CheckDump
+// model after every step, and with LeaseTTL > 0 the model's checkDump
 // enforces the liveness invariant throughout: the set of workflows holding
 // reference counts, in-flight transfers or in-progress cleanups is exactly
 // a subset of the live (unexpired) lease holders, and stream ledgers always
@@ -169,10 +169,10 @@ func TestLeaseLivenessProperty(t *testing.T) {
 		seed := int64(31000 + i)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			sched := RandomSchedule(seed)
+			sched := randomSchedule(seed)
 			sched.Config.LeaseTTL = 2 + float64(seed%19) // force liveness on
 			sched.Config.OpCount = 30
-			trace, _, err := RunSchedule(t.TempDir(), sched)
+			trace, _, err := runSchedule(t.TempDir(), sched)
 			if err != nil {
 				j, _ := json.MarshalIndent(trace, "", "  ")
 				t.Fatalf("liveness invariant violated at seed %d: %v\ntrace:\n%s", seed, err, j)

@@ -108,9 +108,9 @@ type Model struct {
 	CorruptRefcounts bool
 }
 
-// NewModel builds a model for a service running with cfg (cfg must carry
+// newModel builds a model for a service running with cfg (cfg must carry
 // explicit DefaultStreams, MinStreams, DefaultThreshold and ClusterFactor).
-func NewModel(cfg policy.Config) *Model {
+func newModel(cfg policy.Config) *Model {
 	m := &Model{
 		cfg:         cfg,
 		inProgress:  make(map[string]*modelTransfer),
@@ -139,21 +139,21 @@ func NewModel(cfg policy.Config) *Model {
 	return m
 }
 
-// SetActiveChecksum records the checksum of the service's bootstrap bundle
+// setActiveChecksum records the checksum of the service's bootstrap bundle
 // (the model cannot derive it: the v0 document is compiled into the
 // service). The harness reads it from the fault-free oracle's tunables.
-func (m *Model) SetActiveChecksum(sum string) { m.active.checksum = sum }
+func (m *Model) setActiveChecksum(sum string) { m.active.checksum = sum }
 
-// ActiveVersion returns the version of the bundle the model believes is
+// activeVersion returns the version of the bundle the model believes is
 // active. Every decision record the service emits from here on must carry
 // this version.
-func (m *Model) ActiveVersion() string { return m.active.version }
+func (m *Model) activeVersion() string { return m.active.version }
 
-// SetEpoch records the fencing epoch the model expects every subsequent
+// setEpoch records the fencing epoch the model expects every subsequent
 // dump to carry. The harness calls it exactly when a promotion (or the
 // initial role assignment) lands an epoch bump; any other epoch movement
 // in a dump is a violation.
-func (m *Model) SetEpoch(e uint64) { m.epoch = e }
+func (m *Model) setEpoch(e uint64) { m.epoch = e }
 
 func (m *Model) threshold(p policy.HostPair) int {
 	if v, ok := m.thFacts[p]; ok {
@@ -162,63 +162,18 @@ func (m *Model) threshold(p policy.HostPair) int {
 	return m.active.defaultThreshold
 }
 
-// InFlightIDs returns the IDs of in-flight transfers, sorted (the schedule
-// generator draws completion reports from this list deterministically).
-func (m *Model) InFlightIDs() []string {
-	ids := make([]string, 0, len(m.inProgress))
-	for id := range m.inProgress {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// CleanupIDs returns the IDs of in-progress cleanups, sorted.
-func (m *Model) CleanupIDs() []string {
-	ids := make([]string, 0, len(m.cleanups))
-	for id := range m.cleanups {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// InFlightIDsOwned returns the in-flight transfer IDs whose owning
-// workflow is not in dead, sorted. The generator draws completion reports
-// from this list: a crashed client never reports.
-func (m *Model) InFlightIDsOwned(dead map[string]bool) []string {
-	ids := make([]string, 0, len(m.inProgress))
-	for id, t := range m.inProgress {
-		if !dead[t.workflow] {
-			ids = append(ids, id)
+// sortedKeys returns the keys of m whose value keep accepts (every key
+// when keep is nil), sorted: the schedule generator draws transfer IDs,
+// cleanup IDs and tracked URLs from these lists deterministically.
+func sortedKeys[V any](m map[string]V, keep func(V) bool) []string {
+	keys := make([]string, 0, len(m))
+	for k, v := range m {
+		if keep == nil || keep(v) {
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(ids)
-	return ids
-}
-
-// CleanupIDsOwned returns the in-progress cleanup IDs whose owning
-// workflow is not in dead, sorted.
-func (m *Model) CleanupIDsOwned(dead map[string]bool) []string {
-	ids := make([]string, 0, len(m.cleanups))
-	for id, c := range m.cleanups {
-		if !dead[c.workflow] {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// TrackedURLs returns the dest URLs of tracked resources, sorted (cleanup
-// targets for the generator).
-func (m *Model) TrackedURLs() []string {
-	urls := make([]string, 0, len(m.resources))
-	for u := range m.resources {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	return urls
+	sort.Strings(keys)
+	return keys
 }
 
 func maxInt(a, b int) int {
@@ -228,10 +183,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Apply mirrors one acknowledged logged op into the model, given the
+// apply mirrors one acknowledged logged op into the model, given the
 // payload the service executed and the result it returned; the advise and
 // clock ops are also checked against the model's own prediction.
-func (m *Model) Apply(op string, payload, result any) error {
+func (m *Model) apply(op string, payload, result any) error {
 	switch op {
 	case policy.OpAdviseTransfers:
 		return m.applyAdvice(payload.([]policy.TransferSpec), result.(*policy.TransferAdvice))
@@ -719,10 +674,11 @@ func (m *Model) applyAdvanceClock(now float64, adv *policy.ClockAdvance) error {
 	return nil
 }
 
-// CheckDump verifies a full Policy Memory dump against the model: every
+// checkDump verifies a full Policy Memory dump against the model: every
 // fact the model predicts is present with the predicted value, and nothing
 // else is. Call it between operations (no request is being evaluated).
-func (m *Model) CheckDump(d *policy.StateDump) error {
+// The state-only invariants are StateDump.Verify's, run beside it.
+func (m *Model) checkDump(d *policy.StateDump) error {
 	if d.NextTransfer != m.nextTransfer || d.NextCleanup != m.nextCleanup {
 		return fmt.Errorf("model: ID counters (transfer %d, cleanup %d) != predicted (%d, %d)",
 			d.NextTransfer, d.NextCleanup, m.nextTransfer, m.nextCleanup)
@@ -735,21 +691,11 @@ func (m *Model) CheckDump(d *policy.StateDump) error {
 			d.Advised, d.Suppressed, m.advised, m.suppressed)
 	}
 
-	// Transfers: exactly the in-flight set, one per file, all in progress.
-	seenID := make(map[string]bool)
-	urlInFlight := make(map[string]bool)
+	// Transfers: exactly the in-flight set, all in progress.
 	for _, t := range d.Transfers {
 		if t.State != int(policy.TransferInProgress) {
 			return fmt.Errorf("model: transfer %s left in state %d between operations", t.ID, t.State)
 		}
-		if seenID[t.ID] {
-			return fmt.Errorf("model: duplicate transfer ID %s", t.ID)
-		}
-		seenID[t.ID] = true
-		if urlInFlight[t.DestURL] {
-			return fmt.Errorf("model: two in-flight transfers stage %s", t.DestURL)
-		}
-		urlInFlight[t.DestURL] = true
 		mt := m.inProgress[t.ID]
 		if mt == nil {
 			return fmt.Errorf("model: unexpected in-flight transfer %s", t.ID)
@@ -761,10 +707,10 @@ func (m *Model) CheckDump(d *policy.StateDump) error {
 	}
 	if len(d.Transfers) != len(m.inProgress) {
 		return fmt.Errorf("model: %d in-flight transfers, predicted %d (%v)",
-			len(d.Transfers), len(m.inProgress), m.InFlightIDs())
+			len(d.Transfers), len(m.inProgress), sortedKeys(m.inProgress, nil))
 	}
 
-	// Resources: reference counts must match exactly and never go negative.
+	// Resources: reference counts must match exactly.
 	seenURL := make(map[string]bool)
 	for _, r := range d.Resources {
 		if seenURL[r.DestURL] {
@@ -783,9 +729,6 @@ func (m *Model) CheckDump(d *policy.StateDump) error {
 				r.DestURL, len(r.Users), len(mr.users), r.Users, mr.users)
 		}
 		for _, u := range r.Users {
-			if u.Count <= 0 {
-				return fmt.Errorf("model: resource %s user %s has non-positive count %d", r.DestURL, u.WorkflowID, u.Count)
-			}
 			if mr.users[u.WorkflowID] != u.Count {
 				return fmt.Errorf("model: resource %s user %s count %d, predicted %d",
 					r.DestURL, u.WorkflowID, u.Count, mr.users[u.WorkflowID])
@@ -829,12 +772,9 @@ func (m *Model) CheckDump(d *policy.StateDump) error {
 		return fmt.Errorf("model: thresholds %+v, predicted %+v", gotTh, wantTh)
 	}
 
-	// Ledgers: one per pair seen, equal to the sum of in-flight grants.
+	// Ledgers: one per pair seen.
 	gotLedg := make(map[policy.HostPair]int, len(d.Ledgers))
 	for _, l := range d.Ledgers {
-		if l.Allocated < 0 {
-			return fmt.Errorf("model: negative ledger for %s->%s", l.Src, l.Dst)
-		}
 		gotLedg[policy.HostPair{Src: l.Src, Dst: l.Dst}] = l.Allocated
 	}
 	wantLedg := make(map[policy.HostPair]int)
@@ -843,16 +783,6 @@ func (m *Model) CheckDump(d *policy.StateDump) error {
 	}
 	if !reflect.DeepEqual(gotLedg, wantLedg) {
 		return fmt.Errorf("model: ledgers %+v, predicted %+v", gotLedg, wantLedg)
-	}
-	inFlightSum := make(map[policy.HostPair]int)
-	for _, t := range m.inProgress {
-		inFlightSum[t.pair] += t.streams
-	}
-	for p, v := range gotLedg {
-		if v != inFlightSum[p] {
-			return fmt.Errorf("model: ledger %s->%s is %d but in-flight grants sum to %d",
-				p.Src, p.Dst, v, inFlightSum[p])
-		}
 	}
 
 	// Leases: the clock and the lease set must match the model exactly, and
@@ -918,81 +848,10 @@ func (m *Model) CheckDump(d *policy.StateDump) error {
 	}
 	gotCL := make(map[pairCluster]int, len(d.ClusterLedgers))
 	for _, cl := range d.ClusterLedgers {
-		if cl.Allocated < 0 {
-			return fmt.Errorf("model: negative cluster ledger for %s->%s cluster %q", cl.Src, cl.Dst, cl.ClusterID)
-		}
 		gotCL[pairCluster{policy.HostPair{Src: cl.Src, Dst: cl.Dst}, cl.ClusterID}] = cl.Allocated
 	}
 	if !reflect.DeepEqual(gotCL, m.clusterLedg) {
 		return fmt.Errorf("model: cluster ledgers %+v, predicted %+v", gotCL, m.clusterLedg)
-	}
-	return nil
-}
-
-// checkDumpConsistency validates a dump's internal invariants without a
-// model — the check the concurrent stress test applies after quiescing,
-// when operation order (and hence a model) is unavailable.
-func checkDumpConsistency(d *policy.StateDump) error {
-	seenID := make(map[string]bool)
-	urlInFlight := make(map[string]bool)
-	inFlightSum := make(map[policy.HostPair]int)
-	for _, t := range d.Transfers {
-		if t.State != int(policy.TransferInProgress) {
-			return fmt.Errorf("consistency: transfer %s in state %d between operations", t.ID, t.State)
-		}
-		if seenID[t.ID] {
-			return fmt.Errorf("consistency: duplicate transfer ID %s", t.ID)
-		}
-		seenID[t.ID] = true
-		if urlInFlight[t.DestURL] {
-			return fmt.Errorf("consistency: two in-flight transfers stage %s", t.DestURL)
-		}
-		urlInFlight[t.DestURL] = true
-		if t.AllocatedStreams <= 0 {
-			return fmt.Errorf("consistency: transfer %s has %d streams", t.ID, t.AllocatedStreams)
-		}
-		inFlightSum[policy.PairOf(t.SourceURL, t.DestURL)] += t.AllocatedStreams
-	}
-	for _, r := range d.Resources {
-		for _, u := range r.Users {
-			if u.Count <= 0 {
-				return fmt.Errorf("consistency: resource %s user %s count %d", r.DestURL, u.WorkflowID, u.Count)
-			}
-		}
-	}
-	ledgerPairs := make(map[policy.HostPair]int)
-	for _, l := range d.Ledgers {
-		p := policy.HostPair{Src: l.Src, Dst: l.Dst}
-		if l.Allocated < 0 {
-			return fmt.Errorf("consistency: negative ledger %s->%s", l.Src, l.Dst)
-		}
-		ledgerPairs[p] = l.Allocated
-		if l.Allocated != inFlightSum[p] {
-			return fmt.Errorf("consistency: ledger %s->%s is %d, in-flight grants sum to %d",
-				l.Src, l.Dst, l.Allocated, inFlightSum[p])
-		}
-	}
-	for p, sum := range inFlightSum {
-		if _, ok := ledgerPairs[p]; !ok && sum > 0 {
-			return fmt.Errorf("consistency: in-flight streams on %s->%s but no ledger", p.Src, p.Dst)
-		}
-	}
-	if len(d.ClusterLedgers) > 0 {
-		perPair := make(map[policy.HostPair]int)
-		for _, cl := range d.ClusterLedgers {
-			perPair[policy.HostPair{Src: cl.Src, Dst: cl.Dst}] += cl.Allocated
-		}
-		for p, sum := range perPair {
-			if sum != ledgerPairs[p] {
-				return fmt.Errorf("consistency: cluster ledgers for %s->%s sum to %d, pair ledger is %d",
-					p.Src, p.Dst, sum, ledgerPairs[p])
-			}
-		}
-	}
-	for _, c := range d.Cleanups {
-		if c.State != int(policy.CleanupInProgress) {
-			return fmt.Errorf("consistency: cleanup %s in state %d between operations", c.ID, c.State)
-		}
 	}
 	return nil
 }

@@ -111,11 +111,11 @@ type Schedule struct {
 	Config ScheduleConfig `json:"config"`
 }
 
-// RandomSchedule derives a schedule configuration from a seed. The same
+// randomSchedule derives a schedule configuration from a seed. The same
 // seed always yields the same configuration and, through the generator,
 // the same operation sequence. The op budget leaves room for a failover
 // episode or two, which spend six to eight operations each.
-func RandomSchedule(seed int64) Schedule {
+func randomSchedule(seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	algos := []policy.Algorithm{policy.AlgoGreedy, policy.AlgoGreedy, policy.AlgoBalanced, policy.AlgoBalanced, policy.AlgoNone}
 	return Schedule{
@@ -452,7 +452,7 @@ func (g *gen) genAdvise(sc ScheduleConfig) Op {
 func (g *gen) genReport(sc ScheduleConfig) Op {
 	// Only live clients report: a crashed workflow's transfers stay
 	// in-flight until its lease expires.
-	ids := g.h.model.InFlightIDsOwned(g.dead)
+	ids := sortedKeys(g.h.model.inProgress, func(t *modelTransfer) bool { return !g.dead[t.workflow] })
 	if len(ids) == 0 {
 		return g.genAdvise(sc)
 	}
@@ -479,7 +479,7 @@ func (g *gen) genCleanup(sc ScheduleConfig) Op {
 		spec := policy.CleanupSpec{RequestID: g.requestID(), WorkflowID: live[g.rng.Intn(len(live))]}
 		return Op{Kind: OpCleanup, Invalid: true, Cleanups: []policy.CleanupSpec{spec}, Faults: g.faults(sc.FaultProb)}
 	}
-	urls := g.h.model.TrackedURLs()
+	urls := sortedKeys(g.h.model.resources, nil)
 	n := 1 + g.rng.Intn(2)
 	specs := make([]policy.CleanupSpec, 0, n)
 	for i := 0; i < n; i++ {
@@ -500,7 +500,7 @@ func (g *gen) genCleanup(sc ScheduleConfig) Op {
 }
 
 func (g *gen) genCleanupReport(sc ScheduleConfig) Op {
-	ids := g.h.model.CleanupIDsOwned(g.dead)
+	ids := sortedKeys(g.h.model.cleanups, func(c *modelCleanup) bool { return !g.dead[c.workflow] })
 	if len(ids) == 0 {
 		return g.genCleanup(sc)
 	}

@@ -1,12 +1,16 @@
 package faultsim
 
-import "testing"
+import (
+	"testing"
+
+	"policyflow/internal/obs"
+)
 
 // scenario builds a harness on the fixed fault-free configuration and
 // returns a runner that fails the test on the first invariant violation.
 func scenario(t *testing.T) (*Harness, func(ops ...Op)) {
 	t.Helper()
-	h, err := NewHarness(t.TempDir(), passingSchedule())
+	h, err := newHarness(t.TempDir(), passingSchedule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -14,7 +18,7 @@ func scenario(t *testing.T) (*Harness, func(ops ...Op)) {
 	return h, func(ops ...Op) {
 		t.Helper()
 		for i, op := range ops {
-			if err := h.Step(op); err != nil {
+			if err := h.exec(op); err != nil {
 				t.Fatalf("op %d (%s): %v", i, op.Kind, err)
 			}
 		}
@@ -89,8 +93,8 @@ func TestShedIsEffectFree(t *testing.T) {
 	if got := len(h.replicas[0].svc.ExportState().Transfers); got != 4 || !h.fresh[0] {
 		t.Fatalf("deposed node holds %d transfers (fresh=%v) after its sync, want 4 and fresh", got, h.fresh[0])
 	}
-	if h.FaultCounts()[OpShed] != 7 {
-		t.Errorf("harness recorded %d shed faults, want 7", h.FaultCounts()[OpShed])
+	if h.faultCounts()[OpShed] != 7 {
+		t.Errorf("harness recorded %d shed faults, want 7", h.faultCounts()[OpShed])
 	}
 }
 
@@ -128,11 +132,13 @@ func TestDiskFaultIsEffectFree(t *testing.T) {
 		}
 		return arch.SnapshotSeq
 	}
+	reg := obs.NewRegistry()
+	h.syncers[1].Instrument(reg)
 	pre := h.replicas[1].svc.ExportState()
 	snapBefore := installed()
 	run(Op{Kind: OpDiskFault, Replica: 1, Count: 1}, Op{Kind: OpStandbySync})
-	if _, failures := h.syncers[1].Stats(); failures != 1 {
-		t.Fatalf("%d failed syncs with a disk fault armed on the standby, want 1", failures)
+	if failures := reg.Counter("policy_standby_errors_total", "Failed standby sync attempts.").With().Value(); failures != 1 {
+		t.Fatalf("%v failed syncs with a disk fault armed on the standby, want 1", failures)
 	}
 	if got := len(h.replicas[1].svc.ExportState().Transfers); got != len(pre.Transfers) {
 		t.Fatalf("failed sync changed the standby: %d transfers, had %d", got, len(pre.Transfers))

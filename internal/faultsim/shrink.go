@@ -1,12 +1,12 @@
 package faultsim
 
-// Shrink reduces a failing trace to a locally minimal one: a delta-
+// shrink reduces a failing trace to a locally minimal one: a delta-
 // debugging pass removes chunks of operations — halves first, then ever
 // smaller slices down to single ops — keeping a removal whenever the
 // remaining trace still fails, until no single-op removal does. check must
 // return true when the candidate trace still reproduces the failure; it is
 // called with freshly built slices and may replay them destructively.
-func Shrink(trace []Op, check func([]Op) bool) []Op {
+func shrink(trace []Op, check func([]Op) bool) []Op {
 	cur := append([]Op(nil), trace...)
 	chunk := len(cur) / 2
 	if chunk < 1 {

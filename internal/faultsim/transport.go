@@ -34,7 +34,7 @@ const (
 	FaultDuplicateNoKey FaultKind = "duplicate-no-key"
 	// FaultPartitioned is not queueable: it is the counter key for
 	// deliveries refused because the host is network-partitioned (see
-	// SetPartitioned). A partition persists until healed, unlike the
+	// setPartitioned). A partition persists until healed, unlike the
 	// one-shot queued faults above.
 	FaultPartitioned FaultKind = "partitioned"
 )
@@ -67,8 +67,8 @@ type Router struct {
 	HandlerRuns map[string]int
 }
 
-// NewRouter returns an empty router.
-func NewRouter() *Router {
+// newRouter returns an empty router.
+func newRouter() *Router {
 	return &Router{
 		handlers:    make(map[string]http.Handler),
 		queues:      make(map[string][]FaultKind),
@@ -78,41 +78,41 @@ func NewRouter() *Router {
 	}
 }
 
-// SetPartitioned cuts host off the network (or reconnects it). While
+// setPartitioned cuts host off the network (or reconnects it). While
 // partitioned, every delivery to host fails with a transport error before
 // any fault queue or handler is consulted — the request never existed as
 // far as the server is concerned.
-func (r *Router) SetPartitioned(host string, p bool) {
+func (r *Router) setPartitioned(host string, p bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.partitioned[host] = p
 }
 
-// Partitioned reports whether host is currently cut off.
-func (r *Router) Partitioned(host string) bool {
+// isPartitioned reports whether host is currently cut off.
+func (r *Router) isPartitioned(host string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.partitioned[host]
 }
 
-// Register points host (e.g. "replica0") at h, replacing any previous
+// register points host (e.g. "replica0") at h, replacing any previous
 // handler — this is how a crash-restarted replica swaps its server in.
-func (r *Router) Register(host string, h http.Handler) {
+func (r *Router) register(host string, h http.Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.handlers[host] = h
 }
 
-// Queue schedules a fault for the next delivery to host.
-func (r *Router) Queue(host string, kind FaultKind) {
+// queue schedules a fault for the next delivery to host.
+func (r *Router) queue(host string, kind FaultKind) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.queues[host] = append(r.queues[host], kind)
 }
 
-// Drain clears all pending fault queues, returning how many faults were
+// drain clears all pending fault queues, returning how many faults were
 // still queued (an op may succeed before consuming every scheduled fault).
-func (r *Router) Drain() int {
+func (r *Router) drain() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0

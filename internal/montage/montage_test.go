@@ -95,13 +95,13 @@ func TestPlansWithPaperConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Count(workflow.TaskStageIn); got != 89 {
+	if got := countTasks(p, workflow.TaskStageIn); got != 89 {
 		t.Fatalf("planned stage-in tasks = %d, want 89", got)
 	}
-	if got := p.Count(workflow.TaskCompute); got != 314 {
+	if got := countTasks(p, workflow.TaskCompute); got != 314 {
 		t.Fatalf("compute tasks = %d, want 314", got)
 	}
-	if p.Count(workflow.TaskCleanup) == 0 {
+	if countTasks(p, workflow.TaskCleanup) == 0 {
 		t.Fatal("no cleanup tasks")
 	}
 	if !p.Graph.IsAcyclic() {
@@ -172,8 +172,13 @@ func TestRuntimeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, ok := w.Job("mBgModel")
-	if !ok {
+	var j *workflow.Job
+	for _, job := range w.Jobs() {
+		if job.ID == "mBgModel" {
+			j = job
+		}
+	}
+	if j == nil {
 		t.Fatal("no mBgModel")
 	}
 	if j.RuntimeSeconds != 200 {
@@ -205,4 +210,15 @@ func TestConfigForDegrees(t *testing.T) {
 	if big.GridSize != 18 {
 		t.Fatalf("big = %+v", big)
 	}
+}
+
+// countTasks returns the number of tasks of type tt in p.
+func countTasks(p *workflow.Plan, tt workflow.TaskType) int {
+	n := 0
+	for _, t := range p.Tasks {
+		if t.Type == tt {
+			n++
+		}
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package montage
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestPipelineDependencies(t *testing.T) {
 		t.Fatalf("mAdd has %d mBackground parents", addParents)
 	}
 	// The final chain: mAdd -> mShrink -> mJPEG.
-	if !g.HasEdge("mAdd", "mShrink") || !g.HasEdge("mShrink", "mJPEG") {
+	if !slices.Contains(g.Children("mAdd"), "mShrink") || !slices.Contains(g.Children("mShrink"), "mJPEG") {
 		t.Fatal("final chain broken")
 	}
 	// Depth sanity: the pipeline has a meaningful critical path.

@@ -15,12 +15,3 @@ func VarsHandler(r *Registry) http.Handler {
 		enc.Encode(r.Snapshot())
 	})
 }
-
-// MetricsHandler serves the registry in the Prometheus text exposition
-// format, for callers that mount a scrape endpoint outside policyhttp.
-func MetricsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
-}

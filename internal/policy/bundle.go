@@ -199,13 +199,6 @@ func (s *Service) ActivateBundle(data []byte) (*BundleInfo, error) {
 	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Doc: data})
 }
 
-// RollbackBundle re-activates the previously active bundle, restoring its
-// thresholds and algorithm without a restart. The rollback is itself a
-// logged activation, so a second rollback returns to where you were.
-func (s *Service) RollbackBundle() (*BundleInfo, error) {
-	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Rollback: true})
-}
-
 // decodeBundleOp decodes a logged activation; the log only ever holds the
 // full document, so a record without one is damage, not a request.
 func decodeBundleOp(payload []byte) (BundleOp, error) {

@@ -106,8 +106,7 @@ type DecisionLog struct {
 	now       func() time.Time
 }
 
-// DefaultDecisionRing is the ring capacity used when Config does not
-// override it.
+// DefaultDecisionRing is the service's decision ring capacity.
 const DefaultDecisionRing = 1024
 
 // NewDecisionLog returns a ring keeping the most recent capacity
@@ -200,13 +199,6 @@ func (l *DecisionLog) CountByOp(op string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.countByOp[op]
-}
-
-// Total returns the lifetime number of records committed.
-func (l *DecisionLog) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
 }
 
 // Decisions returns up to n recent decision records, oldest first.

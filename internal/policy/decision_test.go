@@ -32,8 +32,8 @@ func TestDecisionLogRingEviction(t *testing.T) {
 	if got := l.Recent(10); len(got) != 3 {
 		t.Fatalf("Recent(10) returned %d records, want all 3", len(got))
 	}
-	if l.Total() != 5 {
-		t.Fatalf("Total = %d, want 5 (eviction must not shrink lifetime count)", l.Total())
+	if l.next != 5 {
+		t.Fatalf("next seq = %d, want 5 (eviction must not shrink lifetime count)", l.next)
 	}
 	if l.CountByOp(OpAdviseTransfers) != 5 {
 		t.Fatalf("CountByOp = %d, want 5", l.CountByOp(OpAdviseTransfers))
@@ -72,8 +72,8 @@ func TestDecisionLogRecentAcrossWrap(t *testing.T) {
 				}
 			}
 		}
-		if l.Total() != int64(added) {
-			t.Fatalf("Total = %d after %d adds", l.Total(), added)
+		if l.next != int64(added) {
+			t.Fatalf("next seq = %d after %d adds", l.next, added)
 		}
 		if got, want := l.CountByOp(OpAdviseTransfers), int64(added/2); got != want {
 			t.Fatalf("CountByOp(advise) = %d after %d adds, want %d", got, added, want)
@@ -152,8 +152,8 @@ func TestDecisionLogSinkErrorSticky(t *testing.T) {
 	}
 	// The ring keeps working after the sink dies.
 	l.Add(DecisionRecord{Op: OpAdviseTransfers})
-	if got := l.Total(); got != 2 {
-		t.Fatalf("Total after sink failure = %d, want 2", got)
+	if got := l.next; got != 2 {
+		t.Fatalf("next seq after sink failure = %d, want 2", got)
 	}
 	// A fresh sink clears the sticky error.
 	var sb strings.Builder

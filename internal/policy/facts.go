@@ -109,9 +109,6 @@ type Resource struct {
 	Users map[string]int
 }
 
-// UserCount returns the number of distinct workflows using the resource.
-func (r *Resource) UserCount() int { return len(r.Users) }
-
 // UsedByOther reports whether any workflow other than wf uses the resource.
 func (r *Resource) UsedByOther(wf string) bool {
 	for w := range r.Users {

@@ -377,13 +377,6 @@ func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *Cloc
 	return
 }
 
-// ClockNow returns the service's logical clock.
-func (s *Service) ClockNow() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock
-}
-
 // Leases reports the active leases with the state each owner holds: the
 // streams and in-progress transfer count that would be reclaimed if the
 // lease expired. Sorted by owner.

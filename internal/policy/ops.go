@@ -32,8 +32,9 @@ const (
 
 // BatchMutation is the single mutation command: a logged op name and its
 // request payload going in, a result or Err coming out. Every mutation of
-// Policy Memory — in-process typed calls, admitted HTTP requests, WAL
-// replay, standby tail apply — is one of these handed to ExecuteBatch.
+// Policy Memory is one of these: admitted HTTP requests are handed to
+// ExecutePipelined, and in-process typed calls, WAL replay and standby
+// tail apply to ExecuteBatch.
 type BatchMutation struct {
 	// Ctx carries the submitting client's context: its trace span parents
 	// the operation's spans, and if it is already done when the batch
@@ -182,8 +183,9 @@ func execAs[R any](s *Service, ctx context.Context, op string, payload any) (R, 
 	return r, err
 }
 
-// ExecuteBatch is the one mutation path: a single lock acquisition for
-// the whole batch, one validation + rule-firing pass per member (each
+// ExecuteBatch is the synchronous mutation path, and ExecutePipelined the
+// admission dispatcher's; both take a single lock acquisition for the
+// whole batch, one validation + rule-firing pass per member (each
 // client still gets its own result, spans, metrics sample and decision
 // record), and one group-commit sync covering every WAL record the batch
 // appended. Results and errors are written back onto the members.

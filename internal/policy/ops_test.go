@@ -120,7 +120,7 @@ func TestOpConformanceCancelledContext(t *testing.T) {
 			s := conformanceService(t)
 			fl := &fakeLog{}
 			s.SetMutationLog(fl)
-			before, decisions := stateJSON(t, s), s.decisions.Total()
+			before, decisions := stateJSON(t, s), s.decisions.next
 			res, err := s.Execute(dead, op.name, samplePayload(t, op))
 			if !errors.Is(err, context.Canceled) || res != nil {
 				t.Fatalf("Execute = (%v, %v), want (nil, context.Canceled)", res, err)
@@ -131,7 +131,7 @@ func TestOpConformanceCancelledContext(t *testing.T) {
 			if stateJSON(t, s) != before {
 				t.Error("abandoned mutation changed Policy Memory")
 			}
-			if s.decisions.Total() != decisions {
+			if s.decisions.next != decisions {
 				t.Error("abandoned mutation committed a decision record")
 			}
 		})

@@ -31,12 +31,6 @@ type PriorityWeighting struct {
 	ReduceFactor float64
 }
 
-// DefaultPriorityWeighting boosts important transfers by 1.5x and halves
-// unimportant ones.
-func DefaultPriorityWeighting() PriorityWeighting {
-	return PriorityWeighting{BoostFactor: 1.5, ReduceFactor: 0.5}
-}
-
 // priorityRules implements the stream-weighting policy. It fires once per
 // submitted transfer that carries a non-zero priority, comparing it to
 // the median priority of all currently submitted transfers. The rule is

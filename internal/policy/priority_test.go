@@ -25,7 +25,7 @@ func prioSpec(i, prio int) TransferSpec {
 }
 
 func TestPriorityBoostAboveMedian(t *testing.T) {
-	s := newPrioritized(t, 100, 4, DefaultPriorityWeighting())
+	s := newPrioritized(t, 100, 4, defaultPriorityWeighting())
 	// Priorities 1..5: median 3. Priority 4 and 5 boosted to 6 streams
 	// (4 x 1.5); priority 1 and 2 reduced to 2; the median stays at 4.
 	var specs []TransferSpec
@@ -59,7 +59,7 @@ func TestPriorityBoostAboveMedian(t *testing.T) {
 func TestPriorityWeightingRespectsThreshold(t *testing.T) {
 	// Threshold 10: boosts cannot push total allocation past the greedy
 	// cap.
-	s := newPrioritized(t, 10, 4, DefaultPriorityWeighting())
+	s := newPrioritized(t, 10, 4, defaultPriorityWeighting())
 	var specs []TransferSpec
 	for i := 1; i <= 4; i++ {
 		specs = append(specs, prioSpec(i, i))
@@ -88,7 +88,7 @@ func TestPriorityReduceNeverBelowMin(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DefaultThreshold = 100
 	cfg.DefaultStreams = 1
-	cfg.Priority = DefaultPriorityWeighting()
+	cfg.Priority = defaultPriorityWeighting()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestZeroWeightingDisabled(t *testing.T) {
 }
 
 func TestUnprioritizedTransfersUnaffected(t *testing.T) {
-	s := newPrioritized(t, 100, 4, DefaultPriorityWeighting())
+	s := newPrioritized(t, 100, 4, defaultPriorityWeighting())
 	var specs []TransferSpec
 	for i := 1; i <= 3; i++ {
 		specs = append(specs, spec(i, "wf1")) // Priority 0
@@ -138,7 +138,7 @@ func TestPriorityWeightingAcrossBatches(t *testing.T) {
 	// The median is computed over the current batch in memory; a second
 	// batch with uniform priorities is unaffected by the first (which
 	// has moved to in-progress).
-	s := newPrioritized(t, 100, 4, DefaultPriorityWeighting())
+	s := newPrioritized(t, 100, 4, defaultPriorityWeighting())
 	if _, err := s.AdviseTransfers([]TransferSpec{prioSpec(1, 100)}); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMedianSubmittedPriorityOddEven(t *testing.T) {
 	// Behavioural check of the median through the service: with an even
 	// batch {1,2,3,10}, the median index picks 3 (upper middle); only 10
 	// is boosted.
-	s := newPrioritized(t, 1000, 4, DefaultPriorityWeighting())
+	s := newPrioritized(t, 1000, 4, defaultPriorityWeighting())
 	var specs []TransferSpec
 	for i, p := range []int{1, 2, 3, 10} {
 		specs = append(specs, prioSpec(i, p))
@@ -179,7 +179,7 @@ func TestMedianSubmittedPriorityOddEven(t *testing.T) {
 
 func BenchmarkAdviseWithPriorityRules(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Priority = DefaultPriorityWeighting()
+	cfg.Priority = defaultPriorityWeighting()
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -209,4 +209,10 @@ func BenchmarkAdviseWithPriorityRules(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// defaultPriorityWeighting boosts important transfers by 1.5x and halves
+// unimportant ones.
+func defaultPriorityWeighting() PriorityWeighting {
+	return PriorityWeighting{BoostFactor: 1.5, ReduceFactor: 0.5}
 }

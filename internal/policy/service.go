@@ -44,17 +44,11 @@ type Config struct {
 	// ClusterFactor is the number of transfer clusters running in
 	// parallel (balanced allocation input; the Pegasus clustering factor).
 	ClusterFactor int
-	// FireBudget bounds rule firings per request; 0 selects the engine
-	// default.
-	FireBudget int
 	// Priority enables the priority stream-weighting rules (the paper's
 	// Section III(c) future work): transfers above the batch's median
 	// priority request more streams, those below request fewer. The zero
 	// value disables weighting; ordering by priority always applies.
 	Priority PriorityWeighting
-	// DecisionRing bounds the in-memory decision provenance ring; 0
-	// selects DefaultDecisionRing.
-	DecisionRing int
 	// LeaseTTL, when positive, enables the liveness subsystem: every
 	// workflow that calls AdviseTransfers/AdviseCleanups (or RenewLease)
 	// holds a lease for this many seconds of the service's logical clock.
@@ -346,7 +340,7 @@ func New(cfg Config) (*Service, error) {
 		installed:           make(map[string]*bundle.Bundle),
 		staged:              make(map[string]*bundle.Bundle),
 		bundleActsByResult:  make(map[string]int),
-		decisions:           NewDecisionLog(cfg.DecisionRing)}
+		decisions:           NewDecisionLog(DefaultDecisionRing)}
 	// The compiled-in configuration is itself a bundle: v0, active from
 	// birth, never WAL-logged. Activating a real bundle later swaps the
 	// snapshot; until then behavior is bit-identical to the pre-bundle
@@ -396,13 +390,6 @@ func New(cfg Config) (*Service, error) {
 		s.session.Insert(&Threshold{Pair: HostPair{Src: pt.SourceHost, Dst: pt.DestHost}, Max: pt.Max})
 	}
 	return s, nil
-}
-
-// Config returns the service configuration.
-func (s *Service) Config() Config {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg
 }
 
 // ErrEmptyRequest is returned when an advice request has no entries.
@@ -592,7 +579,7 @@ func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpe
 // Callers hold s.mu.
 func (s *Service) fireRules(ctx context.Context) error {
 	_, span := obs.StartSpan(ctx, s.tracer, "rules.fire")
-	_, err := s.session.FireAll(s.cfg.FireBudget)
+	_, err := s.session.FireAll(rules.DefaultBudget)
 	span.End()
 	if err != nil {
 		return fmt.Errorf("policy: rule evaluation: %w", err)
@@ -620,13 +607,6 @@ func sortAdvice(ts []AdvisedTransfer) {
 		}
 		return a.ID < b.ID
 	})
-}
-
-// SetTraceLogger forwards rule-engine firing traces to f (nil disables) —
-// each line names the fired rule and its fact tuple, which is how the
-// tests verify that the Tables I-III policies actually execute as rules.
-func (s *Service) SetTraceLogger(f func(format string, args ...any)) {
-	s.session.SetLogger(f)
 }
 
 // SetObserver installs the performance observer (nil disables).
@@ -944,13 +924,6 @@ func (s *Service) reportCleanupsLocked(ctx context.Context, report CleanupReport
 		return
 	}
 	return ack, seq, &DecisionRecord{Lines: lines}, nil, nil
-}
-
-// SetThreshold sets the maximum number of parallel streams between a host
-// pair, overriding the default for that pair from now on.
-func (s *Service) SetThreshold(srcHost, dstHost string, max int) error {
-	_, err := s.Execute(context.Background(), OpSetThreshold, ThresholdOp{SourceHost: srcHost, DestHost: dstHost, Max: max})
-	return err
 }
 
 func validateThreshold(op ThresholdOp) error {

@@ -245,6 +245,9 @@ func validateDump(d *StateDump) error {
 	if d == nil {
 		return fmt.Errorf("%w: nil state dump", ErrInvalidRequest)
 	}
+	if err := d.Verify(); err != nil {
+		return fmt.Errorf("%w: state dump: %v", ErrInvalidRequest, err)
+	}
 	return nil
 }
 

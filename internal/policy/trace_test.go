@@ -1,21 +1,27 @@
 package policy
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
 
+// firedRules lists, one per line, the rules that fired in every decision
+// the service recorded, in firing order.
+func firedRules(s *Service) string {
+	var names []string
+	for _, rec := range s.Decisions(0) {
+		for _, f := range rec.RulesFired {
+			names = append(names, f.Rule)
+		}
+	}
+	return strings.Join(names, "\n")
+}
+
 // TestTableRulesActuallyFire drives a representative lifecycle and asserts
-// — via the rule-engine trace — that the paper's Tables I and II policies
+// — via the decision records' rule firings — that the paper's Tables I and II policies
 // execute as rules, not as hidden imperative code.
 func TestTableRulesActuallyFire(t *testing.T) {
 	s := newGreedy(t, 10, 8)
-	var fired []string
-	s.SetTraceLogger(func(format string, args ...any) {
-		fired = append(fired, fmt.Sprintf(format, args...))
-	})
-
 	// Lifecycle: stage two files (the second trims against the
 	// threshold), complete them, duplicate request, then cleanups from
 	// two workflows.
@@ -46,7 +52,7 @@ func TestTableRulesActuallyFire(t *testing.T) {
 		}
 	}
 
-	trace := strings.Join(fired, "\n")
+	trace := firedRules(s)
 	for _, rule := range []string{
 		// Table I
 		"transfer-create-resource",
@@ -83,10 +89,6 @@ func TestBalancedRulesFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired []string
-	s.SetTraceLogger(func(format string, args ...any) {
-		fired = append(fired, fmt.Sprintf(format, args...))
-	})
 	sp := spec(1, "wf1")
 	sp.ClusterID = "A"
 	adv, err := s.AdviseTransfers([]TransferSpec{sp})
@@ -96,7 +98,7 @@ func TestBalancedRulesFire(t *testing.T) {
 	if _, err := s.ReportTransfers(CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
 		t.Fatal(err)
 	}
-	trace := strings.Join(fired, "\n")
+	trace := firedRules(s)
 	for _, rule := range []string{
 		"balanced-create-cluster-threshold",
 		"balanced-create-cluster-ledger",
@@ -112,19 +114,15 @@ func TestBalancedRulesFire(t *testing.T) {
 // TestPriorityRuleFires covers the future-work priority weighting rule.
 func TestPriorityRuleFires(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Priority = DefaultPriorityWeighting()
+	cfg.Priority = defaultPriorityWeighting()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired []string
-	s.SetTraceLogger(func(format string, args ...any) {
-		fired = append(fired, fmt.Sprintf(format, args...))
-	})
 	if _, err := s.AdviseTransfers([]TransferSpec{prioSpec(1, 1), prioSpec(2, 5), prioSpec(3, 9)}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(fired, "\n"), "priority-weight-streams") {
+	if !strings.Contains(firedRules(s), "priority-weight-streams") {
 		t.Error("priority-weight-streams never fired")
 	}
 }

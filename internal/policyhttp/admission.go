@@ -42,10 +42,6 @@ func NewAdmissionController(svc *policy.Service, cfg admit.Config) *admit.Contro
 // traffic. A nil controller (the default) admits everything directly.
 func (s *Server) SetAdmission(ctl *admit.Controller) { s.admit = ctl }
 
-// Admission returns the installed controller (nil when admission is
-// disabled); fault-injection harnesses use it to arm deterministic sheds.
-func (s *Server) Admission() *admit.Controller { return s.admit }
-
 // retryAfterSeconds renders the controller's backoff hint as a
 // Retry-After header value (integer seconds, minimum 1).
 func (s *Server) retryAfterSeconds() string {

@@ -178,7 +178,7 @@ func TestFenceAllowsReadsAndReplication(t *testing.T) {
 	if resp := post(true); resp.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("sync-replay mutation: status %d, want 412", resp.StatusCode)
 	}
-	if now := svc.ClockNow(); now != 0 {
+	if now := svc.ExportState().Clock; now != 0 {
 		t.Fatalf("standby clock moved to %v behind the fence", now)
 	}
 }

@@ -64,14 +64,6 @@ func NewReplicatedClient(replicas ...*Client) (*ReplicatedClient, error) {
 	return &ReplicatedClient{replicas: replicas, leader: -1, lastAckReplica: -1}, nil
 }
 
-// Leader returns the index of the replica that last acknowledged a call,
-// -1 when unknown.
-func (rc *ReplicatedClient) Leader() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.leader
-}
-
 // LastAckEpoch returns the epoch stamped on the most recent successful
 // call's response (0 before any, or when replicas run unfenced).
 func (rc *ReplicatedClient) LastAckEpoch() uint64 {

@@ -267,10 +267,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Registry returns the server's metrics registry, for callers that mount
-// additional endpoints over it (cmd/policyserver's /debug/vars).
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // DecisionListDoc wraps the decision records returned by /v1/decisions.
 type DecisionListDoc struct {
 	XMLName   xml.Name                `xml:"decisions" json:"-"`

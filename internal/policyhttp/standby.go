@@ -176,13 +176,6 @@ func (s *StandbySyncer) pullDump() error {
 	return nil
 }
 
-// Stats returns (successful syncs, failed attempts).
-func (s *StandbySyncer) Stats() (syncs, failures int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs, s.errors
-}
-
 // tick is one Run iteration: sync unless Active says this server is not a
 // standby, deciding both under s.mu so a promotion cannot interleave.
 func (s *StandbySyncer) tick() (ran bool, err error) {

@@ -127,7 +127,7 @@ func TestStandbyDeltaSyncAppliesOnlyTail(t *testing.T) {
 	converged("delta sync")
 
 	// A write on the standby itself drops the cursor.
-	if err := local.SetThreshold("mark", "er", 7); err != nil {
+	if _, err := local.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "mark", DestHost: "er", Max: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := local.ReplicaCursor(donorClient.base); ok {
@@ -197,7 +197,7 @@ func TestStandbyRunActiveGateResetsCursor(t *testing.T) {
 
 	// The server acts as primary for a while: the marker stands in for
 	// writes applied outside the syncer.
-	if err := local.SetThreshold("mark", "er", 7); err != nil {
+	if _, err := local.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "mark", DestHost: "er", Max: 7}); err != nil {
 		t.Fatal(err)
 	}
 	ticks <- time.Time{}

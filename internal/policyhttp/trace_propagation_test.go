@@ -3,12 +3,31 @@ package policyhttp
 import (
 	"context"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"policyflow/internal/durable"
 	"policyflow/internal/obs"
 	"policyflow/internal/policy"
 )
+
+// collector is an in-memory obs.Tracer shared by the server and its store.
+type collector struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (c *collector) Emit(e obs.Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.events = append(c.events, e)
+}
+
+func (c *collector) Events() []obs.Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]obs.Event(nil), c.events...)
+}
 
 // spansByName collects span events from a run, keyed by span name.
 func spansByName(events []obs.Event) map[string][]obs.Event {
@@ -35,7 +54,7 @@ func TestTracePropagationAcrossClientServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var col obs.Collector
+	var col collector
 	ps, _, err := durable.OpenPolicyStore(t.TempDir(), svc, durable.Options{
 		Fsync:  true,
 		Tracer: &col,

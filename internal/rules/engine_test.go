@@ -2,8 +2,6 @@ package rules
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -68,27 +66,6 @@ func TestOldestFirstConflictResolution(t *testing.T) {
 		if order[i] != w {
 			t.Fatalf("order = %v, want FIFO %v", order, want)
 		}
-	}
-}
-
-func TestLoggerReceivesFirings(t *testing.T) {
-	s := NewSession()
-	var lines []string
-	s.SetLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	s.MustAddRules(&Rule{
-		Name: "logged-rule",
-		When: []Pattern{Match[*item]("it", nil)},
-		Then: func(ctx *Context) { ctx.Logf("hello %d", 42) },
-	})
-	s.Insert(&item{name: "a"})
-	if _, err := s.FireAll(0); err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "fire") || !strings.Contains(joined, "logged-rule") {
-		t.Fatalf("log = %q", joined)
 	}
 }
 

@@ -124,16 +124,6 @@ func NotOn[T any, K comparable](index string, lookup func(b Bindings) K, where f
 	return hinted(Not(where), index, lookup)
 }
 
-// Exists constructs an existential Pattern (Drools "exists"): the rule
-// matches when at least one fact of type T satisfies the guard, but the
-// fact is not bound and the rule fires at most once per surrounding tuple
-// regardless of how many facts satisfy it.
-func Exists[T any](where func(b Bindings, v T) bool) Pattern {
-	p := Match("", where)
-	p.existential = true
-	return p
-}
-
 // Rule is a production: when all patterns match (a join), the action runs.
 type Rule struct {
 	// Name identifies the rule in traces and refraction keys; must be
@@ -212,9 +202,6 @@ type Context struct {
 	rule  *Rule
 }
 
-// Rule returns the firing rule's name.
-func (c *Context) Rule() string { return c.rule.Name }
-
 // Get returns the fact bound to the named pattern.
 func (c *Context) Get(name string) any { return c.tuple.Get(name) }
 
@@ -229,17 +216,6 @@ func (c *Context) Update(v any) { c.s.update(v) }
 
 // Retract removes fact v (matched by identity) from working memory.
 func (c *Context) Retract(v any) { c.s.retract(v) }
-
-// RetractHandle removes the fact with the given handle.
-func (c *Context) RetractHandle(h FactHandle) { c.s.retractHandle(h) }
-
-// Halt stops FireAll after the current action returns.
-func (c *Context) Halt() { c.s.halted = true }
-
-// Logf writes to the session logger, if any.
-func (c *Context) Logf(format string, args ...any) {
-	c.s.logf("[%s] "+format, append([]any{c.rule.Name}, args...)...)
-}
 
 // Facts returns all facts of exemplar's dynamic type, in insertion order.
 // RHS actions must use Context queries (not Session methods, which lock).
@@ -256,28 +232,6 @@ func CtxFactsOf[T any](c *Context) []T {
 		out = append(out, v.(T))
 	}
 	return out
-}
-
-// CtxFirst returns the first fact of type T matching pred (nil = any).
-func CtxFirst[T any](c *Context, pred func(T) bool) (T, bool) {
-	for _, v := range CtxFactsOf[T](c) {
-		if pred == nil || pred(v) {
-			return v, true
-		}
-	}
-	var zero T
-	return zero, false
-}
-
-// CtxCountOf counts facts of type T matching pred (nil = all).
-func CtxCountOf[T any](c *Context, pred func(T) bool) int {
-	n := 0
-	for _, v := range CtxFactsOf[T](c) {
-		if pred == nil || pred(v) {
-			n++
-		}
-	}
-	return n
 }
 
 // tuple is the concrete Bindings: the facts bound by a rule's positive

@@ -76,7 +76,6 @@ type Session struct {
 	probes  int64 // see Probes
 	firings int64
 	halted  bool
-	logger  func(format string, args ...any)
 	// observer, when set, is invoked once per rule firing with the rule
 	// name and its salience, in firing (i.e. conflict-resolution) order.
 	// It runs with the session lock held, so it must not call back into
@@ -122,15 +121,6 @@ func (s *Session) Probes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.probes
-}
-
-// RefractionSize returns the number of refraction keys the session retains,
-// dead ones awaiting the next sweep included (diagnostic; at most
-// max(minSweep, twice the live keys)).
-func (s *Session) RefractionSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.fired)
 }
 
 // minSweep is the smallest refraction-memory size that triggers a sweep.
@@ -180,13 +170,6 @@ func (s *Session) SetOldestFirst(v bool) {
 	}
 }
 
-// SetLogger installs a trace logger (e.g. testing.T.Logf). Nil disables.
-func (s *Session) SetLogger(f func(format string, args ...any)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logger = f
-}
-
 // SetFiringObserver installs a callback invoked once per rule firing
 // with the rule's name and salience, in the exact order firings occur.
 // The policy layer uses it to record decision provenance. The callback
@@ -196,12 +179,6 @@ func (s *Session) SetFiringObserver(f func(rule string, salience int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.observer = f
-}
-
-func (s *Session) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger(format, args...)
-	}
 }
 
 // AddRule appends a rule to the rule base. Rule names must be unique, and
@@ -417,9 +394,6 @@ func (s *Session) FireAll(budget int) (int, error) {
 		s.markFired(act.key)
 		if !s.reference {
 			s.agenda.take(s, act)
-		}
-		if s.logger != nil {
-			s.logf("fire %s %v", act.rule.Name, act.key.handles[:act.tuple.n])
 		}
 		if s.observer != nil {
 			s.observer(act.rule.Name, act.rule.Salience)

@@ -77,12 +77,6 @@ func NewEnv(seed int64) *Env {
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
 
-// Rand returns the environment's deterministic random source.
-func (e *Env) Rand() *rand.Rand { return e.rng }
-
-// Events returns the number of events executed so far.
-func (e *Env) Events() int64 { return e.executed }
-
 // schedule inserts a callback at absolute time at (>= now).
 func (e *Env) schedule(at float64, fn func()) {
 	if at < e.now {
@@ -90,14 +84,6 @@ func (e *Env) schedule(at float64, fn func()) {
 	}
 	e.seq++
 	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
-}
-
-// At schedules fn to run after delay seconds of virtual time.
-func (e *Env) At(delay float64, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.schedule(e.now+delay, fn)
 }
 
 // Run executes events until the heap is empty or until maxTime (use a
@@ -132,9 +118,6 @@ type Proc struct {
 
 // Name returns the process name (for diagnostics).
 func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.env.now }
@@ -174,29 +157,4 @@ func (p *Proc) Sleep(d float64) {
 	e := p.env
 	e.schedule(e.now+d, func() { e.activate(p) })
 	p.block()
-}
-
-// Signal is a broadcast condition processes can wait on.
-type Signal struct {
-	env     *Env
-	waiters []*Proc
-}
-
-// NewSignal returns a Signal bound to e.
-func (e *Env) NewSignal() *Signal { return &Signal{env: e} }
-
-// Wait suspends the process until the next Broadcast.
-func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.block()
-}
-
-// Broadcast wakes all current waiters (at the current virtual time).
-func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
-		proc := p
-		s.env.schedule(s.env.now, func() { s.env.activate(proc) })
-	}
 }

@@ -234,9 +234,6 @@ func (e *Env) NewPipe(cfg PipeConfig) *Pipe {
 	return &Pipe{env: e, cfg: cfg, capScale: scale, active: make(map[int64]*flow), lastT: e.now}
 }
 
-// Config returns the pipe's model configuration.
-func (p *Pipe) Config() PipeConfig { return p.cfg }
-
 // ActiveStreams returns the total streams currently on the pipe.
 func (p *Pipe) ActiveStreams() int {
 	n := 0
@@ -245,9 +242,6 @@ func (p *Pipe) ActiveStreams() int {
 	}
 	return n
 }
-
-// ActiveFlows returns the number of in-flight transfers.
-func (p *Pipe) ActiveFlows() int { return len(p.active) }
 
 // MaxStreamsSeen returns the maximum concurrent stream count observed.
 func (p *Pipe) MaxStreamsSeen() int { return p.maxStreams }

@@ -26,15 +26,6 @@ func (e *Env) NewResource(name string, capacity int) *Resource {
 	return &Resource{env: e, name: name, capacity: capacity}
 }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Queued returns the number of waiting processes.
-func (r *Resource) Queued() int { return len(r.queue) }
-
 // Acquire blocks the process until n units are available. Requests larger
 // than the capacity panic (they could never be served). Waiters are served
 // FIFO.
@@ -94,11 +85,4 @@ func (r *Resource) Release(n int) {
 		proc := w.p
 		r.env.schedule(r.env.now, func() { r.env.activate(proc) })
 	}
-}
-
-// WithResource runs fn while holding n units, releasing on return.
-func (r *Resource) WithResource(p *Proc, n int, fn func()) {
-	r.Acquire(p, n)
-	defer r.Release(n)
-	fn()
 }

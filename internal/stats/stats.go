@@ -102,12 +102,3 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.1f ± %.1f (n=%d)", s.Mean, s.StdDev, s.N)
 }
-
-// RelDiff returns (a-b)/b, the relative difference of a versus baseline b.
-// It returns 0 when b is 0.
-func RelDiff(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a - b) / b
-}

@@ -75,15 +75,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestRelDiff(t *testing.T) {
-	if got := RelDiff(110, 100); !almost(got, 0.1) {
-		t.Fatalf("RelDiff = %v", got)
-	}
-	if got := RelDiff(1, 0); got != 0 {
-		t.Fatalf("RelDiff(b=0) = %v", got)
-	}
-}
-
 // Property: mean lies within [min, max]; stddev is non-negative; shifting
 // all samples by c shifts the mean by c and leaves stddev unchanged.
 func TestStatsProperties(t *testing.T) {

@@ -75,9 +75,10 @@ type SimFabric struct {
 	// PipeConfigFor selects the bandwidth model for a host pair.
 	pipeConfigFor func(pair policy.HostPair) simnet.PipeConfig
 	pipes         map[policy.HostPair]*simnet.Pipe
-	// DeleteSeconds is the simulated cost of one file deletion.
-	deleteSeconds float64
 }
+
+// deleteSeconds is the simulated cost of one file deletion.
+const deleteSeconds = 0.2
 
 // NewSimFabric creates a fabric on env. configFor may be nil, in which
 // case every pair uses simnet.WANConfig.
@@ -89,12 +90,8 @@ func NewSimFabric(env *simnet.Env, configFor func(pair policy.HostPair) simnet.P
 		env:           env,
 		pipeConfigFor: configFor,
 		pipes:         make(map[policy.HostPair]*simnet.Pipe),
-		deleteSeconds: 0.2,
 	}
 }
-
-// SetDeleteSeconds overrides the simulated per-deletion cost.
-func (f *SimFabric) SetDeleteSeconds(s float64) { f.deleteSeconds = s }
 
 // Pipe returns (creating on first use) the pipe for a host pair.
 func (f *SimFabric) Pipe(pair policy.HostPair) *simnet.Pipe {
@@ -132,6 +129,6 @@ func (f *SimFabric) Transfer(p *simnet.Proc, srcURL, dstURL string, sizeBytes in
 
 // Delete implements Fabric.
 func (f *SimFabric) Delete(p *simnet.Proc, url string) error {
-	p.Sleep(f.deleteSeconds)
+	p.Sleep(deleteSeconds)
 	return nil
 }

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestOnlineTuningLoop(t *testing.T) {
 	window := NewThroughputWindow(4, func(p policy.HostPair, goodput float64) {
 		climber.Record(climber.Next(), goodput)
 		next := climber.Next()
-		if err := svc.SetThreshold(p.Src, p.Dst, next); err != nil {
+		if _, err := svc.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: p.Src, DestHost: p.Dst, Max: next}); err != nil {
 			t.Errorf("SetThreshold: %v", err)
 		}
 		applied = append(applied, next)

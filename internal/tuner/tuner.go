@@ -135,17 +135,6 @@ func (u *UCB1) Best() int {
 	return best
 }
 
-// Pulls returns how many episodes have been attributed to each arm.
-func (u *UCB1) Pulls() map[int]int {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	out := make(map[int]int, len(u.arms))
-	for _, a := range u.arms {
-		out[a] = u.count[a]
-	}
-	return out
-}
-
 func (u *UCB1) nearestLocked(threshold int) int {
 	best, bestDist := u.arms[0], math.MaxInt
 	for _, a := range u.arms {

@@ -126,12 +126,6 @@ func (w *Workflow) MustAddJob(j *Job) {
 // Jobs returns the jobs in insertion order.
 func (w *Workflow) Jobs() []*Job { return append([]*Job(nil), w.jobs...) }
 
-// Job returns a job by ID.
-func (w *Workflow) Job(id string) (*Job, bool) {
-	j, ok := w.byID[id]
-	return j, ok
-}
-
 // File returns a file by name.
 func (w *Workflow) File(name string) (*File, bool) {
 	f, ok := w.files[name]
@@ -145,25 +139,6 @@ func (w *Workflow) Files() []*File {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Producer returns the job ID producing the named file ("" for external
-// inputs).
-func (w *Workflow) Producer(file string) string { return w.producer[file] }
-
-// Consumers returns the IDs of jobs consuming the named file, in job
-// insertion order.
-func (w *Workflow) Consumers(file string) []string {
-	var out []string
-	for _, j := range w.jobs {
-		for _, in := range j.Inputs {
-			if in == file {
-				out = append(out, j.ID)
-				break
-			}
-		}
-	}
 	return out
 }
 

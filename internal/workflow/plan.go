@@ -77,20 +77,6 @@ func (p *Plan) Task(id string) (*Task, bool) {
 	return t, ok
 }
 
-// TasksOf returns all tasks of the given type, in plan order.
-func (p *Plan) TasksOf(tt TaskType) []*Task {
-	var out []*Task
-	for _, t := range p.Tasks {
-		if t.Type == tt {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Count returns the number of tasks of the given type.
-func (p *Plan) Count(tt TaskType) int { return len(p.TasksOf(tt)) }
-
 // PlanConfig controls planning.
 type PlanConfig struct {
 	// WorkflowID identifies the run (used in site paths and policy calls).

@@ -65,8 +65,12 @@ func TestFacadeMontageAndDAX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Count(policyflow.TaskStageIn) == 0 || plan.Count(policyflow.TaskCleanup) == 0 {
-		t.Fatalf("plan = %d stage-in, %d cleanup", plan.Count(policyflow.TaskStageIn), plan.Count(policyflow.TaskCleanup))
+	count := map[policyflow.TaskType]int{}
+	for _, task := range plan.Tasks {
+		count[task.Type]++
+	}
+	if count[policyflow.TaskStageIn] == 0 || count[policyflow.TaskCleanup] == 0 {
+		t.Fatalf("plan = %d stage-in, %d cleanup", count[policyflow.TaskStageIn], count[policyflow.TaskCleanup])
 	}
 }
 
