@@ -4,8 +4,8 @@
 // direct-dependent-based (fan-out) and dependent-based (total descendant
 // count) priority assignment.
 //
-// The graph is generic over node identity: nodes are identified by string
-// IDs, and arbitrary payloads may be attached by callers. Node and edge
+// Nodes are identified by string IDs; callers keep whatever a node stands
+// for in their own maps, keyed by the same ID. Node and edge
 // insertion preserve deterministic iteration order (insertion order), which
 // keeps planners and priority assignments reproducible.
 package dag
@@ -29,7 +29,7 @@ var ErrUnknownNode = errors.New("dag: unknown node")
 // not usable; call New.
 type Graph struct {
 	order    []string            // insertion order of node IDs
-	payload  map[string]any      // node ID -> payload
+	nodes    map[string]bool     // node set
 	children map[string][]string // edges, in insertion order
 	parents  map[string][]string
 	edgeSet  map[[2]string]bool
@@ -38,36 +38,35 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		payload:  make(map[string]any),
+		nodes:    make(map[string]bool),
 		children: make(map[string][]string),
 		parents:  make(map[string][]string),
 		edgeSet:  make(map[[2]string]bool),
 	}
 }
 
-// AddNode inserts a node with the given ID and payload. It returns
-// ErrDuplicateNode if the ID is already present.
-func (g *Graph) AddNode(id string, payload any) error {
-	if _, ok := g.payload[id]; ok {
+// AddNode inserts a node with the given ID. It returns ErrDuplicateNode if
+// the ID is already present.
+func (g *Graph) AddNode(id string) error {
+	if g.nodes[id] {
 		return fmt.Errorf("%w: %q", ErrDuplicateNode, id)
 	}
 	g.order = append(g.order, id)
-	g.payload[id] = payload
+	g.nodes[id] = true
 	return nil
 }
 
 // MustAddNode is AddNode but panics on error; intended for construction code
 // whose IDs are known unique.
-func (g *Graph) MustAddNode(id string, payload any) {
-	if err := g.AddNode(id, payload); err != nil {
+func (g *Graph) MustAddNode(id string) {
+	if err := g.AddNode(id); err != nil {
 		panic(err)
 	}
 }
 
 // HasNode reports whether id is a node of the graph.
 func (g *Graph) HasNode(id string) bool {
-	_, ok := g.payload[id]
-	return ok
+	return g.nodes[id]
 }
 
 // AddEdge inserts a directed edge parent->child. Adding an existing edge is

@@ -12,7 +12,7 @@ func diamond(t *testing.T) *Graph {
 	t.Helper()
 	g := New()
 	for _, id := range []string{"a", "b", "c", "d"} {
-		g.MustAddNode(id, nil)
+		g.MustAddNode(id)
 	}
 	g.MustAddEdge("a", "b")
 	g.MustAddEdge("a", "c")
@@ -23,21 +23,21 @@ func diamond(t *testing.T) *Graph {
 
 func TestAddNodeDuplicate(t *testing.T) {
 	g := New()
-	if err := g.AddNode("x", 1); err != nil {
+	if err := g.AddNode("x"); err != nil {
 		t.Fatalf("AddNode: %v", err)
 	}
-	if err := g.AddNode("x", 2); !errors.Is(err, ErrDuplicateNode) {
+	if err := g.AddNode("x"); !errors.Is(err, ErrDuplicateNode) {
 		t.Fatalf("want ErrDuplicateNode, got %v", err)
 	}
-	// Original payload is preserved.
-	if p := g.payload["x"]; p != 1 {
-		t.Fatalf("payload clobbered: %v", p)
+	// The duplicate is rejected, not added a second time.
+	if n := g.Len(); n != 1 {
+		t.Fatalf("Len = %d after a duplicate, want 1: %v", n, g.Nodes())
 	}
 }
 
 func TestAddEdgeUnknownNode(t *testing.T) {
 	g := New()
-	g.MustAddNode("a", nil)
+	g.MustAddNode("a")
 	if err := g.AddEdge("a", "missing"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("want ErrUnknownNode, got %v", err)
 	}
@@ -48,8 +48,8 @@ func TestAddEdgeUnknownNode(t *testing.T) {
 
 func TestAddEdgeIdempotent(t *testing.T) {
 	g := New()
-	g.MustAddNode("a", nil)
-	g.MustAddNode("b", nil)
+	g.MustAddNode("a")
+	g.MustAddNode("b")
 	g.MustAddEdge("a", "b")
 	g.MustAddEdge("a", "b")
 	if got := g.EdgeCount(); got != 1 {
@@ -86,8 +86,8 @@ func TestTopoSortRespectsEdges(t *testing.T) {
 
 func TestTopoSortCycle(t *testing.T) {
 	g := New()
-	g.MustAddNode("a", nil)
-	g.MustAddNode("b", nil)
+	g.MustAddNode("a")
+	g.MustAddNode("b")
 	g.MustAddEdge("a", "b")
 	g.MustAddEdge("b", "a")
 	if _, err := g.TopoSort(); !errors.Is(err, ErrCycle) {
@@ -116,7 +116,7 @@ func TestLevelsLongestPath(t *testing.T) {
 	// a -> b -> d and a -> d directly: d's level must be 2 (longest path).
 	g := New()
 	for _, id := range []string{"a", "b", "d"} {
-		g.MustAddNode(id, nil)
+		g.MustAddNode(id)
 	}
 	g.MustAddEdge("a", "b")
 	g.MustAddEdge("b", "d")
@@ -155,7 +155,7 @@ func randomDAG(rng *rand.Rand, n int) *Graph {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = string(rune('A'+i%26)) + string(rune('0'+i/26%10)) + string(rune('0'+i/260))
-		g.MustAddNode(ids[i], nil)
+		g.MustAddNode(ids[i])
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

@@ -14,7 +14,7 @@ func wide(t *testing.T) *Graph {
 	t.Helper()
 	g := New()
 	for _, id := range []string{"root", "m1", "m2", "m3", "l1", "l2", "l3"} {
-		g.MustAddNode(id, nil)
+		g.MustAddNode(id)
 	}
 	g.MustAddEdge("root", "m1")
 	g.MustAddEdge("root", "m2")
@@ -86,7 +86,7 @@ func TestDependentVsDirectDependentDiffer(t *testing.T) {
 	// dependent must do the opposite.
 	g := New()
 	for _, id := range []string{"hub", "h1", "h2", "h3", "c0", "c1", "c2", "c3", "c4"} {
-		g.MustAddNode(id, nil)
+		g.MustAddNode(id)
 	}
 	g.MustAddEdge("hub", "h1")
 	g.MustAddEdge("hub", "h2")
@@ -121,8 +121,8 @@ func TestUnknownAlgorithm(t *testing.T) {
 
 func TestPrioritiesOnCycle(t *testing.T) {
 	g := New()
-	g.MustAddNode("a", nil)
-	g.MustAddNode("b", nil)
+	g.MustAddNode("a")
+	g.MustAddNode("b")
 	g.MustAddEdge("a", "b")
 	g.MustAddEdge("b", "a")
 	for _, algo := range Algorithms() {

@@ -407,7 +407,7 @@ type Sample struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	// Value is the counter/gauge value, or the histogram sum.
 	Value float64 `json:"value"`
-	// Count is the histogram observation count (histograms only).
+	// Count is the number of observed values (histograms only).
 	Count uint64 `json:"count,omitempty"`
 }
 

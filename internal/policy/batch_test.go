@@ -36,7 +36,7 @@ func TestExecuteBatchMixedKindsOneGroupCommit(t *testing.T) {
 	cleanup := &BatchMutation{Op: OpAdviseCleanups, Request: []CleanupSpec{{
 		RequestID: "c-1", WorkflowID: "wf1", FileURL: srcBase + "/f001.dat",
 	}}}
-	s.ExecuteBatch([]*BatchMutation{advise, cleanup})
+	s.executeBatch([]*BatchMutation{advise, cleanup}, nil)
 
 	if advise.Err != nil || cleanup.Err != nil {
 		t.Fatalf("batch errors: advise=%v cleanup=%v", advise.Err, cleanup.Err)
@@ -65,7 +65,7 @@ func TestExecuteBatchMixedKindsOneGroupCommit(t *testing.T) {
 	creport := &BatchMutation{Op: OpReportCleanups, Request: CleanupReport{
 		CleanupIDs: []string{cadv.Cleanups[0].ID},
 	}}
-	s.ExecuteBatch([]*BatchMutation{report, creport})
+	s.executeBatch([]*BatchMutation{report, creport}, nil)
 	if report.Err != nil || creport.Err != nil {
 		t.Fatalf("report errors: %v / %v", report.Err, creport.Err)
 	}
@@ -92,7 +92,7 @@ func TestExecuteBatchSkipsDeadContexts(t *testing.T) {
 	cancel()
 	gone := &BatchMutation{Ctx: dead, Op: OpAdviseTransfers, Request: []TransferSpec{spec(1, "wf1")}}
 	live := &BatchMutation{Ctx: context.Background(), Op: OpAdviseTransfers, Request: []TransferSpec{spec(2, "wf1")}}
-	s.ExecuteBatch([]*BatchMutation{gone, live})
+	s.executeBatch([]*BatchMutation{gone, live}, nil)
 
 	if !errors.Is(gone.Err, context.Canceled) {
 		t.Fatalf("dead-context mutation err = %v, want context.Canceled", gone.Err)
@@ -123,7 +123,7 @@ func TestExecuteBatchSyncFailureFailsAllLogged(t *testing.T) {
 	a := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{spec(1, "wf1")}}
 	b := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{spec(2, "wf1")}}
 	invalid := &BatchMutation{Op: OpAdviseTransfers, Request: []TransferSpec{{RequestID: "bad"}}}
-	s.ExecuteBatch([]*BatchMutation{a, b, invalid})
+	s.executeBatch([]*BatchMutation{a, b, invalid}, nil)
 
 	for name, m := range map[string]*BatchMutation{"a": a, "b": b} {
 		if m.Err == nil || m.Err.Error() == "" || !errorContains(m.Err, "disk full") {
@@ -142,11 +142,11 @@ func TestExecuteBatchSyncFailureFailsAllLogged(t *testing.T) {
 
 func TestExecuteBatchEmptyAndMissingRequest(t *testing.T) {
 	s := newGreedy(t, 50, 4)
-	s.ExecuteBatch(nil) // must not panic
+	s.executeBatch(nil, nil) // must not panic
 
 	empty := &BatchMutation{}
 	mistyped := &BatchMutation{Op: OpAdviseTransfers, Request: CleanupReport{}}
-	s.ExecuteBatch([]*BatchMutation{empty, mistyped})
+	s.executeBatch([]*BatchMutation{empty, mistyped}, nil)
 	for name, m := range map[string]*BatchMutation{"op-less": empty, "mistyped": mistyped} {
 		if !errors.Is(m.Err, ErrInvalidRequest) {
 			t.Errorf("%s mutation err = %v, want ErrInvalidRequest", name, m.Err)
@@ -177,12 +177,12 @@ func TestExecuteBatchMatchesSequentialCalls(t *testing.T) {
 
 	m1 := &BatchMutation{Op: OpAdviseTransfers, Request: specs1}
 	m2 := &BatchMutation{Op: OpAdviseTransfers, Request: specs2}
-	batchSvc.ExecuteBatch([]*BatchMutation{m1, m2})
+	batchSvc.executeBatch([]*BatchMutation{m1, m2}, nil)
 	if m1.Err != nil || m2.Err != nil {
 		t.Fatalf("batch errors: %v / %v", m1.Err, m2.Err)
 	}
 	m3 := &BatchMutation{Op: OpReportTransfers, Request: CompletionReport{TransferIDs: []string{m1.Result.(*TransferAdvice).Transfers[0].ID}}}
-	batchSvc.ExecuteBatch([]*BatchMutation{m3})
+	batchSvc.executeBatch([]*BatchMutation{m3}, nil)
 	if m3.Err != nil {
 		t.Fatal(m3.Err)
 	}

@@ -225,7 +225,7 @@ func validateBundleOp(op BundleOp) error {
 // activateBundleLocked is the apply function of activate_bundle: resolve
 // the request to a bundle document, WAL-append that full document, swap
 // the Tunables snapshot and rewrite the configuration facts.
-func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *BundleInfo, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *BundleInfo, seq uint64, rec *DecisionRecord, err error) {
 	b := op.Bundle
 	switch {
 	case op.Rollback:
@@ -255,7 +255,7 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 		// Already active: exactly-once semantics. Nothing is appended, so
 		// replay never sees (and replicas never diverge on) a duplicate.
 		s.countActivation("noop")
-		return &i, 0, nil, nil, nil
+		return &i, 0, nil, nil
 	}
 	if cur, ok := s.installed[b.Version]; ok && cur.Checksum() != i.Checksum {
 		s.countActivation("conflict")
@@ -269,7 +269,7 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 	}
 	s.applyBundleLocked(b)
 	s.countActivation("activated")
-	return &i, seq, &DecisionRecord{}, nil, nil
+	return &i, seq, &DecisionRecord{}, nil
 }
 
 // applyBundleLocked swaps the active bundle and rewrites the configuration

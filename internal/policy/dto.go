@@ -86,8 +86,8 @@ type CleanupAdvice struct {
 }
 
 // TransferTiming reports how long one completed transfer took; optional
-// in a CompletionReport, it feeds the service's performance observer
-// (recent-transfer-performance knowledge, and the threshold tuner).
+// in a CompletionReport, it fills the Seconds of the transfer's
+// completion event in the lifecycle trace.
 type TransferTiming struct {
 	TransferID string  `json:"transferId" xml:"transferId"`
 	Seconds    float64 `json:"seconds" xml:"seconds"`
@@ -100,7 +100,8 @@ type CompletionReport struct {
 	// FailedIDs lists transfers that failed.
 	FailedIDs []string `json:"failedIds,omitempty" xml:"failedIds>id,omitempty"`
 	// Timings optionally carries per-transfer durations for the
-	// successfully completed transfers.
+	// successfully completed transfers; they reach only the lifecycle
+	// trace, never Policy Memory.
 	Timings []TransferTiming `json:"timings,omitempty" xml:"timings>timing,omitempty"`
 }
 

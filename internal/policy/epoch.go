@@ -34,9 +34,9 @@ func (s *Service) BumpEpoch(target uint64) (uint64, error) {
 }
 
 // bumpEpochLocked is the apply function of bump_epoch.
-func (s *Service) bumpEpochLocked(ctx context.Context, op EpochOp) (epoch uint64, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+func (s *Service) bumpEpochLocked(ctx context.Context, op EpochOp) (epoch uint64, seq uint64, _ *DecisionRecord, err error) {
 	if op.Epoch <= s.epoch {
-		return s.epoch, 0, nil, nil, nil
+		return s.epoch, 0, nil, nil
 	}
 	if seq, err = s.appendLog(ctx, OpBumpEpoch, op); err != nil {
 		return
@@ -45,5 +45,5 @@ func (s *Service) bumpEpochLocked(ctx context.Context, op EpochOp) (epoch uint64
 	if s.metrics != nil {
 		s.metrics.epochGauge.Set(float64(s.epoch))
 	}
-	return s.epoch, seq, nil, nil, nil
+	return s.epoch, seq, nil, nil
 }

@@ -282,7 +282,7 @@ func validateLease(op LeaseOp) error {
 }
 
 // renewLeaseLocked is the apply function of renew_lease.
-func (s *Service) renewLeaseLocked(ctx context.Context, op LeaseOp) (status *LeaseStatus, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+func (s *Service) renewLeaseLocked(ctx context.Context, op LeaseOp) (status *LeaseStatus, seq uint64, _ *DecisionRecord, err error) {
 	if s.cfg.LeaseTTL <= 0 {
 		err = fmt.Errorf("%w: leases are disabled (LeaseTTL is 0)", ErrInvalidRequest)
 		return
@@ -292,7 +292,7 @@ func (s *Service) renewLeaseLocked(ctx context.Context, op LeaseOp) (status *Lea
 	}
 	s.renewLeasesLocked([]string{op.WorkflowID})
 	l, _ := rules.First(s.session, func(l *Lease) bool { return l.Owner == op.WorkflowID })
-	return &LeaseStatus{WorkflowID: op.WorkflowID, Deadline: l.Deadline, TTLSeconds: s.cfg.LeaseTTL}, seq, nil, nil, nil
+	return &LeaseStatus{WorkflowID: op.WorkflowID, Deadline: l.Deadline, TTLSeconds: s.cfg.LeaseTTL}, seq, nil, nil
 }
 
 // AdvanceClock moves the service's logical clock forward to now and runs
@@ -315,12 +315,12 @@ func validateClock(op ClockOp) error {
 }
 
 // advanceClockLocked is the apply function of advance_clock.
-func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *ClockAdvance, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *ClockAdvance, seq uint64, _ *DecisionRecord, err error) {
 	now := op.Now
 	if now <= s.clock {
 		// Monotonic clamp: late or duplicate ticks change nothing, on every
 		// replica alike, so there is nothing to log.
-		return &ClockAdvance{Now: s.clock}, 0, nil, nil, nil
+		return &ClockAdvance{Now: s.clock}, 0, nil, nil
 	}
 	if seq, err = s.appendLog(ctx, OpAdvanceClock, op); err != nil {
 		return

@@ -34,7 +34,7 @@ const (
 // request payload going in, a result or Err coming out. Every mutation of
 // Policy Memory is one of these: admitted HTTP requests are handed to
 // ExecutePipelined, and in-process typed calls, WAL replay and standby
-// tail apply to ExecuteBatch.
+// tail apply to executeBatch.
 type BatchMutation struct {
 	// Ctx carries the submitting client's context: its trace span parents
 	// the operation's spans, and if it is already done when the batch
@@ -55,19 +55,7 @@ type BatchMutation struct {
 	span, syncSpan *obs.Span
 	seq            uint64
 	rec            *DecisionRecord
-	pending        []observation
 	commit         *pipeCommit // nil unless ExecutePipelined left the commit running
-}
-
-// observation is one timing sample destined for the performance observer,
-// captured under the lock (before the rules retract the transfer facts)
-// and delivered after the lock is released so the observer may call back
-// into the service.
-type observation struct {
-	pair    HostPair
-	streams int
-	size    int64
-	seconds float64
 }
 
 // opSpec is one row of the op table — everything the service knows about
@@ -89,15 +77,14 @@ type opSpec struct {
 	// anything), mutate Policy Memory, fire the rules. It returns the
 	// result, the WAL sequence to sync (0 = nothing logged), a decision
 	// record carrying the per-entry lines (nil = the op records no
-	// decision; ExecuteBatch fills in the rest), and timing observations
-	// to deliver once the lock is released.
-	apply func(s *Service, ctx context.Context, req any) (any, uint64, *DecisionRecord, []observation, error)
+	// decision; executeBatch fills in the rest) and the error.
+	apply func(s *Service, ctx context.Context, req any) (any, uint64, *DecisionRecord, error)
 }
 
 // defineOp builds a table row from typed pieces, so apply functions keep
 // their concrete request and result types.
 func defineOp[P, R any](name string, admitted bool, decode func([]byte) (P, error), validate func(P) error,
-	apply func(*Service, context.Context, P) (R, uint64, *DecisionRecord, []observation, error)) *opSpec {
+	apply func(*Service, context.Context, P) (R, uint64, *DecisionRecord, error)) *opSpec {
 	return &opSpec{
 		name: name, span: "policy." + name, admitted: admitted,
 		decode: func(payload []byte) (any, error) { return decode(payload) },
@@ -111,12 +98,12 @@ func defineOp[P, R any](name string, admitted bool, decode func([]byte) (P, erro
 			}
 			return validate(p)
 		},
-		apply: func(s *Service, ctx context.Context, req any) (any, uint64, *DecisionRecord, []observation, error) {
-			res, seq, rec, pending, err := apply(s, ctx, req.(P))
+		apply: func(s *Service, ctx context.Context, req any) (any, uint64, *DecisionRecord, error) {
+			res, seq, rec, err := apply(s, ctx, req.(P))
 			if err != nil {
-				return nil, seq, nil, nil, err
+				return nil, seq, nil, err
 			}
-			return res, seq, rec, pending, nil
+			return res, seq, rec, nil
 		},
 	}
 }
@@ -167,12 +154,12 @@ func OpAdmitted(op string) bool {
 	return spec != nil && spec.admitted
 }
 
-// Execute runs one mutation: ExecuteBatch of one. The typed Service
+// Execute runs one mutation: executeBatch of one. The typed Service
 // methods are one-line wrappers over it.
 func (s *Service) Execute(ctx context.Context, op string, payload any) (any, error) {
 	m := BatchMutation{Ctx: ctx, Op: op, Request: payload}
 	one := [1]*BatchMutation{&m}
-	s.ExecuteBatch(one[:])
+	s.executeBatch(one[:], nil)
 	return m.Result, m.Err
 }
 
@@ -183,7 +170,7 @@ func execAs[R any](s *Service, ctx context.Context, op string, payload any) (R, 
 	return r, err
 }
 
-// ExecuteBatch is the synchronous mutation path, and ExecutePipelined the
+// executeBatch is the synchronous mutation path, and ExecutePipelined the
 // admission dispatcher's; both take a single lock acquisition for the
 // whole batch, one validation + rule-firing pass per member (each
 // client still gets its own result, spans, metrics sample and decision
@@ -193,9 +180,9 @@ func execAs[R any](s *Service, ctx context.Context, op string, payload any) (R, 
 // A batch runs in two halves. The locked apply validates each member,
 // appends its WAL record, applies it, fires the rules and builds its
 // decision record. The commit, outside the lock, syncs once at the
-// batch's highest seq, then commits the decision records, ends the spans
-// and delivers the observer samples. ExecuteBatch runs both before it
-// returns; ExecutePipelined leaves the commit running.
+// batch's highest seq, then commits the decision records and ends the
+// spans. executeBatch runs both before it returns; ExecutePipelined leaves
+// the commit running.
 //
 // Write-ahead order: records are appended under the lock, synced outside
 // it (so concurrent batches overlap their fsyncs), and a member is
@@ -203,13 +190,12 @@ func execAs[R any](s *Service, ctx context.Context, op string, payload any) (R, 
 // sync. Members whose Ctx is already done are skipped before any side
 // effect. A failed sync fails every logged member: none of their records
 // is confirmed durable, so none may be acknowledged.
-func (s *Service) ExecuteBatch(batch []*BatchMutation) { s.executeBatch(batch, nil) }
-
-// executeBatch is ExecuteBatch; rep is non-nil when the batch is a run of a
-// donor's log (see ApplyReplica). A replica run keeps the replica cursor
-// instead of dropping it, applies only on top of the cursor it was cut
-// from, and stops at the first member this service could not log: the
-// records depend on each other, so none may be applied past a gap.
+//
+// rep is non-nil when the batch is a run of a donor's log (see
+// ApplyReplica). A replica run keeps the replica cursor instead of
+// dropping it, applies only on top of the cursor it was cut from, and
+// stops at the first member this service could not log: the records
+// depend on each other, so none may be applied past a gap.
 func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 	if len(batch) == 0 {
 		return
@@ -222,10 +208,10 @@ func (s *Service) executeBatch(batch []*BatchMutation, rep *replicaRun) {
 	if rep != nil && serr != nil {
 		rep.fail(s, serr)
 	}
-	s.commit(batch, a, serr)
+	s.commit(batch, serr)
 }
 
-// ExecutePipelined is ExecuteBatch for the admission dispatcher. It
+// ExecutePipelined is executeBatch for the admission dispatcher. It
 // returns once the batch is applied and appended and the previous
 // pipelined batch has committed; this batch's commit runs on its own
 // goroutine, so the dispatcher applies the next batch while this one's
@@ -253,7 +239,7 @@ func (s *Service) ExecutePipelined(batch []*BatchMutation) {
 		// Nothing to sync and nothing ahead to wait for: commit here.
 		s.pipeTail = nil
 		s.mu.Unlock()
-		s.commit(batch, a, nil)
+		s.commit(batch, nil)
 		return
 	}
 	c := &pipeCommit{}
@@ -288,13 +274,13 @@ func (s *Service) commitPipelined(batch []*BatchMutation, a applied, c, prev *pi
 			serr = prev.err
 		}
 	}
-	s.commit(batch, a, serr)
+	s.commit(batch, serr)
 	c.released.Store(true)
 	c.done.Done()
 }
 
 // Wait blocks until the member's Result and Err are final. Members of
-// ExecuteBatch are final when it returns; a member of ExecutePipelined is
+// executeBatch are final when it returns; a member of ExecutePipelined is
 // final once its batch's commit has released it.
 func (m *BatchMutation) Wait() {
 	if c := m.commit; c != nil {
@@ -304,16 +290,15 @@ func (m *BatchMutation) Wait() {
 
 // applied is what the locked apply of a batch hands to its commit.
 type applied struct {
-	maxSeq   uint64 // the batch's highest WAL seq; 0 = nothing logged
-	mlog     MutationLog
-	tr       obs.Tracer
-	observer TransferObserver
+	maxSeq uint64 // the batch's highest WAL seq; 0 = nothing logged
+	mlog   MutationLog
+	tr     obs.Tracer
 }
 
 // applyLocked is the locked half of a batch: validate, append, apply and
 // fire each member, and build its decision record. Callers hold s.mu.
 func (s *Service) applyLocked(batch []*BatchMutation, rep *replicaRun, start time.Time) applied {
-	a := applied{mlog: s.mlog, tr: s.tracer, observer: s.observer}
+	a := applied{mlog: s.mlog, tr: s.tracer}
 	var stop error
 	if rep != nil {
 		stop = rep.begin(s)
@@ -348,7 +333,7 @@ func (s *Service) applyLocked(batch []*BatchMutation, rep *replicaRun, start tim
 		}
 		s.pendingFirings = s.pendingFirings[:0]
 		factsBefore, firingsBefore := s.session.FactCount(), s.session.Firings()
-		m.Result, m.seq, m.rec, m.pending, m.Err = op.apply(s, ctx, m.Request)
+		m.Result, m.seq, m.rec, m.Err = op.apply(s, ctx, m.Request)
 		if m.rec != nil {
 			m.rec.Op, m.rec.TraceID, m.rec.WALSeq, m.rec.Bundle = op.name, s.curTrace, m.seq, s.tun.Version
 			m.rec.FactsBefore, m.rec.FactsAfter = factsBefore, s.session.FactCount()
@@ -385,9 +370,9 @@ func (a applied) sync(batch []*BatchMutation) error {
 }
 
 // commit finishes a batch after its sync: a failed sync (serr) fails
-// every logged member, then the surviving decision records are committed,
-// the spans ended and the observer samples delivered.
-func (s *Service) commit(batch []*BatchMutation, a applied, serr error) {
+// every logged member, then the surviving decision records are committed
+// and the spans ended.
+func (s *Service) commit(batch []*BatchMutation, serr error) {
 	for _, m := range batch {
 		if serr != nil && m.seq != 0 && m.Err == nil {
 			m.Result, m.Err = nil, serr
@@ -398,16 +383,6 @@ func (s *Service) commit(batch []*BatchMutation, a applied, serr error) {
 		m.syncSpan.End()
 		m.span.SetWALSeq(m.seq)
 		m.span.End()
-	}
-	if a.observer != nil {
-		for _, m := range batch {
-			if m.Err != nil {
-				continue
-			}
-			for _, o := range m.pending {
-				a.observer(o.pair, o.streams, o.size, o.seconds)
-			}
-		}
 	}
 }
 

@@ -61,7 +61,7 @@ func (s *Service) DropReplicaCursor() {
 // continues the cursor: records at or below it are skipped and the rest
 // must follow it without a gap. Records are decoded before any is applied,
 // so a damaged archive (ErrInvalidRequest) changes nothing. They run
-// through the one mutation path, ExecuteBatch, in bounded batches with one
+// through the one mutation path, executeBatch, in bounded batches with one
 // covering sync each, and are re-logged into this service's own log: a
 // replica's durability is its own. The snapshot's dump keeps the donor's
 // bytes, so a log that persists it (durable.PolicyStore installs it as its

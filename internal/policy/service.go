@@ -119,6 +119,9 @@ type Service struct {
 	// suppressedByReason splits the suppressed count by DupReason, so a
 	// late Instrument call can backfill the labeled counter series.
 	suppressedByReason map[string]int
+	// Cleanups advised, and cleanups suppressed by reason, likewise.
+	cleanupsAdvised      int
+	cleanupsSuppByReason map[string]int
 
 	// clock is the service's logical time. It only moves via the logged
 	// AdvanceClock mutation, so lease deadlines and expiry replay
@@ -135,10 +138,6 @@ type Service struct {
 	// reportUnmatchedByOp counts report IDs that matched nothing in
 	// Policy Memory, split by operation, for metric backfill.
 	reportUnmatchedByOp map[string]int
-
-	// observer, when set, receives performance measurements for
-	// completed transfers that carried timings.
-	observer TransferObserver
 
 	// metrics and tracer are nil until Instrument attaches them.
 	metrics *svcMetrics
@@ -264,6 +263,10 @@ func (s *Service) Instrument(reg *obs.Registry, tracer obs.Tracer) {
 	for reason, n := range s.suppressedByReason {
 		m.suppReason.With(reason).Add(float64(n))
 	}
+	m.cleanAdv.Add(float64(s.cleanupsAdvised))
+	for reason, n := range s.cleanupsSuppByReason {
+		m.cleanSupp.With(reason).Add(float64(n))
+	}
 	m.leaseRenewals.Add(float64(s.leaseRenewals))
 	m.leasesExpired.Add(float64(s.leasesExpired))
 	m.reclaimed.Add(float64(s.reclaimedTransfers))
@@ -309,7 +312,7 @@ func (s *Service) emit(e obs.Event) {
 	}
 }
 
-// takeFirings returns the rule activations recorded since ExecuteBatch
+// takeFirings returns the rule activations recorded since executeBatch
 // began the current member. Called with s.mu held.
 func (s *Service) takeFirings() []RuleFiring {
 	if len(s.pendingFirings) == 0 {
@@ -319,11 +322,6 @@ func (s *Service) takeFirings() []RuleFiring {
 	copy(out, s.pendingFirings)
 	return out
 }
-
-// TransferObserver receives per-transfer performance measurements — the
-// "recent data transfer performance" knowledge the paper's service bases
-// its advice on, and the reward signal for threshold tuning.
-type TransferObserver func(pair HostPair, streams int, sizeBytes int64, seconds float64)
 
 // New constructs a Service with the given configuration.
 func New(cfg Config) (*Service, error) {
@@ -335,12 +333,13 @@ func New(cfg Config) (*Service, error) {
 		session = rules.NewReferenceSession()
 	}
 	s := &Service{cfg: cfg, session: session,
-		suppressedByReason:  make(map[string]int),
-		reportUnmatchedByOp: make(map[string]int),
-		installed:           make(map[string]*bundle.Bundle),
-		staged:              make(map[string]*bundle.Bundle),
-		bundleActsByResult:  make(map[string]int),
-		decisions:           NewDecisionLog(DefaultDecisionRing)}
+		suppressedByReason:   make(map[string]int),
+		cleanupsSuppByReason: make(map[string]int),
+		reportUnmatchedByOp:  make(map[string]int),
+		installed:            make(map[string]*bundle.Bundle),
+		staged:               make(map[string]*bundle.Bundle),
+		bundleActsByResult:   make(map[string]int),
+		decisions:            NewDecisionLog(DefaultDecisionRing)}
 	// The compiled-in configuration is itself a bundle: v0, active from
 	// birth, never WAL-logged. Activating a real bundle later swaps the
 	// snapshot; until then behavior is bit-identical to the pre-bundle
@@ -349,9 +348,6 @@ func New(cfg Config) (*Service, error) {
 	s.activeBundle = v0
 	s.installed[v0.Version] = v0
 	s.tun = tunablesFrom(v0, cfg.Priority)
-	// FIFO fairness: within a batch, the first submitted transfer is
-	// allocated first.
-	s.session.SetOldestFirst(true)
 	// Record every rule activation for decision provenance. The observer
 	// runs under the session lock inside FireAll, which the service only
 	// calls while holding s.mu, so pendingFirings needs no extra lock.
@@ -441,7 +437,7 @@ func validateTransferSpecs(specs []TransferSpec) error {
 // adviseTransfersLocked is the apply function of advise_transfers (see
 // opSpec.apply for the contract): log the specs, insert them as Submitted
 // transfers, fire the rules, and assemble the advice and decision lines.
-func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpec) (adv *TransferAdvice, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpec) (adv *TransferAdvice, seq uint64, rec *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpAdviseTransfers, specs); err != nil {
 		return
 	}
@@ -572,7 +568,7 @@ func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpe
 		}
 	}
 	sortAdvice(adv.Transfers)
-	return adv, seq, &DecisionRecord{Lines: lines}, nil, nil
+	return adv, seq, &DecisionRecord{Lines: lines}, nil
 }
 
 // fireRules runs the rule engine to quiescence under a rules.fire span.
@@ -609,18 +605,11 @@ func sortAdvice(ts []AdvisedTransfer) {
 	})
 }
 
-// SetObserver installs the performance observer (nil disables).
-func (s *Service) SetObserver(obs TransferObserver) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observer = obs
-}
-
 // ReportTransfers records completed and failed transfers: their detailed
 // state is removed from Policy Memory, their streams are released, and (on
 // success) the staged file's resource is marked staged so future requests
-// for the same file are suppressed. Timings, when present, are forwarded
-// to the performance observer. The returned ack counts reported IDs that
+// for the same file are suppressed. Timings, when present, fill the
+// completion events' Seconds. The returned ack counts reported IDs that
 // matched an in-progress transfer and those that matched nothing —
 // unmatched IDs mean client and service state have drifted (a replayed
 // report after reclamation, a client bug) and were previously dropped
@@ -635,12 +624,8 @@ func (s *Service) ReportTransfersCtx(ctx context.Context, report CompletionRepor
 	return execAs[*ReportAck](s, ctx, OpReportTransfers, report)
 }
 
-// reportTransfersLocked is the apply function of report_transfers. It
-// additionally returns the timing observations captured before the rules
-// retract the transfer facts — ExecuteBatch delivers them to the
-// performance observer after the lock is released (the observer may call
-// back into the service).
-func (s *Service) reportTransfersLocked(ctx context.Context, report CompletionReport) (ack *ReportAck, seq uint64, rec *DecisionRecord, pending []observation, err error) {
+// reportTransfersLocked is the apply function of report_transfers.
+func (s *Service) reportTransfersLocked(ctx context.Context, report CompletionReport) (ack *ReportAck, seq uint64, rec *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpReportTransfers, report); err != nil {
 		return
 	}
@@ -696,19 +681,9 @@ func (s *Service) reportTransfersLocked(ctx context.Context, report CompletionRe
 			s.metrics.reportUnmatch.With("report_transfers").Add(float64(ack.Unmatched))
 		}
 	}
-	if s.observer != nil {
-		// Look the transfers up before the rules retract them; the
-		// observer itself runs after the lock is released so it may call
-		// back into the service (e.g. SetThreshold from a tuner).
-		for _, tm := range report.Timings {
-			if t, ok := transferByID(s.session, tm.TransferID); ok {
-				pending = append(pending, observation{t.Pair, t.AllocatedStreams, t.SizeBytes, tm.Seconds})
-			}
-		}
-	}
 	if s.tracer != nil {
-		// Completion and failure events also need the transfer facts
-		// before retraction, to carry host pair and stream context.
+		// Completion and failure events need the transfer facts before
+		// retraction, to carry host pair and stream context.
 		seconds := make(map[string]float64, len(report.Timings))
 		for _, tm := range report.Timings {
 			seconds[tm.TransferID] = tm.Seconds
@@ -725,7 +700,7 @@ func (s *Service) reportTransfersLocked(ctx context.Context, report CompletionRe
 	if err = s.fireRules(ctx); err != nil {
 		return
 	}
-	return ack, seq, &DecisionRecord{Lines: lines}, pending, nil
+	return ack, seq, &DecisionRecord{Lines: lines}, nil
 }
 
 // emitResults emits one lifecycle event per reported transfer ID,
@@ -775,7 +750,7 @@ func validateCleanupSpecs(specs []CleanupSpec) error {
 }
 
 // adviseCleanupsLocked is the apply function of advise_cleanups.
-func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec) (adv *CleanupAdvice, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec) (adv *CleanupAdvice, seq uint64, rec *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpAdviseCleanups, specs); err != nil {
 		return
 	}
@@ -816,6 +791,7 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec)
 				Outcome:    OutcomeSuppressed,
 				Reason:     c.Reason,
 			})
+			s.cleanupsSuppByReason[c.Reason]++
 			if s.metrics != nil {
 				s.metrics.cleanSupp.With(c.Reason).Inc()
 			}
@@ -831,6 +807,7 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec)
 		case CleanupAdvised:
 			c.State = CleanupInProgress
 			s.session.Update(c)
+			s.cleanupsAdvised++
 			if s.metrics != nil {
 				s.metrics.cleanAdv.Inc()
 			}
@@ -859,7 +836,7 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec)
 			return
 		}
 	}
-	return adv, seq, &DecisionRecord{Lines: lines}, nil, nil
+	return adv, seq, &DecisionRecord{Lines: lines}, nil
 }
 
 // ReportCleanups records completed cleanup operations; their state and the
@@ -877,7 +854,7 @@ func (s *Service) ReportCleanupsCtx(ctx context.Context, report CleanupReport) (
 }
 
 // reportCleanupsLocked is the apply function of report_cleanups.
-func (s *Service) reportCleanupsLocked(ctx context.Context, report CleanupReport) (ack *ReportAck, seq uint64, rec *DecisionRecord, _ []observation, err error) {
+func (s *Service) reportCleanupsLocked(ctx context.Context, report CleanupReport) (ack *ReportAck, seq uint64, rec *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpReportCleanups, report); err != nil {
 		return
 	}
@@ -923,7 +900,7 @@ func (s *Service) reportCleanupsLocked(ctx context.Context, report CleanupReport
 	if err = s.fireRules(ctx); err != nil {
 		return
 	}
-	return ack, seq, &DecisionRecord{Lines: lines}, nil, nil
+	return ack, seq, &DecisionRecord{Lines: lines}, nil
 }
 
 func validateThreshold(op ThresholdOp) error {
@@ -937,7 +914,7 @@ func validateThreshold(op ThresholdOp) error {
 }
 
 // setThresholdLocked is the apply function of set_threshold.
-func (s *Service) setThresholdLocked(ctx context.Context, op ThresholdOp) (_ any, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+func (s *Service) setThresholdLocked(ctx context.Context, op ThresholdOp) (_ any, seq uint64, _ *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpSetThreshold, op); err != nil {
 		return
 	}

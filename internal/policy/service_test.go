@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"policyflow/internal/obs"
 )
 
 const (
@@ -282,6 +284,33 @@ func TestDuplicateCleanupSuppressed(t *testing.T) {
 	}
 	if len(c2.Cleanups) != 0 || len(c2.Removed) != 1 || c2.Removed[0].Reason != "duplicate" {
 		t.Fatalf("second cleanup = %+v", c2)
+	}
+}
+
+// TestInstrumentBackfillsCleanupCounters: a service instrumented after it
+// has already advised cleanups — as NewServerWith instruments after WAL
+// replay — starts its cleanup counters from those counts, as it does its
+// transfer counters, instead of from 0.
+func TestInstrumentBackfillsCleanupCounters(t *testing.T) {
+	s := newGreedy(t, 50, 4)
+	fileURL := spec(1, "").DestURL
+	for _, id := range []string{"c1", "c2"} {
+		if _, err := s.AdviseCleanups([]CleanupSpec{{RequestID: id, WorkflowID: "wf1", FileURL: fileURL}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil)
+	got := map[string][]obs.Sample{}
+	for _, f := range reg.Snapshot() {
+		got[f.Name] = f.Samples
+	}
+	if adv := got["policy_cleanups_advised_total"]; len(adv) != 1 || adv[0].Value != 1 {
+		t.Fatalf("policy_cleanups_advised_total = %+v, want 1", adv)
+	}
+	supp := got["policy_cleanup_suppressions_total"]
+	if len(supp) != 1 || supp[0].Labels["reason"] != "duplicate" || supp[0].Value != 1 {
+		t.Fatalf("policy_cleanup_suppressions_total = %+v, want {duplicate: 1}", supp)
 	}
 }
 

@@ -252,7 +252,7 @@ func validateDump(d *StateDump) error {
 }
 
 // importStateLocked is the apply function of import_state.
-func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, seq uint64, _ *DecisionRecord, _ []observation, err error) {
+func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, seq uint64, _ *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpImportState, d); err != nil {
 		return
 	}

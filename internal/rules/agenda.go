@@ -14,20 +14,18 @@ type activation struct {
 }
 
 // better reports whether a wins conflict resolution over b: salience
-// descending, then fact recency (LIFO by default, FIFO when oldestFirst),
-// then rule declaration order, then lexicographic tuple handles. Distinct
-// activations always differ at some level (same rule + same handles + same
-// recency state is the same activation), so this is a total order and the
-// order in which activations are discovered never affects which fires.
-func (s *Session) better(a, b *activation) bool {
+// descending, then fact recency ascending (FIFO: the activation over the
+// least recently touched facts first), then rule declaration order, then
+// lexicographic tuple handles. Distinct activations always differ at some
+// level (same rule + same handles + same recency state is the same
+// activation), so this is a total order and the order in which
+// activations are discovered never affects which fires.
+func better(a, b *activation) bool {
 	if a.rule.Salience != b.rule.Salience {
 		return a.rule.Salience > b.rule.Salience
 	}
 	if a.recency != b.recency {
-		if s.oldestFirst {
-			return a.recency < b.recency
-		}
-		return a.recency > b.recency
+		return a.recency < b.recency
 	}
 	if a.ruleIndex != b.ruleIndex {
 		return a.ruleIndex < b.ruleIndex
@@ -60,7 +58,7 @@ type agenda struct {
 }
 
 // push adds the activation of rt on tuple t to the heap.
-func (ag *agenda) push(s *Session, rt *ruleRT, sd *seed, t *tuple, key refKey, maxRec int64) *activation {
+func (ag *agenda) push(rt *ruleRT, sd *seed, t *tuple, key refKey, maxRec int64) *activation {
 	var a *activation
 	if n := len(ag.freeActs); n > 0 {
 		a = ag.freeActs[n-1]
@@ -70,14 +68,14 @@ func (ag *agenda) push(s *Session, rt *ruleRT, sd *seed, t *tuple, key refKey, m
 	}
 	*a = activation{rule: rt.rule, ruleIndex: rt.index, tuple: *t, recency: maxRec, key: key, sd: sd, pos: len(ag.heap)}
 	ag.heap = append(ag.heap, a)
-	ag.up(s, a.pos)
+	ag.up(a.pos)
 	return a
 }
 
 // withdraw removes and recycles all of a seed's activations.
-func (ag *agenda) withdraw(s *Session, sd *seed) {
+func (ag *agenda) withdraw(sd *seed) {
 	for i, a := range sd.acts {
-		ag.remove(s, a)
+		ag.remove(a)
 		ag.recycle(a)
 		sd.acts[i] = nil
 	}
@@ -85,8 +83,8 @@ func (ag *agenda) withdraw(s *Session, sd *seed) {
 }
 
 // take removes a from the agenda and from its seed: it is about to fire.
-func (ag *agenda) take(s *Session, a *activation) {
-	ag.remove(s, a)
+func (ag *agenda) take(a *activation) {
+	ag.remove(a)
 	acts := a.sd.acts
 	for i, x := range acts {
 		if x == a {
@@ -99,7 +97,7 @@ func (ag *agenda) take(s *Session, a *activation) {
 }
 
 // remove deletes a from the heap.
-func (ag *agenda) remove(s *Session, a *activation) {
+func (ag *agenda) remove(a *activation) {
 	h := ag.heap
 	i, last := a.pos, len(h)-1
 	if i != last {
@@ -109,8 +107,8 @@ func (ag *agenda) remove(s *Session, a *activation) {
 	h[last] = nil
 	ag.heap = h[:last]
 	if i != last {
-		ag.down(s, i)
-		ag.up(s, i)
+		ag.down(i)
+		ag.up(i)
 	}
 }
 
@@ -140,18 +138,11 @@ func (ag *agenda) freeSeed(sd *seed) {
 	}
 }
 
-// reorder re-establishes the heap invariant after the order itself changed.
-func (ag *agenda) reorder(s *Session) {
-	for i := len(ag.heap)/2 - 1; i >= 0; i-- {
-		ag.down(s, i)
-	}
-}
-
-func (ag *agenda) up(s *Session, i int) {
+func (ag *agenda) up(i int) {
 	h := ag.heap
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.better(h[i], h[parent]) {
+		if !better(h[i], h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -160,17 +151,17 @@ func (ag *agenda) up(s *Session, i int) {
 	}
 }
 
-func (ag *agenda) down(s *Session, i int) {
+func (ag *agenda) down(i int) {
 	h := ag.heap
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && s.better(h[c+1], h[c]) {
+		if c+1 < len(h) && better(h[c+1], h[c]) {
 			c++
 		}
-		if !s.better(h[c], h[i]) {
+		if !better(h[c], h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

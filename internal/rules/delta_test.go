@@ -110,49 +110,40 @@ func joinOnK(name string, typ int) Pattern {
 }
 
 // TestPositiveAfterQuantifiedRebinds is the regression test for stale
-// bindings: a positive pattern after a quantified one must bind each of its
+// bindings: a positive pattern after a negated one must bind each of its
 // candidates in turn. The old join truncated the tuple to the pattern index
 // instead of the binding count, so every candidate after the first was
 // evaluated (and fired) with the first still bound: one firing, not three.
 func TestPositiveAfterQuantifiedRebinds(t *testing.T) {
-	for _, shape := range []string{"not", "exists"} {
-		t.Run("pos-"+shape+"-pos", func(t *testing.T) {
-			sc := newScript(t, func(fire func(*Context)) []*Rule {
-				quantified := Not(func(b Bindings, v *dB) bool { return v.K == b.Get("x0").(*dA).K })
-				if shape == "exists" {
-					quantified = Exists(func(b Bindings, v *dB) bool { return v.K == b.Get("x0").(*dA).K })
-				}
-				return []*Rule{{
-					Name: "r",
-					When: []Pattern{
-						Match[*dA]("x0", nil),
-						quantified,
-						// The guard reads its own candidate through the
-						// bindings, as shipped guards read earlier ones.
-						Match("x1", func(b Bindings, v *dC) bool { return b.Get("x1") == any(v) && v.V > 0 }),
-					},
-					Then: fire,
-				}}
-			})
-			sc.insert("a", 0, 1, 0)
-			if shape == "exists" {
-				sc.insert("b", 1, 1, 0)
-			}
-			sc.insert("c1", 2, 5, 1)
-			sc.insert("c2", 2, 6, 2)
-			sc.insert("c3", 2, 7, 3)
-			sc.insert("c0", 2, 8, 0) // fails the guard
-			got := sc.fire("three candidates", 3)
-			want := []string{ // LIFO: most recent candidate first
-				"r x0=*rules.dA(1,0) x1=*rules.dC(7,3)",
-				"r x0=*rules.dA(1,0) x1=*rules.dC(6,2)",
-				"r x0=*rules.dA(1,0) x1=*rules.dC(5,1)",
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("fired %q, want %q", got, want)
-			}
+	t.Run("pos-not-pos", func(t *testing.T) {
+		sc := newScript(t, func(fire func(*Context)) []*Rule {
+			return []*Rule{{
+				Name: "r",
+				When: []Pattern{
+					Match[*dA]("x0", nil),
+					Not(func(b Bindings, v *dB) bool { return v.K == b.Get("x0").(*dA).K }),
+					// The guard reads its own candidate through the
+					// bindings, as shipped guards read earlier ones.
+					Match("x1", func(b Bindings, v *dC) bool { return b.Get("x1") == any(v) && v.V > 0 }),
+				},
+				Then: fire,
+			}}
 		})
-	}
+		sc.insert("a", 0, 1, 0)
+		sc.insert("c1", 2, 5, 1)
+		sc.insert("c2", 2, 6, 2)
+		sc.insert("c3", 2, 7, 3)
+		sc.insert("c0", 2, 8, 0) // fails the guard
+		got := sc.fire("three candidates", 3)
+		want := []string{ // FIFO: least recent candidate first
+			"r x0=*rules.dA(1,0) x1=*rules.dC(5,1)",
+			"r x0=*rules.dA(1,0) x1=*rules.dC(6,2)",
+			"r x0=*rules.dA(1,0) x1=*rules.dC(7,3)",
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fired %q, want %q", got, want)
+		}
+	})
 }
 
 // TestDeltaUpdateMovesBetweenBuckets: re-keying a fact dirties the seeds
@@ -307,7 +298,7 @@ func TestDeltaUnindexedDeepPattern(t *testing.T) {
 	sc.fire("re-classed item", 1)
 }
 
-// TestRootlessRule: a rule whose first pattern is quantified has no
+// TestRootlessRule: a rule whose first pattern is negated has no
 // first-position facts; it is matched from a single empty seed.
 func TestRootlessRule(t *testing.T) {
 	sc := newScript(t, func(fire func(*Context)) []*Rule {
@@ -315,19 +306,21 @@ func TestRootlessRule(t *testing.T) {
 			Name: "bootstrap",
 			When: []Pattern{
 				hinted(Not(func(b Bindings, v *dA) bool { return v.K == 0 }), "k", func(Bindings) int { return 0 }),
-				Exists[*dB](nil),
+				Not[*dB](nil),
 			},
 			Then: fire,
 		}}
 	})
 	sc.insert("a", 0, 0, 0)
-	sc.fire("blocked, nothing exists", 0)
+	sc.fire("blocked by a", 0)
 	sc.insert("b", 1, 1, 0)
-	sc.fire("still blocked", 0)
+	sc.fire("blocked by both", 0)
 	sc.retract("a")
-	sc.fire("unblocked", 1)
+	sc.fire("still blocked by b", 0)
 	sc.retract("b")
+	sc.fire("unblocked", 1)
 	sc.insert("b2", 1, 1, 0)
+	sc.retract("b2")
 	sc.fire("fires once per (empty) tuple", 0)
 }
 

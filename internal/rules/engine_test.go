@@ -46,29 +46,6 @@ func TestThreeWayJoin(t *testing.T) {
 	}
 }
 
-func TestOldestFirstConflictResolution(t *testing.T) {
-	s := NewSession()
-	s.SetOldestFirst(true)
-	var order []string
-	s.MustAddRules(&Rule{
-		Name: "watch",
-		When: []Pattern{Match[*item]("it", nil)},
-		Then: func(ctx *Context) { order = append(order, ctx.Get("it").(*item).name) },
-	})
-	s.Insert(&item{name: "first"})
-	s.Insert(&item{name: "second"})
-	s.Insert(&item{name: "third"})
-	if _, err := s.FireAll(0); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"first", "second", "third"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v, want FIFO %v", order, want)
-		}
-	}
-}
-
 func TestFireAllBudgetExact(t *testing.T) {
 	s := NewSession()
 	s.MustAddRules(&Rule{

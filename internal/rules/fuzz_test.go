@@ -11,9 +11,8 @@ import (
 )
 
 // fuzzRules is a fixed rule set covering salience ties, NoLoop, gates,
-// negation, existential patterns, joins (hinted and unhinted), positive
-// patterns after quantified ones, Halt, and working-memory mutation from the
-// RHS.
+// negation, joins (hinted and unhinted), positive patterns after negated
+// ones, and working-memory mutation from the RHS.
 func fuzzRules(gate *bool) []*Rule {
 	return []*Rule{
 		{
@@ -55,20 +54,11 @@ func fuzzRules(gate *bool) []*Rule {
 					func(b Bindings, a *dA) bool { return a.K == b.Get("x0").(*dC).K && a.V > 8 }),
 			},
 			Then: func(ctx *Context) {
-				ctx.RetractHandle(ctx.Handle("x0"))
+				ctx.Retract(ctx.Get("x0"))
 			},
 		},
-		{
-			Name:     "exists-halt",
-			Salience: 0,
-			When: []Pattern{
-				Match("x0", func(b Bindings, bb *dB) bool { return bb.V > 20 }),
-				Exists(func(b Bindings, a *dA) bool { return a.K == 7 }),
-			},
-			Then: func(ctx *Context) { ctx.Halt() },
-		},
-		// A positive pattern after a quantified one, both ways: every x2
-		// candidate must be bound in turn, not the first one repeatedly.
+		// A positive pattern after a negated one, unhinted and hinted: every
+		// x2 candidate must be bound in turn, not the first one repeatedly.
 		{
 			Name:     "not-then-join",
 			Salience: 1,
@@ -85,10 +75,10 @@ func fuzzRules(gate *bool) []*Rule {
 			},
 		},
 		{
-			Name: "exists-then-join",
+			Name: "not-then-hinted-join",
 			When: []Pattern{
 				Match[*dA]("x0", nil),
-				Exists(func(b Bindings, c *dC) bool { return c.K == b.Get("x0").(*dA).K }),
+				Not(func(b Bindings, c *dC) bool { return c.K == b.Get("x0").(*dA).K && c.V > 5 }),
 				MatchOn("x2", "k", func(b Bindings) int { return b.Get("x0").(*dA).K },
 					func(b Bindings, v *dB) bool { return v.K == b.Get("x0").(*dA).K }),
 			},

@@ -43,7 +43,7 @@ type ruleRT struct {
 	// probes[i] is the index probe of pattern i, or nil when the pattern
 	// scans the type extent.
 	probes []prober
-	// root is non-nil for a rule whose first pattern is quantified: it has
+	// root is non-nil for a rule whose first pattern is negated: it has
 	// no first-position facts, so its one seed is root, bound to nothing.
 	root *factRecord
 	// seeds holds the seeds that currently have activations or
@@ -93,7 +93,7 @@ func (s *Session) newRuleRT(r *Rule, index int) (*ruleRT, error) {
 	n := 0
 	for i := range r.When {
 		p := &r.When[i]
-		if !p.negated && !p.existential {
+		if !p.negated {
 			rt.names[n] = p.Name
 			n++
 		}
@@ -111,7 +111,7 @@ func (s *Session) newRuleRT(r *Rule, index int) (*ruleRT, error) {
 		rt.probes[i] = probe
 	}
 	first := 1
-	if r.When[0].negated || r.When[0].existential {
+	if r.When[0].negated {
 		rt.root = &factRecord{live: true}
 		first = 0
 	} else {
@@ -213,7 +213,7 @@ func (s *Session) repair(rt *ruleRT) {
 // dropSeeds discards all of the rule's match state.
 func (s *Session) dropSeeds(rt *ruleRT) {
 	for h, sd := range rt.seeds {
-		s.agenda.withdraw(s, sd)
+		s.agenda.withdraw(sd)
 		for len(sd.subs) > 0 {
 			sd.unsubscribe(len(sd.subs) - 1)
 		}
@@ -237,7 +237,7 @@ func (s *Session) joinSeed(rt *ruleRT, rec *factRecord) {
 		if sd.epoch == s.agenda.epoch {
 			return
 		}
-		s.agenda.withdraw(s, sd)
+		s.agenda.withdraw(sd)
 		for i := range sd.subs {
 			sd.subs[i].seen = false
 		}
@@ -279,7 +279,7 @@ func (s *Session) join(rt *ruleRT, sd *seed, depth int) {
 	if depth == len(rt.rule.When) {
 		key, maxRec := t.refKey(rt.index, rt.rule.NoLoop)
 		if _, fired := s.fired[key]; !fired {
-			sd.acts = append(sd.acts, s.agenda.push(s, rt, sd, t, key, maxRec))
+			sd.acts = append(sd.acts, s.agenda.push(rt, sd, t, key, maxRec))
 		}
 		return
 	}
@@ -291,19 +291,14 @@ func (s *Session) join(rt *ruleRT, sd *seed, depth int) {
 	} else if l := s.byType[p.typ]; l != nil {
 		cands = l.items
 	}
-	if p.negated || p.existential {
-		found := false
+	if p.negated {
+		// Negation binds nothing and succeeds when nothing matched.
 		for _, rec := range cands {
 			if rec != nil && (p.where == nil || p.where(t, rec.value)) {
-				found = true
-				break
+				return
 			}
 		}
-		// Negation succeeds when nothing matched; existence succeeds when
-		// something did. Neither binds.
-		if found != p.negated {
-			s.join(rt, sd, depth+1)
-		}
+		s.join(rt, sd, depth+1)
 		return
 	}
 	n := t.n

@@ -29,7 +29,7 @@ func (s *Session) bestActivationNaive() *activation {
 			continue
 		}
 		s.matchNaive(r, i, func(a *activation) {
-			if best == nil || s.better(a, best) {
+			if best == nil || better(a, best) {
 				best = a
 			}
 		})
@@ -43,7 +43,7 @@ func (s *Session) matchNaive(r *Rule, ruleIndex int, emit func(*activation)) {
 	names := new([maxPatterns]string)
 	n := 0
 	for _, p := range r.When {
-		if !p.negated && !p.existential {
+		if !p.negated {
 			names[n] = p.Name
 			n++
 		}
@@ -63,17 +63,13 @@ func (s *Session) matchNaive(r *Rule, ruleIndex int, emit func(*activation)) {
 		if l := s.byType[p.typ]; l != nil {
 			cands = l.items
 		}
-		if p.negated || p.existential {
-			found := false
+		if p.negated {
 			for _, rec := range cands {
 				if rec != nil && (p.where == nil || p.where(t, rec.value)) {
-					found = true
-					break
+					return
 				}
 			}
-			if found != p.negated {
-				join(depth+1, t)
-			}
+			join(depth+1, t)
 			return
 		}
 		for _, rec := range cands {

@@ -6,7 +6,7 @@
 //   - rules declared as data: a sequence of patterns (a join over fact
 //     types with guard predicates) plus a right-hand-side action,
 //   - an agenda with Drools-like conflict resolution (salience, then fact
-//     recency, then rule declaration order),
+//     recency, oldest first, then rule declaration order),
 //   - refraction (an activation fires at most once per fact-tuple state)
 //     and a NoLoop option (at most once per fact tuple, ever),
 //   - a fire budget that guarantees termination of FireAll.
@@ -50,9 +50,6 @@ type Pattern struct {
 	// negated inverts the pattern: it succeeds only when no fact of typ
 	// satisfies the guard (Drools "not").
 	negated bool
-	// existential makes the pattern succeed once if any fact of typ
-	// satisfies the guard, binding nothing (Drools "exists").
-	existential bool
 	// index, when non-empty, names an alpha-memory index (registered with
 	// AddIndexOf on this pattern's fact type) that the incremental matcher
 	// probes instead of scanning every fact of the type. bind resolves the
@@ -168,9 +165,9 @@ func (r *Rule) validate() error {
 		if p.index != "" && p.bind == nil {
 			return fmt.Errorf("rules: rule %q pattern %d names index %q without a lookup", r.Name, i, p.index)
 		}
-		if p.negated || p.existential {
+		if p.negated {
 			if p.Name != "" {
-				return fmt.Errorf("rules: rule %q quantified pattern %d must not bind a name", r.Name, i)
+				return fmt.Errorf("rules: rule %q negated pattern %d must not bind a name", r.Name, i)
 			}
 			continue
 		}

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -229,28 +230,6 @@ func TestBudgetExhaustedOnLoop(t *testing.T) {
 	}
 }
 
-func TestHaltStopsFiring(t *testing.T) {
-	s := NewSession()
-	fired := 0
-	s.MustAddRules(&Rule{
-		Name: "halt-after-first",
-		When: []Pattern{Match[*item]("it", nil)},
-		Then: func(ctx *Context) {
-			fired++
-			ctx.Halt()
-		},
-	})
-	s.Insert(&item{name: "a"})
-	s.Insert(&item{name: "b"})
-	n, err := s.FireAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || fired != 1 {
-		t.Fatalf("n=%d fired=%d, want 1,1", n, fired)
-	}
-}
-
 func TestInsertIdempotentByIdentity(t *testing.T) {
 	s := NewSession()
 	it := &item{name: "a"}
@@ -398,8 +377,9 @@ func TestJoinExcludesSameFactTwice(t *testing.T) {
 }
 
 func TestRecencyConflictResolution(t *testing.T) {
-	// With equal salience, the rule matching the most recently inserted
-	// fact fires first.
+	// With equal salience, the activation over the least recently touched
+	// fact fires first (FIFO): insertion order, except that an update
+	// moves a fact to the back.
 	s := NewSession()
 	var order []string
 	s.MustAddRules(&Rule{
@@ -407,13 +387,16 @@ func TestRecencyConflictResolution(t *testing.T) {
 		When: []Pattern{Match[*item]("it", nil)},
 		Then: func(ctx *Context) { order = append(order, ctx.Get("it").(*item).name) },
 	})
-	s.Insert(&item{name: "first"})
+	first := &item{name: "first"}
+	s.Insert(first)
 	s.Insert(&item{name: "second"})
+	s.Insert(&item{name: "third"})
+	s.Update(first)
 	if _, err := s.FireAll(0); err != nil {
 		t.Fatal(err)
 	}
-	if order[0] != "second" || order[1] != "first" {
-		t.Fatalf("order = %v, want [second first]", order)
+	if want := []string{"second", "third", "first"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want FIFO %v", order, want)
 	}
 }
 

@@ -75,15 +75,11 @@ type Session struct {
 	ctx     Context
 	probes  int64 // see Probes
 	firings int64
-	halted  bool
 	// observer, when set, is invoked once per rule firing with the rule
 	// name and its salience, in firing (i.e. conflict-resolution) order.
 	// It runs with the session lock held, so it must not call back into
 	// the session.
 	observer func(rule string, salience int)
-	// oldestFirst flips recency-based conflict resolution from Drools'
-	// default LIFO (most recent fact first) to FIFO.
-	oldestFirst bool
 	// reference selects the naive full-rejoin matcher (see reference.go),
 	// kept as the differential-testing oracle.
 	reference bool
@@ -156,18 +152,6 @@ func (s *Session) keyLive(k refKey) bool {
 		maxRec = max(maxRec, rec.recency)
 	}
 	return k.maxRec == 0 || k.maxRec == maxRec
-}
-
-// SetOldestFirst selects FIFO conflict resolution: at equal salience,
-// activations over the least recently touched facts fire first. The default
-// (false) matches Drools: most recent first.
-func (s *Session) SetOldestFirst(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.oldestFirst != v {
-		s.oldestFirst = v
-		s.agenda.reorder(s)
-	}
 }
 
 // SetFiringObserver installs a callback invoked once per rule firing
@@ -291,18 +275,12 @@ func (s *Session) Retract(v any) {
 }
 
 func (s *Session) retract(v any) {
-	if rec, ok := s.identity[v]; ok {
-		s.retractHandle(rec.handle)
-	}
-}
-
-func (s *Session) retractHandle(h FactHandle) {
-	rec, ok := s.facts[h]
+	rec, ok := s.identity[v]
 	if !ok {
 		return
 	}
 	rec.live = false
-	delete(s.facts, h)
+	delete(s.facts, rec.handle)
 	delete(s.identity, rec.value)
 	t := reflect.TypeOf(rec.value)
 	s.byType[t].remove(rec)
@@ -375,16 +353,15 @@ func CountOf[T any](s *Session, pred func(T) bool) int {
 	return n
 }
 
-// FireAll runs the match–resolve–act cycle until the agenda is empty, Halt
-// is called, or budget firings have occurred (budget <= 0 selects
-// DefaultBudget). It returns the number of rule firings.
+// FireAll runs the match–resolve–act cycle until the agenda is empty or
+// budget firings have occurred (budget <= 0 selects DefaultBudget). It
+// returns the number of rule firings.
 func (s *Session) FireAll(budget int) (int, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.halted = false
 	firings := 0
 	for firings < budget {
 		act := s.pick()
@@ -393,7 +370,7 @@ func (s *Session) FireAll(budget int) (int, error) {
 		}
 		s.markFired(act.key)
 		if !s.reference {
-			s.agenda.take(s, act)
+			s.agenda.take(act)
 		}
 		if s.observer != nil {
 			s.observer(act.rule.Name, act.rule.Salience)
@@ -405,9 +382,6 @@ func (s *Session) FireAll(budget int) (int, error) {
 		}
 		firings++
 		s.firings++
-		if s.halted {
-			return firings, nil
-		}
 	}
 	if s.pick() == nil {
 		return firings, nil
@@ -434,7 +408,6 @@ func (s *Session) Reset() {
 	s.identity = make(map[any]*factRecord)
 	s.fired = make(map[refKey]struct{})
 	s.sweepAt = minSweep
-	s.halted = false
 	for _, ix := range s.indexes {
 		ix.reset()
 	}

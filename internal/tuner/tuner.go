@@ -10,16 +10,17 @@
 // threshold from observed transfer performance:
 //
 //   - UCB1: a multi-armed bandit over a discrete set of candidate
-//     thresholds; each episode (e.g. one workflow run, or one observation
-//     window) pulls an arm and records the achieved goodput as reward.
+//     thresholds; each episode (e.g. one workflow run) pulls an arm and
+//     records the achieved goodput as reward.
 //     UCB1's optimism drives exploration without a tuning schedule.
 //   - HillClimber: a local-search tuner that nudges the threshold up or
 //     down by a step and keeps the direction while the reward improves —
 //     cheaper, but can stall on plateaus.
 //
-// A ThroughputWindow aggregates per-transfer completion timings (which
-// the transfer tool reports to the policy service) into windowed goodput
-// observations, giving the learners their reward signal online.
+// The learners run offline, episode by episode: the experiment harness
+// runs a workflow at the threshold Next returns and Records its goodput.
+// The policy service has no online timing feed; a live tuner would need
+// one added next to CompletionReport.Timings.
 package tuner
 
 import (

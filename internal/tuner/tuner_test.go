@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"policyflow/internal/policy"
 )
 
 // rewardFor models the simulated testbed's response: goodput peaks for
@@ -137,46 +135,6 @@ func TestHillClimberValidation(t *testing.T) {
 			t.Errorf("accepted %v", c)
 		}
 	}
-}
-
-func TestThroughputWindowEmitsPerPair(t *testing.T) {
-	var got []float64
-	var pairs []policy.HostPair
-	w := NewThroughputWindow(2, func(p policy.HostPair, g float64) {
-		pairs = append(pairs, p)
-		got = append(got, g)
-	})
-	a := policy.HostPair{Src: "a", Dst: "b"}
-	c := policy.HostPair{Src: "c", Dst: "d"}
-	w.Observe(Timing{Pair: a, Bytes: 10 << 20, Seconds: 5, Streams: 4})
-	if len(got) != 0 {
-		t.Fatal("emitted before window full")
-	}
-	if g, n := w.Current(a); n != 1 || math.Abs(g-2) > 1e-9 {
-		t.Fatalf("Current = %v, %d", g, n)
-	}
-	w.Observe(Timing{Pair: c, Bytes: 1 << 20, Seconds: 1, Streams: 1})
-	w.Observe(Timing{Pair: a, Bytes: 10 << 20, Seconds: 5, Streams: 4})
-	if len(got) != 1 || pairs[0] != a {
-		t.Fatalf("emissions = %v for %v", got, pairs)
-	}
-	// 20 MB over 10 summed seconds = 2 MB/s.
-	if math.Abs(got[0]-2) > 1e-9 {
-		t.Fatalf("goodput = %v", got[0])
-	}
-	// Window reset after emission.
-	if _, n := w.Current(a); n != 0 {
-		t.Fatalf("window not reset: n=%d", n)
-	}
-}
-
-func TestThroughputWindowIgnoresBadTimings(t *testing.T) {
-	w := NewThroughputWindow(1, func(policy.HostPair, float64) {
-		t.Fatal("emitted for invalid timing")
-	})
-	w.Observe(Timing{Pair: policy.HostPair{Src: "a"}, Bytes: 0, Seconds: 1})
-	w.Observe(Timing{Pair: policy.HostPair{Src: "a"}, Bytes: 5, Seconds: 0})
-	w.Observe(Timing{Pair: policy.HostPair{Src: "a"}, Bytes: 5, Seconds: -1})
 }
 
 // Property: UCB1's Best always returns a configured arm, and total pulls

@@ -147,7 +147,7 @@ func (w *Workflow) Files() []*File {
 func (w *Workflow) JobGraph() (*dag.Graph, error) {
 	g := dag.New()
 	for _, j := range w.jobs {
-		if err := g.AddNode(j.ID, j); err != nil {
+		if err := g.AddNode(j.ID); err != nil {
 			return nil, err
 		}
 	}

@@ -149,7 +149,7 @@ func (w *Workflow) Plan(cfg PlanConfig) (*Plan, error) {
 	add := func(t *Task) *Task {
 		p.Tasks = append(p.Tasks, t)
 		p.byID[t.ID] = t
-		p.Graph.MustAddNode(t.ID, t)
+		p.Graph.MustAddNode(t.ID)
 		return t
 	}
 
@@ -298,7 +298,7 @@ func clusterStageIns(p *Plan, stageIns []*stageIn, factor int) {
 	for _, t := range kept {
 		p.Tasks = append(p.Tasks, t)
 		p.byID[t.ID] = t
-		p.Graph.MustAddNode(t.ID, t)
+		p.Graph.MustAddNode(t.ID)
 	}
 	for _, parent := range oldGraph.Nodes() {
 		if removed[parent] {
@@ -330,7 +330,7 @@ func clusterStageIns(p *Plan, stageIns []*stageIn, factor int) {
 			}
 			p.Tasks = append(p.Tasks, ct)
 			p.byID[id] = ct
-			p.Graph.MustAddNode(id, ct)
+			p.Graph.MustAddNode(id)
 			for _, m := range members {
 				// The clustered task feeds every compute job the
 				// originals fed.
@@ -398,7 +398,7 @@ func addCleanupTasks(w *Workflow, p *Plan, cfg PlanConfig) {
 		}
 		p.Tasks = append(p.Tasks, t)
 		p.byID[t.ID] = t
-		p.Graph.MustAddNode(t.ID, t)
+		p.Graph.MustAddNode(t.ID)
 		for _, d := range deps {
 			p.Graph.MustAddEdge(d, t.ID)
 		}
