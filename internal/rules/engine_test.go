@@ -46,6 +46,33 @@ func TestThreeWayJoin(t *testing.T) {
 	}
 }
 
+// TestOldestFirstConflictResolution checks that, with equal salience and no
+// updates, activations fire in fact insertion order.
+func TestOldestFirstConflictResolution(t *testing.T) {
+	s := NewSession()
+	var order []string
+	s.MustAddRules(&Rule{
+		Name: "watch",
+		When: []Pattern{Match[*item]("it", nil)},
+		Then: func(ctx *Context) { order = append(order, ctx.Get("it").(*item).name) },
+	})
+	s.Insert(&item{name: "first"})
+	s.Insert(&item{name: "second"})
+	s.Insert(&item{name: "third"})
+	if _, err := s.FireAll(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"first", "second", "third"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want FIFO %v", order, want)
+	}
+	for i, w := range want {
+		if order[i] != w {
+			t.Fatalf("order = %v, want FIFO %v", order, want)
+		}
+	}
+}
+
 func TestFireAllBudgetExact(t *testing.T) {
 	s := NewSession()
 	s.MustAddRules(&Rule{
