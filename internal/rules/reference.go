@@ -1,5 +1,3 @@
-//go:build !rules_noref
-
 package rules
 
 // The naive full-rejoin matcher, kept as the oracle for the differential
@@ -8,8 +6,7 @@ package rules
 // nothing with the incremental matcher but the tuple and activation records
 // it hands to FireAll and the conflict-resolution order: its join extends a
 // fresh copy of the tuple per candidate instead of binding and unbinding in
-// place. Build with -tags rules_noref
-// to exclude it from a production binary (see reference_stub.go).
+// place.
 
 // NewReferenceSession returns a session driven by the naive full-rejoin
 // matcher instead of the incremental one. Semantics are identical; cost per
