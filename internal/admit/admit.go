@@ -155,8 +155,6 @@ type Controller struct {
 	// buffer. Both are dispatcher-owned.
 	committing, spare []*mutTask
 
-	depthMut  *obs.Gauge
-	depthRead *obs.Gauge
 	shed      *obs.CounterVec
 	batchSize *obs.Histogram
 }
@@ -180,13 +178,15 @@ func New(cfg Config, run BatchRunner) *Controller {
 	return c
 }
 
-// Instrument registers the admission metrics on reg. Call before serving
-// traffic; a controller without Instrument records nothing.
+// Instrument registers the admission metrics on reg: the depth gauge reads
+// Depth at scrape time; sheds and batch sizes are recorded from then on.
+// Call before serving traffic.
 func (c *Controller) Instrument(reg *obs.Registry) {
-	depth := reg.Gauge("policy_admit_depth",
-		"Requests queued or executing per admission class.", "class")
-	c.depthMut = depth.With(ClassMutate)
-	c.depthRead = depth.With(ClassRead)
+	reg.GaugeFunc("policy_admit_depth",
+		"Requests queued or executing per admission class.", func(emit obs.Emit) {
+			emit(float64(c.Depth(ClassMutate)), ClassMutate)
+			emit(float64(c.Depth(ClassRead)), ClassRead)
+		}, "class")
 	c.shed = reg.Counter("policy_admit_shed_total",
 		"Requests shed by admission control.", "class", "reason")
 	c.batchSize = reg.Histogram("policy_admit_batch_size",
@@ -245,9 +245,6 @@ func (c *Controller) enterRead() error {
 		return ErrQueueFull
 	}
 	c.pendingRead++
-	if c.depthRead != nil {
-		c.depthRead.Set(float64(c.pendingRead))
-	}
 	return nil
 }
 
@@ -273,9 +270,6 @@ func (c *Controller) enqueue(t *mutTask) (shedReason string, err error) {
 		return "queue_full", ErrQueueFull
 	}
 	c.pendingMut++
-	if c.depthMut != nil {
-		c.depthMut.Set(float64(c.pendingMut))
-	}
 	return "", nil
 }
 
@@ -283,14 +277,8 @@ func (c *Controller) leave(class string) {
 	c.mu.Lock()
 	if class == ClassRead {
 		c.pendingRead--
-		if c.depthRead != nil {
-			c.depthRead.Set(float64(c.pendingRead))
-		}
 	} else {
 		c.pendingMut--
-		if c.depthMut != nil {
-			c.depthMut.Set(float64(c.pendingMut))
-		}
 	}
 	if c.closed && c.pendingMut+c.pendingRead == 0 && !c.drainSignaled {
 		c.drainSignaled = true

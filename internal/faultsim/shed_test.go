@@ -137,7 +137,13 @@ func TestDiskFaultIsEffectFree(t *testing.T) {
 	pre := h.replicas[1].svc.ExportState()
 	snapBefore := installed()
 	run(Op{Kind: OpDiskFault, Replica: 1, Count: 1}, Op{Kind: OpStandbySync})
-	if failures := reg.Counter("policy_standby_errors_total", "Failed standby sync attempts.").With().Value(); failures != 1 {
+	var failures float64
+	for _, f := range reg.Snapshot() {
+		if f.Name == "policy_standby_errors_total" {
+			failures = f.Samples[0].Value
+		}
+	}
+	if failures != 1 {
 		t.Fatalf("%v failed syncs with a disk fault armed on the standby, want 1", failures)
 	}
 	if got := len(h.replicas[1].svc.ExportState().Transfers); got != len(pre.Transfers) {

@@ -244,7 +244,7 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 	case b == nil:
 		var perr error
 		if b, perr = bundle.Parse(op.Doc); perr != nil {
-			s.countActivation("invalid")
+			s.bundleActsByResult["invalid"]++
 			err = fmt.Errorf("%w: %v", ErrInvalidRequest, perr)
 			return
 		}
@@ -254,21 +254,21 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 	if s.tun.Checksum == i.Checksum {
 		// Already active: exactly-once semantics. Nothing is appended, so
 		// replay never sees (and replicas never diverge on) a duplicate.
-		s.countActivation("noop")
+		s.bundleActsByResult["noop"]++
 		return &i, 0, nil, nil
 	}
 	if cur, ok := s.installed[b.Version]; ok && cur.Checksum() != i.Checksum {
-		s.countActivation("conflict")
+		s.bundleActsByResult["conflict"]++
 		err = fmt.Errorf("%w: bundle version %q already activated with a different checksum",
 			ErrInvalidRequest, b.Version)
 		return
 	}
 	if seq, err = s.appendLog(ctx, OpActivateBundle, BundleOp{Bundle: b}); err != nil {
-		s.countActivation("error")
+		s.bundleActsByResult["error"]++
 		return
 	}
 	s.applyBundleLocked(b)
-	s.countActivation("activated")
+	s.bundleActsByResult["activated"]++
 	return &i, seq, &DecisionRecord{}, nil
 }
 
@@ -287,7 +287,6 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 //     balanced allocation (keeping cluster sums equal to the pair ledger)
 //     and dropped otherwise.
 func (s *Service) applyBundleLocked(b *bundle.Bundle) {
-	old := s.tun
 	s.prevBundle = s.activeBundle
 	s.activeBundle = b
 	s.installed[b.Version] = b
@@ -343,17 +342,12 @@ func (s *Service) applyBundleLocked(b *bundle.Bundle) {
 	// transfer-min-one-stream reads MinStreams), so the incremental matcher
 	// must re-join every rule against the new snapshot.
 	s.session.Invalidate()
-	if s.metrics != nil {
-		s.metrics.bundleInfo.With(old.Version).Set(0)
-		s.metrics.bundleInfo.With(s.tun.Version).Set(1)
-	}
 }
 
 // adoptBundleLocked installs bundle state carried by an imported dump
 // without touching facts (the dump's fact lists already reflect it).
 // Callers hold s.mu.
 func (s *Service) adoptBundleLocked(active, prev *bundle.Bundle) {
-	oldVersion := s.tun.Version
 	// A dump usually carries the bundle already active here; its tunables
 	// stand, and the bundle is not encoded again for its checksum.
 	if !reflect.DeepEqual(active, s.activeBundle) {
@@ -367,17 +361,4 @@ func (s *Service) adoptBundleLocked(active, prev *bundle.Bundle) {
 	// Same contract as applyBundleLocked: guards reading the snapshot must
 	// be re-evaluated even though no facts changed.
 	s.session.Invalidate()
-	if s.metrics != nil && oldVersion != s.tun.Version {
-		s.metrics.bundleInfo.With(oldVersion).Set(0)
-		s.metrics.bundleInfo.With(s.tun.Version).Set(1)
-	}
-}
-
-// countActivation records one activation attempt by result. Callers hold
-// s.mu; the map backs metric backfill for a late Instrument call.
-func (s *Service) countActivation(result string) {
-	s.bundleActsByResult[result]++
-	if s.metrics != nil {
-		s.metrics.bundleActs.With(result).Inc()
-	}
 }

@@ -42,8 +42,5 @@ func (s *Service) bumpEpochLocked(ctx context.Context, op EpochOp) (epoch uint64
 		return
 	}
 	s.epoch = op.Epoch
-	if s.metrics != nil {
-		s.metrics.epochGauge.Set(float64(s.epoch))
-	}
 	return s.epoch, seq, nil, nil
 }

@@ -241,9 +241,6 @@ func (s *Service) renewLeasesLocked(owners []string) {
 			s.session.Insert(&Lease{Owner: owner, Deadline: deadline})
 		}
 		s.leaseRenewals++
-		if s.metrics != nil {
-			s.metrics.leaseRenewals.Inc()
-		}
 	}
 }
 
@@ -342,9 +339,6 @@ func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *Cloc
 	for _, l := range expired {
 		adv.Expired = append(adv.Expired, l.Owner)
 		s.leasesExpired++
-		if s.metrics != nil {
-			s.metrics.leasesExpired.Inc()
-		}
 		owner := l.Owner
 		for _, t := range rules.FactsOf[*Transfer](s.session) {
 			if t.State != TransferInProgress || t.WorkflowID != owner {
@@ -353,9 +347,6 @@ func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *Cloc
 			adv.ReclaimedTransfers++
 			adv.ReclaimedStreams += t.AllocatedStreams
 			s.reclaimedTransfers++
-			if s.metrics != nil {
-				s.metrics.reclaimed.Inc()
-			}
 			s.emit(obs.Event{
 				Type:       obs.EventReclaimed,
 				TransferID: t.ID,

@@ -332,14 +332,14 @@ func (s *Service) applyLocked(batch []*BatchMutation, rep *replicaRun, start tim
 			s.curTrace = sc.TraceID
 		}
 		s.pendingFirings = s.pendingFirings[:0]
-		factsBefore, firingsBefore := s.session.FactCount(), s.session.Firings()
+		factsBefore := s.session.FactCount()
 		m.Result, m.seq, m.rec, m.Err = op.apply(s, ctx, m.Request)
 		if m.rec != nil {
 			m.rec.Op, m.rec.TraceID, m.rec.WALSeq, m.rec.Bundle = op.name, s.curTrace, m.seq, s.tun.Version
 			m.rec.FactsBefore, m.rec.FactsAfter = factsBefore, s.session.FactCount()
 			m.rec.RulesFired = s.takeFirings()
 		}
-		s.observeOp(op.name, start, firingsBefore, m.Err)
+		s.observeOp(op.name, start, m.Err)
 		s.curTrace = ""
 		if m.seq > a.maxSeq {
 			a.maxSeq = m.seq

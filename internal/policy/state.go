@@ -262,11 +262,13 @@ func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, s
 	s.nextCleanup = d.NextCleanup
 	s.advised = d.Advised
 	s.suppressed = d.Suppressed
+	// The dump carries no per-reason split and no cleanup counts: start
+	// them afresh rather than keep this service's own earlier history.
+	clear(s.suppressedByReason)
+	s.cleanupsAdvised = 0
+	clear(s.cleanupsSuppByReason)
 	s.clock = d.Clock
 	s.epoch = d.Epoch
-	if s.metrics != nil {
-		s.metrics.epochGauge.Set(float64(s.epoch))
-	}
 
 	// Adopt the dump's bundle state (falling back to this service's own
 	// compiled-in bundle for dumps that predate bundles), then derive the

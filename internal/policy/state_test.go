@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"testing"
+
+	"policyflow/internal/obs"
 )
 
 // buildBusyService creates a service with in-flight transfers, staged
@@ -163,5 +165,56 @@ func TestImportReplacesExistingMemory(t *testing.T) {
 	}
 	if snap := s.Snapshot(); snap.InFlight != 0 || snap.TrackedFiles != 0 {
 		t.Fatalf("old memory survived import: %+v", snap)
+	}
+}
+
+// TestImportStateResetsPerReasonCounts: a dump carries the advised and
+// suppressed totals but not their per-reason split or the cleanup counts,
+// so an import starts those afresh instead of leaving the importer's own
+// earlier history in them, and the metrics report the imported state.
+func TestImportStateResetsPerReasonCounts(t *testing.T) {
+	donor := newGreedy(t, 50, 4)
+	if _, err := donor.AdviseTransfers([]TransferSpec{spec(1, "wf1"), spec(2, "wf1")}); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newGreedy(t, 50, 4)
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil)
+	dup := spec(1, "wf1")
+	dup.RequestID = "req-1-dup"
+	if _, err := s.AdviseTransfers([]TransferSpec{spec(1, "wf1"), dup}); err != nil {
+		t.Fatal(err)
+	}
+	fileURL := spec(1, "").DestURL
+	for _, id := range []string{"c1", "c2"} {
+		if _, err := s.AdviseCleanups([]CleanupSpec{{RequestID: id, WorkflowID: "wf1", FileURL: fileURL}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.ImportState(donor.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+
+	got := map[string][]obs.Sample{}
+	for _, f := range reg.Snapshot() {
+		got[f.Name] = f.Samples
+	}
+	for name, want := range map[string]float64{
+		"policy_transfers_advised_total":    2,
+		"policy_transfers_suppressed_total": 0,
+		"policy_cleanups_advised_total":     0,
+	} {
+		if smp := got[name]; len(smp) != 1 || smp[0].Value != want {
+			t.Errorf("%s = %+v after import, want %v", name, smp, want)
+		}
+	}
+	for _, name := range []string{"policy_suppressions_total", "policy_cleanup_suppressions_total"} {
+		for _, smp := range got[name] {
+			if smp.Value != 0 {
+				t.Errorf("%s keeps the importer's history after import: %+v", name, got[name])
+				break
+			}
+		}
 	}
 }

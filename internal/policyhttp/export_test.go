@@ -12,7 +12,7 @@ func (rc *ReplicatedClient) Leader() int {
 
 // Stats returns (successful syncs, failed attempts).
 func (s *StandbySyncer) Stats() (syncs, failures int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.countMu.Lock()
+	defer s.countMu.Unlock()
 	return s.syncs, s.errors
 }

@@ -48,20 +48,21 @@ type StandbySyncer struct {
 
 	// mu serializes syncs: Run's ticks, direct SyncOnce calls and the
 	// owning server's promotion.
-	mu     sync.Mutex
-	syncs  int
-	errors int
-	// lastOK is the wall time of the last successful sync — of the syncer's
-	// construction until there has been one — for the lag gauge.
-	lastOK time.Time
+	mu sync.Mutex
 	// dumpOnly remembers a donor without a durable store (its archive
 	// endpoint answered 501), so later syncs go straight to the dump
 	// instead of paying a refused round trip each time, until Reset.
 	dumpOnly bool
 
-	syncsC *obs.Counter // policy_standby_syncs_total
-	errsC  *obs.Counter // policy_standby_errors_total
-	lagG   *obs.Gauge   // policy_standby_lag_seconds
+	// countMu guards the sync accounting the metrics read, apart from mu
+	// so a scrape never waits for a sync in flight.
+	countMu sync.Mutex
+	syncs   int
+	errors  int
+	// lastOK and lastTry are the wall times of the last successful sync
+	// and of the last attempt — both of the syncer's construction until
+	// there is one — so the lag as of the last attempt is their distance.
+	lastOK, lastTry time.Time
 }
 
 // errPull marks a sync that failed before anything was applied locally:
@@ -76,28 +77,31 @@ func NewStandbySyncer(local *policy.Service, primary *Client, interval time.Dura
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
+	now := time.Now()
 	return &StandbySyncer{local: local, primary: primary, donor: primary.base,
-		Interval: interval, lastOK: time.Now()}, nil
+		Interval: interval, lastOK: now, lastTry: now}, nil
 }
 
-// Instrument registers the syncer's metrics on reg: sync and error
-// counters plus a lag gauge (seconds since the last successful sync — since
-// construction for a standby that has never synced — refreshed on every
-// attempt; 0 after a success).
+// Instrument registers the syncer's metrics on reg, read from its
+// accounting at scrape time: sync and error counters plus a lag gauge
+// (seconds since the last successful sync — since construction for a
+// standby that has never synced — as of the last attempt; 0 after a
+// success).
 func (s *StandbySyncer) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
+	read := func(f func() float64) func(obs.Emit) {
+		return func(emit obs.Emit) {
+			s.countMu.Lock()
+			defer s.countMu.Unlock()
+			emit(f())
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.syncsC = reg.Counter("policy_standby_syncs_total",
-		"Successful standby syncs from the primary.").With()
-	s.errsC = reg.Counter("policy_standby_errors_total",
-		"Failed standby sync attempts.").With()
-	s.lagG = reg.Gauge("policy_standby_lag_seconds",
-		"Seconds since the last successful standby sync (since start-up before the first), as of the last attempt.").With()
-	s.syncsC.Add(float64(s.syncs))
-	s.errsC.Add(float64(s.errors))
+	reg.CounterFunc("policy_standby_syncs_total", "Successful standby syncs from the primary.",
+		read(func() float64 { return float64(s.syncs) }))
+	reg.CounterFunc("policy_standby_errors_total", "Failed standby sync attempts.",
+		read(func() float64 { return float64(s.errors) }))
+	reg.GaugeFunc("policy_standby_lag_seconds",
+		"Seconds since the last successful standby sync (since start-up before the first), as of the last attempt.",
+		read(func() float64 { return s.lastTry.Sub(s.lastOK).Seconds() }))
 }
 
 // Reset drops the local replica cursor, so the next sync performs a full
@@ -122,24 +126,15 @@ func (s *StandbySyncer) SyncOnce() error {
 // syncLocked is SyncOnce with s.mu held, plus the bookkeeping.
 func (s *StandbySyncer) syncLocked() error {
 	err := s.pull()
+	s.countMu.Lock()
+	defer s.countMu.Unlock()
+	s.lastTry = time.Now()
 	if err != nil {
 		s.errors++
-		if s.errsC != nil {
-			s.errsC.Inc()
-		}
-		if s.lagG != nil {
-			s.lagG.Set(time.Since(s.lastOK).Seconds())
-		}
 		return err
 	}
 	s.syncs++
-	s.lastOK = time.Now()
-	if s.syncsC != nil {
-		s.syncsC.Inc()
-	}
-	if s.lagG != nil {
-		s.lagG.Set(0)
-	}
+	s.lastOK = s.lastTry
 	return nil
 }
 

@@ -129,11 +129,11 @@ func TestStandbyLagBeforeFirstSuccess(t *testing.T) {
 	if err := s.SyncOnce(); err == nil {
 		t.Fatal("sync from an unreachable primary succeeded")
 	}
-	if lag := s.lagG.Value(); lag < 0.005 {
+	if lag := sampleOf(t, reg, "policy_standby_lag_seconds"); lag < 0.005 {
 		t.Fatalf("lag = %v after a failed first sync, want at least the 5ms since construction", lag)
 	}
-	if s.errsC.Value() != 1 || s.syncsC.Value() != 0 {
-		t.Fatalf("errors %v, syncs %v, want 1, 0", s.errsC.Value(), s.syncsC.Value())
+	if errs, syncs := sampleOf(t, reg, "policy_standby_errors_total"), sampleOf(t, reg, "policy_standby_syncs_total"); errs != 1 || syncs != 0 {
+		t.Fatalf("errors %v, syncs %v, want 1, 0", errs, syncs)
 	}
 	if snap := local.Snapshot(); snap.TrackedFiles != 0 {
 		t.Fatalf("failed sync touched the standby: %+v", snap)
@@ -146,7 +146,7 @@ func TestStandbyLagBeforeFirstSuccess(t *testing.T) {
 	if err := s.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := s.lagG.Value(); lag != 0 {
+	if lag := sampleOf(t, reg, "policy_standby_lag_seconds"); lag != 0 {
 		t.Fatalf("lag = %v after a successful sync, want 0", lag)
 	}
 	servers[0].Close()
@@ -154,7 +154,19 @@ func TestStandbyLagBeforeFirstSuccess(t *testing.T) {
 	if err := s.SyncOnce(); err == nil {
 		t.Fatal("sync from a dead primary succeeded")
 	}
-	if lag := s.lagG.Value(); lag <= 0 || lag > 1 {
+	if lag := sampleOf(t, reg, "policy_standby_lag_seconds"); lag <= 0 || lag > 1 {
 		t.Fatalf("lag = %v after losing the primary, want the few ms since the last success", lag)
 	}
+}
+
+// sampleOf returns the value of the unlabeled family name in reg.
+func sampleOf(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	for _, f := range reg.Snapshot() {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatalf("no single sample of %s", name)
+	return 0
 }
