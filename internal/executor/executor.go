@@ -13,7 +13,6 @@ import (
 	"io"
 	"sort"
 
-	"policyflow/internal/obs"
 	"policyflow/internal/simnet"
 	"policyflow/internal/transfer"
 	"policyflow/internal/workflow"
@@ -31,10 +30,6 @@ type Config struct {
 	Retries int
 	// RetryDelaySeconds is the pause before re-running a failed task.
 	RetryDelaySeconds float64
-	// Obs, when set, receives per-task-type execution metrics: queue-wait
-	// and run-time histograms (simulated seconds), a waiting-tasks gauge,
-	// and completion/retry counters.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns the paper's experimental configuration.
@@ -147,41 +142,6 @@ type Handle struct {
 	byType  map[workflow.TaskType]int
 	retries int
 	failed  []string
-
-	metrics *execMetrics // nil without Config.Obs
-}
-
-// execMetrics holds the executor's registry series, labeled by task type.
-type execMetrics struct {
-	queueWait *obs.HistogramVec // executor_queue_wait_seconds{type}
-	runTime   *obs.HistogramVec // executor_task_run_seconds{type}
-	waiting   *obs.GaugeVec     // executor_tasks_waiting{type}
-	completed *obs.CounterVec   // executor_tasks_completed_total{type,outcome}
-	retried   *obs.Counter      // executor_task_retries_total
-}
-
-// simBuckets spans the simulated-seconds range of a Montage run: sub-second
-// queue pops up to multi-hour waits under deep overload.
-var simBuckets = []float64{0.1, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600, 1800, 3600, 7200}
-
-func newExecMetrics(reg *obs.Registry) *execMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &execMetrics{
-		queueWait: reg.Histogram("executor_queue_wait_seconds",
-			"Simulated seconds tasks spent released but waiting for a core or staging slot.",
-			simBuckets, "type"),
-		runTime: reg.Histogram("executor_task_run_seconds",
-			"Simulated seconds tasks spent executing after acquiring their resource.",
-			simBuckets, "type"),
-		waiting: reg.Gauge("executor_tasks_waiting",
-			"Tasks currently waiting for a core or staging slot.", "type"),
-		completed: reg.Counter("executor_tasks_completed_total",
-			"Tasks finished, by type and outcome.", "type", "outcome"),
-		retried: reg.Counter("executor_task_retries_total",
-			"Task re-executions after a failed attempt.").With(),
-	}
 }
 
 // Start launches the plan's tasks on env using ptt for data operations.
@@ -202,7 +162,6 @@ func Start(env *simnet.Env, plan *workflow.Plan, ptt *transfer.PTT,
 		indeg:   make(map[string]int, len(plan.Tasks)),
 		records: make(map[string]*TaskRecord, len(plan.Tasks)),
 		byType:  make(map[workflow.TaskType]int),
-		metrics: newExecMetrics(cfg.Obs),
 	}
 	for _, t := range plan.Tasks {
 		h.indeg[t.ID] = len(plan.Graph.Parents(t.ID))
@@ -233,21 +192,11 @@ func (h *Handle) spawn(env *simnet.Env, ptt *transfer.PTT, cores, slots *simnet.
 				break
 			}
 			h.retries++
-			if h.metrics != nil {
-				h.metrics.retried.Inc()
-			}
 			p.Sleep(h.cfg.RetryDelaySeconds)
 		}
 		rec.End = p.Now()
 		if rec.End > h.lastEnd {
 			h.lastEnd = rec.End
-		}
-		if h.metrics != nil {
-			outcome := "ok"
-			if err != nil {
-				outcome = "failed"
-			}
-			h.metrics.completed.With(t.Type.String(), outcome).Inc()
 		}
 		if err != nil {
 			rec.Failed = true
@@ -269,37 +218,23 @@ func (h *Handle) spawn(env *simnet.Env, ptt *transfer.PTT, cores, slots *simnet.
 // execute performs a single attempt of a task.
 func (h *Handle) execute(p *simnet.Proc, ptt *transfer.PTT, cores, slots *simnet.Resource, t *workflow.Task, rec *TaskRecord) error {
 	acquire := func(do func()) {
-		waitStart := p.Now()
-		if h.metrics != nil {
-			h.metrics.waiting.With(t.Type.String()).Add(1)
-		}
 		do()
-		if h.metrics != nil {
-			h.metrics.waiting.With(t.Type.String()).Add(-1)
-			h.metrics.queueWait.With(t.Type.String()).Observe(p.Now() - waitStart)
-		}
 		rec.ExecStart = p.Now()
-	}
-	run := func(err error) error {
-		if h.metrics != nil {
-			h.metrics.runTime.With(t.Type.String()).Observe(p.Now() - rec.ExecStart)
-		}
-		return err
 	}
 	switch t.Type {
 	case workflow.TaskCompute:
 		acquire(func() { cores.Acquire(p, 1) })
 		defer cores.Release(1)
 		p.Sleep(t.Job.RuntimeSeconds)
-		return run(nil)
+		return nil
 	case workflow.TaskStageIn, workflow.TaskStageOut:
 		acquire(func() { slots.AcquirePriority(p, 1, t.Priority) })
 		defer slots.Release(1)
-		return run(ptt.ExecuteList(p, h.plan.WorkflowID, t.ClusterID, t.Transfers, t.Priority))
+		return ptt.ExecuteList(p, h.plan.WorkflowID, t.ClusterID, t.Transfers, t.Priority)
 	case workflow.TaskCleanup:
 		acquire(func() { slots.Acquire(p, 1) })
 		defer slots.Release(1)
-		return run(ptt.ExecuteCleanups(p, h.plan.WorkflowID, t.Deletions))
+		return ptt.ExecuteCleanups(p, h.plan.WorkflowID, t.Deletions)
 	default:
 		return fmt.Errorf("executor: unknown task type %v", t.Type)
 	}

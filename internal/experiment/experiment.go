@@ -60,9 +60,8 @@ type Scenario struct {
 	Slots int
 	// Seed drives all simulation randomness.
 	Seed int64
-	// Obs and Tracer, when set, collect the run's metrics and its
-	// per-transfer lifecycle events (its provenance record).
-	Obs    *obs.Registry
+	// Tracer, when set, collects the run's per-transfer lifecycle events
+	// (its provenance record).
 	Tracer obs.Tracer
 }
 
@@ -152,7 +151,7 @@ func testbed(s Scenario, wrap func(*policy.Service) transfer.Advisor, plans ...*
 		if svc, err = policy.New(pcfg); err != nil {
 			return Metrics{}, err
 		}
-		svc.Instrument(s.Obs, s.Tracer)
+		svc.Instrument(nil, s.Tracer)
 		advisor = svc
 		if wrap != nil {
 			advisor = wrap(svc)
@@ -160,7 +159,7 @@ func testbed(s Scenario, wrap func(*policy.Service) transfer.Advisor, plans ...*
 	}
 
 	ptt, err := transfer.New(transfer.Config{
-		Advisor: advisor, Fabric: fab, DefaultStreams: s.DefaultStreams, Obs: s.Obs, Tracer: s.Tracer,
+		Advisor: advisor, Fabric: fab, DefaultStreams: s.DefaultStreams, Tracer: s.Tracer,
 		SessionSetupSeconds: 2, TransferSetupSeconds: 0.5, PolicyCallSeconds: max(cmp.Or(s.PolicyCallSeconds, 0.15), 0),
 	})
 	if err != nil {
@@ -168,7 +167,6 @@ func testbed(s Scenario, wrap func(*policy.Service) transfer.Advisor, plans ...*
 	}
 
 	ecfg := executor.DefaultConfig()
-	ecfg.Obs = s.Obs
 	ecfg.StagingSlots = cmp.Or(s.Slots, ecfg.StagingSlots)
 	cores := env.NewResource("cores", ecfg.ComputeCores)
 	slots := env.NewResource("slots", ecfg.StagingSlots)

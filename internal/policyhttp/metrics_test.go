@@ -14,9 +14,6 @@ import (
 
 	"policyflow/internal/obs"
 	"policyflow/internal/policy"
-	"policyflow/internal/simnet"
-	"policyflow/internal/transfer"
-	"policyflow/internal/workflow"
 )
 
 func TestConfigEndpoint(t *testing.T) {
@@ -127,10 +124,10 @@ func validatePrometheusFormat(t *testing.T, text string) map[string]string {
 	return types
 }
 
-// TestMetricsPrometheusFormat drives HTTP traffic and a PTT sharing the
-// server's registry, then checks the /v1/metrics scrape is format-valid
-// and carries both per-endpoint request latency histograms and
-// per-host-pair transfer series.
+// TestMetricsPrometheusFormat drives HTTP traffic, then checks the
+// /v1/metrics scrape is format-valid and carries per-endpoint request
+// latency histograms, per-operation policy latency and per-host-pair
+// stream allocation.
 func TestMetricsPrometheusFormat(t *testing.T) {
 	cfg := policy.DefaultConfig()
 	cfg.DefaultThreshold = 50
@@ -157,43 +154,6 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// A Policy-based Transfer Tool sharing the registry contributes the
-	// per-host-pair transfer histograms to the same scrape.
-	env := simnet.NewEnv(1)
-	fab := transfer.NewSimFabric(env, func(policy.HostPair) simnet.PipeConfig {
-		pc := simnet.WANConfig()
-		pc.FlowJitterSigma = 0
-		pc.CapacityJitterSigma = 0
-		pc.FailureHazard = 0
-		return pc
-	})
-	ptt, err := transfer.New(transfer.Config{
-		Advisor: svc, Fabric: fab, DefaultStreams: 4, Obs: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Go("task", func(p *simnet.Proc) {
-		ops := []workflow.TransferOp{
-			{
-				FileName:  "p1",
-				SourceURL: "gsiftp://src.example.org/data/p1",
-				DestURL:   "file://dst.example.org/scratch/p1",
-				SizeBytes: 4 << 20,
-			},
-			{
-				FileName:  "p2",
-				SourceURL: "gsiftp://src.example.org/data/p2",
-				DestURL:   "file://dst.example.org/scratch/p2",
-				SizeBytes: 4 << 20,
-			},
-		}
-		if err := ptt.ExecuteList(p, "wf1", "g1", ops, 0); err != nil {
-			t.Errorf("ExecuteList: %v", err)
-		}
-	})
-	env.Run(0)
-
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +168,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		"http_request_seconds":       "histogram",
 		"policy_request_seconds":     "histogram",
 		"policy_transfers_in_flight": "gauge",
-		"transfer_size_bytes":        "histogram",
-		"transfer_duration_seconds":  "histogram",
+		"policy_streams_allocated":   "gauge",
 	} {
 		if types[fam] != kind {
 			t.Errorf("family %s: type %q, want %q", fam, types[fam], kind)
@@ -223,10 +182,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		`http_requests_total{endpoint="unmatched",code="404"} 1`,
 		`http_request_seconds_bucket{endpoint="POST /v1/transfers",le="+Inf"} 1`,
 		`http_request_seconds_count{endpoint="POST /v1/transfers"} 1`,
-		// Per-host-pair transfer series from the shared-registry PTT.
-		`transfer_size_bytes_count{src="src.example.org",dst="dst.example.org"} 2`,
-		`transfer_executed_total{src="src.example.org",dst="dst.example.org"} 2`,
-		`policy_streams_allocated{src="src.example.org",dst="dst.example.org"}`,
+		// Per-host-pair stream allocation.
+		`policy_streams_allocated{src="src.example.org",dst="dst.example.org"} 4`,
 		// Per-op policy service latency histograms.
 		`policy_request_seconds_count{op="advise_transfers"}`,
 		`policy_request_seconds_count{op="report_transfers"}`,

@@ -36,9 +36,6 @@ type Config struct {
 	// service call (the paper: the approach "incurs overheads for the
 	// service calls").
 	PolicyCallSeconds float64
-	// Obs, when set, receives per-host-pair transfer metrics (bytes and
-	// duration histograms, executed/failed counters).
-	Obs *obs.Registry
 	// Tracer, when set, receives a started event (stamped with the
 	// simulation clock) for every transfer the PTT begins executing.
 	Tracer obs.Tracer
@@ -146,8 +143,6 @@ type PTT struct {
 	openedAt       float64
 	backlog        []backlogEntry
 	reconciling    bool
-
-	metrics *pttMetrics // nil without Config.Obs
 }
 
 // backlogEntry is one completion report: sent once, and held while the
@@ -165,83 +160,12 @@ type backlogEntry struct {
 	cleanups   *policy.CleanupReport
 }
 
-// pttMetrics holds the PTT's registry series, all labeled by host pair.
-type pttMetrics struct {
-	bytesHist   *obs.HistogramVec // transfer_size_bytes{src,dst}
-	durHist     *obs.HistogramVec // transfer_duration_seconds{src,dst}
-	executed    *obs.CounterVec   // transfer_executed_total{src,dst}
-	failed      *obs.CounterVec   // transfer_failed_total{src,dst}
-	bytesMoved  *obs.CounterVec   // transfer_bytes_total{src,dst}
-	sessions    *obs.Counter      // transfer_sessions_total
-	policyCalls *obs.Counter      // transfer_policy_calls_total
-
-	degraded       *obs.Counter // transfer_degraded_total
-	policyBusy     *obs.Counter // transfer_policy_busy_total
-	breakerOpens   *obs.Counter // transfer_breaker_opens_total
-	backlogQueued  *obs.Counter // transfer_backlog_queued_total
-	backlogDropped *obs.Counter // transfer_backlog_dropped_total
-	backlogDrained *obs.Counter // transfer_backlog_drained_total
-	reconciles     *obs.Counter // transfer_reconciles_total
-}
-
 // New creates a PTT.
 func New(cfg Config) (*PTT, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	t := &PTT{cfg: cfg}
-	if reg := cfg.Obs; reg != nil {
-		t.metrics = &pttMetrics{
-			bytesHist: reg.Histogram("transfer_size_bytes",
-				"Executed transfer payload sizes per host pair.",
-				obs.ExpBuckets(1<<10, 4, 12), "src", "dst"),
-			durHist: reg.Histogram("transfer_duration_seconds",
-				"Executed transfer durations (simulated seconds) per host pair.",
-				obs.ExpBuckets(0.01, 4, 12), "src", "dst"),
-			executed: reg.Counter("transfer_executed_total",
-				"Transfers executed per host pair.", "src", "dst"),
-			failed: reg.Counter("transfer_failed_total",
-				"Transfer attempts failed per host pair.", "src", "dst"),
-			bytesMoved: reg.Counter("transfer_bytes_total",
-				"Bytes moved per host pair.", "src", "dst"),
-			sessions: reg.Counter("transfer_sessions_total",
-				"Transfer sessions opened (host-pair groups).").With(),
-			policyCalls: reg.Counter("transfer_policy_calls_total",
-				"Round trips to the policy service.").With(),
-			degraded: reg.Counter("transfer_degraded_total",
-				"Transfers executed with fail-open defaults (policy unreachable).").With(),
-			policyBusy: reg.Counter("transfer_policy_busy_total",
-				"Policy calls shed by server admission control (429).").With(),
-			breakerOpens: reg.Counter("transfer_breaker_opens_total",
-				"Circuit-breaker open transitions.").With(),
-			backlogQueued: reg.Counter("transfer_backlog_queued_total",
-				"Completion reports queued while degraded.").With(),
-			backlogDropped: reg.Counter("transfer_backlog_dropped_total",
-				"Queued completion reports dropped on backlog overflow.").With(),
-			backlogDrained: reg.Counter("transfer_backlog_drained_total",
-				"Queued completion reports delivered at reconcile.").With(),
-			reconciles: reg.Counter("transfer_reconciles_total",
-				"Recoveries that fully drained the degraded-mode backlog.").With(),
-		}
-	}
-	return t, nil
-}
-
-// observeTransfer records one executed or failed transfer against the
-// per-host-pair series; a no-op when Config.Obs is unset.
-func (t *PTT) observeTransfer(pair policy.HostPair, sizeBytes int64, seconds float64, failed bool) {
-	m := t.metrics
-	if m == nil {
-		return
-	}
-	if failed {
-		m.failed.With(pair.Src, pair.Dst).Inc()
-		return
-	}
-	m.executed.With(pair.Src, pair.Dst).Inc()
-	m.bytesMoved.With(pair.Src, pair.Dst).Add(float64(sizeBytes))
-	m.bytesHist.With(pair.Src, pair.Dst).Observe(float64(sizeBytes))
-	m.durHist.With(pair.Src, pair.Dst).Observe(seconds)
+	return &PTT{cfg: cfg}, nil
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -293,9 +217,6 @@ func isBusy(err error) bool {
 // real outage pattern.
 func (t *PTT) policyBusy() {
 	t.bump(func(s *Stats) { s.PolicyBusy++ })
-	if t.metrics != nil {
-		t.metrics.policyBusy.Inc()
-	}
 }
 
 // policyFailed records one failed policy call at simulated time now,
@@ -313,9 +234,6 @@ func (t *PTT) policyFailed(now float64) {
 		t.open = true
 		t.openedAt = now
 		t.stats.BreakerOpens++
-		if t.metrics != nil {
-			t.metrics.breakerOpens.Inc()
-		}
 	}
 }
 
@@ -354,15 +272,9 @@ func (t *PTT) enqueueBacklog(e backlogEntry) {
 	for len(t.backlog) >= t.cfg.Breaker.BacklogLimit {
 		t.backlog = t.backlog[1:]
 		t.stats.BacklogDropped++
-		if t.metrics != nil {
-			t.metrics.backlogDropped.Inc()
-		}
 	}
 	t.backlog = append(t.backlog, e)
 	t.stats.BacklogQueued++
-	if t.metrics != nil {
-		t.metrics.backlogQueued.Inc()
-	}
 }
 
 // sendReport delivers one completion report through the richest interface
@@ -435,32 +347,20 @@ func (t *PTT) reconcile(p *simnet.Proc, workflowID string) {
 	for i, e := range pending {
 		p.Sleep(t.cfg.PolicyCallSeconds)
 		t.bump(func(s *Stats) { s.PolicyCalls++ })
-		if t.metrics != nil {
-			t.metrics.policyCalls.Inc()
-		}
 		if err := t.sendReport(e); err != nil {
 			t.mu.Lock()
 			t.backlog = append(append([]backlogEntry{}, pending[i:]...), t.backlog...)
 			for len(t.backlog) > t.cfg.Breaker.BacklogLimit {
 				t.backlog = t.backlog[1:]
 				t.stats.BacklogDropped++
-				if t.metrics != nil {
-					t.metrics.backlogDropped.Inc()
-				}
 			}
 			t.mu.Unlock()
 			t.policyFailed(p.Now())
 			return
 		}
 		t.bump(func(s *Stats) { s.BacklogDrained++ })
-		if t.metrics != nil {
-			t.metrics.backlogDrained.Inc()
-		}
 	}
 	t.bump(func(s *Stats) { s.Reconciles++ })
-	if t.metrics != nil {
-		t.metrics.reconciles.Inc()
-	}
 }
 
 // executeDegraded stages the list without policy advice — the fail-open
@@ -480,9 +380,6 @@ func (t *PTT) executeDegraded(p *simnet.Proc, ops []workflow.TransferOp) error {
 		return a.Dst < b.Dst
 	})
 	t.bump(func(s *Stats) { s.DegradedTransfers += int64(len(sorted)) })
-	if t.metrics != nil {
-		t.metrics.degraded.Add(float64(len(sorted)))
-	}
 	return t.executeWithoutPolicy(p, sorted)
 }
 
@@ -512,24 +409,18 @@ func (t *PTT) executeWithoutPolicy(p *simnet.Proc, ops []workflow.TransferOp) er
 		if first || pair != lastPair {
 			p.Sleep(t.cfg.SessionSetupSeconds)
 			t.bump(func(s *Stats) { s.Sessions++ })
-			if t.metrics != nil {
-				t.metrics.sessions.Inc()
-			}
 			lastPair, first = pair, false
 		}
 		p.Sleep(t.cfg.TransferSetupSeconds)
-		start := p.Now()
 		if err := t.cfg.Fabric.Transfer(p, op.SourceURL, op.DestURL, op.SizeBytes, t.cfg.DefaultStreams); err != nil {
 			failed++
 			t.bump(func(s *Stats) { s.TransfersFailed++ })
-			t.observeTransfer(pair, op.SizeBytes, 0, true)
 			continue
 		}
 		t.bump(func(s *Stats) {
 			s.TransfersExecuted++
 			s.BytesMoved += op.SizeBytes
 		})
-		t.observeTransfer(pair, op.SizeBytes, p.Now()-start, false)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%w: %d of %d", ErrTransfersFailed, failed, len(ops))
@@ -565,9 +456,6 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 	ctx := obs.ContextWithSpan(context.Background(), batch)
 	p.Sleep(t.cfg.PolicyCallSeconds)
 	t.bump(func(s *Stats) { s.PolicyCalls++ })
-	if t.metrics != nil {
-		t.metrics.policyCalls.Inc()
-	}
 	var adv *policy.TransferAdvice
 	var err error
 	if ca, ok := t.cfg.Advisor.(ContextAdvisor); ok {
@@ -600,9 +488,6 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 		if first || tr.GroupID != lastGroup {
 			p.Sleep(t.cfg.SessionSetupSeconds)
 			t.bump(func(s *Stats) { s.Sessions++ })
-			if t.metrics != nil {
-				t.metrics.sessions.Inc()
-			}
 			lastGroup, first = tr.GroupID, false
 		}
 		p.Sleep(t.cfg.TransferSetupSeconds)
@@ -623,11 +508,9 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 				SimSeconds: start,
 			})
 		}
-		pair := policy.HostPair{Src: tr.SourceHost, Dst: tr.DestHost}
 		if err := t.cfg.Fabric.Transfer(p, tr.SourceURL, tr.DestURL, tr.SizeBytes, tr.Streams); err != nil {
 			failedIDs = append(failedIDs, tr.ID)
 			t.bump(func(s *Stats) { s.TransfersFailed++ })
-			t.observeTransfer(pair, tr.SizeBytes, 0, true)
 			continue
 		}
 		completed = append(completed, tr.ID)
@@ -636,15 +519,11 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 			s.TransfersExecuted++
 			s.BytesMoved += tr.SizeBytes
 		})
-		t.observeTransfer(pair, tr.SizeBytes, p.Now()-start, false)
 	}
 
 	if len(completed) > 0 || len(failedIDs) > 0 {
 		p.Sleep(t.cfg.PolicyCallSeconds)
 		t.bump(func(s *Stats) { s.PolicyCalls++ })
-		if t.metrics != nil {
-			t.metrics.policyCalls.Inc()
-		}
 		report := policy.CompletionReport{
 			TransferIDs: completed,
 			FailedIDs:   failedIDs,
@@ -713,9 +592,6 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 	ctx := obs.ContextWithSpan(context.Background(), batch)
 	p.Sleep(t.cfg.PolicyCallSeconds)
 	t.bump(func(s *Stats) { s.PolicyCalls++ })
-	if t.metrics != nil {
-		t.metrics.policyCalls.Inc()
-	}
 	var adv *policy.CleanupAdvice
 	var err error
 	if ca, ok := t.cfg.Advisor.(ContextAdvisor); ok {
@@ -751,9 +627,6 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 	if len(done) > 0 {
 		p.Sleep(t.cfg.PolicyCallSeconds)
 		t.bump(func(s *Stats) { s.PolicyCalls++ })
-		if t.metrics != nil {
-			t.metrics.policyCalls.Inc()
-		}
 		report := policy.CleanupReport{CleanupIDs: done}
 		e := backlogEntry{ctx: ctx, key: t.nextBacklogKey(workflowID), workflowID: workflowID, cleanups: &report}
 		if rerr := t.sendReport(e); rerr != nil {
