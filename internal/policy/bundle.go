@@ -268,7 +268,11 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 		return
 	}
 	s.applyBundleLocked(b)
-	s.bundleActsByResult["activated"]++
+	if op.Rollback {
+		s.bundleActsByResult["rolled_back"]++
+	} else {
+		s.bundleActsByResult["activated"]++
+	}
 	return &i, seq, &DecisionRecord{}, nil
 }
 

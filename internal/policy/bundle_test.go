@@ -1,12 +1,15 @@
 package policy
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"policyflow/internal/bundle"
+	"policyflow/internal/obs"
 )
 
 // bundleDoc marshals a bundle for activation in tests.
@@ -241,5 +244,78 @@ func TestActivateBundleRejectsMalformedDocuments(t *testing.T) {
 	}
 	if got := s.Tunables().Version; got != BootstrapBundleVersion {
 		t.Fatalf("rejected documents changed the active bundle to %q", got)
+	}
+}
+
+// payloadLog keeps every appended record as the JSON the WAL would hold,
+// so a test can replay them into a fresh service.
+type payloadLog struct {
+	ops      []string
+	payloads [][]byte
+}
+
+func (l *payloadLog) Append(op string, payload any) (uint64, error) {
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return 0, err
+	}
+	l.ops = append(l.ops, op)
+	l.payloads = append(l.payloads, data)
+	return uint64(len(l.ops)), nil
+}
+
+func (l *payloadLog) Sync(uint64) error { return nil }
+
+// TestBundleActivationsCountRollbacks pins policy_bundle_activations_total:
+// a rollback counts as rolled_back, not as activated. The WAL record of a
+// rollback carries the full bundle it lands on, so a replayed rollback
+// is indistinguishable from an activation and counts as activated.
+func TestBundleActivationsCountRollbacks(t *testing.T) {
+	s := newGreedy(t, 50, 4)
+	wal := &payloadLog{}
+	s.SetMutationLog(wal)
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil)
+	if _, err := s.ActivateBundle(bundleDoc(t, bundle.Bundle{
+		SchemaVersion: bundle.SchemaVersion, Version: "experiment", Algorithm: bundle.AlgoGreedy,
+		DefaultStreams: 2, MinStreams: 1, DefaultThreshold: 8, ClusterFactor: 1,
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RollbackBundle(); err != nil {
+		t.Fatal(err)
+	}
+	wantActs(t, reg, `policy_bundle_activations_total{result="activated"} 1`,
+		`policy_bundle_activations_total{result="rolled_back"} 1`)
+
+	replica := newGreedy(t, 50, 4)
+	rreg := obs.NewRegistry()
+	replica.Instrument(rreg, nil)
+	for i, op := range wal.ops {
+		if err := replica.ApplyLogged(op, wal.payloads[i]); err != nil {
+			t.Fatalf("replay %s: %v", op, err)
+		}
+	}
+	if got := replica.Tunables().Version; got != BootstrapBundleVersion {
+		t.Fatalf("replayed rollback landed on %q, want %q", got, BootstrapBundleVersion)
+	}
+	wantActs(t, rreg, `policy_bundle_activations_total{result="activated"} 2`)
+}
+
+// wantActs checks that the scrape has exactly the given activation lines.
+func wantActs(t *testing.T, reg *obs.Registry, want ...string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "policy_bundle_activations_total{") {
+			got = append(got, line)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("activation counts:\n got  %q\n want %q", got, want)
 	}
 }
