@@ -58,21 +58,11 @@ func keyConst[K comparable](k K) func(rules.Bindings) K {
 	return func(rules.Bindings) K { return k }
 }
 
-// firstByKey is a point query against a registered index: the first fact
-// of type T in the named index's bucket for key.
-func firstByKey[T any, K comparable](s *rules.Session, index string, key K) (T, bool) {
-	for _, v := range rules.FactsByKey[T](s, index, key) {
-		return v, true
-	}
-	var zero T
-	return zero, false
-}
-
 // transferByID resolves a transfer fact by ID via the "id" alpha index —
 // the report paths call this once per reported ID, so the naive O(facts)
 // scan it replaces dominated report latency at scale.
 func transferByID(s *rules.Session, id string) (*Transfer, bool) {
-	return firstByKey[*Transfer](s, "id", id)
+	return rules.FirstByKey[*Transfer](s, "id", id)
 }
 
 func keyTransferDest(b rules.Bindings) string   { return b.Get("t").(*Transfer).DestURL }
