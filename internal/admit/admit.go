@@ -85,9 +85,11 @@ func (c Config) withDefaults() Config {
 // BatchRunner executes one coalesced batch of mutations. It is called
 // from the dispatcher goroutine with 1..BatchMax payloads and must set
 // per-payload results/errors on the payloads themselves; a panic fails
-// every task in the batch but leaves the dispatcher running. A payload
-// that implements Waiter may be final only after its Wait returns: the
-// runner may return while it still commits it.
+// every task in the batch but leaves the dispatcher running. The batch
+// slice is the dispatcher's and is reused once the call returns, so a
+// runner must not keep it. A payload that implements Waiter may be final
+// only after its Wait returns: the runner may return while it still
+// commits it.
 type BatchRunner func(batch []any)
 
 // Waiter is a payload whose result is final only once Wait returns, which
@@ -150,10 +152,12 @@ type Controller struct {
 	stopOnce       sync.Once
 	dispatcherDone chan struct{}
 
+	// batch and payloads are the batch being collected and run;
 	// committing holds the Waiter tasks of the last batch run, for the
-	// dispatcher to settle after the next batch; spare is its other
-	// buffer. Both are dispatcher-owned.
-	committing, spare []*mutTask
+	// dispatcher to settle after the next batch, and spare is its other
+	// buffer. All are dispatcher-owned and reused from batch to batch.
+	batch, committing, spare []*mutTask
+	payloads                 []any
 
 	shed      *obs.CounterVec
 	batchSize *obs.Histogram
@@ -434,44 +438,46 @@ func (c *Controller) dispatch() {
 	}
 }
 
+// admitTask adds a dequeued task to the batch being collected, unless its
+// waiter abandoned it or its client is gone.
+func (c *Controller) admitTask(t *mutTask) {
+	if !t.state.CompareAndSwap(taskPending, taskClaimed) {
+		// The waiter abandoned it (timeout or cancel); it was never
+		// executed.
+		c.leave(ClassMutate)
+		return
+	}
+	if t.ctx != nil && t.ctx.Err() != nil {
+		// Deadline propagation: the client is gone, don't do the work.
+		t.err = fmt.Errorf("%w: %v", ErrCanceled, t.ctx.Err())
+		close(t.done)
+		c.leave(ClassMutate)
+		c.shedMetric(ClassMutate, "client_gone")
+		return
+	}
+	if t.onStart != nil {
+		t.onStart()
+	}
+	c.batch = append(c.batch, t)
+	c.payloads = append(c.payloads, t.payload)
+}
+
 // drainBatch coalesces up to BatchMax queued mutations (starting with
 // first) into one BatchRunner call. Abandoned tasks are discarded;
 // tasks whose client context already ended are abandoned here — shed
 // after queueing but still strictly before execution.
 func (c *Controller) drainBatch(first *mutTask) {
-	batch := make([]*mutTask, 0, c.cfg.BatchMax)
-	payloads := make([]any, 0, c.cfg.BatchMax)
-	admitTask := func(t *mutTask) {
-		if !t.state.CompareAndSwap(taskPending, taskClaimed) {
-			// The waiter abandoned it (timeout or cancel); it was never
-			// executed.
-			c.leave(ClassMutate)
-			return
-		}
-		if t.ctx != nil && t.ctx.Err() != nil {
-			// Deadline propagation: the client is gone, don't do the work.
-			t.err = fmt.Errorf("%w: %v", ErrCanceled, t.ctx.Err())
-			close(t.done)
-			c.leave(ClassMutate)
-			c.shedMetric(ClassMutate, "client_gone")
-			return
-		}
-		if t.onStart != nil {
-			t.onStart()
-		}
-		batch = append(batch, t)
-		payloads = append(payloads, t.payload)
-	}
-	admitTask(first)
-	for len(batch) < c.cfg.BatchMax {
+	c.admitTask(first)
+	for len(c.batch) < c.cfg.BatchMax {
 		select {
 		case t := <-c.mutCh:
-			admitTask(t)
+			c.admitTask(t)
 		default:
 			goto collected
 		}
 	}
 collected:
+	batch := c.batch
 	if len(batch) == 0 {
 		return
 	}
@@ -489,8 +495,10 @@ collected:
 				}
 			}
 		}()
-		c.run(payloads)
+		c.run(c.payloads)
 	}()
+	clear(c.payloads)
+	c.payloads = c.payloads[:0]
 	prev := c.committing
 	c.committing = c.spare[:0]
 	for _, t := range batch {
@@ -503,6 +511,8 @@ collected:
 			c.leave(ClassMutate)
 		}
 	}
+	clear(batch)
+	c.batch = batch[:0]
 	// The batch before this one has had a whole BatchRunner call to
 	// commit; wait for it here rather than on its submitters alone, so
 	// Depth never counts more than two batches past the queue.

@@ -139,11 +139,21 @@ func (f *family) get(labelValues []string) *series {
 		panic(fmt.Sprintf("obs: metric %s wants %d label value(s), got %d",
 			f.name, len(f.labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x00")
+	// The key is built on the stack: looking up a series that exists, the
+	// common case, allocates nothing.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
+		key := string(key)
 		s = &series{labelValues: append([]string(nil), labelValues...)}
 		if f.kind == KindHistogram {
 			s.cells = make([]uint64, len(f.buckets)+1)

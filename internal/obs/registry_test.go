@@ -256,3 +256,17 @@ func TestReadFamilies(t *testing.T) {
 		r.CounterFunc("other_total", "Other.", func(Emit) {})
 	}()
 }
+
+// TestWithExistingSeriesAllocatesNothing: the per-request With on a
+// labelled series that already exists builds its key without allocating.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	reqs := reg.Counter("reqs_total", "t", "endpoint", "code")
+	reqs.With("POST /v1/transfers", "200").Inc()
+	if n := testing.AllocsPerRun(100, func() { reqs.With("POST /v1/transfers", "200").Inc() }); n != 0 {
+		t.Fatalf("With on an existing series allocates %v times, want 0", n)
+	}
+	if got := reqs.With("POST /v1/transfers", "200").Value(); got != 102 {
+		t.Fatalf("counter = %v, want 102", got)
+	}
+}

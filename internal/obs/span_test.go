@@ -11,12 +11,21 @@ import (
 
 func TestTraceparentRoundTrip(t *testing.T) {
 	sc := NewSpanContext()
-	if !sc.Valid() {
+	if !sc.Valid() || len(sc.TraceID) != 32 || len(sc.SpanID) != 16 {
 		t.Fatalf("minted span context invalid: %+v", sc)
 	}
-	got, ok := ParseTraceparent(sc.Traceparent())
-	if !ok || got != sc {
-		t.Fatalf("round trip: got %+v ok=%v, want %+v", got, ok, sc)
+	// A child of the span in ctx keeps its trace and gets a span of its own.
+	got, ok := ParseTraceparent(NewTraceparent(ContextWithSpan(context.Background(), sc)))
+	if !ok || got.TraceID != sc.TraceID || got.SpanID == sc.SpanID {
+		t.Fatalf("child header parsed as %+v ok=%v, want trace %s and a new span", got, ok, sc.TraceID)
+	}
+	// Without a span in ctx the header roots a fresh trace.
+	root, ok := ParseTraceparent(NewTraceparent(context.Background()))
+	if !ok || root.TraceID == sc.TraceID {
+		t.Fatalf("root header parsed as %+v ok=%v", root, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewTraceparent(context.Background()) }); n != 1 {
+		t.Fatalf("NewTraceparent allocates %v times, want 1", n)
 	}
 }
 
@@ -61,19 +70,44 @@ func TestStartSpanZeroCostWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestStartSpanPropagatesWithoutTracer pins the untraced fast path: with
+// no tracer StartSpan hands back the caller's context as it was — same
+// trace, same parent span, no allocation — whether or not it carries a
+// trace. A traced layer further in therefore parents its span to the
+// caller's emitted span, never to an ID that no event carries.
 func TestStartSpanPropagatesWithoutTracer(t *testing.T) {
 	parent := NewSpanContext()
-	ctx := ContextWithSpan(context.Background(), parent)
-	ctx, span := StartSpan(ctx, nil, "child")
-	if span != nil {
-		t.Fatal("nil tracer returned a live span")
+	for _, ctx := range []context.Context{context.Background(), ContextWithSpan(context.Background(), parent)} {
+		got, span := StartSpan(ctx, nil, "child")
+		if span != nil {
+			t.Fatal("nil tracer returned a live span")
+		}
+		if got != ctx {
+			t.Fatal("nil tracer replaced the context")
+		}
+		if n := testing.AllocsPerRun(100, func() { StartSpan(ctx, nil, "child") }); n != 0 {
+			t.Fatalf("untraced StartSpan allocates %v times, want 0", n)
+		}
+		if sc, ok := SpanFromContext(got); ok != (ctx != context.Background()) || (ok && sc != parent) {
+			t.Fatalf("context after untraced span carries %+v ok=%v, want the caller's %+v", sc, ok, parent)
+		}
 	}
-	child, ok := SpanFromContext(ctx)
-	if !ok {
-		t.Fatal("derived context lost the span")
+
+	var col Collector
+	ctx, outer := StartSpan(context.Background(), &col, "outer")
+	ctx, middle := StartSpan(ctx, nil, "middle")
+	_, inner := StartSpan(ctx, &col, "inner")
+	inner.End()
+	middle.End()
+	outer.End()
+	events := col.Events()
+	if len(events) != 2 {
+		t.Fatalf("emitted %d spans, want inner and outer only", len(events))
 	}
-	if child.TraceID != parent.TraceID || child.SpanID == parent.SpanID {
-		t.Fatalf("child %+v does not descend from %+v", child, parent)
+	in, out := events[0], events[1]
+	if in.TraceID != out.TraceID || in.ParentSpanID != out.SpanID {
+		t.Fatalf("inner span %s/%s (parent %s) is not a child of the emitted outer span %s/%s",
+			in.TraceID, in.SpanID, in.ParentSpanID, out.TraceID, out.SpanID)
 	}
 }
 

@@ -19,13 +19,16 @@ import (
 // dispatcher applies the next batch during the flush. Members are
 // policy.BatchMutation, an admit.Waiter: SubmitMutation returns only once
 // a member's commit has released it.
+// It alternates two typed batch buffers: a running commit reads its own,
+// and ExecutePipelined returns only once the batch before it is released.
 func ServiceRunner(svc *policy.Service) admit.BatchRunner {
+	var cur, prev []*policy.BatchMutation
 	return func(batch []any) {
-		muts := make([]*policy.BatchMutation, len(batch))
-		for i, b := range batch {
-			muts[i] = b.(*policy.BatchMutation)
+		cur, prev = prev[:0], cur
+		for _, b := range batch {
+			cur = append(cur, b.(*policy.BatchMutation))
 		}
-		svc.ExecutePipelined(muts)
+		svc.ExecutePipelined(cur)
 	}
 }
 
@@ -88,7 +91,11 @@ func (s *Server) submit(ctx context.Context, op string, payload any) (any, error
 	_, waitSpan := obs.StartSpan(ctx, s.tracer, "admit.wait")
 	// onStart fires only for tasks that reach execution, so the span End
 	// calls are mutually exclusive with the error path below.
-	if err := s.admit.SubmitMutation(ctx, mut, func() { waitSpan.End() }); err != nil {
+	var onStart func()
+	if waitSpan != nil {
+		onStart = waitSpan.End
+	}
+	if err := s.admit.SubmitMutation(ctx, mut, onStart); err != nil {
 		waitSpan.End()
 		return nil, err
 	}

@@ -308,3 +308,44 @@ func TestAbandonedRequestCountsClientGone(t *testing.T) {
 		t.Fatalf("resident transfers = %d, want only the first request's", len(st.Transfers))
 	}
 }
+
+// admittedRoundTripAllocs is the measured allocation count of one admitted
+// advise+report round trip over loopback, client and server together; the
+// test allows 5 % above it.
+const admittedRoundTripAllocs = 337
+
+// TestAdmittedRoundTripAllocs is the allocation ceiling of the request
+// path: one advise of two fresh files and its completion report, through
+// the client, HTTP, the idempotency cache, admission, the engine and back,
+// each call carrying an idempotency key and a trace.
+func TestAdmittedRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector do not measure the program")
+	}
+	ts, _, _ := newAdmittedServer(t, admit.Config{MaxQueue: 8, MaxWait: time.Minute})
+	c := NewClient(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 1}))
+	specs := make([]policy.TransferSpec, 2)
+	i := 0
+	roundTrip := func() {
+		for j := range specs {
+			specs[j] = testSpec(i, "wf")
+			i++
+		}
+		adv, err := c.AdviseTransfers(specs)
+		if err != nil || len(adv.Transfers) != len(specs) {
+			t.Fatalf("advise = %+v, %v", adv, err)
+		}
+		ack, err := c.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID, adv.Transfers[1].ID}})
+		if err != nil || ack.Matched != len(specs) {
+			t.Fatalf("report = %+v, %v", ack, err)
+		}
+	}
+	for k := 0; k < 20; k++ {
+		roundTrip()
+	}
+	got := testing.AllocsPerRun(100, roundTrip)
+	t.Logf("admitted advise+report round trip: %.0f allocs", got)
+	if limit := admittedRoundTripAllocs * 1.05; got > limit {
+		t.Fatalf("admitted round trip allocates %.0f times, ceiling %.0f (measured %d + 5 %%)", got, limit, admittedRoundTripAllocs)
+	}
+}

@@ -73,7 +73,7 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The snapshot goes out as stored, not re-encoded (see Archive.WriteJSON).
-	w.Header().Set("Content-Type", formatJSON.contentType())
+	w.Header()["Content-Type"] = contentTypes[formatJSON]
 	w.WriteHeader(http.StatusOK)
 	if err := arch.WriteJSON(w); err != nil && s.log != nil {
 		s.log.Printf("encode response: %v", err)

@@ -48,10 +48,11 @@ func FuzzDecodeRequest(f *testing.F) {
 			&CleanupReportDoc{}, &ThresholdUpdate{}, &policy.StateDump{},
 		}
 		for _, v := range targets {
-			req := httptest.NewRequest(http.MethodPost, "/fuzz", bytes.NewReader(data))
-			_ = decode(req, formatJSON, v)
-			req = httptest.NewRequest(http.MethodPost, "/fuzz", bytes.NewReader(data))
-			_ = decode(req, formatXML, v)
+			for _, f := range []format{formatJSON, formatXML} {
+				b := getBuffer()
+				_ = b.decode(bytes.NewReader(data), maxBodyBytes, f, v, true)
+				b.release()
+			}
 		}
 
 		// Full request path: the response must terminate with a sane status.

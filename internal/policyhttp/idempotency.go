@@ -1,6 +1,7 @@
 package policyhttp
 
 import (
+	"maps"
 	"net/http"
 	"sync"
 )
@@ -9,10 +10,8 @@ import (
 // idempotency key. done is closed once the response is recorded, so
 // concurrent duplicates wait for the original instead of re-applying.
 type idemEntry struct {
-	done   chan struct{}
-	code   int
-	header http.Header
-	body   []byte
+	done chan struct{}
+	resp recorder
 }
 
 // idemCache is a bounded single-flight response cache keyed by the
@@ -24,33 +23,25 @@ type idemCache struct {
 	mu      sync.Mutex
 	entries map[string]*idemEntry
 	order   []string // insertion order, for FIFO eviction
-	cap     int
 }
 
-// defaultIdemCap bounds retained responses; retries arrive within seconds,
-// so a small window of recent mutations is ample.
-const defaultIdemCap = 1024
+// idemCap bounds retained responses; retries arrive within seconds, so a
+// small window of recent mutations is ample.
+const idemCap = 1024
 
-func newIdemCache(capacity int) *idemCache {
-	if capacity <= 0 {
-		capacity = defaultIdemCap
-	}
-	return &idemCache{entries: make(map[string]*idemEntry), cap: capacity}
-}
-
-// begin claims key. first=true means the caller must execute the request
-// and record the outcome with finish; first=false returns the (possibly
-// still pending) entry to replay after waiting on entry.done.
+// begin claims key. first=true: execute, record into entry.resp, then close
+// done or forget the key. first=false returns the (possibly pending) entry
+// to replay after waiting on entry.done.
 func (c *idemCache) begin(key string) (entry *idemEntry, first bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		return e, false
 	}
-	e := &idemEntry{done: make(chan struct{})}
+	e := &idemEntry{done: make(chan struct{}), resp: recorder{code: http.StatusOK}}
 	c.entries[key] = e
 	c.order = append(c.order, key)
-	for len(c.order) > c.cap {
+	for len(c.order) > idemCap {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		delete(c.entries, oldest)
@@ -58,21 +49,11 @@ func (c *idemCache) begin(key string) (entry *idemEntry, first bool) {
 	return e, true
 }
 
-// finish records the response for a claimed key and releases waiters.
-func (c *idemCache) finish(e *idemEntry, code int, header http.Header, body []byte) {
-	e.code = code
-	e.header = header
-	e.body = body
-	close(e.done)
-}
-
-// forget records the response for waiters already parked on the entry but
-// removes the key from the cache, so the next request carrying the same
-// key executes afresh instead of replaying. Used for responses that
-// guarantee the mutation was never applied (shed, draining, abandoned):
-// caching those would turn a client's post-backoff retry into a replayed
-// rejection.
-func (c *idemCache) forget(key string, e *idemEntry, code int, header http.Header, body []byte) {
+// forget releases the entry's waiters but drops the key, so the next
+// request with it executes afresh: for responses that promise the mutation
+// was never applied (shed, draining, abandoned), which replayed would turn
+// a client's post-backoff retry into a rejection.
+func (c *idemCache) forget(key string, e *idemEntry) {
 	c.mu.Lock()
 	if c.entries[key] == e {
 		delete(c.entries, key)
@@ -84,43 +65,44 @@ func (c *idemCache) forget(key string, e *idemEntry, code int, header http.Heade
 		}
 	}
 	c.mu.Unlock()
-	c.finish(e, code, header, body)
+	close(e.done)
 }
 
-// captureWriter buffers a handler's response so it can be recorded in the
-// idempotency cache and then copied to the real writer.
-type captureWriter struct {
-	header http.Header
+// recorder keeps a handler's response: writeResponse hands it status, type
+// and encoded body in one copy; other headers (Retry-After) go to header.
+type recorder struct {
 	code   int
+	ctype  []string
+	header http.Header
 	body   []byte
 }
 
-func newCaptureWriter() *captureWriter {
-	return &captureWriter{header: make(http.Header), code: http.StatusOK}
+func (rc *recorder) Header() http.Header {
+	if rc.header == nil {
+		rc.header = make(http.Header)
+	}
+	return rc.header
 }
 
-func (w *captureWriter) Header() http.Header { return w.header }
+func (rc *recorder) WriteHeader(code int) { rc.code = code }
 
-func (w *captureWriter) WriteHeader(code int) { w.code = code }
-
-func (w *captureWriter) Write(p []byte) (int, error) {
-	w.body = append(w.body, p...)
+func (rc *recorder) Write(p []byte) (int, error) {
+	rc.body = append(rc.body, p...)
 	return len(p), nil
 }
 
-// writeEntry copies a recorded response to the real writer, marking it as
-// replayed when replay is true.
-func writeEntry(w http.ResponseWriter, e *idemEntry, replay bool) {
-	for k, vs := range e.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+// writeTo writes the recorded response to w, marked replayed if replay.
+func (rc *recorder) writeTo(w http.ResponseWriter, replay bool) {
+	h := w.Header()
+	maps.Copy(h, rc.header)
+	if rc.ctype != nil {
+		h["Content-Type"] = rc.ctype
 	}
 	if replay {
-		w.Header().Set(IdempotencyReplayedHeader, "true")
+		h.Set(IdempotencyReplayedHeader, "true")
 	}
-	w.WriteHeader(e.code)
-	w.Write(e.body)
+	w.WriteHeader(rc.code)
+	w.Write(rc.body)
 }
 
 // idempotent wraps a mutating handler with at-most-once semantics per
@@ -137,17 +119,16 @@ func (s *Server) idempotent(h http.HandlerFunc) http.HandlerFunc {
 		if !first {
 			<-e.done
 			s.idemReplays.Inc()
-			writeEntry(w, e, true)
+			e.resp.writeTo(w, true)
 			return
 		}
-		cw := newCaptureWriter()
-		h(cw, r)
-		if notApplied(cw.code) {
-			s.idem.forget(key, e, cw.code, cw.header, cw.body)
+		h(&e.resp, r)
+		if notApplied(e.resp.code) {
+			s.idem.forget(key, e)
 		} else {
-			s.idem.finish(e, cw.code, cw.header, cw.body)
+			close(e.done)
 		}
-		writeEntry(w, e, false)
+		e.resp.writeTo(w, false)
 	}
 }
 

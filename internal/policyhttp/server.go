@@ -24,6 +24,7 @@
 package policyhttp
 
 import (
+	"bytes"
 	"encoding/json"
 	"encoding/xml"
 	"errors"
@@ -192,7 +193,7 @@ func NewServerWith(svc *policy.Service, logger *log.Logger, reg *obs.Registry, t
 		"HTTP requests served, by route pattern and status code.", "endpoint", "code")
 	s.httpLat = reg.Histogram("http_request_seconds",
 		"HTTP request latency by route pattern.", nil, "endpoint")
-	s.idem = newIdemCache(0)
+	s.idem = &idemCache{entries: make(map[string]*idemEntry)}
 	s.idemReplays = reg.Counter("http_idempotent_replays_total",
 		"Mutating requests answered from the idempotency cache without re-applying.").With()
 	for op, rt := range routes {
@@ -326,15 +327,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// ServeHTTP implements http.Handler. Every request is measured into the
-// per-endpoint request counter and latency histogram, labeled by the
-// matched route pattern so path parameters do not explode the series set.
-// Requests carrying a Traceparent header join the caller's causal trace:
-// the header's span context is installed in the request context (so the
-// policy layer's spans, lifecycle events and decision records carry the
-// caller's trace ID), and — when the server has a tracer — an
-// http.server span covering the full request is emitted around the
-// handler.
+// ServeHTTP implements http.Handler. Every request is counted and timed by
+// matched route pattern. A Traceparent header's span context goes into
+// the request context, so spans, lifecycle events and decision records
+// carry the caller's trace; with a tracer, an http.server span wraps it.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.log != nil {
 		s.log.Printf("%s %s", r.Method, r.URL.Path)
@@ -344,11 +340,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		pattern = "unmatched"
 	}
 	ctx := r.Context()
-	if sc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
+	sc, traced := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+	if traced {
 		ctx = obs.ContextWithSpan(ctx, sc)
 	}
 	ctx, span := obs.StartSpan(ctx, s.tracer, "http.server")
-	if _, ok := obs.SpanFromContext(ctx); ok {
+	if traced || span != nil {
 		r = r.WithContext(ctx)
 	}
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -371,17 +368,17 @@ const (
 	formatXML
 )
 
-func (f format) contentType() string {
-	if f == formatXML {
-		return "application/xml; charset=utf-8"
-	}
-	return "application/json; charset=utf-8"
+// contentTypes are the reply Content-Type values by format, shared by
+// every reply.
+var contentTypes = [...][]string{
+	formatJSON: {"application/json; charset=utf-8"},
+	formatXML:  {"application/xml; charset=utf-8"},
 }
 
 // requestFormat inspects Content-Type; unknown or absent means JSON.
 func requestFormat(r *http.Request) (format, error) {
 	ct := r.Header.Get("Content-Type")
-	if ct == "" {
+	if ct == "" || ct == "application/json" {
 		return formatJSON, nil
 	}
 	mt, _, err := mime.ParseMediaType(ct)
@@ -411,37 +408,89 @@ func responseFormat(r *http.Request, def format) format {
 	}
 }
 
-func decode(r *http.Request, f format, v any) error {
-	body := io.LimitReader(r.Body, maxBodyBytes)
-	switch f {
-	case formatXML:
-		return xml.NewDecoder(body).Decode(v)
-	default:
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		return dec.Decode(v)
+// buffer is a pooled buffer for encoding documents and reading bodies, with
+// the JSON codecs bound to it: a call builds neither (XML, the rare format,
+// still does). release keeps one grown by a large restore out of the pool.
+type buffer struct {
+	bytes.Buffer
+	body        io.LimitedReader
+	rd          bytes.Reader
+	enc         *json.Encoder
+	strict, lax *json.Decoder // read rd; nil until used and after an error
+}
+
+var buffers = sync.Pool{New: func() any { b := new(buffer); b.enc = json.NewEncoder(b); return b }}
+
+func getBuffer() *buffer { b := buffers.Get().(*buffer); b.Reset(); return b }
+
+func (b *buffer) release() {
+	if b.Cap() <= 64<<10 {
+		buffers.Put(b)
 	}
 }
 
-func (s *Server) writeResponse(w http.ResponseWriter, f format, status int, v any) {
-	w.Header().Set("Content-Type", f.contentType())
-	w.WriteHeader(status)
-	var err error
-	switch f {
-	case formatXML:
-		if _, werr := io.WriteString(w, xml.Header); werr != nil {
-			return
-		}
-		enc := xml.NewEncoder(w)
-		enc.Indent("", "  ")
-		err = enc.Encode(v)
-	default:
-		enc := json.NewEncoder(w)
-		err = enc.Encode(v)
+// encode appends v in format f; reply selects the server's XML form.
+func (b *buffer) encode(f format, v any, reply bool) error {
+	if f == formatJSON {
+		return b.enc.Encode(v)
 	}
-	if err != nil && s.log != nil {
+	enc := xml.NewEncoder(b)
+	if reply {
+		b.WriteString(xml.Header)
+		enc.Indent("", "  ")
+	}
+	return enc.Encode(v)
+}
+
+// decode reads at most limit bytes of r into v; strict refuses unknown
+// JSON fields. Exactly one JSON value leaves the pooled decoder drained;
+// any other body gets a decoder of its own, which, like a stream decoder,
+// ignores what follows a first value.
+func (b *buffer) decode(r io.Reader, limit int64, f format, v any, strict bool) error {
+	b.body = io.LimitedReader{R: r, N: limit}
+	_, err := b.ReadFrom(&b.body)
+	b.body.R = nil
+	dec, one := &b.lax, json.Valid(b.Bytes())
+	if strict {
+		dec = &b.strict
+	}
+	d := *dec
+	switch {
+	case err != nil:
+		return err
+	case f == formatXML:
+		return xml.Unmarshal(b.Bytes(), v)
+	case d == nil || !one:
+		d = json.NewDecoder(&b.rd)
+		if strict {
+			d.DisallowUnknownFields()
+		}
+	}
+	b.rd.Reset(b.Bytes())
+	if err = d.Decode(v); err != nil {
+		d = nil
+	}
+	if one {
+		*dec = d
+	}
+	return err
+}
+
+// writeResponse encodes v and writes it with status. The idempotency
+// recorder takes the encoded reply whole, in one copy.
+func (s *Server) writeResponse(w http.ResponseWriter, f format, status int, v any) {
+	b := getBuffer()
+	defer b.release()
+	if err := b.encode(f, v, true); err != nil && s.log != nil {
 		s.log.Printf("encode response: %v", err)
 	}
+	if rec, ok := w.(*recorder); ok {
+		rec.code, rec.ctype, rec.body = status, contentTypes[f], append(rec.body, b.Bytes()...)
+		return
+	}
+	w.Header()["Content-Type"] = contentTypes[f]
+	w.WriteHeader(status)
+	w.Write(b.Bytes())
 }
 
 func (s *Server) writeError(w http.ResponseWriter, f format, status int, err error) {
@@ -556,8 +605,10 @@ func (s *Server) mutation(op string, rt route) http.HandlerFunc {
 			s.writeError(w, resf, http.StatusUnsupportedMediaType, err)
 			return
 		}
-		doc := rt.req.blank()
-		if err := decode(r, reqf, doc); err != nil {
+		doc, b := rt.req.blank(), getBuffer()
+		err = b.decode(r.Body, maxBodyBytes, reqf, doc, true)
+		b.release()
+		if err != nil {
 			s.writeError(w, resf, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 			return
 		}
