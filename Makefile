@@ -92,7 +92,7 @@ bench-json:
 # bench-json-check re-measures the trajectory and fails CI when any
 # committed series has regressed more than BENCH_TOLERANCE (fractional;
 # 0.30 = 30% slower ns/op) or allocates more than 10% above its committed
-# allocs/op.
+# allocs/op or B/op.
 BENCH_TOLERANCE := 0.30
 bench-json-check:
 	$(GO) run ./cmd/benchjson -check BENCH_policyflow.json -tolerance $(BENCH_TOLERANCE)

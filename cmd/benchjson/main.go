@@ -11,10 +11,10 @@
 //	benchjson -check BENCH_policyflow.json          # re-run and compare
 //	benchjson -check old.json -out new.json         # both
 //
-// The check compares ns/op and allocs/op per series and fails (exit 1) when
-// any baseline series is missing from the fresh run, slower than
+// The check compares ns/op, allocs/op and B/op per series and fails (exit 1)
+// when any baseline series is missing from the fresh run, slower than
 // (1+tolerance)x its committed ns/op, or allocating more than
-// (1+allocTolerance)x its committed allocs/op.
+// (1+allocTolerance)x its committed allocs/op or B/op.
 package main
 
 import (
@@ -126,7 +126,7 @@ func main() {
 	var (
 		out       = flag.String("out", "", "write the trajectory JSON to this file")
 		check     = flag.String("check", "", "compare the fresh run against this baseline trajectory; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional ns/op slowdown before -check fails (allocs/op is gated at a fixed 10%)")
+		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional ns/op slowdown before -check fails (allocs/op and B/op are gated at a fixed 10%)")
 		benchtime = flag.String("benchtime", "", "override every group's -benchtime (default: per-group budgets)")
 		count     = flag.Int("count", 3, "benchmark repetitions; the minimum ns/op per series is kept")
 	)
@@ -171,7 +171,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("no regression beyond %.0f%% ns/op, %.0f%% allocs/op against %s (%d series)\n",
+		fmt.Printf("no regression beyond %.0f%% ns/op, %.0f%% allocs/op and B/op against %s (%d series)\n",
 			*tolerance*100, allocTolerance*100, *check, len(baseline.Series))
 	}
 }
@@ -292,14 +292,16 @@ func load(path string) (*Trajectory, error) {
 	return &t, nil
 }
 
-// allocTolerance is the fractional allocs/op growth -check allows. Unlike
-// ns/op, allocation counts barely vary between runs, so the gate is tight
-// and fixed; the +1 absorbs rounding on single-digit series.
+// allocTolerance is the fractional allocs/op and B/op growth -check
+// allows. Unlike ns/op, allocation counts and bytes barely vary between
+// runs, so the gate is tight and fixed; the +1 absorbs rounding on
+// single-digit allocation series.
 const allocTolerance = 0.10
 
 // compare returns one message per baseline series that is missing from
 // the fresh run, slower than (1+tolerance) times its baseline ns/op, or
-// allocating more than (1+allocTolerance) times its baseline allocs/op.
+// allocating more than (1+allocTolerance) times its baseline allocs/op or
+// B/op.
 func compare(baseline, fresh *Trajectory, tolerance float64) []string {
 	current := map[string]Series{}
 	for _, s := range fresh.Series {
@@ -319,6 +321,10 @@ func compare(baseline, fresh *Trajectory, tolerance float64) []string {
 		if base.AllocsPerOp > 0 && got.AllocsPerOp > base.AllocsPerOp*(1+allocTolerance)+1 {
 			failures = append(failures, fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f (tolerance %.0f%%)",
 				base.Name, got.AllocsPerOp, base.AllocsPerOp, allocTolerance*100))
+		}
+		if base.BytesPerOp > 0 && got.BytesPerOp > base.BytesPerOp*(1+allocTolerance) {
+			failures = append(failures, fmt.Sprintf("%s: %.0f B/op vs baseline %.0f (tolerance %.0f%%)",
+				base.Name, got.BytesPerOp, base.BytesPerOp, allocTolerance*100))
 		}
 	}
 	return failures
