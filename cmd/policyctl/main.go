@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -62,7 +63,8 @@ func main() {
 		var max int
 		max, err = strconv.Atoi(args[3])
 		if err == nil {
-			err = client.SetThreshold(args[1], args[2], max)
+			_, err = client.Execute(context.Background(), policy.OpSetThreshold,
+				policy.ThresholdOp{SourceHost: args[1], DestHost: args[2], Max: max})
 		}
 	case "advise":
 		if len(args) != 2 {
@@ -246,13 +248,11 @@ func bundleCmd(c *policyhttp.Client, w io.Writer, args []string) error {
 		}
 		// A readable file activates by inline document; anything else is
 		// taken as a previously pushed version.
-		var info *policy.BundleInfo
-		var err error
+		op := policy.BundleOp{Version: args[1]}
 		if data, rerr := os.ReadFile(args[1]); rerr == nil {
-			info, err = c.ActivateBundleDoc(data)
-		} else {
-			info, err = c.ActivateBundle(args[1])
+			op = policy.BundleOp{Doc: data}
 		}
+		info, err := policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, op)
 		if err != nil {
 			return err
 		}
@@ -273,7 +273,7 @@ func bundleCmd(c *policyhttp.Client, w io.Writer, args []string) error {
 		}
 		return nil
 	case "rollback":
-		info, err := c.RollbackBundle()
+		info, err := policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Rollback: true})
 		if err != nil {
 			return err
 		}
@@ -346,7 +346,7 @@ func leases(c *policyhttp.Client, w io.Writer) error {
 }
 
 func renewLease(c *policyhttp.Client, workflowID string) error {
-	st, err := c.RenewLease(workflowID)
+	st, err := policy.Call[*policy.LeaseStatus](context.Background(), c, policy.OpRenewLease, policy.LeaseOp{WorkflowID: workflowID})
 	if err != nil {
 		return err
 	}
@@ -359,7 +359,7 @@ func advanceClock(c *policyhttp.Client, arg string) error {
 	if err != nil {
 		return fmt.Errorf("bad clock value %q: %w", arg, err)
 	}
-	adv, err := c.AdvanceClock(now)
+	adv, err := policy.Call[*policy.ClockAdvance](context.Background(), c, policy.OpAdvanceClock, policy.ClockOp{Now: now})
 	if err != nil {
 		return err
 	}
@@ -493,7 +493,8 @@ func restore(c *policyhttp.Client, path string) error {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	return c.Restore(&d)
+	_, err = c.Execute(context.Background(), policy.OpImportState, &d)
+	return err
 }
 
 func showState(c *policyhttp.Client) error {

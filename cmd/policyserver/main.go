@@ -152,7 +152,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "policyserver: read bundle %s: %v\n", *bundlePath, err)
 			os.Exit(1)
 		}
-		info, err := svc.ActivateBundle(data)
+		info, err := policy.Call[*policy.BundleInfo](context.Background(), svc, policy.OpActivateBundle, policy.BundleOp{Doc: data})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "policyserver: activate bundle %s: %v\n", *bundlePath, err)
 			os.Exit(1)
@@ -249,19 +249,22 @@ func main() {
 	}
 
 	// The policy core never reads the wall clock: its lease deadlines live
-	// on a logical clock that only moves through the logged AdvanceClock
+	// on a logical clock that only moves through the logged advance_clock
 	// mutation (so durable replicas replay to identical state). The binary
 	// is where wall time enters — a ticker feeds wall-derived seconds into
 	// the clock, expiring the leases of workflows that stopped renewing.
 	if *leaseTTL > 0 && *leaseScanEvery > 0 {
-		wallSeconds := func() float64 { return float64(time.Now().UnixMilli()) / 1000 }
+		advanceClock := func() (*policy.ClockAdvance, error) {
+			now := float64(time.Now().UnixMilli()) / 1000
+			return policy.Call[*policy.ClockAdvance](context.Background(), svc, policy.OpAdvanceClock, policy.ClockOp{Now: now})
+		}
 		// A standby's clock moves only with its primary's log: a local
 		// advance would diverge it from the primary, so it skips the scans.
 		standby := func() bool { return api.Role() == policyhttp.RoleStandby }
 		// Catch up after recovery: anything that expired while the server
 		// was down is reclaimed before the listener opens.
 		if !standby() {
-			if adv, err := svc.AdvanceClock(wallSeconds()); err != nil {
+			if adv, err := advanceClock(); err != nil {
 				fmt.Fprintf(os.Stderr, "policyserver: initial lease scan: %v\n", err)
 				os.Exit(1)
 			} else if len(adv.Expired) > 0 {
@@ -280,7 +283,7 @@ func main() {
 					if standby() {
 						continue
 					}
-					adv, err := svc.AdvanceClock(wallSeconds())
+					adv, err := advanceClock()
 					if err != nil {
 						log.Printf("lease scan: %v", err)
 						continue

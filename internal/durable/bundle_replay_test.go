@@ -37,7 +37,7 @@ func TestBundleActivationReplaysPastTornCrash(t *testing.T) {
 	if _, err := svc.AdviseTransfers([]policy.TransferSpec{spec(1, "wf1")}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := svc.ActivateBundle([]byte(replayBundleDoc))
+	info, err := policy.Call[*policy.BundleInfo](context.Background(), svc, policy.OpActivateBundle, policy.BundleOp{Doc: []byte(replayBundleDoc)})
 	if err != nil {
 		t.Fatalf("ActivateBundle: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestRollbackReplaysAcrossRestart(t *testing.T) {
 	if _, _, err := OpenPolicyStore(dir, svc, Options{Fsync: false}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.ActivateBundle([]byte(replayBundleDoc)); err != nil {
+	if _, err := policy.Call[*policy.BundleInfo](context.Background(), svc, policy.OpActivateBundle, policy.BundleOp{Doc: []byte(replayBundleDoc)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Execute(context.Background(), policy.OpActivateBundle, policy.BundleOp{Rollback: true}); err != nil {

@@ -65,7 +65,7 @@ func goldenHistory(t *testing.T, dir string, snapshot bool) (state []byte, snapS
 	must(err)
 	_, err = svc.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "src.example.org", DestHost: "dst.example.org", Max: 7})
 	must(err)
-	_, err = svc.RenewLease("wf1")
+	_, err = policy.Call[*policy.LeaseStatus](context.Background(), svc, policy.OpRenewLease, policy.LeaseOp{WorkflowID: "wf1"})
 	must(err)
 	if snapshot {
 		info, err := ps.SnapshotNow()
@@ -85,9 +85,9 @@ func goldenHistory(t *testing.T, dir string, snapshot bool) (state []byte, snapS
 	}
 	_, err = svc.ReportCleanups(policy.CleanupReport{CleanupIDs: ids})
 	must(err)
-	_, err = svc.AdvanceClock(12.5)
+	_, err = policy.Call[*policy.ClockAdvance](context.Background(), svc, policy.OpAdvanceClock, policy.ClockOp{Now: 12.5})
 	must(err)
-	_, err = svc.ActivateBundle([]byte(replayBundleDoc))
+	_, err = policy.Call[*policy.BundleInfo](context.Background(), svc, policy.OpActivateBundle, policy.BundleOp{Doc: []byte(replayBundleDoc)})
 	must(err)
 	_, err = svc.BumpEpoch(2)
 	must(err)

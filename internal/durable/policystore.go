@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"context"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
@@ -46,7 +47,8 @@ func OpenPolicyStore(dir string, svc *policy.Service, opts Options) (*PolicyStor
 		if err := json.Unmarshal(state, &d); err != nil {
 			return fmt.Errorf("decode state dump: %w", err)
 		}
-		return svc.ImportState(&d)
+		_, err := svc.Execute(context.Background(), policy.OpImportState, &d)
+		return err
 	}
 	apply := func(rec Record) error {
 		return svc.ApplyLogged(rec.Op, rec.Data)

@@ -247,7 +247,7 @@ func TestArchiveShipsSnapshotAndTail(t *testing.T) {
 	if err := json.Unmarshal(arch.Snapshot, &d); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc2.ImportState(&d); err != nil {
+	if _, err := svc2.Execute(context.Background(), policy.OpImportState, &d); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range arch.Tail {

@@ -383,7 +383,7 @@ func (h *Harness) stepMutation(op Op, name string, payload any) error {
 	ctx := context.Background()
 	primary := h.replicas[h.curPrimary].svc
 	records := primary.DecisionCount(name)
-	res, err := h.rc.Do(ctx, name, payload)
+	res, err := h.rc.Execute(ctx, name, payload)
 	switch {
 	case err == nil:
 		if err := h.noteAck(); err != nil {

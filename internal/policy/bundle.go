@@ -18,7 +18,7 @@ import (
 // embedded as the "v0" bundle at construction, so a service that never
 // sees a bundle behaves exactly as before; activating a bundle atomically
 // swaps an immutable Tunables snapshot and rewrites the configuration
-// facts in Policy Memory behind a WAL-logged ActivateBundle mutation, so
+// facts in Policy Memory behind a WAL-logged activate_bundle mutation, so
 // durable replay and replicas converge on the same active version. Every
 // decision record carries the version that produced it.
 
@@ -190,15 +190,6 @@ func (s *Service) StageBundle(data []byte) (*BundleInfo, error) {
 	return &info, nil
 }
 
-// ActivateBundle parses a bundle document and activates it atomically.
-// Activation is WAL-logged with the full document embedded, so crash
-// replay and replica resync converge on the same active version without
-// access to the original file. Activating the already-active checksum is
-// an idempotent no-op and appends nothing.
-func (s *Service) ActivateBundle(data []byte) (*BundleInfo, error) {
-	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Doc: data})
-}
-
 // decodeBundleOp decodes a logged activation; the log only ever holds the
 // full document, so a record without one is damage, not a request.
 func decodeBundleOp(payload []byte) (BundleOp, error) {
@@ -224,7 +215,11 @@ func validateBundleOp(op BundleOp) error {
 
 // activateBundleLocked is the apply function of activate_bundle: resolve
 // the request to a bundle document, WAL-append that full document, swap
-// the Tunables snapshot and rewrite the configuration facts.
+// the Tunables snapshot and rewrite the configuration facts. Activation is
+// logged with the full document embedded, so crash replay and replica
+// resync converge on the same active version without access to the
+// original file. Activating the already-active checksum is an idempotent
+// no-op and appends nothing.
 func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *BundleInfo, seq uint64, rec *DecisionRecord, err error) {
 	b := op.Bundle
 	switch {

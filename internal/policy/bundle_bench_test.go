@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -43,7 +44,7 @@ func BenchmarkBundleActivate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.ActivateBundle(docs[i%2]); err != nil {
+		if _, err := Call[*BundleInfo](context.Background(), svc, OpActivateBundle, BundleOp{Doc: docs[i%2]}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkAdviseUnderBundleSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := svc.ActivateBundle(benchBundleDoc(b, "bench-snapshot")); err != nil {
+	if _, err := Call[*BundleInfo](context.Background(), svc, OpActivateBundle, BundleOp{Doc: benchBundleDoc(b, "bench-snapshot")}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -65,7 +66,7 @@ func TestBootstrapBundleGolden(t *testing.T) {
 func TestBundleEquivalentToDefaultsIsBehaviorPreserving(t *testing.T) {
 	plain := newGreedy(t, 50, 4)
 	bundled := newGreedy(t, 50, 4)
-	if _, err := bundled.ActivateBundle(bundleDoc(t, bundle.Bundle{
+	if _, err := Call[*BundleInfo](context.Background(), bundled, OpActivateBundle, BundleOp{Doc: bundleDoc(t, bundle.Bundle{
 		SchemaVersion:    bundle.SchemaVersion,
 		Version:          "defaults-as-data",
 		Algorithm:        bundle.AlgoGreedy,
@@ -73,7 +74,7 @@ func TestBundleEquivalentToDefaultsIsBehaviorPreserving(t *testing.T) {
 		MinStreams:       1,
 		DefaultThreshold: 50,
 		ClusterFactor:    1,
-	})); err != nil {
+	})}); err != nil {
 		t.Fatalf("ActivateBundle: %v", err)
 	}
 	specs := []TransferSpec{spec(1, "wf1"), spec(2, "wf1"), spec(1, "wf2")}
@@ -105,7 +106,7 @@ func TestActivateBundleSwapsThresholdFacts(t *testing.T) {
 	if err := s.SetThreshold("other.example.org", "dst.example.org", 9); err != nil {
 		t.Fatal(err)
 	}
-	info, err := s.ActivateBundle(bundleDoc(t, bundle.Bundle{
+	info, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: bundleDoc(t, bundle.Bundle{
 		SchemaVersion:    bundle.SchemaVersion,
 		Version:          "tight",
 		Algorithm:        bundle.AlgoGreedy,
@@ -116,7 +117,7 @@ func TestActivateBundleSwapsThresholdFacts(t *testing.T) {
 		PairThresholds: []bundle.PairThreshold{
 			{SourceHost: "futuregrid.tacc.example.org", DestHost: "obelix.isi.example.org", Max: 6},
 		},
-	}))
+	})})
 	if err != nil {
 		t.Fatalf("ActivateBundle: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestRollbackRestoresPriorTunablesWithoutRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Tunables()
-	if _, err := s.ActivateBundle(bundleDoc(t, bundle.Bundle{
+	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: bundleDoc(t, bundle.Bundle{
 		SchemaVersion:    bundle.SchemaVersion,
 		Version:          "experiment",
 		Algorithm:        bundle.AlgoBalanced,
@@ -155,7 +156,7 @@ func TestRollbackRestoresPriorTunablesWithoutRestart(t *testing.T) {
 		MinStreams:       1,
 		DefaultThreshold: 2,
 		ClusterFactor:    2,
-	})); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Tunables().Version != "experiment" {
@@ -211,14 +212,14 @@ func TestActivateBundleRejectsVersionReuse(t *testing.T) {
 			ClusterFactor:    1,
 		})
 	}
-	if _, err := s.ActivateBundle(mk(2)); err != nil {
+	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: mk(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ActivateBundle(mk(3)); !errors.Is(err, ErrInvalidRequest) {
+	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: mk(3)}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("version reuse: %v, want ErrInvalidRequest", err)
 	}
 	// Re-activating the identical document is a no-op, not a conflict.
-	info, err := s.ActivateBundle(mk(2))
+	info, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: mk(2)})
 	if err != nil || !info.Active {
 		t.Fatalf("idempotent re-activation: info %+v err %v", info, err)
 	}
@@ -235,7 +236,7 @@ func TestActivateBundleRejectsMalformedDocuments(t *testing.T) {
 		"bad-algorithm":  []byte(`{"schemaVersion": 1, "version": "x", "algorithm": "psychic", "defaultStreams": 1, "minStreams": 1, "defaultThreshold": 1, "clusterFactor": 1}`),
 	}
 	for name, doc := range cases {
-		if _, err := s.ActivateBundle(doc); !errors.Is(err, ErrInvalidRequest) {
+		if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: doc}); !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%s: ActivateBundle = %v, want ErrInvalidRequest", name, err)
 		}
 		if _, err := s.StageBundle(doc); !errors.Is(err, ErrInvalidRequest) {
@@ -276,10 +277,10 @@ func TestBundleActivationsCountRollbacks(t *testing.T) {
 	s.SetMutationLog(wal)
 	reg := obs.NewRegistry()
 	s.Instrument(reg, nil)
-	if _, err := s.ActivateBundle(bundleDoc(t, bundle.Bundle{
+	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: bundleDoc(t, bundle.Bundle{
 		SchemaVersion: bundle.SchemaVersion, Version: "experiment", Algorithm: bundle.AlgoGreedy,
 		DefaultStreams: 2, MinStreams: 1, DefaultThreshold: 8, ClusterFactor: 1,
-	})); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RollbackBundle(); err != nil {

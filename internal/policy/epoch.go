@@ -30,7 +30,7 @@ func (s *Service) Epoch() uint64 {
 // replaying a stale bump must not re-log it). The returned value is the
 // epoch in force afterwards.
 func (s *Service) BumpEpoch(target uint64) (uint64, error) {
-	return execAs[uint64](s, context.Background(), OpBumpEpoch, EpochOp{Epoch: target})
+	return Call[uint64](context.Background(), s, OpBumpEpoch, EpochOp{Epoch: target})
 }
 
 // bumpEpochLocked is the apply function of bump_epoch.

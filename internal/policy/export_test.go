@@ -15,5 +15,5 @@ func (s *Service) SetThreshold(srcHost, dstHost string, max int) error {
 // thresholds and algorithm without a restart. The rollback is itself a
 // logged activation, so a second rollback returns to where you were.
 func (s *Service) RollbackBundle() (*BundleInfo, error) {
-	return execAs[*BundleInfo](s, context.Background(), OpActivateBundle, BundleOp{Rollback: true})
+	return Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Rollback: true})
 }

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -40,7 +41,7 @@ func firstUser(d *StateDump) *UserCount {
 	panic("dump has no resource users")
 }
 
-// TestImportRejectsCorruptState feeds ImportState one corruption per row.
+// TestImportRejectsCorruptState feeds import_state one corruption per row.
 // Each breaks a guarantee the service relies on after the restore (no
 // duplicate staging, per-pair stream accounting, reference counts), so a
 // restore or a donor's archive carrying it must be refused before any
@@ -88,8 +89,8 @@ func TestImportRejectsCorruptState(t *testing.T) {
 			}
 			s := newBalanced(t, 50, 4, 2)
 			before := s.ExportState()
-			if err := s.ImportState(d); !errors.Is(err, ErrInvalidRequest) {
-				t.Fatalf("ImportState = %v, want ErrInvalidRequest", err)
+			if _, err := s.Execute(context.Background(), OpImportState, d); !errors.Is(err, ErrInvalidRequest) {
+				t.Fatalf("import_state = %v, want ErrInvalidRequest", err)
 			}
 			if after := s.ExportState(); len(after.Transfers) != len(before.Transfers) || after.NextTransfer != before.NextTransfer {
 				t.Fatal("a refused import changed Policy Memory")
@@ -101,7 +102,7 @@ func TestImportRejectsCorruptState(t *testing.T) {
 		if err := d.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		if err := newBalanced(t, 50, 4, 2).ImportState(d); err != nil {
+		if _, err := newBalanced(t, 50, 4, 2).Execute(context.Background(), OpImportState, d); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -14,8 +14,8 @@ import (
 // owns state in Policy Memory: in-progress transfers, staged-file
 // reference counts, in-progress cleanups. AdviseTransfers and
 // AdviseCleanups register (or extend) the calling workflow's lease;
-// RenewLease extends it explicitly. A lease whose deadline passes the
-// service's logical clock is expired by AdvanceClock, which reclaims the
+// renew_lease extends it explicitly. A lease whose deadline passes the
+// service's logical clock is expired by advance_clock, which reclaims the
 // dead workflow's holdings.
 type Lease struct {
 	// Owner is the workflow ID holding the lease.
@@ -24,7 +24,7 @@ type Lease struct {
 	Deadline float64
 }
 
-// LeaseExpired is the event fact AdvanceClock inserts for each lease whose
+// LeaseExpired is the event fact advance_clock inserts for each lease whose
 // deadline passed; the reclamation rules consume it.
 type LeaseExpired struct {
 	Owner string
@@ -42,12 +42,12 @@ const (
 	salLeaseGC             = 220
 )
 
-// LeaseOp is the logged payload of a RenewLease call.
+// LeaseOp is the payload of renew_lease (OpRenewLease).
 type LeaseOp struct {
 	WorkflowID string `json:"workflowId" xml:"workflowId"`
 }
 
-// ClockOp is the logged payload of an AdvanceClock call.
+// ClockOp is the payload of advance_clock (OpAdvanceClock).
 type ClockOp struct {
 	Now float64 `json:"now" xml:"now"`
 }
@@ -59,7 +59,7 @@ type LeaseStatus struct {
 	TTLSeconds float64 `json:"ttlSeconds" xml:"ttlSeconds"`
 }
 
-// ClockAdvance reports the effect of an AdvanceClock call: the clock value
+// ClockAdvance reports the effect of an advance_clock call: the clock value
 // now in force, the owners whose leases expired (sorted), and how many
 // in-progress transfers the expiry pass reclaimed.
 type ClockAdvance struct {
@@ -94,7 +94,7 @@ type LeaseList struct {
 }
 
 // leaseRules reclaims a dead workflow's holdings when its lease expires.
-// The rules consume LeaseExpired event facts inserted by AdvanceClock and
+// The rules consume LeaseExpired event facts inserted by advance_clock and
 // run strictly before the completion band, mirroring the paper's
 // completion processing but for an owner that will never report: the dead
 // workflow's in-progress transfers are dropped and their streams released
@@ -263,14 +263,6 @@ func cleanupOwners(specs []CleanupSpec) []string {
 	return owners
 }
 
-// RenewLease extends (or creates) the workflow's lease to logical clock +
-// LeaseTTL. It is a WAL-logged mutation: replicas replaying the log arrive
-// at the identical deadline. Returns ErrInvalidRequest when leases are
-// disabled (LeaseTTL = 0) or the workflow ID is empty.
-func (s *Service) RenewLease(workflowID string) (*LeaseStatus, error) {
-	return execAs[*LeaseStatus](s, context.Background(), OpRenewLease, LeaseOp{WorkflowID: workflowID})
-}
-
 func validateLease(op LeaseOp) error {
 	if op.WorkflowID == "" {
 		return fmt.Errorf("%w: workflow ID is required", ErrInvalidRequest)
@@ -278,7 +270,11 @@ func validateLease(op LeaseOp) error {
 	return nil
 }
 
-// renewLeaseLocked is the apply function of renew_lease.
+// renewLeaseLocked is the apply function of renew_lease: it extends (or
+// creates) the workflow's lease to logical clock + LeaseTTL. It is a
+// WAL-logged mutation: replicas replaying the log arrive at the identical
+// deadline. It returns ErrInvalidRequest when leases are disabled
+// (LeaseTTL = 0) or the workflow ID is empty.
 func (s *Service) renewLeaseLocked(ctx context.Context, op LeaseOp) (status *LeaseStatus, seq uint64, _ *DecisionRecord, err error) {
 	if s.cfg.LeaseTTL <= 0 {
 		err = fmt.Errorf("%w: leases are disabled (LeaseTTL is 0)", ErrInvalidRequest)
@@ -292,18 +288,6 @@ func (s *Service) renewLeaseLocked(ctx context.Context, op LeaseOp) (status *Lea
 	return &LeaseStatus{WorkflowID: op.WorkflowID, Deadline: l.Deadline, TTLSeconds: s.cfg.LeaseTTL}, seq, nil, nil
 }
 
-// AdvanceClock moves the service's logical clock forward to now and runs
-// the lease-expiry pass: each lease whose deadline has passed is removed, a
-// LeaseExpired event is inserted for its owner, and the reclamation rules
-// fire. The clock is part of Policy Memory — the service itself never
-// reads wall time — so expiry is driven entirely by the caller (a ticker
-// in the server binary, simulated time in tests) and replays
-// deterministically from the WAL. Calls that do not move the clock
-// forward are no-ops and are not logged.
-func (s *Service) AdvanceClock(now float64) (*ClockAdvance, error) {
-	return execAs[*ClockAdvance](s, context.Background(), OpAdvanceClock, ClockOp{Now: now})
-}
-
 func validateClock(op ClockOp) error {
 	if math.IsNaN(op.Now) || math.IsInf(op.Now, 0) || op.Now < 0 {
 		return fmt.Errorf("%w: clock value %v is not a valid time", ErrInvalidRequest, op.Now)
@@ -311,7 +295,15 @@ func validateClock(op ClockOp) error {
 	return nil
 }
 
-// advanceClockLocked is the apply function of advance_clock.
+// advanceClockLocked is the apply function of advance_clock: it moves the
+// service's logical clock forward to op.Now and runs the lease-expiry
+// pass: each lease whose deadline has passed is removed, a LeaseExpired
+// event is inserted for its owner, and the reclamation rules fire. The
+// clock is part of Policy Memory — the service itself never reads wall
+// time — so expiry is driven entirely by the caller (a ticker in the
+// server binary, simulated time in tests) and replays deterministically
+// from the WAL. Calls that do not move the clock forward are no-ops and
+// are not logged.
 func (s *Service) advanceClockLocked(ctx context.Context, op ClockOp) (adv *ClockAdvance, seq uint64, _ *DecisionRecord, err error) {
 	now := op.Now
 	if now <= s.clock {

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -33,11 +34,11 @@ func leaseSpec(wf, req, file string) TransferSpec {
 
 func TestRenewLeaseValidation(t *testing.T) {
 	svc := leaseTestService(t, 10)
-	if _, err := svc.RenewLease(""); !errors.Is(err, ErrInvalidRequest) {
+	if _, err := Call[*LeaseStatus](context.Background(), svc, OpRenewLease, LeaseOp{WorkflowID: ""}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("empty workflow ID: err = %v, want ErrInvalidRequest", err)
 	}
 	disabled := leaseTestService(t, 0)
-	if _, err := disabled.RenewLease("wf1"); !errors.Is(err, ErrInvalidRequest) {
+	if _, err := Call[*LeaseStatus](context.Background(), disabled, OpRenewLease, LeaseOp{WorkflowID: "wf1"}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("leases disabled: err = %v, want ErrInvalidRequest", err)
 	}
 }
@@ -45,7 +46,7 @@ func TestRenewLeaseValidation(t *testing.T) {
 func TestAdvanceClockValidation(t *testing.T) {
 	svc := leaseTestService(t, 10)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		if _, err := svc.AdvanceClock(bad); !errors.Is(err, ErrInvalidRequest) {
+		if _, err := Call[*ClockAdvance](context.Background(), svc, OpAdvanceClock, ClockOp{Now: bad}); !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("AdvanceClock(%v): err = %v, want ErrInvalidRequest", bad, err)
 		}
 	}
@@ -59,12 +60,12 @@ func TestStaleClockTickIsUnloggedNoOp(t *testing.T) {
 	svc := leaseTestService(t, 10)
 	fl := &fakeLog{}
 	svc.SetMutationLog(fl)
-	if _, err := svc.AdvanceClock(5); err != nil {
+	if _, err := Call[*ClockAdvance](context.Background(), svc, OpAdvanceClock, ClockOp{Now: 5}); err != nil {
 		t.Fatal(err)
 	}
 	logged := len(fl.ops)
 	for _, stale := range []float64{5, 3, 0} {
-		adv, err := svc.AdvanceClock(stale)
+		adv, err := Call[*ClockAdvance](context.Background(), svc, OpAdvanceClock, ClockOp{Now: stale})
 		if err != nil {
 			t.Fatalf("AdvanceClock(%v): %v", stale, err)
 		}
@@ -113,10 +114,10 @@ func TestAdviseRegistersLeaseAndExpiryReclaims(t *testing.T) {
 	}
 
 	// wf-b renews at t=6; wf-a goes silent.
-	if _, err := svc.AdvanceClock(6); err != nil {
+	if _, err := Call[*ClockAdvance](context.Background(), svc, OpAdvanceClock, ClockOp{Now: 6}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := svc.RenewLease("wf-b")
+	st, err := Call[*LeaseStatus](context.Background(), svc, OpRenewLease, LeaseOp{WorkflowID: "wf-b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestAdviseRegistersLeaseAndExpiryReclaims(t *testing.T) {
 		t.Fatalf("renewed deadline = %v, want 16", st.Deadline)
 	}
 
-	adv2, err := svc.AdvanceClock(12)
+	adv2, err := Call[*ClockAdvance](context.Background(), svc, OpAdvanceClock, ClockOp{Now: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func BenchmarkLeaseScan(b *testing.B) {
 			svc := benchLeases(b, 1e9, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.AdvanceClock(float64(i + 1)); err != nil {
+				if _, err := Call[*ClockAdvance](context.Background(), svc, OpAdvanceClock, ClockOp{Now: float64(i + 1)}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,7 +16,7 @@ type ThresholdOp struct {
 	Max        int    `json:"max" xml:"max"`
 }
 
-// BundleOp is the logged payload of an ActivateBundle mutation. The full
+// BundleOp is the logged payload of an activate_bundle mutation. The full
 // bundle document is embedded so replay is self-contained: recovery needs
 // no access to the file or push that originally supplied the bundle.
 type BundleOp struct {

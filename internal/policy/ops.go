@@ -154,20 +154,47 @@ func OpAdmitted(op string) bool {
 	return spec != nil && spec.admitted
 }
 
-// Execute runs one mutation: executeBatch of one. The typed Service
-// methods are one-line wrappers over it.
+// Executor runs one logged op: payload has the type the op's table entry
+// takes, and the result the type it returns. *Service executes in
+// process; the REST clients in internal/policyhttp send the op to a
+// server. ctx carries the call's cancellation, its trace (obs), and
+// optionally the caller's idempotency key (WithIdempotencyKey).
+type Executor interface {
+	Execute(ctx context.Context, op string, payload any) (any, error)
+}
+
+// Call is Execute with the result narrowed to the op's result type R.
+func Call[R any](ctx context.Context, e Executor, op string, payload any) (R, error) {
+	res, err := e.Execute(ctx, op, payload)
+	r, _ := res.(R)
+	return r, err
+}
+
+// idemKeyCtx is the context key of a caller-chosen idempotency key.
+type idemKeyCtx struct{}
+
+// WithIdempotencyKey returns a context under which a mutation sent to a
+// server carries key instead of a freshly minted one. A caller that
+// retries one logical operation across its own failure-handling episodes
+// (the transfer tool's degraded-mode backlog) keeps the key stable, so
+// the server applies the mutation at most once across all of them. An
+// in-process Service ignores the key: its calls cannot lose a response.
+func WithIdempotencyKey(ctx context.Context, key string) context.Context {
+	return context.WithValue(ctx, idemKeyCtx{}, key)
+}
+
+// IdempotencyKey returns the key WithIdempotencyKey set on ctx, or "".
+func IdempotencyKey(ctx context.Context) string {
+	key, _ := ctx.Value(idemKeyCtx{}).(string)
+	return key
+}
+
+// Execute runs one mutation: executeBatch of one.
 func (s *Service) Execute(ctx context.Context, op string, payload any) (any, error) {
 	m := BatchMutation{Ctx: ctx, Op: op, Request: payload}
 	one := [1]*BatchMutation{&m}
 	s.executeBatch(one[:], nil)
 	return m.Result, m.Err
-}
-
-// execAs is Execute with the result narrowed to the op's result type.
-func execAs[R any](s *Service, ctx context.Context, op string, payload any) (R, error) {
-	res, err := s.Execute(ctx, op, payload)
-	r, _ := res.(R)
-	return r, err
 }
 
 // executeBatch is the synchronous mutation path, and ExecutePipelined the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -50,9 +51,9 @@ type Config struct {
 	// value disables weighting; ordering by priority always applies.
 	Priority PriorityWeighting
 	// LeaseTTL, when positive, enables the liveness subsystem: every
-	// workflow that calls AdviseTransfers/AdviseCleanups (or RenewLease)
+	// workflow that calls AdviseTransfers/AdviseCleanups (or renew_lease)
 	// holds a lease for this many seconds of the service's logical clock.
-	// When the clock (advanced only via AdvanceClock — the core never
+	// When the clock (advanced only via advance_clock — the core never
 	// reads wall time) passes a lease's deadline, the owner is presumed
 	// crashed and its holdings are reclaimed. Zero disables leases.
 	LeaseTTL float64
@@ -125,7 +126,7 @@ type Service struct {
 	cleanupsSuppByReason map[string]int
 
 	// clock is the service's logical time. It only moves via the logged
-	// AdvanceClock mutation, so lease deadlines and expiry replay
+	// advance_clock mutation, so lease deadlines and expiry replay
 	// identically on every replica.
 	clock float64
 	// epoch is the fencing epoch, moved only by the logged BumpEpoch
@@ -347,7 +348,7 @@ func New(cfg Config) (*Service, error) {
 
 	newGroupID := func() string {
 		s.nextGroup++
-		return fmt.Sprintf("g-%04d", s.nextGroup)
+		return seqID("g-", s.nextGroup, 4)
 	}
 	// Every rule set is installed up front; algorithm and priority rules
 	// carry gates over the active tunables, so activating a bundle can
@@ -402,7 +403,7 @@ func (s *Service) AdviseTransfers(specs []TransferSpec) (*TransferAdvice, error)
 // firing, WAL append, group-commit sync — and stamps lifecycle events
 // and the decision record with the trace ID.
 func (s *Service) AdviseTransfersCtx(ctx context.Context, specs []TransferSpec) (*TransferAdvice, error) {
-	return execAs[*TransferAdvice](s, ctx, OpAdviseTransfers, specs)
+	return Call[*TransferAdvice](ctx, s, OpAdviseTransfers, specs)
 }
 
 // validateTransferSpecs checks the whole batch before anything logs or
@@ -438,7 +439,7 @@ func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpe
 	for _, spec := range specs {
 		s.nextTransfer++
 		t := &Transfer{
-			ID:               fmt.Sprintf("t-%08d", s.nextTransfer),
+			ID:               seqID("t-", s.nextTransfer, 8),
 			RequestID:        spec.RequestID,
 			WorkflowID:       spec.WorkflowID,
 			JobID:            spec.JobID,
@@ -602,7 +603,7 @@ func (s *Service) ReportTransfers(report CompletionReport) (*ReportAck, error) {
 // ReportTransfersCtx is ReportTransfers with causal-trace propagation;
 // see AdviseTransfersCtx.
 func (s *Service) ReportTransfersCtx(ctx context.Context, report CompletionReport) (*ReportAck, error) {
-	return execAs[*ReportAck](s, ctx, OpReportTransfers, report)
+	return Call[*ReportAck](ctx, s, OpReportTransfers, report)
 }
 
 // reportTransfersLocked is the apply function of report_transfers.
@@ -709,7 +710,7 @@ func (s *Service) AdviseCleanups(specs []CleanupSpec) (*CleanupAdvice, error) {
 // AdviseCleanupsCtx is AdviseCleanups with causal-trace propagation;
 // see AdviseTransfersCtx.
 func (s *Service) AdviseCleanupsCtx(ctx context.Context, specs []CleanupSpec) (*CleanupAdvice, error) {
-	return execAs[*CleanupAdvice](s, ctx, OpAdviseCleanups, specs)
+	return Call[*CleanupAdvice](ctx, s, OpAdviseCleanups, specs)
 }
 
 // validateCleanupSpecs is whole-batch validation before logging or
@@ -738,7 +739,7 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec)
 	for _, spec := range specs {
 		s.nextCleanup++
 		c := &Cleanup{
-			ID:         fmt.Sprintf("c-%08d", s.nextCleanup),
+			ID:         seqID("c-", s.nextCleanup, 8),
 			RequestID:  spec.RequestID,
 			WorkflowID: spec.WorkflowID,
 			FileURL:    spec.FileURL,
@@ -822,7 +823,7 @@ func (s *Service) ReportCleanups(report CleanupReport) (*ReportAck, error) {
 // ReportCleanupsCtx is ReportCleanups with causal-trace propagation;
 // see AdviseTransfersCtx.
 func (s *Service) ReportCleanupsCtx(ctx context.Context, report CleanupReport) (*ReportAck, error) {
-	return execAs[*ReportAck](s, ctx, OpReportCleanups, report)
+	return Call[*ReportAck](ctx, s, OpReportCleanups, report)
 }
 
 // reportCleanupsLocked is the apply function of report_cleanups.
@@ -957,3 +958,17 @@ func (s *Service) RuleFirings() int64 { return s.session.Firings() }
 
 // FactCount returns the number of facts currently in Policy Memory.
 func (s *Service) FactCount() int { return s.session.FactCount() }
+
+// seqID returns prefix followed by n zero-padded to width digits: the
+// bytes fmt.Sprintf("%s%0*d", prefix, width, n) prints for n >= 0, in one
+// allocation where Sprintf takes two.
+func seqID(prefix string, n, width int) string {
+	var buf [32]byte
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	b := append(buf[:0], prefix...)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}

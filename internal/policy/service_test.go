@@ -593,3 +593,19 @@ func TestAdviceSortedByGroupAndURL(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqIDMatchesSprintf pins seqID to the fmt.Sprintf verbs it replaced
+// for transfer, cleanup and group IDs: zero, one, the largest padded
+// value, and values wider than the pad, which must print in full.
+func TestSeqIDMatchesSprintf(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		width  int
+	}{{"t-", 8}, {"c-", 8}, {"g-", 4}} {
+		for _, n := range []int{0, 1, 9, 10, 9999, 10000, 12345, 99999999, 100000000, 1234567890123} {
+			if got, want := seqID(c.prefix, n, c.width), fmt.Sprintf("%s%0*d", c.prefix, c.width, n); got != want {
+				t.Errorf("seqID(%q, %d, %d) = %q, want %q", c.prefix, n, c.width, got, want)
+			}
+		}
+	}
+}

@@ -232,15 +232,6 @@ func (s *Service) exportStateLocked() *StateDump {
 	return d
 }
 
-// ImportState replaces the service's Policy Memory with the dump. The
-// service keeps its rule base and configuration; imported facts resume
-// exactly where the exporting service stopped (duplicate suppression,
-// in-use protection and ledger accounting all continue to apply).
-func (s *Service) ImportState(d *StateDump) error {
-	_, err := s.Execute(context.Background(), OpImportState, d)
-	return err
-}
-
 func validateDump(d *StateDump) error {
 	if d == nil {
 		return fmt.Errorf("%w: nil state dump", ErrInvalidRequest)
@@ -251,7 +242,11 @@ func validateDump(d *StateDump) error {
 	return nil
 }
 
-// importStateLocked is the apply function of import_state.
+// importStateLocked is the apply function of import_state: it replaces
+// the service's Policy Memory with the dump. The service keeps its rule
+// base and configuration; imported facts resume exactly where the
+// exporting service stopped (duplicate suppression, in-use protection and
+// ledger accounting all continue to apply).
 func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, seq uint64, _ *DecisionRecord, err error) {
 	if seq, err = s.appendLog(ctx, OpImportState, d); err != nil {
 		return

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"encoding/json"
 	"encoding/xml"
 	"testing"
@@ -39,7 +40,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.ImportState(dump); err != nil {
+	if _, err := dst.Execute(context.Background(), OpImportState, dump); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +66,7 @@ func TestImportedStateContinuesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.ImportState(dump); err != nil {
+	if _, err := dst.Execute(context.Background(), OpImportState, dump); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate of the staged file: suppressed on the importing service.
@@ -146,7 +147,7 @@ func TestStateDumpSerializes(t *testing.T) {
 
 func TestImportNil(t *testing.T) {
 	s := newGreedy(t, 50, 4)
-	if err := s.ImportState(nil); err == nil {
+	if _, err := s.Execute(context.Background(), OpImportState, (*StateDump)(nil)); err == nil {
 		t.Fatal("nil dump accepted")
 	}
 }
@@ -160,7 +161,7 @@ func TestImportReplacesExistingMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ImportState(blank.ExportState()); err != nil {
+	if _, err := s.Execute(context.Background(), OpImportState, blank.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 	if snap := s.Snapshot(); snap.InFlight != 0 || snap.TrackedFiles != 0 {
@@ -192,7 +193,7 @@ func TestImportStateResetsPerReasonCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.ImportState(donor.ExportState()); err != nil {
+	if _, err := s.Execute(context.Background(), OpImportState, donor.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 

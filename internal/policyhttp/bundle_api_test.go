@@ -2,6 +2,7 @@ package policyhttp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
@@ -46,7 +47,7 @@ func TestBundleLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("status before activation %+v", st)
 	}
 
-	info, err = c.ActivateBundle("api-v1")
+	info, err = policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Version: "api-v1"})
 	if err != nil {
 		t.Fatalf("ActivateBundle: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestBundleLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("filter for unknown bundle: %d records, err %v", len(recs), err)
 	}
 
-	info, err = c.RollbackBundle()
+	info, err = policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Rollback: true})
 	if err != nil {
 		t.Fatalf("RollbackBundle: %v", err)
 	}
@@ -201,7 +202,7 @@ func TestBundleStatusETag(t *testing.T) {
 	}
 
 	c := NewClient(ts.URL)
-	if _, err := c.ActivateBundleDoc([]byte(testBundleDoc)); err != nil {
+	if _, err := policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Doc: []byte(testBundleDoc)}); err != nil {
 		t.Fatalf("ActivateBundleDoc: %v", err)
 	}
 	resp, err = get(etag)

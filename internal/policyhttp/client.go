@@ -144,19 +144,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 // mediaTypes are the Content-Type and Accept values, shared by every request.
 var mediaTypes = [...][]string{{"application/json"}, {"application/xml"}}
 
-// idemKeyCtx is the context key of a caller-chosen idempotency key.
-type idemKeyCtx struct{}
-
-// withIdempotencyKey returns a context under which a mutating call carries
-// key instead of a freshly minted one. A caller that retries one logical
-// operation across its own failure-handling episodes (the PTT's
-// degraded-mode backlog) keeps the key stable, so the server applies the
-// mutation at most once across all of them; ReplicatedClient sends it to
-// every replica it tries.
-func withIdempotencyKey(ctx context.Context, key string) context.Context {
-	return context.WithValue(ctx, idemKeyCtx{}, key)
-}
-
 // retryDelay picks the sleep before retry number retry (1-based): the
 // server's Retry-After hint on the previous attempt when it sent one, else
 // exponential backoff from BaseBackoff. Either is capped at MaxBackoff, so
@@ -228,16 +215,16 @@ func (c *Client) countFault(path, kind string) {
 
 // do performs one logical call with retries under ctx. Mutating calls
 // (anything but GET) carry one idempotency key across every attempt — the
-// caller's (withIdempotencyKey) or a fresh one — so the server applies the
-// mutation at most once even when responses are lost and the call is
-// retried. One Traceparent value is built per logical call — a span in the
+// caller's (policy.WithIdempotencyKey) or a fresh one — so the server
+// applies the mutation at most once even when responses are lost and the
+// call is retried. One Traceparent value is built per logical call — a span in the
 // trace in ctx, or in a fresh one — and sent on every attempt, so all
 // retries of one call (and, via ReplicatedClient, every replica it is
 // routed to) share one trace ID in the server-side event logs.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var idemKey string
 	if method != http.MethodGet {
-		if idemKey, _ = ctx.Value(idemKeyCtx{}).(string); idemKey == "" {
+		if idemKey = policy.IdempotencyKey(ctx); idemKey == "" {
 			var b [64]byte // a key unique to this client and call
 			idemKey = string(strconv.AppendUint(append(append(b[:0], c.keyPrefix...), '-'), c.keyCounter.Add(1), 10))
 		}
@@ -409,12 +396,13 @@ func (c *Client) decodeError(resp *http.Response) error {
 	return se
 }
 
-// Do runs one logged op on the service, the client half of
-// policy.Service.Execute: payload and result have the types Execute takes
-// and returns for op, and method, path and wire documents come from the
-// route row the server reads. ctx carries the call's cancellation, trace
-// and, optionally, the caller's idempotency key (withIdempotencyKey).
-func (c *Client) Do(ctx context.Context, op string, payload any) (any, error) {
+// Execute runs one logged op on the service: Client is the remote
+// policy.Executor. Payload and result have the types policy.Service.Execute
+// takes and returns for op, and method, path and wire documents come from
+// the route row the server reads. ctx carries the call's cancellation,
+// trace and, optionally, the caller's idempotency key
+// (policy.WithIdempotencyKey), which every retry of the call reuses.
+func (c *Client) Execute(ctx context.Context, op string, payload any) (any, error) {
 	rt, ok := routes[op]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown op %q", policy.ErrInvalidRequest, op)
@@ -433,15 +421,6 @@ func (c *Client) Do(ctx context.Context, op string, payload any) (any, error) {
 	return rt.reply.value(out), nil
 }
 
-// as narrows Do's result to the op's result type.
-func as[R any](v any, err error) (R, error) {
-	r, _ := v.(R)
-	return r, err
-}
-
-// errOf keeps the error of a Do whose op answers no result.
-func errOf(_ any, err error) error { return err }
-
 // fetch runs one call outside the op table and picks the result out of
 // the document the service answered with.
 func fetch[D, R any](c *Client, method, path string, in any, pick func(*D) R) (R, error) {
@@ -458,94 +437,42 @@ func self[D any](d *D) *D { return d }
 
 // AdviseTransfers submits a transfer list and returns the modified list.
 func (c *Client) AdviseTransfers(specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
-	return as[*policy.TransferAdvice](c.Do(context.Background(), policy.OpAdviseTransfers, specs))
+	return c.AdviseTransfersCtx(context.Background(), specs)
 }
 
 // AdviseTransfersCtx is AdviseTransfers joining the trace carried by ctx.
 func (c *Client) AdviseTransfersCtx(ctx context.Context, specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
-	return as[*policy.TransferAdvice](c.Do(ctx, policy.OpAdviseTransfers, specs))
+	return policy.Call[*policy.TransferAdvice](ctx, c, policy.OpAdviseTransfers, specs)
 }
 
 // ReportTransfers reports completed and failed transfers.
 func (c *Client) ReportTransfers(report policy.CompletionReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](c.Do(context.Background(), policy.OpReportTransfers, report))
+	return c.ReportTransfersCtx(context.Background(), report)
 }
 
 // ReportTransfersCtx is ReportTransfers joining the trace carried by ctx.
 func (c *Client) ReportTransfersCtx(ctx context.Context, report policy.CompletionReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](c.Do(ctx, policy.OpReportTransfers, report))
-}
-
-// ReportTransfersKeyedCtx is ReportTransfersCtx under a caller-chosen
-// idempotency key (see transfer.KeyedContextReporter).
-func (c *Client) ReportTransfersKeyedCtx(ctx context.Context, key string, report policy.CompletionReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](c.Do(withIdempotencyKey(ctx, key), policy.OpReportTransfers, report))
+	return policy.Call[*policy.ReportAck](ctx, c, policy.OpReportTransfers, report)
 }
 
 // AdviseCleanups submits a cleanup list and returns the modified list.
 func (c *Client) AdviseCleanups(specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
-	return as[*policy.CleanupAdvice](c.Do(context.Background(), policy.OpAdviseCleanups, specs))
+	return c.AdviseCleanupsCtx(context.Background(), specs)
 }
 
 // AdviseCleanupsCtx is AdviseCleanups joining the trace carried by ctx.
 func (c *Client) AdviseCleanupsCtx(ctx context.Context, specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
-	return as[*policy.CleanupAdvice](c.Do(ctx, policy.OpAdviseCleanups, specs))
+	return policy.Call[*policy.CleanupAdvice](ctx, c, policy.OpAdviseCleanups, specs)
 }
 
 // ReportCleanups reports completed cleanups.
 func (c *Client) ReportCleanups(report policy.CleanupReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](c.Do(context.Background(), policy.OpReportCleanups, report))
+	return c.ReportCleanupsCtx(context.Background(), report)
 }
 
 // ReportCleanupsCtx is ReportCleanups joining the trace carried by ctx.
 func (c *Client) ReportCleanupsCtx(ctx context.Context, report policy.CleanupReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](c.Do(ctx, policy.OpReportCleanups, report))
-}
-
-// ReportCleanupsKeyedCtx is ReportCleanupsCtx under a caller-chosen key.
-func (c *Client) ReportCleanupsKeyedCtx(ctx context.Context, key string, report policy.CleanupReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](c.Do(withIdempotencyKey(ctx, key), policy.OpReportCleanups, report))
-}
-
-// RenewLease registers or extends the workflow's liveness lease.
-func (c *Client) RenewLease(workflowID string) (*policy.LeaseStatus, error) {
-	return as[*policy.LeaseStatus](c.Do(context.Background(), policy.OpRenewLease, policy.LeaseOp{WorkflowID: workflowID}))
-}
-
-// AdvanceClock moves the service's logical clock forward, expiring leases
-// whose deadlines have passed and reclaiming their holdings.
-func (c *Client) AdvanceClock(now float64) (*policy.ClockAdvance, error) {
-	return as[*policy.ClockAdvance](c.Do(context.Background(), policy.OpAdvanceClock, policy.ClockOp{Now: now}))
-}
-
-// SetThreshold sets the stream threshold for a host pair.
-func (c *Client) SetThreshold(sourceHost, destHost string, max int) error {
-	return errOf(c.Do(context.Background(), policy.OpSetThreshold,
-		policy.ThresholdOp{SourceHost: sourceHost, DestHost: destHost, Max: max}))
-}
-
-// ActivateBundle activates a previously pushed bundle by version through
-// the WAL-logged activation path.
-func (c *Client) ActivateBundle(version string) (*policy.BundleInfo, error) {
-	return as[*policy.BundleInfo](c.Do(context.Background(), policy.OpActivateBundle, policy.BundleOp{Version: version}))
-}
-
-// ActivateBundleDoc pushes and activates a bundle document in one call:
-// the document rides inside the activation request, so the operation does
-// not depend on previously staged (non-durable) state. XML-mode clients
-// cannot carry bundle documents.
-func (c *Client) ActivateBundleDoc(doc []byte) (*policy.BundleInfo, error) {
-	return as[*policy.BundleInfo](c.Do(context.Background(), policy.OpActivateBundle, policy.BundleOp{Doc: doc}))
-}
-
-// RollbackBundle re-activates the previously active bundle.
-func (c *Client) RollbackBundle() (*policy.BundleInfo, error) {
-	return as[*policy.BundleInfo](c.Do(context.Background(), policy.OpActivateBundle, policy.BundleOp{Rollback: true}))
-}
-
-// Restore replaces the remote service's Policy Memory with the dump.
-func (c *Client) Restore(dump *policy.StateDump) error {
-	return errOf(c.Do(context.Background(), policy.OpImportState, dump))
+	return policy.Call[*policy.ReportAck](ctx, c, policy.OpReportCleanups, report)
 }
 
 // Leases lists the active leases and the holdings behind each.

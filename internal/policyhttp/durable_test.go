@@ -395,7 +395,7 @@ func TestRestoreEndpointInstallsSnapshot(t *testing.T) {
 	}
 	dir := t.TempDir()
 	_, svc, c, ps := durableReplica(t, dir)
-	if err := c.Restore(donor.ExportState()); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpImportState, donor.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 	want := dumpJSON(t, svc)

@@ -56,7 +56,7 @@ func TestClientConnectionRefused(t *testing.T) {
 	if _, err := c.Dump(); err == nil {
 		t.Fatal("dump succeeded against nothing")
 	}
-	if err := c.Restore(&policy.StateDump{}); err == nil {
+	if _, err := c.Execute(context.Background(), policy.OpImportState, &policy.StateDump{}); err == nil {
 		t.Fatal("restore succeeded against nothing")
 	}
 	if _, err := c.State(); err == nil {
@@ -84,7 +84,7 @@ func TestRestoreMalformedBody(t *testing.T) {
 // leader it followed serves the state.
 func TestReplicatedStateAndThreshold(t *testing.T) {
 	p := newSyncedPair(t)
-	if _, err := p.rc.Do(context.Background(), policy.OpSetThreshold,
+	if _, err := p.rc.Execute(context.Background(), policy.OpSetThreshold,
 		policy.ThresholdOp{SourceHost: "a.example.org", DestHost: "b.example.org", Max: 7}); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // The fence wraps OUTSIDE the idempotency cache and refuses before the
 // handler runs, so a 412 applies nothing and records nothing. That is what
 // makes a re-route exactly-once whichever key the re-routed attempt
-// carries (see ReplicatedClient.Do): the only server that has applied —
+// carries (see ReplicatedClient.Execute): the only server that has applied —
 // and cached — the mutation is the one that acknowledges it.
 
 // EpochHeader carries the fencing epoch: on requests, the highest epoch

@@ -2,6 +2,7 @@ package policyhttp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -84,22 +85,23 @@ func TestFenceRejectsEveryMutation(t *testing.T) {
 			return err
 		}},
 		{"setThreshold", func() error {
-			return c.SetThreshold("hostA", "hostB", 4)
+			_, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "hostA", DestHost: "hostB", Max: 4})
+			return err
 		}},
 		{"activateBundleDoc", func() error {
-			_, err := c.ActivateBundleDoc([]byte(`{}`))
+			_, err := policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Doc: []byte(`{}`)})
 			return err
 		}},
 		{"rollbackBundle", func() error {
-			_, err := c.RollbackBundle()
+			_, err := policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Rollback: true})
 			return err
 		}},
 		{"renewLease", func() error {
-			_, err := c.RenewLease("wf1")
+			_, err := policy.Call[*policy.LeaseStatus](context.Background(), c, policy.OpRenewLease, policy.LeaseOp{WorkflowID: "wf1"})
 			return err
 		}},
 		{"advanceClock", func() error {
-			_, err := c.AdvanceClock(99)
+			_, err := policy.Call[*policy.ClockAdvance](context.Background(), c, policy.OpAdvanceClock, policy.ClockOp{Now: 99})
 			return err
 		}},
 	}
@@ -205,7 +207,7 @@ func TestFenceSelfDeposesStalePrimary(t *testing.T) {
 		t.Fatalf("stale primary role = %s, want standby (self-deposed)", got)
 	}
 	// Deposed is sticky: the next write is fenced too.
-	if err := c.SetThreshold("a", "b", 2); !IsFenced(err) {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 2}); !IsFenced(err) {
 		t.Fatalf("deposed primary accepted a write: %v", err)
 	}
 }
@@ -242,7 +244,7 @@ func TestPromoteCleanSwitchover(t *testing.T) {
 	}
 
 	// The old primary now fences; the new one serves.
-	if err := c0.SetThreshold("a", "b", 2); !IsFenced(err) {
+	if _, err := c0.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 2}); !IsFenced(err) {
 		t.Fatalf("old primary accepted a post-failover write: %v", err)
 	}
 	adv, err := c1.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf2")})

@@ -1,6 +1,7 @@
 package policyhttp
 
 import (
+	"context"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
@@ -133,7 +134,7 @@ func TestCleanupRoundTrip(t *testing.T) {
 func TestSetThresholdEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	c := NewClient(ts.URL)
-	if err := c.SetThreshold("src.example.org", "dst.example.org", 2); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "src.example.org", DestHost: "dst.example.org", Max: 2}); err != nil {
 		t.Fatal(err)
 	}
 	adv, err := c.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")})
@@ -144,10 +145,10 @@ func TestSetThresholdEndpoint(t *testing.T) {
 		t.Fatalf("streams = %d, want 2", adv.Transfers[0].Streams)
 	}
 	// Invalid threshold rejected.
-	if err := c.SetThreshold("a", "b", 0); err == nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 0}); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
-	if err := c.SetThreshold("", "", 5); err == nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "", DestHost: "", Max: 5}); err == nil {
 		t.Fatal("empty hosts accepted")
 	}
 }

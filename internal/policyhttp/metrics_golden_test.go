@@ -127,19 +127,19 @@ func runMetricsScript(t *testing.T, c *Client, syncer *StandbySyncer) {
 		t.Fatalf("cleanup advice %+v, want one in-use suppression", cadv)
 	}
 
-	_, err = c.RenewLease("wf1")
+	_, err = policy.Call[*policy.LeaseStatus](context.Background(), c, policy.OpRenewLease, policy.LeaseOp{WorkflowID: "wf1"})
 	must(err)
-	_, err = c.AdvanceClock(1000)
+	_, err = policy.Call[*policy.ClockAdvance](context.Background(), c, policy.OpAdvanceClock, policy.ClockOp{Now: 1000})
 	must(err)
 
 	_, err = c.PushBundle([]byte(testBundleDoc))
 	must(err)
-	_, err = c.ActivateBundle("api-v1")
+	_, err = policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Version: "api-v1"})
 	must(err)
-	_, err = c.RollbackBundle()
+	_, err = policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Rollback: true})
 	must(err)
 
-	_, err = c.Do(context.Background(), policy.OpBumpEpoch, policy.EpochOp{Epoch: 2})
+	_, err = c.Execute(context.Background(), policy.OpBumpEpoch, policy.EpochOp{Epoch: 2})
 	must(err)
 }
 

@@ -1,6 +1,7 @@
 package policyhttp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -72,7 +73,7 @@ func TestStateGaugesCurrentWithoutScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Restore(empty.ExportState()); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpImportState, empty.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 	if got := varsSamples(t, reg, "policy_streams_allocated"); len(got) != 0 {
@@ -132,7 +133,7 @@ func TestMetricsRenderRace(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 3; i++ {
-		if err := svc.ImportState(dump); err != nil {
+		if _, err := svc.Execute(context.Background(), policy.OpImportState, dump); err != nil {
 			t.Error(err)
 		}
 		svc.Instrument(reg, nil)

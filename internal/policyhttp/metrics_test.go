@@ -2,6 +2,7 @@ package policyhttp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -242,7 +243,7 @@ func TestMetricsConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.SetThreshold("src.example.org", "dst.example.org", 16); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "src.example.org", DestHost: "dst.example.org", Max: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Decisions(0, "", "", "", ""); err != nil {

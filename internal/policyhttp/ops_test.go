@@ -49,7 +49,7 @@ func dumpJSON(t *testing.T, svc *policy.Service) string {
 // request carries the retired X-Policy-Sync marker — and only the two
 // replication-plane ops are left open to feed standbys. It is also the
 // drift guard between the two readers of a route row: over JSON and XML,
-// Client.Do of every op must return exactly what Service.Execute returns
+// Client.Execute of every op must return exactly what Service.Execute returns
 // on a twin service fed the same payloads.
 func TestEveryOpHasOneRoute(t *testing.T) {
 	names := policy.OpNames()
@@ -96,15 +96,15 @@ func TestEveryOpHasOneRoute(t *testing.T) {
 	}
 
 	for _, format := range []string{"json", "xml"} {
-		t.Run(format, func(t *testing.T) { checkDoMatchesExecute(t, format == "xml") })
+		t.Run(format, func(t *testing.T) { checkClientMatchesService(t, format == "xml") })
 	}
 }
 
-// checkDoMatchesExecute runs one script covering every logged op through
-// Client.Do against a served service and through Execute against its
+// checkClientMatchesService runs one script covering every logged op through
+// Client.Execute against a served service and through Execute against its
 // twin, requiring identical results, identical refusals and identical
 // Policy Memory at the end.
-func checkDoMatchesExecute(t *testing.T, useXML bool) {
+func checkClientMatchesService(t *testing.T, useXML bool) {
 	cfg := policy.DefaultConfig()
 	cfg.LeaseTTL = 10
 	served, err := policy.New(cfg)
@@ -144,20 +144,20 @@ func checkDoMatchesExecute(t *testing.T, useXML bool) {
 		script = append(script,
 			call{policy.OpActivateBundle, policy.BundleOp{Doc: []byte(testBundleDoc)}},
 			call{policy.OpActivateBundle, policy.BundleOp{Rollback: true}})
-	} else if _, err := c.Do(context.Background(), policy.OpActivateBundle,
+	} else if _, err := c.Execute(context.Background(), policy.OpActivateBundle,
 		policy.BundleOp{Doc: []byte(testBundleDoc)}); !errors.Is(err, errBundleJSONOnly) {
 		t.Errorf("XML bundle document activation: %v, want %v", err, errBundleJSONOnly)
 	}
 	covered := make(map[string]bool)
 	for i, step := range script {
 		covered[step.op] = true
-		got, gerr := c.Do(context.Background(), step.op, step.payload)
+		got, gerr := c.Execute(context.Background(), step.op, step.payload)
 		want, werr := twin.Execute(context.Background(), step.op, step.payload)
 		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("step %d (%s): Do error %v, Execute error %v", i, step.op, gerr, werr)
+			t.Fatalf("step %d (%s): client error %v, service error %v", i, step.op, gerr, werr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("step %d (%s): Do returned %#v, Execute %#v", i, step.op, got, want)
+			t.Errorf("step %d (%s): client returned %#v, service %#v", i, step.op, got, want)
 		}
 	}
 	for _, op := range policy.OpNames() {
@@ -168,10 +168,10 @@ func checkDoMatchesExecute(t *testing.T, useXML bool) {
 	if dumpJSON(t, served) != dumpJSON(t, twin) {
 		t.Error("served Policy Memory diverged from the twin's")
 	}
-	if _, err := c.Do(context.Background(), "no_such_op", nil); !errors.Is(err, policy.ErrInvalidRequest) {
+	if _, err := c.Execute(context.Background(), "no_such_op", nil); !errors.Is(err, policy.ErrInvalidRequest) {
 		t.Errorf("unknown op: %v, want ErrInvalidRequest", err)
 	}
-	if _, err := c.Do(context.Background(), policy.OpRenewLease, "wf1"); !errors.Is(err, policy.ErrInvalidRequest) {
+	if _, err := c.Execute(context.Background(), policy.OpRenewLease, "wf1"); !errors.Is(err, policy.ErrInvalidRequest) {
 		t.Errorf("mistyped payload: %v, want ErrInvalidRequest", err)
 	}
 }
@@ -192,10 +192,10 @@ func grownDonor(t *testing.T) (*policy.Service, *Client) {
 	if _, err := c.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetThreshold("a.example.org", "b.example.org", 7); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a.example.org", DestHost: "b.example.org", Max: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ActivateBundleDoc([]byte(testBundleDoc)); err != nil {
+	if _, err := policy.Call[*policy.BundleInfo](context.Background(), c, policy.OpActivateBundle, policy.BundleOp{Doc: []byte(testBundleDoc)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.BumpEpoch(4); err != nil {

@@ -21,9 +21,8 @@ import (
 // repairs itself the same way — never through this client, which keeps no
 // memory of which replica failed last time.
 //
-// ReplicatedClient has Client's call path, Do, and the Advisor interface
-// (with its keyed-report extension) the transfer tool uses, so a
-// Pegasus-side deployment needs no changes to gain failover.
+// ReplicatedClient is a policy.Executor like Client, so a Pegasus-side
+// deployment needs no changes to gain failover.
 type ReplicatedClient struct {
 	replicas []*Client
 
@@ -80,9 +79,9 @@ func (rc *ReplicatedClient) LastAckReplica() int {
 	return rc.lastAckReplica
 }
 
-// Do runs one logged op (see Client.Do) on the current primary: the
-// hinted leader first, then the rest in index order, returning on the
-// first acknowledgement. What each answer means:
+// Execute runs one logged op (see Client.Execute) on the current
+// primary: the hinted leader first, then the rest in index order,
+// returning on the first acknowledgement. What each answer means:
 //
 //   - ack: done; the replica becomes the leader hint.
 //   - 412: the replica is a healthy standby (or a primary that just
@@ -97,7 +96,7 @@ func (rc *ReplicatedClient) LastAckReplica() int {
 // With nothing acknowledged the error is ErrNoPrimary if any replica
 // fenced the call, ErrNoReplicas otherwise.
 //
-// A caller's idempotency key (withIdempotencyKey) travels to every
+// A caller's idempotency key (policy.WithIdempotencyKey) travels to every
 // replica tried; without one, each per-replica Client mints its own key
 // and reuses it across that client's retries only. Either way a re-route
 // is exactly-once, because a 412 is issued before the mutation is applied
@@ -111,7 +110,7 @@ func (rc *ReplicatedClient) LastAckReplica() int {
 // trace in ctx, or one minted for the call, so a fault episode spanning
 // failover is reconstructable under one trace ID. The lock is held only
 // to read the hint and to record the outcome.
-func (rc *ReplicatedClient) Do(ctx context.Context, op string, payload any) (any, error) {
+func (rc *ReplicatedClient) Execute(ctx context.Context, op string, payload any) (any, error) {
 	if _, ok := obs.SpanFromContext(ctx); !ok {
 		ctx = obs.ContextWithSpan(ctx, obs.NewSpanContext())
 	}
@@ -137,7 +136,7 @@ walk:
 		// Spread the newest epoch before the call: the request header is
 		// what deposes a stale primary.
 		c.RaiseEpoch(epoch)
-		r, err := c.Do(ctx, op, payload)
+		r, err := c.Execute(ctx, op, payload)
 		if e := c.Epoch(); e > epoch {
 			epoch = e
 		}
@@ -184,40 +183,22 @@ walk:
 	return nil, sentinel
 }
 
-// AdviseTransfers implements the Advisor interface with failover.
+// AdviseTransfers is Execute of advise_transfers, with failover.
 func (rc *ReplicatedClient) AdviseTransfers(specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
-	return as[*policy.TransferAdvice](rc.Do(context.Background(), policy.OpAdviseTransfers, specs))
+	return policy.Call[*policy.TransferAdvice](context.Background(), rc, policy.OpAdviseTransfers, specs)
 }
 
-// ReportTransfers implements the Advisor interface with failover.
+// ReportTransfers is Execute of report_transfers, with failover.
 func (rc *ReplicatedClient) ReportTransfers(report policy.CompletionReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](rc.Do(context.Background(), policy.OpReportTransfers, report))
+	return policy.Call[*policy.ReportAck](context.Background(), rc, policy.OpReportTransfers, report)
 }
 
-// AdviseCleanups implements the Advisor interface with failover.
+// AdviseCleanups is Execute of advise_cleanups, with failover.
 func (rc *ReplicatedClient) AdviseCleanups(specs []policy.CleanupSpec) (*policy.CleanupAdvice, error) {
-	return as[*policy.CleanupAdvice](rc.Do(context.Background(), policy.OpAdviseCleanups, specs))
+	return policy.Call[*policy.CleanupAdvice](context.Background(), rc, policy.OpAdviseCleanups, specs)
 }
 
-// ReportCleanups implements the Advisor interface with failover.
+// ReportCleanups is Execute of report_cleanups, with failover.
 func (rc *ReplicatedClient) ReportCleanups(report policy.CleanupReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](rc.Do(context.Background(), policy.OpReportCleanups, report))
-}
-
-// ReportTransfersKeyedCtx implements transfer.KeyedContextReporter: the
-// caller's key reaches every replica, so a report re-sent from the PTT's
-// backlog after its responses were lost is applied once.
-func (rc *ReplicatedClient) ReportTransfersKeyedCtx(ctx context.Context, key string, report policy.CompletionReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](rc.Do(withIdempotencyKey(ctx, key), policy.OpReportTransfers, report))
-}
-
-// ReportCleanupsKeyedCtx implements transfer.KeyedContextReporter.
-func (rc *ReplicatedClient) ReportCleanupsKeyedCtx(ctx context.Context, key string, report policy.CleanupReport) (*policy.ReportAck, error) {
-	return as[*policy.ReportAck](rc.Do(withIdempotencyKey(ctx, key), policy.OpReportCleanups, report))
-}
-
-// RenewLease renews the workflow's lease on the primary (the PTT's
-// transfer.LeaseRenewer).
-func (rc *ReplicatedClient) RenewLease(workflowID string) (*policy.LeaseStatus, error) {
-	return as[*policy.LeaseStatus](rc.Do(context.Background(), policy.OpRenewLease, policy.LeaseOp{WorkflowID: workflowID}))
+	return policy.Call[*policy.ReportAck](context.Background(), rc, policy.OpReportCleanups, report)
 }

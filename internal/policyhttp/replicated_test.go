@@ -245,7 +245,7 @@ func TestReplicasStayIdentical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.rc.Do(context.Background(), policy.OpSetThreshold,
+	if _, err := p.rc.Execute(context.Background(), policy.OpSetThreshold,
 		policy.ThresholdOp{SourceHost: "a.example.org", DestHost: "b.example.org", Max: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestDumpRestoreOverHTTP(t *testing.T) {
 			if len(dump.Resources) != 1 || !dump.Resources[0].Staged {
 				t.Fatalf("dump = %+v", dump)
 			}
-			if err := b.Restore(dump); err != nil {
+			if _, err := b.Execute(context.Background(), policy.OpImportState, dump); err != nil {
 				t.Fatal(err)
 			}
 			st, err := b.State()
@@ -393,5 +393,57 @@ func TestDumpRestoreOverHTTP(t *testing.T) {
 				t.Fatalf("restored state = %+v", st)
 			}
 		})
+	}
+}
+
+// TestReplicatedCallerKeyOnEveryAttempt pins the key contract behind the
+// transfer tool's backlog: a key set with policy.WithIdempotencyKey is
+// sent on every retry and to every replica the call is routed to. Without
+// one, each replica's client mints its own key for the call, reuses it
+// across its retries, and mints a fresh one for the next call.
+func TestReplicatedCallerKeyOnEveryAttempt(t *testing.T) {
+	report := policy.CompletionReport{TransferIDs: []string{"t-00000001"}}
+	call := func(ctx context.Context) (*scriptedTransport, *scriptedTransport) {
+		// Replica 0 fails every attempt with a 503; replica 1 drops the
+		// first attempt's connection and acknowledges the retry.
+		c0, st0, _ := retryClient([]int{503, 503, 503})
+		c1, st1, _ := retryClient([]int{0, http.StatusOK, http.StatusOK})
+		rc, err := NewReplicatedClient(c0, c1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.Execute(ctx, policy.OpReportTransfers, report); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.Execute(ctx, policy.OpReportTransfers, report); err != nil {
+			t.Fatal(err)
+		}
+		return st0, st1
+	}
+
+	st0, st1 := call(policy.WithIdempotencyKey(context.Background(), "wf1-bk-000007"))
+	keys := append(append([]string{}, st0.keys...), st1.keys...)
+	if len(keys) != 6 {
+		t.Fatalf("%d attempts, want 3 on replica 0, then 2 + 1 on replica 1: %v", len(keys), keys)
+	}
+	for i, k := range keys {
+		if k != "wf1-bk-000007" {
+			t.Errorf("attempt %d carried key %q, want the caller's", i, k)
+		}
+	}
+
+	st0, st1 = call(context.Background())
+	if len(st0.keys) != 3 || len(st1.keys) != 3 {
+		t.Fatalf("attempts = %d on replica 0, %d on replica 1; want 3, 3", len(st0.keys), len(st1.keys))
+	}
+	k0, k1, next := st0.keys[0], st1.keys[0], st1.keys[2]
+	if k0 == "" || k1 == "" || next == "" {
+		t.Fatalf("a mutation went without a key: %v %v", st0.keys, st1.keys)
+	}
+	if st0.keys[1] != k0 || st0.keys[2] != k0 || st1.keys[1] != k1 {
+		t.Errorf("retries changed the key: %v %v", st0.keys, st1.keys)
+	}
+	if k0 == k1 || next == k1 {
+		t.Errorf("keys %q, %q, %q: each replica's client and each call must mint its own", k0, k1, next)
 	}
 }

@@ -1,10 +1,13 @@
 package policyhttp
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"testing"
 	"time"
+
+	"policyflow/internal/policy"
 )
 
 // TestRetryDelayPrefersHint pins the precedence rule: a server Retry-After
@@ -73,7 +76,7 @@ func TestRetryAfterHonoredOn429(t *testing.T) {
 			MaxBackoff: 10 * time.Second, Jitter: 0}),
 	)
 	st.retryAfter = []string{"3"}
-	if err := c.SetThreshold("a", "b", 3); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3}); err != nil {
 		t.Fatalf("call failed despite retry budget: %v", err)
 	}
 	if st.calls != 2 {
@@ -95,7 +98,7 @@ func TestRetryAfterHonoredOn503(t *testing.T) {
 			MaxBackoff: 10 * time.Second, Jitter: 0}),
 	)
 	st.retryAfter = []string{"2"}
-	if err := c.SetThreshold("a", "b", 3); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*sleeps) != 1 || (*sleeps)[0] != 2*time.Second {
@@ -112,7 +115,7 @@ func TestRetryAfterCapInLoop(t *testing.T) {
 			MaxBackoff: 50 * time.Millisecond, Jitter: 0}),
 	)
 	st.retryAfter = []string{"9999"}
-	if err := c.SetThreshold("a", "b", 3); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(*sleeps) != 1 || (*sleeps)[0] != 50*time.Millisecond {
@@ -131,7 +134,7 @@ func TestBusySurfacesAfterExhaustion(t *testing.T) {
 			MaxBackoff: time.Second, Jitter: 0}),
 	)
 	st.retryAfter = []string{"1", "1", "1"}
-	err := c.SetThreshold("a", "b", 3)
+	_, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3})
 	if err == nil {
 		t.Fatal("call succeeded against a permanently shedding server")
 	}

@@ -126,7 +126,7 @@ func TestRetryOnGatewayFailures(t *testing.T) {
 		c, st, sleeps := retryClient([]int{code, code, http.StatusOK}, WithRetry(RetryPolicy{
 			MaxAttempts: 3, BaseBackoff: time.Millisecond, Jitter: 0,
 		}))
-		if err := c.SetThreshold("a", "b", 3); err != nil {
+		if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3}); err != nil {
 			t.Errorf("script %d: call failed after retries: %v", code, err)
 		}
 		if st.calls != 3 {
@@ -148,7 +148,7 @@ func TestNoRetryOnDeterministicStatus(t *testing.T) {
 		c, st, sleeps := retryClient([]int{code, http.StatusOK}, WithRetry(RetryPolicy{
 			MaxAttempts: 3, BaseBackoff: time.Millisecond, Jitter: 0,
 		}))
-		err := c.SetThreshold("a", "b", 3)
+		_, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3})
 		if err == nil {
 			t.Errorf("status %d: call unexpectedly succeeded", code)
 			continue
@@ -177,7 +177,7 @@ func TestRetryExhaustion(t *testing.T) {
 	c, st, _ := retryClient([]int{503, 503, 503, 503}, WithRetry(RetryPolicy{
 		MaxAttempts: 3, BaseBackoff: time.Millisecond, Jitter: 0,
 	}), WithMetrics(m))
-	err := c.SetThreshold("a", "b", 3)
+	_, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3})
 	var se *ServerError
 	if !errors.As(err, &se) || se.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("error = %v, want the final 503", err)
@@ -206,7 +206,7 @@ func TestRetryRespectsCancellation(t *testing.T) {
 		// launching attempt two.
 		WithBackoffSleep(func(time.Duration) { cancel() }),
 	)
-	_, err := c.Do(ctx, policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3})
+	_, err := c.Execute(ctx, policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -220,7 +220,7 @@ func TestRetryRespectsCancellation(t *testing.T) {
 // and that GETs carry none.
 func TestMutationKeysAreUnique(t *testing.T) {
 	c, st, _ := retryClient(nil)
-	if err := c.SetThreshold("a", "b", 3); err != nil {
+	if _, err := c.Execute(context.Background(), policy.OpSetThreshold, policy.ThresholdOp{SourceHost: "a", DestHost: "b", Max: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReportTransfers(policy.CompletionReport{TransferIDs: []string{"t-00000001"}}); err != nil {

@@ -497,7 +497,7 @@ func (s *Server) writeError(w http.ResponseWriter, f format, status int, err err
 	s.writeResponse(w, f, status, &ErrorDoc{Message: err.Error()})
 }
 
-// route binds one logged op to its endpoint. The server and Client.Do
+// route binds one logged op to its endpoint. The server and Client.Execute
 // read the same row: the server decodes the request document into the
 // op's payload and wraps the op's result into the reply, the client does
 // the reverse, so the two halves cannot drift apart.

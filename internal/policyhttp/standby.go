@@ -165,7 +165,7 @@ func (s *StandbySyncer) pullDump() error {
 	if err != nil {
 		return fmt.Errorf("policyhttp: %w: %w", errPull, err)
 	}
-	if err := s.local.ImportState(dump); err != nil {
+	if _, err := s.local.Execute(context.Background(), policy.OpImportState, dump); err != nil {
 		return fmt.Errorf("policyhttp: standby restore: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -15,10 +16,12 @@ import (
 )
 
 // flakyAdvisor wraps a policy service behind a toggleable outage, with an
-// idempotency cache mirroring the REST stack's semantics: a keyed report is
-// applied at most once per key, replays are served from the cache, and a
-// "lost response" applies (and caches) the report on the server before the
-// client sees a transport error.
+// idempotency cache mirroring the REST stack's semantics: a report is
+// applied at most once per idempotency key, replays are served from the
+// cache, and a "lost response" applies (and caches) the report on the
+// server before the client sees a transport error. It is a
+// policy.Executor, so the PTT calls it through Execute alone; its four
+// plain methods, behind the same outage, are what a plainAdvisor exposes.
 type flakyAdvisor struct {
 	svc *policy.Service
 
@@ -27,7 +30,8 @@ type flakyAdvisor struct {
 	busy           bool
 	busyNextReport bool
 	loseNextReport bool
-	cache          map[string]*policy.ReportAck
+	failNextReport bool
+	cache          map[string]any
 	replays        int
 	renewals       int
 }
@@ -54,6 +58,71 @@ func (f *flakyAdvisor) gate() error {
 	return nil
 }
 
+// gateReport is gate for a completion report: it also fails the report
+// armed by failNextReport, before the service sees it.
+func (f *flakyAdvisor) gateReport() error {
+	if err := f.gate(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.failNextReport {
+		f.failNextReport = false
+		return errUnreachable
+	}
+	return nil
+}
+
+func (f *flakyAdvisor) Execute(ctx context.Context, op string, payload any) (any, error) {
+	if op != policy.OpReportTransfers && op != policy.OpReportCleanups {
+		if err := f.gate(); err != nil {
+			return nil, err
+		}
+		if op == policy.OpRenewLease {
+			f.mu.Lock()
+			f.renewals++
+			f.mu.Unlock()
+		}
+		return f.svc.Execute(ctx, op, payload)
+	}
+	if err := f.gateReport(); err != nil {
+		return nil, err
+	}
+	key := policy.IdempotencyKey(ctx)
+	if key == "" {
+		return nil, fmt.Errorf("%s sent without an idempotency key", op)
+	}
+	f.mu.Lock()
+	if op == policy.OpReportTransfers && f.busyNextReport {
+		f.busyNextReport = false
+		f.mu.Unlock()
+		return nil, busyError{}
+	}
+	if ack, ok := f.cache[key]; ok {
+		f.replays++
+		f.mu.Unlock()
+		return ack, nil
+	}
+	lose := op == policy.OpReportTransfers && f.loseNextReport
+	if lose {
+		f.loseNextReport = false
+	}
+	f.mu.Unlock()
+	ack, err := f.svc.Execute(ctx, op, payload)
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	f.cache[key] = ack
+	f.mu.Unlock()
+	if lose {
+		// The server applied and cached the report; the response was lost
+		// on the way back.
+		return nil, errUnreachable
+	}
+	return ack, nil
+}
+
 func (f *flakyAdvisor) AdviseTransfers(specs []policy.TransferSpec) (*policy.TransferAdvice, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
@@ -69,84 +138,23 @@ func (f *flakyAdvisor) AdviseCleanups(specs []policy.CleanupSpec) (*policy.Clean
 }
 
 func (f *flakyAdvisor) ReportTransfers(rep policy.CompletionReport) (*policy.ReportAck, error) {
-	if err := f.gate(); err != nil {
+	if err := f.gateReport(); err != nil {
 		return nil, err
 	}
 	return f.svc.ReportTransfers(rep)
 }
 
 func (f *flakyAdvisor) ReportCleanups(rep policy.CleanupReport) (*policy.ReportAck, error) {
-	if err := f.gate(); err != nil {
+	if err := f.gateReport(); err != nil {
 		return nil, err
 	}
 	return f.svc.ReportCleanups(rep)
 }
 
-func (f *flakyAdvisor) ReportTransfersKeyedCtx(_ context.Context, key string, rep policy.CompletionReport) (*policy.ReportAck, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	if f.busyNextReport {
-		f.busyNextReport = false
-		f.mu.Unlock()
-		return nil, busyError{}
-	}
-	f.mu.Unlock()
-	f.mu.Lock()
-	if ack, ok := f.cache[key]; ok {
-		f.replays++
-		f.mu.Unlock()
-		return ack, nil
-	}
-	lose := f.loseNextReport
-	f.loseNextReport = false
-	f.mu.Unlock()
-	ack, err := f.svc.ReportTransfers(rep)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	f.cache[key] = ack
-	f.mu.Unlock()
-	if lose {
-		// The server applied and cached the report; the response was lost
-		// on the way back.
-		return nil, errUnreachable
-	}
-	return ack, nil
-}
-
-func (f *flakyAdvisor) ReportCleanupsKeyedCtx(_ context.Context, key string, rep policy.CleanupReport) (*policy.ReportAck, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	if ack, ok := f.cache[key]; ok {
-		f.replays++
-		f.mu.Unlock()
-		return ack, nil
-	}
-	f.mu.Unlock()
-	ack, err := f.svc.ReportCleanups(rep)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	f.cache[key] = ack
-	f.mu.Unlock()
-	return ack, nil
-}
-
-func (f *flakyAdvisor) RenewLease(workflowID string) (*policy.LeaseStatus, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	f.renewals++
-	f.mu.Unlock()
-	return f.svc.RenewLease(workflowID)
-}
+// plainAdvisor exposes only an Advisor's four plain methods: the shape of
+// an advisor that wraps the plain calls (a timing wrapper), which the PTT
+// reaches through advisorExecutor.
+type plainAdvisor struct{ Advisor }
 
 // TestDegradedModeFailOpenAndReconcile drives the PTT's circuit breaker
 // through a full outage cycle: a lost report response opens the breaker and
@@ -167,7 +175,7 @@ func TestDegradedModeFailOpenAndReconcile(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	svc.Instrument(reg, nil)
-	fa := &flakyAdvisor{svc: svc, cache: make(map[string]*policy.ReportAck)}
+	fa := &flakyAdvisor{svc: svc, cache: make(map[string]any)}
 
 	env := simnet.NewEnv(1)
 	fab := NewSimFabric(env, quietConfigFor)
@@ -282,7 +290,7 @@ func TestBreakerDisabledFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa := &flakyAdvisor{svc: svc, down: true, cache: make(map[string]*policy.ReportAck)}
+	fa := &flakyAdvisor{svc: svc, down: true, cache: make(map[string]any)}
 	env := simnet.NewEnv(1)
 	fab := NewSimFabric(env, quietConfigFor)
 	ptt, err := New(Config{Advisor: fa, Fabric: fab, DefaultStreams: 4})
@@ -315,7 +323,7 @@ func TestBusyDoesNotTripBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa := &flakyAdvisor{svc: svc, cache: make(map[string]*policy.ReportAck)}
+	fa := &flakyAdvisor{svc: svc, cache: make(map[string]any)}
 	env := simnet.NewEnv(1)
 	fab := NewSimFabric(env, quietConfigFor)
 	ptt, err := New(Config{
@@ -378,5 +386,137 @@ func TestBusyDoesNotTripBreaker(t *testing.T) {
 	}
 	if st.TransfersExecuted != 3 {
 		t.Errorf("TransfersExecuted = %d, want 3", st.TransfersExecuted)
+	}
+}
+
+// breakerCycle stages, reports and cleans up through adv, then walks the
+// breaker through one outage: a failed report opens it and queues the
+// report, an outage batch runs on defaults and its cleanup is deferred,
+// and after the cooldown the next call reconciles and drains the backlog.
+func breakerCycle(t *testing.T, adv Advisor, fa *flakyAdvisor) Stats {
+	t.Helper()
+	env := simnet.NewEnv(1)
+	ptt, err := New(Config{
+		Advisor: adv, Fabric: NewSimFabric(env, quietConfigFor), DefaultStreams: 4, PolicyCallSeconds: 0.1,
+		Breaker: BreakerConfig{FailureThreshold: 1, CooldownSeconds: 30, BacklogLimit: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(f func()) {
+		fa.mu.Lock()
+		f()
+		fa.mu.Unlock()
+	}
+	env.Go("workflow", func(p *simnet.Proc) {
+		steps := []func() error{
+			func() error { return ptt.ExecuteList(p, "wf1", "c1", []workflow.TransferOp{op(1, 4), op(2, 4)}, 0) },
+			func() error { return ptt.ExecuteCleanups(p, "wf1", []string{op(1, 4).DestURL}) },
+			func() error {
+				set(func() { fa.failNextReport = true })
+				return ptt.ExecuteList(p, "wf1", "c1", []workflow.TransferOp{op(3, 4)}, 0)
+			},
+			func() error {
+				set(func() { fa.down = true })
+				return ptt.ExecuteList(p, "wf1", "c1", []workflow.TransferOp{op(4, 4)}, 0)
+			},
+			func() error { return ptt.ExecuteCleanups(p, "wf1", []string{op(2, 4).DestURL}) },
+			func() error {
+				set(func() { fa.down = false })
+				p.Sleep(40)
+				return ptt.ExecuteList(p, "wf1", "c1", []workflow.TransferOp{op(5, 4)}, 0)
+			},
+		}
+		for i, step := range steps {
+			if err := step(); err != nil {
+				t.Errorf("step %d: %v", i+1, err)
+			}
+		}
+	})
+	env.Run(0)
+	return ptt.Stats()
+}
+
+// TestBreakerOverPlainAdvisor drives the PTT over an advisor with only the
+// four plain methods, the shape of a wrapper that times the plain calls.
+// It reaches the service through advisorExecutor, without trace or key,
+// and must stage, report, clean up, open its breaker, backlog and
+// reconcile exactly as it does over a policy.Executor in front of the
+// same service. The one difference: it cannot renew a lease.
+func TestBreakerOverPlainAdvisor(t *testing.T) {
+	cfg := policy.DefaultConfig()
+	cfg.LeaseTTL = 120
+	newFlaky := func() *flakyAdvisor {
+		svc, err := policy.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &flakyAdvisor{svc: svc, cache: make(map[string]any)}
+	}
+	direct, plain := newFlaky(), newFlaky()
+	want := breakerCycle(t, direct, direct)
+	got := breakerCycle(t, plainAdvisor{plain}, plain)
+
+	if want.LeaseRenewals != 1 || got.LeaseRenewals != 0 {
+		t.Errorf("LeaseRenewals = %d over the Executor, %d over the plain advisor; want 1, 0",
+			want.LeaseRenewals, got.LeaseRenewals)
+	}
+	want.LeaseRenewals = 0
+	if got != want {
+		t.Errorf("stats over the plain advisor differ from the Executor's:\n  got  %+v\n  want %+v", got, want)
+	}
+	if got.TransfersExecuted != 5 || got.DegradedTransfers != 1 || got.CleanupsExecuted != 1 ||
+		got.CleanupsDeferred != 1 || got.BreakerOpens != 1 || got.BacklogQueued != 1 ||
+		got.BacklogDrained != 1 || got.Reconciles != 1 {
+		t.Errorf("stats = %+v, want 5 executed (1 degraded), 1 cleanup executed and 1 deferred, "+
+			"1 breaker open, 1 report queued and drained, 1 reconcile", got)
+	}
+	// Every report reached the service exactly once, and the adapter
+	// carried no trace: only the Executor's decisions name one.
+	for name, fa := range map[string]*flakyAdvisor{"executor": direct, "plain": plain} {
+		d := fa.svc.ExportState()
+		if len(d.Transfers) != 0 || len(d.Cleanups) != 0 {
+			t.Errorf("%s: %d transfers, %d cleanups still in flight", name, len(d.Transfers), len(d.Cleanups))
+		}
+		for _, rec := range fa.svc.Decisions(0) {
+			if traced := rec.TraceID != ""; traced != (fa == direct) {
+				t.Errorf("%s: %s decision has trace %q", name, rec.Op, rec.TraceID)
+			}
+		}
+	}
+	if direct.replays != 0 {
+		t.Errorf("%d replays over the Executor; the failed report never reached the service", direct.replays)
+	}
+}
+
+// TestBreakerOffPlainAdvisorMatchesService runs a fault-free list and
+// cleanup over *policy.Service and over the same service behind only its
+// plain methods: the counters must agree, lease renewals included (none).
+func TestBreakerOffPlainAdvisorMatchesService(t *testing.T) {
+	run := func(wrap func(*policy.Service) Advisor) Stats {
+		svc := newPolicySvc(t, 50, 4)
+		env := simnet.NewEnv(1)
+		ptt, err := New(Config{Advisor: wrap(svc), Fabric: NewSimFabric(env, quietConfigFor), DefaultStreams: 4, PolicyCallSeconds: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Go("workflow", func(p *simnet.Proc) {
+			if err := ptt.ExecuteList(p, "wf1", "c1", []workflow.TransferOp{op(1, 4), op(2, 4), op(1, 4)}, 0); err != nil {
+				t.Error(err)
+			}
+			if err := ptt.ExecuteCleanups(p, "wf1", []string{op(1, 4).DestURL, op(1, 4).DestURL}); err != nil {
+				t.Error(err)
+			}
+		})
+		env.Run(0)
+		return ptt.Stats()
+	}
+	want := run(func(s *policy.Service) Advisor { return s })
+	got := run(func(s *policy.Service) Advisor { return plainAdvisor{s} })
+	if got != want {
+		t.Errorf("stats over the plain advisor = %+v, over the service = %+v", got, want)
+	}
+	if want.PolicyCalls != 4 || want.TransfersSuppressed != 1 || want.CleanupsSuppressed != 1 {
+		t.Errorf("stats = %+v, want 4 policy calls, 1 suppressed transfer and 1 suppressed cleanup", want)
 	}
 }

@@ -16,8 +16,13 @@ import (
 	"policyflow/internal/simnet"
 )
 
-// Advisor is the policy service interface the PTT consults. Both
-// *policy.Service (in-process) and *policyhttp.Client (REST) satisfy it.
+// Advisor is the policy service's four-call interface, the paper's
+// RESTful one: *policy.Service (in process), *policyhttp.Client and
+// *policyhttp.ReplicatedClient (over the wire) satisfy it. All three are
+// also policy.Executors, and the PTT calls an Executor through Execute
+// alone, passing each batch's trace and each report's idempotency key in
+// the context. Any other Advisor, such as a wrapper that times the plain
+// calls, runs through advisorExecutor, which carries neither.
 type Advisor interface {
 	AdviseTransfers([]policy.TransferSpec) (*policy.TransferAdvice, error)
 	ReportTransfers(policy.CompletionReport) (*policy.ReportAck, error)
@@ -25,35 +30,31 @@ type Advisor interface {
 	ReportCleanups(policy.CleanupReport) (*policy.ReportAck, error)
 }
 
-// ContextAdvisor is the optional Advisor extension for advisors that
-// accept a caller context carrying a causal span context (both
-// *policy.Service and *policyhttp.Client implement it). The PTT mints one
-// trace per advised batch, so the advise call, the rule firings behind
-// it, and the resulting transfer lifecycle events all share one trace ID.
-type ContextAdvisor interface {
-	AdviseTransfersCtx(ctx context.Context, specs []policy.TransferSpec) (*policy.TransferAdvice, error)
-	ReportTransfersCtx(ctx context.Context, report policy.CompletionReport) (*policy.ReportAck, error)
-	AdviseCleanupsCtx(ctx context.Context, specs []policy.CleanupSpec) (*policy.CleanupAdvice, error)
-	ReportCleanupsCtx(ctx context.Context, report policy.CleanupReport) (*policy.ReportAck, error)
-}
+// advisorExecutor is the policy.Executor over an Advisor's four plain
+// methods. It drops ctx, and with it the trace and the idempotency key,
+// and answers any other op (a lease renewal) with an error.
+type advisorExecutor struct{ a Advisor }
 
-// KeyedContextReporter is the optional Advisor extension for advisors that
-// accept a caller-chosen idempotency key next to the caller's trace
-// context (the REST clients, replicated or not). The PTT sends every
-// completion report through it when offered: each report keeps one key
-// from its first attempt across every backlog drain, so a report that
-// reached the service before a lost response is not applied twice, and
-// it keeps its batch trace.
-type KeyedContextReporter interface {
-	ReportTransfersKeyedCtx(ctx context.Context, key string, report policy.CompletionReport) (*policy.ReportAck, error)
-	ReportCleanupsKeyedCtx(ctx context.Context, key string, report policy.CleanupReport) (*policy.ReportAck, error)
-}
-
-// LeaseRenewer is the optional Advisor extension for advisors that expose
-// lease renewal. The PTT re-acquires its lease when reconciling after a
-// degraded-mode episode.
-type LeaseRenewer interface {
-	RenewLease(workflowID string) (*policy.LeaseStatus, error)
+func (x advisorExecutor) Execute(_ context.Context, op string, payload any) (any, error) {
+	switch p := payload.(type) {
+	case []policy.TransferSpec:
+		if op == policy.OpAdviseTransfers {
+			return x.a.AdviseTransfers(p)
+		}
+	case policy.CompletionReport:
+		if op == policy.OpReportTransfers {
+			return x.a.ReportTransfers(p)
+		}
+	case []policy.CleanupSpec:
+		if op == policy.OpAdviseCleanups {
+			return x.a.AdviseCleanups(p)
+		}
+	case policy.CleanupReport:
+		if op == policy.OpReportCleanups {
+			return x.a.ReportCleanups(p)
+		}
+	}
+	return nil, fmt.Errorf("%w: advisor has no %s for a %T payload", policy.ErrInvalidRequest, op, payload)
 }
 
 // Fabric abstracts the data plane: something that can move bytes between

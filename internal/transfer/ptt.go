@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"policyflow/internal/obs"
@@ -132,7 +133,13 @@ type Stats struct {
 // PTT is the Pegasus Transfer Tool equivalent. Safe for concurrent use by
 // many simulated processes.
 type PTT struct {
-	cfg   Config
+	cfg Config
+	// exec runs every policy call: the advisor itself when it is a
+	// policy.Executor (direct), else advisorExecutor over it; nil without
+	// an advisor. New resolves it once.
+	exec   policy.Executor
+	direct bool
+
 	mu    sync.Mutex
 	stats Stats
 	seq   int64
@@ -146,18 +153,16 @@ type PTT struct {
 }
 
 // backlogEntry is one completion report: sent once, and held while the
-// policy service is unreachable. Exactly one of transfers/cleanups is set.
-// The key is minted before the first attempt and reused on every drain
-// attempt, so an advisor that honors idempotency keys (the REST clients)
-// applies the report at most once even if an earlier attempt's response
-// was lost. ctx carries the advised batch's trace, which a drained report
-// still joins.
+// policy service is unreachable. For a direct advisor ctx carries the
+// advised batch's trace, which a drained report still joins, and an
+// idempotency key minted before the first attempt and reused on every
+// drain, so an advisor that honors keys (the REST clients) applies the
+// report at most once even if an earlier attempt's response was lost.
 type backlogEntry struct {
 	ctx        context.Context
-	key        string
+	op         string
+	payload    any
 	workflowID string
-	transfers  *policy.CompletionReport
-	cleanups   *policy.CleanupReport
 }
 
 // New creates a PTT.
@@ -165,7 +170,15 @@ func New(cfg Config) (*PTT, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return &PTT{cfg: cfg}, nil
+	t := &PTT{cfg: cfg}
+	switch a := cfg.Advisor.(type) {
+	case nil:
+	case policy.Executor:
+		t.exec, t.direct = a, true
+	default:
+		t.exec = advisorExecutor{a}
+	}
+	return t, nil
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -187,7 +200,7 @@ var ErrTransfersFailed = errors.New("transfer: one or more transfers failed")
 
 // breakerEnabled reports whether the fail-open breaker is in effect.
 func (t *PTT) breakerEnabled() bool {
-	return t.cfg.Advisor != nil && t.cfg.Breaker.FailureThreshold > 0
+	return t.exec != nil && t.cfg.Breaker.FailureThreshold > 0
 }
 
 // breakerOpen reports whether policy calls should be skipped at simulated
@@ -255,13 +268,38 @@ func (t *PTT) policySucceeded(p *simnet.Proc, workflowID string) {
 	}
 }
 
-// nextBacklogKey mints the idempotency key a report keeps for life —
-// through the first send attempt and every backlog drain after it.
-func (t *PTT) nextBacklogKey(workflowID string) string {
+// nextSeq advances the sequence behind request IDs and report keys.
+func (t *PTT) nextSeq() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
-	return fmt.Sprintf("%s-bk-%06d", workflowID, t.seq)
+	return t.seq
+}
+
+// seqID returns workflowID, infix and n zero-padded to six digits: the
+// bytes fmt.Sprintf("%s%s%06d", workflowID, infix, n) prints for n >= 0,
+// in one allocation.
+func seqID(workflowID, infix string, n int64) string {
+	var buf [64]byte
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], n, 10)
+	b := append(append(buf[:0], workflowID...), infix...)
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
+
+// newBatch mints the trace one advised batch shares (its advise call, the
+// rule firings behind it, its completion report and its started events)
+// when anything receives it: a direct advisor, or the Tracer when events
+// is set. Otherwise it returns the zero span and the background context.
+func (t *PTT) newBatch(events bool) (obs.SpanContext, context.Context) {
+	if !t.direct && !(events && t.cfg.Tracer != nil) {
+		return obs.SpanContext{}, context.Background()
+	}
+	sc := obs.NewSpanContext()
+	return sc, obs.ContextWithSpan(context.Background(), sc)
 }
 
 // enqueueBacklog queues one unreported completion, dropping the oldest
@@ -277,27 +315,48 @@ func (t *PTT) enqueueBacklog(e backlogEntry) {
 	t.stats.BacklogQueued++
 }
 
-// sendReport delivers one completion report through the richest interface
-// the advisor offers: keyed, so every drain reuses the entry's key; else
-// traced; else plain.
-func (t *PTT) sendReport(e backlogEntry) (err error) {
-	kr, keyed := t.cfg.Advisor.(KeyedContextReporter)
-	ca, traced := t.cfg.Advisor.(ContextAdvisor)
-	switch {
-	case e.transfers != nil && keyed:
-		_, err = kr.ReportTransfersKeyedCtx(e.ctx, e.key, *e.transfers)
-	case e.transfers != nil && traced:
-		_, err = ca.ReportTransfersCtx(e.ctx, *e.transfers)
-	case e.transfers != nil:
-		_, err = t.cfg.Advisor.ReportTransfers(*e.transfers)
-	case keyed:
-		_, err = kr.ReportCleanupsKeyedCtx(e.ctx, e.key, *e.cleanups)
-	case traced:
-		_, err = ca.ReportCleanupsCtx(e.ctx, *e.cleanups)
-	default:
-		_, err = t.cfg.Advisor.ReportCleanups(*e.cleanups)
+// roundTrip models one policy call's latency in simulated time and counts
+// the call.
+func (t *PTT) roundTrip(p *simnet.Proc) {
+	p.Sleep(t.cfg.PolicyCallSeconds)
+	t.bump(func(s *Stats) { s.PolicyCalls++ })
+}
+
+// call is one policy call: its round trip, then op on the advisor.
+func call[R any](t *PTT, p *simnet.Proc, ctx context.Context, op string, payload any) (R, error) {
+	t.roundTrip(p)
+	return policy.Call[R](ctx, t.exec, op, payload)
+}
+
+// report sends one completion report under the batch's ctx. A direct
+// advisor's report carries a key minted before the first attempt. With
+// the breaker enabled a failed report is not an error: the transfers
+// happened and only the bookkeeping is stuck, so the report queues for
+// reconciliation. A shed report (429) was never applied; it queues the
+// same way but does not count toward the breaker.
+func (t *PTT) report(p *simnet.Proc, ctx context.Context, workflowID, op string, payload any) error {
+	t.roundTrip(p)
+	// The sequence advances either way, so request IDs do not depend on
+	// the advisor's kind.
+	n := t.nextSeq()
+	if t.direct {
+		ctx = policy.WithIdempotencyKey(ctx, seqID(workflowID, "-bk-", n))
 	}
-	return err
+	e := backlogEntry{ctx: ctx, op: op, payload: payload, workflowID: workflowID}
+	if _, err := t.exec.Execute(e.ctx, e.op, e.payload); err != nil {
+		if !t.breakerEnabled() {
+			return err
+		}
+		if isBusy(err) {
+			t.policyBusy()
+		} else {
+			t.policyFailed(p.Now())
+		}
+		t.enqueueBacklog(e)
+		return nil
+	}
+	t.policySucceeded(p, workflowID)
+	return nil
 }
 
 // reconcile runs after the service answers again: leases are re-acquired
@@ -321,33 +380,29 @@ func (t *PTT) reconcile(p *simnet.Proc, workflowID string) {
 		t.mu.Unlock()
 	}()
 
-	if lr, ok := t.cfg.Advisor.(LeaseRenewer); ok {
-		owners := map[string]bool{}
-		if workflowID != "" {
-			owners[workflowID] = true
+	owners := map[string]bool{}
+	if workflowID != "" {
+		owners[workflowID] = true
+	}
+	for _, e := range pending {
+		if e.workflowID != "" {
+			owners[e.workflowID] = true
 		}
-		for _, e := range pending {
-			if e.workflowID != "" {
-				owners[e.workflowID] = true
-			}
-		}
-		sorted := make([]string, 0, len(owners))
-		for o := range owners {
-			sorted = append(sorted, o)
-		}
-		sort.Strings(sorted)
-		for _, o := range sorted {
-			// Best-effort: a rejection here (e.g. leases disabled) must not
-			// block the backlog drain.
-			if _, err := lr.RenewLease(o); err == nil {
-				t.bump(func(s *Stats) { s.LeaseRenewals++ })
-			}
+	}
+	sorted := make([]string, 0, len(owners))
+	for o := range owners {
+		sorted = append(sorted, o)
+	}
+	sort.Strings(sorted)
+	for _, o := range sorted {
+		// Best-effort: a rejection here (leases disabled, or an advisor
+		// without renewal) must not block the backlog drain.
+		if _, err := t.exec.Execute(context.Background(), policy.OpRenewLease, policy.LeaseOp{WorkflowID: o}); err == nil {
+			t.bump(func(s *Stats) { s.LeaseRenewals++ })
 		}
 	}
 	for i, e := range pending {
-		p.Sleep(t.cfg.PolicyCallSeconds)
-		t.bump(func(s *Stats) { s.PolicyCalls++ })
-		if err := t.sendReport(e); err != nil {
+		if _, err := call[any](t, p, e.ctx, e.op, e.payload); err != nil {
 			t.mu.Lock()
 			t.backlog = append(append([]backlogEntry{}, pending[i:]...), t.backlog...)
 			for len(t.backlog) > t.cfg.Breaker.BacklogLimit {
@@ -394,7 +449,7 @@ func (t *PTT) ExecuteList(p *simnet.Proc, workflowID, clusterID string, ops []wo
 	if len(ops) == 0 {
 		return nil
 	}
-	if t.cfg.Advisor == nil {
+	if t.exec == nil {
 		return t.executeWithoutPolicy(p, ops)
 	}
 	return t.executeWithPolicy(p, workflowID, clusterID, ops, priority)
@@ -431,12 +486,8 @@ func (t *PTT) executeWithoutPolicy(p *simnet.Proc, ops []workflow.TransferOp) er
 func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, ops []workflow.TransferOp, priority int) error {
 	specs := make([]policy.TransferSpec, 0, len(ops))
 	for _, op := range ops {
-		t.mu.Lock()
-		t.seq++
-		reqID := fmt.Sprintf("%s-%06d", workflowID, t.seq)
-		t.mu.Unlock()
 		specs = append(specs, policy.TransferSpec{
-			RequestID:        reqID,
+			RequestID:        seqID(workflowID, "-", t.nextSeq()),
 			WorkflowID:       workflowID,
 			ClusterID:        clusterID,
 			SourceURL:        op.SourceURL,
@@ -449,20 +500,8 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 	if t.breakerEnabled() && t.breakerOpen(p.Now()) {
 		return t.executeDegraded(p, ops)
 	}
-	// One trace per advised batch: the advise call, the rule firings
-	// behind it, the completion report and every started event below
-	// share this trace ID.
-	batch := obs.NewSpanContext()
-	ctx := obs.ContextWithSpan(context.Background(), batch)
-	p.Sleep(t.cfg.PolicyCallSeconds)
-	t.bump(func(s *Stats) { s.PolicyCalls++ })
-	var adv *policy.TransferAdvice
-	var err error
-	if ca, ok := t.cfg.Advisor.(ContextAdvisor); ok {
-		adv, err = ca.AdviseTransfersCtx(ctx, specs)
-	} else {
-		adv, err = t.cfg.Advisor.AdviseTransfers(specs)
-	}
+	batch, ctx := t.newBatch(true)
+	adv, err := call[*policy.TransferAdvice](t, p, ctx, policy.OpAdviseTransfers, specs)
 	if err != nil {
 		if !t.breakerEnabled() {
 			return fmt.Errorf("transfer: policy advice: %w", err)
@@ -522,32 +561,13 @@ func (t *PTT) executeWithPolicy(p *simnet.Proc, workflowID, clusterID string, op
 	}
 
 	if len(completed) > 0 || len(failedIDs) > 0 {
-		p.Sleep(t.cfg.PolicyCallSeconds)
-		t.bump(func(s *Stats) { s.PolicyCalls++ })
 		report := policy.CompletionReport{
 			TransferIDs: completed,
 			FailedIDs:   failedIDs,
 			Timings:     timings,
 		}
-		// The key is minted before the first attempt so a backlog drain
-		// after a lost response reuses it and the report applies once.
-		e := backlogEntry{ctx: ctx, key: t.nextBacklogKey(workflowID), workflowID: workflowID, transfers: &report}
-		if rerr := t.sendReport(e); rerr != nil {
-			if !t.breakerEnabled() {
-				return fmt.Errorf("transfer: completion report: %w", rerr)
-			}
-			// The transfers happened; only the bookkeeping is stuck. Queue
-			// it for reconciliation instead of failing the staging task. A
-			// shed report (429) was never applied, so it queues the same
-			// way but without counting toward the breaker.
-			if isBusy(rerr) {
-				t.policyBusy()
-			} else {
-				t.policyFailed(p.Now())
-			}
-			t.enqueueBacklog(e)
-		} else {
-			t.policySucceeded(p, workflowID)
+		if err := t.report(p, ctx, workflowID, policy.OpReportTransfers, report); err != nil {
+			return fmt.Errorf("transfer: completion report: %w", err)
 		}
 	}
 	if len(failedIDs) > 0 {
@@ -564,7 +584,7 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 	if len(urls) == 0 {
 		return nil
 	}
-	if t.cfg.Advisor == nil {
+	if t.exec == nil {
 		for _, u := range urls {
 			if err := t.cfg.Fabric.Delete(p, u); err != nil {
 				return fmt.Errorf("transfer: delete %s: %w", u, err)
@@ -575,11 +595,7 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 	}
 	specs := make([]policy.CleanupSpec, 0, len(urls))
 	for _, u := range urls {
-		t.mu.Lock()
-		t.seq++
-		reqID := fmt.Sprintf("%s-c%06d", workflowID, t.seq)
-		t.mu.Unlock()
-		specs = append(specs, policy.CleanupSpec{RequestID: reqID, WorkflowID: workflowID, FileURL: u})
+		specs = append(specs, policy.CleanupSpec{RequestID: seqID(workflowID, "-c", t.nextSeq()), WorkflowID: workflowID, FileURL: u})
 	}
 	if t.breakerEnabled() && t.breakerOpen(p.Now()) {
 		// Fail safe, not open: without policy knowledge a staged file may
@@ -588,17 +604,8 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 		t.bump(func(s *Stats) { s.CleanupsDeferred += int64(len(urls)) })
 		return nil
 	}
-	batch := obs.NewSpanContext()
-	ctx := obs.ContextWithSpan(context.Background(), batch)
-	p.Sleep(t.cfg.PolicyCallSeconds)
-	t.bump(func(s *Stats) { s.PolicyCalls++ })
-	var adv *policy.CleanupAdvice
-	var err error
-	if ca, ok := t.cfg.Advisor.(ContextAdvisor); ok {
-		adv, err = ca.AdviseCleanupsCtx(ctx, specs)
-	} else {
-		adv, err = t.cfg.Advisor.AdviseCleanups(specs)
-	}
+	_, ctx := t.newBatch(false)
+	adv, err := call[*policy.CleanupAdvice](t, p, ctx, policy.OpAdviseCleanups, specs)
 	if err != nil {
 		if !t.breakerEnabled() {
 			return fmt.Errorf("transfer: cleanup advice: %w", err)
@@ -625,22 +632,8 @@ func (t *PTT) ExecuteCleanups(p *simnet.Proc, workflowID string, urls []string) 
 		t.bump(func(s *Stats) { s.CleanupsExecuted++ })
 	}
 	if len(done) > 0 {
-		p.Sleep(t.cfg.PolicyCallSeconds)
-		t.bump(func(s *Stats) { s.PolicyCalls++ })
-		report := policy.CleanupReport{CleanupIDs: done}
-		e := backlogEntry{ctx: ctx, key: t.nextBacklogKey(workflowID), workflowID: workflowID, cleanups: &report}
-		if rerr := t.sendReport(e); rerr != nil {
-			if !t.breakerEnabled() {
-				return fmt.Errorf("transfer: cleanup report: %w", rerr)
-			}
-			if isBusy(rerr) {
-				t.policyBusy()
-			} else {
-				t.policyFailed(p.Now())
-			}
-			t.enqueueBacklog(e)
-		} else {
-			t.policySucceeded(p, workflowID)
+		if err := t.report(p, ctx, workflowID, policy.OpReportCleanups, policy.CleanupReport{CleanupIDs: done}); err != nil {
+			return fmt.Errorf("transfer: cleanup report: %w", err)
 		}
 	}
 	return nil

@@ -266,3 +266,18 @@ func absDiff(a, b float64) float64 {
 	}
 	return b - a
 }
+
+// TestSeqIDMatchesSprintf pins seqID to the fmt.Sprintf verbs it replaced
+// for request IDs and report keys: zero, one, the largest padded value,
+// and values wider than the pad, which must print in full.
+func TestSeqIDMatchesSprintf(t *testing.T) {
+	for _, infix := range []string{"-", "-c", "-bk-"} {
+		for _, n := range []int64{0, 1, 9, 10, 999999, 1000000, 1234567, 1234567890123} {
+			for _, wf := range []string{"wf1", "montage-2deg-workflow-with-a-name-longer-than-the-stack-buffer"} {
+				if got, want := seqID(wf, infix, n), fmt.Sprintf("%s%s%06d", wf, infix, n); got != want {
+					t.Errorf("seqID(%q, %q, %d) = %q, want %q", wf, infix, n, got, want)
+				}
+			}
+		}
+	}
+}

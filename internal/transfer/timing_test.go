@@ -11,26 +11,21 @@ import (
 	"policyflow/internal/workflow"
 )
 
-// recordingAdvisor wraps a policy service and captures completion reports.
+// recordingAdvisor wraps a policy service and captures completion reports
+// on Execute, the only path the PTT calls a policy.Executor through.
 type recordingAdvisor struct {
 	*policy.Service
 	mu      sync.Mutex
 	reports []policy.CompletionReport
 }
 
-func (r *recordingAdvisor) ReportTransfers(rep policy.CompletionReport) (*policy.ReportAck, error) {
-	r.mu.Lock()
-	r.reports = append(r.reports, rep)
-	r.mu.Unlock()
-	return r.Service.ReportTransfers(rep)
-}
-
-// ReportTransfersCtx intercepts the ContextAdvisor path the PTT prefers.
-func (r *recordingAdvisor) ReportTransfersCtx(ctx context.Context, rep policy.CompletionReport) (*policy.ReportAck, error) {
-	r.mu.Lock()
-	r.reports = append(r.reports, rep)
-	r.mu.Unlock()
-	return r.Service.ReportTransfersCtx(ctx, rep)
+func (r *recordingAdvisor) Execute(ctx context.Context, op string, payload any) (any, error) {
+	if rep, ok := payload.(policy.CompletionReport); ok && op == policy.OpReportTransfers {
+		r.mu.Lock()
+		r.reports = append(r.reports, rep)
+		r.mu.Unlock()
+	}
+	return r.Service.Execute(ctx, op, payload)
 }
 
 func TestTimingsReportedAccurately(t *testing.T) {

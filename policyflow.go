@@ -85,10 +85,10 @@ type (
 	// PolicyServer is the RESTful web interface (an http.Handler).
 	PolicyServer = policyhttp.Server
 	// PolicyClient talks to a remote policy service over HTTP. Its one
-	// call path is Do(ctx, op, payload): the payload PolicyService.Execute
-	// takes for a logged op goes over the wire, and the result Execute
-	// returns comes back. AdviseTransfers, ReportTransfers and the other
-	// typed methods are one-line calls to Do.
+	// call path is Execute(ctx, op, payload), the same policy.Executor
+	// method PolicyService has: the payload goes over the wire, and the
+	// result Execute returns comes back. AdviseTransfers, ReportTransfers
+	// and the other typed methods are one-line calls to Execute.
 	PolicyClient = policyhttp.Client
 	// PolicyClientOption customizes a PolicyClient.
 	PolicyClientOption = policyhttp.ClientOption
@@ -182,7 +182,7 @@ type (
 	// StateDump is a serializable snapshot of Policy Memory.
 	StateDump = policy.StateDump
 	// ReplicatedPolicyClient follows the leader of an epoch-fenced
-	// primary/standby pair through the same Do(ctx, op, payload) call
+	// primary/standby pair through the same Execute(ctx, op, payload) call
 	// path: each call goes to the replica that last acknowledged one and
 	// re-routes on a fence (412) or a failure. It replicates nothing
 	// itself — the standby pulls the primary's log, and a promotion
