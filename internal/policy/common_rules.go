@@ -288,7 +288,7 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 				if l.Allocated < 0 {
 					l.Allocated = 0
 				}
-				if r, ok := rules.CtxFirstBy[*Resource](ctx, "dest", t.DestURL, nil); ok {
+				if r, ok := rules.FirstByKey[*Resource](ctx, "dest", t.DestURL); ok {
 					r.Staged = true
 					ctx.Update(r)
 				}
@@ -320,7 +320,7 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 				if l.Allocated < 0 {
 					l.Allocated = 0
 				}
-				if r, ok := rules.CtxFirstBy[*Resource](ctx, "dest", t.DestURL, nil); ok {
+				if r, ok := rules.FirstByKey[*Resource](ctx, "dest", t.DestURL); ok {
 					if r.Users[t.WorkflowID] > 0 {
 						r.Users[t.WorkflowID]--
 						if r.Users[t.WorkflowID] == 0 {
@@ -456,7 +456,7 @@ func cleanupRules() []*rules.Rule {
 			},
 			Then: func(ctx *rules.Context) {
 				c := ctx.Get("c").(*Cleanup)
-				if r, ok := rules.CtxFirstBy[*Resource](ctx, "dest", c.FileURL, nil); ok {
+				if r, ok := rules.FirstByKey[*Resource](ctx, "dest", c.FileURL); ok {
 					ctx.Retract(r)
 				}
 				ctx.Retract(c)

@@ -85,7 +85,7 @@ func priorityRules(tun func() *Tunables) []*rules.Rule {
 // the batch's structure).
 func medianSubmittedPriority(ctx *rules.Context) int {
 	var ps []int
-	for _, t := range rules.CtxFactsOf[*Transfer](ctx) {
+	for _, t := range rules.FactsOf[*Transfer](ctx) {
 		if t.State == TransferSubmitted || t.State == TransferDuplicate {
 			ps = append(ps, t.Priority)
 		}

@@ -104,7 +104,8 @@ func (c *Config) normalize() error {
 
 // Service is the policy engine plus its Policy Memory: one long-lived rule
 // session whose facts persist across advice requests. It is safe for
-// concurrent use.
+// concurrent use: mu is the only lock on Policy Memory, and every call
+// into the session, read or write, holds it.
 type Service struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -232,14 +233,14 @@ func (s *Service) Instrument(reg *obs.Registry, tracer obs.Tracer) {
 		}), label)
 	}
 	reg.CounterFunc("policy_rule_firings_total", "Policy rule activations fired.",
-		func(emit obs.Emit) { emit(float64(s.session.Firings())) })
+		read(func(emit obs.Emit) { emit(float64(s.session.Firings())) }))
 	count("policy_transfers_advised_total", "Transfers returned for execution.", &s.advised)
 	count("policy_transfers_suppressed_total", "Transfers removed as duplicates.", &s.suppressed)
 	byLabel("policy_suppressions_total", "Transfer suppressions by reason.", "reason", s.suppressedByReason)
 	count("policy_cleanups_advised_total", "Cleanups approved for execution.", &s.cleanupsAdvised)
 	byLabel("policy_cleanup_suppressions_total", "Cleanup suppressions by reason.", "reason", s.cleanupsSuppByReason)
 	reg.GaugeFunc("policy_memory_facts", "Facts currently held in Policy Memory.",
-		func(emit obs.Emit) { emit(float64(s.session.FactCount())) })
+		read(func(emit obs.Emit) { emit(float64(s.session.FactCount())) }))
 	count("policy_lease_renewals_total", "Workflow lease registrations and renewals.", &s.leaseRenewals)
 	count("policy_leases_expired_total", "Workflow leases expired by clock advancement.", &s.leasesExpired)
 	count("policy_reclaimed_transfers_total", "In-progress transfers reclaimed from expired leases.", &s.reclaimedTransfers)
@@ -338,8 +339,8 @@ func New(cfg Config) (*Service, error) {
 	s.installed[v0.Version] = v0
 	s.tun = tunablesFrom(v0, cfg.Priority)
 	// Record every rule activation for decision provenance. The observer
-	// runs under the session lock inside FireAll, which the service only
-	// calls while holding s.mu, so pendingFirings needs no extra lock.
+	// runs inside FireAll, which the service only calls while holding
+	// s.mu, so pendingFirings needs no extra lock.
 	s.session.SetFiringObserver(func(rule string, salience int) {
 		s.pendingFirings = append(s.pendingFirings, RuleFiring{Rule: rule, Salience: salience})
 	})
@@ -954,10 +955,18 @@ func (s *Service) Stats() (advised, suppressed int) {
 
 // RuleFirings returns the lifetime rule-firing count of the underlying
 // engine session (a scalability diagnostic).
-func (s *Service) RuleFirings() int64 { return s.session.Firings() }
+func (s *Service) RuleFirings() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.session.Firings()
+}
 
 // FactCount returns the number of facts currently in Policy Memory.
-func (s *Service) FactCount() int { return s.session.FactCount() }
+func (s *Service) FactCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.session.FactCount()
+}
 
 // seqID returns prefix followed by n zero-padded to width digits: the
 // bytes fmt.Sprintf("%s%0*d", prefix, width, n) prints for n >= 0, in one

@@ -174,7 +174,7 @@ func (ag *agenda) down(i int) {
 // resolution, or nil if the agenda is empty. Per rule: the gate is
 // re-evaluated (a flip to on dirties every seed, a flip to off drops the
 // rule's match state) and dirty seeds are re-joined; clean seeds cost
-// nothing. Called with s.mu held.
+// nothing. Called inside FireAll.
 func (s *Session) nextActivation() *activation {
 	s.agenda.epoch++
 	for _, rt := range s.rt {

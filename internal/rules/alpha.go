@@ -284,8 +284,6 @@ func AddIndexOf[T any, K comparable](s *Session, name string, key func(v T) K) e
 	if key == nil {
 		return fmt.Errorf("rules: AddIndexOf %q with nil key function", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	id := indexID{typ: t, name: name}
 	if _, dup := s.indexes[id]; dup {
 		return fmt.Errorf("rules: duplicate index %q on %v", name, t)
@@ -315,44 +313,27 @@ func indexOf[T any, K comparable](s *Session, name string) *typedIndex[K] {
 	return ix
 }
 
-// CtxFirstBy returns the first fact of type T in the named index's
-// bucket for key that matches pred (nil pred = any). It probes the alpha
-// memory directly — O(bucket) and allocation-free — and is the indexed
-// counterpart of CtxFirst for rule actions, where a full type-extent scan
-// would put O(facts) work inside a single firing. K must be the index's key
-// type.
-func CtxFirstBy[T any, K comparable](c *Context, index string, key K, pred func(T) bool) (T, bool) {
-	var zero T
-	ix := indexOf[T, K](c.s, index)
-	if ix == nil {
-		return zero, false
-	}
-	if b := ix.buckets[key]; b != nil {
-		for _, rec := range b.members() {
-			if rec == nil {
-				continue
-			}
-			if v := rec.value.(T); pred == nil || pred(v) {
-				return v, true
-			}
+// keyed returns the named index's bucket for key over facts of type T: its
+// facts in insertion order (nil entries are tombstones), or nil when the
+// index or the key is absent. It is a point query against the alpha
+// memory, O(bucket) rather than O(type extent), so a rule action can use
+// it where an extent scan would put O(facts) work inside one firing.
+func keyed[T any, K comparable](m Memory, index string, key K) []*factRecord {
+	if ix := indexOf[T, K](m.session(), index); ix != nil {
+		if b := ix.buckets[key]; b != nil {
+			return b.members()
 		}
 	}
-	return zero, false
+	return nil
 }
 
 // FirstByKey returns the first fact of type T, in insertion order, in the
 // named index's bucket for key: a point query that builds no slice. K must
 // be the index's key type.
-func FirstByKey[T any, K comparable](s *Session, index string, key K) (T, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ix := indexOf[T, K](s, index); ix != nil {
-		if b := ix.buckets[key]; b != nil {
-			for _, rec := range b.members() {
-				if rec != nil {
-					return rec.value.(T), true
-				}
-			}
+func FirstByKey[T any, K comparable](m Memory, index string, key K) (T, bool) {
+	for _, rec := range keyed[T](m, index, key) {
+		if rec != nil {
+			return rec.value.(T), true
 		}
 	}
 	var zero T
@@ -360,21 +341,10 @@ func FirstByKey[T any, K comparable](s *Session, index string, key K) (T, bool) 
 }
 
 // FactsByKey returns the facts of type T in the named index's bucket for
-// key, in insertion order. It is a point query against the alpha memory —
-// O(bucket), not O(type extent). K must be the index's key type.
-func FactsByKey[T any, K comparable](s *Session, index string, key K) []T {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ix := indexOf[T, K](s, index)
-	if ix == nil {
-		return nil
-	}
-	b := ix.buckets[key]
-	if b == nil {
-		return nil
-	}
+// key, in insertion order. K must be the index's key type.
+func FactsByKey[T any, K comparable](m Memory, index string, key K) []T {
 	var out []T
-	for _, rec := range b.members() {
+	for _, rec := range keyed[T](m, index, key) {
 		if rec != nil {
 			out = append(out, rec.value.(T))
 		}

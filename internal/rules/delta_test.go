@@ -327,8 +327,6 @@ func TestRootlessRule(t *testing.T) {
 // pickForTest repairs the agenda without firing, so a test can mutate
 // working memory while activations are pending.
 func (s *Session) pickForTest() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.pick()
 }
 

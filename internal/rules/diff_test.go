@@ -277,7 +277,7 @@ func genAction(rng *rand.Rand, bind string) func(*Context) {
 		}
 	case 1: // insert a derived fact, bounded so runs terminate
 		return func(ctx *Context) {
-			if ctx.s.FactCountLocked() < 60 {
+			if ctx.s.FactCount() < 60 {
 				f := ctx.Get(bind)
 				k, _ := dKV(f)
 				ctx.Insert(dNew(insTyp, (k+1)%8, 0))
@@ -299,10 +299,6 @@ func genAction(rng *rand.Rand, bind string) func(*Context) {
 	}
 	return func(ctx *Context) {} // pure fire
 }
-
-// FactCountLocked supports bounded RHS actions in tests (Context actions
-// run with the session lock held, so they cannot call FactCount).
-func (s *Session) FactCountLocked() int { return len(s.facts) }
 
 // applyOp applies one schedule operation to a single session.
 func applyOp(s *Session, op, typ, idx, k, v, budget int) (int, error) {

@@ -180,6 +180,45 @@ func TestFactsOfReturnsInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestQueryAllocations pins what the extent queries cost over a few
+// hundred resident facts (with tombstones): First and CountOf walk the
+// alpha memory in place and allocate nothing, and FactsOf allocates only
+// the slice it returns. The policy layer calls First on every lease
+// renewal and bundle activation.
+func TestQueryAllocations(t *testing.T) {
+	s := NewSession()
+	var facts []*item
+	for i := 0; i < 300; i++ {
+		it := &item{qty: i}
+		facts = append(facts, it)
+		s.Insert(it)
+	}
+	for i := 0; i < 300; i += 7 {
+		s.Retract(facts[i])
+	}
+	last := func(it *item) bool { return it.qty == 299 }
+	even := func(it *item) bool { return it.qty%2 == 0 }
+	var found bool
+	var n, live int
+	for _, q := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"First", func() { _, found = First(s, last) }, 0},
+		{"CountOf", func() { n = CountOf(s, even) }, 0},
+		{"CountOf/nil", func() { live = CountOf[*item](s, nil) }, 0},
+		{"FactsOf", func() { live = len(FactsOf[*item](s)) }, 1},
+	} {
+		if got := testing.AllocsPerRun(50, q.run); got != q.want {
+			t.Errorf("%s: %v allocs/op, want %v", q.name, got, q.want)
+		}
+	}
+	if !found || n != 128 || live != 257 {
+		t.Fatalf("First found %v, CountOf(even) = %d, live = %d; want true, 128, 257", found, n, live)
+	}
+}
+
 func TestMatchPanicsOnInterfaceType(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -39,7 +39,7 @@ func fuzzRules(gate *bool) []*Rule {
 				Match("x0", func(b Bindings, a *dA) bool { return a.K < 6 }),
 			},
 			Then: func(ctx *Context) {
-				if ctx.s.FactCountLocked() < 40 {
+				if ctx.s.FactCount() < 40 {
 					ctx.Insert(&dC{K: ctx.Get("x0").(*dA).K, V: 1})
 				}
 			},

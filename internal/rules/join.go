@@ -175,7 +175,7 @@ func (sd *seed) unsubscribe(i int) {
 }
 
 // repair brings the rule's seeds up to date with working memory. Called
-// with s.mu held, gate on.
+// inside FireAll, gate on.
 func (s *Session) repair(rt *ruleRT) {
 	switch {
 	case rt.allDirty:

@@ -18,7 +18,7 @@ func NewReferenceSession() *Session {
 }
 
 // bestActivationNaive recomputes every rule's matches and returns the
-// winner of conflict resolution, or nil. Called with s.mu held.
+// winner of conflict resolution, or nil. Called inside FireAll.
 func (s *Session) bestActivationNaive() *activation {
 	var best *activation
 	for i, r := range s.rules {

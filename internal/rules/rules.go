@@ -136,8 +136,7 @@ type Rule struct {
 	// scanning any facts. It lets a caller install every rule set up front
 	// and select among them per firing cycle (e.g. by the active policy
 	// bundle) at the cost of one closure call instead of a fact join. The
-	// gate runs with the session lock held and must not re-enter the
-	// session.
+	// gate runs inside FireAll and must not re-enter the session.
 	Gate func() bool
 	// When is the sequence of patterns joined left to right.
 	When []Pattern
@@ -190,9 +189,10 @@ func (r *Rule) validate() error {
 }
 
 // Context is passed to a firing rule's action. It exposes the matched
-// bindings and working-memory operations. Mutating a fact's fields must be
-// followed by Update for dependent rules to re-evaluate. The session reuses
-// one Context across firings, so an action must not retain it.
+// bindings and working-memory operations, and is a Memory for the queries.
+// Mutating a fact's fields must be followed by Update for dependent rules
+// to re-evaluate. The session reuses one Context across firings, so an
+// action must not retain it.
 type Context struct {
 	s     *Session
 	tuple *tuple
@@ -206,30 +206,15 @@ func (c *Context) Get(name string) any { return c.tuple.Get(name) }
 func (c *Context) Handle(name string) FactHandle { return c.tuple.Handle(name) }
 
 // Insert adds a fact to working memory.
-func (c *Context) Insert(v any) FactHandle { return c.s.insert(v) }
+func (c *Context) Insert(v any) FactHandle { return c.s.Insert(v) }
 
 // Update signals that fact v (matched by identity) was modified.
-func (c *Context) Update(v any) { c.s.update(v) }
+func (c *Context) Update(v any) { c.s.Update(v) }
 
 // Retract removes fact v (matched by identity) from working memory.
-func (c *Context) Retract(v any) { c.s.retract(v) }
+func (c *Context) Retract(v any) { c.s.Retract(v) }
 
-// Facts returns all facts of exemplar's dynamic type, in insertion order.
-// RHS actions must use Context queries (not Session methods, which lock).
-func (c *Context) Facts(exemplar any) []any {
-	return c.s.factsOfType(reflect.TypeOf(exemplar))
-}
-
-// CtxFactsOf returns all facts of type T visible to the firing rule.
-func CtxFactsOf[T any](c *Context) []T {
-	var zero T
-	vals := c.Facts(zero)
-	out := make([]T, 0, len(vals))
-	for _, v := range vals {
-		out = append(out, v.(T))
-	}
-	return out
-}
+func (c *Context) session() *Session { return c.s }
 
 // tuple is the concrete Bindings: the facts bound by a rule's positive
 // patterns, in pattern order. It is a fixed-size value — the join binds and

@@ -260,14 +260,14 @@ func TestContextQueries(t *testing.T) {
 		NoLoop: true,
 		When:   []Pattern{Match[*counter]("c", nil)},
 		Then: func(ctx *Context) {
-			for _, it := range CtxFactsOf[*item](ctx) {
+			for _, it := range FactsOf[*item](ctx) {
 				total += it.qty
 			}
-			if _, ok := CtxFirst(ctx, func(v *item) bool { return v.qty == 2 }); !ok {
-				t.Error("CtxFirst missed qty==2")
+			if _, ok := First(ctx, func(v *item) bool { return v.qty == 2 }); !ok {
+				t.Error("First(ctx) missed qty==2")
 			}
-			if n := CtxCountOf[*item](ctx, nil); n != 3 {
-				t.Errorf("CtxCountOf = %d", n)
+			if n := CountOf[*item](ctx, nil); n != 3 {
+				t.Errorf("CountOf(ctx) = %d", n)
 			}
 		},
 	})

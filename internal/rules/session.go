@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 )
 
 // ErrBudgetExhausted is returned by FireAll when the firing budget is spent
@@ -39,9 +38,11 @@ type factRecord struct {
 // changes, and a fact mutated in place is invisible to matching until
 // Update is called.
 //
-// Sessions are safe for concurrent use; every exported method locks.
+// A Session is not safe for concurrent use: its owner serialises every
+// call (the policy layer holds its service lock across each one). Guards,
+// gates, actions and the firing observer run inside FireAll and must not
+// re-enter it.
 type Session struct {
-	mu       sync.Mutex
 	rules    []*Rule
 	rt       []*ruleRT
 	facts    map[FactHandle]*factRecord
@@ -69,16 +70,15 @@ type Session struct {
 	sweepAt int
 	agenda  agenda
 	// tup is the join's working tuple and ctx the Context handed to
-	// actions; both are reused, since guards and actions run under the
-	// session lock and cannot re-enter the matcher.
+	// actions; both are reused, since guards and actions run inside
+	// FireAll and cannot re-enter the matcher.
 	tup     tuple
 	ctx     Context
 	probes  int64 // see Probes
 	firings int64
 	// observer, when set, is invoked once per rule firing with the rule
 	// name and its salience, in firing (i.e. conflict-resolution) order.
-	// It runs with the session lock held, so it must not call back into
-	// the session.
+	// It runs inside FireAll, so it must not call back into the session.
 	observer func(rule string, salience int)
 	// reference selects the naive full-rejoin matcher (see reference.go),
 	// kept as the differential-testing oracle.
@@ -105,8 +105,6 @@ func NewSession() *Session {
 // Firings returns the total number of rule firings over the session's
 // lifetime.
 func (s *Session) Firings() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.firings
 }
 
@@ -114,8 +112,6 @@ func (s *Session) Firings() int64 {
 // index probe or an extent scan) the incremental matcher has made over the
 // session's lifetime: its unit of repair work, independent of the clock.
 func (s *Session) Probes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.probes
 }
 
@@ -157,11 +153,8 @@ func (s *Session) keyLive(k refKey) bool {
 // SetFiringObserver installs a callback invoked once per rule firing
 // with the rule's name and salience, in the exact order firings occur.
 // The policy layer uses it to record decision provenance. The callback
-// runs under the session lock and must not re-enter the session. Nil
-// disables.
+// runs inside FireAll and must not re-enter the session. Nil disables.
 func (s *Session) SetFiringObserver(f func(rule string, salience int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.observer = f
 }
 
@@ -171,8 +164,6 @@ func (s *Session) AddRule(r *Rule) error {
 	if err := r.validate(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, existing := range s.rules {
 		if existing.Name == r.Name {
 			return fmt.Errorf("rules: duplicate rule name %q", r.Name)
@@ -201,8 +192,6 @@ func (s *Session) MustAddRules(rs ...*Rule) {
 // cycle. Call it when state outside working memory that guards or probe
 // keys read — for the policy layer, the active bundle's tunables — changes.
 func (s *Session) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, rt := range s.rt {
 		rt.allDirty = true
 	}
@@ -211,12 +200,6 @@ func (s *Session) Invalidate() {
 // Insert adds a fact to working memory and returns its handle. Inserting a
 // value already present (by identity) returns the existing handle.
 func (s *Session) Insert(v any) FactHandle {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.insert(v)
-}
-
-func (s *Session) insert(v any) FactHandle {
 	if v == nil {
 		panic("rules: insert of nil fact")
 	}
@@ -248,12 +231,6 @@ func (s *Session) insert(v any) FactHandle {
 // Update marks an existing fact (matched by identity) as modified so rules
 // re-evaluate against it. Unknown facts are ignored.
 func (s *Session) Update(v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.update(v)
-}
-
-func (s *Session) update(v any) {
 	rec, ok := s.identity[v]
 	if !ok {
 		return
@@ -269,12 +246,6 @@ func (s *Session) update(v any) {
 
 // Retract removes a fact (matched by identity). Unknown facts are ignored.
 func (s *Session) Retract(v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retract(v)
-}
-
-func (s *Session) retract(v any) {
 	rec, ok := s.identity[v]
 	if !ok {
 		return
@@ -292,49 +263,48 @@ func (s *Session) retract(v any) {
 
 // FactCount returns the number of facts in working memory.
 func (s *Session) FactCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.facts)
 }
 
-// Facts returns all facts whose dynamic type equals that of exemplar, in
-// insertion order.
-func (s *Session) Facts(exemplar any) []any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.factsOfType(reflect.TypeOf(exemplar))
-}
+// Memory is working memory as a query reads it: the *Session itself, or
+// the *Context a firing rule's action receives. FactsOf, First, CountOf,
+// FirstByKey and FactsByKey take either, so the session's owner and a rule
+// action query through the same functions.
+type Memory interface{ session() *Session }
 
-func (s *Session) factsOfType(t reflect.Type) []any {
-	l := s.byType[t]
-	if l == nil {
-		return nil
+func (s *Session) session() *Session { return s }
+
+// extent returns the alpha memory of fact type t, walked in place by the
+// queries: its facts in insertion order (nil entries are tombstones) and
+// how many are live.
+func (s *Session) extent(t reflect.Type) (items []*factRecord, live int) {
+	if l := s.byType[t]; l != nil {
+		return l.items, len(l.pos)
 	}
-	out := make([]any, 0, len(l.pos))
-	for _, rec := range l.items {
-		if rec != nil {
-			out = append(out, rec.value)
-		}
-	}
-	return out
+	return nil, 0
 }
 
 // FactsOf returns all facts of type T in insertion order.
-func FactsOf[T any](s *Session) []T {
-	var zero T
-	vals := s.Facts(zero)
-	out := make([]T, 0, len(vals))
-	for _, v := range vals {
-		out = append(out, v.(T))
+func FactsOf[T any](m Memory) []T {
+	items, live := m.session().extent(reflect.TypeFor[T]())
+	out := make([]T, 0, live)
+	for _, rec := range items {
+		if rec != nil {
+			out = append(out, rec.value.(T))
+		}
 	}
 	return out
 }
 
 // First returns the first fact of type T matching pred (nil pred = any),
 // and whether one was found.
-func First[T any](s *Session, pred func(T) bool) (T, bool) {
-	for _, v := range FactsOf[T](s) {
-		if pred == nil || pred(v) {
+func First[T any](m Memory, pred func(T) bool) (T, bool) {
+	items, _ := m.session().extent(reflect.TypeFor[T]())
+	for _, rec := range items {
+		if rec == nil {
+			continue
+		}
+		if v := rec.value.(T); pred == nil || pred(v) {
 			return v, true
 		}
 	}
@@ -343,10 +313,14 @@ func First[T any](s *Session, pred func(T) bool) (T, bool) {
 }
 
 // CountOf returns the number of facts of type T matching pred (nil = all).
-func CountOf[T any](s *Session, pred func(T) bool) int {
+func CountOf[T any](m Memory, pred func(T) bool) int {
+	items, live := m.session().extent(reflect.TypeFor[T]())
+	if pred == nil {
+		return live
+	}
 	n := 0
-	for _, v := range FactsOf[T](s) {
-		if pred == nil || pred(v) {
+	for _, rec := range items {
+		if rec != nil && pred(rec.value.(T)) {
 			n++
 		}
 	}
@@ -360,8 +334,6 @@ func (s *Session) FireAll(budget int) (int, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	firings := 0
 	for firings < budget {
 		act := s.pick()
@@ -390,7 +362,7 @@ func (s *Session) FireAll(budget int) (int, error) {
 }
 
 // pick returns the activation winning conflict resolution, or nil; it
-// stays on the agenda until taken. Called with s.mu held.
+// stays on the agenda until taken. Called inside FireAll.
 func (s *Session) pick() *activation {
 	if s.reference {
 		return s.bestActivationNaive()
@@ -401,8 +373,6 @@ func (s *Session) pick() *activation {
 // Reset clears working memory and refraction state but keeps the rule base
 // and registered indexes.
 func (s *Session) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.facts = make(map[FactHandle]*factRecord)
 	s.byType = make(map[reflect.Type]*recList)
 	s.identity = make(map[any]*factRecord)
