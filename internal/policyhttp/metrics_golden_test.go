@@ -19,7 +19,7 @@ import (
 	"policyflow/internal/policy"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/metrics.golden from the scripted scrape")
+var update = flag.Bool("update", false, "rewrite testdata/metrics.golden and testdata/wire.golden from their scripts")
 
 const metricsGolden = "testdata/metrics.golden"
 
