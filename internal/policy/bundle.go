@@ -125,6 +125,7 @@ type BundleInfo struct {
 // pushes. Staged bundles are held in memory only — they are excluded from
 // state dumps and lost on restart; only activation is durable.
 type BundleStatus struct {
+	XMLName  struct{}     `json:"-" xml:"bundles"`
 	Active   BundleInfo   `json:"active" xml:"active"`
 	Previous *BundleInfo  `json:"previous,omitempty" xml:"previous,omitempty"`
 	Staged   []BundleInfo `json:"staged,omitempty" xml:"staged>bundle,omitempty"`

@@ -51,6 +51,7 @@ type RemovedTransfer struct {
 
 // TransferAdvice is the policy service's response to a transfer list.
 type TransferAdvice struct {
+	XMLName struct{} `json:"-" xml:"transferAdvice"`
 	// Transfers is the modified list, in execution order.
 	Transfers []AdvisedTransfer `json:"transfers" xml:"transfers>transfer"`
 	// Removed lists suppressed requests.
@@ -81,6 +82,7 @@ type RemovedCleanup struct {
 
 // CleanupAdvice is the policy service's response to a cleanup list.
 type CleanupAdvice struct {
+	XMLName  struct{}         `json:"-" xml:"cleanupAdvice"`
 	Cleanups []AdvisedCleanup `json:"cleanups" xml:"cleanups>cleanup"`
 	Removed  []RemovedCleanup `json:"removed,omitempty" xml:"removed>cleanup,omitempty"`
 }
@@ -95,6 +97,7 @@ type TransferTiming struct {
 
 // CompletionReport is the wire type for reporting finished transfers.
 type CompletionReport struct {
+	XMLName struct{} `json:"-" xml:"completionReport"`
 	// TransferIDs lists transfers that completed successfully.
 	TransferIDs []string `json:"transferIds,omitempty" xml:"transferIds>id,omitempty"`
 	// FailedIDs lists transfers that failed.
@@ -107,6 +110,7 @@ type CompletionReport struct {
 
 // CleanupReport is the wire type for reporting finished cleanups.
 type CleanupReport struct {
+	XMLName    struct{} `json:"-" xml:"cleanupReport"`
 	CleanupIDs []string `json:"cleanupIds" xml:"cleanupIds>id"`
 }
 
@@ -116,8 +120,9 @@ type CleanupReport struct {
 // service have drifted (e.g. the entry was reclaimed after the client's
 // lease expired, or the report was replayed).
 type ReportAck struct {
-	Matched   int `json:"matched" xml:"matched"`
-	Unmatched int `json:"unmatched" xml:"unmatched"`
+	XMLName   struct{} `json:"-" xml:"reportAck"`
+	Matched   int      `json:"matched" xml:"matched"`
+	Unmatched int      `json:"unmatched" xml:"unmatched"`
 }
 
 // PairState is the externally visible stream accounting for one host pair.
@@ -131,8 +136,9 @@ type PairState struct {
 
 // Snapshot is the externally visible state of the policy service.
 type Snapshot struct {
-	Algorithm      string `json:"algorithm" xml:"algorithm"`
-	DefaultStreams int    `json:"defaultStreams" xml:"defaultStreams"`
+	XMLName        struct{} `json:"-" xml:"state"`
+	Algorithm      string   `json:"algorithm" xml:"algorithm"`
+	DefaultStreams int      `json:"defaultStreams" xml:"defaultStreams"`
 	// Bundle is the active policy bundle version.
 	Bundle          string      `json:"bundle,omitempty" xml:"bundle,omitempty"`
 	InFlight        int         `json:"inFlight" xml:"inFlight"`

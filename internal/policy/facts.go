@@ -13,6 +13,12 @@
 // Policy Memory persists across requests: staged files are tracked as
 // Resource facts with per-workflow usage so multiple workflows can share
 // staged files safely and cleanup of in-use files is suppressed.
+//
+// An op's payload or result that travels whole over the RESTful interface
+// is its own wire document: a zero-size first field XMLName struct{} names
+// its XML root element. encoding/xml takes the name from that tag when
+// encoding and checks it when decoding, and records it only into an
+// xml.Name, so a value decoded from XML equals the in-process one.
 package policy
 
 import "fmt"

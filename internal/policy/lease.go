@@ -44,26 +44,30 @@ const (
 
 // LeaseOp is the payload of renew_lease (OpRenewLease).
 type LeaseOp struct {
-	WorkflowID string `json:"workflowId" xml:"workflowId"`
+	XMLName    struct{} `json:"-" xml:"leaseRenewal"`
+	WorkflowID string   `json:"workflowId" xml:"workflowId"`
 }
 
 // ClockOp is the payload of advance_clock (OpAdvanceClock).
 type ClockOp struct {
-	Now float64 `json:"now" xml:"now"`
+	XMLName struct{} `json:"-" xml:"clock"`
+	Now     float64  `json:"now" xml:"now"`
 }
 
 // LeaseStatus reports one lease after registration or renewal.
 type LeaseStatus struct {
-	WorkflowID string  `json:"workflowId" xml:"workflowId"`
-	Deadline   float64 `json:"deadline" xml:"deadline"`
-	TTLSeconds float64 `json:"ttlSeconds" xml:"ttlSeconds"`
+	XMLName    struct{} `json:"-" xml:"lease"`
+	WorkflowID string   `json:"workflowId" xml:"workflowId"`
+	Deadline   float64  `json:"deadline" xml:"deadline"`
+	TTLSeconds float64  `json:"ttlSeconds" xml:"ttlSeconds"`
 }
 
 // ClockAdvance reports the effect of an advance_clock call: the clock value
 // now in force, the owners whose leases expired (sorted), and how many
 // in-progress transfers the expiry pass reclaimed.
 type ClockAdvance struct {
-	Now float64 `json:"now" xml:"now"`
+	XMLName struct{} `json:"-" xml:"clockAdvance"`
+	Now     float64  `json:"now" xml:"now"`
 	// Expired lists the workflow IDs whose leases expired, sorted.
 	Expired []string `json:"expired,omitempty" xml:"expired>owner,omitempty"`
 	// ReclaimedTransfers counts in-progress transfers marked failed and
@@ -86,6 +90,7 @@ type LeaseInfo struct {
 
 // LeaseList is the response of the lease listing endpoint.
 type LeaseList struct {
+	XMLName struct{} `json:"-" xml:"leases"`
 	// Now is the service's logical clock.
 	Now float64 `json:"now" xml:"now"`
 	// TTLSeconds is the configured lease TTL (0 = leases disabled).

@@ -11,9 +11,10 @@ import (
 
 // ThresholdOp is the logged payload of a SetThreshold call.
 type ThresholdOp struct {
-	SourceHost string `json:"sourceHost" xml:"sourceHost"`
-	DestHost   string `json:"destHost" xml:"destHost"`
-	Max        int    `json:"max" xml:"max"`
+	XMLName    struct{} `json:"-" xml:"threshold"`
+	SourceHost string   `json:"sourceHost" xml:"sourceHost"`
+	DestHost   string   `json:"destHost" xml:"destHost"`
+	Max        int      `json:"max" xml:"max"`
 }
 
 // BundleOp is the logged payload of an activate_bundle mutation. The full

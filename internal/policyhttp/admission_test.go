@@ -312,7 +312,7 @@ func TestAbandonedRequestCountsClientGone(t *testing.T) {
 // admittedRoundTripAllocs is the measured allocation count of one admitted
 // advise+report round trip over loopback, client and server together; the
 // test allows 5 % above it.
-const admittedRoundTripAllocs = 337
+const admittedRoundTripAllocs = 335
 
 // TestAdmittedRoundTripAllocs is the allocation ceiling of the request
 // path: one advise of two fresh files and its completion report, through

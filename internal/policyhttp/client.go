@@ -477,12 +477,12 @@ func (c *Client) ReportCleanupsCtx(ctx context.Context, report policy.CleanupRep
 
 // Leases lists the active leases and the holdings behind each.
 func (c *Client) Leases() (*policy.LeaseList, error) {
-	return fetch(c, http.MethodGet, "/v1/leases", nil, func(d *LeaseListDoc) *policy.LeaseList { return &d.LeaseList })
+	return fetch(c, http.MethodGet, "/v1/leases", nil, self[policy.LeaseList])
 }
 
 // State fetches the service's externally visible state.
 func (c *Client) State() (*policy.Snapshot, error) {
-	return fetch(c, http.MethodGet, "/v1/state", nil, func(d *SnapshotDoc) *policy.Snapshot { return &d.Snapshot })
+	return fetch(c, http.MethodGet, "/v1/state", nil, self[policy.Snapshot])
 }
 
 // PushBundle stages a policy bundle document without activating it. The
@@ -498,7 +498,7 @@ func (c *Client) PushBundle(doc []byte) (*policy.BundleInfo, error) {
 
 // Bundles reports the active, previous, and staged policy bundles.
 func (c *Client) Bundles() (*policy.BundleStatus, error) {
-	return fetch(c, http.MethodGet, "/v1/bundles", nil, func(d *BundleStatusDoc) *policy.BundleStatus { return &d.BundleStatus })
+	return fetch(c, http.MethodGet, "/v1/bundles", nil, self[policy.BundleStatus])
 }
 
 // Healthz probes the service.

@@ -44,8 +44,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
 		// Decode layer: every envelope, both wire formats.
 		targets := []any{
-			&TransferRequest{}, &CleanupRequest{}, &CompletionDoc{},
-			&CleanupReportDoc{}, &ThresholdUpdate{}, &policy.StateDump{},
+			&TransferRequest{}, &CleanupRequest{}, &policy.CompletionReport{},
+			&policy.CleanupReport{}, &policy.ThresholdOp{}, &policy.StateDump{},
 		}
 		for _, v := range targets {
 			for _, f := range []format{formatJSON, formatXML} {

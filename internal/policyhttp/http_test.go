@@ -215,7 +215,7 @@ func TestContentNegotiation(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/xml") {
 		t.Fatalf("Content-Type = %q, want XML", ct)
 	}
-	var doc TransferAdviceDoc
+	var doc policy.TransferAdvice
 	if err := xml.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatalf("decode XML: %v", err)
 	}
