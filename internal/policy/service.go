@@ -256,7 +256,7 @@ func (s *Service) Instrument(reg *obs.Registry, tracer obs.Tracer) {
 	// Policy Memory state, each gauge one scan of one fact type (or one
 	// index bucket), so a render agrees with /v1/state.
 	reg.GaugeFunc("policy_transfers_in_flight", "In-progress transfers.", read(func(emit obs.Emit) {
-		emit(float64(len(rules.FactsByKey[*Transfer](s.session, "state", TransferInProgress))))
+		emit(float64(rules.CountByKey[*Transfer](s.session, "state", TransferInProgress)))
 	}))
 	reg.GaugeFunc("policy_staged_files", "Staged files tracked in Policy Memory.", read(func(emit obs.Emit) {
 		emit(float64(rules.CountOf(s.session, func(r *Resource) bool { return r.Staged })))
@@ -264,7 +264,7 @@ func (s *Service) Instrument(reg *obs.Registry, tracer obs.Tracer) {
 	reg.GaugeFunc("policy_tracked_files", "File resources tracked in Policy Memory (staged or pending).",
 		read(func(emit obs.Emit) { emit(float64(rules.CountOf[*Resource](s.session, nil))) }))
 	reg.GaugeFunc("policy_pending_cleanups", "Cleanup operations in progress.", read(func(emit obs.Emit) {
-		emit(float64(len(rules.FactsByKey[*Cleanup](s.session, "state", CleanupInProgress))))
+		emit(float64(rules.CountByKey[*Cleanup](s.session, "state", CleanupInProgress)))
 	}))
 	reg.GaugeFunc("policy_streams_allocated", "Parallel streams currently allocated per host pair.",
 		read(func(emit obs.Emit) {

@@ -187,6 +187,9 @@ func TestFactsOfReturnsInsertionOrder(t *testing.T) {
 // renewal and bundle activation.
 func TestQueryAllocations(t *testing.T) {
 	s := NewSession()
+	if err := AddIndexOf(s, "even", func(it *item) bool { return it.qty%2 == 0 }); err != nil {
+		t.Fatal(err)
+	}
 	var facts []*item
 	for i := 0; i < 300; i++ {
 		it := &item{qty: i}
@@ -199,7 +202,7 @@ func TestQueryAllocations(t *testing.T) {
 	last := func(it *item) bool { return it.qty == 299 }
 	even := func(it *item) bool { return it.qty%2 == 0 }
 	var found bool
-	var n, live int
+	var n, keyed, live int
 	for _, q := range []struct {
 		name string
 		run  func()
@@ -208,14 +211,16 @@ func TestQueryAllocations(t *testing.T) {
 		{"First", func() { _, found = First(s, last) }, 0},
 		{"CountOf", func() { n = CountOf(s, even) }, 0},
 		{"CountOf/nil", func() { live = CountOf[*item](s, nil) }, 0},
+		{"CountByKey", func() { keyed = CountByKey[*item](s, "even", true) }, 0},
 		{"FactsOf", func() { live = len(FactsOf[*item](s)) }, 1},
 	} {
 		if got := testing.AllocsPerRun(50, q.run); got != q.want {
 			t.Errorf("%s: %v allocs/op, want %v", q.name, got, q.want)
 		}
 	}
-	if !found || n != 128 || live != 257 {
-		t.Fatalf("First found %v, CountOf(even) = %d, live = %d; want true, 128, 257", found, n, live)
+	if !found || n != 128 || keyed != 128 || live != 257 {
+		t.Fatalf("First found %v, CountOf(even) = %d, CountByKey(even) = %d, live = %d; want true, 128, 128, 257",
+			found, n, keyed, live)
 	}
 }
 

@@ -268,7 +268,7 @@ func (s *Session) FactCount() int {
 
 // Memory is working memory as a query reads it: the *Session itself, or
 // the *Context a firing rule's action receives. FactsOf, First, CountOf,
-// FirstByKey and FactsByKey take either, so the session's owner and a rule
+// FirstByKey and CountByKey take either, so the session's owner and a rule
 // action query through the same functions.
 type Memory interface{ session() *Session }
 
