@@ -4,10 +4,24 @@ package rules
 // session operations and cross-checks the incremental engine against the
 // naive reference engine after every firing cycle. Wired into
 // `make fuzz-smoke`.
+//
+// The cost of one input is bounded. Both engines cost tens of
+// microseconds a firing, and the fuzzer minimizes each new interesting
+// input by running it once per candidate — on the order of the square of
+// its length — counting no execs until it is done. With schedules of 256
+// ops and fire ops granted DefaultBudget one minimization took up to 9 s,
+// and the smoke run stalled at "0/sec". So a schedule is at most
+// fuzzMaxOps ops, and its fire ops share fuzzFirings firings; longer
+// schedules are the differential harness's (diff_test.go).
 
 import (
 	"fmt"
 	"testing"
+)
+
+const (
+	fuzzMaxOps  = 32
+	fuzzFirings = 128
 )
 
 // fuzzRules is a fixed rule set covering salience ties, NoLoop, gates,
@@ -92,8 +106,8 @@ func FuzzSessionOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x20, 0x30, 0x60, 0x60, 0x81, 0x45, 0x60})
 	f.Add([]byte{0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88, 0x60, 0x07})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 256 {
-			data = data[:256]
+		if len(data) > fuzzMaxOps {
+			data = data[:fuzzMaxOps]
 		}
 		gate := true
 		inc, ref := NewSession(), NewReferenceSession()
@@ -120,6 +134,21 @@ func FuzzSessionOps(f *testing.F) {
 				t.Fatalf("byte %d: refraction inc=%d ref=%d", stage, a, b)
 			}
 		}
+		left := fuzzFirings
+		// fire runs both engines on at most budget of the firings left; a
+		// spent allowance fires nothing (FireAll(0) would grant
+		// DefaultBudget).
+		fire := func(stage, budget int) {
+			if budget = min(budget, left); budget > 0 {
+				n1, e1 := inc.FireAll(budget)
+				n2, e2 := ref.FireAll(budget)
+				if n1 != n2 || (e1 == nil) != (e2 == nil) {
+					t.Fatalf("byte %d: fire inc=(%d,%v) ref=(%d,%v)", stage, n1, e1, n2, e2)
+				}
+				left -= n1
+			}
+			check(stage)
+		}
 		for i := 0; i < len(data); i++ {
 			b := data[i]
 			op := int(b >> 5)    // top 3 bits select the operation
@@ -139,26 +168,14 @@ func FuzzSessionOps(f *testing.F) {
 			case 4: // flip the gate
 				gate = !gate
 			case 5: // fire with a small budget (exercises exhaustion)
-				n1, e1 := inc.FireAll(1 + arg)
-				n2, e2 := ref.FireAll(1 + arg)
-				if n1 != n2 || (e1 == nil) != (e2 == nil) {
-					t.Fatalf("byte %d: fire inc=(%d,%v) ref=(%d,%v)", i, n1, e1, n2, e2)
-				}
-				check(i)
-			case 6: // fire with the default budget
-				n1, e1 := inc.FireAll(0)
-				n2, e2 := ref.FireAll(0)
-				if n1 != n2 || (e1 == nil) != (e2 == nil) {
-					t.Fatalf("byte %d: fire inc=(%d,%v) ref=(%d,%v)", i, n1, e1, n2, e2)
-				}
-				check(i)
+				fire(i, 1+arg)
+			case 6: // fire with what is left of the input's firings
+				fire(i, fuzzFirings)
 			case 7: // reset both sessions
 				inc.Reset()
 				ref.Reset()
 			}
 		}
-		inc.FireAll(200)
-		ref.FireAll(200)
-		check(len(data))
+		fire(len(data), 200)
 	})
 }
