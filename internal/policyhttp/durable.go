@@ -13,19 +13,10 @@ import (
 	"policyflow/internal/policy"
 )
 
-// DurableStore is the slice of *durable.PolicyStore the HTTP layer needs:
-// on-demand snapshots and the archives a standby pulls instead of a full
-// live dump — snapshot+tail, or only the tail after its cursor.
-type DurableStore interface {
-	SnapshotNow() (durable.SnapshotInfo, error)
-	Archive() (*durable.Archive, error)
-	ArchiveAfter(after uint64) (*durable.Archive, error)
-}
-
 // SetDurable attaches a durable store, enabling POST /v1/state/snapshot
-// and GET /v1/state/archive (both answer 501 Not Implemented otherwise).
-// Call it before serving requests.
-func (s *Server) SetDurable(ds DurableStore) { s.durable = ds }
+// (501 Not Implemented otherwise) and serving GET /v1/state/archive from
+// the log. Call it before serving requests.
+func (s *Server) SetDurable(ps *durable.PolicyStore) { s.durable = ps }
 
 // errNotDurable is the 501 body for servers running purely in memory.
 var errNotDurable = errors.New("service is running without a durable store")
@@ -49,23 +40,31 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleArchive serves the latest snapshot plus the WAL tail after it, or —
 // with ?after=N from a requester that already holds the log up to N — only
 // the records after N, flagged Delta, whenever the log still holds them
-// all. The archive embeds raw JSON state and log records, so unlike the rest
-// of the interface it is JSON-only.
+// all. A server without a durable store has no log to follow: every pull
+// gets a full archive of its live dump at position 0, which is what a
+// durable donor answers a requester behind its compaction. The archive
+// embeds raw JSON state and log records, so unlike the rest of the
+// interface it is JSON-only.
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	if s.durable == nil {
-		s.writeError(w, formatJSON, http.StatusNotImplemented, errNotDurable)
-		return
-	}
-	var arch *durable.Archive
-	var err error
-	if v := r.URL.Query().Get("after"); v != "" {
-		after, perr := strconv.ParseUint(v, 10, 64)
-		if perr != nil {
+	var after uint64
+	v := r.URL.Query().Get("after")
+	if v != "" {
+		var err error
+		if after, err = strconv.ParseUint(v, 10, 64); err != nil {
 			s.writeError(w, formatJSON, http.StatusBadRequest, fmt.Errorf("bad after %q", v))
 			return
 		}
+	}
+	var arch *durable.Archive
+	var err error
+	switch {
+	case s.durable == nil:
+		dump := s.svc.ExportState()
+		arch = &durable.Archive{Epoch: dump.Epoch}
+		arch.Snapshot, err = dump.JSON()
+	case v != "":
 		arch, err = s.durable.ArchiveAfter(after)
-	} else {
+	default:
 		arch, err = s.durable.Archive()
 	}
 	if err != nil {
@@ -115,14 +114,6 @@ func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
 // whatever the client's wire preference.
 func (c *Client) Archive() (*durable.Archive, error) {
 	arch, _, err := c.archive(0, false)
-	return arch, err
-}
-
-// ArchiveAfter fetches only the remote log records after seq after — a
-// Delta archive — or the full archive when the remote no longer holds them
-// all (see durable.Store.ArchiveAfter).
-func (c *Client) ArchiveAfter(after uint64) (*durable.Archive, error) {
-	arch, _, err := c.archive(after, true)
 	return arch, err
 }
 

@@ -3,6 +3,8 @@ package policyhttp
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -165,15 +167,30 @@ func TestDurableCrashRecoveryAndResync(t *testing.T) {
 	}
 }
 
-// TestSnapshotAndArchiveRequireDurable pins the 501 contract for servers
-// running without a data directory.
-func TestSnapshotAndArchiveRequireDurable(t *testing.T) {
-	_, _, clients := replicaSet(t, 1)
-	if _, err := clients[0].SnapshotNow(); err == nil {
-		t.Error("SnapshotNow succeeded without a durable store")
+// TestMemoryOnlySnapshotAndArchive: a server running without a data
+// directory refuses a snapshot with 501, and answers every archive pull,
+// with or without a position, with its live dump at position 0 and no
+// tail: the full archive a durable donor gives a requester behind its
+// compaction.
+func TestMemoryOnlySnapshotAndArchive(t *testing.T) {
+	_, services, clients := replicaSet(t, 1)
+	c := clients[0]
+	var se *ServerError
+	if _, err := c.SnapshotNow(); !errors.As(err, &se) || se.StatusCode != http.StatusNotImplemented {
+		t.Errorf("SnapshotNow without a durable store: %v, want 501", err)
 	}
-	if _, err := clients[0].Archive(); err == nil {
-		t.Error("Archive succeeded without a durable store")
+	if _, err := c.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")}); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpJSON(t, services[0])
+	for _, delta := range []bool{false, true} {
+		arch, _, err := c.archive(7, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arch.Delta || arch.SnapshotSeq != 0 || len(arch.Tail) != 0 || string(arch.Snapshot) != want {
+			t.Fatalf("memory-only archive = %+v, want the live dump %s at position 0", arch, want)
+		}
 	}
 }
 
@@ -188,10 +205,10 @@ func (l *opLog) Append(op string, _ any) (uint64, error) {
 func (l *opLog) Sync(uint64) error { return nil }
 
 // TestResyncPrefersArchive: a full sync (Reset + SyncOnce) from a durable
-// donor takes the archive path — the snapshot is restored and the records
-// logged after it are replayed one by one into the standby's own log —
-// while a memory-only donor (archive endpoint answers 501) falls back to
-// one wholesale dump restore. Either way the standby ends byte-identical.
+// donor restores the archive's snapshot and replays the records logged
+// after it one by one into the standby's own log, while a memory-only
+// donor's archive is its live dump, one wholesale restore. Either way the
+// standby ends byte-identical.
 func TestResyncPrefersArchive(t *testing.T) {
 	_, durableSvc, durableDonor, ps := durableReplica(t, t.TempDir())
 	defer ps.Close()
@@ -205,7 +222,7 @@ func TestResyncPrefersArchive(t *testing.T) {
 		wantOps  []string
 	}{
 		{"archive", durableSvc, durableDonor, true, []string{policy.OpImportState, policy.OpReportTransfers}},
-		{"dump fallback", memSvc, memDonor, false, []string{policy.OpImportState}},
+		{"memory-only", memSvc, memDonor, false, []string{policy.OpImportState}},
 	} {
 		adv, err := tc.donor.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")})
 		if err != nil {

@@ -319,8 +319,9 @@ func TestAllReplicasDown(t *testing.T) {
 // TestResyncRecoversReplica: a deposed primary is repaired by its own
 // syncer, not by a client. After a clean switchover and more writes on the
 // new primary, Reset + SyncOnce on the old one — the pair is memory-only,
-// so this is the 501 → full-dump path — leaves it byte-identical, and it
-// would suppress duplicates exactly like the primary if promoted back.
+// so the archive it restores is the new primary's live dump — leaves it
+// byte-identical, and it would suppress duplicates exactly like the
+// primary if promoted back.
 func TestResyncRecoversReplica(t *testing.T) {
 	p := newSyncedPair(t)
 	adv, err := p.rc.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")})
