@@ -188,6 +188,32 @@ func TestRollbackRestoresPriorTunablesWithoutRestart(t *testing.T) {
 	}
 }
 
+// TestSnapshotThresholdAfterBundleSwap: an activation replaces the
+// Threshold facts, so a pair that keeps its stream ledger has none until
+// its next advise installs the active default. GET /v1/state reports that
+// default for it, not 0.
+func TestSnapshotThresholdAfterBundleSwap(t *testing.T) {
+	s := newGreedy(t, 50, 4)
+	if _, err := s.AdviseTransfers([]TransferSpec{spec(1, "wf1")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: bundleDoc(t, bundle.Bundle{
+		SchemaVersion:    bundle.SchemaVersion,
+		Version:          "wide",
+		Algorithm:        bundle.AlgoGreedy,
+		DefaultStreams:   4,
+		MinStreams:       1,
+		DefaultThreshold: 70,
+		ClusterFactor:    1,
+	})}); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if len(snap.Pairs) != 1 || snap.Pairs[0].Threshold != 70 || snap.Pairs[0].Allocated != 4 {
+		t.Fatalf("pairs after activation = %+v, want one at threshold 70 holding 4", snap.Pairs)
+	}
+}
+
 // TestRollbackWithoutHistoryIsRejected pins the error contract: rolling
 // back before any activation is a deterministic 4xx-class rejection.
 func TestRollbackWithoutHistoryIsRejected(t *testing.T) {
