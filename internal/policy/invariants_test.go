@@ -107,3 +107,41 @@ func TestImportRejectsCorruptState(t *testing.T) {
 		}
 	})
 }
+
+// TestImportRejectsInvalidBundle: a dump's bundle state comes from outside
+// the program (a restore, a donor's archive, a snapshot file), so import
+// checks it against the bundle schema as activation does. A bundle the
+// schema rejects, active or previous, is refused before any side effect,
+// and the service keeps its own tunables.
+func TestImportRejectsInvalidBundle(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(b *BundleStateDump)
+	}{
+		{"unknown algorithm", func(b *BundleStateDump) { b.Active.Algorithm = "bogus" }},
+		{"negative min streams", func(b *BundleStateDump) { b.Active.MinStreams = -3 }},
+		{"previous without a version", func(b *BundleStateDump) {
+			prev := *b.Active
+			prev.Version = ""
+			b.Previous = &prev
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := busyBalancedDump(t)
+			active := *d.Bundle.Active
+			d.Bundle = &BundleStateDump{Active: &active}
+			tc.corrupt(d.Bundle)
+			s := newGreedy(t, 50, 4)
+			if _, err := s.Execute(context.Background(), OpImportState, d); !errors.Is(err, ErrInvalidRequest) {
+				t.Fatalf("import_state = %v, want ErrInvalidRequest", err)
+			}
+			if tun := s.Tunables(); tun.Algorithm != AlgoGreedy || tun.MinStreams != 1 {
+				t.Fatalf("a refused import changed the tunables: %+v", tun)
+			}
+			if after := s.ExportState(); len(after.Transfers) != 0 || after.NextTransfer != 0 {
+				t.Fatal("a refused import changed Policy Memory")
+			}
+		})
+	}
+}
