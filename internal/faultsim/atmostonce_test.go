@@ -123,12 +123,12 @@ func TestConcurrentClientsStayConsistent(t *testing.T) {
 		t.Fatalf("post-storm state inconsistent: %v", err)
 	}
 	for _, tr := range d0.Transfers {
-		if tr.State != int(policy.TransferInProgress) {
+		if tr.State != policy.TransferInProgress {
 			t.Fatalf("transfer %s in state %d after quiescing", tr.ID, tr.State)
 		}
 	}
 	for _, c := range d0.Cleanups {
-		if c.State != int(policy.CleanupInProgress) {
+		if c.State != policy.CleanupInProgress {
 			t.Fatalf("cleanup %s in state %d after quiescing", c.ID, c.State)
 		}
 	}

@@ -693,7 +693,7 @@ func (m *Model) checkDump(d *policy.StateDump) error {
 
 	// Transfers: exactly the in-flight set, all in progress.
 	for _, t := range d.Transfers {
-		if t.State != int(policy.TransferInProgress) {
+		if t.State != policy.TransferInProgress {
 			return fmt.Errorf("model: transfer %s left in state %d between operations", t.ID, t.State)
 		}
 		mt := m.inProgress[t.ID]
@@ -741,7 +741,7 @@ func (m *Model) checkDump(d *policy.StateDump) error {
 
 	// Cleanups: exactly the in-progress set.
 	for _, c := range d.Cleanups {
-		if c.State != int(policy.CleanupInProgress) {
+		if c.State != policy.CleanupInProgress {
 			return fmt.Errorf("model: cleanup %s left in state %d between operations", c.ID, c.State)
 		}
 		mc := m.cleanups[c.ID]

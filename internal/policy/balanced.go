@@ -30,7 +30,6 @@ func balancedRules(tun func() *Tunables) []*rules.Rule {
 				rules.MatchOn("th", "pair", keyTransferPair, func(b rules.Bindings, th *Threshold) bool {
 					return th.Pair == b.Get("t").(*Transfer).Pair
 				}),
-				rules.Match[*ClusterFactor]("cf", nil),
 				rules.NotOn("pair", keyTransferPair, func(b rules.Bindings, ct *ClusterThreshold) bool {
 					return ct.Pair == b.Get("t").(*Transfer).Pair
 				}),
@@ -38,8 +37,7 @@ func balancedRules(tun func() *Tunables) []*rules.Rule {
 			Then: func(ctx *rules.Context) {
 				t := ctx.Get("t").(*Transfer)
 				th := ctx.Get("th").(*Threshold)
-				cf := ctx.Get("cf").(*ClusterFactor)
-				n := cf.N
+				n := tun().ClusterFactor
 				if n < 1 {
 					n = 1
 				}

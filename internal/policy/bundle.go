@@ -277,7 +277,6 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 // deterministic (insertion-order iteration only), so every replica applying
 // the same logged activation reaches byte-identical state:
 //
-//   - Defaults and ClusterFactor facts are updated in place;
 //   - Threshold facts are replaced wholesale by the bundle's pair set —
 //     pairs the bundle does not pin re-bootstrap at the new default on
 //     their next advise;
@@ -293,15 +292,6 @@ func (s *Service) applyBundleLocked(b *bundle.Bundle) {
 	delete(s.staged, b.Version)
 	s.tun = tunablesFrom(b, s.cfg.Priority)
 
-	if d, ok := rules.First(s.session, func(*Defaults) bool { return true }); ok {
-		d.DefaultStreams = s.tun.DefaultStreams
-		d.MinStreams = s.tun.MinStreams
-		s.session.Update(d)
-	}
-	if cf, ok := rules.First(s.session, func(*ClusterFactor) bool { return true }); ok {
-		cf.N = s.tun.ClusterFactor
-		s.session.Update(cf)
-	}
 	for _, th := range rules.FactsOf[*Threshold](s.session) {
 		s.session.Retract(th)
 	}

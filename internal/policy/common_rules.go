@@ -160,11 +160,10 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 				rules.MatchOn("t", "state", keyConst(TransferSubmitted), func(b rules.Bindings, t *Transfer) bool {
 					return t.State == TransferSubmitted && t.RequestedStreams <= 0
 				}),
-				rules.Match[*Defaults]("d", nil),
 			},
 			Then: func(ctx *rules.Context) {
 				t := ctx.Get("t").(*Transfer)
-				t.RequestedStreams = ctx.Get("d").(*Defaults).DefaultStreams
+				t.RequestedStreams = tun().DefaultStreams
 				ctx.Update(t)
 			},
 		},

@@ -19,6 +19,8 @@
 // its XML root element. encoding/xml takes the name from that tag when
 // encoding and checks it when decoding, and records it only into an
 // xml.Name, so a value decoded from XML equals the in-process one.
+// Likewise each fact type a StateDump carries is its own dump entry, its
+// json and xml tags naming its fields on disk and on the wire.
 package policy
 
 import "fmt"
@@ -57,47 +59,52 @@ func (s TransferState) String() string {
 // HostPair identifies a (source host, destination host) pair, the unit the
 // paper's stream thresholds and group IDs are defined over.
 type HostPair struct {
-	Src string
-	Dst string
+	Src string `json:"src" xml:"src"`
+	Dst string `json:"dst" xml:"dst"`
 }
 
-// String implements fmt.Stringer.
-func (p HostPair) String() string { return p.Src + "->" + p.Dst }
+// Pair is the name the per-pair facts embed HostPair under, so their
+// x.Pair selectors and Pair: literals read as before while JSON and XML
+// put src and dst inline.
+type Pair = HostPair
 
-// Transfer is the working-memory fact for one staging request.
+// Transfer is the working-memory fact for one staging request, and its
+// own StateDump entry.
 type Transfer struct {
 	// ID is the service-assigned unique transfer ID (paper: "assigns each
 	// transfer a unique ID so that the transfers can be monitored").
-	ID string
+	ID string `json:"id" xml:"id"`
 	// RequestID is the caller-supplied identifier, echoed back in advice.
-	RequestID string
+	RequestID string `json:"requestId,omitempty" xml:"requestId,omitempty"`
 	// WorkflowID identifies the requesting workflow (for file sharing).
-	WorkflowID string
+	WorkflowID string `json:"workflowId,omitempty" xml:"workflowId,omitempty"`
 	// JobID is the staging job this transfer belongs to.
-	JobID string
+	JobID string `json:"jobId,omitempty" xml:"jobId,omitempty"`
 	// ClusterID identifies the transfer cluster (balanced allocation).
-	ClusterID string
+	ClusterID string `json:"clusterId,omitempty" xml:"clusterId,omitempty"`
 	// SourceURL and DestURL are the endpoints of the transfer.
-	SourceURL string
-	DestURL   string
-	// Pair is the host pair derived from the URLs.
-	Pair HostPair
+	SourceURL string `json:"sourceUrl" xml:"sourceUrl"`
+	DestURL   string `json:"destUrl" xml:"destUrl"`
+	// Pair is the host pair derived from the URLs; not dumped, because
+	// import derives it again with PairOf.
+	Pair HostPair `json:"-" xml:"-"`
 	// SizeBytes is the expected transfer size (0 if unknown).
-	SizeBytes int64
+	SizeBytes int64 `json:"sizeBytes,omitempty" xml:"sizeBytes,omitempty"`
 	// RequestedStreams is the number of parallel streams the client asked
 	// for; 0 means "use the service default".
-	RequestedStreams int
+	RequestedStreams int `json:"requestedStreams" xml:"requestedStreams"`
 	// AllocatedStreams is the advice produced by the allocation policy.
-	AllocatedStreams int
+	AllocatedStreams int `json:"allocatedStreams" xml:"allocatedStreams"`
 	// GroupID groups transfers sharing a host pair for session reuse.
-	GroupID string
+	GroupID string `json:"groupId,omitempty" xml:"groupId,omitempty"`
 	// Priority orders transfers (higher first); set from workflow
 	// structure by the planner or by the client.
-	Priority int
+	Priority int `json:"priority,omitempty" xml:"priority,omitempty"`
 	// State is the lifecycle state.
-	State TransferState
-	// DupReason explains a TransferDuplicate state.
-	DupReason string
+	State TransferState `json:"state" xml:"state"`
+	// DupReason explains a TransferDuplicate state; not dumped, because a
+	// duplicate is retracted before the operation that marked it ends.
+	DupReason string `json:"-" xml:"-"`
 }
 
 // Resource is the working-memory fact tracking one staged file at its
@@ -155,75 +162,61 @@ func (s CleanupState) String() string {
 	}
 }
 
-// Cleanup is the working-memory fact for one file-deletion request.
+// Cleanup is the working-memory fact for one file-deletion request, and
+// its own StateDump entry.
 type Cleanup struct {
 	// ID is the service-assigned unique cleanup ID.
-	ID string
+	ID string `json:"id" xml:"id"`
 	// RequestID is the caller-supplied identifier.
-	RequestID string
+	RequestID string `json:"requestId,omitempty" xml:"requestId,omitempty"`
 	// WorkflowID identifies the requesting workflow.
-	WorkflowID string
+	WorkflowID string `json:"workflowId,omitempty" xml:"workflowId,omitempty"`
 	// FileURL is the staged file to delete (a Resource DestURL).
-	FileURL string
+	FileURL string `json:"fileUrl" xml:"fileUrl"`
 	// State is the lifecycle state.
-	State CleanupState
+	State CleanupState `json:"state" xml:"state"`
 	// Reason explains a CleanupRemoved state.
-	Reason string
+	Reason string `json:"reason,omitempty" xml:"reason,omitempty"`
 }
 
 // Threshold is the configuration fact holding the maximum number of
 // parallel streams allowed between a host pair (greedy algorithm input,
 // provided by the site or VO administrator).
 type Threshold struct {
-	Pair HostPair
-	Max  int
+	Pair
+	Max int `json:"max" xml:"max"`
 }
 
 // ClusterThreshold is the per-cluster stream budget between a host pair
 // used by the balanced allocation algorithm: the pair threshold divided
 // evenly among the workflow's transfer clusters.
 type ClusterThreshold struct {
-	Pair HostPair
-	Max  int
-}
-
-// Defaults is the configuration fact with service-wide defaults.
-type Defaults struct {
-	// DefaultStreams is assigned to transfers that request 0 streams.
-	DefaultStreams int
-	// MinStreams is the floor enforced on every allocation (>= 1).
-	MinStreams int
-}
-
-// ClusterFactor is the configuration fact carrying the Pegasus clustering
-// factor, the number of transfer clusters running in parallel (balanced
-// allocation input).
-type ClusterFactor struct {
-	N int
+	Pair
+	Max int `json:"max" xml:"max"`
 }
 
 // Group is the fact recording the group ID generated for a host pair
 // (paper: "Generate a unique group ID for a source and destination host
 // pair").
 type Group struct {
-	Pair HostPair
-	ID   string
+	Pair
+	ID string `json:"id" xml:"id"`
 }
 
 // StreamLedger records the number of parallel streams currently allocated
 // to in-flight transfers between a host pair ("Record the number of
 // parallel streams used by a transfer against the defined threshold").
 type StreamLedger struct {
-	Pair      HostPair
-	Allocated int
+	Pair
+	Allocated int `json:"allocated" xml:"allocated"`
 }
 
 // ClusterLedger records streams allocated per (host pair, cluster) for the
 // balanced algorithm.
 type ClusterLedger struct {
-	Pair      HostPair
-	ClusterID string
-	Allocated int
+	Pair
+	ClusterID string `json:"clusterId" xml:"clusterId"`
+	Allocated int    `json:"allocated" xml:"allocated"`
 }
 
 // TransferResult is the event fact a client reports when a transfer it was

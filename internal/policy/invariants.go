@@ -43,11 +43,10 @@ func (d *StateDump) Verify() error {
 	}
 	ledgers := make(map[HostPair]int, len(d.Ledgers))
 	for _, l := range d.Ledgers {
-		p := HostPair{Src: l.Src, Dst: l.Dst}
-		if l.Allocated != grants[p] {
-			return fmt.Errorf("ledger %s->%s is %d, in-flight grants sum to %d", l.Src, l.Dst, l.Allocated, grants[p])
+		if l.Allocated != grants[l.Pair] {
+			return fmt.Errorf("ledger %s->%s is %d, in-flight grants sum to %d", l.Src, l.Dst, l.Allocated, grants[l.Pair])
 		}
-		ledgers[p] = l.Allocated
+		ledgers[l.Pair] = l.Allocated
 	}
 	for p, sum := range grants {
 		if _, ok := ledgers[p]; !ok {
@@ -56,7 +55,7 @@ func (d *StateDump) Verify() error {
 	}
 	clusterSums := make(map[HostPair]int)
 	for _, cl := range d.ClusterLedgers {
-		clusterSums[HostPair{Src: cl.Src, Dst: cl.Dst}] += cl.Allocated
+		clusterSums[cl.Pair] += cl.Allocated
 	}
 	for p, sum := range clusterSums {
 		if sum != ledgers[p] {

@@ -19,9 +19,9 @@ import (
 // dead workflow's holdings.
 type Lease struct {
 	// Owner is the workflow ID holding the lease.
-	Owner string
+	Owner string `json:"owner" xml:"owner"`
 	// Deadline is the logical-clock time at which the lease expires.
-	Deadline float64
+	Deadline float64 `json:"deadline" xml:"deadline"`
 }
 
 // LeaseExpired is the event fact advance_clock inserts for each lease whose
