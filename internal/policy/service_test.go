@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -187,6 +189,10 @@ func TestDuplicateAlreadyStagedSuppressed(t *testing.T) {
 	}
 	if adv2.Removed[0].Reason != "already-staged" {
 		t.Fatalf("reason = %q", adv2.Removed[0].Reason)
+	}
+	// With every request suppressed, the list is empty, not absent.
+	if doc, err := json.Marshal(adv2); err != nil || !bytes.HasPrefix(doc, []byte(`{"transfers":[],`)) {
+		t.Fatalf("advice encodes as %s (%v), want an empty transfers list", doc, err)
 	}
 }
 
