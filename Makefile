@@ -149,14 +149,18 @@ cover:
 	done
 
 # fuzz-smoke runs each fuzz target for 10s of random inputs. Go runs one
-# fuzz target per invocation, so each gets its own line. FuzzStateDump's
-# seed is a whole dump (4 KiB): minimizing each new interesting input for
-# the default 60s would stall it after the first 3s, so it minimizes for 1s.
+# fuzz target per invocation, so each gets its own line. Minimizing each
+# new interesting input for the default 60s stalls a target whose seeds are
+# whole documents (a 4 KiB dump, a request list) after its first seconds,
+# so those minimize for 1s. The two FuzzCanonicalDecode targets check the
+# canonical decoders against encoding/json.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime=10s ./internal/durable/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s ./internal/policyhttp/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/policyhttp/
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime=10s ./internal/rules/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateDump$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/durable/
 
 # loc prints non-test, non-blank Go lines per internal package and per
 # command, then their total — the code-volume number the roadmap tracks

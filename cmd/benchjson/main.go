@@ -105,6 +105,10 @@ var groups = []group{
 	// pull, WAL-logged epoch bump. Guards the promote path's latency —
 	// failover time is downtime for every writer.
 	{pkg: "./internal/policyhttp", pattern: "^BenchmarkFailoverPromote$", benchtime: "50x"},
+	// The receiving half of a full resync at 10 k resident facts: archive
+	// decode plus restore, whose per-fact bytes and allocations a
+	// full-state move pays.
+	{pkg: "./internal/policyhttp", pattern: "^BenchmarkReceiveArchive$", benchtime: "20x"},
 }
 
 // seriesRename maps sub-benchmark paths onto stable series keys where

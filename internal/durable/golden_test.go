@@ -151,7 +151,7 @@ func copyFiles(t *testing.T, src, dst, pattern string) {
 	}
 }
 
-// marshalArchive renders arch as a donor serves it (Archive.WriteJSON),
+// marshalArchive renders arch as a donor serves it (Archive.JSON),
 // indented. The wire bytes must equal json.Marshal's, so the fixtures also
 // pin that the archive document is framed, not re-encoded, exactly as the
 // encoder would write it.
@@ -161,9 +161,11 @@ func marshalArchive(t *testing.T, arch *Archive, err error) []byte {
 		t.Fatal(err)
 	}
 	var wire, out bytes.Buffer
-	if err := arch.WriteJSON(&wire); err != nil {
+	parts, err := arch.JSON()
+	if err != nil {
 		t.Fatal(err)
 	}
+	parts.WriteTo(&wire)
 	enc, err := json.Marshal(arch)
 	if err != nil {
 		t.Fatal(err)

@@ -43,11 +43,14 @@ type SnapshotInfo struct {
 // logged, replay determinism supplies the rest.
 func OpenPolicyStore(dir string, svc *policy.Service, opts Options) (*PolicyStore, RecoveryStats, error) {
 	restore := func(state []byte) error {
-		var d policy.StateDump
-		if err := json.Unmarshal(state, &d); err != nil {
+		d, err := policy.DecodeStateDump(state)
+		if err != nil {
 			return fmt.Errorf("decode state dump: %w", err)
 		}
-		_, err := svc.Execute(context.Background(), policy.OpImportState, &d)
+		if d == nil {
+			d = new(policy.StateDump) // a null state restores empty, as it always has
+		}
+		_, err = svc.Execute(context.Background(), policy.OpImportState, d)
 		return err
 	}
 	apply := func(rec Record) error {

@@ -327,14 +327,16 @@ func TestArchiveWriteJSONMatchesEncoder(t *testing.T) {
 		{Tail: tail},
 	} {
 		var got, want bytes.Buffer
-		if err := arch.WriteJSON(&got); err != nil {
+		parts, err := arch.JSON()
+		if err != nil {
 			t.Fatal(err)
 		}
+		parts.WriteTo(&got)
 		if err := json.NewEncoder(&want).Encode(arch); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("WriteJSON:\n got  %s want %s", got.Bytes(), want.Bytes())
+			t.Fatalf("Archive.JSON:\n got  %s want %s", got.Bytes(), want.Bytes())
 		}
 	}
 }

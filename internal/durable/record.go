@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"policyflow/internal/canon"
 )
 
 // Record is one logged mutation command. Data holds the operation's
@@ -29,6 +31,21 @@ type Record struct {
 	Seq  uint64          `json:"seq"`
 	Op   string          `json:"op"`
 	Data json.RawMessage `json:"data,omitempty"`
+}
+
+var recordFields = []canon.Field[Record]{
+	{Name: "seq", Decode: func(d *canon.Decoder, r *Record) { r.Seq = d.Uint64() }},
+	{Name: "op", Decode: func(d *canon.Decoder, r *Record) { r.Op = d.String() }},
+	{Name: "data", Decode: func(d *canon.Decoder, r *Record) { r.Data = d.Raw() }},
+}
+
+func decodeRecordFields(d *canon.Decoder, r *Record) { canon.Object(d, r, recordFields) }
+
+// decodeRecord decodes a record body (see package canon). Data aliases
+// body when body is canonical.
+func decodeRecord(body []byte) (rec Record, err error) {
+	err = canon.Unmarshal(body, &rec, decodeRecordFields)
+	return rec, err
 }
 
 // Record framing on disk: a fixed header of the body length (uint32,
@@ -92,8 +109,8 @@ func scanRecords(r io.Reader, fn func(Record) error) (valid int64, n int, err er
 		if crc32.ChecksumIEEE(body) != sum {
 			return valid, n, nil
 		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
+		rec, err := decodeRecord(body)
+		if err != nil {
 			return valid, n, nil
 		}
 		if err := fn(rec); err != nil {
@@ -120,8 +137,7 @@ func recordFollows(damaged []byte, prev uint64) bool {
 		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(damaged[off+4:]) {
 			continue
 		}
-		var rec Record
-		if json.Unmarshal(body, &rec) == nil && rec.Seq > prev {
+		if rec, err := decodeRecord(body); err == nil && rec.Seq > prev {
 			return true
 		}
 	}

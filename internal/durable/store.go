@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"os"
 	"sync"
 
+	"policyflow/internal/canon"
 	"policyflow/internal/obs"
 )
 
@@ -78,34 +79,50 @@ type Archive struct {
 	Tail []Record `json:"tail,omitempty"`
 }
 
-// WriteJSON writes a as one JSON document and a newline — for a compact
-// Snapshot, the bytes json.NewEncoder(w).Encode(a) writes — without
+// JSON returns a as one JSON document and a newline, in parts — for a
+// compact Snapshot, the bytes json.NewEncoder(w).Encode(a) writes — without
 // re-scanning the state-sized Snapshot: the other fields are encoded, and
-// the snapshot goes out as stored.
-func (a *Archive) WriteJSON(w io.Writer) error {
+// the snapshot goes out as stored. The parts' total length is known before
+// any is written, so a donor can announce it.
+func (a *Archive) JSON() (net.Buffers, error) {
 	rest := *a
 	rest.Snapshot = nil
 	doc, err := json.Marshal(&rest)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	doc = append(doc, '\n')
-	parts := [][]byte{doc}
-	if a.Snapshot != nil {
-		// The fields before the snapshot are numbers and a bool, so the
-		// first `,"tail":` — or else the closing brace — is where it goes.
-		at := bytes.Index(doc, []byte(`,"tail":`))
-		if at < 0 {
-			at = len(doc) - len("}\n")
-		}
-		parts = [][]byte{doc[:at], []byte(`,"snapshot":`), a.Snapshot, doc[at:]}
+	if a.Snapshot == nil {
+		return net.Buffers{doc}, nil
 	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
+	// The fields before the snapshot are numbers and a bool, so the first
+	// `,"tail":` — or else the closing brace — is where it goes.
+	at := bytes.Index(doc, []byte(`,"tail":`))
+	if at < 0 {
+		at = len(doc) - len("}\n")
 	}
-	return nil
+	return net.Buffers{doc[:at], []byte(`,"snapshot":`), a.Snapshot, doc[at:]}, nil
+}
+
+var archiveFields = []canon.Field[Archive]{
+	{Name: "delta", Decode: func(d *canon.Decoder, a *Archive) { a.Delta = d.Bool() }},
+	{Name: "snapshotSeq", Decode: func(d *canon.Decoder, a *Archive) { a.SnapshotSeq = d.Uint64() }},
+	{Name: "epoch", Decode: func(d *canon.Decoder, a *Archive) { a.Epoch = d.Uint64() }},
+	{Name: "snapshot", Decode: func(d *canon.Decoder, a *Archive) { a.Snapshot = d.Raw() }},
+	{Name: "tail", Decode: func(d *canon.Decoder, a *Archive) { a.Tail = canon.Objects(d, recordFields) }},
+}
+
+func decodeArchiveFields(d *canon.Decoder, a *Archive) { canon.Object(d, a, archiveFields) }
+
+// DecodeArchive decodes an archive document in one pass (see package
+// canon). Snapshot and the records' Data alias data when it is canonical,
+// so the state-sized snapshot is neither copied nor decoded here.
+func DecodeArchive(data []byte) (*Archive, error) {
+	var a Archive
+	if err := canon.Unmarshal(data, &a, decodeArchiveFields); err != nil {
+		return nil, err
+	}
+	return &a, nil
 }
 
 // Open opens (creating if needed) the store in dir and recovers: restore

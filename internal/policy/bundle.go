@@ -194,7 +194,7 @@ func (s *Service) StageBundle(data []byte) (*BundleInfo, error) {
 // decodeBundleOp decodes a logged activation; the log only ever holds the
 // full document, so a record without one is damage, not a request.
 func decodeBundleOp(payload []byte) (BundleOp, error) {
-	op, err := decodeJSON[BundleOp](payload)
+	op, err := decodeBundleOpJSON(payload)
 	if err == nil && op.Bundle == nil {
 		err = errors.New("record carries no bundle")
 	}

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -108,25 +107,18 @@ func defineOp[P, R any](name string, admitted bool, decode func([]byte) (P, erro
 	}
 }
 
-// decodeJSON is the payload decoder of every op whose WAL record is the
-// plain JSON form of its request type.
-func decodeJSON[P any](payload []byte) (p P, err error) {
-	err = json.Unmarshal(payload, &p)
-	return p, err
-}
-
 // ops is the op table, in declaration order.
 var ops = []*opSpec{
-	defineOp(OpAdviseTransfers, true, decodeJSON[[]TransferSpec], validateTransferSpecs, (*Service).adviseTransfersLocked),
-	defineOp(OpReportTransfers, true, decodeJSON[CompletionReport], nil, (*Service).reportTransfersLocked),
-	defineOp(OpAdviseCleanups, true, decodeJSON[[]CleanupSpec], validateCleanupSpecs, (*Service).adviseCleanupsLocked),
-	defineOp(OpReportCleanups, true, decodeJSON[CleanupReport], nil, (*Service).reportCleanupsLocked),
-	defineOp(OpSetThreshold, false, decodeJSON[ThresholdOp], validateThreshold, (*Service).setThresholdLocked),
-	defineOp(OpImportState, false, decodeJSON[*StateDump], validateDump, (*Service).importStateLocked),
-	defineOp(OpRenewLease, false, decodeJSON[LeaseOp], validateLease, (*Service).renewLeaseLocked),
-	defineOp(OpAdvanceClock, false, decodeJSON[ClockOp], validateClock, (*Service).advanceClockLocked),
+	defineOp(OpAdviseTransfers, true, decodeJSON(list(transferSpecFields)), validateTransferSpecs, (*Service).adviseTransfersLocked),
+	defineOp(OpReportTransfers, true, decodeJSON(object(completionReportFields)), nil, (*Service).reportTransfersLocked),
+	defineOp(OpAdviseCleanups, true, decodeJSON(list(cleanupSpecFields)), validateCleanupSpecs, (*Service).adviseCleanupsLocked),
+	defineOp(OpReportCleanups, true, decodeJSON(object(cleanupReportFields)), nil, (*Service).reportCleanupsLocked),
+	defineOp(OpSetThreshold, false, decodeJSON(object(thresholdOpFields)), validateThreshold, (*Service).setThresholdLocked),
+	defineOp(OpImportState, false, DecodeStateDump, validateDump, (*Service).importStateLocked),
+	defineOp(OpRenewLease, false, decodeJSON(object(leaseOpFields)), validateLease, (*Service).renewLeaseLocked),
+	defineOp(OpAdvanceClock, false, decodeJSON(object(clockOpFields)), validateClock, (*Service).advanceClockLocked),
 	defineOp(OpActivateBundle, false, decodeBundleOp, validateBundleOp, (*Service).activateBundleLocked),
-	defineOp(OpBumpEpoch, false, decodeJSON[EpochOp], nil, (*Service).bumpEpochLocked),
+	defineOp(OpBumpEpoch, false, decodeJSON(object(epochOpFields)), nil, (*Service).bumpEpochLocked),
 }
 
 var opByName = func() map[string]*opSpec {

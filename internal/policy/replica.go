@@ -22,7 +22,8 @@ type replicaCursor struct {
 // ReplicaRecord is one record of a donor's mutation log: its position
 // there, the logged op and the op's JSON payload. Request, when set, is
 // Data already decoded by the caller, and is applied without decoding
-// Data again.
+// Data again. The caller hands it over: an import_state dump's entries
+// become Policy Memory's facts uncopied.
 type ReplicaRecord struct {
 	Seq     uint64
 	Op      string
@@ -101,6 +102,7 @@ func (s *Service) ApplyReplica(donor string, recs []ReplicaRecord) error {
 		}
 		if d, ok := req.(*StateDump); ok && d != nil {
 			d.raw = r.Data // the donor's bytes travel with the dump (see StateDump.JSON)
+			d.once = true
 		}
 		batch = append(batch, BatchMutation{Op: r.Op, Request: req})
 		seqs = append(seqs, r.Seq)

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"policyflow/internal/bundle"
+	"policyflow/internal/canon"
 	"policyflow/internal/rules"
 )
 
@@ -52,6 +53,19 @@ type StateDump struct {
 
 	// raw is the JSON a replicated dump was decoded from (see ApplyReplica).
 	raw []byte
+	// once marks a dump handed over for one import (see ApplyReplica): the
+	// import inserts its entries as Policy Memory's facts, uncopied.
+	once bool
+}
+
+// DecodeStateDump decodes a dump from its JSON (see package canon). JSON
+// null decodes to a nil dump, as json.Unmarshal has it.
+func DecodeStateDump(data []byte) (*StateDump, error) {
+	var d *StateDump
+	if err := canon.Unmarshal(data, &d, decodeStateDumpPtr); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // JSON returns the dump's JSON encoding. A dump ApplyReplica took from a
@@ -142,18 +156,31 @@ func (s *Service) exportStateLocked() *StateDump {
 // factValues copies the session's facts of type T in insertion order, nil
 // when there are none.
 func factValues[T any](m rules.Memory) []T {
-	var out []T
-	for _, f := range rules.FactsOf[*T](m) {
-		out = append(out, *f)
+	facts := rules.FactsOf[*T](m)
+	if len(facts) == 0 {
+		return nil
+	}
+	out := make([]T, len(facts))
+	for i, f := range facts {
+		out[i] = *f
 	}
 	return out
 }
 
-// insertCopies inserts a fresh copy of each dumped fact, so Policy Memory
-// never shares a fact with the dump it came from.
-func insertCopies[T any](sess *rules.Session, facts []T) {
-	for _, f := range facts {
-		sess.Insert(&f)
+// entry returns the fact to insert for facts[i]: the entry itself when
+// its dump was decoded for this import alone, else a fresh copy, so Policy
+// Memory never shares a fact with a dump someone else holds.
+func entry[T any](facts []T, i int, inPlace bool) *T {
+	if inPlace {
+		return &facts[i]
+	}
+	f := facts[i]
+	return &f
+}
+
+func insertFacts[T any](sess *rules.Session, facts []T, inPlace bool) {
+	for i := range facts {
+		sess.Insert(entry(facts, i, inPlace))
 	}
 }
 
@@ -212,9 +239,12 @@ func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, s
 		s.adoptBundleLocked(bundleFromConfig(s.cfg), nil)
 	}
 
-	for _, t := range d.Transfers {
+	inPlace := d.once
+	d.once = false // a second import of the same dump copies
+	for i := range d.Transfers {
+		t := entry(d.Transfers, i, inPlace)
 		t.Pair = PairOf(t.SourceURL, t.DestURL)
-		s.session.Insert(&t)
+		s.session.Insert(t)
 	}
 	for _, rd := range d.Resources {
 		r := &Resource{DestURL: rd.DestURL, SourceURL: rd.SourceURL, Staged: rd.Staged, Users: map[string]int{}}
@@ -223,12 +253,12 @@ func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, s
 		}
 		s.session.Insert(r)
 	}
-	insertCopies(s.session, d.Cleanups)
-	insertCopies(s.session, d.Thresholds)
-	insertCopies(s.session, d.ClusterThresholds)
-	insertCopies(s.session, d.Groups)
-	insertCopies(s.session, d.Ledgers)
-	insertCopies(s.session, d.ClusterLedgers)
-	insertCopies(s.session, d.Leases)
+	insertFacts(s.session, d.Cleanups, inPlace)
+	insertFacts(s.session, d.Thresholds, inPlace)
+	insertFacts(s.session, d.ClusterThresholds, inPlace)
+	insertFacts(s.session, d.Groups, inPlace)
+	insertFacts(s.session, d.Ledgers, inPlace)
+	insertFacts(s.session, d.ClusterLedgers, inPlace)
+	insertFacts(s.session, d.Leases, inPlace)
 	return
 }

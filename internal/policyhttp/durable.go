@@ -2,7 +2,6 @@ package policyhttp
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -59,9 +58,15 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch {
 	case s.durable == nil:
+		// The live dump is encoded through the pooled buffer, which the
+		// parts below still reference until they are written.
+		b := getBuffer()
+		defer b.release()
 		dump := s.svc.ExportState()
 		arch = &durable.Archive{Epoch: dump.Epoch}
-		arch.Snapshot, err = dump.JSON()
+		if err = b.enc.Encode(dump); err == nil {
+			arch.Snapshot = bytes.TrimSuffix(b.Bytes(), []byte("\n"))
+		}
 	case v != "":
 		arch, err = s.durable.ArchiveAfter(after)
 	default:
@@ -71,10 +76,21 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, formatJSON, http.StatusInternalServerError, err)
 		return
 	}
-	// The snapshot goes out as stored, not re-encoded (see Archive.WriteJSON).
+	// The snapshot goes out as stored, not re-encoded (see Archive.JSON),
+	// and its length is announced so the puller reads it into one buffer.
+	parts, err := arch.JSON()
+	if err != nil {
+		s.writeError(w, formatJSON, http.StatusInternalServerError, err)
+		return
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	w.Header()["Content-Type"] = contentTypes[formatJSON]
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
-	if err := arch.WriteJSON(w); err != nil && s.log != nil {
+	if _, err := parts.WriteTo(w); err != nil && s.log != nil {
 		s.log.Printf("encode response: %v", err)
 	}
 }
@@ -104,6 +120,22 @@ func applyArchive(svc *policy.Service, donor string, arch *durable.Archive, dump
 	return svc.ApplyReplica(donor, recs)
 }
 
+// maxPresized bounds the body readBody allocates whole on the word of
+// Content-Length; a longer body is read as it arrives.
+const maxPresized = 256 << 20
+
+// readBody reads a response body into one buffer of the length the
+// response announces, or as it arrives when it announces none.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresized {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	_, err := io.ReadFull(resp.Body, data)
+	return data, err
+}
+
 // SnapshotNow asks the remote service to snapshot its Policy Memory now.
 func (c *Client) SnapshotNow() (*durable.SnapshotInfo, error) {
 	return fetch(c, http.MethodPost, "/v1/state/snapshot", nil, self[durable.SnapshotInfo])
@@ -118,8 +150,7 @@ func (c *Client) Archive() (*durable.Archive, error) {
 }
 
 // archive GETs the archive (after the given seq when delta is set) and
-// decodes it in one pass: the snapshot is decoded straight into a dump,
-// and Snapshot holds the bytes it was decoded from.
+// decodes it (see decodeArchive).
 func (c *Client) archive(after uint64, delta bool) (*durable.Archive, *policy.StateDump, error) {
 	path := "/v1/state/archive"
 	if delta {
@@ -138,7 +169,7 @@ func (c *Client) archive(after uint64, delta bool) (*durable.Archive, *policy.St
 	if resp.StatusCode >= 400 {
 		return nil, nil, c.decodeError(resp)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("policyhttp: read response: %w", err)
 	}
@@ -149,52 +180,17 @@ func (c *Client) archive(after uint64, delta bool) (*durable.Archive, *policy.St
 	return arch, dump, nil
 }
 
-// decodeArchive decodes an archive document field by field, so the
-// state-sized snapshot is scanned once, by the decode into its dump, and
-// sliced out of data instead of being scanned again into a copy.
+// decodeArchive decodes an archive document and the dump its snapshot
+// holds: the envelope's pass only validates the snapshot and leaves it a
+// sub-slice of data, and the dump is decoded from that slice. Snapshot
+// keeps those bytes, so a durable receiver installs them as received.
 func decodeArchive(data []byte) (*durable.Archive, *policy.StateDump, error) {
-	var arch durable.Archive
-	var dump *policy.StateDump
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return nil, nil, fmt.Errorf("archive is not a JSON object (%v)", err)
+	arch, err := durable.DecodeArchive(data)
+	if err != nil || arch.Snapshot == nil {
+		return arch, nil, err
 	}
-	for dec.More() {
-		t, err := dec.Token()
-		if err != nil {
-			return nil, nil, err
-		}
-		var v any
-		switch t {
-		case "delta":
-			v = &arch.Delta
-		case "snapshotSeq":
-			v = &arch.SnapshotSeq
-		case "epoch":
-			v = &arch.Epoch
-		case "tail":
-			v = &arch.Tail
-		case "snapshot":
-			v = &dump
-		default:
-			v = new(json.RawMessage)
-		}
-		start := dec.InputOffset()
-		err = dec.Decode(v)
-		if t == "snapshot" {
-			arch.Snapshot = bytes.TrimLeft(data[start:dec.InputOffset()], ": \t\r\n")
-			// JSON that is no dump is the donor's fault, not a failed
-			// pull: applying the bytes rejects it as ErrInvalidRequest.
-			if _, ok := err.(*json.UnmarshalTypeError); ok {
-				dump, err = nil, nil
-			}
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, err := dec.Token(); err != nil {
-		return nil, nil, err
-	}
-	return &arch, dump, nil
+	// JSON that is no dump is the donor's fault, not a failed pull:
+	// applying the bytes rejects it as ErrInvalidRequest.
+	dump, _ := policy.DecodeStateDump(arch.Snapshot)
+	return arch, dump, nil
 }
