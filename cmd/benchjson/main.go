@@ -76,7 +76,7 @@ type group struct {
 // hot path at batch size 20, advise cost against a loaded Policy Memory,
 // the lease expiry scan, the WAL commit path with and without fsync, and
 // the bundle subsystem (activation cost, and the advise round trip under
-// an activated bundle's tunables snapshot).
+// an activated bundle).
 var groups = []group{
 	{pkg: ".", pattern: "^BenchmarkPolicyAdvise$", benchtime: "20x"},
 	// A measured advise/report round trip is ~50µs under the incremental

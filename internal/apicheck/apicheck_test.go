@@ -20,6 +20,7 @@ func TestModuleHasNoUnusedExports(t *testing.T) {
 	}
 	if testing.Verbose() {
 		printCounts(r.Exported)
+		printConfigFields(r.ConfigFields)
 	}
 	for _, p := range r.Problems {
 		t.Error(p)
@@ -48,6 +49,23 @@ func printCounts(exported map[string]int) {
 		fmt.Printf("%-24s %6d\n", dir+"/", exported[dir])
 	}
 	fmt.Printf("%-24s %6d\n", "exported total", total)
+}
+
+// printConfigFields prints the exported-field count of each configuration
+// struct and their total, the config-field count make loc reports.
+func printConfigFields(fields map[string]int) {
+	keys := make([]string, 0, len(fields))
+	total := 0
+	for key, n := range fields {
+		keys = append(keys, key)
+		total += n
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		dir, name, _ := strings.Cut(key, " ")
+		fmt.Printf("%-32s %6d\n", dir+"."+name, fields[key])
+	}
+	fmt.Printf("%-32s %6d\n", "config fields total", total)
 }
 
 // plant writes a small module tree: a library package under internal/, a
@@ -189,6 +207,45 @@ func TestBench(t *testing.T) { lib.BenchOnly() }
 	}
 	if got := strings.Join(check(t, root, ""), "\n"); strings.Contains(got, "BenchOnly") {
 		t.Fatalf("a use in bench/'s tests did not count:\n%s", got)
+	}
+}
+
+// TestConfigFieldsCounted: the config-field count takes the exported
+// fields of exported structs named Options or ending in Config, under
+// internal/ only.
+func TestConfigFieldsCounted(t *testing.T) {
+	t.Parallel()
+	root := plant(t, map[string]string{
+		"internal/lib/config.go": `package lib
+
+type Config struct {
+	A, B   int
+	hidden bool
+}
+
+type PipeConfig struct{ C int }
+
+type Options struct {
+	D string
+	E []int
+	F float64
+}
+
+type Settings struct{ G int }
+
+type ModeConfig string
+
+type privateConfig struct{ H int }
+`,
+		"cmd/c/config.go": "package main\n\ntype Config struct{ I int }\n",
+	})
+	r, err := Check(root, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"internal/lib Config": 2, "internal/lib PipeConfig": 1, "internal/lib Options": 3}
+	if fmt.Sprint(r.ConfigFields) != fmt.Sprint(want) {
+		t.Fatalf("config fields = %v, want %v", r.ConfigFields, want)
 	}
 }
 

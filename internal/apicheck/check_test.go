@@ -1,7 +1,8 @@
 // Package apicheck is a tier-1 test that finds exported identifiers that
 // nothing calls. It has no non-test code: go test ./internal/apicheck runs
 // the check, and with -v also prints the exported-identifier count of every
-// internal/ and cmd/ package (make loc shows it).
+// internal/ and cmd/ package and the config-field count of every
+// configuration struct under internal/ (make loc shows both).
 //
 // It type-checks every package of a module tree from source: the module's
 // own packages, its examples, and any nested module such as a frozen
@@ -49,6 +50,10 @@ type Report struct {
 	// Exported counts, per package dir under internal/ and cmd/, the
 	// package-level exported names plus the exported methods of its types.
 	Exported map[string]int
+	// ConfigFields counts, per exported struct under internal/ named
+	// Config, Options or *Config (keyed "<dir> <Name>"), its exported
+	// fields: the knobs a caller can set.
+	ConfigFields map[string]int
 }
 
 // Check loads the module tree at root and judges its exports against the
@@ -92,7 +97,7 @@ func Check(root, allowFile string) (*Report, error) {
 		}
 	}
 	sort.Strings(problems)
-	return &Report{Problems: problems, Exported: exported}, nil
+	return &Report{Problems: problems, Exported: exported, ConfigFields: l.configFields()}, nil
 }
 
 type allowEntry struct {
@@ -350,6 +355,36 @@ func (l *loader) subjects() (map[string]*subject, map[string]int) {
 		}
 	}
 	return subjects, exported
+}
+
+// configFields counts the exported fields of every exported struct type
+// under internal/ named Options or ending in Config.
+func (l *loader) configFields() map[string]int {
+	counts := map[string]int{}
+	for _, p := range l.byPath {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || (name != "Options" && !strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			n := 0
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Exported() {
+					n++
+				}
+			}
+			counts[p.dir+" "+name] = n
+		}
+	}
+	return counts
 }
 
 // interfaceMethodNames collects the method names of every interface the

@@ -4,10 +4,12 @@
 // activated atomically, and every decision is attributable to the bundle
 // version that produced it.
 //
-// A bundle captures exactly the knobs the policy service otherwise
-// compiles in: the allocation algorithm, default/minimum stream counts,
-// the default and per-host-pair stream thresholds, the workflow clustering
-// factor, and the priority weighting factors. The encoding is
+// A bundle captures the policy service's whole tunable surface: the
+// allocation algorithm, default/minimum stream counts, the default and
+// per-host-pair stream thresholds, the workflow clustering factor, and the
+// priority weighting factors. The service compiles in only the bootstrap
+// values of the first four; pair thresholds and weighting come from a
+// bundle alone. The encoding is
 // schema-versioned JSON; Parse rejects unknown schema versions and unknown
 // fields so a bundle written for a future engine never half-applies.
 //
@@ -83,8 +85,8 @@ type Bundle struct {
 	ClusterFactor int `json:"clusterFactor" xml:"clusterFactor"`
 	// PairThresholds override DefaultThreshold for specific host pairs.
 	PairThresholds []PairThreshold `json:"pairThresholds,omitempty" xml:"pairThresholds>pairThreshold,omitempty"`
-	// Priority, when present, tunes priority weighting; absent keeps the
-	// engine's compiled-in weighting configuration.
+	// Priority, when present, tunes priority weighting; absent disables
+	// weighting.
 	Priority *Priority `json:"priority,omitempty" xml:"priority,omitempty"`
 }
 

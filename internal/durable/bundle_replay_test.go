@@ -49,7 +49,7 @@ func TestBundleActivationReplaysPastTornCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dumpJSON(t, svc)
-	beforeTun := svc.Tunables()
+	beforeBundle := svc.ActiveBundle()
 	_ = ps // crash: no Close
 	tearWALTail(t, dir)
 
@@ -66,12 +66,12 @@ func TestBundleActivationReplaysPastTornCrash(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatalf("state diverged after torn-crash recovery:\n before %s\n after  %s", before, after)
 	}
-	afterTun := svc2.Tunables()
-	if afterTun != beforeTun {
-		t.Fatalf("tunables diverged after recovery:\n before %+v\n after  %+v", beforeTun, afterTun)
+	afterBundle := svc2.ActiveBundle()
+	if afterBundle.Checksum() != beforeBundle.Checksum() {
+		t.Fatalf("active bundle diverged after recovery:\n before %s\n after  %s", beforeBundle.Canonical(), afterBundle.Canonical())
 	}
-	if afterTun.Version != "durable-v1" || afterTun.DefaultThreshold != 9 {
-		t.Fatalf("recovered tunables %+v, want durable-v1 threshold 9", afterTun)
+	if afterBundle.Version != "durable-v1" || afterBundle.DefaultThreshold != 9 {
+		t.Fatalf("recovered bundle %+v, want durable-v1 threshold 9", afterBundle)
 	}
 	// The rollback target survives replay too: rolling back on the
 	// recovered replica restores the bootstrap bundle.
@@ -113,7 +113,7 @@ func TestRollbackReplaysAcrossRestart(t *testing.T) {
 	if !bytes.Equal(before, dumpJSON(t, svc2)) {
 		t.Fatal("state diverged after replaying a rollback")
 	}
-	if got := svc2.Tunables().Version; got != policy.BootstrapBundleVersion {
+	if got := svc2.ActiveBundle().Version; got != policy.BootstrapBundleVersion {
 		t.Fatalf("recovered active bundle %q, want %q", got, policy.BootstrapBundleVersion)
 	}
 }

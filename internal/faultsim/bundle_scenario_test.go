@@ -58,7 +58,7 @@ func TestBundleActivationScenario(t *testing.T) {
 
 	// Work under the compiled-in v0 bundle.
 	mustStep(wfAdviseOp("wf-a", "ra", "f-01", "f-02"))
-	if v := h.oracle.Tunables().Version; v != policy.BootstrapBundleVersion {
+	if v := h.oracle.ActiveBundle().Version; v != policy.BootstrapBundleVersion {
 		t.Fatalf("boot bundle version %q, want %q", v, policy.BootstrapBundleVersion)
 	}
 
@@ -71,9 +71,9 @@ func TestBundleActivationScenario(t *testing.T) {
 		{Replica: 0, Kind: FaultDropResponse},
 		{Replica: 0, Kind: FaultDuplicate},
 	}})
-	tun := h.oracle.Tunables()
-	if tun.Version != "scenario-v1" || tun.DefaultThreshold != 6 || tun.DefaultStreams != 3 {
-		t.Fatalf("post-activation tunables %+v, want scenario-v1 threshold 6 streams 3", tun)
+	active := h.oracle.ActiveBundle()
+	if active.Version != "scenario-v1" || active.DefaultThreshold != 6 || active.DefaultStreams != 3 {
+		t.Fatalf("post-activation bundle %+v, want scenario-v1 threshold 6 streams 3", active)
 	}
 	if got := h.oracle.DecisionCount(policy.OpActivateBundle); got != 1 {
 		t.Fatalf("%d activation records after faulted activation, want exactly 1", got)
@@ -108,9 +108,9 @@ func TestBundleActivationScenario(t *testing.T) {
 
 	// Roll back to v1 without a restart: algorithm and thresholds return.
 	mustStep(Op{Kind: OpRollbackBundle})
-	tun = h.oracle.Tunables()
-	if tun.Version != "scenario-v1" || tun.DefaultThreshold != 6 || tun.Algorithm != policy.AlgoGreedy {
-		t.Fatalf("post-rollback tunables %+v, want scenario-v1 greedy threshold 6", tun)
+	active = h.oracle.ActiveBundle()
+	if active.Version != "scenario-v1" || active.DefaultThreshold != 6 || active.Algorithm != bundle.AlgoGreedy {
+		t.Fatalf("post-rollback bundle %+v, want scenario-v1 greedy threshold 6", active)
 	}
 
 	// Crash-recover both replicas: the whole activation history — two

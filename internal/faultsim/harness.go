@@ -106,7 +106,6 @@ func newHarness(baseDir string, sched Schedule) (*Harness, error) {
 	cfg := policy.Config{
 		Algorithm:        sc.Algorithm,
 		DefaultStreams:   sc.DefaultStreams,
-		MinStreams:       1,
 		DefaultThreshold: sc.Threshold,
 		ClusterFactor:    sc.ClusterFactor,
 		LeaseTTL:         sc.LeaseTTL,
@@ -127,10 +126,12 @@ func newHarness(baseDir string, sched Schedule) (*Harness, error) {
 		seed:        sched.Seed,
 	}
 	h.ClientMetrics = obs.NewClientMetrics(h.ClientReg)
-	// The compiled-in v0 bundle's checksum is internal to the service; the
-	// model learns it from the fault-free oracle so it can tell
-	// state-changing activations from idempotent no-ops.
-	h.model.setActiveChecksum(oracle.Tunables().Checksum)
+	// The model wrote down the v0 bundle it expects the service to embed;
+	// a service whose v0 differs would decide under other tunables from
+	// the first step, so that is a failure before any op runs.
+	if got, want := oracle.ActiveBundle(), h.model.active; got.Checksum() != want.Checksum() {
+		return nil, fmt.Errorf("faultsim: the service's v0 bundle %s, want the model's %s", got.Canonical(), want.Canonical())
+	}
 	// Peer clients are wired before the replicas open because openReplica
 	// installs them (promotion demotes and pulls from the peer through the
 	// router, so partitions apply to the control plane too).

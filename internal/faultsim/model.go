@@ -42,36 +42,6 @@ type modelCleanup struct {
 	workflow string
 }
 
-// modelBundle is the model's mirror of one policy bundle's tunables —
-// the values the active bundle imposes on every subsequent operation.
-type modelBundle struct {
-	version          string
-	checksum         string
-	algorithm        policy.Algorithm
-	defaultStreams   int
-	minStreams       int
-	defaultThreshold int
-	clusterFactor    int
-	pairTh           map[policy.HostPair]int
-}
-
-func modelBundleOf(b *bundle.Bundle) modelBundle {
-	mb := modelBundle{
-		version:          b.Version,
-		checksum:         b.Checksum(),
-		algorithm:        policy.Algorithm(b.Algorithm),
-		defaultStreams:   b.DefaultStreams,
-		minStreams:       b.MinStreams,
-		defaultThreshold: b.DefaultThreshold,
-		clusterFactor:    b.ClusterFactor,
-		pairTh:           make(map[policy.HostPair]int, len(b.PairThresholds)),
-	}
-	for _, pt := range b.PairThresholds {
-		mb.pairTh[policy.HostPair{Src: pt.SourceHost, Dst: pt.DestHost}] = pt.Max
-	}
-	return mb
-}
-
 // Model predicts, per operation, which requests are suppressed and why,
 // which IDs are assigned, and how reference counts, stream ledgers and
 // thresholds evolve. It is fed only the request and the service's reply.
@@ -93,10 +63,11 @@ type Model struct {
 	clusterTh   map[policy.HostPair]int // balanced: per-cluster share, fixed at creation
 	clusterLedg map[pairCluster]int     // balanced: per-(pair, cluster) allocation
 
-	// active mirrors the tunables imposed by the active policy bundle;
+	// active is the policy bundle the model believes imposes the tunables;
 	// prev is the rollback target (nil until the first activation).
-	active modelBundle
-	prev   *modelBundle
+	// Neither is mutated once held.
+	active *bundle.Bundle
+	prev   *bundle.Bundle
 
 	clock  float64            // mirrors the service's logical clock
 	leases map[string]float64 // workflow -> lease deadline (LeaseTTL > 0 only)
@@ -109,7 +80,9 @@ type Model struct {
 }
 
 // newModel builds a model for a service running with cfg (cfg must carry
-// explicit DefaultStreams, MinStreams, DefaultThreshold and ClusterFactor).
+// explicit DefaultStreams, DefaultThreshold and ClusterFactor). The model
+// writes down its own v0 bundle from cfg, the document the service is
+// expected to embed; the harness checks it against the oracle's at start.
 func newModel(cfg policy.Config) *Model {
 	m := &Model{
 		cfg:         cfg,
@@ -122,32 +95,24 @@ func newModel(cfg policy.Config) *Model {
 		clusterTh:   make(map[policy.HostPair]int),
 		clusterLedg: make(map[pairCluster]int),
 		leases:      make(map[string]float64),
-		active: modelBundle{
-			version:          policy.BootstrapBundleVersion,
-			algorithm:        cfg.Algorithm,
-			defaultStreams:   cfg.DefaultStreams,
-			minStreams:       cfg.MinStreams,
-			defaultThreshold: cfg.DefaultThreshold,
-			clusterFactor:    cfg.ClusterFactor,
-			pairTh:           make(map[policy.HostPair]int, len(cfg.PairThresholds)),
+		active: &bundle.Bundle{
+			SchemaVersion:    bundle.SchemaVersion,
+			Version:          policy.BootstrapBundleVersion,
+			Description:      "compiled-in defaults",
+			Algorithm:        string(cfg.Algorithm),
+			DefaultStreams:   cfg.DefaultStreams,
+			MinStreams:       1,
+			DefaultThreshold: cfg.DefaultThreshold,
+			ClusterFactor:    cfg.ClusterFactor,
 		},
-	}
-	for p, v := range cfg.PairThresholds {
-		m.active.pairTh[p] = v
-		m.thFacts[p] = v
 	}
 	return m
 }
 
-// setActiveChecksum records the checksum of the service's bootstrap bundle
-// (the model cannot derive it: the v0 document is compiled into the
-// service). The harness reads it from the fault-free oracle's tunables.
-func (m *Model) setActiveChecksum(sum string) { m.active.checksum = sum }
-
 // activeVersion returns the version of the bundle the model believes is
 // active. Every decision record the service emits from here on must carry
 // this version.
-func (m *Model) activeVersion() string { return m.active.version }
+func (m *Model) activeVersion() string { return m.active.Version }
 
 // setEpoch records the fencing epoch the model expects every subsequent
 // dump to carry. The harness calls it exactly when a promotion (or the
@@ -159,7 +124,7 @@ func (m *Model) threshold(p policy.HostPair) int {
 	if v, ok := m.thFacts[p]; ok {
 		return v
 	}
-	return m.active.defaultThreshold
+	return m.active.DefaultThreshold
 }
 
 // sortedKeys returns the keys of m whose value keep accepts (every key
@@ -303,14 +268,14 @@ func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdv
 		}
 		requested := spec.RequestedStreams
 		if requested <= 0 {
-			requested = m.active.defaultStreams
+			requested = m.active.DefaultStreams
 		}
-		grantCap := maxInt(requested, m.active.minStreams)
-		if e.Streams < m.active.minStreams || e.Streams > grantCap {
+		grantCap := maxInt(requested, m.active.MinStreams)
+		if e.Streams < m.active.MinStreams || e.Streams > grantCap {
 			return fmt.Errorf("model: transfer %s granted %d streams, outside [%d, %d]",
-				e.ID, e.Streams, m.active.minStreams, grantCap)
+				e.ID, e.Streams, m.active.MinStreams, grantCap)
 		}
-		if m.active.algorithm == policy.AlgoNone && e.Streams != grantCap {
+		if m.active.Algorithm == bundle.AlgoPassthrough && e.Streams != grantCap {
 			return fmt.Errorf("model: algorithm none granted %d streams, want %d", e.Streams, grantCap)
 		}
 	}
@@ -321,7 +286,7 @@ func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdv
 	// Threshold bounds. Greedy: a pair's ledger may pass the threshold only
 	// through the min-stream floor, once per grant. Balanced: the same
 	// bound applies per (pair, cluster) against the frozen cluster share.
-	if m.active.algorithm == policy.AlgoGreedy {
+	if m.active.Algorithm == bundle.AlgoGreedy {
 		sums := make(map[policy.HostPair]int)
 		counts := make(map[policy.HostPair]int)
 		for _, e := range adv.Transfers {
@@ -332,21 +297,21 @@ func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdv
 		for p, s := range sums {
 			before := m.ledger[p]
 			after := before + s
-			bound := maxInt(before, m.threshold(p)) + counts[p]*m.active.minStreams
+			bound := maxInt(before, m.threshold(p)) + counts[p]*m.active.MinStreams
 			if after > bound {
 				return fmt.Errorf("model: pair %s->%s ledger %d exceeds threshold bound %d (threshold %d, %d grants)",
 					p.Src, p.Dst, after, bound, m.threshold(p), counts[p])
 			}
 		}
 	}
-	if m.active.algorithm == policy.AlgoBalanced {
+	if m.active.Algorithm == bundle.AlgoBalanced {
 		// Freeze cluster shares for pairs seen for the first time, using
 		// the pair threshold in force now (the service never updates the
 		// share afterwards, even when SetThreshold changes the threshold).
 		for _, e := range adv.Transfers {
 			p := policy.PairOf(e.SourceURL, e.DestURL)
 			if _, ok := m.clusterTh[p]; !ok {
-				m.clusterTh[p] = maxInt(1, m.threshold(p)/m.active.clusterFactor)
+				m.clusterTh[p] = maxInt(1, m.threshold(p)/m.active.ClusterFactor)
 			}
 		}
 		sums := make(map[pairCluster]int)
@@ -359,7 +324,7 @@ func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdv
 		for pc, s := range sums {
 			before := m.clusterLedg[pc]
 			after := before + s
-			bound := maxInt(before, m.clusterTh[pc.pair]) + counts[pc]*m.active.minStreams
+			bound := maxInt(before, m.clusterTh[pc.pair]) + counts[pc]*m.active.MinStreams
 			if after > bound {
 				return fmt.Errorf("model: pair %s->%s cluster %q ledger %d exceeds share bound %d",
 					pc.pair.Src, pc.pair.Dst, pc.cluster, after, bound)
@@ -407,7 +372,7 @@ func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdv
 		// the first time a pair is advised without one (bundle activation
 		// may have retracted an earlier fact for the same pair).
 		if _, ok := m.thFacts[p]; !ok {
-			m.thFacts[p] = m.active.defaultThreshold
+			m.thFacts[p] = m.active.DefaultThreshold
 		}
 		if _, ok := m.ledger[p]; !ok {
 			m.ledger[p] = 0
@@ -420,7 +385,7 @@ func (m *Model) applyAdvice(specs []policy.TransferSpec, adv *policy.TransferAdv
 			pair:     p,
 			streams:  e.Streams,
 		}
-		if m.active.algorithm == policy.AlgoBalanced {
+		if m.active.Algorithm == bundle.AlgoBalanced {
 			pc := pairCluster{p, e.ClusterID}
 			if _, ok := m.clusterLedg[pc]; !ok {
 				m.clusterLedg[pc] = 0
@@ -450,7 +415,7 @@ func (m *Model) applyReport(rep policy.CompletionReport) {
 		if m.ledger[t.pair] < 0 {
 			m.ledger[t.pair] = 0
 		}
-		if m.active.algorithm == policy.AlgoBalanced {
+		if m.active.Algorithm == bundle.AlgoBalanced {
 			pc := pairCluster{t.pair, t.cluster}
 			m.clusterLedg[pc] -= t.streams
 			if m.clusterLedg[pc] < 0 {
@@ -498,7 +463,9 @@ func (m *Model) applyCleanupAdvice(specs []policy.CleanupSpec, adv *policy.Clean
 		inProgFile[c.fileURL] = true
 	}
 
-	var wantAdvised []policy.AdvisedCleanup
+	// The approved list is empty, never absent, when every request is
+	// suppressed.
+	wantAdvised := []policy.AdvisedCleanup{}
 	var wantRemoved []policy.RemovedCleanup
 	type pendingCleanup struct {
 		id   string
@@ -558,7 +525,7 @@ func (m *Model) applyBundle(op policy.BundleOp) error {
 		if m.prev == nil {
 			return fmt.Errorf("model: rollback accepted with no previous bundle")
 		}
-		m.active, *m.prev = *m.prev, m.active
+		m.active, m.prev = m.prev, m.active
 		m.resetBundleFacts()
 		return nil
 	}
@@ -566,10 +533,8 @@ func (m *Model) applyBundle(op policy.BundleOp) error {
 	if err != nil {
 		return fmt.Errorf("model: accepted bundle fails to parse: %v", err)
 	}
-	if b.Checksum() != m.active.checksum {
-		prev := m.active
-		m.prev = &prev
-		m.active = modelBundleOf(b)
+	if b.Checksum() != m.active.Checksum() {
+		m.active, m.prev = b, m.active
 		m.resetBundleFacts()
 	}
 	return nil
@@ -582,13 +547,13 @@ func (m *Model) applyBundle(op policy.BundleOp) error {
 // transfers when the incoming algorithm is balanced. Pair ledgers, group
 // counters, resources and leases survive untouched.
 func (m *Model) resetBundleFacts() {
-	m.thFacts = make(map[policy.HostPair]int, len(m.active.pairTh))
-	for p, v := range m.active.pairTh {
-		m.thFacts[p] = v
+	m.thFacts = make(map[policy.HostPair]int, len(m.active.PairThresholds))
+	for _, pt := range m.active.PairThresholds {
+		m.thFacts[policy.HostPair{Src: pt.SourceHost, Dst: pt.DestHost}] = pt.Max
 	}
 	m.clusterTh = make(map[policy.HostPair]int)
 	m.clusterLedg = make(map[pairCluster]int)
-	if m.active.algorithm == policy.AlgoBalanced {
+	if m.active.Algorithm == bundle.AlgoBalanced {
 		for _, t := range m.inProgress {
 			m.clusterLedg[pairCluster{t.pair, t.cluster}] += t.streams
 		}
@@ -646,7 +611,7 @@ func (m *Model) applyAdvanceClock(now float64, adv *policy.ClockAdvance) error {
 			if m.ledger[t.pair] < 0 {
 				m.ledger[t.pair] = 0
 			}
-			if m.active.algorithm == policy.AlgoBalanced {
+			if m.active.Algorithm == bundle.AlgoBalanced {
 				pc := pairCluster{t.pair, t.cluster}
 				m.clusterLedg[pc] -= t.streams
 				if m.clusterLedg[pc] < 0 {
@@ -833,9 +798,9 @@ func (m *Model) checkDump(d *policy.StateDump) error {
 	}
 
 	// Cluster accounting (balanced only; absent otherwise).
-	if m.active.algorithm != policy.AlgoBalanced {
+	if m.active.Algorithm != bundle.AlgoBalanced {
 		if len(d.ClusterThresholds) != 0 || len(d.ClusterLedgers) != 0 {
-			return fmt.Errorf("model: cluster facts present under algorithm %q", m.active.algorithm)
+			return fmt.Errorf("model: cluster facts present under algorithm %q", m.active.Algorithm)
 		}
 		return nil
 	}

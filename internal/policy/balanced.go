@@ -1,6 +1,9 @@
 package policy
 
-import "policyflow/internal/rules"
+import (
+	"policyflow/internal/bundle"
+	"policyflow/internal/rules"
+)
 
 // balancedRules implements Table III, the balanced allocation algorithm:
 // the host-pair stream threshold is divided evenly among the workflow's
@@ -13,8 +16,8 @@ import "policyflow/internal/rules"
 //
 // Gated on the active bundle selecting balanced allocation (see
 // greedyRules for the gating scheme).
-func balancedRules(tun func() *Tunables) []*rules.Rule {
-	gate := func() bool { return tun().Algorithm == AlgoBalanced }
+func balancedRules(active func() *bundle.Bundle) []*rules.Rule {
+	gate := func() bool { return Algorithm(active().Algorithm) == AlgoBalanced }
 	return []*rules.Rule{
 		// "Retrieve the parallel streams threshold defined for a single
 		// cluster between a source and destination host": derive the
@@ -37,7 +40,7 @@ func balancedRules(tun func() *Tunables) []*rules.Rule {
 			Then: func(ctx *rules.Context) {
 				t := ctx.Get("t").(*Transfer)
 				th := ctx.Get("th").(*Threshold)
-				n := tun().ClusterFactor
+				n := active().ClusterFactor
 				if n < 1 {
 					n = 1
 				}
@@ -96,7 +99,7 @@ func balancedRules(tun func() *Tunables) []*rules.Rule {
 				ct := ctx.Get("ct").(*ClusterThreshold)
 				cl := ctx.Get("cl").(*ClusterLedger)
 				l := ctx.Get("l").(*StreamLedger)
-				t.AllocatedStreams = greedyGrant(t.RequestedStreams, ct.Max, cl.Allocated, tun().MinStreams)
+				t.AllocatedStreams = greedyGrant(t.RequestedStreams, ct.Max, cl.Allocated, active().MinStreams)
 				t.State = TransferAdvised
 				cl.Allocated += t.AllocatedStreams
 				l.Allocated += t.AllocatedStreams

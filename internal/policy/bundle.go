@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 
 	"policyflow/internal/bundle"
@@ -13,101 +12,46 @@ import (
 
 // Policy as data: the service's tunable surface — allocation algorithm,
 // stream defaults, thresholds, cluster factor, priority weights — is
-// governed by a versioned, checksummed bundle document (internal/bundle)
-// rather than only by the compiled-in Config. The compiled-in values are
-// embedded as the "v0" bundle at construction, so a service that never
-// sees a bundle behaves exactly as before; activating a bundle atomically
-// swaps an immutable Tunables snapshot and rewrites the configuration
-// facts in Policy Memory behind a WAL-logged activate_bundle mutation, so
-// durable replay and replicas converge on the same active version. Every
-// decision record carries the version that produced it.
+// governed by a versioned, checksummed bundle document (internal/bundle).
+// The compiled-in Config is embedded as the "v0" bundle at construction,
+// so a service that never sees a bundle behaves exactly as before. The
+// active bundle is the one copy of the tunables: the rules read it
+// directly, and activating a bundle swaps the active bundle pointer and
+// rewrites the configuration facts in Policy Memory behind a WAL-logged
+// activate_bundle mutation, so durable replay and replicas converge on the
+// same active version. Per-pair thresholds and priority weighting come
+// only from a bundle (or, for a pair, from set_threshold); v0 carries
+// neither. Every decision record carries the version that produced it.
 
 // BootstrapBundleVersion names the bundle synthesized from the compiled-in
 // configuration at construction.
 const BootstrapBundleVersion = "v0"
 
-// Tunables is the immutable snapshot of the active bundle's policy values.
-// The service swaps the snapshot pointer only under its lock, and every
-// operation (including each rule firing inside it) reads one snapshot for
-// its whole duration, so a concurrent activation never half-applies to an
-// in-flight decision. A Tunables value is never mutated after creation.
-type Tunables struct {
-	// Version and Checksum identify the producing bundle.
-	Version  string
-	Checksum string
-
-	Algorithm        Algorithm
-	DefaultStreams   int
-	MinStreams       int
-	DefaultThreshold int
-	ClusterFactor    int
-	Priority         PriorityWeighting
-}
-
 // bundleFromConfig synthesizes the v0 bundle from a normalized Config: the
-// compiled-in defaults expressed as data, byte-identical in effect to the
-// pre-bundle engine.
+// compiled-in defaults expressed as data, with a one-stream floor and no
+// pair thresholds or priority weighting.
 func bundleFromConfig(cfg Config) *bundle.Bundle {
-	b := &bundle.Bundle{
+	return &bundle.Bundle{
 		SchemaVersion:    bundle.SchemaVersion,
 		Version:          BootstrapBundleVersion,
 		Description:      "compiled-in defaults",
 		Algorithm:        string(cfg.Algorithm),
 		DefaultStreams:   cfg.DefaultStreams,
-		MinStreams:       cfg.MinStreams,
+		MinStreams:       1,
 		DefaultThreshold: cfg.DefaultThreshold,
 		ClusterFactor:    cfg.ClusterFactor,
 	}
-	for pair, max := range cfg.PairThresholds {
-		b.PairThresholds = append(b.PairThresholds, bundle.PairThreshold{
-			SourceHost: pair.Src, DestHost: pair.Dst, Max: max,
-		})
-	}
-	sort.Slice(b.PairThresholds, func(i, j int) bool {
-		a, c := b.PairThresholds[i], b.PairThresholds[j]
-		if a.SourceHost != c.SourceHost {
-			return a.SourceHost < c.SourceHost
-		}
-		return a.DestHost < c.DestHost
-	})
-	if w := cfg.Priority; w.BoostFactor > 1 || (w.ReduceFactor > 0 && w.ReduceFactor < 1) {
-		p := &bundle.Priority{BoostFactor: w.BoostFactor, ReduceFactor: w.ReduceFactor}
-		// Clamp into the schema's ranges; values outside them are inert in
-		// the weighting rules anyway.
-		if p.BoostFactor < 1 {
-			p.BoostFactor = 1
-		}
-		if p.ReduceFactor < 0 {
-			p.ReduceFactor = 0
-		}
-		if p.ReduceFactor > 1 {
-			p.ReduceFactor = 1
-		}
-		b.Priority = p
-	}
-	return b
 }
 
-// tunablesFrom derives the immutable snapshot for an activated bundle. A
-// bundle without a priority section keeps the compiled-in weighting.
-func tunablesFrom(b *bundle.Bundle, fallback PriorityWeighting) *Tunables {
-	t := &Tunables{
-		Version:          b.Version,
-		Checksum:         b.Checksum(),
-		Algorithm:        Algorithm(b.Algorithm),
-		DefaultStreams:   b.DefaultStreams,
-		MinStreams:       b.MinStreams,
-		DefaultThreshold: b.DefaultThreshold,
-		ClusterFactor:    b.ClusterFactor,
-		Priority:         fallback,
-	}
+// cloneBundle returns a copy of b sharing no memory with it.
+func cloneBundle(b *bundle.Bundle) *bundle.Bundle {
+	cp := *b
+	cp.PairThresholds = append([]bundle.PairThreshold(nil), b.PairThresholds...)
 	if b.Priority != nil {
-		t.Priority = PriorityWeighting{
-			BoostFactor:  b.Priority.BoostFactor,
-			ReduceFactor: b.Priority.ReduceFactor,
-		}
+		p := *b.Priority
+		cp.Priority = &p
 	}
-	return t
+	return &cp
 }
 
 // BundleInfo describes one bundle known to the service.
@@ -140,11 +84,12 @@ func bundleInfoOf(b *bundle.Bundle) BundleInfo {
 	}
 }
 
-// Tunables returns a copy of the active tunables snapshot.
-func (s *Service) Tunables() Tunables {
+// ActiveBundle returns a copy of the active bundle: the tunables every
+// rule reads.
+func (s *Service) ActiveBundle() *bundle.Bundle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return *s.tun
+	return cloneBundle(s.activeBundle)
 }
 
 // Bundles reports the service's bundle inventory.
@@ -187,7 +132,7 @@ func (s *Service) StageBundle(data []byte) (*BundleInfo, error) {
 	s.staged[b.Version] = b
 	info := bundleInfoOf(b)
 	info.Staged = true
-	info.Active = s.tun.Checksum == info.Checksum
+	info.Active = s.activeBundle.Checksum() == info.Checksum
 	return &info, nil
 }
 
@@ -216,7 +161,7 @@ func validateBundleOp(op BundleOp) error {
 
 // activateBundleLocked is the apply function of activate_bundle: resolve
 // the request to a bundle document, WAL-append that full document, swap
-// the Tunables snapshot and rewrite the configuration facts. Activation is
+// the active bundle and rewrite the configuration facts. Activation is
 // logged with the full document embedded, so crash replay and replica
 // resync converge on the same active version without access to the
 // original file. Activating the already-active checksum is an idempotent
@@ -247,7 +192,7 @@ func (s *Service) activateBundleLocked(ctx context.Context, op BundleOp) (info *
 	}
 	i := bundleInfoOf(b)
 	i.Active = true
-	if s.tun.Checksum == i.Checksum {
+	if s.activeBundle.Checksum() == i.Checksum {
 		// Already active: exactly-once semantics. Nothing is appended, so
 		// replay never sees (and replicas never diverge on) a duplicate.
 		s.bundleActsByResult["noop"]++
@@ -290,7 +235,6 @@ func (s *Service) applyBundleLocked(b *bundle.Bundle) {
 	s.activeBundle = b
 	s.installed[b.Version] = b
 	delete(s.staged, b.Version)
-	s.tun = tunablesFrom(b, s.cfg.Priority)
 
 	for _, th := range rules.FactsOf[*Threshold](s.session) {
 		s.session.Retract(th)
@@ -304,7 +248,7 @@ func (s *Service) applyBundleLocked(b *bundle.Bundle) {
 	for _, cl := range rules.FactsOf[*ClusterLedger](s.session) {
 		s.session.Retract(cl)
 	}
-	if s.tun.Algorithm == AlgoBalanced {
+	if Algorithm(b.Algorithm) == AlgoBalanced {
 		type key struct {
 			pair    HostPair
 			cluster string
@@ -328,27 +272,29 @@ func (s *Service) applyBundleLocked(b *bundle.Bundle) {
 			s.session.Insert(cl)
 		}
 	}
-	// Rule gates and guards read the tunables snapshot directly (e.g.
+	// Rule gates and guards read the active bundle directly (e.g.
 	// transfer-min-one-stream reads MinStreams), so the incremental matcher
-	// must re-join every rule against the new snapshot.
+	// must re-join every rule against the new bundle.
 	s.session.Invalidate()
 }
 
 // adoptBundleLocked installs bundle state carried by an imported dump
-// without touching facts (the dump's fact lists already reflect it).
-// Callers hold s.mu.
-func (s *Service) adoptBundleLocked(active, prev *bundle.Bundle) {
-	// A dump usually carries the bundle already active here; its tunables
-	// stand, and the bundle is not encoded again for its checksum.
-	if !reflect.DeepEqual(active, s.activeBundle) {
-		s.tun = tunablesFrom(active, s.cfg.Priority)
+// without touching facts (the dump's fact lists already reflect it). The
+// rules read the installed bundles, so they are copies unless the dump was
+// handed over for this import alone. Callers hold s.mu.
+func (s *Service) adoptBundleLocked(active, prev *bundle.Bundle, inPlace bool) {
+	if !inPlace {
+		active = cloneBundle(active)
+		if prev != nil {
+			prev = cloneBundle(prev)
+		}
 	}
 	s.activeBundle, s.prevBundle = active, prev
 	s.installed[active.Version] = active
 	if prev != nil {
 		s.installed[prev.Version] = prev
 	}
-	// Same contract as applyBundleLocked: guards reading the snapshot must
+	// Same contract as applyBundleLocked: guards reading the bundle must
 	// be re-evaluated even though no facts changed.
 	s.session.Invalidate()
 }

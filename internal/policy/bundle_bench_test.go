@@ -51,9 +51,9 @@ func BenchmarkBundleActivate(b *testing.B) {
 }
 
 // BenchmarkAdviseUnderBundleSnapshot measures the advise/report round
-// trip while tunables are read through an activated bundle's immutable
-// snapshot — the companion series to the plain advise hot path, isolating
-// whatever cost the config-snapshot indirection adds to rule evaluation.
+// trip while the rules read their tunables from an activated bundle — the
+// companion series to the plain advise hot path under v0. The name is
+// kept for the committed trajectory series.
 func BenchmarkAdviseUnderBundleSnapshot(b *testing.B) {
 	svc, err := New(DefaultConfig())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,21 +24,38 @@ func bundleDoc(t *testing.T, b bundle.Bundle) []byte {
 	return doc
 }
 
+// activateEdited activates a copy of s's active bundle, renamed to
+// version and changed by edit: the way a test sets the tunables Config
+// does not carry, such as pair thresholds and priority weighting.
+func activateEdited(t testing.TB, s *Service, version string, edit func(b *bundle.Bundle)) {
+	t.Helper()
+	b := s.ActiveBundle()
+	b.Version, b.Description = version, ""
+	edit(b)
+	doc, err := json.Marshal(b)
+	if err != nil {
+		t.Fatalf("marshal bundle: %v", err)
+	}
+	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: doc}); err != nil {
+		t.Fatalf("activate %s: %v", version, err)
+	}
+}
+
 // TestBootstrapBundleGolden pins the no-bundle behavior: a service that
 // never sees a bundle document runs under the embedded v0 bundle, whose
 // effect is byte-identical to the compiled defaults — same grants, same
 // thresholds — and whose version stamps every decision record.
 func TestBootstrapBundleGolden(t *testing.T) {
 	s := newGreedy(t, 50, 4)
-	tun := s.Tunables()
-	if tun.Version != BootstrapBundleVersion {
-		t.Fatalf("boot version %q, want %q", tun.Version, BootstrapBundleVersion)
+	v0 := s.ActiveBundle()
+	if v0.Version != BootstrapBundleVersion {
+		t.Fatalf("boot version %q, want %q", v0.Version, BootstrapBundleVersion)
 	}
-	if tun.Checksum == "" {
+	if v0.Checksum() == "" {
 		t.Fatal("boot bundle has no checksum")
 	}
-	if tun.Algorithm != AlgoGreedy || tun.DefaultStreams != 4 || tun.DefaultThreshold != 50 {
-		t.Fatalf("boot tunables %+v diverge from config", tun)
+	if v0.Algorithm != bundle.AlgoGreedy || v0.DefaultStreams != 4 || v0.DefaultThreshold != 50 {
+		t.Fatalf("boot bundle %+v diverges from config", v0)
 	}
 	adv, err := s.AdviseTransfers([]TransferSpec{spec(1, "wf1"), spec(2, "wf1")})
 	if err != nil {
@@ -56,6 +74,45 @@ func TestBootstrapBundleGolden(t *testing.T) {
 	st := s.Bundles()
 	if !st.Active.Active || st.Active.Version != BootstrapBundleVersion || st.Previous != nil {
 		t.Fatalf("boot bundle status %+v", st)
+	}
+}
+
+// TestBootstrapBundleFromConfig pins every field of the v0 bundle New
+// embeds, for each algorithm and several stream, threshold and cluster
+// factor settings: the Config's four tunables, a one-stream floor, no
+// pair thresholds and no priority section, valid under the bundle schema.
+func TestBootstrapBundleFromConfig(t *testing.T) {
+	for _, algo := range []Algorithm{AlgoNone, AlgoGreedy, AlgoBalanced} {
+		for _, c := range []struct{ streams, threshold, clusterFactor int }{
+			{4, 50, 1},
+			{8, 20, 3},
+			{1, 7, 2},
+		} {
+			t.Run(fmt.Sprintf("%s/%d-%d-%d", algo, c.streams, c.threshold, c.clusterFactor), func(t *testing.T) {
+				want := &bundle.Bundle{
+					SchemaVersion:    bundle.SchemaVersion,
+					Version:          BootstrapBundleVersion,
+					Description:      "compiled-in defaults",
+					Algorithm:        string(algo),
+					DefaultStreams:   c.streams,
+					MinStreams:       1,
+					DefaultThreshold: c.threshold,
+					ClusterFactor:    c.clusterFactor,
+				}
+				s, err := New(Config{Algorithm: algo, DefaultStreams: c.streams,
+					DefaultThreshold: c.threshold, ClusterFactor: c.clusterFactor})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := s.ActiveBundle()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("v0 = %+v, want %+v", got, want)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("v0 fails the bundle schema: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -132,9 +189,9 @@ func TestActivateBundleSwapsThresholdFacts(t *testing.T) {
 	if th.Src != "futuregrid.tacc.example.org" || th.Dst != "obelix.isi.example.org" || th.Max != 6 {
 		t.Fatalf("threshold fact %+v", th)
 	}
-	tun := s.Tunables()
-	if tun.Version != "tight" || tun.DefaultThreshold != 3 || tun.DefaultStreams != 2 {
-		t.Fatalf("tunables after activation %+v", tun)
+	active := s.ActiveBundle()
+	if active.Version != "tight" || active.DefaultThreshold != 3 || active.DefaultStreams != 2 {
+		t.Fatalf("bundle after activation %+v", active)
 	}
 }
 
@@ -147,7 +204,7 @@ func TestRollbackRestoresPriorTunablesWithoutRestart(t *testing.T) {
 	if _, err := s.AdviseTransfers([]TransferSpec{spec(1, "wf1")}); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Tunables()
+	before := s.ActiveBundle()
 	if _, err := Call[*BundleInfo](context.Background(), s, OpActivateBundle, BundleOp{Doc: bundleDoc(t, bundle.Bundle{
 		SchemaVersion:    bundle.SchemaVersion,
 		Version:          "experiment",
@@ -159,7 +216,7 @@ func TestRollbackRestoresPriorTunablesWithoutRestart(t *testing.T) {
 	})}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tunables().Version != "experiment" {
+	if s.ActiveBundle().Version != "experiment" {
 		t.Fatal("activation did not take effect")
 	}
 	info, err := s.RollbackBundle()
@@ -169,9 +226,9 @@ func TestRollbackRestoresPriorTunablesWithoutRestart(t *testing.T) {
 	if info.Version != BootstrapBundleVersion {
 		t.Fatalf("rollback landed on %q, want %q", info.Version, BootstrapBundleVersion)
 	}
-	after := s.Tunables()
+	after := s.ActiveBundle()
 	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("tunables after rollback:\n before %+v\n after  %+v", before, after)
+		t.Fatalf("bundle after rollback:\n before %+v\n after  %+v", before, after)
 	}
 	// The pair advised under v0 regains its default-threshold fact on the
 	// next advise; new grants run under the restored defaults.
@@ -269,7 +326,7 @@ func TestActivateBundleRejectsMalformedDocuments(t *testing.T) {
 			t.Errorf("%s: StageBundle = %v, want ErrInvalidRequest", name, err)
 		}
 	}
-	if got := s.Tunables().Version; got != BootstrapBundleVersion {
+	if got := s.ActiveBundle().Version; got != BootstrapBundleVersion {
 		t.Fatalf("rejected documents changed the active bundle to %q", got)
 	}
 }
@@ -323,7 +380,7 @@ func TestBundleActivationsCountRollbacks(t *testing.T) {
 			t.Fatalf("replay %s: %v", op, err)
 		}
 	}
-	if got := replica.Tunables().Version; got != BootstrapBundleVersion {
+	if got := replica.ActiveBundle().Version; got != BootstrapBundleVersion {
 		t.Fatalf("replayed rollback landed on %q, want %q", got, BootstrapBundleVersion)
 	}
 	wantActs(t, rreg, `policy_bundle_activations_total{result="activated"} 2`)

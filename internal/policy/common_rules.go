@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"policyflow/internal/bundle"
 	"policyflow/internal/rules"
 )
 
@@ -37,11 +38,11 @@ const (
 // transfers"): duplicate suppression, resource creation and association,
 // default stream assignment, group-ID generation and assignment, threshold
 // and ledger bootstrap, completion processing, and the minimum-one-stream
-// guard. newGroupID must return a fresh unique group identifier. tun
-// returns the active tunables snapshot; it is evaluated inside rule
-// bodies (not captured at construction) so bundle activations apply to
-// every subsequent firing.
-func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rules.Rule {
+// guard. newGroupID must return a fresh unique group identifier. active
+// returns the active bundle; it is evaluated inside rule bodies (not
+// captured at construction) so bundle activations apply to every
+// subsequent firing.
+func commonTransferRules(active func() *bundle.Bundle, newGroupID func() string) []*rules.Rule {
 	return []*rules.Rule{
 		// "Remove duplicate transfers from the transfer list" (already
 		// staged by this or another workflow).
@@ -163,7 +164,7 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 			},
 			Then: func(ctx *rules.Context) {
 				t := ctx.Get("t").(*Transfer)
-				t.RequestedStreams = tun().DefaultStreams
+				t.RequestedStreams = active().DefaultStreams
 				ctx.Update(t)
 			},
 		},
@@ -220,7 +221,7 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 			},
 			Then: func(ctx *rules.Context) {
 				t := ctx.Get("t").(*Transfer)
-				ctx.Insert(&Threshold{Pair: t.Pair, Max: tun().DefaultThreshold})
+				ctx.Insert(&Threshold{Pair: t.Pair, Max: active().DefaultThreshold})
 			},
 		},
 		// Bootstrap the stream ledger that records allocations against the
@@ -247,7 +248,7 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 			Salience: salMinOneStream,
 			When: []rules.Pattern{
 				rules.MatchOn("t", "state", keyConst(TransferAdvised), func(b rules.Bindings, t *Transfer) bool {
-					return t.State == TransferAdvised && t.AllocatedStreams < tun().MinStreams
+					return t.State == TransferAdvised && t.AllocatedStreams < active().MinStreams
 				}),
 				rules.MatchOn("l", "pair", keyTransferPair, func(b rules.Bindings, l *StreamLedger) bool {
 					return l.Pair == b.Get("t").(*Transfer).Pair
@@ -256,7 +257,7 @@ func commonTransferRules(tun func() *Tunables, newGroupID func() string) []*rule
 			Then: func(ctx *rules.Context) {
 				t := ctx.Get("t").(*Transfer)
 				l := ctx.Get("l").(*StreamLedger)
-				min := tun().MinStreams
+				min := active().MinStreams
 				l.Allocated += min - t.AllocatedStreams
 				t.AllocatedStreams = min
 				ctx.Update(t)

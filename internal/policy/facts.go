@@ -14,6 +14,12 @@
 // Resource facts with per-workflow usage so multiple workflows can share
 // staged files safely and cleanup of in-use files is suppressed.
 //
+// The tunables (algorithm, stream defaults and floor, thresholds, cluster
+// factor, priority weighting) live in one place, the active policy bundle
+// (see bundle.go): Config only seeds the bootstrap v0 bundle, and pair
+// thresholds and priority weighting come only from an activated bundle
+// or set_threshold.
+//
 // An op's payload or result that travels whole over the RESTful interface
 // is its own wire document: a zero-size first field XMLName struct{} names
 // its XML root element. encoding/xml takes the name from that tag when

@@ -1,6 +1,9 @@
 package policy
 
-import "policyflow/internal/rules"
+import (
+	"policyflow/internal/bundle"
+	"policyflow/internal/rules"
+)
 
 // greedyRules implements Table II, the greedy allocation algorithm:
 // transfers are granted their requested number of parallel streams until
@@ -14,8 +17,8 @@ import "policyflow/internal/rules"
 // all algorithm rule sets are installed up front and the gate picks one
 // per firing cycle, so activating a bundle switches algorithms without
 // rebuilding the session.
-func greedyRules(tun func() *Tunables) []*rules.Rule {
-	gate := func() bool { return tun().Algorithm == AlgoGreedy }
+func greedyRules(active func() *bundle.Bundle) []*rules.Rule {
+	gate := func() bool { return Algorithm(active().Algorithm) == AlgoGreedy }
 	return []*rules.Rule{
 		{
 			// "Enforce the maximum number of parallel streams on a
@@ -40,7 +43,7 @@ func greedyRules(tun func() *Tunables) []*rules.Rule {
 				t := ctx.Get("t").(*Transfer)
 				th := ctx.Get("th").(*Threshold)
 				l := ctx.Get("l").(*StreamLedger)
-				t.AllocatedStreams = greedyGrant(t.RequestedStreams, th.Max, l.Allocated, tun().MinStreams)
+				t.AllocatedStreams = greedyGrant(t.RequestedStreams, th.Max, l.Allocated, active().MinStreams)
 				t.State = TransferAdvised
 				l.Allocated += t.AllocatedStreams
 				ctx.Update(t)
@@ -93,13 +96,13 @@ func GreedyMaxStreams(threshold, defaultStreams, concurrentJobs int) int {
 // service acting only as bookkeeper, and is the "no policy" baseline of the
 // paper's evaluation when the service is consulted at all. Gated on the
 // active bundle selecting "none".
-func passthroughRules(tun func() *Tunables) []*rules.Rule {
+func passthroughRules(active func() *bundle.Bundle) []*rules.Rule {
 	return []*rules.Rule{
 		{
 			Name:     "passthrough-allocate",
 			Salience: salAllocate,
 			NoLoop:   true,
-			Gate:     func() bool { return tun().Algorithm == AlgoNone },
+			Gate:     func() bool { return Algorithm(active().Algorithm) == AlgoNone },
 			When: []rules.Pattern{
 				rules.MatchOn("t", "state", keyConst(TransferSubmitted), func(b rules.Bindings, t *Transfer) bool {
 					return t.State == TransferSubmitted && t.AllocatedStreams == 0 && t.RequestedStreams > 0
@@ -112,7 +115,7 @@ func passthroughRules(tun func() *Tunables) []*rules.Rule {
 				t := ctx.Get("t").(*Transfer)
 				l := ctx.Get("l").(*StreamLedger)
 				t.AllocatedStreams = t.RequestedStreams
-				if min := tun().MinStreams; t.AllocatedStreams < min {
+				if min := active().MinStreams; t.AllocatedStreams < min {
 					t.AllocatedStreams = min
 				}
 				t.State = TransferAdvised

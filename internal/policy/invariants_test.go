@@ -136,8 +136,8 @@ func TestImportRejectsInvalidBundle(t *testing.T) {
 			if _, err := s.Execute(context.Background(), OpImportState, d); !errors.Is(err, ErrInvalidRequest) {
 				t.Fatalf("import_state = %v, want ErrInvalidRequest", err)
 			}
-			if tun := s.Tunables(); tun.Algorithm != AlgoGreedy || tun.MinStreams != 1 {
-				t.Fatalf("a refused import changed the tunables: %+v", tun)
+			if b := s.ActiveBundle(); b.Algorithm != string(AlgoGreedy) || b.MinStreams != 1 {
+				t.Fatalf("a refused import changed the active bundle: %+v", b)
 			}
 			if after := s.ExportState(); len(after.Transfers) != 0 || after.NextTransfer != 0 {
 				t.Fatal("a refused import changed Policy Memory")

@@ -354,7 +354,7 @@ func (s *Service) applyLocked(batch []*BatchMutation, rep *replicaRun, start tim
 		factsBefore := s.session.FactCount()
 		m.Result, m.seq, m.rec, m.Err = op.apply(s, ctx, m.Request)
 		if m.rec != nil {
-			m.rec.Op, m.rec.TraceID, m.rec.WALSeq, m.rec.Bundle = op.name, s.curTrace, m.seq, s.tun.Version
+			m.rec.Op, m.rec.TraceID, m.rec.WALSeq, m.rec.Bundle = op.name, s.curTrace, m.seq, s.activeBundle.Version
 			m.rec.FactsBefore, m.rec.FactsAfter = factsBefore, s.session.FactCount()
 			m.rec.RulesFired = s.takeFirings()
 		}

@@ -3,18 +3,22 @@ package policy
 import (
 	"fmt"
 	"testing"
+
+	"policyflow/internal/bundle"
 )
 
-func newPrioritized(t *testing.T, threshold, defStreams int, w PriorityWeighting) *Service {
+// newPrioritized builds a greedy service and activates a bundle with its
+// defaults and the weighting w.
+func newPrioritized(t *testing.T, threshold, defStreams int, w *bundle.Priority) *Service {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.DefaultThreshold = threshold
 	cfg.DefaultStreams = defStreams
-	cfg.Priority = w
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	activateEdited(t, s, "weighted", func(b *bundle.Bundle) { b.Priority = w })
 	return s
 }
 
@@ -85,14 +89,7 @@ func TestPriorityWeightingRespectsThreshold(t *testing.T) {
 }
 
 func TestPriorityReduceNeverBelowMin(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DefaultThreshold = 100
-	cfg.DefaultStreams = 1
-	cfg.Priority = defaultPriorityWeighting()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newPrioritized(t, 100, 1, defaultPriorityWeighting())
 	adv, err := s.AdviseTransfers([]TransferSpec{prioSpec(1, 1), prioSpec(2, 5), prioSpec(3, 9)})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +102,8 @@ func TestPriorityReduceNeverBelowMin(t *testing.T) {
 }
 
 func TestZeroWeightingDisabled(t *testing.T) {
-	s := newPrioritized(t, 100, 4, PriorityWeighting{})
+	// Boost 1 and reduce 0 are the schema's "no weighting" factors.
+	s := newPrioritized(t, 100, 4, &bundle.Priority{BoostFactor: 1})
 	adv, err := s.AdviseTransfers([]TransferSpec{prioSpec(1, 1), prioSpec(2, 100)})
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +111,50 @@ func TestZeroWeightingDisabled(t *testing.T) {
 	for _, tr := range adv.Transfers {
 		if tr.Streams != 4 {
 			t.Fatalf("weighting applied despite zero config: %+v", tr)
+		}
+	}
+}
+
+// TestBundleWithoutPriorityDisablesWeighting: weighting comes only from
+// the active bundle, so activating one without a priority section turns
+// it off (there is no compiled-in weighting to fall back to), and v0
+// never weights.
+func TestBundleWithoutPriorityDisablesWeighting(t *testing.T) {
+	s := newPrioritized(t, 100, 4, defaultPriorityWeighting())
+	// Priorities 1, 5, 9 (median 5), granted highest first.
+	streams := func(first int) []int {
+		t.Helper()
+		adv, err := s.AdviseTransfers([]TransferSpec{prioSpec(first, 1), prioSpec(first+1, 5), prioSpec(first+2, 9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		for _, tr := range adv.Transfers {
+			out = append(out, tr.Streams)
+		}
+		return out
+	}
+	if got := fmt.Sprint(streams(1)); got != "[6 4 2]" {
+		t.Fatalf("weighted grants = %s, want [6 4 2]", got)
+	}
+	activateEdited(t, s, "unweighted", func(b *bundle.Bundle) { b.Priority = nil })
+	if got := fmt.Sprint(streams(4)); got != "[4 4 4]" {
+		t.Fatalf("grants after a bundle without priority = %s, want [4 4 4]", got)
+	}
+	if _, err := s.RollbackBundle(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(streams(7)); got != "[6 4 2]" {
+		t.Fatalf("grants after rolling back to the weighted bundle = %s, want [6 4 2]", got)
+	}
+	v0 := newGreedy(t, 100, 4)
+	adv, err := v0.AdviseTransfers([]TransferSpec{prioSpec(1, 1), prioSpec(2, 5), prioSpec(3, 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range adv.Transfers {
+		if tr.Streams != 4 {
+			t.Fatalf("v0 weighted a grant: %+v", tr)
 		}
 	}
 }
@@ -178,12 +220,11 @@ func TestMedianSubmittedPriorityOddEven(t *testing.T) {
 }
 
 func BenchmarkAdviseWithPriorityRules(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Priority = defaultPriorityWeighting()
-	s, err := New(cfg)
+	s, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	activateEdited(b, s, "weighted", func(bb *bundle.Bundle) { bb.Priority = defaultPriorityWeighting() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var specs []TransferSpec
@@ -213,6 +254,6 @@ func BenchmarkAdviseWithPriorityRules(b *testing.B) {
 
 // defaultPriorityWeighting boosts important transfers by 1.5x and halves
 // unimportant ones.
-func defaultPriorityWeighting() PriorityWeighting {
-	return PriorityWeighting{BoostFactor: 1.5, ReduceFactor: 0.5}
+func defaultPriorityWeighting() *bundle.Priority {
+	return &bundle.Priority{BoostFactor: 1.5, ReduceFactor: 0.5}
 }

@@ -1,11 +1,14 @@
 package policy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,29 +30,23 @@ const (
 	AlgoBalanced Algorithm = "balanced"
 )
 
-// Config configures a policy Service. The zero value is not valid; use
-// DefaultConfig as a starting point.
+// Config configures a policy Service: the compiled-in values New embeds as
+// the v0 bundle, plus the lease TTL. Per-pair thresholds and priority
+// weighting are not configuration; they come from an activated bundle (or
+// set_threshold). The zero value is not valid; use DefaultConfig as a
+// starting point.
 type Config struct {
 	// Algorithm selects greedy, balanced or pass-through allocation.
 	Algorithm Algorithm
 	// DefaultStreams is assigned to transfers that do not request a
 	// stream count ("the default number of streams per transfer").
 	DefaultStreams int
-	// MinStreams is the floor for every allocation; at least 1.
-	MinStreams int
 	// DefaultThreshold is the maximum number of parallel streams allowed
 	// between a host pair when no per-pair threshold is configured.
 	DefaultThreshold int
-	// PairThresholds overrides DefaultThreshold for specific host pairs.
-	PairThresholds map[HostPair]int
 	// ClusterFactor is the number of transfer clusters running in
 	// parallel (balanced allocation input; the Pegasus clustering factor).
 	ClusterFactor int
-	// Priority enables the priority stream-weighting rules (the paper's
-	// Section III(c) future work): transfers above the batch's median
-	// priority request more streams, those below request fewer. The zero
-	// value disables weighting; ordering by priority always applies.
-	Priority PriorityWeighting
 	// LeaseTTL, when positive, enables the liveness subsystem: every
 	// workflow that calls AdviseTransfers/AdviseCleanups (or renew_lease)
 	// holds a lease for this many seconds of the service's logical clock.
@@ -70,28 +67,19 @@ func DefaultConfig() Config {
 	return Config{
 		Algorithm:        AlgoGreedy,
 		DefaultStreams:   4,
-		MinStreams:       1,
 		DefaultThreshold: 50,
 		ClusterFactor:    1,
 	}
 }
 
-func (c *Config) normalize() error {
-	switch c.Algorithm {
-	case "":
+// normalize fills in the defaults of unset fields; New checks the rest
+// through the v0 bundle's schema.
+func (c *Config) normalize() {
+	if c.Algorithm == "" {
 		c.Algorithm = AlgoGreedy
-	case AlgoNone, AlgoGreedy, AlgoBalanced:
-	default:
-		return fmt.Errorf("policy: unknown algorithm %q", c.Algorithm)
 	}
 	if c.DefaultStreams < 1 {
 		c.DefaultStreams = 1
-	}
-	if c.MinStreams < 1 {
-		c.MinStreams = 1
-	}
-	if c.DefaultThreshold < 1 {
-		return fmt.Errorf("policy: DefaultThreshold must be >= 1, got %d", c.DefaultThreshold)
 	}
 	if c.ClusterFactor < 1 {
 		c.ClusterFactor = 1
@@ -99,7 +87,6 @@ func (c *Config) normalize() error {
 	if c.LeaseTTL < 0 {
 		c.LeaseTTL = 0
 	}
-	return nil
 }
 
 // Service is the policy engine plus its Policy Memory: one long-lived rule
@@ -159,14 +146,13 @@ type Service struct {
 	// mutation.
 	replica replicaCursor
 
-	// tun is the immutable tunables snapshot of the active bundle. The
-	// pointer is swapped only under s.mu; rule gates and bodies read it
-	// through an accessor while FireAll runs (always under s.mu), so one
-	// operation sees exactly one snapshot.
-	tun *Tunables
 	// activeBundle/prevBundle are the active bundle document and its
 	// predecessor (the rollback target). Both are durable: they ride in
 	// state dumps and are reconstructed by WAL replay of activations.
+	// activeBundle is the one copy of the tunables: the pointer is swapped
+	// only under s.mu, a bundle is never mutated once installed, and rule
+	// gates and bodies read it through an accessor while FireAll runs
+	// (always under s.mu), so one operation sees exactly one bundle.
 	activeBundle *bundle.Bundle
 	prevBundle   *bundle.Bundle
 	// installed holds v0 plus every bundle ever activated, by version.
@@ -246,7 +232,7 @@ func (s *Service) Instrument(reg *obs.Registry, tracer obs.Tracer) {
 	count("policy_reclaimed_transfers_total", "In-progress transfers reclaimed from expired leases.", &s.reclaimedTransfers)
 	byLabel("policy_report_unmatched_total", "Reported IDs that matched nothing in Policy Memory.", "op", s.reportUnmatchedByOp)
 	reg.GaugeFunc("policy_bundle_active_info", "Active policy bundle (1 on the active version's label).",
-		read(func(emit obs.Emit) { emit(1, s.tun.Version) }), "version")
+		read(func(emit obs.Emit) { emit(1, s.activeBundle.Version) }), "version")
 	byLabel("policy_bundle_activations_total",
 		"Bundle activation attempts by result. A WAL replay counts a rollback as activated: its record carries the bundle it lands on.",
 		"result", s.bundleActsByResult)
@@ -315,8 +301,14 @@ func (s *Service) takeFirings() []RuleFiring {
 
 // New constructs a Service with the given configuration.
 func New(cfg Config) (*Service, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
+	cfg.normalize()
+	// The compiled-in configuration is itself a bundle: v0, active from
+	// birth, never WAL-logged, and held to the schema an activation is.
+	// Until a real bundle is activated, behavior is bit-identical to the
+	// pre-bundle engine.
+	v0 := bundleFromConfig(cfg)
+	if err := v0.Validate(); err != nil {
+		return nil, fmt.Errorf("policy: %w", err)
 	}
 	session := rules.NewSession()
 	if cfg.referenceMatcher {
@@ -330,14 +322,8 @@ func New(cfg Config) (*Service, error) {
 		staged:               make(map[string]*bundle.Bundle),
 		bundleActsByResult:   make(map[string]int),
 		decisions:            NewDecisionLog(DefaultDecisionRing)}
-	// The compiled-in configuration is itself a bundle: v0, active from
-	// birth, never WAL-logged. Activating a real bundle later swaps the
-	// snapshot; until then behavior is bit-identical to the pre-bundle
-	// engine.
-	v0 := bundleFromConfig(cfg)
 	s.activeBundle = v0
 	s.installed[v0.Version] = v0
-	s.tun = tunablesFrom(v0, cfg.Priority)
 	// Record every rule activation for decision provenance. The observer
 	// runs inside FireAll, which the service only calls while holding
 	// s.mu, so pendingFirings needs no extra lock.
@@ -352,28 +338,23 @@ func New(cfg Config) (*Service, error) {
 		return seqID("g-", s.nextGroup, 4)
 	}
 	// Every rule set is installed up front; algorithm and priority rules
-	// carry gates over the active tunables, so activating a bundle can
+	// carry gates over the active bundle, so activating a bundle can
 	// switch allocation policy without rebuilding the session. The accessor
-	// reads s.tun without locking: the pointer is only written under s.mu
-	// and FireAll only runs under s.mu.
-	tun := func() *Tunables { return s.tun }
-	s.session.MustAddRules(commonTransferRules(tun, newGroupID)...)
+	// reads s.activeBundle without locking: the pointer is only written
+	// under s.mu and FireAll only runs under s.mu.
+	active := func() *bundle.Bundle { return s.activeBundle }
+	s.session.MustAddRules(commonTransferRules(active, newGroupID)...)
 	s.session.MustAddRules(cleanupRules()...)
-	s.session.MustAddRules(priorityRules(tun)...)
-	s.session.MustAddRules(greedyRules(tun)...)
-	s.session.MustAddRules(balancedRules(tun)...)
-	s.session.MustAddRules(passthroughRules(tun)...)
+	s.session.MustAddRules(priorityRules(active)...)
+	s.session.MustAddRules(greedyRules(active)...)
+	s.session.MustAddRules(balancedRules(active)...)
+	s.session.MustAddRules(passthroughRules(active)...)
 	// LeaseTTL is deployment wiring, not policy: it stays outside the
 	// bundle surface, so the lease rules remain conditionally installed.
 	if cfg.LeaseTTL > 0 {
 		s.session.MustAddRules(leaseRules()...)
 	}
 
-	// Configuration facts: the v0 bundle's pair thresholds. The other
-	// tunables are read from s.tun by the rules.
-	for _, pt := range v0.PairThresholds {
-		s.session.Insert(&Threshold{Pair: HostPair{Src: pt.SourceHost, Dst: pt.DestHost}, Max: pt.Max})
-	}
 	return s, nil
 }
 
@@ -552,8 +533,7 @@ func (s *Service) adviseTransfersLocked(ctx context.Context, specs []TransferSpe
 	sortAdvice(adv.Transfers)
 	if adv.Transfers == nil {
 		// Every request was suppressed: the JSON advice still carries an
-		// array. Set after the sort, which boxes the slice, so that a
-		// nil one costs no allocation there.
+		// array.
 		adv.Transfers = []AdvisedTransfer{}
 	}
 	return adv, seq, &DecisionRecord{Lines: lines}, nil
@@ -575,21 +555,20 @@ func (s *Service) fireRules(ctx context.Context) error {
 // by group ID, then by source and destination URL (Table I: "Sort the list
 // of transfers by the source and destination URLs"), then by ID.
 func sortAdvice(ts []AdvisedTransfer) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.Priority != b.Priority {
-			return a.Priority > b.Priority
+	slices.SortStableFunc(ts, func(a, b AdvisedTransfer) int {
+		if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+			return c
 		}
-		if a.GroupID != b.GroupID {
-			return a.GroupID < b.GroupID
+		if c := strings.Compare(a.GroupID, b.GroupID); c != 0 {
+			return c
 		}
-		if a.SourceURL != b.SourceURL {
-			return a.SourceURL < b.SourceURL
+		if c := strings.Compare(a.SourceURL, b.SourceURL); c != 0 {
+			return c
 		}
-		if a.DestURL != b.DestURL {
-			return a.DestURL < b.DestURL
+		if c := strings.Compare(a.DestURL, b.DestURL); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }
 
@@ -815,6 +794,11 @@ func (s *Service) adviseCleanupsLocked(ctx context.Context, specs []CleanupSpec)
 			return
 		}
 	}
+	if adv.Cleanups == nil {
+		// Every request was suppressed: the JSON advice still carries an
+		// array.
+		adv.Cleanups = []AdvisedCleanup{}
+	}
 	return adv, seq, &DecisionRecord{Lines: lines}, nil
 }
 
@@ -909,9 +893,9 @@ func (s *Service) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := Snapshot{
-		Algorithm:      string(s.tun.Algorithm),
-		DefaultStreams: s.tun.DefaultStreams,
-		Bundle:         s.tun.Version,
+		Algorithm:      s.activeBundle.Algorithm,
+		DefaultStreams: s.activeBundle.DefaultStreams,
+		Bundle:         s.activeBundle.Version,
 	}
 	inFlightByPair := make(map[HostPair]int)
 	for _, t := range rules.FactsOf[*Transfer](s.session) {
@@ -938,7 +922,7 @@ func (s *Service) Snapshot() Snapshot {
 		// not pin; such a pair's next advise installs the active default.
 		th, ok := thresholds[l.Pair]
 		if !ok {
-			th = s.tun.DefaultThreshold
+			th = s.activeBundle.DefaultThreshold
 		}
 		snap.Pairs = append(snap.Pairs, PairState{
 			SourceHost: l.Pair.Src,

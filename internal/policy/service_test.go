@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"policyflow/internal/bundle"
 	"policyflow/internal/obs"
 )
 
@@ -244,6 +245,10 @@ func TestCleanupSuppressedWhileOtherWorkflowUsesFile(t *testing.T) {
 	if cadv.Removed[0].Reason != "in-use" {
 		t.Fatalf("reason = %q", cadv.Removed[0].Reason)
 	}
+	// With every request suppressed, the list is empty, not absent.
+	if doc, err := json.Marshal(cadv); err != nil || !bytes.HasPrefix(doc, []byte(`{"cleanups":[],`)) {
+		t.Fatalf("advice encodes as %s (%v), want an empty cleanups list", doc, err)
+	}
 	// wf2 cleans up: it is the last user, so the cleanup is approved.
 	cadv2, err := s.AdviseCleanups([]CleanupSpec{{RequestID: "c2", WorkflowID: "wf2", FileURL: fileURL}})
 	if err != nil {
@@ -449,13 +454,15 @@ func TestPerPairThresholdOverride(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DefaultThreshold = 50
 	cfg.DefaultStreams = 8
-	cfg.PairThresholds = map[HostPair]int{
-		{Src: "futuregrid.tacc.example.org", Dst: "obelix.isi.example.org"}: 4,
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	activateEdited(t, s, "pinned-pair", func(b *bundle.Bundle) {
+		b.PairThresholds = []bundle.PairThreshold{
+			{SourceHost: "futuregrid.tacc.example.org", DestHost: "obelix.isi.example.org", Max: 4},
+		}
+	})
 	adv, err := s.AdviseTransfers([]TransferSpec{spec(1, "wf1")})
 	if err != nil {
 		t.Fatal(err)

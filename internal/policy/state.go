@@ -131,7 +131,12 @@ func (s *Service) exportStateLocked() *StateDump {
 		Suppressed:   s.suppressed,
 		Clock:        s.clock,
 		Epoch:        s.epoch,
-		Bundle:       &BundleStateDump{Active: s.activeBundle, Previous: s.prevBundle},
+		// Copies: the rules read the installed bundles, and the dump's
+		// holder may change its own.
+		Bundle: &BundleStateDump{Active: cloneBundle(s.activeBundle)},
+	}
+	if s.prevBundle != nil {
+		d.Bundle.Previous = cloneBundle(s.prevBundle)
 	}
 	d.Transfers = factValues[Transfer](s.session)
 	for _, r := range rules.FactsOf[*Resource](s.session) {
@@ -229,18 +234,18 @@ func (s *Service) importStateLocked(ctx context.Context, d *StateDump) (_ any, s
 	s.clock = d.Clock
 	s.epoch = d.Epoch
 
-	// Adopt the dump's bundle state, falling back to this service's own
-	// compiled-in bundle for dumps that predate bundles. The rules read
-	// the adopted tunables, never s.cfg, which may disagree with the
-	// exporter's active bundle.
-	if d.Bundle != nil && d.Bundle.Active != nil {
-		s.adoptBundleLocked(d.Bundle.Active, d.Bundle.Previous)
-	} else {
-		s.adoptBundleLocked(bundleFromConfig(s.cfg), nil)
-	}
-
 	inPlace := d.once
 	d.once = false // a second import of the same dump copies
+
+	// Adopt the dump's bundle state, falling back to this service's own
+	// compiled-in bundle for dumps that predate bundles. The rules read
+	// the adopted bundle, never s.cfg, which may disagree with the
+	// exporter's active bundle.
+	if d.Bundle != nil && d.Bundle.Active != nil {
+		s.adoptBundleLocked(d.Bundle.Active, d.Bundle.Previous, inPlace)
+	} else {
+		s.adoptBundleLocked(bundleFromConfig(s.cfg), nil, true)
+	}
 	for i := range d.Transfers {
 		t := entry(d.Transfers, i, inPlace)
 		t.Pair = PairOf(t.SourceURL, t.DestURL)

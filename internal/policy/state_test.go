@@ -67,7 +67,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 func TestImportedStateContinuesSemantics(t *testing.T) {
 	src, _ := buildBusyService(t)
 	dump := src.ExportState()
-	dst, err := New(Config{Algorithm: AlgoGreedy, DefaultStreams: 8, MinStreams: 1, DefaultThreshold: 50})
+	dst, err := New(Config{Algorithm: AlgoGreedy, DefaultStreams: 8, DefaultThreshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package policy
 import (
 	"strings"
 	"testing"
+
+	"policyflow/internal/bundle"
 )
 
 // firedRules lists, one per line, the rules that fired in every decision
@@ -113,12 +115,11 @@ func TestBalancedRulesFire(t *testing.T) {
 
 // TestPriorityRuleFires covers the future-work priority weighting rule.
 func TestPriorityRuleFires(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Priority = defaultPriorityWeighting()
-	s, err := New(cfg)
+	s, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	activateEdited(t, s, "weighted", func(b *bundle.Bundle) { b.Priority = defaultPriorityWeighting() })
 	if _, err := s.AdviseTransfers([]TransferSpec{prioSpec(1, 1), prioSpec(2, 5), prioSpec(3, 9)}); err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestBundleLifecycleOverHTTP(t *testing.T) {
 	if info.Version != policy.BootstrapBundleVersion {
 		t.Fatalf("rollback landed on %q", info.Version)
 	}
-	if got := svc.Tunables().Version; got != policy.BootstrapBundleVersion {
+	if got := svc.ActiveBundle().Version; got != policy.BootstrapBundleVersion {
 		t.Fatalf("service active bundle %q after rollback", got)
 	}
 }

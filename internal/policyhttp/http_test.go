@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -221,6 +222,37 @@ func TestContentNegotiation(t *testing.T) {
 	}
 	if len(doc.Transfers) != 1 || doc.Transfers[0].RequestID != "r1" {
 		t.Fatalf("doc = %+v", doc)
+	}
+}
+
+// TestAllSuppressedCleanupJSON: when every cleanup in a request is
+// suppressed (wf1 cleans up a file wf2 still uses), the JSON reply carries
+// an empty cleanups list, not null.
+func TestAllSuppressedCleanupJSON(t *testing.T) {
+	ts, _ := newTestServer(t)
+	c := NewClient(ts.URL)
+	adv, err := c.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReportTransfers(policy.CompletionReport{TransferIDs: []string{adv.Transfers[0].ID}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AdviseTransfers([]policy.TransferSpec{testSpec(1, "wf2")}); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"cleanups":[{"requestId":"c1","workflowId":"wf1","fileUrl":%q}]}`, testSpec(1, "").DestURL)
+	resp, err := http.Post(ts.URL+"/v1/cleanups", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(string(reply), `{"cleanups":[],"removed":[{`) {
+		t.Fatalf("reply %d %s, want an empty cleanups list and one removed", resp.StatusCode, reply)
 	}
 }
 

@@ -173,14 +173,14 @@ type ConfigDoc struct {
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	resf := responseFormat(r, formatJSON)
-	tun := s.svc.Tunables()
+	b := s.svc.ActiveBundle()
 	s.writeResponse(w, resf, http.StatusOK, &ConfigDoc{
-		Bundle:           tun.Version,
-		Algorithm:        string(tun.Algorithm),
-		DefaultStreams:   tun.DefaultStreams,
-		MinStreams:       tun.MinStreams,
-		DefaultThreshold: tun.DefaultThreshold,
-		ClusterFactor:    tun.ClusterFactor,
+		Bundle:           b.Version,
+		Algorithm:        b.Algorithm,
+		DefaultStreams:   b.DefaultStreams,
+		MinStreams:       b.MinStreams,
+		DefaultThreshold: b.DefaultThreshold,
+		ClusterFactor:    b.ClusterFactor,
 	})
 }
 
