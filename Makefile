@@ -165,7 +165,9 @@ fuzz-smoke:
 # loc prints non-test, non-blank Go lines per internal package and per
 # command, then their total — the code-volume number the roadmap tracks
 # alongside the bench trajectory — and then the concept count: exported
-# identifiers per package and in total, printed by the unused-export check
+# identifiers per package and in total, and the config-field count (the
+# exported fields of every exported struct under internal/ named Config,
+# Options or *Config, and their total), printed by the unused-export check
 # (internal/apicheck), followed by any export it finds unused.
 loc:
 	@for d in internal/*/ cmd/*/; do \
